@@ -325,7 +325,7 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
         "--jobs",
         type=int,
         default=default(1),
-        help="worker processes for fuzzing (default: 1)",
+        help="worker processes for fuzzing, at most the CPU count (default: 1)",
     )
     parser.add_argument(
         "--max-omega-exhaustive",

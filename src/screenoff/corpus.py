@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -544,30 +545,37 @@ def random_quantal(
     k = rng.randrange(1, rank + 1)
     vectors = []
     weights = []
+    norm = 0
     for _ in range(k):
         while True:
-            psi = [
-                ComplexFraction(F(rng.randrange(-2, 3)), F(rng.randrange(-2, 3)))
-                for _ in range(n)
-            ]
-            total = CF_ZERO
-            for a in psi:
-                total = total + a
-            if total:
+            psi = [(rng.randrange(-2, 3), rng.randrange(-2, 3)) for _ in range(n)]
+            t_re = sum(a[0] for a in psi)
+            t_im = sum(a[1] for a in psi)
+            if t_re or t_im:
                 break
-        vectors.append((psi, total))
-        weights.append(F(rng.randrange(1, 4)))
-    norm = sum(
-        w * (t.re * t.re + t.im * t.im) for w, (_, t) in zip(weights, vectors)
-    )
-    weights = [w / norm for w in weights]
-    entries = [[CF_ZERO] * n for _ in range(n)]
-    for w, (psi, _) in zip(weights, vectors):
-        for h in range(n):
-            for g in range(n):
-                entries[h][g] = entries[h][g] + psi[h] * psi[g].conjugate() * w
+        w = rng.randrange(1, 4)
+        vectors.append(psi)
+        weights.append(w)
+        norm += w * (t_re * t_re + t_im * t_im)
+    # matrix numerators sum w * psi[h] * conj(psi[g]) over the integer norm;
+    # the matrix is Hermitian, so the lower triangle mirrors the upper
+    num = [[(0, 0)] * n for _ in range(n)]
+    for w, psi in zip(weights, vectors):
+        for h, (hr, hi) in enumerate(psi):
+            row = num[h]
+            for g in range(h, n):
+                gr, gi = psi[g]
+                er, ei = row[g]
+                row[g] = (er + w * (hr * gr + hi * gi), ei + w * (hi * gr - hr * gi))
+    entries = [[None] * n for _ in range(n)]
+    for h in range(n):
+        for g in range(h, n):
+            er, ei = num[h][g]
+            re = F(er, norm)
+            entries[h][g] = ComplexFraction(re, F(ei, norm))
+            entries[g][h] = ComplexFraction(re, F(-ei, norm))
     return QuantalModel(
-        site, entries, positivity_witness=list(zip(weights, (p for p, _ in vectors)))
+        site, entries, positivity_witness=[(F(w, norm), psi) for w, psi in zip(weights, vectors)]
     )
 
 
@@ -674,6 +682,12 @@ def fuzz_equivalence(
         )
     if count < 1:
         raise ValueError("corpus error: fuzz count must be at least 1")
+    max_jobs = os.cpu_count() or 1
+    if not 1 <= jobs <= max_jobs:
+        raise ValueError(
+            f"corpus error: jobs must be between 1 and {max_jobs} "
+            f"(the CPU count), not {jobs}"
+        )
     quantal = pair == "qso1-qso2"
     sites = n_sites if n_sites is not None else (4 if quantal else 5)
     alphabet = max_alphabet if max_alphabet is not None else 2

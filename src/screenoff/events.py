@@ -87,10 +87,6 @@ def history_index(site: CausalSite, values: Sequence[int]) -> int:
     return h
 
 
-def iter_events(site: CausalSite) -> Iterator[int]:
-    return iter(range(_space(site).omega + 1))
-
-
 def cylinder(site: CausalSite, element: int | str, value: int) -> int:
     """All histories whose given element carries the given value."""
     i = element if isinstance(element, int) else site.index(element)

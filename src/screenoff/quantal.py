@@ -22,7 +22,6 @@ from .events import (
     full_specifications,
     n_configs,
     n_histories,
-    omega,
 )
 from .order import CausalSite, iter_bits
 from .report import (
@@ -102,6 +101,16 @@ CF_ZERO = ComplexFraction()
 CF_ONE = ComplexFraction(Fraction(1), Fraction(0))
 
 
+def _scaled(values) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The common denominator of complex fractions and their Gaussian-integer numerators."""
+    values = tuple(values)
+    den = lcm(*(d for x in values for d in (x.re.denominator, x.im.denominator)))
+    return den, tuple(
+        (x.re.numerator * (den // x.re.denominator), x.im.numerator * (den // x.im.denominator))
+        for x in values
+    )
+
+
 @dataclass(frozen=True)
 class PseudoEvent:
     """An ordered product of two plain events — a rectangle in Omega x Omega."""
@@ -141,14 +150,8 @@ class QuantalModel:
                 for w, vec in positivity_witness
             )
         self.positivity_witness = positivity_witness
-        den = 1
-        for row in rows:
-            for x in row:
-                den = lcm(den, x.re.denominator, x.im.denominator)
-        self._den = den
-        self._ints = tuple(
-            tuple((int(x.re * den), int(x.im * den)) for x in row) for row in rows
-        )
+        self._den, flat = _scaled(x for row in rows for x in row)
+        self._ints = tuple(flat[i : i + n] for i in range(0, n * n, n))
         self._validation = None
 
     def __eq__(self, other: object) -> bool:
@@ -194,10 +197,12 @@ class QuantalModel:
 
     def _validate(self) -> CheckReport:
         condition = "quantal-axioms"
-        n = len(self.entries)
+        ints = self._ints
+        n = len(ints)
         for h in range(n):
             for g in range(h, n):
-                if self.entries[h][g] != self.entries[g][h].conjugate():
+                re, im = ints[g][h]
+                if ints[h][g] != (re, -im):
                     cx = Counterexample(
                         values=(
                             ("axiom", "hermiticity"),
@@ -208,8 +213,10 @@ class QuantalModel:
                         note=f"hermiticity fails at history pair ({h}, {g})",
                     )
                     return CheckReport(condition, VIOLATED, counterexample=cx)
-        total = self.d_value(omega(self.site), omega(self.site))
-        if total != CF_ONE:
+        total_re = sum(x[0] for row in ints for x in row)
+        total_im = sum(x[1] for row in ints for x in row)
+        if (total_re, total_im) != (self._den, 0):
+            total = ComplexFraction(Fraction(total_re, self._den), Fraction(total_im, self._den))
             cx = Counterexample(
                 values=(("axiom", "normalization"), ("total", str(total))),
                 note=f"matrix sums to {total}, not 1",
@@ -232,13 +239,12 @@ class QuantalModel:
         if self.positivity_witness is not None:
             self._check_witness()
             return None
-        n = len(self.entries)
-        if all(
-            not self.entries[h][g] for h in range(n) for g in range(n) if h != g
-        ):
+        ints = self._ints
+        n = len(ints)
+        if all(x == (0, 0) for h, row in enumerate(ints) for g, x in enumerate(row) if h != g):
             # fully decohered: additivity reduces every event to its singletons
             for h in range(n):
-                if self.entries[h][h].re < 0:
+                if ints[h][h][0] < 0:
                     return 1 << h, self.entries[h][h].re
             return None
         if n > POSITIVITY_ENUMERATION_LIMIT:
@@ -247,7 +253,6 @@ class QuantalModel:
                 f"the enumeration limit ({POSITIVITY_ENUMERATION_LIMIT}) and no "
                 "positivity witness was given"
             )
-        ints = self._ints
         # incremental double sum over one-bit-flip subset steps
         col = [(0, 0)] * n
         s_re = 0
@@ -289,12 +294,27 @@ class QuantalModel:
                     f"quantal error: witness vector has {len(vec)} amplitudes "
                     f"for {n} histories"
                 )
+        # term w * vec vec^dagger, with w = p/q and vec = V/dv, is c * V V^dagger / L
+        # over the common denominator L of every q * dv^2
+        scaled = []
+        for w, vec in self.positivity_witness:
+            dv, ints = _scaled(vec)
+            scaled.append((w.numerator, w.denominator * dv * dv, ints))
+        big = lcm(*(q for _, q, _ in scaled))
+        terms = [(p * (big // q), ints) for p, q, ints in scaled]
+        den = self._den
         for h in range(n):
+            row = self._ints[h]
             for g in range(n):
-                acc = CF_ZERO
-                for w, vec in self.positivity_witness:
-                    acc = acc + vec[h] * vec[g].conjugate() * w
-                if acc != self.entries[h][g]:
+                acc_re = acc_im = 0
+                for c, v in terms:
+                    hr, hi = v[h]
+                    gr, gi = v[g]
+                    acc_re += c * (hr * gr + hi * gi)
+                    acc_im += c * (hi * gr - hr * gi)
+                er, ei = row[g]
+                if acc_re * den != er * big or acc_im * den != ei * big:
+                    acc = ComplexFraction(Fraction(acc_re, big), Fraction(acc_im, big))
                     raise QuantalError(
                         "quantal error: positivity witness does not reproduce "
                         f"the matrix at entry ({h}, {g}): {acc} != {self.entries[h][g]}"
@@ -508,7 +528,7 @@ def diagonal_reduction(q: QuantalModel) -> CheckReport:
     n = len(q.entries)
     for h in range(n):
         for g in range(n):
-            if h != g and q.entries[h][g] != CF_ZERO:
+            if h != g and q._ints[h][g] != (0, 0):
                 raise QuantalError(
                     f"quantal error: off-diagonal entry at ({h}, {g}); "
                     "diagonal reduction needs a fully decohered matrix"

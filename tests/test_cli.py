@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -338,6 +339,17 @@ class TestFuzz:
         )
         assert code == 0
         assert "50/50 agree" in out
+
+    def test_jobs_beyond_cpu_count_is_usage_error(self, capsys):
+        limit = os.cpu_count() or 1
+        for jobs in (0, limit + 1):
+            code, out, err = run(
+                capsys, "fuzz", "--pair", "so1-so2", "--seed", "1", "--count", "5",
+                "--jobs", str(jobs),
+            )
+            assert code == 2
+            assert out == ""
+            assert f"jobs must be between 1 and {limit}" in err
 
     def test_json_jobs_stability(self, capsys):
         args = ["fuzz", "--pair", "so1-so2", "--seed", "3", "--count", "30",

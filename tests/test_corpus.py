@@ -1,6 +1,7 @@
 """The built-in model catalogue, random generators, and fuzz harness."""
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 
 import pytest
@@ -252,8 +253,17 @@ class TestFuzz:
 
     def test_jobs_do_not_change_the_report(self):
         serial = fuzz_equivalence(8, 40, "so1-so2", jobs=1).to_json_dict()
-        parallel = fuzz_equivalence(8, 40, "so1-so2", jobs=3).to_json_dict()
+        jobs = min(3, os.cpu_count() or 1)
+        parallel = fuzz_equivalence(8, 40, "so1-so2", jobs=jobs).to_json_dict()
         assert serial == parallel
+
+    @pytest.mark.parametrize("extra", [None, 0, -1])
+    def test_jobs_outside_one_to_cpu_count(self, extra):
+        # validation runs before any pool exists, so no worker is started
+        limit = os.cpu_count() or 1
+        jobs = limit + 1 if extra is None else extra
+        with pytest.raises(ValueError, match=f"between 1 and {limit}"):
+            fuzz_equivalence(1, 10, "so1-so2", jobs=jobs)
 
     def test_unknown_pair(self):
         with pytest.raises(ValueError, match="unknown fuzz pair"):
