@@ -405,6 +405,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = e.code
         return code if isinstance(code, int) else 2
     try:
+        corpus_mod.check_jobs(args.jobs)
         return args.handler(args)
     except InternalCheckError as e:
         print(f"{e}", file=sys.stderr)

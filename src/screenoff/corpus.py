@@ -662,6 +662,16 @@ def _fuzz_one(args: tuple) -> tuple[int, str, str]:
     return model_seed, r1.verdict, r2.verdict
 
 
+def check_jobs(jobs: int) -> None:
+    """Refuse a worker count outside 1..the CPU count before any pool exists."""
+    max_jobs = os.cpu_count() or 1
+    if not 1 <= jobs <= max_jobs:
+        raise ValueError(
+            f"corpus error: jobs must be between 1 and {max_jobs} "
+            f"(the CPU count), not {jobs}"
+        )
+
+
 def fuzz_equivalence(
     seed: int,
     count: int,
@@ -682,12 +692,7 @@ def fuzz_equivalence(
         )
     if count < 1:
         raise ValueError("corpus error: fuzz count must be at least 1")
-    max_jobs = os.cpu_count() or 1
-    if not 1 <= jobs <= max_jobs:
-        raise ValueError(
-            f"corpus error: jobs must be between 1 and {max_jobs} "
-            f"(the CPU count), not {jobs}"
-        )
+    check_jobs(jobs)
     quantal = pair == "qso1-qso2"
     sites = n_sites if n_sites is not None else (4 if quantal else 5)
     alphabet = max_alphabet if max_alphabet is not None else 2

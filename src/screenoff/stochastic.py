@@ -14,6 +14,7 @@ from functools import lru_cache
 from math import lcm, prod
 
 from .events import (
+    _region_meta,
     config_indices,
     dom,
     event_ref,
@@ -55,6 +56,10 @@ class PreconditionError(ValueError):
 
 class SelectorError(ValueError):
     """Raised when a conditioning-region selector produces an inadmissible region."""
+
+
+class CapacityError(ValueError):
+    """Raised when a search would exceed a fixed size limit of this checker."""
 
 
 class StochasticModel:
@@ -131,23 +136,50 @@ def correlated(model: StochasticModel, a: int, b: int) -> bool:
 #
 # For pairwise-disjoint regions, every conditional-independence equation in
 # this module reduces to integer identities between joint-configuration cell
-# weights.  The flat cell index treats the first region as most significant,
-# so ascending flat order scans the first region's configurations outermost.
+# weights.  A check keeps one table per union U of the regions it scans, flat
+# in U's own config order (mixed radix over U's members, lowest element index
+# most significant, like history indices).  The cells of any partition of U
+# into regions are read back through per-region offset lists, so every pair
+# with the same union shares one pass over the histories.
 
 
-def _cell_weights(model: StochasticModel, regions: tuple[int, ...]):
-    """Scaled weights of the joint configuration cells of disjoint regions."""
+def _union_offsets(site: CausalSite, region: int, union: int) -> list[int]:
+    """For each configuration of `region`, its offset in the config order of `union`."""
+    members, strides, _ = _region_meta(site, union)
+    offsets = [0]
+    for i, stride in zip(members, strides):
+        if region >> i & 1:
+            steps = range(0, site.alphabets[i] * stride, stride)
+            offsets = [o + s for o in offsets for s in steps]
+    return offsets
+
+
+def _cell_weights(model: StochasticModel, regions: tuple[int, ...]) -> list[int]:
+    """Scaled weights of the configurations of the union of disjoint regions."""
     site = model.site
-    sizes = tuple(n_configs(site, r) for r in regions)
-    index_maps = [config_indices(site, r) for r in regions]
-    table = [0] * prod(sizes)
-    for h, w in enumerate(model._nums):
+    union = 0
+    for r in regions:
+        union |= r
+    flat = [0] * len(model._nums)
+    for r in regions:
+        offsets = _union_offsets(site, r, union)
+        flat = [f + offsets[c] for f, c in zip(flat, config_indices(site, r))]
+    table = [0] * n_configs(site, union)
+    for f, w in zip(flat, model._nums):
         if w:
-            flat = 0
-            for ci, size in zip(index_maps, sizes):
-                flat = flat * size + ci[h]
-            table[flat] += w
-    return sizes, table
+            table[f] += w
+    return table
+
+
+def _union_table(model: StochasticModel, regions: tuple[int, ...], tables: dict):
+    """(union, table) for disjoint regions, built once per union into `tables`."""
+    union = 0
+    for r in regions:
+        union |= r
+    table = tables.get(union)
+    if table is None:
+        table = tables[union] = _cell_weights(model, regions)
+    return union, table
 
 
 @lru_cache(maxsize=None)
@@ -166,46 +198,59 @@ class _Failure:
     w_margins: tuple[int, ...]
 
 
-def _factorization_failure(model: StochasticModel, event_regions: tuple[int, ...], past: int):
+def _factorization_failure(
+    model: StochasticModel, event_regions: tuple[int, ...], past: int, *, tables: dict
+):
     """Scan atoms of the event regions against full specifications of `past`.
 
     Checks mu(atoms jointly | C) = product of mu(atom_i | C) for every
     conditioning cell C with positive weight, in cross-multiplied form
-    W(joint) * W(C)^(k-1) == prod W(atom_i within C).  Returns
-    (failure-or-None, conditions_checked, null_conditions_skipped).
+    W(joint) * W(C)^(k-1) == prod W(atom_i within C), one conditioning cell's
+    block of atoms at a time, with the first region most significant.  The
+    cell weights are read from the table of the regions' union, which is
+    built into `tables` on first use and shared by every later scan of the
+    same union.  Returns (failure-or-None, conditions_checked,
+    null_conditions_skipped).
     """
-    sizes, table = _cell_weights(model, (past, *event_regions))
-    n_past, atom_counts = sizes[0], sizes[1:]
-    block = prod(atom_counts)
-    coords = _atom_coords(atom_counts)
-    k = len(atom_counts)
+    site = model.site
+    union, table = _union_table(model, (past, *event_regions), tables)
+    offsets = [_union_offsets(site, r, union) for r in event_regions]
+    block = [0]
+    for region_offsets in offsets:
+        block = [b + o for b in block for o in region_offsets]
+    sizes = tuple(len(o) for o in offsets)
+    exponent = len(event_regions) - 1
     checked = 0
     skipped = 0
-    for p in range(n_past):
-        base = p * block
-        w_past = sum(table[base : base + block])
+    for p, base in enumerate(_union_offsets(site, past, union)):
+        cells = [table[base + i] for i in block]
+        # Sum out the regions last to first: each step reads one region's
+        # margin off the last axis and leaves the joint of the ones before it.
+        margins = []
+        joint = cells
+        for size in reversed(sizes[1:]):
+            margins.append([sum(joint[c::size]) for c in range(size)])
+            joint = [sum(joint[t : t + size]) for t in range(0, len(joint), size)]
+        margins.append(joint)
+        w_past = sum(joint)
         if w_past == 0:
             skipped += 1
             continue
-        margins = [[0] * count for count in atom_counts]
-        for flat in range(block):
-            w = table[base + flat]
-            if w:
-                cs = coords[flat]
-                for i in range(k):
-                    margins[i][cs[i]] += w
-        scale = w_past ** (k - 1)
-        for flat in range(block):
-            checked += 1
-            cs = coords[flat]
-            lhs = table[base + flat] * scale
-            rhs = 1
-            for i in range(k):
-                rhs *= margins[i][cs[i]]
-            if lhs != rhs:
-                margin_ws = tuple(margins[i][cs[i]] for i in range(k))
-                failure = _Failure(p, cs, w_past, table[base + flat], margin_ws)
-                return failure, checked, skipped
+        margins.reverse()
+        *head_margins, margin_last = margins
+        row_factors = [1]
+        for margin in head_margins:
+            row_factors = [f * w for f in row_factors for w in margin]
+        scale = w_past**exponent
+        lhs = [x * scale for x in cells]
+        rhs = [f * y for f in row_factors for y in margin_last]
+        if lhs != rhs:
+            i = next(i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+            atom = _atom_coords(sizes)[i]
+            checked += i + 1
+            margin_ws = tuple(m[c] for m, c in zip(margins, atom))
+            return _Failure(p, atom, w_past, cells[i], margin_ws), checked, skipped
+        checked += len(cells)
     return None, checked, skipped
 
 
@@ -262,11 +307,12 @@ def _pairwise_screening(
     pairs = 0
     checked = 0
     skipped = 0
+    tables: dict = {}
     for ra, rb in _spacelike_pairs(model.site):
         if eligible is not None and not eligible(ra, rb):
             continue
         pairs += 1
-        fail, c, s = _factorization_failure(model, (ra, rb), past_of(ra, rb))
+        fail, c, s = _factorization_failure(model, (ra, rb), past_of(ra, rb), tables=tables)
         checked += c
         skipped += s
         if fail is not None:
@@ -367,6 +413,7 @@ def check_generalized_so(model: StochasticModel, selector="mutual") -> CheckRepo
     pasts = 0
     checked = 0
     skipped = 0
+    tables: dict = {}
     for ra, rb in _spacelike_pairs(site):
         pairs += 1
         p1 = site.mutual_past(ra, rb)
@@ -386,7 +433,7 @@ def check_generalized_so(model: StochasticModel, selector="mutual") -> CheckRepo
                 _admissible_or_raise(site, past, ra, rb)
         for past in candidates:
             pasts += 1
-            fail, c, s = _factorization_failure(model, (ra, rb), past)
+            fail, c, s = _factorization_failure(model, (ra, rb), past, tables=tables)
             checked += c
             skipped += s
             if fail is not None:
@@ -459,10 +506,11 @@ def check_multi_so(model: StochasticModel, n: int) -> CheckReport:
     tuples = 0
     checked = 0
     skipped = 0
+    tables: dict = {}
     for regions in _spacelike_tuples(site, n):
         tuples += 1
         past = site.multi_joint_past(list(regions))
-        fail, c, s = _factorization_failure(model, regions, past)
+        fail, c, s = _factorization_failure(model, regions, past, tables=tables)
         checked += c
         skipped += s
         if fail is not None:
@@ -506,29 +554,36 @@ def check_wrc(model: StochasticModel, conditioned: bool = False) -> CheckReport:
     pairs = 0
     conditioning_events = 0
     correlated_pairs = 0
+    tables: dict = {}
     for ra, rb in _spacelike_pairs(site):
         pairs += 1
         past = site.mutual_past(ra, rb)
-        (n_past, na, nb), table = _cell_weights(model, (past, ra, rb))
+        n_past = n_configs(site, past)
         if n_past > _PAST_CELL_LIMIT:
-            raise ValueError(
-                f"common-correlate search needs 2^{n_past} candidate events for the "
-                f"mutual past of ({site.region_ids(ra)}, {site.region_ids(rb)}); "
-                f"model too large (limit 2^{_PAST_CELL_LIMIT})"
+            raise CapacityError(
+                f"capacity error: common-correlate search needs 2^{n_past} candidate "
+                f"events for the mutual past of ({site.region_ids(ra)}, "
+                f"{site.region_ids(rb)}); the limit is 2^{_PAST_CELL_LIMIT} "
+                f"({_PAST_CELL_LIMIT} mutual-past cells)"
             )
-        block = na * nb
+        union, table = _union_table(model, (past, ra, rb), tables)
+        off_a = _union_offsets(site, ra, union)
+        off_b = _union_offsets(site, rb, union)
+        past_offsets = _union_offsets(site, past, union)
+        na, nb = len(off_a), len(off_b)
+        block = [oa + ob for oa in off_a for ob in off_b]
         # Per-past-cell marginals, then cumulative sums over sets of past cells:
         # every event decidable in the mutual past is a union of its cells.
         n_masks = 1 << n_past
         w_c = [0] * n_masks
         wa_c = [[0] * na for _ in range(n_masks)]
         wb_c = [[0] * nb for _ in range(n_masks)]
-        wab_c = [[0] * block for _ in range(n_masks)]
+        wab_c = [[0] * len(block) for _ in range(n_masks)]
         for cm in range(1, n_masks):
             low = cm & -cm
             p = low.bit_length() - 1
             rest = cm ^ low
-            base = p * block
+            base = past_offsets[p]
             wa_row = wa_c[cm]
             wb_row = wb_c[cm]
             wab_row = wab_c[cm]
@@ -537,10 +592,9 @@ def check_wrc(model: StochasticModel, conditioned: bool = False) -> CheckReport:
             wab_prev = wab_c[rest]
             total = 0
             for a in range(na):
-                row = base + a * nb
                 for b in range(nb):
-                    w = table[row + b]
                     flat = a * nb + b
+                    w = table[base + block[flat]]
                     wab_row[flat] = wab_prev[flat] + w
                     total += w
                     wa_row[a] += w
@@ -998,11 +1052,12 @@ def check_penrose_percival(model: StochasticModel) -> CheckReport:
     dissections = 0
     checked = 0
     skipped = 0
+    tables: dict = {}
     for ra, rb in _spacelike_pairs(site):
         pairs += 1
         for pd, _sides in site.enumerate_dissections(ra, rb):
             dissections += 1
-            fail, c, s = _factorization_failure(model, (ra, rb), pd)
+            fail, c, s = _factorization_failure(model, (ra, rb), pd, tables=tables)
             checked += c
             skipped += s
             if fail is not None:

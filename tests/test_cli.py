@@ -249,6 +249,18 @@ class TestCheck:
         assert code == 1
         assert "pcc-rev2: violated" in out
 
+    def test_wrc_capacity_limit_is_a_usage_error(self, capsys, tmp_path):
+        from screenoff.corpus import random_deterministic_local
+        from screenoff.modelfile import render_model_json
+
+        path = tmp_path / "detlocal.json"
+        path.write_text(render_model_json(random_deterministic_local(3, n_sites=8)))
+        code, out, err = run(capsys, "check", "wrc-cond", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("capacity error: ")
+        assert "the limit is 2^12" in err
+
     def test_json_stability_modulo_runtime(self, capsys, model_dir):
         path = str(model_dir / "wizard_simpson.json")
         _, out1, _ = run(capsys, "check", "so1", path, "--format", "json")
@@ -407,6 +419,19 @@ class TestCorpus:
 
     def test_verify(self, capsys):
         code, out, _ = run(capsys, "corpus", "verify")
+        assert code == 0
+        assert "corpus-verify: holds" in out
+
+    def test_verify_checks_jobs(self, capsys):
+        # --jobs is a global flag; every subcommand refuses a bad value
+        # before it starts, although only fuzz starts workers
+        limit = os.cpu_count() or 1
+        jobs = max(1000, limit + 1)
+        code, out, err = run(capsys, "corpus", "verify", "--jobs", str(jobs))
+        assert code == 2
+        assert out == ""
+        assert f"jobs must be between 1 and {limit} (the CPU count), not {jobs}" in err
+        code, out, _ = run(capsys, "corpus", "verify", "--jobs", "1")
         assert code == 0
         assert "corpus-verify: holds" in out
 

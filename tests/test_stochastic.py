@@ -14,6 +14,7 @@ import pytest
 
 from test_order import antichain, chain, coin_site, diamond
 
+import screenoff.stochastic as stochastic
 from screenoff.events import (
     dom,
     full_specifications,
@@ -283,6 +284,33 @@ class TestSO1:
             site = SMALL_SITES[i % len(SMALL_SITES)]
             m = rand_model(rng, site)
             assert (check_so1(m).verdict == HOLDS) == oracle_so1(m), (i, m.weights)
+
+
+class TestCellTables:
+    def test_one_table_per_region_union(self, monkeypatch):
+        # common cause below 5 leaves: every pair's past is the root, so the
+        # unions are the root with 2..5 leaves, 2^5 - 5 - 1 = 26 of them
+        leaves = [f"l{i}" for i in range(5)]
+        site = CausalSite([("c", 3)] + [(l, 2) for l in leaves], [("c", l) for l in leaves])
+        n = n_histories(site)
+        model = StochasticModel(site, [F(1, n)] * n)
+        calls = []
+        original = stochastic._cell_weights
+
+        def counted(*args, **kwargs):
+            calls.append((args, kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(stochastic, "_cell_weights", counted)
+        report = check_so1(model)
+        assert report.verdict == HOLDS
+        unions = {site.mutual_past(a, b) | a | b for a, b in stochastic._spacelike_pairs(site)}
+        assert len(unions) == 26
+        assert len(calls) == len(unions)
+        # the benchmark tracer's hook takes exactly (model, regions)
+        for args, kwargs in calls:
+            assert len(args) == 2 and not kwargs
+            assert args[0] is model
 
 
 class TestSO2:

@@ -1,0 +1,349 @@
+"""Differential oracle for the shared cell tables of the classical pair scans.
+
+The reference code below is the per-pair scan the classical checks used
+before one cell table per region union was shared across a check:
+``ref_cell_weights`` rescans every history into the (past, A, B) table of a
+single pair, ``ref_factorization_failure`` walks that table atom by atom,
+and ``ref_wrc`` runs the common-correlate search over it.  The pairwise
+checks are rebuilt on the reference scan, and every report's
+``to_json_dict()`` (which carries no ``runtime_ms``) and every error text is
+compared with the program's byte for byte.
+"""
+from __future__ import annotations
+
+import itertools
+import json
+import random
+from fractions import Fraction
+from math import prod
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import screenoff.stochastic as stochastic
+from screenoff.corpus import corpus_entries, random_deterministic_local, random_stochastic
+from screenoff.events import config_indices, event_ref, full_specifications, n_configs
+from screenoff.order import CausalSite, iter_bits
+from screenoff.report import HOLDS, VACUOUS, VIOLATED, CheckReport, Counterexample, format_rational
+from screenoff.stochastic import (
+    CapacityError,
+    StochasticModel,
+    check_generalized_so,
+    check_multi_so,
+    check_penrose_percival,
+    check_so1,
+    check_so2,
+    check_so2w,
+    check_wrc,
+)
+
+F = Fraction
+
+
+# -- reference code ---------------------------------------------------------
+
+
+def ref_cell_weights(model, regions):
+    """Scaled weights of the joint configuration cells of disjoint regions."""
+    site = model.site
+    sizes = tuple(n_configs(site, r) for r in regions)
+    index_maps = [config_indices(site, r) for r in regions]
+    table = [0] * prod(sizes)
+    for h, w in enumerate(model._nums):
+        if w:
+            flat = 0
+            for ci, size in zip(index_maps, sizes):
+                flat = flat * size + ci[h]
+            table[flat] += w
+    return sizes, table
+
+
+def ref_factorization_failure(model, event_regions, past):
+    """The atom-by-atom scan of one pair's own (past, *event_regions) table."""
+    sizes, table = ref_cell_weights(model, (past, *event_regions))
+    n_past, atom_counts = sizes[0], sizes[1:]
+    block = prod(atom_counts)
+    coords = tuple(itertools.product(*(range(s) for s in atom_counts)))
+    k = len(atom_counts)
+    checked = 0
+    skipped = 0
+    for p in range(n_past):
+        base = p * block
+        w_past = sum(table[base : base + block])
+        if w_past == 0:
+            skipped += 1
+            continue
+        margins = [[0] * count for count in atom_counts]
+        for flat in range(block):
+            w = table[base + flat]
+            if w:
+                cs = coords[flat]
+                for i in range(k):
+                    margins[i][cs[i]] += w
+        scale = w_past ** (k - 1)
+        for flat in range(block):
+            checked += 1
+            cs = coords[flat]
+            lhs = table[base + flat] * scale
+            rhs = 1
+            for i in range(k):
+                rhs *= margins[i][cs[i]]
+            if lhs != rhs:
+                margin_ws = tuple(margins[i][cs[i]] for i in range(k))
+                failure = stochastic._Failure(p, cs, w_past, table[base + flat], margin_ws)
+                return failure, checked, skipped
+    return None, checked, skipped
+
+
+def ref_wrc(model, conditioned=False):
+    """The common-correlate search, reading each pair's own (past, A, B) table."""
+    site = model.site
+    condition = "wrc-cond" if conditioned else "wrc"
+    pairs = 0
+    conditioning_events = 0
+    correlated_pairs = 0
+    for ra, rb in stochastic._spacelike_pairs(site):
+        pairs += 1
+        past = site.mutual_past(ra, rb)
+        (n_past, na, nb), table = ref_cell_weights(model, (past, ra, rb))
+        if n_past > 12:
+            raise CapacityError(
+                f"capacity error: common-correlate search needs 2^{n_past} candidate "
+                f"events for the mutual past of ({site.region_ids(ra)}, "
+                f"{site.region_ids(rb)}); the limit is 2^12 (12 mutual-past cells)"
+            )
+        block = na * nb
+        n_masks = 1 << n_past
+        w_c = [0] * n_masks
+        wa_c = [[0] * na for _ in range(n_masks)]
+        wb_c = [[0] * nb for _ in range(n_masks)]
+        wab_c = [[0] * block for _ in range(n_masks)]
+        for cm in range(1, n_masks):
+            # every event decidable in the mutual past is a union of its cells
+            for p in iter_bits(cm):
+                for a in range(na):
+                    for b in range(nb):
+                        w = table[p * block + a * nb + b]
+                        w_c[cm] += w
+                        wa_c[cm][a] += w
+                        wb_c[cm][b] += w
+                        wab_c[cm][a * nb + b] += w
+        full_cm = n_masks - 1
+        if conditioned:
+            cond_masks = [cm for cm in range(1, n_masks) if w_c[cm] > 0]
+        else:
+            cond_masks = [full_cm] if w_c[full_cm] > 0 else []
+        for cm_e in cond_masks:
+            conditioning_events += 1
+            we = w_c[cm_e]
+            for a in range(na):
+                wae = wa_c[cm_e][a]
+                for b in range(nb):
+                    wbe = wb_c[cm_e][b]
+                    wabe = wab_c[cm_e][a * nb + b]
+                    if wabe * we == wae * wbe:
+                        continue
+                    correlated_pairs += 1
+                    found = any(
+                        wa_c[cm_c & cm_e][a] * we != wae * w_c[cm_c & cm_e]
+                        and wb_c[cm_c & cm_e][b] * we != wbe * w_c[cm_c & cm_e]
+                        for cm_c in range(1, n_masks)
+                    )
+                    if found:
+                        continue
+                    cells = full_specifications(site, past)
+                    e_mask = 0
+                    for p in iter_bits(cm_e):
+                        e_mask |= cells[p]
+                    cx = Counterexample(
+                        regions=(
+                            ("A", site.region_ids(ra)),
+                            ("B", site.region_ids(rb)),
+                            ("past", site.region_ids(past)),
+                        ),
+                        events=(
+                            ("A", event_ref(site, full_specifications(site, ra)[a], ra, a)),
+                            ("B", event_ref(site, full_specifications(site, rb)[b], rb, b)),
+                            ("E", event_ref(site, e_mask)),
+                        ),
+                        values=(
+                            ("mu(E)", format_rational(F(we, model._den))),
+                            ("mu(A&B|E)", format_rational(F(wabe, we))),
+                            ("mu(A|E)", format_rational(F(wae, we))),
+                            ("mu(B|E)", format_rational(F(wbe, we))),
+                            ("product", format_rational(F(wae * wbe, we * we))),
+                        ),
+                        note=(
+                            "correlated atom pair with no common correlate "
+                            f"decidable in the mutual past ({n_masks - 1} "
+                            "candidate events searched)"
+                        ),
+                    )
+                    stats = {
+                        "region_pairs": pairs,
+                        "conditioning_events": conditioning_events,
+                        "correlated_atom_pairs": correlated_pairs,
+                    }
+                    return CheckReport(condition, VIOLATED, counterexample=cx, stats=stats)
+    stats = {
+        "region_pairs": pairs,
+        "conditioning_events": conditioning_events,
+        "correlated_atom_pairs": correlated_pairs,
+    }
+    if pairs == 0:
+        return CheckReport(
+            condition, VACUOUS, reason="no spacelike pairs of disjoint nonempty regions", stats=stats
+        )
+    return CheckReport(condition, HOLDS, stats=stats)
+
+
+# -- comparison harness -----------------------------------------------------
+
+
+def _outside_futures(site, a, b):
+    """Everything clear of both futures: admissible for every spacelike pair."""
+    return site.full_mask & ~(site.future(a) | site.future(b))
+
+
+def _empty_region(site, a, b):
+    """Inadmissible wherever the mutual past is nonempty."""
+    return 0
+
+
+def _whole_site(site, a, b):
+    """Always inadmissible: it meets the future of the pair."""
+    return site.full_mask
+
+
+# (label, run(model)) for every check that scans region pairs against a past.
+CHECKS = (
+    ("so1", check_so1),
+    ("so2", check_so2),
+    ("so2w", check_so2w),
+    *(
+        (f"gen-so[{sel}]", lambda m, sel=sel: check_generalized_so(m, selector=sel))
+        for sel in ("mutual", "joint", "bell", "all", "nope",
+                    _outside_futures, _empty_region, _whole_site)
+    ),
+    ("multi-so[n=2]", lambda m: check_multi_so(m, 2)),
+    ("multi-so[n=3]", lambda m: check_multi_so(m, 3)),
+    ("penrose-percival", check_penrose_percival),
+)
+
+
+def _outcome(run) -> str:
+    try:
+        return json.dumps(run().to_json_dict(), sort_keys=True)
+    except ValueError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def _reference_outcome(run, model) -> str:
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(
+            stochastic,
+            "_factorization_failure",
+            lambda model, regions, past, *, tables: ref_factorization_failure(model, regions, past),
+        )
+        m.setattr(stochastic, "_cell_weights", None)  # the reference never reads a shared table
+        return _outcome(lambda: run(model))
+
+
+def assert_matches_reference(model: StochasticModel) -> list[str]:
+    outcomes = []
+    for label, run in CHECKS:
+        got = _outcome(lambda: run(model))
+        want = _reference_outcome(run, model)
+        assert got == want, label
+        outcomes.append(got)
+    for conditioned in (False, True):
+        got = _outcome(lambda: check_wrc(model, conditioned=conditioned))
+        want = _outcome(lambda: ref_wrc(model, conditioned=conditioned))
+        assert got == want, f"wrc conditioned={conditioned}"
+        outcomes.append(got)
+    return outcomes
+
+
+# -- holds-heavy models -----------------------------------------------------
+
+
+def product_on_antichain(rng: random.Random, alphabets: tuple[int, ...]) -> StochasticModel:
+    """Independent sites: every pair screens, so every scan runs to the end."""
+    site = CausalSite([(f"s{i}", k) for i, k in enumerate(alphabets)])
+    marginals = []
+    for k in alphabets:
+        nums = [rng.randrange(0, 4) for _ in range(k)]
+        nums[rng.randrange(k)] += 1
+        marginals.append([F(x, sum(nums)) for x in nums])
+    weights = [prod(m[v] for m, v in zip(marginals, digs))
+               for digs in itertools.product(*(range(k) for k in alphabets))]
+    return StochasticModel(site, weights)
+
+
+def common_cause(rng: random.Random, n_leaves: int, coupled: bool) -> StochasticModel:
+    """Ternary root below binary leaves, independent given the root.
+
+    With ``coupled`` the last two leaves are tied beyond the root, so the
+    scan runs through every earlier pair before it fails.
+    """
+    elements = [("c", 3)] + [(f"l{i}", 2) for i in range(n_leaves)]
+    site = CausalSite(elements, [("c", f"l{i}") for i in range(n_leaves)])
+    weights = []
+    leaf_ps = [[F(rng.randrange(1, 5), 5) for _ in range(n_leaves)] for _ in range(3)]
+    for digs in itertools.product(range(3), *([range(2)] * n_leaves)):
+        c, leaves = digs[0], digs[1:]
+        w = F(1, 3)
+        for p, v in zip(leaf_ps[c], leaves):
+            w *= p if v else 1 - p
+        if coupled:
+            w *= 2 if leaves[-1] == leaves[-2] else 0
+        weights.append(w)
+    total = sum(weights)
+    return StochasticModel(site, [w / total for w in weights])
+
+
+# -- tests ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [e for e in corpus_entries() if isinstance(e.model, StochasticModel)],
+    ids=lambda e: e.name,
+)
+def test_corpus_entries(entry):
+    assert_matches_reference(entry.model)
+
+
+@given(seed=st.integers(0, 10**6), n_sites=st.integers(2, 4), alphabet=st.integers(2, 3))
+def test_random_stochastic(seed, n_sites, alphabet):
+    assert_matches_reference(random_stochastic(seed, n_sites, alphabet))
+
+
+@given(seed=st.integers(0, 10**6), n_sites=st.integers(2, 5))
+def test_random_deterministic_local(seed, n_sites):
+    assert_matches_reference(random_deterministic_local(seed, n_sites))
+
+
+@pytest.mark.parametrize("alphabets", [(2, 2, 2), (2, 3, 2), (2, 2, 2, 2), (3, 2, 2, 2)])
+def test_products_on_antichains_scan_to_the_end(alphabets):
+    model = product_on_antichain(random.Random(str(alphabets)), alphabets)
+    outcomes = assert_matches_reference(model)
+    assert '"verdict": "holds"' in outcomes[0]
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_common_cause_with_a_coupled_leaf_pair(coupled):
+    model = common_cause(random.Random(4), 4, coupled)
+    outcomes = assert_matches_reference(model)
+    verdict = '"verdict": "violated"' if coupled else '"verdict": "holds"'
+    assert verdict in outcomes[0]
+
+
+def test_wrc_capacity_error_names_the_limit():
+    model = random_deterministic_local(3, n_sites=8)
+    with pytest.raises(CapacityError, match=r"^capacity error: .*the limit is 2\^12") as got:
+        check_wrc(model, conditioned=True)
+    with pytest.raises(CapacityError) as want:
+        ref_wrc(model, conditioned=True)
+    assert str(got.value) == str(want.value)
