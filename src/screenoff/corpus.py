@@ -13,7 +13,6 @@ import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from multiprocessing import Pool
 from typing import Callable, Mapping
 
 from .events import history_index, n_histories
@@ -698,6 +697,8 @@ def fuzz_equivalence(
     alphabet = max_alphabet if max_alphabet is not None else 2
     tasks = [(pair, seed + i, sites, alphabet, rank) for i in range(count)]
     if jobs > 1:
+        from multiprocessing import Pool  # only worker runs pay for the import
+
         with Pool(jobs) as pool:
             results = pool.map(_fuzz_one, tasks, chunksize=max(1, count // (4 * jobs)))
     else:

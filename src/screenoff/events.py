@@ -13,10 +13,19 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from math import prod
 from typing import Iterator, Sequence
 
 from .order import CausalSite, RegionError, iter_bits, submasks
 from .report import HOLDS, VIOLATED, CheckReport, Counterexample, EventRef
+
+# Largest history space a site may have; checked before any per-history
+# table is built.
+HISTORY_LIMIT = 1 << 16
+
+
+class CapacityError(ValueError):
+    """Raised when a search would exceed a fixed size limit of this checker."""
 
 
 class _Space:
@@ -57,6 +66,12 @@ class _Space:
 
 @lru_cache(maxsize=None)
 def _space(site: CausalSite) -> _Space:
+    count = prod(site.alphabets)
+    if count > HISTORY_LIMIT:
+        raise CapacityError(
+            f"capacity error: the site has {count} histories (the product of its "
+            f"alphabet sizes); the limit is {HISTORY_LIMIT}"
+        )
     return _Space(site)
 
 

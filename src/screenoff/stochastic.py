@@ -14,6 +14,7 @@ from functools import lru_cache
 from math import lcm, prod
 
 from .events import (
+    CapacityError,
     _region_meta,
     config_indices,
     dom,
@@ -56,10 +57,6 @@ class PreconditionError(ValueError):
 
 class SelectorError(ValueError):
     """Raised when a conditioning-region selector produces an inadmissible region."""
-
-
-class CapacityError(ValueError):
-    """Raised when a search would exceed a fixed size limit of this checker."""
 
 
 class StochasticModel:
@@ -296,43 +293,125 @@ def _spacelike_pairs(site: CausalSite) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+# --- pruned pair screening ---------------------------------------------------
+#
+# Conditional independence decomposes: if A ⊥ B | P holds, then A' ⊥ B' | P
+# holds for every A' ⊆ A and B' ⊆ B, since each product-rule identity of the
+# smaller pair is a sum of identities of the larger one over the same cells
+# of P.  So a pair whose dominator (a larger screened pair with the same P)
+# held is known to hold without a scan, and its stats follow from P's cells:
+# every positive-weight cell checks all |A|·|B| atom pairs, every null cell
+# is skipped.  A pair is scanned itself only when its dominator failed, so
+# the first failing pair and its counterexample are those of the full
+# ordinal scan.
+
+# Conditioning rules of the pairwise checks: the mutual past (so1), the
+# joint past (so2), and the joint past with pairs touching an initial
+# element left out (so2w).
+_MUTUAL, _JOINT, _JOINT_CLEAR = "mutual", "joint", "joint-clear"
+
+
+def _first_extension(site, mutual, grow, p_grow, other, p_other, past, free) -> int:
+    """Lowest bit of `free` that `grow` can take and keep its conditioning region.
+
+    The grown region must stay spacelike to `other` (the bit lies outside
+    other's past and nothing of other lies below it) and the pair must keep
+    the conditioning region `past`; 0 if no bit qualifies.
+    """
+    below = site.below
+    for e in iter_bits(free):
+        bit = 1 << e
+        if p_other & bit or below[e] & other:
+            continue
+        grown = p_grow | below[e]
+        if past == (grown & p_other if mutual else (grown | p_other) & ~(grow | other | bit)):
+            return bit
+    return 0
+
+
+@lru_cache(maxsize=None)
+def _screening_plan(site: CausalSite, rule: str) -> tuple[tuple | None, ...]:
+    """(P, dominator) for each pair of `_spacelike_pairs`, None if not screened.
+
+    P is the pair's conditioning region under `rule`.  The dominator is
+    reached by taking the first one-element extension of A, then of B, that
+    is again a screened pair with the same P, for as long as there is one;
+    it is given unordered, as (smaller mask, larger mask), since the product
+    rule is symmetric in A and B.  Extensions come later in pair order, so
+    one backward pass finds every dominator.
+    """
+    mutual = rule == _MUTUAL
+    excluded = site.initial_elements() if rule == _JOINT_CLEAR else 0
+    dominators: dict[tuple[int, int], tuple[int, int]] = {}
+    plan = []
+    for a, b in reversed(_spacelike_pairs(site)):
+        if (a | b) & excluded:
+            plan.append(None)
+            continue
+        pa, pb = site.past(a), site.past(b)
+        past = pa & pb if mutual else (pa | pb) & ~(a | b)
+        free = site.full_mask & ~(a | b | excluded)
+        if bit := _first_extension(site, mutual, a, pa, b, pb, past, free):
+            dominator = dominators[a | bit, b]
+        elif bit := _first_extension(site, mutual, b, pb, a, pa, past, free):
+            dominator = dominators[a, b | bit]
+        else:
+            dominator = (a, b) if a < b else (b, a)
+        dominators[a, b] = dominator
+        plan.append((past, dominator))
+    plan.reverse()
+    return tuple(plan)
+
+
 def _pairwise_screening(
     model: StochasticModel,
     condition: str,
-    past_of,
-    eligible=None,
-    extra_stats: dict | None = None,
+    rule: str,
     vacuous_reason: str = "no spacelike pairs of disjoint nonempty regions",
+    tables: dict | None = None,
 ) -> CheckReport:
+    """Walk the screened pairs in order, scanning each dominator at most once.
+
+    A pair is skipped, its stats added from its past's cells, when its
+    dominator held; otherwise it is scanned as in a full ordinal scan.
+    `tables` may carry cell tables shared with another scan of the model.
+    """
+    site = model.site
     pairs = 0
     checked = 0
     skipped = 0
-    tables: dict = {}
-    for ra, rb in _spacelike_pairs(model.site):
-        if eligible is not None and not eligible(ra, rb):
+    if tables is None:
+        tables = {}
+    scans: dict[tuple[int, int], tuple] = {}
+    for (ra, rb), step in zip(_spacelike_pairs(site), _screening_plan(site, rule)):
+        if step is None:
             continue
         pairs += 1
-        fail, c, s = _factorization_failure(model, (ra, rb), past_of(ra, rb), tables=tables)
+        past, dominator = step
+        if dominator not in scans:
+            scans[dominator] = _factorization_failure(model, dominator, past, tables=tables)
+        fail, c, s = scans[dominator]
+        if dominator != (ra, rb):
+            if fail is None:
+                c = (n_configs(site, past) - s) * n_configs(site, ra) * n_configs(site, rb)
+            else:
+                fail, c, s = _factorization_failure(model, (ra, rb), past, tables=tables)
         checked += c
         skipped += s
         if fail is not None:
             note = "conditional product rule fails for this atom pair given C"
-            cx = _conditional_counterexample(
-                model, (ra, rb), ("A", "B"), past_of(ra, rb), fail, note
-            )
+            cx = _conditional_counterexample(model, (ra, rb), ("A", "B"), past, fail, note)
             stats = {
                 "region_pairs": pairs,
                 "atom_checks": checked,
                 "null_conditions_skipped": skipped,
             }
-            stats.update(extra_stats or {})
             return CheckReport(condition, VIOLATED, counterexample=cx, stats=stats)
     stats = {
         "region_pairs": pairs,
         "atom_checks": checked,
         "null_conditions_skipped": skipped,
     }
-    stats.update(extra_stats or {})
     if pairs == 0:
         return CheckReport(condition, VACUOUS, reason=vacuous_reason, stats=stats)
     return CheckReport(condition, HOLDS, stats=stats)
@@ -345,25 +424,20 @@ def check_so1(model: StochasticModel) -> CheckReport:
     of full-specification atoms factorizes conditionally on each positive-
     measure full specification of the intersection of the regions' pasts.
     """
-    site = model.site
-    return _pairwise_screening(model, "so1", site.mutual_past)
+    return _pairwise_screening(model, "so1", _MUTUAL)
 
 
 def check_so2(model: StochasticModel) -> CheckReport:
     """As check_so1, but conditioning on the joint past of the pair."""
-    site = model.site
-    return _pairwise_screening(model, "so2", site.joint_past)
+    return _pairwise_screening(model, "so2", _JOINT)
 
 
 def check_so2w(model: StochasticModel) -> CheckReport:
     """As check_so2, restricted to region pairs clear of the initial elements."""
-    site = model.site
-    init = site.initial_elements()
     return _pairwise_screening(
         model,
         "so2w",
-        site.joint_past,
-        eligible=lambda a, b: not ((a | b) & init),
+        _JOINT_CLEAR,
         vacuous_reason="no spacelike region pairs clear of the initial elements",
     )
 
@@ -1046,13 +1120,13 @@ def check_penrose_percival(model: StochasticModel) -> CheckReport:
     verdict alongside, so the two can be compared.
     """
     site = model.site
-    so1 = check_so1(model)
+    tables: dict = {}
+    so1 = _pairwise_screening(model, "so1", _MUTUAL, tables=tables)
     condition = "penrose-percival"
     pairs = 0
     dissections = 0
     checked = 0
     skipped = 0
-    tables: dict = {}
     for ra, rb in _spacelike_pairs(site):
         pairs += 1
         for pd, _sides in site.enumerate_dissections(ra, rb):

@@ -3,8 +3,14 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import screenoff
+import screenoff.events as events
 
 from screenoff.cli import main
 
@@ -434,6 +440,41 @@ class TestCorpus:
         code, out, _ = run(capsys, "corpus", "verify", "--jobs", "1")
         assert code == 0
         assert "corpus-verify: holds" in out
+
+
+# -- start-up and admission ------------------------------------------------
+
+
+class TestStartup:
+    def test_import_leaves_multiprocessing_unloaded(self):
+        # only fuzz --jobs > 1 starts workers, so only it imports the package
+        src = str(Path(screenoff.__file__).resolve().parent.parent)
+        probe = "import sys, screenoff.cli; print('multiprocessing' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.strip() == "False"
+
+    def test_oversized_history_space_is_refused(self, capsys, tmp_path, monkeypatch):
+        # 30 binary sites: 2^30 histories, refused before any is allocated
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "format_version": 1,
+            "sites": [{"id": f"s{i}", "alphabet": 2} for i in range(30)],
+            "measure": {"type": "stochastic", "weights": {"0" * 30: "1"}},
+        }))
+        monkeypatch.setattr(events, "_Space", None)
+        code, out, err = run(capsys, "check", "so1", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "capacity error: the site has 1073741824 histories (the product of "
+            "its alphabet sizes); the limit is 65536\n"
+        )
 
 
 # -- argument handling ------------------------------------------------------

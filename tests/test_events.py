@@ -11,7 +11,9 @@ import random
 
 import pytest
 
+import screenoff.events as events
 from screenoff.events import (
+    CapacityError,
     config_indices,
     cylinder,
     decidable_events,
@@ -103,6 +105,18 @@ class TestHistories:
         s = antichain(2)
         assert cylinder(s, "e0", 0) == 0b0011
         assert cylinder(s, "e1", 0) == 0b0101
+
+    def test_history_space_over_the_limit_is_refused(self, monkeypatch):
+        # the count comes from the alphabets; no per-history table is built
+        monkeypatch.setattr(events, "_Space", None)
+        s = CausalSite([(f"e{i}", 2) for i in range(17)])
+        with pytest.raises(CapacityError) as err:
+            n_histories(s)
+        assert str(err.value) == (
+            "capacity error: the site has 131072 histories (the product of its "
+            "alphabet sizes); the limit is 65536"
+        )
+        assert isinstance(err.value, ValueError)
 
 
 # -- dom -------------------------------------------------------------------

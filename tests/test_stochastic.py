@@ -18,6 +18,7 @@ import screenoff.stochastic as stochastic
 from screenoff.events import (
     dom,
     full_specifications,
+    history_digits,
     history_index,
     n_histories,
     omega,
@@ -286,31 +287,103 @@ class TestSO1:
             assert (check_so1(m).verdict == HOLDS) == oracle_so1(m), (i, m.weights)
 
 
+def _common_cause(n_leaves: int) -> StochasticModel:
+    """Uniform measure on a ternary root below n binary leaves."""
+    leaves = [f"l{i}" for i in range(n_leaves)]
+    site = CausalSite([("c", 3)] + [(l, 2) for l in leaves], [("c", l) for l in leaves])
+    n = n_histories(site)
+    return StochasticModel(site, [F(1, n)] * n)
+
+
+def _counting(monkeypatch, name: str) -> list:
+    """Record the arguments of every call to a module function of stochastic."""
+    calls = []
+    original = getattr(stochastic, name)
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(stochastic, name, counted)
+    return calls
+
+
 class TestCellTables:
     def test_one_table_per_region_union(self, monkeypatch):
         # common cause below 5 leaves: every pair's past is the root, so the
-        # unions are the root with 2..5 leaves, 2^5 - 5 - 1 = 26 of them
-        leaves = [f"l{i}" for i in range(5)]
-        site = CausalSite([("c", 3)] + [(l, 2) for l in leaves], [("c", l) for l in leaves])
-        n = n_histories(site)
-        model = StochasticModel(site, [F(1, n)] * n)
-        calls = []
-        original = stochastic._cell_weights
-
-        def counted(*args, **kwargs):
-            calls.append((args, kwargs))
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(stochastic, "_cell_weights", counted)
-        report = check_so1(model)
-        assert report.verdict == HOLDS
+        # unions are the root with 2..5 leaves, 2^5 - 5 - 1 = 26 of them; the
+        # mutual-past selector of gen-so scans every pair, so1 only the
+        # maximal ones, which all share the whole site as their union
+        model = _common_cause(5)
+        site = model.site
+        calls = _counting(monkeypatch, "_cell_weights")
+        assert check_generalized_so(model, "mutual").verdict == HOLDS
         unions = {site.mutual_past(a, b) | a | b for a, b in stochastic._spacelike_pairs(site)}
         assert len(unions) == 26
         assert len(calls) == len(unions)
+        assert check_so1(model).verdict == HOLDS
+        assert len(calls) == len(unions) + 1
         # the benchmark tracer's hook takes exactly (model, regions)
         for args, kwargs in calls:
             assert len(args) == 2 and not kwargs
             assert args[0] is model
+
+    def test_penrose_percival_shares_its_tables_with_so1(self, monkeypatch):
+        # 7 leaves: each pair's only dissection is the root, so the dissection
+        # scan needs the root with 2..7 leaves, 2^7 - 7 - 1 = 120 unions, and
+        # so1's one union (the whole site) is among them
+        model = _common_cause(7)
+        calls = _counting(monkeypatch, "_cell_weights")
+        report = check_penrose_percival(model)
+        assert report.verdict == HOLDS
+        assert report.stats["so1_verdict"] == HOLDS
+        assert len(calls) == 120
+        assert len({sum(regions) for (_, regions), _ in calls}) == 120
+
+
+class TestPrunedScreening:
+    """so1, so2 and so2w scan a pair only when no larger pair vouches for it."""
+
+    def test_scans_only_the_maximal_pairs(self, monkeypatch):
+        # 7 leaves: the maximal pairs split all 7 leaves into A and B,
+        # (2^7 - 2) / 2 = 63 of them unordered; the stats are those of a scan
+        # of all 3^7 - 2*2^7 + 1 = 1,932 pairs
+        model = _common_cause(7)
+        calls = _counting(monkeypatch, "_factorization_failure")
+        for check in (check_so1, check_so2, check_so2w):
+            del calls[:]
+            report = check(model)
+            assert report.verdict == HOLDS
+            assert report.stats == {
+                "region_pairs": 1932,
+                "atom_checks": 3 * (5**7 - 2 * 3**7 + 1),
+                "null_conditions_skipped": 0,
+            }
+            assert len(calls) == 63
+            for (_, (a, b), past), kwargs in calls:
+                assert a | b == model.site.full_mask & ~1 and a < b
+                assert past == 1
+                assert set(kwargs) == {"tables"}
+
+    def test_a_failure_costs_at_most_one_extra_scan(self, monkeypatch):
+        # l0 and l1 are copies of each other: the first pair ({l0}, {l1})
+        # fails, after one scan of its dominator ({l1}, {l0, l2, l3}), which
+        # fails too
+        site = _common_cause(4).site
+        weights = [F(1, 24) if history_digits(site, h)[1] == history_digits(site, h)[2] else 0
+                   for h in range(n_histories(site))]
+        calls = _counting(monkeypatch, "_factorization_failure")
+        report = check_so1(StochasticModel(site, weights))
+        assert report.verdict == VIOLATED
+        assert report.stats["region_pairs"] == 1
+        assert [regions for (_, regions, _), _ in calls] == [(0b00100, 0b11010), (0b00010, 0b00100)]
+
+    def test_plan_is_cached_per_site_and_rule(self):
+        site = _common_cause(4).site
+        for rule in ("mutual", "joint", "joint-clear"):
+            plan = stochastic._screening_plan(site, rule)
+            assert stochastic._screening_plan(site, rule) is plan
+            assert len(plan) == len(stochastic._spacelike_pairs(site))
 
 
 class TestSO2:

@@ -1,13 +1,15 @@
-"""Differential oracle for the shared cell tables of the classical pair scans.
+"""Differential oracle for the classical pair scans.
 
 The reference code below is the per-pair scan the classical checks used
-before one cell table per region union was shared across a check:
+before one cell table per region union was shared across a check, and
+before so1, so2 and so2w skipped the pairs a larger held pair vouches for:
 ``ref_cell_weights`` rescans every history into the (past, A, B) table of a
 single pair, ``ref_factorization_failure`` walks that table atom by atom,
-and ``ref_wrc`` runs the common-correlate search over it.  The pairwise
-checks are rebuilt on the reference scan, and every report's
-``to_json_dict()`` (which carries no ``runtime_ms``) and every error text is
-compared with the program's byte for byte.
+``ref_pairwise_screening`` scans every pair in order, and ``ref_wrc`` runs
+the common-correlate search over each pair's table.  The pairwise checks
+are rebuilt on the reference scan, and every report's ``to_json_dict()``
+(which carries no ``runtime_ms``) and every error text is compared with the
+program's byte for byte.
 """
 from __future__ import annotations
 
@@ -94,6 +96,56 @@ def ref_factorization_failure(model, event_regions, past):
                 failure = stochastic._Failure(p, cs, w_past, table[base + flat], margin_ws)
                 return failure, checked, skipped
     return None, checked, skipped
+
+
+def ref_pairwise_screening(
+    model, condition, past_of, eligible=None,
+    vacuous_reason="no spacelike pairs of disjoint nonempty regions",
+):
+    """so1, so2 and so2w as a scan of every pair, in order."""
+    pairs = 0
+    checked = 0
+    skipped = 0
+    for ra, rb in stochastic._spacelike_pairs(model.site):
+        if eligible is not None and not eligible(ra, rb):
+            continue
+        pairs += 1
+        past = past_of(ra, rb)
+        fail, c, s = ref_factorization_failure(model, (ra, rb), past)
+        checked += c
+        skipped += s
+        if fail is not None:
+            note = "conditional product rule fails for this atom pair given C"
+            cx = stochastic._conditional_counterexample(
+                model, (ra, rb), ("A", "B"), past, fail, note
+            )
+            stats = {"region_pairs": pairs, "atom_checks": checked,
+                     "null_conditions_skipped": skipped}
+            return CheckReport(condition, VIOLATED, counterexample=cx, stats=stats)
+    stats = {"region_pairs": pairs, "atom_checks": checked, "null_conditions_skipped": skipped}
+    if pairs == 0:
+        return CheckReport(condition, VACUOUS, reason=vacuous_reason, stats=stats)
+    return CheckReport(condition, HOLDS, stats=stats)
+
+
+def ref_so1(model):
+    return ref_pairwise_screening(model, "so1", model.site.mutual_past)
+
+
+def ref_so2(model):
+    return ref_pairwise_screening(model, "so2", model.site.joint_past)
+
+
+def ref_so2w(model):
+    init = model.site.initial_elements()
+    return ref_pairwise_screening(
+        model, "so2w", model.site.joint_past,
+        eligible=lambda a, b: not ((a | b) & init),
+        vacuous_reason="no spacelike region pairs clear of the initial elements",
+    )
+
+
+REF_SCREENING = {"so1": ref_so1, "so2": ref_so2, "so2w": ref_so2w}
 
 
 def ref_wrc(model, conditioned=False):
@@ -247,6 +299,12 @@ def _reference_outcome(run, model) -> str:
             lambda model, regions, past, *, tables: ref_factorization_failure(model, regions, past),
         )
         m.setattr(stochastic, "_cell_weights", None)  # the reference never reads a shared table
+        # so1, so2, so2w (and penrose-percival's so1 verdict) scan every pair
+        m.setattr(
+            stochastic,
+            "_pairwise_screening",
+            lambda model, condition, *args, **kwargs: REF_SCREENING[condition](model),
+        )
         return _outcome(lambda: run(model))
 
 
@@ -347,3 +405,197 @@ def test_wrc_capacity_error_names_the_limit():
     with pytest.raises(CapacityError) as want:
         ref_wrc(model, conditioned=True)
     assert str(got.value) == str(want.value)
+
+
+# -- the pruned so1/so2/so2w walk ---------------------------------------------
+
+
+SCREENING = (
+    ("so1", check_so1),
+    ("so2", check_so2),
+    ("so2w", check_so2w),
+    ("penrose-percival", check_penrose_percival),
+)
+
+
+def assert_screening_matches_reference(model: StochasticModel) -> dict[str, dict]:
+    """so1, so2, so2w and penrose-percival against the full ordinal scan."""
+    reports = {}
+    for label, run in SCREENING:
+        got = _outcome(lambda: run(model))
+        assert got == _reference_outcome(run, model), label
+        reports[label] = json.loads(got)
+    return reports
+
+
+def local_dynamics(rng: random.Random, site: CausalSite, zero_share: float = 0.0) -> StochasticModel:
+    """Each element's value drawn given the values of its strict past.
+
+    Such models satisfy so1 and so2 (and so so2w), so every pair's scan runs
+    to the end; with ``zero_share`` some conditional probabilities are 0, so
+    some past cells carry no weight.
+    """
+    tables = []
+    for e in range(site.n):
+        strict = site.past(1 << e) & ~(1 << e)
+        configs = itertools.product(*(range(site.alphabets[i]) for i in iter_bits(strict)))
+        table = {}
+        for cfg in configs:
+            nums = [0 if rng.random() < zero_share else rng.randrange(1, 4)
+                    for _ in range(site.alphabets[e])]
+            nums[rng.randrange(len(nums))] += 1
+            table[cfg] = [F(x, sum(nums)) for x in nums]
+        tables.append((tuple(iter_bits(strict)), table))
+    weights = []
+    for digs in itertools.product(*(range(k) for k in site.alphabets)):
+        w = F(1)
+        for e, (parents, table) in enumerate(tables):
+            w *= table[tuple(digs[i] for i in parents)][digs[e]]
+        weights.append(w)
+    return StochasticModel(site, weights)
+
+
+def leaves_below_a_root(n_leaves: int, root_weights, coupled=None) -> StochasticModel:
+    """Ternary root below binary leaves, independent given the root.
+
+    ``root_weights`` may give a root value weight 0, so that past cell is
+    null.  With ``coupled = (i, j)`` leaves i and j are tied beyond the root.
+    """
+    rng = random.Random(f"{n_leaves}{root_weights}{coupled}")
+    elements = [("c", 3)] + [(f"l{i}", 2) for i in range(n_leaves)]
+    site = CausalSite(elements, [("c", f"l{i}") for i in range(n_leaves)])
+    leaf_ps = [[F(rng.randrange(1, 5), 5) for _ in range(n_leaves)] for _ in range(3)]
+    weights = []
+    for digs in itertools.product(range(3), *([range(2)] * n_leaves)):
+        c, leaves = digs[0], digs[1:]
+        w = F(root_weights[c])
+        for p, v in zip(leaf_ps[c], leaves):
+            w *= p if v else 1 - p
+        if coupled is not None:
+            i, j = coupled
+            w *= 2 if leaves[i] == leaves[j] else 0
+        weights.append(w)
+    total = sum(weights)
+    return StochasticModel(site, [w / total for w in weights])
+
+
+@pytest.mark.parametrize("n_leaves", [3, 5])
+def test_holds_with_null_past_cells(n_leaves):
+    # the root never takes value 1: one of its three cells is null in every
+    # pair's past, and the skipped pairs count it from their dominator's scan
+    reports = assert_screening_matches_reference(leaves_below_a_root(n_leaves, (1, 0, 2)))
+    for label in ("so1", "so2", "so2w"):
+        assert reports[label]["verdict"] == HOLDS
+        assert reports[label]["stats"]["null_conditions_skipped"] == reports[label]["stats"]["region_pairs"]
+
+
+@pytest.mark.parametrize("coupled", list(itertools.combinations(range(5), 2)))
+def test_coupled_leaves_at_every_position(coupled, monkeypatch):
+    # the first failing pair moves from the first pair to late in the walk,
+    # before, among and after pairs skipped on a held dominator
+    model = leaves_below_a_root(5, (1, 0, 2), coupled)
+    reports = assert_screening_matches_reference(model)
+    scans = []
+    original = stochastic._factorization_failure
+    monkeypatch.setattr(
+        stochastic, "_factorization_failure", lambda *a, **k: scans.append(a) or original(*a, **k)
+    )
+    so1 = check_so1(model)
+    assert so1.verdict == VIOLATED == reports["so1"]["verdict"]
+    pairs = so1.stats["region_pairs"]
+    # each dominator is scanned at most once, and every failing pair once more
+    assert len(set(scans)) == len(scans)
+    if coupled == (0, 1):
+        assert pairs == 1
+    if coupled == (3, 4):
+        assert len(scans) < pairs
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_so2w_with_initial_elements_blocking_extensions(seed):
+    # x is initial and spacelike to l0 and l1: so1 and so2 may grow a pair
+    # into x, so2w may not, so its dominators differ
+    site = CausalSite(
+        [("r", 3), ("x", 2), ("l0", 2), ("l1", 2), ("l2", 2), ("y", 2)],
+        [("r", "l0"), ("r", "l1"), ("r", "l2"), ("x", "l2"), ("x", "y")],
+    )
+    rng = random.Random(seed)
+    reports = assert_screening_matches_reference(local_dynamics(rng, site, zero_share=0.2))
+    assert reports["so2w"]["verdict"] == HOLDS
+    assert reports["so2w"]["stats"]["region_pairs"] < reports["so2"]["stats"]["region_pairs"]
+    plan_so2 = stochastic._screening_plan(site, "joint")
+    plan_so2w = stochastic._screening_plan(site, "joint-clear")
+    assert plan_so2w != plan_so2
+
+
+@pytest.mark.parametrize("alphabets", [(2, 2, 2, 2, 2), (3, 2, 3, 2)])
+def test_products_on_larger_antichains(alphabets):
+    model = product_on_antichain(random.Random(str(alphabets)), alphabets)
+    reports = assert_screening_matches_reference(model)
+    assert reports["so1"]["verdict"] == HOLDS
+
+
+@given(seed=st.integers(0, 10**6), n_sites=st.integers(2, 5), zero_share=st.sampled_from([0.0, 0.3]))
+def test_local_dynamics_on_random_sites(seed, n_sites, zero_share):
+    rng = random.Random(seed)
+    alphabets = [rng.randrange(2, 4 if n_sites <= 4 else 3) for _ in range(n_sites)]
+    relations = [(f"t{i}", f"t{j}") for i in range(n_sites) for j in range(i + 1, n_sites)
+                 if rng.random() < 0.4]
+    site = CausalSite([(f"t{i}", k) for i, k in enumerate(alphabets)], relations)
+    reports = assert_screening_matches_reference(local_dynamics(rng, site, zero_share))
+    for label in ("so1", "so2", "so2w"):
+        assert reports[label]["verdict"] in (HOLDS, VACUOUS)
+
+
+@given(seed=st.integers(0, 10**6), n_sites=st.integers(2, 6))
+def test_deterministic_local_screening(seed, n_sites):
+    assert_screening_matches_reference(random_deterministic_local(seed, n_sites))
+
+
+def maximal_pairs(site: CausalSite, condition: str) -> set[tuple[int, int]]:
+    """Unordered screened pairs that no one-element extension keeps the past of."""
+    init = site.initial_elements()
+    past_of = site.mutual_past if condition == "so1" else site.joint_past
+
+    def screened(a, b):
+        return (a and b and not a & b and site.spacelike(a, b)
+                and not (condition == "so2w" and (a | b) & init))
+
+    out = set()
+    for a, b in stochastic._spacelike_pairs(site):
+        if not screened(a, b):
+            continue
+        past = past_of(a, b)
+        free = [1 << e for e in range(site.n) if not (a | b) >> e & 1]
+        grown = [(a | x, b) for x in free] + [(a, b | x) for x in free]
+        if not any(screened(*g) and past_of(*g) == past for g in grown):
+            out.add((min(a, b), max(a, b)))
+    return out
+
+
+@pytest.mark.parametrize("shape", ["chain-and-point", "blocked", "diamond"])
+def test_a_holding_check_scans_each_maximal_pair_once(shape, monkeypatch):
+    site = {
+        # B = {x} can only grow by y, above x: a pair that needs a B-extension
+        "chain-and-point": CausalSite([("x", 2), ("y", 2), ("z", 3)], [("x", "y")]),
+        "blocked": CausalSite(
+            [("r", 3), ("x", 2), ("l0", 2), ("l1", 2), ("l2", 2), ("y", 2)],
+            [("r", "l0"), ("r", "l1"), ("r", "l2"), ("x", "l2"), ("x", "y")],
+        ),
+        "diamond": CausalSite(
+            [("b", 2), ("l", 2), ("r", 2), ("t", 2), ("s", 2)],
+            [("b", "l"), ("b", "r"), ("l", "t"), ("r", "t")],
+        ),
+    }[shape]
+    model = local_dynamics(random.Random(shape), site)
+    scans = []
+    original = stochastic._factorization_failure
+    monkeypatch.setattr(
+        stochastic, "_factorization_failure",
+        lambda m, regions, past, **k: scans.append(regions) or original(m, regions, past, **k),
+    )
+    for label, check in (("so1", check_so1), ("so2", check_so2), ("so2w", check_so2w)):
+        del scans[:]
+        assert check(model).verdict in (HOLDS, VACUOUS)
+        assert len(scans) == len(set(scans))
+        assert set(scans) == maximal_pairs(site, label), label
