@@ -19,49 +19,15 @@ from . import corpus as corpus_mod
 from .events import event_ref
 from .exprs import parse_event
 from .modelfile import LoadedModel, load_model, render_model_json
-from .quantal import (
-    QuantalModel,
-    check_qso1,
-    check_qso2,
-    diagonal_reduction,
-    validate_quantal,
-)
+from .quantal import validate_quantal
 from .report import HOLDS, VIOLATED, CheckReport, InternalCheckError
 from .stochastic import (
     EXHAUSTIVE_EVENT_LIMIT,
-    StochasticModel,
-    check_generalized_so,
-    check_multi_so,
-    check_pcc_original,
-    check_pcc_rev1,
-    check_pcc_rev2,
-    check_penrose_percival,
-    check_so1,
-    check_so2,
-    check_so2w,
-    check_wrc,
+    SELECTOR_NAMES,
     find_screening_events,
     find_simpson_events,
 )
 
-CHECK_CONDITIONS = (
-    "pcc-original",
-    "pcc-rev1",
-    "pcc-rev2",
-    "so1",
-    "so2",
-    "so2w",
-    "gen-so",
-    "multi-so",
-    "wrc",
-    "wrc-cond",
-    "penrose-percival",
-    "qso1",
-    "qso2",
-    "diag-reduce",
-)
-_PAIR_CONDITIONS = frozenset({"pcc-original", "pcc-rev1", "pcc-rev2"})
-_QUANTAL_CONDITIONS = frozenset({"qso1", "qso2", "diag-reduce"})
 _IDENT_RE = re.compile(r"^[A-Za-z_]\w*$")
 
 
@@ -124,17 +90,6 @@ def _resolve_event(loaded: LoadedModel, text: str, flag: str) -> int:
     return parse_event(site, text)
 
 
-def _require_kind(model, cond: str):
-    if cond in _QUANTAL_CONDITIONS and not isinstance(model, QuantalModel):
-        raise CliError(
-            f"cli error: condition {cond!r} needs a quantal model file"
-        )
-    if cond not in _QUANTAL_CONDITIONS and not isinstance(model, StochasticModel):
-        raise CliError(
-            f"cli error: condition {cond!r} needs a stochastic model file"
-        )
-
-
 # -- subcommand handlers ----------------------------------------------------
 
 
@@ -143,12 +98,11 @@ def _cmd_validate(args) -> int:
     loaded = load_model(args.file)
     model = loaded.model
     site = model.site
-    if isinstance(model, QuantalModel):
-        kind = "quantal"
+    kind = corpus_mod.model_kind(model)
+    if kind == corpus_mod.QUANTAL:
         n = len(model.entries)
         report = validate_quantal(model)
     else:
-        kind = "stochastic"
         n = len(model.weights)
         report = CheckReport(
             "measure-axioms",
@@ -175,59 +129,31 @@ def _cmd_check(args) -> int:
     loaded = load_model(args.file)
     model = loaded.model
     cond = args.cond
-    _require_kind(model, cond)
-    limit = args.max_omega_exhaustive
-
-    if cond not in _PAIR_CONDITIONS and (args.a is not None or args.b is not None):
-        raise CliError(
-            f"cli error: condition {cond!r} does not take --a/--b; "
-            f"event arguments apply to: {', '.join(sorted(_PAIR_CONDITIONS))}"
-        )
-    if cond in _PAIR_CONDITIONS:
+    row = corpus_mod.CONDITIONS[cond]
+    if corpus_mod.model_kind(model) != row.kind:
+        raise CliError(f"cli error: condition {cond!r} needs a {row.kind} model file")
+    a = b = None
+    if row.takes_events:
         if args.a is None or args.b is None:
             raise CliError(
                 f"cli error: condition {cond!r} needs --a and --b events"
             )
         a = _resolve_event(loaded, args.a, "--a")
         b = _resolve_event(loaded, args.b, "--b")
-        if cond == "pcc-original":
-            report = check_pcc_original(model, a, b, exhaustive_limit=limit)
-        elif cond == "pcc-rev1":
-            report = check_pcc_rev1(model, a, b, exhaustive_limit=limit)
-        else:
-            report = check_pcc_rev2(
-                model, a, b, max_partition_size=args.max_partition
-            )
-    elif cond == "so1":
-        report = check_so1(model)
-    elif cond == "so2":
-        report = check_so2(model)
-    elif cond == "so2w":
-        report = check_so2w(model)
-    elif cond == "gen-so":
-        report = check_generalized_so(model, selector=args.selector)
-    elif cond == "multi-so":
-        report = check_multi_so(model, args.n)
-    elif cond == "wrc":
-        report = check_wrc(model)
-    elif cond == "wrc-cond":
-        report = check_wrc(model, conditioned=True)
-    elif cond == "penrose-percival":
-        report = check_penrose_percival(model)
-    elif cond == "qso1":
-        report = check_qso1(model)
-    elif cond == "qso2":
-        report = check_qso2(model)
-    else:
-        report = diagonal_reduction(model)
-    return _emit_report(report, args, started)
+    elif args.a is not None or args.b is not None:
+        takers = sorted(t for t, r in corpus_mod.CONDITIONS.items() if r.takes_events)
+        raise CliError(
+            f"cli error: condition {cond!r} does not take --a/--b; "
+            f"event arguments apply to: {', '.join(takers)}"
+        )
+    return _emit_report(row.run(model, a, b, args), args, started)
 
 
 def _cmd_find(args) -> int:
     started = time.monotonic()
     loaded = load_model(args.file)
     model = loaded.model
-    if not isinstance(model, StochasticModel):
+    if corpus_mod.model_kind(model) != corpus_mod.STOCHASTIC:
         raise CliError("cli error: find works on stochastic model files")
     a = _resolve_event(loaded, args.a, "--a")
     b = _resolve_event(loaded, args.b, "--b")
@@ -278,9 +204,7 @@ def _cmd_corpus(args) -> int:
                 "entries": [
                     {
                         "name": e.name,
-                        "kind": "quantal"
-                        if isinstance(e.model, QuantalModel)
-                        else "stochastic",
+                        "kind": corpus_mod.model_kind(e.model),
                         "expected": dict(sorted(e.expected.items())),
                         "named_events": dict(sorted(e.named_events.items())),
                     }
@@ -291,7 +215,7 @@ def _cmd_corpus(args) -> int:
             print(json.dumps(payload, sort_keys=True, indent=2))
         else:
             for e in entries:
-                kind = "quantal" if isinstance(e.model, QuantalModel) else "stochastic"
+                kind = corpus_mod.model_kind(e.model)
                 expect = ", ".join(f"{k}={v}" for k, v in sorted(e.expected.items()))
                 print(f"{e.name} ({kind}): {expect}")
         return 0
@@ -354,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_validate)
 
     p = sub.add_parser("check", parents=[common], help="run one condition on a model file")
-    p.add_argument("cond", choices=CHECK_CONDITIONS, metavar="COND")
+    p.add_argument("cond", choices=corpus_mod.CONDITIONS, metavar="COND")
     p.add_argument("file")
     p.add_argument("--a", help="first event (expression or a name defined in the file)")
     p.add_argument("--b", help="second event")
@@ -362,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--selector",
         default="mutual",
-        choices=("mutual", "joint", "bell", "all"),
+        choices=SELECTOR_NAMES,
         help="conditioning-region selector for gen-so (default: mutual)",
     )
     p.add_argument(

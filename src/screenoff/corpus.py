@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .events import history_index, n_histories
+from .events import CapacityError, history_index, n_histories
 from .exprs import parse_event
 from .modelfile import render_model
 from .order import CausalSite, iter_bits
@@ -26,10 +26,10 @@ from .quantal import (
     check_qso1,
     check_qso2,
     diagonal_reduction,
-    validate_quantal,
 )
 from .report import HOLDS, VIOLATED, CheckReport, Counterexample
 from .stochastic import (
+    EXHAUSTIVE_EVENT_LIMIT,
     StochasticModel,
     check_generalized_so,
     check_multi_so,
@@ -45,9 +45,6 @@ from .stochastic import (
 )
 
 F = Fraction
-
-FUZZ_PAIRS = ("so1-so2", "qso1-qso2", "so1-wrc_conditioned", "so1-generalized_all")
-_PROVED_PAIRS = frozenset({"so1-so2", "qso1-qso2", "so1-wrc_conditioned"})
 
 
 class CorpusError(ValueError):
@@ -413,43 +410,101 @@ def corpus_entries() -> list[CorpusEntry]:
     return [builtin(name) for name in corpus_names()]
 
 
-# -- running pinned conditions ----------------------------------------------
+# -- the condition table -----------------------------------------------------
+
+STOCHASTIC, QUANTAL = "stochastic", "quantal"
+
+
+def model_kind(model: StochasticModel | QuantalModel) -> str:
+    return QUANTAL if isinstance(model, QuantalModel) else STOCHASTIC
+
+
+@dataclass(frozen=True)
+class CheckOptions:
+    """Parameters a condition's runner may read, named as ``check``'s flags."""
+
+    selector: str = "mutual"
+    n: int = 3
+    max_omega_exhaustive: int = EXHAUSTIVE_EVENT_LIMIT
+    max_partition: int | None = None
+
+
+@dataclass(frozen=True)
+class Condition:
+    """One condition that ``check``, the corpus and the fuzzer can run.
+
+    ``run(model, a, b, options)`` returns the report; ``a`` and ``b`` are
+    event masks for a condition that takes ``--a/--b`` and None otherwise,
+    and ``options`` is a CheckOptions or the CLI's parsed arguments.
+    Runners look their check up in this module's namespace at call time.
+    """
+
+    token: str
+    kind: str
+    takes_events: bool
+    run: Callable[..., CheckReport]
+
+
+CONDITIONS = {
+    row.token: row
+    for row in (
+        Condition("pcc-original", STOCHASTIC, True,
+                  lambda m, a, b, o: check_pcc_original(m, a, b, o.max_omega_exhaustive)),
+        Condition("pcc-rev1", STOCHASTIC, True,
+                  lambda m, a, b, o: check_pcc_rev1(m, a, b, o.max_omega_exhaustive)),
+        Condition("pcc-rev2", STOCHASTIC, True,
+                  lambda m, a, b, o: check_pcc_rev2(m, a, b, o.max_partition)),
+        Condition("so1", STOCHASTIC, False, lambda m, a, b, o: check_so1(m)),
+        Condition("so2", STOCHASTIC, False, lambda m, a, b, o: check_so2(m)),
+        Condition("so2w", STOCHASTIC, False, lambda m, a, b, o: check_so2w(m)),
+        Condition("gen-so", STOCHASTIC, False,
+                  lambda m, a, b, o: check_generalized_so(m, selector=o.selector)),
+        Condition("multi-so", STOCHASTIC, False, lambda m, a, b, o: check_multi_so(m, o.n)),
+        Condition("wrc", STOCHASTIC, False, lambda m, a, b, o: check_wrc(m)),
+        Condition("wrc-cond", STOCHASTIC, False,
+                  lambda m, a, b, o: check_wrc(m, conditioned=True)),
+        Condition("penrose-percival", STOCHASTIC, False,
+                  lambda m, a, b, o: check_penrose_percival(m)),
+        Condition("qso1", QUANTAL, False, lambda m, a, b, o: check_qso1(m)),
+        Condition("qso2", QUANTAL, False, lambda m, a, b, o: check_qso2(m)),
+        Condition("diag-reduce", QUANTAL, False, lambda m, a, b, o: diagonal_reduction(m)),
+    )
+}
+
+# Most models one fuzz run draws; each is a task held in memory until the end.
+FUZZ_COUNT_LIMIT = 100_000
+
+# Fuzz pairs: (first token, second token, whether the pair is proved
+# equivalent).  A disagreement on a proved pair is a violation; on the
+# conjectured pair it is only recorded.
+FUZZ_PAIRS = {
+    "so1-so2": ("so1", "so2", True),
+    "qso1-qso2": ("qso1", "qso2", True),
+    "so1-wrc_conditioned": ("so1", "wrc-cond", True),
+    "so1-generalized_all": ("so1", "gen-so[all]", False),
+}
+
+
+def _resolve_token(token: str) -> tuple[Condition, CheckOptions]:
+    """The row and options of a report token: "so1", "gen-so[all]", "multi-so[n=3]"."""
+    name, bracket, param = token.partition("[")
+    options = CheckOptions()
+    if name == "gen-so" and bracket:
+        options = CheckOptions(selector=param[:-1])
+    elif name == "multi-so" and param.startswith("n="):
+        options = CheckOptions(n=int(param[2:-1]))
+    elif bracket or name not in CONDITIONS or name in ("gen-so", "multi-so"):
+        raise CorpusError(f"corpus error: unknown condition token {token!r}")
+    return CONDITIONS[name], options
 
 
 def run_condition(entry: CorpusEntry, token: str) -> CheckReport:
     """Run the check named by an expected-verdict token on a corpus entry."""
-    model = entry.model
-    if token == "so1":
-        return check_so1(model)
-    if token == "so2":
-        return check_so2(model)
-    if token == "so2w":
-        return check_so2w(model)
-    if token == "wrc":
-        return check_wrc(model)
-    if token == "wrc-cond":
-        return check_wrc(model, conditioned=True)
-    if token == "penrose-percival":
-        return check_penrose_percival(model)
-    if token.startswith("multi-so[n="):
-        n = int(token[len("multi-so[n=") : -1])
-        return check_multi_so(model, n)
-    if token.startswith("gen-so["):
-        return check_generalized_so(model, selector=token[len("gen-so[") : -1])
-    if token == "qso1":
-        return check_qso1(model)
-    if token == "qso2":
-        return check_qso2(model)
-    if token == "diag-reduce":
-        return diagonal_reduction(model)
-    if token in ("pcc-original", "pcc-rev1", "pcc-rev2"):
+    row, options = _resolve_token(token)
+    a = b = None
+    if row.takes_events:
         a, b = entry.event("A"), entry.event("B")
-        if token == "pcc-original":
-            return check_pcc_original(model, a, b)
-        if token == "pcc-rev1":
-            return check_pcc_rev1(model, a, b)
-        return check_pcc_rev2(model, a, b)
-    raise CorpusError(f"corpus error: unknown condition token {token!r}")
+    return row.run(entry.model, a, b, options)
 
 
 def verify_corpus() -> CheckReport:
@@ -625,40 +680,28 @@ def random_deterministic_local(
 # -- equivalence fuzzing ----------------------------------------------------
 
 
+def _fuzz_kind(pair: str) -> str:
+    return _resolve_token(FUZZ_PAIRS[pair][0])[0].kind
+
+
 def _fuzz_model(
     pair: str, model_seed: int, n_sites: int, max_alphabet: int, rank: int
 ) -> StochasticModel | QuantalModel:
     shape = _rng("fuzz-shape", pair, model_seed, n_sites, max_alphabet)
     n = shape.randrange(2, n_sites + 1) if n_sites > 2 else n_sites
-    if pair == "qso1-qso2":
+    if _fuzz_kind(pair) == QUANTAL:
         return random_quantal(model_seed, n, max_alphabet, rank)
     return random_stochastic(model_seed, n, max_alphabet)
-
-
-def _fuzz_checks(pair: str, model) -> tuple[str, str, CheckReport, CheckReport]:
-    if pair == "so1-so2":
-        return "so1", "so2", check_so1(model), check_so2(model)
-    if pair == "qso1-qso2":
-        return "qso1", "qso2", check_qso1(model), check_qso2(model)
-    if pair == "so1-wrc_conditioned":
-        return "so1", "wrc-cond", check_so1(model), check_wrc(model, conditioned=True)
-    if pair == "so1-generalized_all":
-        return (
-            "so1",
-            "gen-so[all]",
-            check_so1(model),
-            check_generalized_so(model, selector="all"),
-        )
-    raise ValueError(
-        f"corpus error: unknown fuzz pair {pair!r}; known: {', '.join(FUZZ_PAIRS)}"
-    )
 
 
 def _fuzz_one(args: tuple) -> tuple[int, str, str]:
     pair, model_seed, n_sites, max_alphabet, rank = args
     model = _fuzz_model(pair, model_seed, n_sites, max_alphabet, rank)
-    _, _, r1, r2 = _fuzz_checks(pair, model)
-    return model_seed, r1.verdict, r2.verdict
+    verdicts = []
+    for token in FUZZ_PAIRS[pair][:2]:
+        row, options = _resolve_token(token)
+        verdicts.append(row.run(model, None, None, options).verdict)
+    return model_seed, *verdicts
 
 
 def check_jobs(jobs: int) -> None:
@@ -691,9 +734,13 @@ def fuzz_equivalence(
         )
     if count < 1:
         raise ValueError("corpus error: fuzz count must be at least 1")
+    if count > FUZZ_COUNT_LIMIT:
+        raise CapacityError(
+            f"capacity error: fuzz count {count} is over the limit of "
+            f"{FUZZ_COUNT_LIMIT} models per run"
+        )
     check_jobs(jobs)
-    quantal = pair == "qso1-qso2"
-    sites = n_sites if n_sites is not None else (4 if quantal else 5)
+    sites = n_sites if n_sites is not None else (4 if _fuzz_kind(pair) == QUANTAL else 5)
     alphabet = max_alphabet if max_alphabet is not None else 2
     tasks = [(pair, seed + i, sites, alphabet, rank) for i in range(count)]
     if jobs > 1:
@@ -704,12 +751,7 @@ def fuzz_equivalence(
     else:
         results = [_fuzz_one(t) for t in tasks]
 
-    cond1, cond2 = {
-        "so1-so2": ("so1", "so2"),
-        "qso1-qso2": ("qso1", "qso2"),
-        "so1-wrc_conditioned": ("so1", "wrc-cond"),
-        "so1-generalized_all": ("so1", "gen-so[all]"),
-    }[pair]
+    cond1, cond2, proved = FUZZ_PAIRS[pair]
     condition = f"fuzz[{pair}]"
     agreements = 0
     verdict_counts: dict[str, int] = {}
@@ -732,7 +774,7 @@ def fuzz_equivalence(
     model_seed, v1, v2 = first_disagreement
     model = _fuzz_model(pair, model_seed, sites, alphabet, rank)
     serialized = render_model(model)
-    if pair in _PROVED_PAIRS:
+    if proved:
         return CheckReport(
             condition,
             VIOLATED,

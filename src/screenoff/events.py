@@ -16,7 +16,7 @@ from itertools import combinations
 from math import prod
 from typing import Iterator, Sequence
 
-from .order import CausalSite, RegionError, iter_bits, submasks
+from .order import CausalSite, iter_bits, submasks
 from .report import HOLDS, VIOLATED, CheckReport, Counterexample, EventRef
 
 # Largest history space a site may have; checked before any per-history

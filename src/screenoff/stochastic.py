@@ -37,6 +37,9 @@ from .report import (
 
 # |Omega| bound up to which searches range over the whole power set of events.
 EXHAUSTIVE_EVENT_LIMIT = 20
+# |Omega| bound above which no exhaustive event search runs, whatever
+# exhaustive limit the caller gives: it examines 2^|Omega| - 1 events.
+EXHAUSTIVE_HISTORY_CAP = 24
 # |Omega| bound up to which partition searches enumerate all set partitions.
 SET_PARTITION_LIMIT = 8
 # Bound on the number of mutual-past cells for common-correlate searches.
@@ -293,17 +296,88 @@ def _spacelike_pairs(site: CausalSite) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+# --- one screening driver ----------------------------------------------------
+#
+# so1, so2, so2w, gen-so, multi-so and penrose-percival share one form: for
+# every unit a check's plan picks out, the atoms of the unit's event regions
+# must factorize given each positive-weight cell of every conditioning region
+# of the unit.  A unit is (regions, steps); a step is (past, dominator), with
+# dominator None for a step that is scanned itself, or (pair, cells of past,
+# atoms of the unit) for a step that a larger pair's scan stands in for.
+
+
+def _screen(
+    model: StochasticModel,
+    condition: str,
+    units,
+    note: str,
+    vacuous_reason: str = "no spacelike pairs of disjoint nonempty regions",
+    *,
+    names: tuple[str, ...] = ("A", "B"),
+    unit_key: str = "region_pairs",
+    step_key: str | None = None,
+    fixed: dict | None = None,
+    tables: dict | None = None,
+) -> CheckReport:
+    """Scan the units in order and report the first failing step, if any.
+
+    `units` is consumed lazily, so a plan's error surfaces at the unit that
+    raises it.  A dominator is scanned once; a step whose dominator held is
+    not scanned, and its stats follow from its past's cells: each positive
+    one checks every atom of the unit, each null one is skipped.  A step
+    whose dominator failed is scanned itself.  `fixed` stats lead the
+    report's stats; `tables` may carry cell tables shared with another scan
+    of the model.
+    """
+    tables = {} if tables is None else tables
+    scans: dict[tuple[int, ...], tuple] = {}
+    n_units = n_steps = checked = skipped = 0
+    fail = None
+    for regions, steps in units:
+        n_units += 1
+        for past, dominator in steps:
+            n_steps += 1
+            if dominator is None:
+                fail, c, s = _factorization_failure(model, regions, past, tables=tables)
+            else:
+                pair, past_cells, atoms = dominator
+                if pair not in scans:
+                    scans[pair] = _factorization_failure(model, pair, past, tables=tables)
+                fail, c, s = scans[pair]
+                if pair != regions:
+                    if fail is None:
+                        c = (past_cells - s) * atoms
+                    else:
+                        fail, c, s = _factorization_failure(model, regions, past, tables=tables)
+            checked += c
+            skipped += s
+            if fail is not None:
+                break
+        if fail is not None:
+            break
+    stats = dict(fixed or {})
+    stats[unit_key] = n_units
+    if step_key is not None:
+        stats[step_key] = n_steps
+    stats["atom_checks"] = checked
+    stats["null_conditions_skipped"] = skipped
+    if fail is not None:
+        cx = _conditional_counterexample(model, regions, names, past, fail, note)
+        return CheckReport(condition, VIOLATED, counterexample=cx, stats=stats)
+    if n_units == 0:
+        return CheckReport(condition, VACUOUS, reason=vacuous_reason, stats=stats)
+    return CheckReport(condition, HOLDS, stats=stats)
+
+
 # --- pruned pair screening ---------------------------------------------------
 #
 # Conditional independence decomposes: if A ⊥ B | P holds, then A' ⊥ B' | P
 # holds for every A' ⊆ A and B' ⊆ B, since each product-rule identity of the
 # smaller pair is a sum of identities of the larger one over the same cells
 # of P.  So a pair whose dominator (a larger screened pair with the same P)
-# held is known to hold without a scan, and its stats follow from P's cells:
-# every positive-weight cell checks all |A|·|B| atom pairs, every null cell
-# is skipped.  A pair is scanned itself only when its dominator failed, so
-# the first failing pair and its counterexample are those of the full
-# ordinal scan.
+# held is known to hold without a scan.  A pair is scanned itself only when
+# its dominator failed, so the first failing pair and its counterexample are
+# those of the full ordinal scan.
 
 # Conditioning rules of the pairwise checks: the mutual past (so1), the
 # joint past (so2), and the joint past with pairs touching an initial
@@ -331,9 +405,10 @@ def _first_extension(site, mutual, grow, p_grow, other, p_other, past, free) -> 
 
 @lru_cache(maxsize=None)
 def _screening_plan(site: CausalSite, rule: str) -> tuple[tuple | None, ...]:
-    """(P, dominator) for each pair of `_spacelike_pairs`, None if not screened.
+    """The steps of each pair of `_spacelike_pairs`, None if it is not screened.
 
-    P is the pair's conditioning region under `rule`.  The dominator is
+    A pair's one step is (P, dominator): P is its conditioning region under
+    `rule`, and the dominator is (pair, |Φ(P)|, |Φ(A)|·|Φ(B)|), for the pair
     reached by taking the first one-element extension of A, then of B, that
     is again a screened pair with the same P, for as long as there is one;
     it is given unordered, as (smaller mask, larger mask), since the product
@@ -358,7 +433,8 @@ def _screening_plan(site: CausalSite, rule: str) -> tuple[tuple | None, ...]:
         else:
             dominator = (a, b) if a < b else (b, a)
         dominators[a, b] = dominator
-        plan.append((past, dominator))
+        atoms = n_configs(site, a) * n_configs(site, b)
+        plan.append(((past, (dominator, n_configs(site, past), atoms)),))
     plan.reverse()
     return tuple(plan)
 
@@ -370,51 +446,14 @@ def _pairwise_screening(
     vacuous_reason: str = "no spacelike pairs of disjoint nonempty regions",
     tables: dict | None = None,
 ) -> CheckReport:
-    """Walk the screened pairs in order, scanning each dominator at most once.
-
-    A pair is skipped, its stats added from its past's cells, when its
-    dominator held; otherwise it is scanned as in a full ordinal scan.
-    `tables` may carry cell tables shared with another scan of the model.
-    """
-    site = model.site
-    pairs = 0
-    checked = 0
-    skipped = 0
-    if tables is None:
-        tables = {}
-    scans: dict[tuple[int, int], tuple] = {}
-    for (ra, rb), step in zip(_spacelike_pairs(site), _screening_plan(site, rule)):
-        if step is None:
-            continue
-        pairs += 1
-        past, dominator = step
-        if dominator not in scans:
-            scans[dominator] = _factorization_failure(model, dominator, past, tables=tables)
-        fail, c, s = scans[dominator]
-        if dominator != (ra, rb):
-            if fail is None:
-                c = (n_configs(site, past) - s) * n_configs(site, ra) * n_configs(site, rb)
-            else:
-                fail, c, s = _factorization_failure(model, (ra, rb), past, tables=tables)
-        checked += c
-        skipped += s
-        if fail is not None:
-            note = "conditional product rule fails for this atom pair given C"
-            cx = _conditional_counterexample(model, (ra, rb), ("A", "B"), past, fail, note)
-            stats = {
-                "region_pairs": pairs,
-                "atom_checks": checked,
-                "null_conditions_skipped": skipped,
-            }
-            return CheckReport(condition, VIOLATED, counterexample=cx, stats=stats)
-    stats = {
-        "region_pairs": pairs,
-        "atom_checks": checked,
-        "null_conditions_skipped": skipped,
-    }
-    if pairs == 0:
-        return CheckReport(condition, VACUOUS, reason=vacuous_reason, stats=stats)
-    return CheckReport(condition, HOLDS, stats=stats)
+    """Screen the pairs of `_screening_plan` in order, each dominator scanned once."""
+    units = (
+        (pair, steps)
+        for pair, steps in zip(_spacelike_pairs(model.site), _screening_plan(model.site, rule))
+        if steps is not None
+    )
+    note = "conditional product rule fails for this atom pair given C"
+    return _screen(model, condition, units, note, vacuous_reason, tables=tables)
 
 
 def check_so1(model: StochasticModel) -> CheckReport:
@@ -442,7 +481,7 @@ def check_so2w(model: StochasticModel) -> CheckReport:
     )
 
 
-_SELECTOR_NAMES = ("mutual", "joint", "bell", "all")
+SELECTOR_NAMES = ("mutual", "joint", "bell", "all")
 
 
 def _admissible_or_raise(site: CausalSite, past: int, ra: int, rb: int) -> None:
@@ -473,72 +512,42 @@ def check_generalized_so(model: StochasticModel, selector="mutual") -> CheckRepo
     """
     site = model.site
     if isinstance(selector, str):
-        if selector not in _SELECTOR_NAMES:
+        if selector not in SELECTOR_NAMES:
             raise SelectorError(
                 f"selector error: unknown selector {selector!r}; "
-                f"expected one of {', '.join(_SELECTOR_NAMES)}"
+                f"expected one of {', '.join(SELECTOR_NAMES)}"
             )
         label = selector
     else:
         label = getattr(selector, "__name__", "custom")
-    condition = f"gen-so[{label}]"
 
-    pairs = 0
-    pasts = 0
-    checked = 0
-    skipped = 0
-    tables: dict = {}
-    for ra, rb in _spacelike_pairs(site):
-        pairs += 1
-        p1 = site.mutual_past(ra, rb)
-        if selector == "mutual":
-            candidates = [p1]
-        elif selector == "joint":
-            candidates = [site.joint_past(ra, rb)]
-        elif selector == "bell":
-            candidates = [site.past(ra) & ~ra]
-        elif selector == "all":
-            free = site.full_mask & ~(site.future(ra) | site.future(rb)) & ~p1
-            candidates = [p1 | extra for extra in submasks(free)]
-        else:
-            candidates = [site.check_region(selector(site, ra, rb))]
-        if selector != "all":
-            for past in candidates:
-                _admissible_or_raise(site, past, ra, rb)
-        for past in candidates:
-            pasts += 1
-            fail, c, s = _factorization_failure(model, (ra, rb), past, tables=tables)
-            checked += c
-            skipped += s
-            if fail is not None:
-                note = (
-                    "conditional product rule fails for this atom pair given C "
-                    f"(selector {label})"
-                )
-                cx = _conditional_counterexample(model, (ra, rb), ("A", "B"), past, fail, note)
-                stats = {
-                    "selector": label,
-                    "region_pairs": pairs,
-                    "conditioning_regions": pasts,
-                    "atom_checks": checked,
-                    "null_conditions_skipped": skipped,
-                }
-                return CheckReport(condition, VIOLATED, counterexample=cx, stats=stats)
-    stats = {
-        "selector": label,
-        "region_pairs": pairs,
-        "conditioning_regions": pasts,
-        "atom_checks": checked,
-        "null_conditions_skipped": skipped,
-    }
-    if pairs == 0:
-        return CheckReport(
-            condition,
-            VACUOUS,
-            reason="no spacelike pairs of disjoint nonempty regions",
-            stats=stats,
-        )
-    return CheckReport(condition, HOLDS, stats=stats)
+    def units():
+        for ra, rb in _spacelike_pairs(site):
+            p1 = site.mutual_past(ra, rb)
+            if selector == "all":
+                free = site.full_mask & ~(site.future(ra) | site.future(rb)) & ~p1
+                yield (ra, rb), [(p1 | extra, None) for extra in submasks(free)]
+                continue
+            if selector == "mutual":
+                past = p1
+            elif selector == "joint":
+                past = site.joint_past(ra, rb)
+            elif selector == "bell":
+                past = site.past(ra) & ~ra
+            else:
+                past = site.check_region(selector(site, ra, rb))
+            _admissible_or_raise(site, past, ra, rb)
+            yield (ra, rb), ((past, None),)
+
+    note = f"conditional product rule fails for this atom pair given C (selector {label})"
+    return _screen(
+        model,
+        f"gen-so[{label}]",
+        units(),
+        note,
+        step_key="conditioning_regions",
+        fixed={"selector": label},
+    )
 
 
 @lru_cache(maxsize=None)
@@ -575,42 +584,20 @@ def check_multi_so(model: StochasticModel, n: int) -> CheckReport:
     if n < 2:
         raise ValueError("check_multi_so requires n >= 2")
     site = model.site
-    condition = f"multi-so[n={n}]"
-    names = tuple(f"A{i + 1}" for i in range(n))
-    tuples = 0
-    checked = 0
-    skipped = 0
-    tables: dict = {}
-    for regions in _spacelike_tuples(site, n):
-        tuples += 1
-        past = site.multi_joint_past(list(regions))
-        fail, c, s = _factorization_failure(model, regions, past, tables=tables)
-        checked += c
-        skipped += s
-        if fail is not None:
-            note = "joint conditional factorization fails for this atom tuple given C"
-            cx = _conditional_counterexample(model, regions, names, past, fail, note)
-            stats = {
-                "n": n,
-                "region_tuples": tuples,
-                "atom_checks": checked,
-                "null_conditions_skipped": skipped,
-            }
-            return CheckReport(condition, VIOLATED, counterexample=cx, stats=stats)
-    stats = {
-        "n": n,
-        "region_tuples": tuples,
-        "atom_checks": checked,
-        "null_conditions_skipped": skipped,
-    }
-    if tuples == 0:
-        return CheckReport(
-            condition,
-            VACUOUS,
-            reason=f"no {n}-tuples of pairwise-spacelike disjoint regions",
-            stats=stats,
-        )
-    return CheckReport(condition, HOLDS, stats=stats)
+    units = (
+        (regions, ((site.multi_joint_past(list(regions)), None),))
+        for regions in _spacelike_tuples(site, n)
+    )
+    return _screen(
+        model,
+        f"multi-so[n={n}]",
+        units,
+        "joint conditional factorization fails for this atom tuple given C",
+        f"no {n}-tuples of pairwise-spacelike disjoint regions",
+        names=tuple(f"A{i + 1}" for i in range(n)),
+        unit_key="region_tuples",
+        fixed={"n": n},
+    )
 
 
 # --- weak relativistic causality ---------------------------------------------
@@ -814,30 +801,18 @@ def _event_pair_vacuous(model: StochasticModel, condition: str, a: int, b: int, 
             stats={"dom_a": site.region_ids(da), "dom_b": site.region_ids(db)},
         )
     wa, wb, wab = model._w(a), model._w(b), model._w(a & b)
-    if positive:
-        if not wab * model._den > wa * wb:
-            return CheckReport(
-                condition,
-                VACUOUS,
-                reason="events are not positively correlated",
-                stats={
-                    "mu(A)": format_rational(Fraction(wa, model._den)),
-                    "mu(B)": format_rational(Fraction(wb, model._den)),
-                    "mu(A&B)": format_rational(Fraction(wab, model._den)),
-                },
-            )
-    elif wab * model._den == wa * wb:
-        return CheckReport(
-            condition,
-            VACUOUS,
-            reason="events are not correlated",
-            stats={
-                "mu(A)": format_rational(Fraction(wa, model._den)),
-                "mu(B)": format_rational(Fraction(wb, model._den)),
-                "mu(A&B)": format_rational(Fraction(wab, model._den)),
-            },
-        )
-    return None
+    if wab * model._den > wa * wb if positive else wab * model._den != wa * wb:
+        return None
+    return CheckReport(
+        condition,
+        VACUOUS,
+        reason="events are not positively correlated" if positive else "events are not correlated",
+        stats={
+            "mu(A)": format_rational(Fraction(wa, model._den)),
+            "mu(B)": format_rational(Fraction(wb, model._den)),
+            "mu(A&B)": format_rational(Fraction(wab, model._den)),
+        },
+    )
 
 
 def _no_witness_counterexample(model: StochasticModel, a: int, b: int, note: str) -> Counterexample:
@@ -860,6 +835,30 @@ def _no_witness_counterexample(model: StochasticModel, a: int, b: int, note: str
         ),
         note=note,
     )
+
+
+def _candidate_events(model: StochasticModel, a: int, b: int, exhaustive_limit: int):
+    """(mode, candidates) of the witness searches over single events C.
+
+    Each candidate is (C, [W(C), W(A&C), W(B&C), W(A&B&C)]) in scaled
+    weights: every nonempty event when the history space has at most
+    `exhaustive_limit` points (refused above EXHAUSTIVE_HISTORY_CAP), else
+    the full-specification cells of the past-closed regions.
+    """
+    site = model.site
+    n = n_histories(site)
+    if n > exhaustive_limit:
+        w = model._w
+        cells = _past_region_cells(site)
+        return "past-region-cells", (
+            (c, [w(c), w(a & c), w(b & c), w(a & b & c)]) for c in cells
+        )
+    if n > EXHAUSTIVE_HISTORY_CAP:
+        raise CapacityError(
+            f"capacity error: an exhaustive event search over {n} histories "
+            f"examines 2^{n} - 1 events; the limit is {EXHAUSTIVE_HISTORY_CAP} histories"
+        )
+    return "exhaustive", _gray_event_sums(model, (omega(site), a, b, a & b))
 
 
 def _screening_like_check(
@@ -900,29 +899,17 @@ def _screening_like_check(
                 return False
         return True
 
+    mode, candidates = _candidate_events(model, a, b, exhaustive_limit)
     examined = 0
-    if n_histories(site) <= exhaustive_limit:
-        mode = "exhaustive"
-        for mask, sums in _gray_event_sums(model, (omega(site), a, b, a & b)):
-            examined += 1
-            if satisfies(*sums):
-                stats = {
-                    "mode": mode,
-                    "candidates_examined": examined,
-                    "witness": event_ref(site, mask).to_json(),
-                }
-                return CheckReport(condition, HOLDS, stats=stats)
-    else:
-        mode = "past-region-cells"
-        for mask in _past_region_cells(site):
-            examined += 1
-            if satisfies(model._w(mask), model._w(a & mask), model._w(b & mask), model._w(a & b & mask)):
-                stats = {
-                    "mode": mode,
-                    "candidates_examined": examined,
-                    "witness": event_ref(site, mask).to_json(),
-                }
-                return CheckReport(condition, HOLDS, stats=stats)
+    for mask, sums in candidates:
+        examined += 1
+        if satisfies(*sums):
+            stats = {
+                "mode": mode,
+                "candidates_examined": examined,
+                "witness": event_ref(site, mask).to_json(),
+            }
+            return CheckReport(condition, HOLDS, stats=stats)
     wanted = "screening and likelihood-raising conditions" if want_inequalities else "two-sided screening condition"
     cx = _no_witness_counterexample(
         model, a, b, f"no candidate event satisfies the {wanted} ({mode} search, {examined} examined)"
@@ -994,7 +981,6 @@ def check_pcc_rev2(
     vac = _event_pair_vacuous(model, condition, a, b, positive=False)
     if vac is not None:
         return vac
-    L = model._den
 
     def screens(cells) -> bool:
         for cell in cells:
@@ -1005,41 +991,33 @@ def check_pcc_rev2(
                 return False
         return True
 
-    n = n_histories(site)
-    examined = 0
-    if n <= SET_PARTITION_LIMIT:
-        mode = "set-partitions"
-        cap = max_partition_size if max_partition_size is not None else n
-        for cells in _iter_set_partitions(n, cap):
-            examined += 1
-            if screens(cells):
-                stats = {
-                    "mode": mode,
-                    "partitions_examined": examined,
-                    "witness_partition": [event_ref(site, c).to_json() for c in cells],
-                }
-                return CheckReport(condition, HOLDS, stats=stats)
-    else:
-        mode = "region-partitions"
+    def region_partitions():
         seen = set()
         for r in site.regions():
             cells = full_specifications(site, r)
             if max_partition_size is not None and len(cells) > max_partition_size:
                 continue
             key = frozenset(cells)
-            if key in seen:
-                continue
-            seen.add(key)
-            examined += 1
-            if screens(cells):
-                stats = {
-                    "mode": mode,
-                    "partitions_examined": examined,
-                    "witness_partition": [
-                        event_ref(site, c, r, i).to_json() for i, c in enumerate(cells)
-                    ],
-                }
-                return CheckReport(condition, HOLDS, stats=stats)
+            if key not in seen:
+                seen.add(key)
+                yield cells, r
+
+    n = n_histories(site)
+    if n <= SET_PARTITION_LIMIT:
+        mode = "set-partitions"
+        cap = max_partition_size if max_partition_size is not None else n
+        partitions = ((cells, None) for cells in _iter_set_partitions(n, cap))
+    else:
+        mode = "region-partitions"
+        partitions = region_partitions()
+    examined = 0
+    for cells, region in partitions:
+        examined += 1
+        if screens(cells):
+            # a region's cells are named by their configurations; set partitions have no region
+            witness = [event_ref(site, c, region, i).to_json() for i, c in enumerate(cells)]
+            stats = {"mode": mode, "partitions_examined": examined, "witness_partition": witness}
+            return CheckReport(condition, HOLDS, stats=stats)
     cx = _no_witness_counterexample(
         model,
         a,
@@ -1087,24 +1065,13 @@ def find_simpson_events(
 def _collect_conditioners(
     model: StochasticModel, a: int, b: int, exhaustive_limit: int, simpson: bool
 ) -> list[int]:
-    site = model.site
     L = model._den
     out = []
-    if n_histories(site) <= exhaustive_limit:
-        for mask, sums in _gray_event_sums(model, (omega(site), a, b, a & b)):
-            wc, wac, wbc, wabc = sums
-            if wc == 0 or wc == L:
-                continue
-            if (wabc * wc != wac * wbc) == simpson:
-                out.append(mask)
-    else:
-        for mask in _past_region_cells(site):
-            wc = model._w(mask)
-            if wc == 0 or wc == L:
-                continue
-            screens = model._w(a & b & mask) * wc == model._w(a & mask) * model._w(b & mask)
-            if screens != simpson:
-                out.append(mask)
+    for mask, (wc, wac, wbc, wabc) in _candidate_events(model, a, b, exhaustive_limit)[1]:
+        if wc == 0 or wc == L:
+            continue
+        if (wabc * wc != wac * wbc) == simpson:
+            out.append(mask)
     out.sort()
     return out
 
@@ -1122,47 +1089,23 @@ def check_penrose_percival(model: StochasticModel) -> CheckReport:
     site = model.site
     tables: dict = {}
     so1 = _pairwise_screening(model, "so1", _MUTUAL, tables=tables)
-    condition = "penrose-percival"
-    pairs = 0
-    dissections = 0
-    checked = 0
-    skipped = 0
-    for ra, rb in _spacelike_pairs(site):
-        pairs += 1
-        for pd, _sides in site.enumerate_dissections(ra, rb):
-            dissections += 1
-            fail, c, s = _factorization_failure(model, (ra, rb), pd, tables=tables)
-            checked += c
-            skipped += s
-            if fail is not None:
-                note = (
-                    "conjecture probe: conditioning on a full specification of a "
-                    "dissection of the joint past fails to screen this atom pair"
-                )
-                cx = _conditional_counterexample(model, (ra, rb), ("A", "B"), pd, fail, note)
-                stats = {
-                    "region_pairs": pairs,
-                    "dissections": dissections,
-                    "atom_checks": checked,
-                    "null_conditions_skipped": skipped,
-                    "so1_verdict": so1.verdict,
-                }
-                return CheckReport(condition, VIOLATED, counterexample=cx, stats=stats)
-    stats = {
-        "region_pairs": pairs,
-        "dissections": dissections,
-        "atom_checks": checked,
-        "null_conditions_skipped": skipped,
-        "so1_verdict": so1.verdict,
-    }
-    if pairs == 0:
-        return CheckReport(
-            condition,
-            VACUOUS,
-            reason="no spacelike pairs of disjoint nonempty regions",
-            stats=stats,
-        )
-    return CheckReport(condition, HOLDS, stats=stats)
+    units = (
+        ((ra, rb), ((pd, None) for pd, _sides in site.enumerate_dissections(ra, rb)))
+        for ra, rb in _spacelike_pairs(site)
+    )
+    note = (
+        "conjecture probe: conditioning on a full specification of a "
+        "dissection of the joint past fails to screen this atom pair"
+    )
+    return _screen(
+        model,
+        "penrose-percival",
+        units,
+        note,
+        step_key="dissections",
+        fixed={"so1_verdict": so1.verdict},
+        tables=tables,
+    )
 
 
 # --- deterministic Einstein-local dynamics -----------------------------------

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import screenoff
+import screenoff.corpus as corpus_mod
 import screenoff.events as events
+import screenoff.stochastic as stochastic
 
 from screenoff.cli import main
 
@@ -475,6 +477,32 @@ class TestStartup:
             "capacity error: the site has 1073741824 histories (the product of "
             "its alphabet sizes); the limit is 65536\n"
         )
+
+    def test_exhaustive_search_over_the_cap_is_refused(self, capsys, tmp_path, monkeypatch):
+        # 5 binary sites: 32 histories, more than an exhaustive search may
+        # cover, so a limit that would allow one is refused before it starts
+        path = tmp_path / "five.json"
+        path.write_text(json.dumps({
+            "format_version": 1,
+            "sites": [{"id": f"s{i}", "alphabet": 2} for i in range(5)],
+            "measure": {"type": "stochastic", "weights": {"00000": "1/2", "11000": "1/2"}},
+        }))
+        monkeypatch.setattr(stochastic, "_gray_event_sums", None)
+        # s0 and s1 are correlated, s0 and s2 are not
+        for argv in (["check", "pcc-original", str(path), "--b", "s1=0"],
+                     ["find", "simpson", str(path), "--b", "s2=0"]):
+            code, out, err = run(capsys, *argv, "--a", "s0=0", "--max-omega-exhaustive", "64")
+            assert code == 2
+            assert out == ""
+            assert err.startswith("capacity error: an exhaustive event search over 32 histories")
+
+    def test_fuzz_count_over_the_limit_is_refused(self, capsys, monkeypatch):
+        monkeypatch.setattr(corpus_mod, "_fuzz_one", None)
+        code, out, err = run(capsys, "fuzz", "--pair", "so1-so2", "--seed", "0",
+                             "--count", str(10**9))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("capacity error: fuzz count 1000000000 is over the limit")
 
 
 # -- argument handling ------------------------------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import screenoff.corpus as corpus_mod
-from screenoff.events import n_histories
+from screenoff.events import CapacityError, n_histories
 from screenoff.corpus import (
     FUZZ_PAIRS,
     CorpusEntry,
@@ -273,6 +273,19 @@ class TestFuzz:
     def test_bad_count(self):
         with pytest.raises(ValueError, match="count"):
             fuzz_equivalence(1, 0, "so1-so2")
+
+    def test_count_over_the_limit_is_refused(self, monkeypatch):
+        # the limit itself is accepted (with models stubbed out); one more is
+        # refused before the task list exists
+        limit = corpus_mod.FUZZ_COUNT_LIMIT
+        monkeypatch.setattr(corpus_mod, "_fuzz_one", lambda task: (task[1], HOLDS, HOLDS))
+        assert fuzz_equivalence(1, limit, "so1-so2").stats["agreements"] == limit
+        monkeypatch.setattr(corpus_mod, "_fuzz_one", None)
+        with pytest.raises(CapacityError) as got:
+            fuzz_equivalence(1, limit + 1, "so1-so2")
+        assert str(got.value) == (
+            f"capacity error: fuzz count {limit + 1} is over the limit of {limit} models per run"
+        )
 
     def test_disagreement_reports_replay_data(self, monkeypatch):
         # force a fake disagreement to exercise the violation report

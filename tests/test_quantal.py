@@ -83,7 +83,9 @@ def random_rank_one(rng: random.Random, site: CausalSite) -> QuantalModel:
             total = total + a
         if total:
             break
-    psi = [a / total for a in psi]
+    # scale so the amplitudes sum to one: times conj(total) / |total|^2
+    inverse = total.conjugate() * (1 / (total.re * total.re + total.im * total.im))
+    psi = [a * inverse for a in psi]
     return rank_one(site, psi)
 
 
@@ -97,11 +99,6 @@ class TestComplexFraction:
         assert a + b == CF(F(1, 4), F(7, 3))
         assert a - b == CF(F(3, 4), F(-5, 3))
         assert a * b == CF(F(1, 2) * F(-1, 4) - F(1, 3) * 2, F(1) + F(1, 3) * F(-1, 4))
-        assert (a * b) / b == a
-
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            CF_ONE / CF_ZERO
 
     def test_conjugate(self):
         assert CF(F(1), F(2)).conjugate() == CF(F(1), F(-2))

@@ -601,6 +601,33 @@ class TestPCCOriginal:
         assert r.stats["mode"] == "past-region-cells"
         assert int(r.stats["witness"]["mask"], 16) == parse_event(m.site, "c=1")
 
+    @pytest.mark.parametrize("alphabets", [(3, 2, 2, 2), (5, 5)])
+    def test_exhaustive_search_is_capped(self, alphabets, monkeypatch):
+        # 24 histories may be searched exhaustively, 25 may not, whatever the
+        # caller's limit; the refusal comes before any event is enumerated
+        site = CausalSite([(f"s{i}", k) for i, k in enumerate(alphabets)], [])
+        n = n_histories(site)
+        weights = [F(1, 2) if h in (0, n - 1) else 0 for h in range(n)]
+        m = StochasticModel(site, weights)
+        a, b = parse_event(site, "s0=0"), parse_event(site, "s1=0")
+        monkeypatch.setattr(stochastic, "_gray_event_sums", lambda *args: iter(()))
+        if n <= stochastic.EXHAUSTIVE_HISTORY_CAP:
+            r = check_pcc_rev1(m, a, b, exhaustive_limit=64)
+            assert (r.verdict, r.stats["mode"]) == (VIOLATED, "exhaustive")
+            assert find_screening_events(m, a, b, exhaustive_limit=64) == []
+            return
+        monkeypatch.setattr(stochastic, "_gray_event_sums", None)
+        message = (
+            "capacity error: an exhaustive event search over 25 histories "
+            "examines 2^25 - 1 events; the limit is 24 histories"
+        )
+        for search in (check_pcc_original, check_pcc_rev1, find_screening_events):
+            with pytest.raises(stochastic.CapacityError) as got:
+                search(m, a, b, exhaustive_limit=64)
+            assert str(got.value) == message
+        # below the caller's limit the cells of past regions are searched
+        assert check_pcc_rev1(m, a, b).stats["mode"] == "past-region-cells"
+
     def test_vacuous_when_not_spacelike(self):
         m = StochasticModel(chain(2), [F(1, 4)] * 4)
         r = check_pcc_original(m, parse_event(m.site, "e0=0"), parse_event(m.site, "e1=0"))
