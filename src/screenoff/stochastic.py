@@ -801,7 +801,7 @@ def _event_pair_vacuous(model: StochasticModel, condition: str, a: int, b: int, 
             stats={"dom_a": site.region_ids(da), "dom_b": site.region_ids(db)},
         )
     wa, wb, wab = model._w(a), model._w(b), model._w(a & b)
-    if wab * model._den > wa * wb if positive else wab * model._den != wa * wb:
+    if (wab * model._den > wa * wb) if positive else (wab * model._den != wa * wb):
         return None
     return CheckReport(
         condition,
