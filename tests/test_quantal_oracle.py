@@ -2,21 +2,35 @@
 
 The reference code below is the ComplexFraction construction of random
 quantal models, and the ComplexFraction validation of the matrix axioms,
-that the generator and validator compute in scaled integers.  It is kept
-here, test-only, so that every model, report and error text the program
-produces can be compared with it byte for byte.
+that the generator and validator compute in scaled integers.  It also keeps
+the per-pair qso scan: ``ref_pair_matrix`` rebuilds one (past, A, B) matrix
+of d-values for every region pair, ``ref_quantal_screening_failure`` walks
+it pseudo-atom by pseudo-atom, and ``ref_quantal_pairwise_check`` scans
+every spacelike pair in order.  It is kept here, test-only, so that every
+model, report and error text the program produces can be compared with it
+byte for byte.
 """
 from __future__ import annotations
 
+import itertools
 import json
+import random
 from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import screenoff.quantal as quantal_mod
-from screenoff.corpus import _random_site, _rng, random_quantal
-from screenoff.events import event_ref
+from screenoff.corpus import (
+    _random_site,
+    _rng,
+    corpus_entries,
+    random_diagonal_quantal,
+    random_quantal,
+)
+from screenoff.events import config_indices, event_ref, full_specifications, n_configs, n_histories
 from screenoff.modelfile import render_model_json
 from screenoff.order import CausalSite
 from screenoff.quantal import (
@@ -31,7 +45,8 @@ from screenoff.quantal import (
     diagonal_reduction,
     validate_quantal,
 )
-from screenoff.report import HOLDS, VIOLATED, CheckReport, Counterexample
+from screenoff.report import HOLDS, VACUOUS, VIOLATED, CheckReport, Counterexample, format_complex
+from screenoff.stochastic import _spacelike_pairs
 
 F = Fraction
 CF = ComplexFraction
@@ -304,3 +319,265 @@ def test_generation_and_validation_do_no_complex_fraction_arithmetic(monkeypatch
         assert validate_quantal(model).holds
         check_qso1(model)
         check_qso2(model)
+
+
+# -- the per-pair qso scan ----------------------------------------------------
+
+
+def _cmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def ref_pair_matrix(q, regions):
+    """Matrix of d-values between joint configuration cells of the regions."""
+    site = q.site
+    sizes = tuple(n_configs(site, r) for r in regions)
+    index_maps = [config_indices(site, r) for r in regions]
+    n_cells = 1
+    for s in sizes:
+        n_cells *= s
+    n = n_histories(site)
+    flat_of = [0] * n
+    for h in range(n):
+        flat = 0
+        for ci, size in zip(index_maps, sizes):
+            flat = flat * size + ci[h]
+        flat_of[h] = flat
+    ints = q._ints
+    m = [[(0, 0)] * n_cells for _ in range(n_cells)]
+    for h in range(n):
+        mrow = m[flat_of[h]]
+        irow = ints[h]
+        for g in range(n):
+            u = flat_of[g]
+            ar, ai = mrow[u]
+            br, bi = irow[g]
+            mrow[u] = (ar + br, ai + bi)
+    return sizes, m
+
+
+def ref_quantal_screening_failure(q, ra, rb, past):
+    """First pseudo-atom triple breaking the product rule, or None.
+
+    Ordered pairs of conditioning cells outermost, then left/right atoms of
+    the first region, then of the second; null pseudo-cells are checked.
+    """
+    (np_, na, nb), m = ref_pair_matrix(q, (past, ra, rb))
+    block = na * nb
+    checked = 0
+    for c1 in range(np_):
+        for c2 in range(np_):
+            base1 = c1 * block
+            base2 = c2 * block
+            ma_tab = [[(0, 0)] * na for _ in range(na)]
+            mb_tab = [[(0, 0)] * nb for _ in range(nb)]
+            mp = (0, 0)
+            for f1 in range(block):
+                row = m[base1 + f1]
+                a1, b1 = divmod(f1, nb)
+                for f2 in range(block):
+                    er, ei = row[base2 + f2]
+                    a2, b2 = divmod(f2, nb)
+                    mp = (mp[0] + er, mp[1] + ei)
+                    xr, xi = ma_tab[a1][a2]
+                    ma_tab[a1][a2] = (xr + er, xi + ei)
+                    xr, xi = mb_tab[b1][b2]
+                    mb_tab[b1][b2] = (xr + er, xi + ei)
+            for a1, a2, b1, b2 in itertools.product(range(na), range(na), range(nb), range(nb)):
+                ma = ma_tab[a1][a2]
+                mb = mb_tab[b1][b2]
+                joint = m[base1 + a1 * nb + b1][base2 + a2 * nb + b2]
+                checked += 1
+                if _cmul(joint, mp) != _cmul(ma, mb):
+                    return ((c1, c2, a1, a2, b1, b2), (joint, mp, ma, mb)), checked
+    return None, checked
+
+
+def ref_quantal_counterexample(q, ra, rb, past, where, values):
+    site = q.site
+    c1, c2, a1, a2, b1, b2 = where
+    joint, mp, ma, mb = values
+    den = Fraction(q._den)
+
+    def fmt(v, d=den):
+        return format_complex(v[0] / d, v[1] / d)
+
+    pa = full_specifications(site, ra)
+    pb = full_specifications(site, rb)
+    pc = full_specifications(site, past)
+    return Counterexample(
+        regions=(
+            ("A", site.region_ids(ra)),
+            ("B", site.region_ids(rb)),
+            ("past", site.region_ids(past)),
+        ),
+        events=(
+            ("A1", event_ref(site, pa[a1], ra, a1)),
+            ("A2", event_ref(site, pa[a2], ra, a2)),
+            ("B1", event_ref(site, pb[b1], rb, b1)),
+            ("B2", event_ref(site, pb[b2], rb, b2)),
+            ("C1", event_ref(site, pc[c1], past, c1)),
+            ("C2", event_ref(site, pc[c2], past, c2)),
+        ),
+        values=(
+            ("muhat(A&B&C)", fmt(joint)),
+            ("muhat(C)", fmt(mp)),
+            ("muhat(A&C)", fmt(ma)),
+            ("muhat(B&C)", fmt(mb)),
+            ("muhat(A&B&C)*muhat(C)", fmt(_cmul(joint, mp), den * den)),
+            ("muhat(A&C)*muhat(B&C)", fmt(_cmul(ma, mb), den * den)),
+        ),
+        note="complex product rule fails for this pseudo-atom triple",
+    )
+
+
+def ref_quantal_pairwise_check(q, condition, past_of):
+    q._require_valid()
+    pairs = 0
+    checked = 0
+    for ra, rb in _spacelike_pairs(q.site):
+        pairs += 1
+        past = past_of(ra, rb)
+        failure, c = ref_quantal_screening_failure(q, ra, rb, past)
+        checked += c
+        if failure is not None:
+            cx = ref_quantal_counterexample(q, ra, rb, past, *failure)
+            stats = {"region_pairs": pairs, "equations_checked": checked}
+            return CheckReport(condition, VIOLATED, counterexample=cx, stats=stats)
+    stats = {"region_pairs": pairs, "equations_checked": checked}
+    if pairs == 0:
+        return CheckReport(
+            condition, VACUOUS, reason="no spacelike pairs of disjoint nonempty regions", stats=stats
+        )
+    return CheckReport(condition, HOLDS, stats=stats)
+
+
+def ref_qso1(q):
+    return ref_quantal_pairwise_check(q, "qso1", q.site.mutual_past)
+
+
+def ref_qso2(q):
+    return ref_quantal_pairwise_check(q, "qso2", q.site.joint_past)
+
+
+def _exact(run) -> str:
+    """A report's JSON in its own key order, or the text of the error it raised."""
+    try:
+        return json.dumps(run().to_json_dict())
+    except ValueError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def assert_qso_matches_reference(q, decohered=False) -> list[str]:
+    """qso1, qso2 (and diag-reduce on a decohered matrix) against the per-pair scan."""
+    runs = [("qso1", check_qso1, ref_qso1), ("qso2", check_qso2, ref_qso2)]
+    outcomes = []
+    for label, run, ref in runs:
+        got = _exact(lambda: run(q))
+        assert got == _exact(lambda: ref(q)), label
+        outcomes.append(got)
+    if decohered:
+        got = _exact(lambda: diagonal_reduction(q))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(quantal_mod, "check_qso1", ref_qso1)
+            want = _exact(lambda: diagonal_reduction(q))
+        assert got == want, "diag-reduce"
+        outcomes.append(got)
+    return outcomes
+
+
+def product_amplitude_model(rng: random.Random, alphabets) -> QuantalModel:
+    """A rank-one product amplitude on an antichain: every pair screens."""
+    site = CausalSite([(f"s{i}", k) for i, k in enumerate(alphabets)])
+    amps = []
+    for k in alphabets:
+        a = [CF(F(rng.randint(-4, 4), 4), F(rng.randint(-4, 4), 4)) for _ in range(k - 1)]
+        rest = CF_ONE
+        for x in a:
+            rest = rest - x
+        amps.append(a + [rest])
+    psi = []
+    for digits in itertools.product(*(range(k) for k in alphabets)):
+        v = CF_ONE
+        for amp, d in zip(amps, digits):
+            v = v * amp[d]
+        psi.append(v)
+    entries = [[x * y.conjugate() for y in psi] for x in psi]
+    return QuantalModel(site, entries, positivity_witness=[(F(1), psi)])
+
+
+def decohered_common_cause(n_leaves: int, coupled: bool) -> QuantalModel:
+    """A ternary root under binary leaves on the diagonal, root value 0 null.
+
+    The null root value makes the diagonal pseudo-cell (0, 0) of the mutual
+    past null, so the scan checks it rather than skipping it; with
+    ``coupled`` the last two leaves are tied beyond the root.
+    """
+    elements = [("c", 3)] + [(f"l{i}", 2) for i in range(n_leaves)]
+    site = CausalSite(elements, [("c", f"l{i}") for i in range(n_leaves)])
+    weights = []
+    for digits in itertools.product(range(3), *([range(2)] * n_leaves)):
+        c, leaves = digits[0], digits[1:]
+        w = F(0) if c == 0 else F(1)
+        for i, v in enumerate(leaves):
+            p = F(1 + (c + i) % 3, 5)
+            w *= p if v else 1 - p
+        if coupled:
+            w *= 2 if leaves[-1] == leaves[-2] else 0
+        weights.append(w)
+    total = sum(weights)
+    n = len(weights)
+    entries = [[weights[h] / total if h == g else 0 for g in range(n)] for h in range(n)]
+    return QuantalModel(site, entries)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [e for e in corpus_entries() if isinstance(e.model, QuantalModel)],
+    ids=lambda e: e.name,
+)
+def test_qso_corpus_entries_match_the_per_pair_scan(entry):
+    q = entry.model
+    n = len(q.entries)
+    decohered = all(q._ints[h][g] == (0, 0) for h in range(n) for g in range(n) if h != g)
+    assert_qso_matches_reference(q, decohered)
+
+
+@given(
+    seed=st.integers(0, 10**6),
+    n_sites=st.integers(3, 5),
+    alphabet=st.integers(2, 3),
+    rank=st.integers(1, 3),
+)
+def test_random_quantal_matches_the_per_pair_scan(seed, n_sites, alphabet, rank):
+    assert_qso_matches_reference(random_quantal(seed, n_sites, alphabet, rank))
+
+
+@pytest.mark.parametrize("alphabets", [(2, 2, 2), (3, 2, 2), (2, 2, 2, 2), (2, 2, 2, 2, 2)])
+def test_product_amplitudes_hold_like_the_per_pair_scan(alphabets):
+    q = product_amplitude_model(random.Random(str(alphabets)), alphabets)
+    outcomes = assert_qso_matches_reference(q)
+    assert all('"verdict": "holds"' in o for o in outcomes)
+
+
+@given(seed=st.integers(0, 10**6), n_sites=st.integers(2, 4))
+def test_random_diagonal_quantal_matches_the_per_pair_scan(seed, n_sites):
+    assert_qso_matches_reference(random_diagonal_quantal(seed, n_sites), decohered=True)
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_null_pseudo_cells_are_checked_like_the_per_pair_scan(coupled):
+    q = decohered_common_cause(3, coupled)
+    outcomes = assert_qso_matches_reference(q, decohered=True)
+    verdict = "violated" if coupled else "holds"
+    assert f'"verdict": "{verdict}"' in outcomes[0]
+    # the root's null pseudo-cells are counted among the equations: all 12
+    # pairs hold, and each of their pseudo-cells checks every pseudo-atom
+    if not coupled:
+        pairs = _spacelike_pairs(q.site)
+        expected = sum(
+            n_configs(q.site, q.site.mutual_past(a, b)) ** 2
+            * (n_configs(q.site, a) * n_configs(q.site, b)) ** 2
+            for a, b in pairs
+        )
+        assert json.loads(outcomes[0])["stats"]["equations_checked"] == expected
