@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -330,7 +331,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         corpus_mod.check_jobs(args.jobs)
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as e:
+        # the reader closed early; point stdout at nothing so that the flush
+        # at shutdown cannot raise again
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print(f"output error: {e}", file=sys.stderr)
+        return 2
     except InternalCheckError as e:
         print(f"{e}", file=sys.stderr)
         return 3

@@ -25,14 +25,21 @@ from .events import (
 from .order import CausalSite, iter_bits
 from .report import (
     HOLDS,
-    VACUOUS,
     VIOLATED,
     CheckReport,
     Counterexample,
     InternalCheckError,
     format_complex,
 )
-from .stochastic import StochasticModel, _spacelike_pairs, check_so1
+from .stochastic import (
+    StochasticModel,
+    _history_cells,
+    _screen,
+    _spacelike_pairs,
+    _union_offsets,
+    _union_table,
+    check_so1,
+)
 
 # |Omega| bound up to which positivity is checked by exhausting all events.
 POSITIVITY_ENUMERATION_LIMIT = 16
@@ -338,149 +345,112 @@ def _cmul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
-def _pair_matrix(q: QuantalModel, regions: tuple[int, ...]):
-    """Matrix of d-values between joint configuration cells of the regions."""
-    site = q.site
-    sizes = tuple(n_configs(site, r) for r in regions)
-    index_maps = [config_indices(site, r) for r in regions]
-    n_cells = 1
-    for s in sizes:
-        n_cells *= s
-    n = n_histories(site)
-    flat_of = [0] * n
-    for h in range(n):
-        flat = 0
-        for ci, size in zip(index_maps, sizes):
-            flat = flat * size + ci[h]
-        flat_of[h] = flat
-    ints = q._ints
-    m = [[(0, 0)] * n_cells for _ in range(n_cells)]
-    for h in range(n):
-        row_cell = flat_of[h]
-        mrow = m[row_cell]
-        irow = ints[h]
-        for g in range(n):
-            u = flat_of[g]
-            ar, ai = mrow[u]
-            br, bi = irow[g]
-            mrow[u] = (ar + br, ai + bi)
-    return sizes, m
+def _pair_matrix(q: QuantalModel, regions: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """d-values between configurations of the union U of disjoint regions.
 
-
-def _quantal_screening_failure(q: QuantalModel, ra: int, rb: int, past: int):
-    """First pseudo-atom triple breaking the product rule, or None.
-
-    Scans ordered pairs of conditioning cells outermost, then left/right
-    atoms of the first region, then of the second — so the first failure on
-    a fully decohered matrix lands on the same atoms as the classical scan.
+    The n_U x n_U matrix is flat and row-major in U's config order, as real
+    and imaginary parts.
     """
-    (np_, na, nb), m = _pair_matrix(q, (past, ra, rb))
-    block = na * nb
+    union, cells = _history_cells(q.site, regions)
+    n = n_configs(q.site, union)
+    re = [0] * (n * n)
+    im = [0] * (n * n)
+    for row_cell, row in zip(cells, q._ints):
+        base = row_cell * n
+        for cell, (x, y) in zip(cells, row):
+            re[base + cell] += x
+            im[base + cell] += y
+    return re, im
+
+
+def _quantal_screening_failure(
+    q: QuantalModel, regions: tuple[int, int], past: int, *, tables: dict
+):
+    """First pseudo-atom triple breaking the complex product rule, or None.
+
+    The classical scan over doubled regions: a pseudo-cell (c1, c2) of the
+    past is a cell of P x P, (a1, a2) an atom of A x A and (b1, b2) an atom
+    of B x B, each read from the matrix of U = P u A u B through its offsets
+    on both axes, the first coordinate most significant.  Each pseudo-cell's
+    block is tested in one comparison of muhat(A&B&C) * muhat(C) against
+    muhat(A&C) * muhat(B&C); a null pseudo-cell is checked, not skipped.
+    Returns (failure-or-None, equations_checked, 0).
+    """
+    site = q.site
+    union, (re, im) = _union_table(q, (past, *regions), tables, _pair_matrix)
+    n = n_configs(site, union)
+    offsets = [_union_offsets(site, r, union) for r in (past, *regions)]
+    doubled_p, doubled_a, doubled_b = ([x * n + y for x in o for y in o] for o in offsets)
+    block = [x + y for x in doubled_a for y in doubled_b]
+    width = len(doubled_b)
     checked = 0
-    for c1 in range(np_):
-        for c2 in range(np_):
-            # marginal d-values with one or both event regions summed out
-            base1 = c1 * block
-            base2 = c2 * block
-            ma_tab = [[(0, 0)] * na for _ in range(na)]
-            mb_tab = [[(0, 0)] * nb for _ in range(nb)]
-            mp = (0, 0)
-            for f1 in range(block):
-                row = m[base1 + f1]
-                a1, b1 = divmod(f1, nb)
-                for f2 in range(block):
-                    er, ei = row[base2 + f2]
-                    a2, b2 = divmod(f2, nb)
-                    mp = (mp[0] + er, mp[1] + ei)
-                    xr, xi = ma_tab[a1][a2]
-                    ma_tab[a1][a2] = (xr + er, xi + ei)
-                    xr, xi = mb_tab[b1][b2]
-                    mb_tab[b1][b2] = (xr + er, xi + ei)
-            for a1 in range(na):
-                for a2 in range(na):
-                    ma = ma_tab[a1][a2]
-                    for b1 in range(nb):
-                        for b2 in range(nb):
-                            mb = mb_tab[b1][b2]
-                            joint = m[base1 + a1 * nb + b1][base2 + a2 * nb + b2]
-                            checked += 1
-                            if _cmul(joint, mp) != _cmul(ma, mb):
-                                return (
-                                    (c1, c2, a1, a2, b1, b2),
-                                    (joint, mp, ma, mb),
-                                ), checked
-    return None, checked
+    for p, base in enumerate(doubled_p):
+        jr = [re[base + i] for i in block]
+        ji = [im[base + i] for i in block]
+        ar = [sum(jr[t : t + width]) for t in range(0, len(jr), width)]
+        ai = [sum(ji[t : t + width]) for t in range(0, len(ji), width)]
+        br = [sum(jr[c::width]) for c in range(width)]
+        bi = [sum(ji[c::width]) for c in range(width)]
+        pr, pi = sum(ar), sum(ai)
+        lhs = [(x * pr - y * pi, x * pi + y * pr) for x, y in zip(jr, ji)]
+        rhs = [(x * u - y * v, x * v + y * u) for x, y in zip(ar, ai) for u, v in zip(br, bi)]
+        if lhs != rhs:
+            i = next(i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+            ia, ib = divmod(i, width)
+            where = (
+                *divmod(p, len(offsets[0])),
+                *divmod(ia, len(offsets[1])),
+                *divmod(ib, len(offsets[2])),
+            )
+            values = ((jr[i], ji[i]), (pr, pi), (ar[ia], ai[ia]), (br[ib], bi[ib]))
+            return (where, values), checked + i + 1, 0
+        checked += len(lhs)
+    return None, checked, 0
 
 
 def _quantal_counterexample(
-    q: QuantalModel, ra: int, rb: int, past: int, where, values
+    q: QuantalModel, regions: tuple[int, int], names: tuple[str, str], past: int, fail, note: str
 ) -> Counterexample:
     site = q.site
-    c1, c2, a1, a2, b1, b2 = where
-    joint, mp, ma, mb = values
-    den2 = Fraction(q._den) * q._den
+    (c1, c2, a1, a2, b1, b2), (joint, mp, ma, mb) = fail
+    den = q._den
 
-    def fmt(v: tuple[int, int]) -> str:
-        return format_complex(v[0] / Fraction(q._den), v[1] / Fraction(q._den))
+    def fmt(v: tuple[int, int], d: int = den) -> str:
+        return format_complex(Fraction(v[0], d), Fraction(v[1], d))
 
-    def fmt2(v: tuple[int, int]) -> str:
-        return format_complex(v[0] / den2, v[1] / den2)
-
-    lhs = _cmul(joint, mp)
-    rhs = _cmul(ma, mb)
-    pa = full_specifications(site, ra)
-    pb = full_specifications(site, rb)
-    pc = full_specifications(site, past)
+    events = []
+    for name, r, atoms in zip((*names, "C"), (*regions, past), ((a1, a2), (b1, b2), (c1, c2))):
+        cells = full_specifications(site, r)
+        events += [(f"{name}{k}", event_ref(site, cells[i], r, i)) for k, i in enumerate(atoms, 1)]
     return Counterexample(
-        regions=(
-            ("A", site.region_ids(ra)),
-            ("B", site.region_ids(rb)),
-            ("past", site.region_ids(past)),
-        ),
-        events=(
-            ("A1", event_ref(site, pa[a1], ra, a1)),
-            ("A2", event_ref(site, pa[a2], ra, a2)),
-            ("B1", event_ref(site, pb[b1], rb, b1)),
-            ("B2", event_ref(site, pb[b2], rb, b2)),
-            ("C1", event_ref(site, pc[c1], past, c1)),
-            ("C2", event_ref(site, pc[c2], past, c2)),
-        ),
+        regions=(*((name, site.region_ids(r)) for name, r in zip(names, regions)),
+                 ("past", site.region_ids(past))),
+        events=tuple(events),
         values=(
             ("muhat(A&B&C)", fmt(joint)),
             ("muhat(C)", fmt(mp)),
             ("muhat(A&C)", fmt(ma)),
             ("muhat(B&C)", fmt(mb)),
-            ("muhat(A&B&C)*muhat(C)", fmt2(lhs)),
-            ("muhat(A&C)*muhat(B&C)", fmt2(rhs)),
+            ("muhat(A&B&C)*muhat(C)", fmt(_cmul(joint, mp), den * den)),
+            ("muhat(A&C)*muhat(B&C)", fmt(_cmul(ma, mb), den * den)),
         ),
-        note="complex product rule fails for this pseudo-atom triple",
+        note=note,
     )
 
 
 def _quantal_pairwise_check(q: QuantalModel, condition: str, past_of) -> CheckReport:
+    """Screen every spacelike pair, given each pseudo-cell of its `past_of` region."""
     q._require_valid()
-    site = q.site
-    pairs = 0
-    checked = 0
-    for ra, rb in _spacelike_pairs(site):
-        pairs += 1
-        past = past_of(ra, rb)
-        failure, c = _quantal_screening_failure(q, ra, rb, past)
-        checked += c
-        if failure is not None:
-            where, values = failure
-            cx = _quantal_counterexample(q, ra, rb, past, where, values)
-            stats = {"region_pairs": pairs, "equations_checked": checked}
-            return CheckReport(condition, VIOLATED, counterexample=cx, stats=stats)
-    stats = {"region_pairs": pairs, "equations_checked": checked}
-    if pairs == 0:
-        return CheckReport(
-            condition,
-            VACUOUS,
-            reason="no spacelike pairs of disjoint nonempty regions",
-            stats=stats,
-        )
-    return CheckReport(condition, HOLDS, stats=stats)
+    units = ((pair, ((past_of(*pair), None),)) for pair in _spacelike_pairs(q.site))
+    return _screen(
+        q,
+        condition,
+        units,
+        "complex product rule fails for this pseudo-atom triple",
+        scan=_quantal_screening_failure,
+        counterexample=_quantal_counterexample,
+        count_keys=("equations_checked",),
+    )
 
 
 def check_qso1(q: QuantalModel) -> CheckReport:

@@ -154,31 +154,36 @@ def _union_offsets(site: CausalSite, region: int, union: int) -> list[int]:
     return offsets
 
 
-def _cell_weights(model: StochasticModel, regions: tuple[int, ...]) -> list[int]:
-    """Scaled weights of the configurations of the union of disjoint regions."""
-    site = model.site
+def _history_cells(site: CausalSite, regions: tuple[int, ...]) -> tuple[int, list[int]]:
+    """The union of disjoint regions, and each history's configuration index in it."""
     union = 0
     for r in regions:
         union |= r
-    flat = [0] * len(model._nums)
+    flat = [0] * n_histories(site)
     for r in regions:
         offsets = _union_offsets(site, r, union)
         flat = [f + offsets[c] for f, c in zip(flat, config_indices(site, r))]
-    table = [0] * n_configs(site, union)
+    return union, flat
+
+
+def _cell_weights(model: StochasticModel, regions: tuple[int, ...]) -> list[int]:
+    """Scaled weights of the configurations of the union of disjoint regions."""
+    union, flat = _history_cells(model.site, regions)
+    table = [0] * n_configs(model.site, union)
     for f, w in zip(flat, model._nums):
         if w:
             table[f] += w
     return table
 
 
-def _union_table(model: StochasticModel, regions: tuple[int, ...], tables: dict):
-    """(union, table) for disjoint regions, built once per union into `tables`."""
+def _union_table(model, regions: tuple[int, ...], tables: dict, build):
+    """(union, table) for disjoint regions, built by `build` once per union into `tables`."""
     union = 0
     for r in regions:
         union |= r
     table = tables.get(union)
     if table is None:
-        table = tables[union] = _cell_weights(model, regions)
+        table = tables[union] = build(model, regions)
     return union, table
 
 
@@ -213,7 +218,7 @@ def _factorization_failure(
     null_conditions_skipped).
     """
     site = model.site
-    union, table = _union_table(model, (past, *event_regions), tables)
+    union, table = _union_table(model, (past, *event_regions), tables, _cell_weights)
     offsets = [_union_offsets(site, r, union) for r in event_regions]
     block = [0]
     for region_offsets in offsets:
@@ -298,16 +303,16 @@ def _spacelike_pairs(site: CausalSite) -> tuple[tuple[int, int], ...]:
 
 # --- one screening driver ----------------------------------------------------
 #
-# so1, so2, so2w, gen-so, multi-so and penrose-percival share one form: for
-# every unit a check's plan picks out, the atoms of the unit's event regions
-# must factorize given each positive-weight cell of every conditioning region
+# so1, so2, so2w, gen-so, multi-so, penrose-percival, qso1 and qso2 share one
+# form: for every unit a check's plan picks out, the atoms of the unit's
+# event regions must factorize given each cell of every conditioning region
 # of the unit.  A unit is (regions, steps); a step is (past, dominator), with
 # dominator None for a step that is scanned itself, or (pair, cells of past,
 # atoms of the unit) for a step that a larger pair's scan stands in for.
 
 
 def _screen(
-    model: StochasticModel,
+    model,
     condition: str,
     units,
     note: str,
@@ -318,6 +323,9 @@ def _screen(
     step_key: str | None = None,
     fixed: dict | None = None,
     tables: dict | None = None,
+    scan=None,
+    counterexample=None,
+    count_keys: tuple[str, ...] = ("atom_checks", "null_conditions_skipped"),
 ) -> CheckReport:
     """Scan the units in order and report the first failing step, if any.
 
@@ -327,8 +335,13 @@ def _screen(
     one checks every atom of the unit, each null one is skipped.  A step
     whose dominator failed is scanned itself.  `fixed` stats lead the
     report's stats; `tables` may carry cell tables shared with another scan
-    of the model.
+    of the model.  `scan` (default `_factorization_failure`) returns
+    (failure-or-None, checked, skipped), reported under `count_keys`, and
+    `counterexample` (default `_conditional_counterexample`) reports a
+    failure.
     """
+    scan = scan or _factorization_failure
+    counterexample = counterexample or _conditional_counterexample
     tables = {} if tables is None else tables
     scans: dict[tuple[int, ...], tuple] = {}
     n_units = n_steps = checked = skipped = 0
@@ -338,17 +351,17 @@ def _screen(
         for past, dominator in steps:
             n_steps += 1
             if dominator is None:
-                fail, c, s = _factorization_failure(model, regions, past, tables=tables)
+                fail, c, s = scan(model, regions, past, tables=tables)
             else:
                 pair, past_cells, atoms = dominator
                 if pair not in scans:
-                    scans[pair] = _factorization_failure(model, pair, past, tables=tables)
+                    scans[pair] = scan(model, pair, past, tables=tables)
                 fail, c, s = scans[pair]
                 if pair != regions:
                     if fail is None:
                         c = (past_cells - s) * atoms
                     else:
-                        fail, c, s = _factorization_failure(model, regions, past, tables=tables)
+                        fail, c, s = scan(model, regions, past, tables=tables)
             checked += c
             skipped += s
             if fail is not None:
@@ -359,10 +372,9 @@ def _screen(
     stats[unit_key] = n_units
     if step_key is not None:
         stats[step_key] = n_steps
-    stats["atom_checks"] = checked
-    stats["null_conditions_skipped"] = skipped
+    stats.update(zip(count_keys, (checked, skipped)))
     if fail is not None:
-        cx = _conditional_counterexample(model, regions, names, past, fail, note)
+        cx = counterexample(model, regions, names, past, fail, note)
         return CheckReport(condition, VIOLATED, counterexample=cx, stats=stats)
     if n_units == 0:
         return CheckReport(condition, VACUOUS, reason=vacuous_reason, stats=stats)
@@ -627,7 +639,7 @@ def check_wrc(model: StochasticModel, conditioned: bool = False) -> CheckReport:
                 f"{site.region_ids(rb)}); the limit is 2^{_PAST_CELL_LIMIT} "
                 f"({_PAST_CELL_LIMIT} mutual-past cells)"
             )
-        union, table = _union_table(model, (past, ra, rb), tables)
+        union, table = _union_table(model, (past, ra, rb), tables, _cell_weights)
         off_a = _union_offsets(site, ra, union)
         off_b = _union_offsets(site, rb, union)
         past_offsets = _union_offsets(site, past, union)
@@ -976,6 +988,10 @@ def check_pcc_rev2(
     8 points; larger spaces fall back to the partitions induced by regions
     (cells = full specifications), and the report names the mode used.
     """
+    if max_partition_size is not None and max_partition_size < 1:
+        raise ValueError(
+            f"check error: max_partition_size must be at least 1, not {max_partition_size}"
+        )
     condition = "pcc-rev2"
     site = model.site
     vac = _event_pair_vacuous(model, condition, a, b, positive=False)

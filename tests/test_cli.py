@@ -257,6 +257,24 @@ class TestCheck:
         assert code == 1
         assert "pcc-rev2: violated" in out
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_rev2_partition_cap_below_one_is_a_usage_error(self, capsys, model_dir, cap):
+        code, out, err = run(
+            capsys,
+            "check",
+            "pcc-rev2",
+            str(model_dir / "illusionist_coins.json"),
+            "--a",
+            "A",
+            "--b",
+            "B",
+            "--max-partition",
+            cap,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"check error: max_partition_size must be at least 1, not {cap}\n"
+
     def test_wrc_capacity_limit_is_a_usage_error(self, capsys, tmp_path):
         from screenoff.corpus import random_deterministic_local
         from screenoff.modelfile import render_model_json
@@ -460,6 +478,26 @@ class TestStartup:
             check=True,
         )
         assert done.stdout.strip() == "False"
+
+    def test_closed_stdout_is_an_output_error(self):
+        # the reader is gone before the report is written, as with a `head`
+        # that has already exited: one line on stderr and exit 2, the code of
+        # bad input, rather than a traceback and exit 1 ("violated")
+        src = str(Path(screenoff.__file__).resolve().parent.parent)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "screenoff.cli", "corpus", "verify", "--format", "json"],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 2
+        assert err.startswith("output error: ")
+        assert "Broken pipe" in err
+        assert err.count("\n") == 1
 
     def test_oversized_history_space_is_refused(self, capsys, tmp_path, monkeypatch):
         # 30 binary sites: 2^30 histories, refused before any is allocated

@@ -1,6 +1,8 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every private module-level function or class is used somewhere in the package.
 
-``__init__.py`` is left out: it imports names to re-export them.
+``__init__.py`` is left out of the import check: it imports names to
+re-export them.
 """
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "screenoff"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,3 +38,47 @@ def test_the_guard_sees_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level `_`-prefixed functions and classes no other statement uses.
+
+    A use is a name or an attribute in any top-level statement of any module
+    other than the definition itself; importing a name is not a use.
+    """
+    definitions = []
+    uses: list[tuple[str, int, set[str]]] = []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+            uses.append((module, stmt.lineno, names))
+            if (
+                isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and stmt.name.startswith("_")
+                and not stmt.name.startswith("__")
+            ):
+                definitions.append((module, stmt.lineno, stmt.name))
+    return [
+        f"{module} line {line}: {name}"
+        for module, line, name in definitions
+        if not any(name in names for m, ln, names in uses if (m, ln) != (module, line))
+    ]
+
+
+def test_the_guard_sees_a_dead_helper():
+    # a self-call and an import are not uses; an attribute read is
+    sources = {
+        "a.py": "def _used():\n    return 1\n\ndef _dead():\n    return _dead()\n",
+        "b.py": "from .a import _used, _dead\nclass _Orphan:\n    pass\nx = a._used()\n",
+    }
+    assert unreferenced_private_definitions(sources) == ["a.py line 4: _dead", "b.py line 2: _Orphan"]
+
+
+def test_every_private_definition_is_used():
+    sources = {path.name: path.read_text() for path in SOURCES}
+    assert unreferenced_private_definitions(sources) == []

@@ -14,6 +14,7 @@ import pytest
 from test_order import antichain, coin_site
 from test_stochastic import selection_reversal, sparse_model
 
+import screenoff.quantal as quantal
 from screenoff.events import history_index, n_histories, omega
 from screenoff.exprs import parse_event
 from screenoff.order import CausalSite
@@ -33,7 +34,7 @@ from screenoff.quantal import (
     verify_quantal_lemmas,
 )
 from screenoff.report import HOLDS, VACUOUS, VIOLATED
-from screenoff.stochastic import StochasticModel, check_so1
+from screenoff.stochastic import StochasticModel, _spacelike_pairs, check_so1
 
 F = Fraction
 CF = ComplexFraction
@@ -364,6 +365,38 @@ class TestQSO:
             site = antichain(2) if i % 2 else coin_site()
             q = random_rank_one(rng, site)
             assert check_qso1(q).verdict == check_qso2(q).verdict, (i,)
+
+
+class TestUnionTables:
+    def test_one_matrix_per_region_union(self, monkeypatch):
+        # 5 binary sites, no order: every pair's past is empty, so the unions
+        # are the subsets of 2..5 sites, 2^5 - 5 - 1 = 26 of them, shared by
+        # the 180 region pairs
+        site = antichain(5)
+        psi = [CF_ONE]
+        for i in range(5):
+            a0 = CF(F(i + 1, 4), F(i - 2, 4))
+            psi = [x * a for x in psi for a in (a0, CF_ONE - a0)]
+        q = rank_one(site, psi)
+        calls = []
+        original = quantal._pair_matrix
+
+        def counted(*args, **kwargs):
+            calls.append((args, kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(quantal, "_pair_matrix", counted)
+        report = check_qso1(q)
+        assert report.verdict == HOLDS
+        assert report.stats == {"region_pairs": 180, "equations_checked": 52800}
+        unions = {a | b for a, b in _spacelike_pairs(site)}
+        assert len(unions) == 26
+        assert len(calls) == len(unions)
+        # the benchmark tracer's hook takes exactly (q, regions)
+        for args, kwargs in calls:
+            assert len(args) == 2 and not kwargs
+            assert args[0] is q
+        assert {sum(regions) for (_, regions), _ in calls} == unions
 
 
 # -- reduction to the classical checker -------------------------------------

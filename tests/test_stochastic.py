@@ -725,6 +725,16 @@ class TestPCCRevisions:
         r = check_pcc_rev2(m, a, b, max_partition_size=1)
         assert r.verdict == VIOLATED
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_rev2_cap_below_one_is_refused(self, cap):
+        m = three_value_coins()
+        a = parse_event(m.site, "a_s=1")
+        b = parse_event(m.site, "b_s=1")
+        assert check_pcc_rev2(m, a, b).verdict == HOLDS
+        with pytest.raises(ValueError) as got:
+            check_pcc_rev2(m, a, b, max_partition_size=cap)
+        assert str(got.value) == f"check error: max_partition_size must be at least 1, not {cap}"
+
 
 # -- searches over explicit events ------------------------------------------
 
