@@ -2,7 +2,8 @@
 
 Subcommands: ``validate``, ``check``, ``find``, ``fuzz``, and ``corpus``.
 Exit codes: 0 the condition holds (or the task succeeded), 1 it is violated,
-2 the input or usage was bad, 3 an internal invariant failed.  All output is
+2 the input or usage was bad (or standard output was closed by its reader),
+3 an internal invariant failed.  All output is
 deterministic for identical inputs, whatever ``--jobs`` says; JSON output
 differs only in ``runtime_ms``.
 """

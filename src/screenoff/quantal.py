@@ -397,11 +397,8 @@ def _quantal_screening_failure(
         if lhs != rhs:
             i = next(i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
             ia, ib = divmod(i, width)
-            where = (
-                *divmod(p, len(offsets[0])),
-                *divmod(ia, len(offsets[1])),
-                *divmod(ib, len(offsets[2])),
-            )
+            n_p, n_a, n_b = (len(o) for o in offsets)
+            where = (*divmod(p, n_p), *divmod(ia, n_a), *divmod(ib, n_b))
             values = ((jr[i], ji[i]), (pr, pi), (ar[ia], ai[ia]), (br[ib], bi[ib]))
             return (where, values), checked + i + 1, 0
         checked += len(lhs)
@@ -418,13 +415,13 @@ def _quantal_counterexample(
     def fmt(v: tuple[int, int], d: int = den) -> str:
         return format_complex(Fraction(v[0], d), Fraction(v[1], d))
 
+    labels = [(name, site.region_ids(r)) for name, r in zip(names, regions)]
     events = []
     for name, r, atoms in zip((*names, "C"), (*regions, past), ((a1, a2), (b1, b2), (c1, c2))):
         cells = full_specifications(site, r)
         events += [(f"{name}{k}", event_ref(site, cells[i], r, i)) for k, i in enumerate(atoms, 1)]
     return Counterexample(
-        regions=(*((name, site.region_ids(r)) for name, r in zip(names, regions)),
-                 ("past", site.region_ids(past))),
+        regions=(*labels, ("past", site.region_ids(past))),
         events=tuple(events),
         values=(
             ("muhat(A&B&C)", fmt(joint)),
