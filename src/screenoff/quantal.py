@@ -32,9 +32,12 @@ from .report import (
     format_complex,
 )
 from .stochastic import (
+    _JOINT,
+    _MUTUAL,
     StochasticModel,
     _history_cells,
     _screen,
+    _screening_plan,
     _spacelike_pairs,
     _union_offsets,
     _union_table,
@@ -372,8 +375,9 @@ def _quantal_screening_failure(
     past is a cell of P x P, (a1, a2) an atom of A x A and (b1, b2) an atom
     of B x B, each read from the matrix of U = P u A u B through its offsets
     on both axes, the first coordinate most significant.  Each pseudo-cell's
-    block is tested in one comparison of muhat(A&B&C) * muhat(C) against
-    muhat(A&C) * muhat(B&C); a null pseudo-cell is checked, not skipped.
+    block is tested in two list comparisons, of the real and of the
+    imaginary parts of muhat(A&B&C) * muhat(C) against muhat(A&C) *
+    muhat(B&C); a null pseudo-cell is checked, not skipped.
     Returns (failure-or-None, equations_checked, 0).
     """
     site = q.site
@@ -392,16 +396,25 @@ def _quantal_screening_failure(
         br = [sum(jr[c::width]) for c in range(width)]
         bi = [sum(ji[c::width]) for c in range(width)]
         pr, pi = sum(ar), sum(ai)
-        lhs = [(x * pr - y * pi, x * pi + y * pr) for x, y in zip(jr, ji)]
-        rhs = [(x * u - y * v, x * v + y * u) for x, y in zip(ar, ai) for u, v in zip(br, bi)]
-        if lhs != rhs:
-            i = next(i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+        if pi:
+            lhs_re = [x * pr - y * pi for x, y in zip(jr, ji)]
+            lhs_im = [x * pi + y * pr for x, y in zip(jr, ji)]
+        else:  # muhat(C) is real, as on every pseudo-cell of an empty past
+            lhs_re = [x * pr for x in jr]
+            lhs_im = [y * pr for y in ji]
+        rhs_re = [x * u - y * v for x, y in zip(ar, ai) for u, v in zip(br, bi)]
+        rhs_im = [x * v + y * u for x, y in zip(ar, ai) for u, v in zip(br, bi)]
+        if lhs_re != rhs_re or lhs_im != rhs_im:
+            i = next(
+                i for i, (x, y, u, v) in enumerate(zip(lhs_re, rhs_re, lhs_im, rhs_im))
+                if x != y or u != v
+            )
             ia, ib = divmod(i, width)
             n_p, n_a, n_b = (len(o) for o in offsets)
             where = (*divmod(p, n_p), *divmod(ia, n_a), *divmod(ib, n_b))
             values = ((jr[i], ji[i]), (pr, pi), (ar[ia], ai[ia]), (br[ib], bi[ib]))
             return (where, values), checked + i + 1, 0
-        checked += len(lhs)
+        checked += len(jr)
     return None, checked, 0
 
 
@@ -435,14 +448,37 @@ def _quantal_counterexample(
     )
 
 
-def _quantal_pairwise_check(q: QuantalModel, condition: str, past_of) -> CheckReport:
-    """Screen every spacelike pair, given each pseudo-cell of its `past_of` region."""
+def _quantal_pairwise_check(q: QuantalModel, condition: str, rule: str) -> CheckReport:
+    """Screen the spacelike pairs, each given every pseudo-cell of its `rule` region.
+
+    The complex product rule is linear in each pseudo-event component, so it
+    decomposes like conditional independence: a pair whose dominator held
+    holds too, and only the dominators of `_screening_plan` are scanned.  The
+    first pair is scanned before the plan is fetched, so a model that fails
+    there (as nearly every random one does) never builds a plan.  A held
+    step checks |Φ(P)|²·|Φ(A)|²·|Φ(B)|² equations, null pseudo-cells
+    included, hence the plan's counts squared.
+    """
     q._require_valid()
-    units = ((pair, ((past_of(*pair), None),)) for pair in _spacelike_pairs(q.site))
+    site = q.site
+    pairs = _spacelike_pairs(site)
+
+    def units():
+        if not pairs:
+            return
+        first = pairs[0]
+        past = site.mutual_past(*first) if rule == _MUTUAL else site.joint_past(*first)
+        # its own dominator, so that a later pair it dominates reuses its scan;
+        # the driver reads a self-dominated step's counts off that scan
+        yield first, ((past, (first, 0, 0)),)
+        plan = _screening_plan(site, rule)
+        for pair, ((past, (dominator, cells, atoms)),) in zip(pairs[1:], plan[1:]):
+            yield pair, ((past, (dominator, cells * cells, atoms * atoms)),)
+
     return _screen(
         q,
         condition,
-        units,
+        units(),
         "complex product rule fails for this pseudo-atom triple",
         scan=_quantal_screening_failure,
         counterexample=_quantal_counterexample,
@@ -458,14 +494,12 @@ def check_qso1(q: QuantalModel) -> CheckReport:
     mutual past: the complex measure satisfies
     muhat(A&B&C) * muhat(C) == muhat(A&C) * muhat(B&C).
     """
-    site = q.site
-    return _quantal_pairwise_check(q, "qso1", site.mutual_past)
+    return _quantal_pairwise_check(q, "qso1", _MUTUAL)
 
 
 def check_qso2(q: QuantalModel) -> CheckReport:
     """As check_qso1, conditioning on the joint past of the pair."""
-    site = q.site
-    return _quantal_pairwise_check(q, "qso2", site.joint_past)
+    return _quantal_pairwise_check(q, "qso2", _JOINT)
 
 
 # -- reduction to the classical check ----------------------------------------

@@ -5,6 +5,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_order import antichain, coin_site
 from test_quantal import diagonal_model, entangled_pair
@@ -20,8 +22,10 @@ from screenoff.modelfile import (
     render_model,
     render_model_json,
 )
+from screenoff.corpus import random_quantal, random_stochastic
 from screenoff.order import CausalSite
-from screenoff.stochastic import StochasticModel
+from screenoff.quantal import check_qso1
+from screenoff.stochastic import StochasticModel, check_so1
 
 F = Fraction
 
@@ -88,6 +92,29 @@ class TestRoundTrip:
         )
         m = parse_model_text(text).model
         assert m.weights == (F(1), F(0))
+
+
+def _report_json(report) -> str:
+    return json.dumps(report.to_json_dict())
+
+
+@given(seed=st.integers(0, 10**6), n_sites=st.integers(2, 5), alphabet=st.integers(2, 3))
+def test_random_stochastic_round_trips(seed, n_sites, alphabet):
+    m = random_stochastic(seed, n_sites, alphabet)
+    parsed = parse_model_text(render_model_json(m)).model
+    assert parsed == m
+    assert _report_json(check_so1(parsed)) == _report_json(check_so1(m))
+
+
+# a rendered matrix carries no positivity witness, so the parsed model is
+# certified by enumerating up to 2^16 events: fewer examples keep it quick
+@settings(max_examples=30)
+@given(seed=st.integers(0, 10**6), n_sites=st.integers(2, 4), rank=st.integers(1, 3))
+def test_random_quantal_round_trips(seed, n_sites, rank):
+    q = random_quantal(seed, n_sites, 2, rank)
+    parsed = parse_model_text(render_model_json(q)).model
+    assert parsed == q
+    assert _report_json(check_qso1(parsed)) == _report_json(check_qso1(q))
 
 
 # -- history keys -----------------------------------------------------------

@@ -21,9 +21,12 @@ from math import lcm
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_stochastic_oracle import PRUNING_SITES, local_dynamics, maximal_pairs
 
 import screenoff.quantal as quantal_mod
+import screenoff.stochastic as stochastic_mod
 from screenoff.corpus import (
+    _fuzz_model,
     _random_site,
     _rng,
     corpus_entries,
@@ -581,3 +584,162 @@ def test_null_pseudo_cells_are_checked_like_the_per_pair_scan(coupled):
             for a, b in pairs
         )
         assert json.loads(outcomes[0])["stats"]["equations_checked"] == expected
+
+
+# -- the pruned walk ----------------------------------------------------------
+#
+# qso1 and qso2 scan the first pair themselves, then only the dominators of
+# the so1/so2 plan.  Decohered matrices of local dynamics hold, so the walk
+# reaches every maximal pair; a null root value adds null pseudo-cells, and
+# a coupled pair of elements makes a dominator fail after held ones.
+
+COUPLED = {"chain-and-point": ("y", "z"), "blocked": ("l0", "l1"), "diamond": ("l", "r")}
+
+
+def decohered_local_dynamics(shape: str, variant: str = "plain") -> QuantalModel:
+    """The diagonal of a `local_dynamics` measure on a pruning site.
+
+    ``null-root`` gives the first element's value 0 no weight; ``coupled``
+    ties the shape's COUPLED elements to equal values.
+    """
+    site = PRUNING_SITES[shape]
+    weights = list(local_dynamics(random.Random(shape), site).weights)
+    i, j = (site.elements.index(e) for e in COUPLED[shape])
+    for h, digits in enumerate(itertools.product(*(range(k) for k in site.alphabets))):
+        if (variant == "null-root" and digits[0] == 0) or (variant == "coupled" and digits[i] != digits[j]):
+            weights[h] = F(0)
+    total = sum(weights)
+    n = len(weights)
+    return QuantalModel(site, [[weights[h] / total if h == g else 0 for g in range(n)] for h in range(n)])
+
+
+def recorded_scans(monkeypatch) -> list:
+    scans = []
+    original = quantal_mod._quantal_screening_failure
+    monkeypatch.setattr(
+        quantal_mod, "_quantal_screening_failure",
+        lambda q, regions, past, **k: scans.append(regions) or original(q, regions, past, **k),
+    )
+    return scans
+
+
+@pytest.mark.parametrize("variant", ["plain", "null-root"])
+@pytest.mark.parametrize("shape", ["chain-and-point", "blocked", "diamond"])
+def test_a_holding_qso_check_scans_the_first_and_each_maximal_pair_once(shape, variant, monkeypatch):
+    q = decohered_local_dynamics(shape, variant)
+    scans = recorded_scans(monkeypatch)
+    first = _spacelike_pairs(q.site)[0]
+    for label, check in (("so1", check_qso1), ("so2", check_qso2)):
+        del scans[:]
+        assert check(q).verdict == HOLDS
+        assert len(scans) == len(set(scans)), label
+        assert set(scans) == {first} | maximal_pairs(q.site, label), label
+
+
+def test_a_maximal_first_pair_is_scanned_once(monkeypatch):
+    # on two sites the first pair is the one maximal pair, and the second
+    # pair's dominator
+    q = product_amplitude_model(random.Random("two sites"), (2, 2))
+    scans = recorded_scans(monkeypatch)
+    for check in (check_qso1, check_qso2):
+        del scans[:]
+        report = check(q)
+        assert report.verdict == HOLDS and report.stats["region_pairs"] == 2
+        assert scans == [(1, 2)]
+
+
+@pytest.mark.parametrize("variant", ["plain", "null-root", "coupled"])
+@pytest.mark.parametrize("shape", ["chain-and-point", "blocked", "diamond"])
+def test_pruning_sites_match_the_per_pair_scan(shape, variant):
+    q = decohered_local_dynamics(shape, variant)
+    outcomes = [json.loads(o) for o in assert_qso_matches_reference(q, decohered=True)]
+    if variant != "coupled":
+        assert all(o["verdict"] == HOLDS for o in outcomes[:2])
+        return
+    # the coupled pair fails at the first pair on chain-and-point, and on the
+    # other shapes after the held first pair and later held dominators
+    first_failure = {"chain-and-point": 1, "blocked": 12, "diamond": 2}[shape]
+    for o in outcomes[:2]:
+        assert o["verdict"] == VIOLATED
+        assert o["stats"]["region_pairs"] == first_failure
+
+
+def common_cause_amplitude(rng: random.Random, n_leaves: int) -> QuantalModel:
+    """A rank-one amplitude r(c) * prod_i a_i(l_i | c) on a ternary root below binary leaves.
+
+    Each leaf's amplitudes given the root sum to 1, so the leaves screen off
+    given every pseudo-cell (c1, c2) of the root, and muhat of that cell,
+    r(c1) * conj(r(c2)), is not real when the two root values differ in phase.
+    """
+    elements = [("c", 3)] + [(f"l{i}", 2) for i in range(n_leaves)]
+    site = CausalSite(elements, [("c", f"l{i}") for i in range(n_leaves)])
+
+    def draw():
+        return CF(F(rng.randint(-4, 4), 4), F(rng.randint(-4, 4), 4))
+
+    root = [draw(), draw()]
+    root.append(CF_ONE - root[0] - root[1])
+    leaves = []
+    for _ in range(n_leaves):
+        given_root = []
+        for _ in range(3):
+            a0 = draw()
+            given_root.append((a0, CF_ONE - a0))
+        leaves.append(given_root)
+    psi = []
+    for c, *values in itertools.product(range(3), *([range(2)] * n_leaves)):
+        v = root[c]
+        for amps, x in zip(leaves, values):
+            v = v * amps[c][x]
+        psi.append(v)
+    entries = [[x * y.conjugate() for y in psi] for x in psi]
+    return QuantalModel(site, entries, positivity_witness=[(F(1), psi)])
+
+
+@pytest.mark.parametrize("n_leaves", [2, 3])
+def test_complex_past_pseudo_cells_hold_like_the_per_pair_scan(n_leaves):
+    q = common_cause_amplitude(random.Random(f"common cause {n_leaves}"), n_leaves)
+    root_cells = full_specifications(q.site, 1)
+    assert any(q.d_value(x, y).im for x in root_cells for y in root_cells)
+    outcomes = assert_qso_matches_reference(q)
+    assert all('"verdict": "holds"' in o for o in outcomes)
+
+
+@pytest.mark.parametrize("seed, shape", [(43, (3, 2, 1)), (419, (2, 2, 2)), (462, (2, 2, 1))])
+def test_a_failure_in_the_imaginary_part_alone_matches_the_per_pair_scan(seed, shape):
+    # the first failing equation's two sides have equal real parts, so the
+    # scan must find it by the imaginary parts
+    q = random_quantal(seed, *shape)
+    assert_qso_matches_reference(q)
+    for ra, rb in _spacelike_pairs(q.site):
+        failure, _ = ref_quantal_screening_failure(q, ra, rb, q.site.mutual_past(ra, rb))
+        if failure is not None:
+            break
+    _, (joint, mp, ma, mb) = failure
+    lhs, rhs = _cmul(joint, mp), _cmul(ma, mb)
+    assert lhs[0] == rhs[0] and lhs[1] != rhs[1]
+
+
+def test_a_first_pair_failure_scans_once_and_builds_no_plan(monkeypatch):
+    # nearly every fuzz model fails at its first pair; such a check must cost
+    # one scan and no plan
+    failing = []
+    for seed in range(40):
+        q = _fuzz_model("qso1-qso2", seed, 4, 2, 3)
+        for check, ref in ((check_qso1, ref_qso1), (check_qso2, ref_qso2)):
+            if _spacelike_pairs(q.site) and ref(q).stats["region_pairs"] == 1:
+                failing.append((q, check, ref))
+    assert len(failing) >= 40
+
+    def no_plan(*args):
+        raise AssertionError("a plan was built for a first-pair failure")
+
+    monkeypatch.setattr(stochastic_mod, "_screening_plan", no_plan)
+    monkeypatch.setattr(quantal_mod, "_screening_plan", no_plan)
+    scans = recorded_scans(monkeypatch)
+    for q, check, ref in failing:
+        del scans[:]
+        report = check(q)
+        assert report.verdict == VIOLATED
+        assert _dump(report) == _dump(ref(q))
+        assert scans == [_spacelike_pairs(q.site)[0]]

@@ -573,20 +573,23 @@ def maximal_pairs(site: CausalSite, condition: str) -> set[tuple[int, int]]:
     return out
 
 
+PRUNING_SITES = {
+    # B = {x} can only grow by y, above x: a pair that needs a B-extension
+    "chain-and-point": CausalSite([("x", 2), ("y", 2), ("z", 3)], [("x", "y")]),
+    "blocked": CausalSite(
+        [("r", 3), ("x", 2), ("l0", 2), ("l1", 2), ("l2", 2), ("y", 2)],
+        [("r", "l0"), ("r", "l1"), ("r", "l2"), ("x", "l2"), ("x", "y")],
+    ),
+    "diamond": CausalSite(
+        [("b", 2), ("l", 2), ("r", 2), ("t", 2), ("s", 2)],
+        [("b", "l"), ("b", "r"), ("l", "t"), ("r", "t")],
+    ),
+}
+
+
 @pytest.mark.parametrize("shape", ["chain-and-point", "blocked", "diamond"])
 def test_a_holding_check_scans_each_maximal_pair_once(shape, monkeypatch):
-    site = {
-        # B = {x} can only grow by y, above x: a pair that needs a B-extension
-        "chain-and-point": CausalSite([("x", 2), ("y", 2), ("z", 3)], [("x", "y")]),
-        "blocked": CausalSite(
-            [("r", 3), ("x", 2), ("l0", 2), ("l1", 2), ("l2", 2), ("y", 2)],
-            [("r", "l0"), ("r", "l1"), ("r", "l2"), ("x", "l2"), ("x", "y")],
-        ),
-        "diamond": CausalSite(
-            [("b", 2), ("l", 2), ("r", 2), ("t", 2), ("s", 2)],
-            [("b", "l"), ("b", "r"), ("l", "t"), ("r", "t")],
-        ),
-    }[shape]
+    site = PRUNING_SITES[shape]
     model = local_dynamics(random.Random(shape), site)
     scans = []
     original = stochastic._factorization_failure
