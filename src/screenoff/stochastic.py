@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import lcm, prod
 
 from .events import (
@@ -42,7 +42,7 @@ EXHAUSTIVE_EVENT_LIMIT = 20
 EXHAUSTIVE_HISTORY_CAP = 24
 # |Omega| bound up to which partition searches enumerate all set partitions.
 SET_PARTITION_LIMIT = 8
-# Bound on the number of mutual-past cells for common-correlate searches.
+# Bound on the mutual-past cells of wrc-cond, which conditions on every union of them.
 _PAST_CELL_LIMIT = 12
 
 
@@ -194,7 +194,10 @@ def _atom_coords(sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class _Failure:
-    """First cell where a conditional product rule breaks, in scaled integers."""
+    """First cell where a conditional product rule breaks, in scaled integers.
+
+    For wrc the past_index is the conditioning event, as a mask over cells.
+    """
 
     past_index: int
     atom_indexes: tuple[int, ...]
@@ -266,7 +269,9 @@ def _conditional_counterexample(
     past: int,
     fail: _Failure,
     note: str,
+    given: tuple | None = None,
 ) -> Counterexample:
+    """Report a failure given past cell C, or given the named event `given`."""
     site = model.site
     regions = tuple(
         (name, site.region_ids(r)) for name, r in zip(names, event_regions)
@@ -274,15 +279,18 @@ def _conditional_counterexample(
     events = []
     for name, r, atom in zip(names, event_regions, fail.atom_indexes):
         events.append((name, event_ref(site, full_specifications(site, r)[atom], r, atom)))
-    cond = full_specifications(site, past)[fail.past_index]
-    events.append(("C", event_ref(site, cond, past, fail.past_index)))
+    if given is None:
+        cond = full_specifications(site, past)[fail.past_index]
+        given = ("C", event_ref(site, cond, past, fail.past_index))
+    events.append(given)
+    c = given[0]
     joint = Fraction(fail.w_joint, fail.w_past)
     margins = [Fraction(w, fail.w_past) for w in fail.w_margins]
     label = "&".join(names)
-    values = [("mu(C)", format_rational(Fraction(fail.w_past, model._den)))]
-    values.append((f"mu({label}|C)", format_rational(joint)))
+    values = [(f"mu({c})", format_rational(Fraction(fail.w_past, model._den)))]
+    values.append((f"mu({label}|{c})", format_rational(joint)))
     for name, m in zip(names, margins):
-        values.append((f"mu({name}|C)", format_rational(m)))
+        values.append((f"mu({name}|{c})", format_rational(m)))
     values.append(("product", format_rational(prod(margins, start=Fraction(1)))))
     return Counterexample(
         regions=regions, events=tuple(events), values=tuple(values), note=note
@@ -306,7 +314,8 @@ def _spacelike_pairs(site: CausalSite) -> tuple[tuple[int, int], ...]:
 # so1, so2, so2w, gen-so, multi-so, penrose-percival, qso1 and qso2 share one
 # form: for every unit a check's plan picks out, the atoms of the unit's
 # event regions must factorize given each cell of every conditioning region
-# of the unit.  A unit is (regions, steps); a step is (past, dominator), with
+# of the unit; wrc and wrc-cond scan the same units for correlated atom
+# pairs.  A unit is (regions, steps); a step is (past, dominator), with
 # dominator None for a step that is scanned itself, or (pair, cells of past,
 # atoms of the unit) for a step that a larger pair's scan stands in for.
 
@@ -615,6 +624,96 @@ def check_multi_so(model: StochasticModel, n: int) -> CheckReport:
 # --- weak relativistic causality ---------------------------------------------
 
 
+def _correlate_failure(
+    model: StochasticModel,
+    regions: tuple[int, int],
+    past: int,
+    *,
+    tables: dict,
+    conditioned: bool,
+):
+    """First correlated atom pair of the regions with no common correlate in `past`.
+
+    A correlate is an event decidable in `past`: a union C of its cells.
+    Given a conditioning event E (every positive-measure one when
+    `conditioned`, else the whole space), C correlates with atom a exactly
+    when the sum over the cells p of C∩E of
+    f_a(p) = W(a&p)·W(E) − W(a&E)·W(p) is nonzero.  The sum is linear in C,
+    so atoms a and b have a common correlate iff some cell of E has
+    f_a ≠ 0 and some cell has f_b ≠ 0: {p} serves if one cell does both,
+    else {p, q}.  Returns (failure-or-None, conditioning_events,
+    correlated_atom_pairs); a failure's past_index is E, as a mask over the
+    cells of `past`.
+    """
+    site = model.site
+    ra, rb = regions
+    n_past = n_configs(site, past)
+    if conditioned and n_past > _PAST_CELL_LIMIT:
+        raise CapacityError(
+            f"capacity error: common-correlate search needs 2^{n_past} candidate "
+            f"events for the mutual past of ({site.region_ids(ra)}, "
+            f"{site.region_ids(rb)}); the limit is 2^{_PAST_CELL_LIMIT} "
+            f"({_PAST_CELL_LIMIT} mutual-past cells)"
+        )
+    union, table = _union_table(model, (past, ra, rb), tables, _cell_weights)
+    off_a = _union_offsets(site, ra, union)
+    off_b = _union_offsets(site, rb, union)
+    na, nb = len(off_a), len(off_b)
+    block = [oa + ob for oa in off_a for ob in off_b]
+    # Each past cell's row: W(p), then W(a&p) per atom of A, W(b&p) per atom
+    # of B, and W(a&b&p) per atom pair; an event's row is the sum over its cells.
+    rows = []
+    for base in _union_offsets(site, past, union):
+        cells = [table[base + i] for i in block]
+        wa = [sum(cells[t : t + nb]) for t in range(0, len(cells), nb)]
+        wb = [sum(cells[c::nb]) for c in range(nb)]
+        rows.append([sum(wa), *wa, *wb, *cells])
+    full = (1 << n_past) - 1
+    if conditioned:
+        # every event extends the one without its lowest cell by that cell's row
+        sums = [[0] * len(rows[0])]
+        for cm in range(1, full + 1):
+            low = cm & -cm
+            sums.append([x + y for x, y in zip(sums[cm ^ low], rows[low.bit_length() - 1])])
+        events = enumerate(sums)
+    else:
+        events = [(full, [sum(column) for column in zip(*rows)])]
+    n_events = n_correlated = 0
+    for cm, row in events:
+        we = row[0]
+        if we == 0:
+            continue
+        n_events += 1
+        wae, wbe, wabe = row[1 : 1 + na], row[1 + na : 1 + na + nb], row[1 + na + nb :]
+        lhs = [x * we for x in wabe]
+        rhs = [x * y for x in wae for y in wbe]
+        if lhs == rhs:
+            continue
+        # for each atom of A, then of B: does some cell of E have f ≠ 0?
+        inside = [rows[p] for p in iter_bits(cm)]
+        live = [any(r[k] * we != row[k] * r[0] for r in inside) for k in range(1, 1 + na + nb)]
+        for i, (x, y) in enumerate(zip(lhs, rhs)):
+            if x != y:
+                n_correlated += 1
+                a, b = divmod(i, nb)
+                if not (live[a] and live[na + b]):
+                    fail = _Failure(cm, (a, b), we, wabe[i], (wae[a], wbe[b]))
+                    return fail, n_events, n_correlated
+    return None, n_events, n_correlated
+
+
+def _correlate_counterexample(model, regions, names, past, fail: _Failure, note: str):
+    site = model.site
+    cells = full_specifications(site, past)
+    event = 0
+    for p in iter_bits(fail.past_index):
+        event |= cells[p]
+    # the note counts every event decidable in the past, which the proof covers
+    note = f"{note} ({(1 << len(cells)) - 1} candidate events searched)"
+    given = ("E", event_ref(site, event))
+    return _conditional_counterexample(model, regions, names, past, fail, note, given)
+
+
 def check_wrc(model: StochasticModel, conditioned: bool = False) -> CheckReport:
     """Every correlated spacelike atom pair has a common correlate in the mutual past.
 
@@ -623,141 +722,16 @@ def check_wrc(model: StochasticModel, conditioned: bool = False) -> CheckReport:
     mutual past (the strengthening that survives Simpson-style reversals).
     """
     site = model.site
-    condition = "wrc-cond" if conditioned else "wrc"
-    pairs = 0
-    conditioning_events = 0
-    correlated_pairs = 0
-    tables: dict = {}
-    for ra, rb in _spacelike_pairs(site):
-        pairs += 1
-        past = site.mutual_past(ra, rb)
-        n_past = n_configs(site, past)
-        if n_past > _PAST_CELL_LIMIT:
-            raise CapacityError(
-                f"capacity error: common-correlate search needs 2^{n_past} candidate "
-                f"events for the mutual past of ({site.region_ids(ra)}, "
-                f"{site.region_ids(rb)}); the limit is 2^{_PAST_CELL_LIMIT} "
-                f"({_PAST_CELL_LIMIT} mutual-past cells)"
-            )
-        union, table = _union_table(model, (past, ra, rb), tables, _cell_weights)
-        off_a = _union_offsets(site, ra, union)
-        off_b = _union_offsets(site, rb, union)
-        past_offsets = _union_offsets(site, past, union)
-        na, nb = len(off_a), len(off_b)
-        block = [oa + ob for oa in off_a for ob in off_b]
-        # Per-past-cell marginals, then cumulative sums over sets of past cells:
-        # every event decidable in the mutual past is a union of its cells.
-        n_masks = 1 << n_past
-        w_c = [0] * n_masks
-        wa_c = [[0] * na for _ in range(n_masks)]
-        wb_c = [[0] * nb for _ in range(n_masks)]
-        wab_c = [[0] * len(block) for _ in range(n_masks)]
-        for cm in range(1, n_masks):
-            low = cm & -cm
-            p = low.bit_length() - 1
-            rest = cm ^ low
-            base = past_offsets[p]
-            wa_row = wa_c[cm]
-            wb_row = wb_c[cm]
-            wab_row = wab_c[cm]
-            wa_prev = wa_c[rest]
-            wb_prev = wb_c[rest]
-            wab_prev = wab_c[rest]
-            total = 0
-            for a in range(na):
-                for b in range(nb):
-                    flat = a * nb + b
-                    w = table[base + block[flat]]
-                    wab_row[flat] = wab_prev[flat] + w
-                    total += w
-                    wa_row[a] += w
-                    wb_row[b] += w
-            for a in range(na):
-                wa_row[a] += wa_prev[a]
-            for b in range(nb):
-                wb_row[b] += wb_prev[b]
-            w_c[cm] = w_c[rest] + total
-        full_cm = n_masks - 1
-        if conditioned:
-            cond_masks = [cm for cm in range(1, n_masks) if w_c[cm] > 0]
-        else:
-            cond_masks = [full_cm] if w_c[full_cm] > 0 else []
-        for cm_e in cond_masks:
-            conditioning_events += 1
-            we = w_c[cm_e]
-            for a in range(na):
-                wae = wa_c[cm_e][a]
-                for b in range(nb):
-                    wbe = wb_c[cm_e][b]
-                    wabe = wab_c[cm_e][a * nb + b]
-                    if wabe * we == wae * wbe:
-                        continue
-                    correlated_pairs += 1
-                    found = False
-                    for cm_c in range(1, n_masks):
-                        cme = cm_c & cm_e
-                        wce = w_c[cme]
-                        wace = wa_c[cme][a]
-                        if wace * we == wae * wce:
-                            continue
-                        wbce = wb_c[cme][b]
-                        if wbce * we == wbe * wce:
-                            continue
-                        found = True
-                        break
-                    if not found:
-                        cells = full_specifications(site, past)
-                        e_mask = 0
-                        for p in iter_bits(cm_e):
-                            e_mask |= cells[p]
-                        atom_a = full_specifications(site, ra)[a]
-                        atom_b = full_specifications(site, rb)[b]
-                        cx = Counterexample(
-                            regions=(
-                                ("A", site.region_ids(ra)),
-                                ("B", site.region_ids(rb)),
-                                ("past", site.region_ids(past)),
-                            ),
-                            events=(
-                                ("A", event_ref(site, atom_a, ra, a)),
-                                ("B", event_ref(site, atom_b, rb, b)),
-                                ("E", event_ref(site, e_mask)),
-                            ),
-                            values=(
-                                ("mu(E)", format_rational(Fraction(we, model._den))),
-                                ("mu(A&B|E)", format_rational(Fraction(wabe, we))),
-                                ("mu(A|E)", format_rational(Fraction(wae, we))),
-                                ("mu(B|E)", format_rational(Fraction(wbe, we))),
-                                (
-                                    "product",
-                                    format_rational(Fraction(wae * wbe, we * we)),
-                                ),
-                            ),
-                            note=(
-                                "correlated atom pair with no common correlate "
-                                f"decidable in the mutual past ({n_masks - 1} "
-                                "candidate events searched)"
-                            ),
-                        )
-                        stats = {
-                            "region_pairs": pairs,
-                            "conditioning_events": conditioning_events,
-                            "correlated_atom_pairs": correlated_pairs,
-                        }
-                        return CheckReport(condition, VIOLATED, counterexample=cx, stats=stats)
-    stats = {
-        "region_pairs": pairs,
-        "conditioning_events": conditioning_events,
-        "correlated_atom_pairs": correlated_pairs,
-    }
-    if pairs == 0:
-        return CheckReport(
-            condition,
-            VACUOUS,
-            reason="no spacelike pairs of disjoint nonempty regions",
-            stats=stats,
-        )
-    return CheckReport(condition, HOLDS, stats=stats)
+    units = ((pair, ((site.mutual_past(*pair), None),)) for pair in _spacelike_pairs(site))
+    return _screen(
+        model,
+        "wrc-cond" if conditioned else "wrc",
+        units,
+        "correlated atom pair with no common correlate decidable in the mutual past",
+        scan=partial(_correlate_failure, conditioned=conditioned),
+        counterexample=_correlate_counterexample,
+        count_keys=("conditioning_events", "correlated_atom_pairs"),
+    )
 
 
 # --- common-cause searches over explicit event pairs -------------------------

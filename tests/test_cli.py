@@ -284,8 +284,15 @@ class TestCheck:
         code, out, err = run(capsys, "check", "wrc-cond", str(path))
         assert code == 2
         assert out == ""
-        assert err.startswith("capacity error: ")
-        assert "the limit is 2^12" in err
+        assert err == (
+            "capacity error: common-correlate search needs 2^32 candidate events "
+            "for the mutual past of (('t5',), ('t6',)); the limit is 2^12 "
+            "(12 mutual-past cells)\n"
+        )
+        # plain wrc has no such limit: it tests each of the 32 cells once
+        code, out, err = run(capsys, "check", "wrc", str(path))
+        assert (code, err) == (0, "")
+        assert out.startswith("wrc: holds\n")
 
     def test_json_stability_modulo_runtime(self, capsys, model_dir):
         path = str(model_dir / "wizard_simpson.json")

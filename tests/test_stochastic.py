@@ -146,6 +146,26 @@ def three_value_coins() -> StochasticModel:
     return sparse_model(site, entries)
 
 
+def two_cell_correlate() -> StochasticModel:
+    # uniform four-valued source; c=0 and c=1 move only a, c=2 and c=3 only b,
+    # so no single source value correlates with both, but {c=0, c=2} does;
+    # within c=0 the outcomes are tied beyond the source
+    site = CausalSite([("c", 4), ("a", 2), ("b", 2)], [("c", "a"), ("c", "b")])
+    pa = (F(3, 4), F(1, 4), F(1, 2), F(1, 2))  # mu(a=0 | c)
+    pb = (F(1, 2), F(1, 2), F(3, 4), F(1, 4))  # mu(b=0 | c)
+    entries = {}
+    for c in range(4):
+        for a in (0, 1):
+            for b in (0, 1):
+                wa = pa[c] if a == 0 else 1 - pa[c]
+                wb = pb[c] if b == 0 else 1 - pb[c]
+                entries[(c, a, b)] = F(1, 4) * wa * wb
+    tied = {(0, 0): F(1, 2), (0, 1): F(1, 4), (1, 0): F(0), (1, 1): F(1, 4)}
+    for (a, b), w in tied.items():
+        entries[(0, a, b)] = F(1, 4) * w
+    return sparse_model(site, entries)
+
+
 def rand_model(rng: random.Random, site: CausalSite, span: int = 4) -> StochasticModel:
     n = n_histories(site)
     nums = [rng.randrange(span) for _ in range(n)]
@@ -553,6 +573,26 @@ class TestWRC:
         assert cx.event("E").mask == parse_event(coin_site(), "c=0")
         assert cx.value("mu(A&B|E)") == "0"
         assert cx.value("product") == "1/4"
+
+    def test_correlate_of_two_cells(self):
+        # no single source value is correlated with both outcomes, so every
+        # common correlate is a union of two of them
+        m = two_cell_correlate()
+        r = check_wrc(m)
+        assert r.verdict == HOLDS
+        assert r.stats == {
+            "region_pairs": 2, "conditioning_events": 2, "correlated_atom_pairs": 8,
+        }
+        a, b = parse_event(m.site, "a=0"), parse_event(m.site, "b=0")
+        for cell in range(4):
+            c = parse_event(m.site, f"c={cell}")
+            assert not (correlated(m, a, c) and correlated(m, b, c))
+        union = parse_event(m.site, "c=0 | c=2")
+        assert correlated(m, a, union) and correlated(m, b, union)
+        # given c=0 the outcomes stay correlated, and nothing inside c=0 explains it
+        r = check_wrc(m, conditioned=True)
+        assert r.verdict == VIOLATED
+        assert r.counterexample.event("E").mask == parse_event(m.site, "c=0")
 
     def test_conditioned_tracks_so1_on_random_models(self):
         rng = random.Random(2027)

@@ -40,6 +40,8 @@ from screenoff.stochastic import (
     check_wrc,
 )
 
+from test_stochastic import two_cell_correlate
+
 F = Fraction
 
 
@@ -148,8 +150,13 @@ def ref_so2w(model):
 REF_SCREENING = {"so1": ref_so1, "so2": ref_so2, "so2w": ref_so2w}
 
 
-def ref_wrc(model, conditioned=False):
-    """The common-correlate search, reading each pair's own (past, A, B) table."""
+def ref_wrc(model, conditioned=False, cap=12):
+    """The common-correlate search, reading each pair's own (past, A, B) table.
+
+    Every union of mutual-past cells is tried as a correlate, so a mutual past
+    of more than `cap` cells is refused; at the default cap the error text is
+    the program's.
+    """
     site = model.site
     condition = "wrc-cond" if conditioned else "wrc"
     pairs = 0
@@ -159,11 +166,11 @@ def ref_wrc(model, conditioned=False):
         pairs += 1
         past = site.mutual_past(ra, rb)
         (n_past, na, nb), table = ref_cell_weights(model, (past, ra, rb))
-        if n_past > 12:
+        if n_past > cap:
             raise CapacityError(
                 f"capacity error: common-correlate search needs 2^{n_past} candidate "
                 f"events for the mutual past of ({site.region_ids(ra)}, "
-                f"{site.region_ids(rb)}); the limit is 2^12 (12 mutual-past cells)"
+                f"{site.region_ids(rb)}); the limit is 2^{cap} ({cap} mutual-past cells)"
             )
         block = na * nb
         n_masks = 1 << n_past
@@ -361,6 +368,33 @@ def common_cause(rng: random.Random, n_leaves: int, coupled: bool) -> Stochastic
     return StochasticModel(site, [w / total for w in weights])
 
 
+def root_below_pair(n_root: int, joint) -> StochasticModel:
+    """A uniform root of `n_root` values below binary a and b.
+
+    ``joint(c)`` gives mu(a, b | c) as rows over a and columns over b; the
+    mutual past of a and b is the root, with `n_root` cells.
+    """
+    site = CausalSite([("c", n_root), ("a", 2), ("b", 2)], [("c", "a"), ("c", "b")])
+    weights = [F(1, n_root) * joint(c)[a][b]
+               for c, a, b in itertools.product(range(n_root), (0, 1), (0, 1))]
+    return StochasticModel(site, weights)
+
+
+def screened_by_the_root(c: int):
+    """a and b independent given c=c, both moved by c: c is a common correlate."""
+    pa, pb = F(c + 1, 14), F(13 - c, 14)
+    return [[pa * pb, pa * (1 - pb)], [(1 - pa) * pb, (1 - pa) * (1 - pb)]]
+
+
+def tied_apart_from_the_root(c: int):
+    """a a fair coin whatever c is, and b equal to a with chance (c+8)/(c+9).
+
+    a and b are correlated, but no event of the root is correlated with a.
+    """
+    same = F(c + 8, c + 9)
+    return [[same / 2, (1 - same) / 2], [(1 - same) / 2, same / 2]]
+
+
 # -- tests ------------------------------------------------------------------
 
 
@@ -405,6 +439,33 @@ def test_wrc_capacity_error_names_the_limit():
     with pytest.raises(CapacityError) as want:
         ref_wrc(model, conditioned=True)
     assert str(got.value) == str(want.value)
+    # plain wrc tests each cell once, so a 32-cell mutual past is no limit
+    report = check_wrc(model)
+    assert report.verdict == HOLDS
+    assert report.stats == {
+        "region_pairs": 30, "conditioning_events": 30, "correlated_atom_pairs": 32,
+    }
+
+
+def test_a_correlate_of_two_cells():
+    outcomes = assert_matches_reference(two_cell_correlate())
+    assert '"verdict": "holds"' in outcomes[-2]
+    assert '"verdict": "violated"' in outcomes[-1]
+
+
+@pytest.mark.parametrize(
+    "n_root, joint, verdict",
+    [(13, screened_by_the_root, HOLDS), (14, tied_apart_from_the_root, VIOLATED)],
+)
+def test_plain_wrc_above_twelve_cells(n_root, joint, verdict):
+    model = root_below_pair(n_root, joint)
+    got = _outcome(lambda: check_wrc(model))
+    assert got == _outcome(lambda: ref_wrc(model, cap=16))
+    assert json.loads(got)["verdict"] == verdict
+    # the conditioned form still enumerates every event of the root
+    got = _outcome(lambda: check_wrc(model, conditioned=True))
+    assert got.startswith("CapacityError: capacity error: ")
+    assert got == _outcome(lambda: ref_wrc(model, conditioned=True))
 
 
 # -- the pruned so1/so2/so2w walk ---------------------------------------------
