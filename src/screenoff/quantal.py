@@ -38,6 +38,7 @@ from .stochastic import (
     _history_cells,
     _screen,
     _screening_plan,
+    _screening_units,
     _spacelike_pairs,
     _union_offsets,
     _union_table,
@@ -453,32 +454,17 @@ def _quantal_pairwise_check(q: QuantalModel, condition: str, rule: str) -> Check
 
     The complex product rule is linear in each pseudo-event component, so it
     decomposes like conditional independence: a pair whose dominator held
-    holds too, and only the dominators of `_screening_plan` are scanned.  The
-    first pair is scanned before the plan is fetched, so a model that fails
-    there (as nearly every random one does) never builds a plan.  A held
-    step checks |Φ(P)|²·|Φ(A)|²·|Φ(B)|² equations, null pseudo-cells
-    included, hence the plan's counts squared.
+    holds too, and only the first pair and the dominators of
+    `_screening_plan` are scanned, never a group certificate.  A held step
+    checks |Φ(P)|²·|Φ(A)|²·|Φ(B)|² equations, null pseudo-cells included,
+    hence the plan's counts squared.
     """
     q._require_valid()
     site = q.site
-    pairs = _spacelike_pairs(site)
-
-    def units():
-        if not pairs:
-            return
-        first = pairs[0]
-        past = site.mutual_past(*first) if rule == _MUTUAL else site.joint_past(*first)
-        # its own dominator, so that a later pair it dominates reuses its scan;
-        # the driver reads a self-dominated step's counts off that scan
-        yield first, ((past, (first, 0, 0)),)
-        plan = _screening_plan(site, rule)
-        for pair, ((past, (dominator, cells, atoms)),) in zip(pairs[1:], plan[1:]):
-            yield pair, ((past, (dominator, cells * cells, atoms * atoms)),)
-
     return _screen(
         q,
         condition,
-        units(),
+        _screening_units(site, rule, _spacelike_pairs(site), _screening_plan, power=2),
         "complex product rule fails for this pseudo-atom triple",
         scan=_quantal_screening_failure,
         counterexample=_quantal_counterexample,

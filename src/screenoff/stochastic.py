@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import lcm, prod
+from operator import itemgetter
 
 from .events import (
     CapacityError,
@@ -315,9 +316,10 @@ def _spacelike_pairs(site: CausalSite) -> tuple[tuple[int, int], ...]:
 # form: for every unit a check's plan picks out, the atoms of the unit's
 # event regions must factorize given each cell of every conditioning region
 # of the unit; wrc and wrc-cond scan the same units for correlated atom
-# pairs.  A unit is (regions, steps); a step is (past, dominator), with
-# dominator None for a step that is scanned itself, or (pair, cells of past,
-# atoms of the unit) for a step that a larger pair's scan stands in for.
+# pairs.  A unit is (regions, steps); a step is (past, proxy), with proxy
+# None for a step that is scanned itself, or (stand-ins, cells of past, atoms
+# of the unit) for a step whose scan may be stood in for by the scan of a
+# larger tuple of regions with the same past.
 
 
 def _screen(
@@ -339,10 +341,11 @@ def _screen(
     """Scan the units in order and report the first failing step, if any.
 
     `units` is consumed lazily, so a plan's error surfaces at the unit that
-    raises it.  A dominator is scanned once; a step whose dominator held is
-    not scanned, and its stats follow from its past's cells: each positive
+    raises it.  Each stand-in is scanned at most once, when a step first
+    needs it, and a step uses the first of its stand-ins that held: the step
+    is not scanned, and its stats follow from its past's cells: each positive
     one checks every atom of the unit, each null one is skipped.  A step
-    whose dominator failed is scanned itself.  `fixed` stats lead the
+    whose stand-ins all failed is scanned itself.  `fixed` stats lead the
     report's stats; `tables` may carry cell tables shared with another scan
     of the model.  `scan` (default `_factorization_failure`) returns
     (failure-or-None, checked, skipped), reported under `count_keys`, and
@@ -357,16 +360,20 @@ def _screen(
     fail = None
     for regions, steps in units:
         n_units += 1
-        for past, dominator in steps:
+        for past, proxy in steps:
             n_steps += 1
-            if dominator is None:
+            if proxy is None:
                 fail, c, s = scan(model, regions, past, tables=tables)
             else:
-                pair, past_cells, atoms = dominator
-                if pair not in scans:
-                    scans[pair] = scan(model, pair, past, tables=tables)
-                fail, c, s = scans[pair]
-                if pair != regions:
+                stand_ins, past_cells, atoms = proxy
+                for key in stand_ins:
+                    result = scans.get(key)
+                    if result is None:
+                        result = scans[key] = scan(model, key, past, tables=tables)
+                    if result[0] is None:
+                        break
+                fail, c, s = result
+                if key != regions:
                     if fail is None:
                         c = (past_cells - s) * atoms
                     else:
@@ -396,9 +403,14 @@ def _screen(
 # holds for every A' ⊆ A and B' ⊆ B, since each product-rule identity of the
 # smaller pair is a sum of identities of the larger one over the same cells
 # of P.  So a pair whose dominator (a larger screened pair with the same P)
-# held is known to hold without a scan.  A pair is scanned itself only when
-# its dominator failed, so the first failing pair and its counterexample are
-# those of the full ordinal scan.
+# held is known to hold without a scan.  A whole group of pairs can be proved
+# at once: if the elements of E_P, the union of every screened pair with
+# conditioning region P, are mutually independent given each cell of P, then
+# so is every disjoint A, B ⊆ E_P (the chain rule of the semi-graphoid), and
+# one k-region scan is that group's certificate.  A failed certificate proves
+# nothing, and a pair is scanned itself only when its dominator failed too,
+# so the first failing pair and its counterexample are those of the full
+# ordinal scan.
 
 # Conditioning rules of the pairwise checks: the mutual past (so1), the
 # joint past (so2), and the joint past with pairs touching an initial
@@ -428,17 +440,23 @@ def _first_extension(site, mutual, grow, p_grow, other, p_other, past, free) -> 
 def _screening_plan(site: CausalSite, rule: str) -> tuple[tuple | None, ...]:
     """The steps of each pair of `_spacelike_pairs`, None if it is not screened.
 
-    A pair's one step is (P, dominator): P is its conditioning region under
-    `rule`, and the dominator is (pair, |Φ(P)|, |Φ(A)|·|Φ(B)|), for the pair
-    reached by taking the first one-element extension of A, then of B, that
-    is again a screened pair with the same P, for as long as there is one;
-    it is given unordered, as (smaller mask, larger mask), since the product
-    rule is symmetric in A and B.  Extensions come later in pair order, so
-    one backward pass finds every dominator.
+    A pair's one step is (P, (stand-ins, |Φ(P)|, |Φ(A)|·|Φ(B)|)), with P its
+    conditioning region under `rule`.  The last stand-in is the dominator:
+    the pair reached by taking the first one-element extension of A, then of
+    B, that is again a screened pair with the same P, for as long as there is
+    one; it is given unordered, as (smaller mask, larger mask), since the
+    product rule is symmetric in A and B.  Extensions come later in pair
+    order, so one backward pass finds every dominator.  Where P's group (its
+    screened pairs) has more than one maximal pair, the group's certificate
+    stands first: the singletons of E_P, the union of the group's pairs.
+    With one maximal pair, that pair's scan already covers the group.
     """
     mutual = rule == _MUTUAL
     excluded = site.initial_elements() if rule == _JOINT_CLEAR else 0
-    dominators: dict[tuple[int, int], tuple[int, int]] = {}
+    # each pair's stand-ins: one list per maximal pair, shared by every pair
+    # it dominates, so that a certificate found after the pass goes in front
+    stand_ins: dict[tuple[int, int], list] = {}
+    groups: dict[int, list] = {}  # P: [E_P, the stand-ins of its maximal pairs]
     plan = []
     for a, b in reversed(_spacelike_pairs(site)):
         if (a | b) & excluded:
@@ -447,17 +465,53 @@ def _screening_plan(site: CausalSite, rule: str) -> tuple[tuple | None, ...]:
         pa, pb = site.past(a), site.past(b)
         past = pa & pb if mutual else (pa | pb) & ~(a | b)
         free = site.full_mask & ~(a | b | excluded)
+        group = groups.setdefault(past, [0, []])
+        group[0] |= a | b
         if bit := _first_extension(site, mutual, a, pa, b, pb, past, free):
-            dominator = dominators[a | bit, b]
+            keys = stand_ins[a | bit, b]
         elif bit := _first_extension(site, mutual, b, pb, a, pa, past, free):
-            dominator = dominators[a, b | bit]
-        else:
-            dominator = (a, b) if a < b else (b, a)
-        dominators[a, b] = dominator
+            keys = stand_ins[a, b | bit]
+        elif (keys := stand_ins.get((b, a))) is None:
+            keys = [(a, b) if a < b else (b, a)]
+            group[1].append(keys)
+        stand_ins[a, b] = keys
         atoms = n_configs(site, a) * n_configs(site, b)
-        plan.append(((past, (dominator, n_configs(site, past), atoms)),))
+        plan.append(((past, (keys, n_configs(site, past), atoms)),))
+    # `_screen` keys a scan by its regions alone, so a union shared by two
+    # pasts is made the certificate of only one of them
+    for union, maximal in dict(groups.values()).items():
+        if len(maximal) > 1:
+            certificate = tuple(1 << e for e in iter_bits(union))
+            for keys in maximal:
+                keys.insert(0, certificate)
     plan.reverse()
     return tuple(plan)
+
+
+def _screening_units(site: CausalSite, rule: str, pairs, plan, power: int = 1):
+    """The units of a pairwise check under `rule`, from the caller's `pairs` and `plan`.
+
+    Both come from the caller's module, so that patches of them there apply.
+    The first screened pair comes first, as its own dominator, and the plan
+    is built only after it, so a check that fails there builds no plan.
+    With `power` 2 (the quantal checks, which scan null pseudo-cells too) a
+    step keeps only its dominator, and its counts are squared.
+    """
+    excluded = site.initial_elements() if rule == _JOINT_CLEAR else 0
+    first = next((i for i, (a, b) in enumerate(pairs) if not (a | b) & excluded), None)
+    if first is None:
+        return
+    pair = pairs[first]
+    past = site.mutual_past(*pair) if rule == _MUTUAL else site.joint_past(*pair)
+    yield pair, ((past, ((pair,), 0, 0)),)
+    rest = itertools.islice(zip(pairs, plan(site, rule)), first + 1, None)
+    if power == 1:
+        yield from filter(itemgetter(1), rest)
+        return
+    for pair, steps in rest:
+        if steps is not None:
+            ((past, (stand_ins, cells, atoms)),) = steps
+            yield pair, ((past, (stand_ins[-1:], cells**power, atoms**power)),)
 
 
 def _pairwise_screening(
@@ -467,12 +521,8 @@ def _pairwise_screening(
     vacuous_reason: str = "no spacelike pairs of disjoint nonempty regions",
     tables: dict | None = None,
 ) -> CheckReport:
-    """Screen the pairs of `_screening_plan` in order, each dominator scanned once."""
-    units = (
-        (pair, steps)
-        for pair, steps in zip(_spacelike_pairs(model.site), _screening_plan(model.site, rule))
-        if steps is not None
-    )
+    """Screen the units of `_screening_units` in order, each stand-in scanned once."""
+    units = _screening_units(model.site, rule, _spacelike_pairs(model.site), _screening_plan)
     note = "conditional product rule fails for this atom pair given C"
     return _screen(model, condition, units, note, vacuous_reason, tables=tables)
 
@@ -650,8 +700,8 @@ def _correlate_failure(
     n_past = n_configs(site, past)
     if conditioned and n_past > _PAST_CELL_LIMIT:
         raise CapacityError(
-            f"capacity error: common-correlate search needs 2^{n_past} candidate "
-            f"events for the mutual past of ({site.region_ids(ra)}, "
+            f"capacity error: wrc-cond needs 2^{n_past} conditioning events "
+            f"for the mutual past of ({site.region_ids(ra)}, "
             f"{site.region_ids(rb)}); the limit is 2^{_PAST_CELL_LIMIT} "
             f"({_PAST_CELL_LIMIT} mutual-past cells)"
         )

@@ -1,13 +1,17 @@
 """Command-line behavior: subcommands, exit codes, output stability."""
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import screenoff
 import screenoff.corpus as corpus_mod
@@ -285,7 +289,7 @@ class TestCheck:
         assert code == 2
         assert out == ""
         assert err == (
-            "capacity error: common-correlate search needs 2^32 candidate events "
+            "capacity error: wrc-cond needs 2^32 conditioning events "
             "for the mutual past of (('t5',), ('t6',)); the limit is 2^12 "
             "(12 mutual-past cells)\n"
         )
@@ -406,6 +410,26 @@ class TestFuzz:
         d2.pop("runtime_ms")
         assert d1 == d2
         assert d1["stats"]["agreements"] == 30
+
+    @settings(max_examples=5, derandomize=True, deadline=None)
+    @given(
+        pair=st.sampled_from(sorted(corpus_mod.FUZZ_PAIRS)),
+        seed=st.integers(0, 10**6),
+        count=st.integers(1, 12),
+    )
+    def test_json_is_byte_identical_for_every_jobs_value(self, pair, seed, count):
+        # the report, bar its runtime_ms line, is the same bytes whatever the
+        # worker count, up to the CPU count
+        outputs = set()
+        for jobs in range(1, (os.cpu_count() or 1) + 1):
+            out = io.StringIO()
+            with redirect_stdout(out):
+                code = main(["fuzz", "--pair", pair, "--seed", str(seed), "--count", str(count),
+                             "--format", "json", "--jobs", str(jobs)])
+            assert code in (0, 1)
+            lines = out.getvalue().splitlines(keepends=True)
+            outputs.add("".join(line for line in lines if '"runtime_ms"' not in line))
+        assert len(outputs) == 1
 
     def test_bad_pair_is_usage_error(self, capsys):
         code, _, err = run(

@@ -332,8 +332,9 @@ class TestCellTables:
     def test_one_table_per_region_union(self, monkeypatch):
         # common cause below 5 leaves: every pair's past is the root, so the
         # unions are the root with 2..5 leaves, 2^5 - 5 - 1 = 26 of them; the
-        # mutual-past selector of gen-so scans every pair, so1 only the
-        # maximal ones, which all share the whole site as their union
+        # mutual-past selector of gen-so scans every pair, so1 only its first
+        # pair and then the certificate of the 5 leaves given the root, whose
+        # union is the whole site
         model = _common_cause(5)
         site = model.site
         calls = _counting(monkeypatch, "_cell_weights")
@@ -342,7 +343,8 @@ class TestCellTables:
         assert len(unions) == 26
         assert len(calls) == len(unions)
         assert check_so1(model).verdict == HOLDS
-        assert len(calls) == len(unions) + 1
+        assert len(calls) == len(unions) + 2
+        assert [sum(regions) for (_, regions), _ in calls[-2:]] == [0b111, site.full_mask]
         # the benchmark tracer's hook takes exactly (model, regions)
         for args, kwargs in calls:
             assert len(args) == 2 and not kwargs
@@ -362,13 +364,15 @@ class TestCellTables:
 
 
 class TestPrunedScreening:
-    """so1, so2 and so2w scan a pair only when no larger pair vouches for it."""
+    """so1, so2 and so2w scan a pair only when nothing larger vouches for it."""
 
-    def test_scans_only_the_maximal_pairs(self, monkeypatch):
-        # 7 leaves: the maximal pairs split all 7 leaves into A and B,
-        # (2^7 - 2) / 2 = 63 of them unordered; the stats are those of a scan
-        # of all 3^7 - 2*2^7 + 1 = 1,932 pairs
+    def test_scans_the_first_pair_then_one_certificate(self, monkeypatch):
+        # 7 leaves: every pair's past is the root, and its group is all 7
+        # leaves; the first pair ({l0}, {l1}) is scanned, then the 7 leaves
+        # given the root once, and that certificate covers the other pairs;
+        # the stats are those of a scan of all 3^7 - 2*2^7 + 1 = 1,932 pairs
         model = _common_cause(7)
+        leaves = tuple(1 << e for e in range(1, 8))
         calls = _counting(monkeypatch, "_factorization_failure")
         for check in (check_so1, check_so2, check_so2w):
             del calls[:]
@@ -379,24 +383,22 @@ class TestPrunedScreening:
                 "atom_checks": 3 * (5**7 - 2 * 3**7 + 1),
                 "null_conditions_skipped": 0,
             }
-            assert len(calls) == 63
-            for (_, (a, b), past), kwargs in calls:
-                assert a | b == model.site.full_mask & ~1 and a < b
-                assert past == 1
-                assert set(kwargs) == {"tables"}
+            assert [args[1:] for args, _ in calls] == [((0b10, 0b100), 1), (leaves, 1)]
+            for (m, _, _), kwargs in calls:
+                assert m is model and set(kwargs) == {"tables"}
 
     def test_a_failure_costs_at_most_one_extra_scan(self, monkeypatch):
         # l0 and l1 are copies of each other: the first pair ({l0}, {l1})
-        # fails, after one scan of its dominator ({l1}, {l0, l2, l3}), which
-        # fails too
+        # fails at its own scan, before any plan is built
         site = _common_cause(4).site
         weights = [F(1, 24) if history_digits(site, h)[1] == history_digits(site, h)[2] else 0
                    for h in range(n_histories(site))]
         calls = _counting(monkeypatch, "_factorization_failure")
+        monkeypatch.setattr(stochastic, "_screening_plan", None)
         report = check_so1(StochasticModel(site, weights))
         assert report.verdict == VIOLATED
         assert report.stats["region_pairs"] == 1
-        assert [regions for (_, regions, _), _ in calls] == [(0b00100, 0b11010), (0b00010, 0b00100)]
+        assert [regions for (_, regions, _), _ in calls] == [(0b00010, 0b00100)]
 
     def test_plan_is_cached_per_site_and_rule(self):
         site = _common_cause(4).site

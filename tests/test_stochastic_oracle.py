@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import prod
 
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 
 import screenoff.stochastic as stochastic
 from screenoff.corpus import corpus_entries, random_deterministic_local, random_stochastic
-from screenoff.events import config_indices, event_ref, full_specifications, n_configs
+from screenoff.events import config_indices, event_ref, full_specifications, history_digits, n_configs
 from screenoff.order import CausalSite, iter_bits
 from screenoff.report import HOLDS, VACUOUS, VIOLATED, CheckReport, Counterexample, format_rational
 from screenoff.stochastic import (
@@ -168,8 +169,8 @@ def ref_wrc(model, conditioned=False, cap=12):
         (n_past, na, nb), table = ref_cell_weights(model, (past, ra, rb))
         if n_past > cap:
             raise CapacityError(
-                f"capacity error: common-correlate search needs 2^{n_past} candidate "
-                f"events for the mutual past of ({site.region_ids(ra)}, "
+                f"capacity error: wrc-cond needs 2^{n_past} conditioning events "
+                f"for the mutual past of ({site.region_ids(ra)}, "
                 f"{site.region_ids(rb)}); the limit is 2^{cap} ({cap} mutual-past cells)"
             )
         block = na * nb
@@ -648,8 +649,47 @@ PRUNING_SITES = {
 }
 
 
+def first_screened_pair(site: CausalSite, condition: str) -> tuple[int, int] | None:
+    init = site.initial_elements() if condition == "so2w" else 0
+    return next(((a, b) for a, b in stochastic._spacelike_pairs(site) if not (a | b) & init), None)
+
+
+def expected_scans(model: StochasticModel, condition: str) -> tuple[set, int]:
+    """The regions a holding check scans, and how many of its certificates fail.
+
+    The first screened pair is scanned; then each group of pairs with one
+    conditioning region P is proved by its certificate (every element of
+    the group's union, as singletons, given P) if it has more than one
+    maximal pair, or else by each of its maximal pairs.
+    """
+    site = model.site
+    init = site.initial_elements()
+    past_of = site.mutual_past if condition == "so1" else site.joint_past
+    pairs = [(a, b) for a, b in stochastic._spacelike_pairs(site)
+             if not (condition == "so2w" and (a | b) & init)]
+    if not pairs:
+        return set(), 0
+    unions: dict[int, int] = {}
+    for a, b in pairs:
+        unions[past_of(a, b)] = unions.get(past_of(a, b), 0) | a | b
+    maximal: dict[int, list] = {}
+    for a, b in maximal_pairs(site, condition):
+        maximal.setdefault(past_of(a, b), []).append((a, b))
+    scans = {first_screened_pair(site, condition)}
+    failed = 0
+    for past, group in maximal.items():
+        if len(group) > 1:
+            certificate = tuple(1 << e for e in iter_bits(unions[past]))
+            scans.add(certificate)
+            if ref_factorization_failure(model, certificate, past)[0] is None:
+                continue
+            failed += 1
+        scans.update(group)
+    return scans, failed
+
+
 @pytest.mark.parametrize("shape", ["chain-and-point", "blocked", "diamond"])
-def test_a_holding_check_scans_each_maximal_pair_once(shape, monkeypatch):
+def test_a_holding_check_scans_each_stand_in_once(shape, monkeypatch):
     site = PRUNING_SITES[shape]
     model = local_dynamics(random.Random(shape), site)
     scans = []
@@ -658,8 +698,127 @@ def test_a_holding_check_scans_each_maximal_pair_once(shape, monkeypatch):
         stochastic, "_factorization_failure",
         lambda m, regions, past, **k: scans.append(regions) or original(m, regions, past, **k),
     )
+    failed = 0
     for label, check in (("so1", check_so1), ("so2", check_so2), ("so2w", check_so2w)):
         del scans[:]
         assert check(model).verdict in (HOLDS, VACUOUS)
+        want, n_failed = expected_scans(model, label)
         assert len(scans) == len(set(scans))
-        assert set(scans) == maximal_pairs(site, label), label
+        assert set(scans) == want, label
+        assert scans[:1] == [first_screened_pair(site, label)] or not want
+        failed += n_failed
+    # blocked and diamond hold although a group's elements are not
+    # independent, so a certificate fails and its maximal pairs are scanned
+    assert (failed > 0) == (shape != "chain-and-point")
+
+
+# -- group certificates -------------------------------------------------------
+
+
+PAIRWISE = {"so1": check_so1, "so2": check_so2, "so2w": check_so2w}
+
+
+def recorded_scans(monkeypatch) -> list:
+    scans = []
+    original = stochastic._factorization_failure
+    monkeypatch.setattr(
+        stochastic, "_factorization_failure",
+        lambda m, regions, past, **k: scans.append((regions, past)) or original(m, regions, past, **k),
+    )
+    return scans
+
+
+@pytest.mark.parametrize("alphabets", [(2, 2), (2, 3, 2), (2, 2, 2, 2), (3, 2, 2, 2, 2), (2,) * 6])
+def test_a_product_on_an_antichain_is_certified_at_once(alphabets, monkeypatch):
+    # every pair has the empty past, and every site is independent of the
+    # others: after the first pair, the certificate of all k sites holds; with
+    # k = 2 the one maximal pair is the whole group, so no certificate is tried
+    model = product_on_antichain(random.Random(f"certified {alphabets}"), alphabets)
+    reports = {}
+    for label in ("so1", "so2", "so2w"):
+        got = _outcome(lambda: PAIRWISE[label](model))
+        assert got == _outcome(lambda: REF_SCREENING[label](model)), label
+        reports[label] = json.loads(got)
+    assert reports["so1"]["verdict"] == reports["so2"]["verdict"] == HOLDS
+    assert reports["so2w"]["verdict"] == VACUOUS
+    scans = recorded_scans(monkeypatch)
+    check_so1(model)
+    singletons = tuple(1 << e for e in range(len(alphabets)))
+    assert scans == [((1, 2), 0)] + ([(singletons, 0)] if len(alphabets) > 2 else [])
+
+
+@pytest.mark.parametrize("coupled", list(itertools.combinations(range(7), 2)))
+def test_seven_leaves_coupled_at_every_position(coupled, monkeypatch):
+    # the 7-leaf certificate fails wherever the coupled pair sits; the walk
+    # falls back to the maximal pairs and reaches the ordinal first failure
+    model = leaves_below_a_root(7, (1, 1, 2), coupled)
+    # every pair is of leaves, with the root as mutual and joint past, and
+    # only the root is initial: the three ordinal scans are the same scan
+    site = model.site
+    assert site.initial_elements() == 1
+    assert {(site.mutual_past(a, b), site.joint_past(a, b))
+            for a, b in stochastic._spacelike_pairs(site)} == {(1, 1)}
+    want = ref_so1(model)
+    assert want.verdict == VIOLATED
+    scans = recorded_scans(monkeypatch)
+    for label, check in PAIRWISE.items():
+        del scans[:]
+        got = _outcome(lambda: check(model))
+        assert got == _outcome(lambda: replace(want, condition=label)), label
+        leaves = (tuple(1 << e for e in range(1, 8)), 1)
+        assert len(set(scans)) == len(scans)
+        assert (leaves in scans) == (coupled != (0, 1))
+
+
+@pytest.mark.parametrize("label", ["so1", "so2", "so2w"])
+def test_a_first_pair_failure_scans_once_and_builds_no_plan(label, monkeypatch):
+    # nearly every random model fails at its first screened pair; such a
+    # check costs one scan and no plan, and so tries no certificate
+    models = []
+    for seed in range(60):
+        model = random_stochastic(seed, 3 + seed % 2, 2)
+        report = REF_SCREENING[label](model)
+        if report.verdict == VIOLATED and report.stats["region_pairs"] == 1:
+            models.append((model, report))
+    assert len(models) >= 20
+
+    def no_plan(*args):
+        raise AssertionError("a plan was built for a first-pair failure")
+
+    monkeypatch.setattr(stochastic, "_screening_plan", no_plan)
+    scans = recorded_scans(monkeypatch)
+    for model, want in models:
+        del scans[:]
+        report = PAIRWISE[label](model)
+        assert report.to_json_dict() == want.to_json_dict()
+        first = first_screened_pair(model.site, label)
+        past_of = model.site.mutual_past if label == "so1" else model.site.joint_past
+        assert scans == [(first, past_of(*first))]
+
+
+@given(seed=st.integers(0, 10**6), n_leaves=st.integers(2, 5), coupled=st.booleans())
+def test_leaves_below_a_local_root(seed, n_leaves, coupled):
+    # local dynamics on a root below leaves, some leaves also below others:
+    # the groups' certificates hold or fail by the draw, and with
+    # ``coupled`` two leaves are tied beyond the root
+    rng = random.Random(seed)
+    names = [f"l{i}" for i in range(n_leaves)]
+    relations = [("r", l) for l in names]
+    relations += [(names[i], names[j]) for i in range(n_leaves) for j in range(i + 1, n_leaves)
+                  if rng.random() < 0.2]
+    site = CausalSite([("r", 3)] + [(l, 2) for l in names], relations)
+    model = local_dynamics(rng, site, zero_share=rng.choice([0.0, 0.3]))
+    if coupled:
+        weights = [w * (history_digits(site, h)[1] == history_digits(site, h)[2])
+                   for h, w in enumerate(model.weights)]
+        if not any(weights):
+            return
+        model = StochasticModel(site, [w / sum(weights) for w in weights])
+    reports = assert_screening_matches_reference(model)
+    with pytest.MonkeyPatch.context() as m:
+        scans = recorded_scans(m)
+        for label, check in PAIRWISE.items():
+            del scans[:]
+            check(model)
+            if reports[label]["verdict"] == HOLDS:
+                assert {regions for regions, _ in scans} == expected_scans(model, label)[0], label
