@@ -453,11 +453,11 @@ def _quantal_pairwise_check(q: QuantalModel, condition: str, rule: str) -> Check
     """Screen the spacelike pairs, each given every pseudo-cell of its `rule` region.
 
     The complex product rule is linear in each pseudo-event component, so it
-    decomposes like conditional independence: a pair whose dominator held
-    holds too, and only the first pair and the dominators of
-    `_screening_plan` are scanned, never a group certificate.  A held step
-    checks |Φ(P)|²·|Φ(A)|²·|Φ(B)|² equations, null pseudo-cells included,
-    hence the plan's counts squared.
+    decomposes like conditional independence: a pair with a held dominator
+    holds too, and only the first pair and the A-first and B-first
+    dominators of `_screening_plan` are scanned, never a group certificate.
+    A held step checks |Φ(P)|²·|Φ(A)|²·|Φ(B)|² equations, null pseudo-cells
+    included, hence the plan's counts squared.
     """
     q._require_valid()
     site = q.site

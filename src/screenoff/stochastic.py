@@ -317,9 +317,10 @@ def _spacelike_pairs(site: CausalSite) -> tuple[tuple[int, int], ...]:
 # event regions must factorize given each cell of every conditioning region
 # of the unit; wrc and wrc-cond scan the same units for correlated atom
 # pairs.  A unit is (regions, steps); a step is (past, proxy), with proxy
-# None for a step that is scanned itself, or (stand-ins, cells of past, atoms
-# of the unit) for a step whose scan may be stood in for by the scan of a
-# larger tuple of regions with the same past.
+# None for a step that is scanned itself, or (stand-ins, fallbacks, cells of
+# past, atoms of the unit) for a step whose scan may be stood in for by the
+# scan of a larger tuple of regions with the same past; of the fallbacks only
+# the last is tried.
 
 
 def _screen(
@@ -342,12 +343,12 @@ def _screen(
 
     `units` is consumed lazily, so a plan's error surfaces at the unit that
     raises it.  Each stand-in is scanned at most once, when a step first
-    needs it, and a step uses the first of its stand-ins that held: the step
-    is not scanned, and its stats follow from its past's cells: each positive
-    one checks every atom of the unit, each null one is skipped.  A step
-    whose stand-ins all failed is scanned itself.  `fixed` stats lead the
-    report's stats; `tables` may carry cell tables shared with another scan
-    of the model.  `scan` (default `_factorization_failure`) returns
+    needs it, and a step uses the first that held of its stand-ins and then
+    its last fallback: the step is not scanned, and its stats follow from
+    its past's cells: each positive one checks every atom of the unit, each
+    null one is skipped.  A step whose stand-ins and last fallback all
+    failed is scanned itself.  `fixed` stats lead the report's stats;
+    `tables` may carry cell tables shared with another scan of the model.  `scan` (default `_factorization_failure`) returns
     (failure-or-None, checked, skipped), reported under `count_keys`, and
     `counterexample` (default `_conditional_counterexample`) reports a
     failure.
@@ -365,13 +366,14 @@ def _screen(
             if proxy is None:
                 fail, c, s = scan(model, regions, past, tables=tables)
             else:
-                stand_ins, past_cells, atoms = proxy
+                stand_ins, others, past_cells, atoms = proxy
                 for key in stand_ins:
-                    result = scans.get(key)
-                    if result is None:
-                        result = scans[key] = scan(model, key, past, tables=tables)
+                    result = scans.get(key) or scans.setdefault(key, scan(model, key, past, tables=tables))
                     if result[0] is None:
                         break
+                else:
+                    key = others[-1]
+                    result = scans.get(key) or scans.setdefault(key, scan(model, key, past, tables=tables))
                 fail, c, s = result
                 if key != regions:
                     if fail is None:
@@ -402,15 +404,18 @@ def _screen(
 # Conditional independence decomposes: if A ⊥ B | P holds, then A' ⊥ B' | P
 # holds for every A' ⊆ A and B' ⊆ B, since each product-rule identity of the
 # smaller pair is a sum of identities of the larger one over the same cells
-# of P.  So a pair whose dominator (a larger screened pair with the same P)
-# held is known to hold without a scan.  A whole group of pairs can be proved
+# of P.  So a pair with a held dominator (a larger screened pair with the
+# same P) holds without a scan.  Each pair has two: the A-first one grows A
+# as far as it can, then B; the B-first one grows B first.  If the
+# dependence given P lies in one block K of E_P (below), every pair that
+# does not split K has a dominator that holds.  A whole group can be proved
 # at once: if the elements of E_P, the union of every screened pair with
 # conditioning region P, are mutually independent given each cell of P, then
 # so is every disjoint A, B ⊆ E_P (the chain rule of the semi-graphoid), and
-# one k-region scan is that group's certificate.  A failed certificate proves
-# nothing, and a pair is scanned itself only when its dominator failed too,
-# so the first failing pair and its counterexample are those of the full
-# ordinal scan.
+# one k-region scan is that group's certificate.  A pair tries its
+# certificate, then its A-first and B-first dominators, and is scanned itself
+# only when all failed; a failed stand-in proves nothing, so the first
+# failing pair and its counterexample are those of the full ordinal scan.
 
 # Conditioning rules of the pairwise checks: the mutual past (so1), the
 # joint past (so2), and the joint past with pairs touching an initial
@@ -440,16 +445,20 @@ def _first_extension(site, mutual, grow, p_grow, other, p_other, past, free) -> 
 def _screening_plan(site: CausalSite, rule: str) -> tuple[tuple | None, ...]:
     """The steps of each pair of `_spacelike_pairs`, None if it is not screened.
 
-    A pair's one step is (P, (stand-ins, |Φ(P)|, |Φ(A)|·|Φ(B)|)), with P its
-    conditioning region under `rule`.  The last stand-in is the dominator:
-    the pair reached by taking the first one-element extension of A, then of
-    B, that is again a screened pair with the same P, for as long as there is
-    one; it is given unordered, as (smaller mask, larger mask), since the
-    product rule is symmetric in A and B.  Extensions come later in pair
-    order, so one backward pass finds every dominator.  Where P's group (its
-    screened pairs) has more than one maximal pair, the group's certificate
-    stands first: the singletons of E_P, the union of the group's pairs.
-    With one maximal pair, that pair's scan already covers the group.
+    A pair's one step is (P, (stand-ins, fallbacks, |Φ(P)|, |Φ(A)|·|Φ(B)|)),
+    with P its conditioning region under `rule`.  The last stand-in is the
+    A-first dominator: the pair reached by taking the first one-element
+    extension of A, then of B, that is again a screened pair with the same
+    P, for as long as there is one; it is given unordered, as (smaller mask,
+    larger mask), since the product rule is symmetric in A and B.  So the
+    B-first dominator of (A, B) is the A-first one of (B, A): the fallbacks
+    of (A, B) are the stand-ins of (B, A), and the two steps share both
+    lists, swapped.  Extensions come later in pair order, so one backward
+    pass finds every dominator; the fallbacks of (B, A), B > A, are filled
+    in at (A, B), so that step's proxy is a list.  Where P's group (its screened pairs) has more than one maximal
+    pair, the group's certificate stands first: the singletons of E_P, the
+    union of the group's pairs.  With one maximal pair, that pair's scan
+    already covers the group.
     """
     mutual = rule == _MUTUAL
     excluded = site.initial_elements() if rule == _JOINT_CLEAR else 0
@@ -458,7 +467,9 @@ def _screening_plan(site: CausalSite, rule: str) -> tuple[tuple | None, ...]:
     stand_ins: dict[tuple[int, int], list] = {}
     groups: dict[int, list] = {}  # P: [E_P, the stand-ins of its maximal pairs]
     plan = []
-    for a, b in reversed(_spacelike_pairs(site)):
+    pending: dict[tuple[int, int], list] = {}  # (a, b) with a > b: its proxy
+    for pair in reversed(_spacelike_pairs(site)):
+        a, b = pair
         if (a | b) & excluded:
             plan.append(None)
             continue
@@ -474,9 +485,15 @@ def _screening_plan(site: CausalSite, rule: str) -> tuple[tuple | None, ...]:
         elif (keys := stand_ins.get((b, a))) is None:
             keys = [(a, b) if a < b else (b, a)]
             group[1].append(keys)
-        stand_ins[a, b] = keys
-        atoms = n_configs(site, a) * n_configs(site, b)
-        plan.append(((past, (keys, n_configs(site, past), atoms)),))
+        stand_ins[pair] = keys
+        if a > b:  # its fallbacks are the stand-ins of (b, a), met later
+            atoms = n_configs(site, a) * n_configs(site, b)
+            proxy = pending[pair] = [keys, None, n_configs(site, past), atoms]
+        else:
+            rkeys, _, cells, atoms = reverse = pending.pop((b, a))
+            reverse[1] = keys
+            proxy = (keys, rkeys, cells, atoms)
+        plan.append(((past, proxy),))
     # `_screen` keys a scan by its regions alone, so a union shared by two
     # pasts is made the certificate of only one of them
     for union, maximal in dict(groups.values()).items():
@@ -495,7 +512,7 @@ def _screening_units(site: CausalSite, rule: str, pairs, plan, power: int = 1):
     The first screened pair comes first, as its own dominator, and the plan
     is built only after it, so a check that fails there builds no plan.
     With `power` 2 (the quantal checks, which scan null pseudo-cells too) a
-    step keeps only its dominator, and its counts are squared.
+    step keeps only its two dominators, and its counts are squared.
     """
     excluded = site.initial_elements() if rule == _JOINT_CLEAR else 0
     first = next((i for i, (a, b) in enumerate(pairs) if not (a | b) & excluded), None)
@@ -503,15 +520,16 @@ def _screening_units(site: CausalSite, rule: str, pairs, plan, power: int = 1):
         return
     pair = pairs[first]
     past = site.mutual_past(*pair) if rule == _MUTUAL else site.joint_past(*pair)
-    yield pair, ((past, ((pair,), 0, 0)),)
+    keys = (pair,)
+    yield pair, ((past, (keys, keys, 0, 0)),)
     rest = itertools.islice(zip(pairs, plan(site, rule)), first + 1, None)
     if power == 1:
         yield from filter(itemgetter(1), rest)
         return
     for pair, steps in rest:
         if steps is not None:
-            ((past, (stand_ins, cells, atoms)),) = steps
-            yield pair, ((past, (stand_ins[-1:], cells**power, atoms**power)),)
+            ((past, (keys, rkeys, cells, atoms)),) = steps
+            yield pair, ((past, (keys[-1:], rkeys[-1:], cells**power, atoms**power)),)
 
 
 def _pairwise_screening(

@@ -664,6 +664,24 @@ def test_pruning_sites_match_the_per_pair_scan(shape, variant):
         assert o["stats"]["region_pairs"] == first_failure
 
 
+@pytest.mark.parametrize("n_leaves", [4, 5])
+def test_a_late_failure_scans_the_first_maximal_and_failing_pairs(n_leaves, monkeypatch):
+    # the last two leaves are tied: the first pair holds, and every pair
+    # before the first that splits them has a dominator that holds, A-first
+    # or B-first, so no pair but the failing one is scanned on its own
+    q = decohered_common_cause(n_leaves, coupled=True)
+    outcomes = [json.loads(o) for o in assert_qso_matches_reference(q, decohered=True)]
+    pairs = _spacelike_pairs(q.site)
+    scans = recorded_scans(monkeypatch)
+    for (label, check), outcome in zip((("so1", check_qso1), ("so2", check_qso2)), outcomes):
+        assert outcome["verdict"] == VIOLATED and outcome["stats"]["region_pairs"] > 1
+        failing = pairs[outcome["stats"]["region_pairs"] - 1]
+        del scans[:]
+        check(q)
+        assert len(scans) == len(set(scans)), label
+        assert set(scans) <= {pairs[0], failing} | maximal_pairs(q.site, label), label
+
+
 def common_cause_amplitude(rng: random.Random, n_leaves: int) -> QuantalModel:
     """A rank-one amplitude r(c) * prod_i a_i(l_i | c) on a ternary root below binary leaves.
 

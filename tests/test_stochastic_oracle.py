@@ -712,6 +712,27 @@ def test_a_holding_check_scans_each_stand_in_once(shape, monkeypatch):
     assert (failed > 0) == (shape != "chain-and-point")
 
 
+@pytest.mark.parametrize("shape", [*PRUNING_SITES, "antichain"])
+def test_a_pair_and_its_reverse_share_two_stand_in_lists(shape):
+    # the fallbacks of (a, b) are the stand-ins of (b, a), so the plan keeps
+    # one pair of lists per dominator, never a list per pair
+    site = PRUNING_SITES.get(shape) or CausalSite([(f"s{i}", 2) for i in range(5)])
+    pairs = stochastic._spacelike_pairs(site)
+    for rule in ("mutual", "joint", "joint-clear"):
+        steps = dict(zip(pairs, stochastic._screening_plan(site, rule)))
+        for (a, b), step in steps.items():
+            if step is None:
+                assert steps[b, a] is None
+                continue
+            ((past, (keys, others, cells, atoms)),) = step
+            ((r_past, (r_keys, r_others, r_cells, r_atoms)),) = steps[b, a]
+            assert keys is r_others and others is r_keys
+            assert (past, cells, atoms) == (r_past, r_cells, r_atoms)
+            # the last of each list covers the pair, A-first and B-first
+            for x, y in (keys[-1], others[-1]):
+                assert (a & ~x, b & ~y) == (0, 0) or (a & ~y, b & ~x) == (0, 0)
+
+
 # -- group certificates -------------------------------------------------------
 
 
@@ -760,6 +781,7 @@ def test_seven_leaves_coupled_at_every_position(coupled, monkeypatch):
             for a, b in stochastic._spacelike_pairs(site)} == {(1, 1)}
     want = ref_so1(model)
     assert want.verdict == VIOLATED
+    failing = stochastic._spacelike_pairs(site)[want.stats["region_pairs"] - 1]
     scans = recorded_scans(monkeypatch)
     for label, check in PAIRWISE.items():
         del scans[:]
@@ -768,6 +790,82 @@ def test_seven_leaves_coupled_at_every_position(coupled, monkeypatch):
         leaves = (tuple(1 << e for e in range(1, 8)), 1)
         assert len(set(scans)) == len(scans)
         assert (leaves in scans) == (coupled != (0, 1))
+        # no pair before the first failure is scanned on its own
+        assert set(scans) <= one_block_scans(site, label, failing), label
+
+
+def one_block_scans(site: CausalSite, label: str, failing: tuple[int, int]) -> set:
+    """What a check of leaves below a root may scan, the dependence in one block.
+
+    Given the root, the leaves' dependence lies in one block K: a pair that
+    does not split K has a dominator that holds, the A-first one if K misses
+    B and the B-first one if K misses A.  So only the first pair, the
+    certificate of all leaves, the maximal pairs and the first failing pair
+    are scanned, each given the root.
+    """
+    leaves = tuple(1 << e for e in iter_bits(site.full_mask & ~1))
+    regions = {first_screened_pair(site, label), leaves, failing} | maximal_pairs(site, label)
+    return {(r, 1) for r in regions}
+
+
+def leaves_with_coupled_blocks(rng: random.Random, n_leaves: int, blocks) -> StochasticModel:
+    """Ternary root below binary leaves; the leaves of each block take one value.
+
+    Outside the blocks the leaves are independent given the root, and so
+    are the blocks, so the dependence given the root lies within each block.
+    """
+    elements = [("c", 3)] + [(f"l{i}", 2) for i in range(n_leaves)]
+    site = CausalSite(elements, [("c", f"l{i}") for i in range(n_leaves)])
+    leaf_ps = [[F(rng.randrange(1, 5), 5) for _ in range(n_leaves)] for _ in range(3)]
+    weights = []
+    for c, *leaves in itertools.product(range(3), *([range(2)] * n_leaves)):
+        w = F(c + 1)
+        for p, v in zip(leaf_ps[c], leaves):
+            w *= p if v else 1 - p
+        weights.append(w if all(len({leaves[i] for i in block}) == 1 for block in blocks) else F(0))
+    return StochasticModel(site, [w / sum(weights) for w in weights])
+
+
+@pytest.mark.parametrize("blocks", [((1, 2), (0, 5)), ((0, 3), (1, 4)), ((1, 2), (0, 4, 5))])
+def test_two_coupled_blocks_scan_some_pairs_on_their_own(blocks, monkeypatch):
+    # ({l0}, {l2}) with blocks {l1, l2} and {l0, l5} splits neither, but its
+    # A-first dominator puts l1 and l2 apart and its B-first one l0 and l5:
+    # it holds, and is scanned on its own before the first failure
+    model = leaves_with_coupled_blocks(random.Random(f"blocks {blocks}"), 6, blocks)
+    site = model.site
+    scans = recorded_scans(monkeypatch)
+    for label, check in PAIRWISE.items():
+        del scans[:]
+        got = _outcome(lambda: check(model))
+        assert got == _outcome(lambda: REF_SCREENING[label](model)), label
+        report = json.loads(got)
+        assert report["verdict"] == VIOLATED
+        failing = stochastic._spacelike_pairs(site)[report["stats"]["region_pairs"] - 1]
+        assert len(set(scans)) == len(scans)
+        on_their_own = set(scans) - one_block_scans(site, label, failing)
+        assert on_their_own, label
+        for regions, past in on_their_own:
+            assert len(regions) == 2 and ref_factorization_failure(model, regions, past)[0] is None
+
+
+@given(seed=st.integers(0, 10**6), n_leaves=st.integers(3, 5), data=st.data())
+def test_one_coupled_block_below_a_root(seed, n_leaves, data):
+    # wherever the block lies, the first failure is the ordinal one, and
+    # every pair before it has a dominator that holds
+    block = data.draw(st.lists(st.integers(0, n_leaves - 1), min_size=2, max_size=3, unique=True))
+    model = leaves_with_coupled_blocks(random.Random(seed), n_leaves, [block])
+    site = model.site
+    with pytest.MonkeyPatch.context() as m:
+        scans = recorded_scans(m)
+        for label, check in PAIRWISE.items():
+            del scans[:]
+            got = _outcome(lambda: check(model))
+            assert got == _outcome(lambda: REF_SCREENING[label](model)), label
+            report = json.loads(got)
+            assert report["verdict"] == VIOLATED
+            failing = stochastic._spacelike_pairs(site)[report["stats"]["region_pairs"] - 1]
+            assert len(set(scans)) == len(scans)
+            assert set(scans) <= one_block_scans(site, label, failing), label
 
 
 @pytest.mark.parametrize("label", ["so1", "so2", "so2w"])
