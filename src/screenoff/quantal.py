@@ -32,12 +32,9 @@ from .report import (
     format_complex,
 )
 from .stochastic import (
-    _JOINT,
-    _MUTUAL,
     StochasticModel,
     _history_cells,
     _screen,
-    _screening_plan,
     _screening_units,
     _spacelike_pairs,
     _union_offsets,
@@ -460,11 +457,10 @@ def _quantal_pairwise_check(q: QuantalModel, condition: str, rule: str) -> Check
     included, hence the plan's counts squared.
     """
     q._require_valid()
-    site = q.site
     return _screen(
         q,
         condition,
-        _screening_units(site, rule, _spacelike_pairs(site), _screening_plan, power=2),
+        _screening_units(q.site, rule, 2, _spacelike_pairs(q.site)),
         "complex product rule fails for this pseudo-atom triple",
         scan=_quantal_screening_failure,
         counterexample=_quantal_counterexample,
@@ -480,12 +476,12 @@ def check_qso1(q: QuantalModel) -> CheckReport:
     mutual past: the complex measure satisfies
     muhat(A&B&C) * muhat(C) == muhat(A&C) * muhat(B&C).
     """
-    return _quantal_pairwise_check(q, "qso1", _MUTUAL)
+    return _quantal_pairwise_check(q, "qso1", "mutual")
 
 
 def check_qso2(q: QuantalModel) -> CheckReport:
     """As check_qso1, conditioning on the joint past of the pair."""
-    return _quantal_pairwise_check(q, "qso2", _JOINT)
+    return _quantal_pairwise_check(q, "qso2", "joint")
 
 
 # -- reduction to the classical check ----------------------------------------

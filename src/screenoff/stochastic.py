@@ -417,26 +417,28 @@ def _screen(
 # only when all failed; a failed stand-in proves nothing, so the first
 # failing pair and its counterexample are those of the full ordinal scan.
 
-# Conditioning rules of the pairwise checks: the mutual past (so1), the
-# joint past (so2), and the joint past with pairs touching an initial
-# element left out (so2w).
-_MUTUAL, _JOINT, _JOINT_CLEAR = "mutual", "joint", "joint-clear"
+# The pairwise conditioning rules: each one's P from past(A), past(B) and
+# A|B, and whether pairs touching an initial element are left out.
+_RULES = {
+    "mutual": (lambda pa, pb, ab: pa & pb, False),  # so1
+    "joint": (lambda pa, pb, ab: (pa | pb) & ~ab, False),  # so2
+}
+_RULES["joint-clear"] = (_RULES["joint"][0], True)  # so2w
 
 
-def _first_extension(site, mutual, grow, p_grow, other, p_other, past, free) -> int:
+def _first_extension(site, past_of, grow, p_grow, other, p_other, past, free) -> int:
     """Lowest bit of `free` that `grow` can take and keep its conditioning region.
 
     The grown region must stay spacelike to `other` (the bit lies outside
     other's past and nothing of other lies below it) and the pair must keep
-    the conditioning region `past`; 0 if no bit qualifies.
+    the conditioning region `past` under `past_of`; 0 if no bit qualifies.
     """
     below = site.below
     for e in iter_bits(free):
         bit = 1 << e
         if p_other & bit or below[e] & other:
             continue
-        grown = p_grow | below[e]
-        if past == (grown & p_other if mutual else (grown | p_other) & ~(grow | other | bit)):
+        if past == past_of(p_grow | below[e], p_other, grow | other | bit):
             return bit
     return 0
 
@@ -460,8 +462,8 @@ def _screening_plan(site: CausalSite, rule: str) -> tuple[tuple | None, ...]:
     union of the group's pairs.  With one maximal pair, that pair's scan
     already covers the group.
     """
-    mutual = rule == _MUTUAL
-    excluded = site.initial_elements() if rule == _JOINT_CLEAR else 0
+    past_of, clear = _RULES[rule]
+    excluded = site.initial_elements() if clear else 0
     # each pair's stand-ins: one list per maximal pair, shared by every pair
     # it dominates, so that a certificate found after the pass goes in front
     stand_ins: dict[tuple[int, int], list] = {}
@@ -474,13 +476,13 @@ def _screening_plan(site: CausalSite, rule: str) -> tuple[tuple | None, ...]:
             plan.append(None)
             continue
         pa, pb = site.past(a), site.past(b)
-        past = pa & pb if mutual else (pa | pb) & ~(a | b)
+        past = past_of(pa, pb, a | b)
         free = site.full_mask & ~(a | b | excluded)
         group = groups.setdefault(past, [0, []])
         group[0] |= a | b
-        if bit := _first_extension(site, mutual, a, pa, b, pb, past, free):
+        if bit := _first_extension(site, past_of, a, pa, b, pb, past, free):
             keys = stand_ins[a | bit, b]
-        elif bit := _first_extension(site, mutual, b, pb, a, pa, past, free):
+        elif bit := _first_extension(site, past_of, b, pb, a, pa, past, free):
             keys = stand_ins[a, b | bit]
         elif (keys := stand_ins.get((b, a))) is None:
             keys = [(a, b) if a < b else (b, a)]
@@ -505,24 +507,26 @@ def _screening_plan(site: CausalSite, rule: str) -> tuple[tuple | None, ...]:
     return tuple(plan)
 
 
-def _screening_units(site: CausalSite, rule: str, pairs, plan, power: int = 1):
-    """The units of a pairwise check under `rule`, from the caller's `pairs` and `plan`.
+def _screening_units(site: CausalSite, rule: str, power: int = 1, pairs=None):
+    """The units of a pairwise check under `rule`, from `_screening_plan`.
 
-    Both come from the caller's module, so that patches of them there apply.
     The first screened pair comes first, as its own dominator, and the plan
     is built only after it, so a check that fails there builds no plan.
     With `power` 2 (the quantal checks, which scan null pseudo-cells too) a
-    step keeps only its two dominators, and its counts are squared.
+    step keeps only its two dominators, and its counts are squared.  `pairs`
+    defaults to `_spacelike_pairs(site)`; the quantal checks list theirs
+    through quantal's own binding, whose patch perfbench's tracer test checks.
     """
-    excluded = site.initial_elements() if rule == _JOINT_CLEAR else 0
+    past_of, clear = _RULES[rule]
+    excluded = site.initial_elements() if clear else 0
+    pairs = _spacelike_pairs(site) if pairs is None else pairs
     first = next((i for i, (a, b) in enumerate(pairs) if not (a | b) & excluded), None)
     if first is None:
         return
-    pair = pairs[first]
-    past = site.mutual_past(*pair) if rule == _MUTUAL else site.joint_past(*pair)
+    a, b = pair = pairs[first]
     keys = (pair,)
-    yield pair, ((past, (keys, keys, 0, 0)),)
-    rest = itertools.islice(zip(pairs, plan(site, rule)), first + 1, None)
+    yield pair, ((past_of(site.past(a), site.past(b), a | b), (keys, keys, 0, 0)),)
+    rest = itertools.islice(zip(pairs, _screening_plan(site, rule)), first + 1, None)
     if power == 1:
         yield from filter(itemgetter(1), rest)
         return
@@ -533,16 +537,16 @@ def _screening_units(site: CausalSite, rule: str, pairs, plan, power: int = 1):
 
 
 def _pairwise_screening(
-    model: StochasticModel,
-    condition: str,
-    rule: str,
-    vacuous_reason: str = "no spacelike pairs of disjoint nonempty regions",
-    tables: dict | None = None,
+    model: StochasticModel, condition: str, rule: str, tables: dict | None = None
 ) -> CheckReport:
     """Screen the units of `_screening_units` in order, each stand-in scanned once."""
-    units = _screening_units(model.site, rule, _spacelike_pairs(model.site), _screening_plan)
+    units = _screening_units(model.site, rule)
     note = "conditional product rule fails for this atom pair given C"
-    return _screen(model, condition, units, note, vacuous_reason, tables=tables)
+    if _RULES[rule][1]:
+        reason = "no spacelike region pairs clear of the initial elements"
+    else:
+        reason = "no spacelike pairs of disjoint nonempty regions"
+    return _screen(model, condition, units, note, reason, tables=tables)
 
 
 def check_so1(model: StochasticModel) -> CheckReport:
@@ -552,42 +556,38 @@ def check_so1(model: StochasticModel) -> CheckReport:
     of full-specification atoms factorizes conditionally on each positive-
     measure full specification of the intersection of the regions' pasts.
     """
-    return _pairwise_screening(model, "so1", _MUTUAL)
+    return _pairwise_screening(model, "so1", "mutual")
 
 
 def check_so2(model: StochasticModel) -> CheckReport:
     """As check_so1, but conditioning on the joint past of the pair."""
-    return _pairwise_screening(model, "so2", _JOINT)
+    return _pairwise_screening(model, "so2", "joint")
 
 
 def check_so2w(model: StochasticModel) -> CheckReport:
     """As check_so2, restricted to region pairs clear of the initial elements."""
-    return _pairwise_screening(
-        model,
-        "so2w",
-        _JOINT_CLEAR,
-        vacuous_reason="no spacelike region pairs clear of the initial elements",
-    )
+    return _pairwise_screening(model, "so2w", "joint-clear")
 
 
 SELECTOR_NAMES = ("mutual", "joint", "bell", "all")
 
 
 def _admissible_or_raise(site: CausalSite, past: int, ra: int, rb: int) -> None:
-    p1 = site.mutual_past(ra, rb)
-    if p1 & ~past:
-        raise SelectorError(
-            f"selector error: region {site.region_ids(past)} for pair "
-            f"({site.region_ids(ra)}, {site.region_ids(rb)}) does not contain "
-            "the mutual past"
-        )
-    banned = site.future(ra) | site.future(rb)
-    if past & banned:
-        raise SelectorError(
-            f"selector error: region {site.region_ids(past)} for pair "
-            f"({site.region_ids(ra)}, {site.region_ids(rb)}) intersects the "
-            "future of the pair"
-        )
+    if site.mutual_past(ra, rb) & ~past:
+        problem = "does not contain the mutual past"
+    elif past & (site.future(ra) | site.future(rb)):
+        problem = "intersects the future of the pair"
+    else:
+        return
+    raise SelectorError(
+        f"selector error: region {site.region_ids(past)} for pair "
+        f"({site.region_ids(ra)}, {site.region_ids(rb)}) {problem}"
+    )
+
+
+def _bell(site: CausalSite, ra: int, rb: int) -> int:
+    """Bell's conditioning region: the past of the first region, minus the region."""
+    return site.past(ra) & ~ra
 
 
 def check_generalized_so(model: StochasticModel, selector="mutual") -> CheckReport:
@@ -597,36 +597,36 @@ def check_generalized_so(model: StochasticModel, selector="mutual") -> CheckRepo
     (the past of the first region minus the region itself), "all" (every
     region that contains the mutual past and avoids both futures) — or a
     callable (site, region_a, region_b) -> region.  Every selected region
-    is validated against those two constraints.
+    is validated against those two constraints as its pair streams; "mutual"
+    and "joint" stream the pruned walks of so1 and so2.
     """
     site = model.site
-    if isinstance(selector, str):
-        if selector not in SELECTOR_NAMES:
-            raise SelectorError(
-                f"selector error: unknown selector {selector!r}; "
-                f"expected one of {', '.join(SELECTOR_NAMES)}"
-            )
-        label = selector
-    else:
-        label = getattr(selector, "__name__", "custom")
+    label = selector if isinstance(selector, str) else getattr(selector, "__name__", "custom")
+    if isinstance(selector, str) and selector not in SELECTOR_NAMES:
+        raise SelectorError(
+            f"selector error: unknown selector {selector!r}; "
+            f"expected one of {', '.join(SELECTOR_NAMES)}"
+        )
 
     def units():
-        for ra, rb in _spacelike_pairs(site):
-            p1 = site.mutual_past(ra, rb)
-            if selector == "all":
+        if selector == "all":
+            for ra, rb in _spacelike_pairs(site):
+                p1 = site.mutual_past(ra, rb)
                 free = site.full_mask & ~(site.future(ra) | site.future(rb)) & ~p1
                 yield (ra, rb), [(p1 | extra, None) for extra in submasks(free)]
-                continue
-            if selector == "mutual":
-                past = p1
-            elif selector == "joint":
-                past = site.joint_past(ra, rb)
-            elif selector == "bell":
-                past = site.past(ra) & ~ra
-            else:
-                past = site.check_region(selector(site, ra, rb))
-            _admissible_or_raise(site, past, ra, rb)
-            yield (ra, rb), ((past, None),)
+            return
+        if isinstance(selector, str) and selector in _RULES:
+            selected = _screening_units(site, selector)
+        else:
+            select = _bell if selector == "bell" else selector
+            selected = (
+                (pair, ((site.check_region(select(site, *pair)), None),))
+                for pair in _spacelike_pairs(site)
+            )
+        for unit in selected:
+            pair, ((past, _),) = unit
+            _admissible_or_raise(site, past, *pair)
+            yield unit
 
     note = f"conditional product rule fails for this atom pair given C (selector {label})"
     return _screen(
@@ -642,6 +642,8 @@ def check_generalized_so(model: StochasticModel, selector="mutual") -> CheckRepo
 @lru_cache(maxsize=None)
 def _spacelike_tuples(site: CausalSite, n: int) -> tuple[tuple[int, ...], ...]:
     """All ascending n-tuples of pairwise-disjoint pairwise-spacelike regions."""
+    if n > site.n:  # n disjoint nonempty regions need n elements
+        return ()
     full = site.full_mask
     out: list[tuple[int, ...]] = []
 
@@ -1146,7 +1148,7 @@ def check_penrose_percival(model: StochasticModel) -> CheckReport:
     """
     site = model.site
     tables: dict = {}
-    so1 = _pairwise_screening(model, "so1", _MUTUAL, tables=tables)
+    so1 = _pairwise_screening(model, "so1", "mutual", tables=tables)
     units = (
         ((ra, rb), ((pd, None) for pd, _sides in site.enumerate_dissections(ra, rb)))
         for ra, rb in _spacelike_pairs(site)

@@ -753,7 +753,6 @@ def test_a_first_pair_failure_scans_once_and_builds_no_plan(monkeypatch):
         raise AssertionError("a plan was built for a first-pair failure")
 
     monkeypatch.setattr(stochastic_mod, "_screening_plan", no_plan)
-    monkeypatch.setattr(quantal_mod, "_screening_plan", no_plan)
     scans = recorded_scans(monkeypatch)
     for q, check, ref in failing:
         del scans[:]

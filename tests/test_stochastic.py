@@ -7,7 +7,9 @@ deterministic scan order.
 """
 from __future__ import annotations
 
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -331,20 +333,22 @@ def _counting(monkeypatch, name: str) -> list:
 class TestCellTables:
     def test_one_table_per_region_union(self, monkeypatch):
         # common cause below 5 leaves: every pair's past is the root, so the
-        # unions are the root with 2..5 leaves, 2^5 - 5 - 1 = 26 of them; the
-        # mutual-past selector of gen-so scans every pair, so1 only its first
-        # pair and then the certificate of the 5 leaves given the root, whose
-        # union is the whole site
+        # unions are the root with 2..5 leaves, 2^5 - 5 - 1 = 26 of them; wrc
+        # scans every pair against its mutual past, while so1 and the
+        # mutual-past selector of gen-so scan only the first pair and then
+        # the certificate of the 5 leaves given the root, whose union is the
+        # whole site
         model = _common_cause(5)
         site = model.site
         calls = _counting(monkeypatch, "_cell_weights")
-        assert check_generalized_so(model, "mutual").verdict == HOLDS
+        assert check_wrc(model).verdict == HOLDS
         unions = {site.mutual_past(a, b) | a | b for a, b in stochastic._spacelike_pairs(site)}
         assert len(unions) == 26
         assert len(calls) == len(unions)
-        assert check_so1(model).verdict == HOLDS
-        assert len(calls) == len(unions) + 2
-        assert [sum(regions) for (_, regions), _ in calls[-2:]] == [0b111, site.full_mask]
+        for check in (check_so1, lambda m: check_generalized_so(m, "mutual")):
+            del calls[:]
+            assert check(model).verdict == HOLDS
+            assert [sum(regions) for (_, regions), _ in calls] == [0b111, site.full_mask]
         # the benchmark tracer's hook takes exactly (model, regions)
         for args, kwargs in calls:
             assert len(args) == 2 and not kwargs
@@ -456,6 +460,15 @@ class TestGeneralizedSO:
             m = rand_model(rng, site)
             assert check_generalized_so(m, "mutual").verdict == check_so1(m).verdict
 
+    def test_mutual_and_joint_share_the_plans_of_so1_and_so2(self):
+        model = _common_cause(4)
+        for selector, pairwise in (("mutual", check_so1), ("joint", check_so2)):
+            check_generalized_so(model, selector)
+            built = stochastic._screening_plan.cache_info().currsize
+            check_generalized_so(model, selector)
+            pairwise(model)
+            assert stochastic._screening_plan.cache_info().currsize == built
+
     def test_all_selector_on_shared_source(self):
         r = check_generalized_so(anticorrelated_coins(), "all")
         assert r.verdict == HOLDS
@@ -543,6 +556,32 @@ class TestMultiSO:
         m = StochasticModel(chain(3), [F(1, 8)] * 8)
         r = check_multi_so(m, 2)
         assert r.verdict == VACUOUS
+
+    def test_more_regions_than_elements_is_vacuous_at_once(self, monkeypatch):
+        # n pairwise-disjoint nonempty regions need n elements: a 12-site
+        # antichain has no 13-tuple, and says so without walking its regions
+        def every_tuple(site, n):
+            def fits(t):
+                return all(not x & y and site.spacelike(x, y) for x, y in itertools.combinations(t, 2))
+            return tuple(filter(fits, itertools.combinations(range(1, site.full_mask + 1), n)))
+
+        small = StochasticModel(antichain(3), [F(1, 8)] * 8)
+        for n in (2, 3, 4):
+            assert stochastic._spacelike_tuples(small.site, n) == every_tuple(small.site, n)
+        with monkeypatch.context() as m:
+            m.setattr(stochastic, "_spacelike_tuples", every_tuple)
+            want = check_multi_so(small, 13).to_json_dict()
+        big = StochasticModel(antichain(12), [F(1, 4096)] * 4096)
+
+        def walked(*args):
+            raise AssertionError("the region walk ran for a vacuous n")
+
+        monkeypatch.setattr(CausalSite, "spacelike", walked)
+        start = time.perf_counter()
+        report = check_multi_so(big, 13)
+        assert time.perf_counter() - start < 1
+        assert report.verdict == VACUOUS
+        assert report.to_json_dict() == want
 
 
 # -- common correlates in the mutual past ----------------------------------

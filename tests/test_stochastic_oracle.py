@@ -26,7 +26,9 @@ from hypothesis import strategies as st
 
 import screenoff.stochastic as stochastic
 from screenoff.corpus import corpus_entries, random_deterministic_local, random_stochastic
-from screenoff.events import config_indices, event_ref, full_specifications, history_digits, n_configs
+from screenoff.events import (
+    config_indices, event_ref, full_specifications, history_digits, n_configs, n_histories,
+)
 from screenoff.order import CausalSite, iter_bits
 from screenoff.report import HOLDS, VACUOUS, VIOLATED, CheckReport, Counterexample, format_rational
 from screenoff.stochastic import (
@@ -299,7 +301,12 @@ def _outcome(run) -> str:
         return f"{type(e).__name__}: {e}"
 
 
-def _reference_outcome(run, model) -> str:
+# The conditioning region of every pair under gen-so's built-in rule
+# selectors, by check label.
+REF_SELECTOR_PASTS = {"gen-so[mutual]": CausalSite.mutual_past, "gen-so[joint]": CausalSite.joint_past}
+
+
+def _reference_outcome(label, run, model) -> str:
     with pytest.MonkeyPatch.context() as m:
         m.setattr(
             stochastic,
@@ -313,6 +320,16 @@ def _reference_outcome(run, model) -> str:
             "_pairwise_screening",
             lambda model, condition, *args, **kwargs: REF_SCREENING[condition](model),
         )
+        # and so do gen-so[mutual] and gen-so[joint], given the past the label names
+        if label in REF_SELECTOR_PASTS:
+            past_of = REF_SELECTOR_PASTS[label]
+            m.setattr(
+                stochastic,
+                "_screening_units",
+                lambda site, rule: (
+                    (pair, ((past_of(site, *pair), None),)) for pair in stochastic._spacelike_pairs(site)
+                ),
+            )
         return _outcome(lambda: run(model))
 
 
@@ -320,7 +337,7 @@ def assert_matches_reference(model: StochasticModel) -> list[str]:
     outcomes = []
     for label, run in CHECKS:
         got = _outcome(lambda: run(model))
-        want = _reference_outcome(run, model)
+        want = _reference_outcome(label, run, model)
         assert got == want, label
         outcomes.append(got)
     for conditioned in (False, True):
@@ -476,17 +493,23 @@ SCREENING = (
     ("so1", check_so1),
     ("so2", check_so2),
     ("so2w", check_so2w),
+    ("gen-so[mutual]", lambda m: check_generalized_so(m, "mutual")),
+    ("gen-so[joint]", lambda m: check_generalized_so(m, "joint")),
     ("penrose-percival", check_penrose_percival),
 )
 
 
-def assert_screening_matches_reference(model: StochasticModel) -> dict[str, dict]:
-    """so1, so2, so2w and penrose-percival against the full ordinal scan."""
+def assert_screening_matches_reference(model: StochasticModel) -> dict[str, dict | str]:
+    """so1, so2, so2w, gen-so[mutual|joint] and penrose-percival against the full ordinal scan.
+
+    Each report is returned as a dict, or as its error text if the check
+    raised (gen-so[joint] does on a pair with a non-convex region).
+    """
     reports = {}
     for label, run in SCREENING:
         got = _outcome(lambda: run(model))
-        assert got == _reference_outcome(run, model), label
-        reports[label] = json.loads(got)
+        assert got == _reference_outcome(label, run, model), label
+        reports[label] = json.loads(got) if got.startswith("{") else got
     return reports
 
 
@@ -692,6 +715,7 @@ def expected_scans(model: StochasticModel, condition: str) -> tuple[set, int]:
 def test_a_holding_check_scans_each_stand_in_once(shape, monkeypatch):
     site = PRUNING_SITES[shape]
     model = local_dynamics(random.Random(shape), site)
+    assert_screening_matches_reference(model)
     scans = []
     original = stochastic._factorization_failure
     monkeypatch.setattr(
@@ -755,11 +779,7 @@ def test_a_product_on_an_antichain_is_certified_at_once(alphabets, monkeypatch):
     # others: after the first pair, the certificate of all k sites holds; with
     # k = 2 the one maximal pair is the whole group, so no certificate is tried
     model = product_on_antichain(random.Random(f"certified {alphabets}"), alphabets)
-    reports = {}
-    for label in ("so1", "so2", "so2w"):
-        got = _outcome(lambda: PAIRWISE[label](model))
-        assert got == _outcome(lambda: REF_SCREENING[label](model)), label
-        reports[label] = json.loads(got)
+    reports = assert_screening_matches_reference(model)
     assert reports["so1"]["verdict"] == reports["so2"]["verdict"] == HOLDS
     assert reports["so2w"]["verdict"] == VACUOUS
     scans = recorded_scans(monkeypatch)
@@ -792,6 +812,69 @@ def test_seven_leaves_coupled_at_every_position(coupled, monkeypatch):
         assert (leaves in scans) == (coupled != (0, 1))
         # no pair before the first failure is scanned on its own
         assert set(scans) <= one_block_scans(site, label, failing), label
+    for label, run in SCREENING[3:5]:
+        assert _outcome(lambda: run(model)) == _reference_outcome(label, run, model), label
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_gen_so_makes_the_scans_of_so1_and_so2(coupled, monkeypatch):
+    # gen-so[mutual] and gen-so[joint] walk so1's and so2's plans: on the
+    # common cause below 7 leaves, 2 scans when it holds (the first pair and
+    # the 7-leaf certificate), 66 when the last two leaves are coupled
+    model = common_cause(random.Random(3), 7, coupled)
+    scans = recorded_scans(monkeypatch)
+    for pairwise, selector in ((check_so1, "mutual"), (check_so2, "joint")):
+        del scans[:]
+        pairwise(model)
+        want = list(scans)
+        del scans[:]
+        check_generalized_so(model, selector)
+        assert scans == want
+        assert len(scans) == (66 if coupled else 2)
+
+
+def non_convex_late() -> CausalSite:
+    """Three roots below a chain u0 < mid < u1, and w apart from all.
+
+    A region is non-convex only if it holds mid or u1 and misses an element
+    below it, and then only w is spacelike to it: every such pair has a
+    region of mask at least mid's, so it comes late in pair order.
+    """
+    return CausalSite(
+        [("e0", 2), ("e1", 2), ("e2", 2), ("u0", 2), ("mid", 2), ("u1", 2), ("w", 2)],
+        [("e0", "u0"), ("e1", "u0"), ("e2", "u0"), ("u0", "mid"), ("mid", "u1")],
+    )
+
+
+def test_a_selector_error_surfaces_at_its_own_pair():
+    site = non_convex_late()
+    pairs = stochastic._spacelike_pairs(site)
+    convex = [not site.joint_past(a, b) & (site.future(a) | site.future(b)) for a, b in pairs]
+    first_bad = convex.index(False)
+    # 40 of the 162 pairs come before the first non-convex one
+    assert (first_bad, len(pairs)) == (40, 162)
+    n = n_histories(site)
+    uniform = StochasticModel(site, [F(1, n)] * n)
+    # w is a copy of u0: ({u0}, {w}) fails given the roots, before any
+    # non-convex pair
+    tied = StochasticModel(site, [F(2, n) * (history_digits(site, h)[3] == history_digits(site, h)[6])
+                                  for h in range(n)])
+    label, run = SCREENING[4]
+    for model in (uniform, tied):
+        got = _outcome(lambda: run(model))
+        assert got == _reference_outcome(label, run, model)
+        if model is uniform:
+            assert got.startswith("SelectorError: selector error: region ")
+            assert "intersects the future of the pair" in got
+            # so2 carries no admissibility demand
+            assert check_so2(model).verdict == HOLDS
+        else:
+            report = json.loads(got)
+            assert report["verdict"] == VIOLATED
+            assert report["stats"]["region_pairs"] <= first_bad
+            assert report["counterexample"]["regions"] == {
+                "A": ["u0"], "B": ["w"], "past": ["e0", "e1", "e2"],
+            }
 
 
 def one_block_scans(site: CausalSite, label: str, failing: tuple[int, int]) -> set:
