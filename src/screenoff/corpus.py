@@ -69,9 +69,6 @@ class CorpusEntry:
     def event(self, name: str) -> int:
         return parse_event(self.model.site, self.named_events[name])
 
-    def file_dict(self) -> dict:
-        return render_model(self.model, self.named_events or None)
-
 
 def _sparse(site: CausalSite, cells: Mapping[tuple, Fraction]) -> StochasticModel:
     weights = [F(0)] * n_histories(site)

@@ -33,12 +33,12 @@ from .report import (
 )
 from .stochastic import (
     StochasticModel,
+    _atom_coords,
     _history_cells,
     _screen,
     _screening_units,
     _spacelike_pairs,
     _union_offsets,
-    _union_table,
     check_so1,
 )
 
@@ -346,16 +346,15 @@ def _cmul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
-def _pair_matrix(q: QuantalModel, regions: tuple[int, ...]) -> tuple[list[int], list[int]]:
+def _pair_matrix(q: QuantalModel, regions: tuple[int, ...], offsets) -> tuple[list[int], list[int]]:
     """d-values between configurations of the union U of disjoint regions.
 
-    The n_U x n_U matrix is flat and row-major in U's config order, as real
-    and imaginary parts.
+    `offsets` holds each region's `_union_offsets` in U.  The n_U x n_U matrix
+    is flat and row-major in U's config order, as real and imaginary parts.
     """
-    union, cells = _history_cells(q.site, regions)
+    union, cells = _history_cells(q.site, regions, offsets)
     n = n_configs(q.site, union)
-    re = [0] * (n * n)
-    im = [0] * (n * n)
+    re, im = [0] * (n * n), [0] * (n * n)
     for row_cell, row in zip(cells, q._ints):
         base = row_cell * n
         for cell, (x, y) in zip(cells, row):
@@ -365,52 +364,73 @@ def _pair_matrix(q: QuantalModel, regions: tuple[int, ...]) -> tuple[list[int], 
 
 
 def _quantal_screening_failure(
-    q: QuantalModel, regions: tuple[int, int], past: int, *, tables: dict
+    q: QuantalModel, regions: tuple[int, ...], past: int, *, tables: dict
 ):
-    """First pseudo-atom triple breaking the complex product rule, or None.
+    """First pseudo-atom tuple breaking the complex product rule, or None.
 
-    The classical scan over doubled regions: a pseudo-cell (c1, c2) of the
-    past is a cell of P x P, (a1, a2) an atom of A x A and (b1, b2) an atom
-    of B x B, each read from the matrix of U = P u A u B through its offsets
-    on both axes, the first coordinate most significant.  Each pseudo-cell's
-    block is tested in two list comparisons, of the real and of the
-    imaginary parts of muhat(A&B&C) * muhat(C) against muhat(A&C) *
-    muhat(B&C); a null pseudo-cell is checked, not skipped.
-    Returns (failure-or-None, equations_checked, 0).
+    The classical scan over doubled regions: a pseudo-cell (c1, c2) of P is
+    a cell of P x P and a pseudo-atom (x1, x2) of X one of X x X, read from
+    the matrix of U = P u X1 u ... u Xk through offsets on both axes, first
+    coordinate most significant.  Each pseudo-cell's margins are summed out
+    of its block as in `_factorization_failure`, and J * muhat(C)^(k-1) ==
+    prod M_i is tested in Gaussian integers, on null pseudo-cells too.  For
+    a pair that is muhat(A&B&C) * muhat(C) == muhat(A&C) * muhat(B&C).  A
+    k > 2 scan is a group certificate, sound only where muhat(C) != 0: on a
+    null pseudo-cell it demands a zero block, which zeroes every pair's
+    margins.  Returns (failure-or-None, equations_checked, 0).
     """
     site = q.site
-    union, (re, im) = _union_table(q, (past, *regions), tables, _pair_matrix)
+    parts = (past, *regions)
+    union = sum(parts)  # the parts are disjoint
+    offsets = [_union_offsets(site, r, union) for r in parts]
+    if union not in tables:
+        tables[union] = _pair_matrix(q, parts, offsets)
+    re, im = tables[union]
     n = n_configs(site, union)
-    offsets = [_union_offsets(site, r, union) for r in (past, *regions)]
-    doubled_p, doubled_a, doubled_b = ([x * n + y for x in o for y in o] for o in offsets)
-    block = [x + y for x in doubled_a for y in doubled_b]
-    width = len(doubled_b)
+    doubled_p, *doubled = ([x * n + y for x in o for y in o] for o in offsets)
+    block = doubled[0]
+    for region_offsets in doubled[1:]:
+        block = [b + x for b in block for x in region_offsets]
+    sizes = tuple(map(len, doubled))
+    power = len(regions) - 1
     checked = 0
     for p, base in enumerate(doubled_p):
         jr = [re[base + i] for i in block]
         ji = [im[base + i] for i in block]
-        ar = [sum(jr[t : t + width]) for t in range(0, len(jr), width)]
-        ai = [sum(ji[t : t + width]) for t in range(0, len(ji), width)]
-        br = [sum(jr[c::width]) for c in range(width)]
-        bi = [sum(ji[c::width]) for c in range(width)]
-        pr, pi = sum(ar), sum(ai)
-        if pi:
-            lhs_re = [x * pr - y * pi for x, y in zip(jr, ji)]
-            lhs_im = [x * pi + y * pr for x, y in zip(jr, ji)]
-        else:  # muhat(C) is real, as on every pseudo-cell of an empty past
-            lhs_re = [x * pr for x in jr]
-            lhs_im = [y * pr for y in ji]
-        rhs_re = [x * u - y * v for x, y in zip(ar, ai) for u, v in zip(br, bi)]
-        rhs_im = [x * v + y * u for x, y in zip(ar, ai) for u, v in zip(br, bi)]
+        margins, mr, mi = [], jr, ji
+        for size in reversed(sizes[1:]):
+            margins.append(([sum(mr[c::size]) for c in range(size)], [sum(mi[c::size]) for c in range(size)]))
+            mr = [sum(mr[t : t + size]) for t in range(0, len(mr), size)]
+            mi = [sum(mi[t : t + size]) for t in range(0, len(mi), size)]
+        margins.append((mr, mi))
+        margins.reverse()
+        pr, pi = sum(mr), sum(mi)
+        if power > 1 and not (pr or pi):  # a certificate needs a zero block here
+            lhs_re, lhs_im, rhs_re, rhs_im = jr, ji, [0] * len(jr), [0] * len(jr)
+        else:
+            sr, si = pr, pi
+            for _ in range(power - 1):
+                sr, si = sr * pr - si * pi, sr * pi + si * pr
+            if si:
+                lhs_re = [x * sr - y * si for x, y in zip(jr, ji)]
+                lhs_im = [x * si + y * sr for x, y in zip(jr, ji)]
+            else:  # muhat(C) is real, as on every pseudo-cell of an empty past
+                lhs_re = [x * sr for x in jr]
+                lhs_im = [y * sr for y in ji]
+            rhs_re, rhs_im = margins[0]
+            for ur, ui in margins[1:]:
+                rhs_re, rhs_im = (
+                    [x * u - y * v for x, y in zip(rhs_re, rhs_im) for u, v in zip(ur, ui)],
+                    [x * v + y * u for x, y in zip(rhs_re, rhs_im) for u, v in zip(ur, ui)],
+                )
         if lhs_re != rhs_re or lhs_im != rhs_im:
             i = next(
                 i for i, (x, y, u, v) in enumerate(zip(lhs_re, rhs_re, lhs_im, rhs_im))
                 if x != y or u != v
             )
-            ia, ib = divmod(i, width)
-            n_p, n_a, n_b = (len(o) for o in offsets)
-            where = (*divmod(p, n_p), *divmod(ia, n_a), *divmod(ib, n_b))
-            values = ((jr[i], ji[i]), (pr, pi), (ar[ia], ai[ia]), (br[ib], bi[ib]))
+            atom = _atom_coords(sizes)[i]
+            where = tuple([x for o, c in zip(offsets, (p, *atom)) for x in divmod(c, len(o))])
+            values = ((jr[i], ji[i]), (pr, pi), *[(m[0][c], m[1][c]) for m, c in zip(margins, atom)])
             return (where, values), checked + i + 1, 0
         checked += len(jr)
     return None, checked, 0
@@ -450,11 +470,10 @@ def _quantal_pairwise_check(q: QuantalModel, condition: str, rule: str) -> Check
     """Screen the spacelike pairs, each given every pseudo-cell of its `rule` region.
 
     The complex product rule is linear in each pseudo-event component, so it
-    decomposes like conditional independence: a pair with a held dominator
-    holds too, and only the first pair and the A-first and B-first
-    dominators of `_screening_plan` are scanned, never a group certificate.
-    A held step checks |Φ(P)|²·|Φ(A)|²·|Φ(B)|² equations, null pseudo-cells
-    included, hence the plan's counts squared.
+    decomposes like conditional independence and the walk is so1's or so2's:
+    the first pair, then a step's group certificate, A-first and B-first
+    dominator, the first that holds standing in for it.  A held stand-in
+    counts |Φ(P)|²·|Φ(A)|²·|Φ(B)|² equations, null pseudo-cells included.
     """
     q._require_valid()
     return _screen(

@@ -155,15 +155,15 @@ def _union_offsets(site: CausalSite, region: int, union: int) -> list[int]:
     return offsets
 
 
-def _history_cells(site: CausalSite, regions: tuple[int, ...]) -> tuple[int, list[int]]:
-    """The union of disjoint regions, and each history's configuration index in it."""
+def _history_cells(site: CausalSite, regions: tuple[int, ...], offsets=None) -> tuple[int, list[int]]:
+    """The union of disjoint regions, and each history's config index in it (from `offsets`, if given)."""
     union = 0
     for r in regions:
         union |= r
+    offsets = offsets or [_union_offsets(site, r, union) for r in regions]
     flat = [0] * n_histories(site)
-    for r in regions:
-        offsets = _union_offsets(site, r, union)
-        flat = [f + offsets[c] for f, c in zip(flat, config_indices(site, r))]
+    for r, region_offsets in zip(regions, offsets):
+        flat = [f + region_offsets[c] for f, c in zip(flat, config_indices(site, r))]
     return union, flat
 
 
@@ -512,10 +512,10 @@ def _screening_units(site: CausalSite, rule: str, power: int = 1, pairs=None):
 
     The first screened pair comes first, as its own dominator, and the plan
     is built only after it, so a check that fails there builds no plan.
-    With `power` 2 (the quantal checks, which scan null pseudo-cells too) a
-    step keeps only its two dominators, and its counts are squared.  `pairs`
-    defaults to `_spacelike_pairs(site)`; the quantal checks list theirs
-    through quantal's own binding, whose patch perfbench's tracer test checks.
+    With `power` 2 (the quantal checks, which check null pseudo-cells too) a
+    step's counts are squared.  `pairs` defaults to `_spacelike_pairs(site)`;
+    the quantal checks list theirs through quantal's own binding, whose patch
+    perfbench's tracer test checks.
     """
     past_of, clear = _RULES[rule]
     excluded = site.initial_elements() if clear else 0
@@ -533,7 +533,7 @@ def _screening_units(site: CausalSite, rule: str, power: int = 1, pairs=None):
     for pair, steps in rest:
         if steps is not None:
             ((past, (keys, rkeys, cells, atoms)),) = steps
-            yield pair, ((past, (keys[-1:], rkeys[-1:], cells**power, atoms**power)),)
+            yield pair, ((past, (keys, rkeys, cells**power, atoms**power)),)
 
 
 def _pairwise_screening(

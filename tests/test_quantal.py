@@ -34,7 +34,7 @@ from screenoff.quantal import (
     verify_quantal_lemmas,
 )
 from screenoff.report import HOLDS, VACUOUS, VIOLATED
-from screenoff.stochastic import StochasticModel, check_so1
+from screenoff.stochastic import StochasticModel, _union_offsets, check_so1
 
 F = Fraction
 CF = ComplexFraction
@@ -369,10 +369,10 @@ class TestQSO:
 
 class TestUnionTables:
     def test_one_matrix_per_region_union(self, monkeypatch):
-        # 5 binary sites, no order: every pair's past is empty and every
-        # two-part split of the sites is a maximal pair, so the scans read
-        # the union {s1, s2} of the first pair and the union of all five
-        # sites, one matrix each, for the 180 region pairs
+        # 5 binary sites, no order: every pair's past is empty, so the scans
+        # read the union {s1, s2} of the first pair and the union of all
+        # five sites (the group certificate), one matrix each, for the 180
+        # region pairs
         site = antichain(5)
         psi = [CF_ONE]
         for i in range(5):
@@ -391,11 +391,13 @@ class TestUnionTables:
         assert report.verdict == HOLDS
         assert report.stats == {"region_pairs": 180, "equations_checked": 52800}
         assert len(calls) == 2
-        # the benchmark tracer's hook takes exactly (q, regions)
+        # the matrix is built from the offsets the scan computed, not again
         for args, kwargs in calls:
-            assert len(args) == 2 and not kwargs
-            assert args[0] is q
-        assert [sum(regions) for (_, regions), _ in calls] == [0b00011, 0b11111]
+            assert len(args) == 3 and not kwargs
+            model, regions, offsets = args
+            assert model is q
+            assert offsets == [_union_offsets(site, r, sum(regions)) for r in regions]
+        assert [sum(regions) for (_, regions, _), _ in calls] == [0b00011, 0b11111]
 
 
 # -- reduction to the classical checker -------------------------------------

@@ -19,9 +19,9 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_stochastic_oracle import PRUNING_SITES, local_dynamics, maximal_pairs
+from test_stochastic_oracle import PRUNING_SITES, expected_scans, local_dynamics, maximal_pairs
 
 import screenoff.quantal as quantal_mod
 import screenoff.stochastic as stochastic_mod
@@ -396,6 +396,46 @@ def ref_quantal_screening_failure(q, ra, rb, past):
     return None, checked
 
 
+def ref_quantal_certificate_failure(q, regions, past):
+    """(first pseudo-cell where a k-region certificate fails, or None,).
+
+    On each pseudo-cell C the certificate demands J * muhat(C)^(k-1) ==
+    prod M_i for every tuple of pseudo-atoms, and, where muhat(C) = 0, a
+    zero joint block, summed here entry by entry from the matrix.
+    """
+    sizes, m = ref_pair_matrix(q, (past, *regions))
+    n_past, atom_counts = sizes[0], sizes[1:]
+    block = len(m) // n_past
+    coords = tuple(itertools.product(*(range(s) for s in atom_counts)))
+    for c1 in range(n_past):
+        for c2 in range(n_past):
+            joint = {}
+            margins = [{} for _ in regions]
+            mp = (0, 0)
+            for f1 in range(block):
+                for f2 in range(block):
+                    e = m[c1 * block + f1][c2 * block + f2]
+                    joint[f1, f2] = e
+                    mp = (mp[0] + e[0], mp[1] + e[1])
+                    for i, (x1, x2) in enumerate(zip(coords[f1], coords[f2])):
+                        xr, xi = margins[i].get((x1, x2), (0, 0))
+                        margins[i][x1, x2] = (xr + e[0], xi + e[1])
+            if mp == (0, 0):
+                if any(e != (0, 0) for e in joint.values()):
+                    return ((c1, c2),)
+                continue
+            scale = (1, 0)
+            for _ in regions[1:]:
+                scale = _cmul(scale, mp)
+            for (f1, f2), e in joint.items():
+                rhs = (1, 0)
+                for i, (x1, x2) in enumerate(zip(coords[f1], coords[f2])):
+                    rhs = _cmul(rhs, margins[i][x1, x2])
+                if _cmul(e, scale) != rhs:
+                    return ((c1, c2),)
+    return (None,)
+
+
 def ref_quantal_counterexample(q, ra, rb, past, where, values):
     site = q.site
     c1, c2, a1, a2, b1, b2 = where
@@ -626,14 +666,39 @@ def recorded_scans(monkeypatch) -> list:
 @pytest.mark.parametrize("variant", ["plain", "null-root"])
 @pytest.mark.parametrize("shape", ["chain-and-point", "blocked", "diamond"])
 def test_a_holding_qso_check_scans_the_first_and_each_maximal_pair_once(shape, variant, monkeypatch):
+    # the first pair, then each group's certificate where it has more than
+    # one maximal pair, and its maximal pairs where the certificate fails
     q = decohered_local_dynamics(shape, variant)
     scans = recorded_scans(monkeypatch)
-    first = _spacelike_pairs(q.site)[0]
+    failed = 0
     for label, check in (("so1", check_qso1), ("so2", check_qso2)):
         del scans[:]
         assert check(q).verdict == HOLDS
+        want, n_failed = expected_scans(q, label, ref_quantal_certificate_failure)
         assert len(scans) == len(set(scans)), label
-        assert set(scans) == {first} | maximal_pairs(q.site, label), label
+        assert set(scans) == want, label
+        assert scans[0] == _spacelike_pairs(q.site)[0], label
+        failed += n_failed
+    # on the diagonal a certificate holds where its classical one does: blocked
+    # and diamond hold although a group's elements are not independent
+    assert (failed > 0) == (shape != "chain-and-point")
+
+
+@pytest.mark.parametrize("alphabets", [(2, 2), (2, 3, 2), (2, 2, 2, 2), (3, 2, 2, 2), (2,) * 5])
+def test_a_product_amplitude_on_an_antichain_is_certified_at_once(alphabets, monkeypatch):
+    # every pair has the empty past, whose one pseudo-cell has muhat 1, and
+    # every site is independent of the others: after the first pair, the
+    # certificate of all k sites holds; with k = 2 the one maximal pair is
+    # the whole group, so no certificate is tried
+    q = product_amplitude_model(random.Random(f"certified {alphabets}"), alphabets)
+    outcomes = assert_qso_matches_reference(q)
+    assert all('"verdict": "holds"' in o for o in outcomes)
+    scans = recorded_scans(monkeypatch)
+    singletons = tuple(1 << e for e in range(len(alphabets)))
+    for check in (check_qso1, check_qso2):
+        del scans[:]
+        check(q)
+        assert scans == [(1, 2)] + ([singletons] if len(alphabets) > 2 else [])
 
 
 def test_a_maximal_first_pair_is_scanned_once(monkeypatch):
@@ -666,12 +731,15 @@ def test_pruning_sites_match_the_per_pair_scan(shape, variant):
 
 @pytest.mark.parametrize("n_leaves", [4, 5])
 def test_a_late_failure_scans_the_first_maximal_and_failing_pairs(n_leaves, monkeypatch):
-    # the last two leaves are tied: the first pair holds, and every pair
-    # before the first that splits them has a dominator that holds, A-first
-    # or B-first, so no pair but the failing one is scanned on its own
+    # the last two leaves are tied: the first pair holds, the certificate of
+    # all leaves given the root fails, and every pair before the first that
+    # splits them has a dominator that holds, A-first or B-first, so no pair
+    # but the failing one is scanned on its own
     q = decohered_common_cause(n_leaves, coupled=True)
     outcomes = [json.loads(o) for o in assert_qso_matches_reference(q, decohered=True)]
     pairs = _spacelike_pairs(q.site)
+    leaves = tuple(1 << e for e in range(1, n_leaves + 1))
+    assert ref_quantal_certificate_failure(q, leaves, 1)[0] is not None
     scans = recorded_scans(monkeypatch)
     for (label, check), outcome in zip((("so1", check_qso1), ("so2", check_qso2)), outcomes):
         assert outcome["verdict"] == VIOLATED and outcome["stats"]["region_pairs"] > 1
@@ -679,7 +747,40 @@ def test_a_late_failure_scans_the_first_maximal_and_failing_pairs(n_leaves, monk
         del scans[:]
         check(q)
         assert len(scans) == len(set(scans)), label
-        assert set(scans) <= {pairs[0], failing} | maximal_pairs(q.site, label), label
+        assert scans[:2] == [pairs[0], leaves], label
+        assert set(scans) <= {pairs[0], leaves, failing} | maximal_pairs(q.site, label), label
+
+
+def leaves_amplitude(root, leaves, coupled=None) -> QuantalModel | None:
+    """The rank-one amplitude root[c] * prod_i leaves[i][c][l_i], normalized.
+
+    A root element c below binary leaves l0, l1, ...; ``coupled``, a
+    ((i, j), tables) pair, replaces the factors of leaves i and j by
+    tables[c][l_i][l_j].  None if the amplitudes sum to zero.
+    """
+    n_leaves = len(leaves)
+    elements = [("c", len(root))] + [(f"l{i}", 2) for i in range(n_leaves)]
+    site = CausalSite(elements, [("c", f"l{i}") for i in range(n_leaves)])
+    psi = []
+    for c, *values in itertools.product(range(len(root)), *([range(2)] * n_leaves)):
+        v = root[c]
+        for i, x in enumerate(values):
+            if coupled is None or i not in coupled[0]:
+                v = v * leaves[i][c][x]
+        if coupled is not None:
+            (i, j), tables = coupled
+            v = v * tables[c][values[i]][values[j]]
+        psi.append(v)
+    total = CF_ZERO
+    for v in psi:
+        total = total + v
+    if not total:
+        return None
+    # divide by the total: times its conjugate over its squared modulus
+    scale = total.conjugate() * CF(1 / (total.re * total.re + total.im * total.im))
+    psi = [v * scale for v in psi]
+    entries = [[x * y.conjugate() for y in psi] for x in psi]
+    return QuantalModel(site, entries, positivity_witness=[(F(1), psi)])
 
 
 def common_cause_amplitude(rng: random.Random, n_leaves: int) -> QuantalModel:
@@ -689,8 +790,6 @@ def common_cause_amplitude(rng: random.Random, n_leaves: int) -> QuantalModel:
     given every pseudo-cell (c1, c2) of the root, and muhat of that cell,
     r(c1) * conj(r(c2)), is not real when the two root values differ in phase.
     """
-    elements = [("c", 3)] + [(f"l{i}", 2) for i in range(n_leaves)]
-    site = CausalSite(elements, [("c", f"l{i}") for i in range(n_leaves)])
 
     def draw():
         return CF(F(rng.randint(-4, 4), 4), F(rng.randint(-4, 4), 4))
@@ -704,14 +803,7 @@ def common_cause_amplitude(rng: random.Random, n_leaves: int) -> QuantalModel:
             a0 = draw()
             given_root.append((a0, CF_ONE - a0))
         leaves.append(given_root)
-    psi = []
-    for c, *values in itertools.product(range(3), *([range(2)] * n_leaves)):
-        v = root[c]
-        for amps, x in zip(leaves, values):
-            v = v * amps[c][x]
-        psi.append(v)
-    entries = [[x * y.conjugate() for y in psi] for x in psi]
-    return QuantalModel(site, entries, positivity_witness=[(F(1), psi)])
+    return leaves_amplitude(root, leaves)
 
 
 @pytest.mark.parametrize("n_leaves", [2, 3])
@@ -721,6 +813,82 @@ def test_complex_past_pseudo_cells_hold_like_the_per_pair_scan(n_leaves):
     assert any(q.d_value(x, y).im for x in root_cells for y in root_cells)
     outcomes = assert_qso_matches_reference(q)
     assert all('"verdict": "holds"' in o for o in outcomes)
+
+
+def test_a_nonzero_block_on_a_null_pseudo_cell_fails_the_certificate(monkeypatch):
+    # given c = 0 the amplitude is +1 at (0, 0, 0) and -1 at (0, 1, 1): the
+    # pseudo-cell (0, 0) of the root is null, yet its block is not zero.
+    # There l0 is 0, so l0's margin is zero and so is every product of the
+    # three leaves' margins; l1 and l2 are tied, so ({l1}, {l2}) fails.  The
+    # certificate of the three leaves must fail at that pseudo-cell too
+    half = CF(F(1, 2))
+    zero_branch = {(0, 0): CF_ONE, (1, 1): CF(F(-1))}
+    tables = [[[zero_branch.get((x, y), CF_ZERO) for y in range(2)] for x in range(2)],
+              [[half * half] * 2] * 2]
+    leaves = [[(CF_ONE, CF_ZERO), (half, half)]] * 3
+    q = leaves_amplitude([CF_ONE, CF_ONE], leaves, ((1, 2), tables))
+    certificate = (2, 4, 8)
+    assert ref_quantal_certificate_failure(q, certificate, 1)[0] == (0, 0)
+    for o in assert_qso_matches_reference(q):
+        report = json.loads(o)
+        assert report["verdict"] == VIOLATED
+        assert report["stats"]["region_pairs"] == 5
+        assert report["counterexample"]["regions"] == {"A": ["l1"], "B": ["l2"], "past": ["c"]}
+    scans = recorded_scans(monkeypatch)
+    for check in (check_qso1, check_qso2):
+        del scans[:]
+        check(q)
+        assert scans[:2] == [(2, 4), certificate]
+
+
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 10**6),
+    n_root=st.integers(2, 3),
+    n_leaves=st.integers(3, 4),
+    coupled=st.booleans(),
+    zero_share=st.sampled_from([0.0, 0.25, 0.5]),
+)
+def test_leaf_amplitudes_below_a_root(seed, n_root, n_leaves, coupled, zero_share):
+    # drawn Gaussian-integer amplitudes of each leaf given each root value;
+    # given a root value other than the first, with ``zero_share`` a leaf's
+    # amplitudes sum to zero, which makes that value's pseudo-cells null
+    # while their blocks are not.  With ``coupled`` two drawn leaves take a
+    # joint amplitude table given each root value: a product, a generic
+    # table, or (not given the first value) one that sums to zero, which
+    # makes the pair fail on a null pseudo-cell where every other leaf's
+    # margin is zero
+    rng = random.Random(seed)
+
+    def draw():
+        return CF(F(rng.randint(-2, 2)), F(rng.randint(-2, 2)))
+
+    root = [draw() for _ in range(n_root)]
+    leaves = []
+    for _ in range(n_leaves):
+        given_root = []
+        for c in range(n_root):
+            a0 = draw()
+            given_root.append((a0, CF_ZERO - a0 if c and rng.random() < zero_share else draw()))
+        leaves.append(given_root)
+    tied = None
+    if coupled:
+        tables = []
+        for c in range(n_root):
+            t = [draw(), draw(), draw()]
+            kind = rng.random()
+            if c and kind < 0.5:  # null, though its margins need not be
+                t.append(CF_ZERO - t[0] - t[1] - t[2])
+            elif kind > 0.9:
+                t.append(draw())
+            else:  # a product: the two leaves screen off given this value
+                x, y = (draw(), draw()), (draw(), draw())
+                t = [x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1]]
+            tables.append([t[:2], t[2:]])
+        tied = (tuple(sorted(rng.sample(range(n_leaves), 2))), tables)
+    q = leaves_amplitude(root, leaves, tied)
+    if q is not None:
+        assert_qso_matches_reference(q)
 
 
 @pytest.mark.parametrize("seed, shape", [(43, (3, 2, 1)), (419, (2, 2, 2)), (462, (2, 2, 1))])

@@ -677,14 +677,17 @@ def first_screened_pair(site: CausalSite, condition: str) -> tuple[int, int] | N
     return next(((a, b) for a, b in stochastic._spacelike_pairs(site) if not (a | b) & init), None)
 
 
-def expected_scans(model: StochasticModel, condition: str) -> tuple[set, int]:
+def expected_scans(model, condition: str, failure=None) -> tuple[set, int]:
     """The regions a holding check scans, and how many of its certificates fail.
 
     The first screened pair is scanned; then each group of pairs with one
     conditioning region P is proved by its certificate (every element of
     the group's union, as singletons, given P) if it has more than one
-    maximal pair, or else by each of its maximal pairs.
+    maximal pair, or else by each of its maximal pairs.  `failure(model,
+    regions, past)` decides a certificate, by default
+    `ref_factorization_failure`.
     """
+    failure = failure or ref_factorization_failure
     site = model.site
     init = site.initial_elements()
     past_of = site.mutual_past if condition == "so1" else site.joint_past
@@ -704,7 +707,7 @@ def expected_scans(model: StochasticModel, condition: str) -> tuple[set, int]:
         if len(group) > 1:
             certificate = tuple(1 << e for e in iter_bits(unions[past]))
             scans.add(certificate)
-            if ref_factorization_failure(model, certificate, past)[0] is None:
+            if failure(model, certificate, past)[0] is None:
                 continue
             failed += 1
         scans.update(group)
