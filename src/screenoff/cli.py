@@ -18,7 +18,7 @@ import time
 from typing import Sequence
 
 from . import corpus as corpus_mod
-from .events import event_ref
+from .events import event_ref, n_histories
 from .exprs import parse_event
 from .modelfile import LoadedModel, load_model, render_model_json
 from .quantal import validate_quantal
@@ -101,11 +101,10 @@ def _cmd_validate(args) -> int:
     model = loaded.model
     site = model.site
     kind = corpus_mod.model_kind(model)
+    n = n_histories(site)
     if kind == corpus_mod.QUANTAL:
-        n = len(model.entries)
         report = validate_quantal(model)
     else:
-        n = len(model.weights)
         report = CheckReport(
             "measure-axioms",
             HOLDS,

@@ -618,16 +618,11 @@ def random_quantal(
                 gr, gi = psi[g]
                 er, ei = row[g]
                 row[g] = (er + w * (hr * gr + hi * gi), ei + w * (hi * gr - hr * gi))
-    entries = [[None] * n for _ in range(n)]
     for h in range(n):
-        for g in range(h, n):
-            er, ei = num[h][g]
-            re = F(er, norm)
-            entries[h][g] = ComplexFraction(re, F(ei, norm))
-            entries[g][h] = ComplexFraction(re, F(-ei, norm))
-    return QuantalModel(
-        site, entries, positivity_witness=[(F(w, norm), psi) for w, psi in zip(weights, vectors)]
-    )
+        for g in range(h + 1, n):
+            num[g][h] = (num[h][g][0], -num[h][g][1])
+    witness = [(w, norm, 1, tuple(psi)) for w, psi in zip(weights, vectors)]
+    return QuantalModel._from_scaled(site, norm, num, witness)
 
 
 def random_diagonal_quantal(
@@ -635,9 +630,8 @@ def random_diagonal_quantal(
 ) -> QuantalModel:
     """A random classical measure embedded on the diagonal."""
     m = random_stochastic(seed, n_sites, max_alphabet)
-    n = len(m.weights)
-    entries = [[m.weights[h] if h == g else 0 for g in range(n)] for h in range(n)]
-    return QuantalModel(m.site, entries)
+    ints = [[(w, 0) if h == g else (0, 0) for g in range(len(m._nums))] for h, w in enumerate(m._nums)]
+    return QuantalModel._from_scaled(m.site, m._den, ints)
 
 
 def random_deterministic_local(

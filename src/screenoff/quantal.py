@@ -12,7 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 
 from .events import (
     config_indices,
@@ -107,6 +108,11 @@ def _scaled(values) -> tuple[int, tuple[tuple[int, int], ...]]:
     )
 
 
+def _fractions(values, den: int) -> tuple[ComplexFraction, ...]:
+    """Gaussian integers over `den` as complex fractions."""
+    return tuple(ComplexFraction(Fraction(x, den), Fraction(y, den)) for x, y in values)
+
+
 @dataclass(frozen=True)
 class PseudoEvent:
     """An ordered product of two plain events — a rectangle in Omega x Omega."""
@@ -124,10 +130,11 @@ class QuantalModel:
     ``entries[h][g]`` is the complex weight attached to the ordered history
     pair (h, g).  An optional ``positivity_witness`` — a sequence of
     (weight, amplitude-vector) pairs whose weighted outer products sum to
-    the matrix — certifies positivity without enumeration.
+    the matrix — certifies positivity without enumeration.  Both are views,
+    built on first use, of Gaussian-integer rows ``_ints`` over a reduced ``_den``.
     """
 
-    __slots__ = ("site", "entries", "positivity_witness", "_den", "_ints", "_validation")
+    __slots__ = ("site", "_den", "_ints", "_witness", "_entry_view", "_witness_view", "_validation")
 
     def __init__(self, site: CausalSite, entries, positivity_witness=None) -> None:
         n = n_histories(site)
@@ -138,28 +145,50 @@ class QuantalModel:
                 f"quantal error: dimension mismatch: matrix is {shape} "
                 f"for a history space of size {n}"
             )
-        self.site = site
-        self.entries = rows
-        if positivity_witness is not None:
-            positivity_witness = tuple(
-                (Fraction(w), tuple(ComplexFraction.of(a) for a in vec))
-                for w, vec in positivity_witness
-            )
-        self.positivity_witness = positivity_witness
-        self._den, flat = _scaled(x for row in rows for x in row)
-        self._ints = tuple(flat[i : i + n] for i in range(0, n * n, n))
-        self._validation = None
+        den, flat = _scaled(x for row in rows for x in row)
+        witness = None if positivity_witness is None else [
+            (*Fraction(w).as_integer_ratio(), *_scaled(map(ComplexFraction.of, vec)))
+            for w, vec in positivity_witness
+        ]
+        self._setup(site, den, [flat[i : i + n] for i in range(0, n * n, n)], witness)
+
+    @classmethod
+    def _from_scaled(cls, site: CausalSite, den: int, ints, witness=None) -> "QuantalModel":
+        """A model from Gaussian-integer rows over `den` and (p, q, dv, V) witness terms."""
+        return cls.__new__(cls)._setup(site, den, ints, witness)
+
+    def _setup(self, site: CausalSite, den: int, ints, witness) -> "QuantalModel":
+        # divide out the common factor, so that (_den, _ints) is canonical
+        g = gcd(den, *chain.from_iterable(chain.from_iterable(ints)))
+        if g > 1:
+            den, ints = den // g, [[(x // g, y // g) for x, y in row] for row in ints]
+        self.site, self._den, self._ints = site, den, tuple(map(tuple, ints))
+        self._witness = None if witness is None else tuple(witness)
+        self._entry_view = self._witness_view = self._validation = None
+        return self
+
+    @property
+    def entries(self) -> tuple[tuple[ComplexFraction, ...], ...]:
+        if self._entry_view is None:
+            self._entry_view = tuple(_fractions(row, self._den) for row in self._ints)
+        return self._entry_view
+
+    @property
+    def positivity_witness(self):
+        if self._witness_view is None and self._witness is not None:
+            self._witness_view = tuple((Fraction(p, q), _fractions(v, dv)) for p, q, dv, v in self._witness)
+        return self._witness_view
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuantalModel):
             return NotImplemented
-        return self.site == other.site and self.entries == other.entries
+        return self.site == other.site and self._den == other._den and self._ints == other._ints
 
     def __hash__(self) -> int:
-        return hash((self.site, self.entries))
+        return hash((self.site, self._den, self._ints))
 
     def __repr__(self) -> str:
-        return f"QuantalModel(site={self.site!r}, n_histories={len(self.entries)})"
+        return f"QuantalModel(site={self.site!r}, n_histories={len(self._ints)})"
 
     # -- measures ----------------------------------------------------------
 
@@ -227,12 +256,12 @@ class QuantalModel:
                 note=f"event {event:#x} has negative measure {value}",
             )
             return CheckReport(condition, VIOLATED, counterexample=cx, stats={"positivity": "enumerated"})
-        mode = "witness" if self.positivity_witness is not None else "enumerated"
+        mode = "witness" if self._witness is not None else "enumerated"
         return CheckReport(condition, HOLDS, stats={"positivity": mode})
 
     def _positivity_failure(self):
         """None if every event has nonnegative measure, else (event, value)."""
-        if self.positivity_witness is not None:
+        if self._witness is not None:
             self._check_witness()
             return None
         ints = self._ints
@@ -241,7 +270,7 @@ class QuantalModel:
             # fully decohered: additivity reduces every event to its singletons
             for h in range(n):
                 if ints[h][h][0] < 0:
-                    return 1 << h, self.entries[h][h].re
+                    return 1 << h, Fraction(ints[h][h][0], self._den)
             return None
         if n > POSITIVITY_ENUMERATION_LIMIT:
             raise QuantalError(
@@ -281,10 +310,10 @@ class QuantalModel:
         return None
 
     def _check_witness(self) -> None:
-        n = len(self.entries)
-        for w, vec in self.positivity_witness:
-            if w <= 0:
-                raise QuantalError(f"quantal error: witness weight {w} is not positive")
+        n = len(self._ints)
+        for p, q, _, vec in self._witness:
+            if p <= 0:
+                raise QuantalError(f"quantal error: witness weight {Fraction(p, q)} is not positive")
             if len(vec) != n:
                 raise QuantalError(
                     f"quantal error: witness vector has {len(vec)} amplitudes "
@@ -292,16 +321,14 @@ class QuantalModel:
                 )
         # term w * vec vec^dagger, with w = p/q and vec = V/dv, is c * V V^dagger / L
         # over the common denominator L of every q * dv^2
-        scaled = []
-        for w, vec in self.positivity_witness:
-            dv, ints = _scaled(vec)
-            scaled.append((w.numerator, w.denominator * dv * dv, ints))
-        big = lcm(*(q for _, q, _ in scaled))
-        terms = [(p * (big // q), ints) for p, q, ints in scaled]
+        big = lcm(*(q * dv * dv for _, q, dv, _ in self._witness))
+        terms = [(p * (big // (q * dv * dv)), vec) for p, q, dv, vec in self._witness]
         den = self._den
+        # relies on _validate checking hermiticity first: the matrix and the sum of
+        # terms are both Hermitian, so their differences are mirrored, first at h <= g
         for h in range(n):
             row = self._ints[h]
-            for g in range(n):
+            for g in range(h, n):
                 acc_re = acc_im = 0
                 for c, v in terms:
                     hr, hi = v[h]
@@ -515,7 +542,7 @@ def diagonal_reduction(q: QuantalModel) -> CheckReport:
     cell.  A nonzero off-diagonal entry is an error.
     """
     site = q.site
-    n = len(q.entries)
+    n = len(q._ints)
     for h in range(n):
         for g in range(n):
             if h != g and q._ints[h][g] != (0, 0):
@@ -525,10 +552,10 @@ def diagonal_reduction(q: QuantalModel) -> CheckReport:
                 )
     weights = []
     for h in range(n):
-        d = q.entries[h][h]
-        if d.im != 0:
+        re, im = q._ints[h][h]
+        if im != 0:
             raise QuantalError(f"quantal error: diagonal entry {h} is not real")
-        weights.append(d.re)
+        weights.append(Fraction(re, q._den))
     induced = StochasticModel(site, weights)
     so = check_so1(induced)
     qso = check_qso1(q)

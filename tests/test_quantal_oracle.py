@@ -16,7 +16,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -270,6 +270,23 @@ def test_perturbed_witness_error_text(part):
         assert str(got.value) == str(want.value)
 
 
+def test_witness_wrong_at_a_mirrored_pair_names_the_upper_entry():
+    # an imaginary bump at (h, g) and its conjugate at (g, h) keeps the matrix
+    # Hermitian and normalized, so only the witness check fails, at both
+    # entries; the full-scan reference names the one above the diagonal
+    for seed, (site, entries, witness) in _small_models():
+        n = len(entries)
+        g, h = seed % n, (seed + 1 + seed % (n - 1)) % n
+        bad = _bumped(entries, [(h, g)], CF(F(0), F(1, 7)))
+        bad = _bumped(bad, [(g, h)], CF(F(0), F(-1, 7)))
+        with pytest.raises(QuantalError) as got:
+            validate_quantal(QuantalModel(site, bad, witness))
+        with pytest.raises(QuantalError) as want:
+            reference_witness_check(bad, witness)
+        assert str(got.value) == str(want.value)
+        assert f"at entry ({min(h, g)}, {max(h, g)}):" in str(want.value)
+
+
 def _bumped(entries, cells, delta):
     out = [list(row) for row in entries]
     for h, g in cells:
@@ -322,6 +339,44 @@ def test_generation_and_validation_do_no_complex_fraction_arithmetic(monkeypatch
         assert validate_quantal(model).holds
         check_qso1(model)
         check_qso2(model)
+
+
+# -- the scaled form is the model ---------------------------------------------
+
+
+@settings(max_examples=40)
+@given(
+    seed=st.integers(0, 10**6),
+    sites=st.integers(2, 5),
+    alphabet=st.integers(2, 3),
+    rank=st.integers(1, 3),
+)
+def test_the_public_constructor_rebuilds_a_generated_model(seed, sites, alphabet, rank):
+    m = random_quantal(seed, sites, alphabet, rank)
+    m2 = QuantalModel(m.site, m.entries, m.positivity_witness)
+    assert (m._den, m._ints) == (m2._den, m2._ints)
+    assert gcd(m._den, *(x for row in m._ints for pair in row for x in pair)) == 1
+    assert m == m2 and hash(m) == hash(m2)
+    assert render_model_json(m) == render_model_json(m2)
+    for check in (validate_quantal, check_qso1, check_qso2):
+        assert _dump(check(m)) == _dump(check(m2))
+
+
+def _no_views(q):
+    return q._entry_view is None and q._witness_view is None
+
+
+def test_generated_models_are_checked_without_fraction_views():
+    # seed 143 of a 2-site rank-1 draw is a product amplitude, where both
+    # checks hold; seed 0 of the default shape violates them
+    for q, verdict in ((random_quantal(143, 2, 2, 1), HOLDS), (random_quantal(0), VIOLATED)):
+        assert _no_views(q)
+        assert check_qso1(q).verdict == check_qso2(q).verdict == verdict
+        assert _no_views(q)
+    for seed in range(4):
+        q = random_diagonal_quantal(seed)
+        assert diagonal_reduction(q).holds
+        assert _no_views(q)
 
 
 # -- the per-pair qso scan ----------------------------------------------------
