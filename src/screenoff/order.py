@@ -164,7 +164,7 @@ class CausalSite:
         return tuple(self.elements[i] for i in iter_bits(mask))
 
     def check_region(self, mask: int) -> int:
-        if mask & ~self.full_mask or mask < 0:
+        if mask >> len(self.elements):  # a bit above the last element, or a negative mask
             raise RegionError(f"region error: mask {mask:#x} has bits outside the site")
         return mask
 
@@ -177,9 +177,12 @@ class CausalSite:
     def past(self, r: int) -> int:
         """Inclusive causal past: everything at-or-below some element of r."""
         self.check_region(r)
+        below = self.below
         acc = 0
-        for i in iter_bits(r):
-            acc |= self.below[i]
+        while r:  # iter_bits, inlined: the planners call this for every unit
+            low = r & -r
+            acc |= below[low.bit_length() - 1]
+            r ^= low
         return acc
 
     def future(self, r: int) -> int:
@@ -198,17 +201,15 @@ class CausalSite:
         return self.past(a) & self.past(b)
 
     def joint_past(self, a: int, b: int) -> int:
-        return (self.past(a) | self.past(b)) & ~(a | b)
+        return self.past(a | b) & ~(a | b)
 
     def multi_joint_past(self, regions: Sequence[int]) -> int:
         if not regions:
             raise RegionError("region error: multi_joint_past needs at least one region")
-        pasts = 0
         union = 0
         for r in regions:
-            pasts |= self.past(r)
             union |= r
-        return pasts & ~union
+        return self.past(union) & ~union
 
     def initial_elements(self) -> int:
         """Minimal elements of the order."""

@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import lcm, prod
-from operator import itemgetter
 
 from .events import (
     CapacityError,
@@ -319,8 +318,8 @@ def _spacelike_pairs(site: CausalSite) -> tuple[tuple[int, int], ...]:
 # pairs.  A unit is (regions, steps); a step is (past, proxy), with proxy
 # None for a step that is scanned itself, or (stand-ins, fallbacks, cells of
 # past, atoms of the unit) for a step whose scan may be stood in for by the
-# scan of a larger tuple of regions with the same past; of the fallbacks only
-# the last is tried.
+# scan of a larger tuple of regions with the same past, each stand-in keyed
+# (past, regions); of the fallbacks only the last is tried.
 
 
 def _screen(
@@ -347,8 +346,10 @@ def _screen(
     its last fallback: the step is not scanned, and its stats follow from
     its past's cells: each positive one checks every atom of the unit, each
     null one is skipped.  A step whose stand-ins and last fallback all
-    failed is scanned itself.  `fixed` stats lead the report's stats;
-    `tables` may carry cell tables shared with another scan of the model.  `scan` (default `_factorization_failure`) returns
+    failed is scanned itself.  A stand-in's key carries its past, so a unit
+    with several pasts never reuses a scan made under another one.  `fixed`
+    stats lead the report's stats; `tables` may carry cell tables shared
+    with another scan of the model.  `scan` (default `_factorization_failure`) returns
     (failure-or-None, checked, skipped), reported under `count_keys`, and
     `counterexample` (default `_conditional_counterexample`) reports a
     failure.
@@ -356,7 +357,7 @@ def _screen(
     scan = scan or _factorization_failure
     counterexample = counterexample or _conditional_counterexample
     tables = {} if tables is None else tables
-    scans: dict[tuple[int, ...], tuple] = {}
+    scans: dict[tuple[int, tuple[int, ...]], tuple] = {}
     n_units = n_steps = checked = skipped = 0
     fail = None
     for regions, steps in units:
@@ -368,14 +369,14 @@ def _screen(
             else:
                 stand_ins, others, past_cells, atoms = proxy
                 for key in stand_ins:
-                    result = scans.get(key) or scans.setdefault(key, scan(model, key, past, tables=tables))
+                    result = scans.get(key) or scans.setdefault(key, scan(model, key[1], past, tables=tables))
                     if result[0] is None:
                         break
                 else:
                     key = others[-1]
-                    result = scans.get(key) or scans.setdefault(key, scan(model, key, past, tables=tables))
+                    result = scans.get(key) or scans.setdefault(key, scan(model, key[1], past, tables=tables))
                 fail, c, s = result
-                if key != regions:
+                if key[1] != regions:
                     if fail is None:
                         c = (past_cells - s) * atoms
                     else:
@@ -399,141 +400,150 @@ def _screen(
     return CheckReport(condition, HOLDS, stats=stats)
 
 
-# --- pruned pair screening ---------------------------------------------------
+# --- certificate-first planning ----------------------------------------------
 #
-# Conditional independence decomposes: if A ⊥ B | P holds, then A' ⊥ B' | P
-# holds for every A' ⊆ A and B' ⊆ B, since each product-rule identity of the
-# smaller pair is a sum of identities of the larger one over the same cells
-# of P.  So a pair with a held dominator (a larger screened pair with the
-# same P) holds without a scan.  Each pair has two: the A-first one grows A
-# as far as it can, then B; the B-first one grows B first.  If the
-# dependence given P lies in one block K of E_P (below), every pair that
-# does not split K has a dominator that holds.  A whole group can be proved
-# at once: if the elements of E_P, the union of every screened pair with
-# conditioning region P, are mutually independent given each cell of P, then
-# so is every disjoint A, B ⊆ E_P (the chain rule of the semi-graphoid), and
-# one k-region scan is that group's certificate.  A pair tries its
-# certificate, then its A-first and B-first dominators, and is scanned itself
-# only when all failed; a failed stand-in proves nothing, so the first
-# failing pair and its counterexample are those of the full ordinal scan.
+# Conditional independence decomposes: if X1, ..., Xk factorize given P, so
+# does every tuple of disjoint X'i ⊆ Xi, since each product-rule identity of
+# the smaller tuple is a sum of identities of the larger one over the same
+# cells of P.  So a step (regions, P) with a held dominator (a step of the
+# same check with the same P whose regions contain its own) holds without a
+# scan.  A whole group, every step with one P, can be proved at once: if the
+# elements of E_P, the union of the group's regions, are mutually
+# independent given each cell of P, then so is every tuple of disjoint
+# regions inside E_P (decomposition plus the chain rule of the
+# semi-graphoid), and one k-region scan is that group's certificate.  A step
+# tries its certificate, then its A-first dominator and, for a pair (A, B),
+# the A-first dominator of (B, A) with the same P (its B-first one), and is
+# scanned itself only when all failed; a failed stand-in proves nothing, so
+# the first failing step and its counterexample are those of the full
+# ordinal scan.  If the dependence given P lies in one block K of E_P, every
+# pair that does not split K has a dominator that holds.
 
-# The pairwise conditioning rules: each one's P from past(A), past(B) and
-# A|B, and whether pairs touching an initial element are left out.
+
+def _admissible_pasts(site: CausalSite, a: int, b: int) -> tuple[int, ...]:
+    """Every region that contains the mutual past of (a, b) and avoids both futures."""
+    mutual = site.mutual_past(a, b)
+    free = site.full_mask & ~(site.future(a) | site.future(b) | mutual)
+    return tuple(mutual | extra for extra in submasks(free))
+
+
+# The planned pair checks: each one's conditioning regions for a spacelike
+# pair (A, B).  "joint-clear" leaves out the pairs touching an initial element.
 _RULES = {
-    "mutual": (lambda pa, pb, ab: pa & pb, False),  # so1
-    "joint": (lambda pa, pb, ab: (pa | pb) & ~ab, False),  # so2
+    "mutual": lambda site, a, b: (site.past(a) & site.past(b),),  # so1
+    "joint": lambda site, a, b: (site.joint_past(a, b),),  # so2
+    "bell": lambda site, a, b: (site.past(a) & ~a,),  # gen-so[bell]
+    "all": _admissible_pasts,  # gen-so[all]
+    "dissections": lambda site, a, b: tuple(p for p, _ in site.enumerate_dissections(a, b)),  # penrose-percival
 }
-_RULES["joint-clear"] = (_RULES["joint"][0], True)  # so2w
+_RULES["joint-clear"] = _RULES["joint"]  # so2w
 
 
-def _first_extension(site, past_of, grow, p_grow, other, p_other, past, free) -> int:
-    """Lowest bit of `free` that `grow` can take and keep its conditioning region.
+def _check_units(site: CausalSite, check, pairs=None):
+    """The units of a planned check in ordinal order, as (regions, conditioning regions).
 
-    The grown region must stay spacelike to `other` (the bit lies outside
-    other's past and nothing of other lies below it) and the pair must keep
-    the conditioning region `past` under `past_of`; 0 if no bit qualifies.
+    `check` names a rule of `_RULES`, whose units are the spacelike pairs it
+    screens, from `pairs` (default `_spacelike_pairs(site)`); or it is
+    multi-so's tuple size n, whose units are the n-tuples of
+    `_spacelike_tuples`, each given its joint past.
     """
-    below = site.below
-    for e in iter_bits(free):
-        bit = 1 << e
-        if p_other & bit or below[e] & other:
-            continue
-        if past == past_of(p_grow | below[e], p_other, grow | other | bit):
-            return bit
-    return 0
+    if isinstance(check, int):
+        return ((t, (site.multi_joint_past(t),)) for t in _spacelike_tuples(site, check))
+    pasts_of = _RULES[check]
+    excluded = site.initial_elements() if check == "joint-clear" else 0
+    pairs = _spacelike_pairs(site) if pairs is None else pairs
+    return ((pair, pasts_of(site, *pair)) for pair in pairs if not (pair[0] | pair[1]) & excluded)
 
 
 @lru_cache(maxsize=None)
-def _screening_plan(site: CausalSite, rule: str) -> tuple[tuple | None, ...]:
-    """The steps of each pair of `_spacelike_pairs`, None if it is not screened.
+def _screening_plan(site: CausalSite, check, power: int) -> tuple[tuple, ...]:
+    """Every unit of `_check_units(site, check)`, each step with its stand-ins.
 
-    A pair's one step is (P, (stand-ins, fallbacks, |Φ(P)|, |Φ(A)|·|Φ(B)|)),
-    with P its conditioning region under `rule`.  The last stand-in is the
-    A-first dominator: the pair reached by taking the first one-element
-    extension of A, then of B, that is again a screened pair with the same
-    P, for as long as there is one; it is given unordered, as (smaller mask,
-    larger mask), since the product rule is symmetric in A and B.  So the
-    B-first dominator of (A, B) is the A-first one of (B, A): the fallbacks
-    of (A, B) are the stand-ins of (B, A), and the two steps share both
-    lists, swapped.  Extensions come later in pair order, so one backward
-    pass finds every dominator; the fallbacks of (B, A), B > A, are filled
-    in at (A, B), so that step's proxy is a list.  Where P's group (its screened pairs) has more than one maximal
-    pair, the group's certificate stands first: the singletons of E_P, the
-    union of the group's pairs.  With one maximal pair, that pair's scan
-    already covers the group.
+    A unit is (regions, steps), and a step is (P, (stand-ins, fallbacks,
+    |Φ(P)|^power, ∏|Φ(Xi)|^power)); `power` is 2 for the quantal checks,
+    which scan doubled regions and check null pseudo-cells too.  A stand-in
+    is keyed (P, regions), so that no scan is reused under another P.  The
+    last stand-in is the A-first dominator: the step reached by growing the
+    first region by the lowest element that gives another step with the same
+    P, for as long as there is one, then the second region, and so on; its
+    regions are given in ascending order, since the product rule is
+    symmetric in them.  The grown step comes later in ordinal order, so one
+    backward pass finds every dominator, and each step shares the stand-in
+    list of the step it grows into.  The fallbacks are the stand-ins of the
+    reversed pair with the same P (the B-first dominator), where the check
+    has that step, else the step itself.  Where P's group (its steps) has
+    more than one maximal step, the group's certificate stands first: the
+    singletons of E_P, the union of the group's regions.  With one maximal
+    step, that step's scan already covers the group.
     """
-    past_of, clear = _RULES[rule]
-    excluded = site.initial_elements() if clear else 0
-    # each pair's stand-ins: one list per maximal pair, shared by every pair
-    # it dominates, so that a certificate found after the pass goes in front
-    stand_ins: dict[tuple[int, int], list] = {}
-    groups: dict[int, list] = {}  # P: [E_P, the stand-ins of its maximal pairs]
-    plan = []
-    pending: dict[tuple[int, int], list] = {}  # (a, b) with a > b: its proxy
-    for pair in reversed(_spacelike_pairs(site)):
-        a, b = pair
-        if (a | b) & excluded:
-            plan.append(None)
-            continue
-        pa, pb = site.past(a), site.past(b)
-        past = past_of(pa, pb, a | b)
-        free = site.full_mask & ~(a | b | excluded)
-        group = groups.setdefault(past, [0, []])
-        group[0] |= a | b
-        if bit := _first_extension(site, past_of, a, pa, b, pb, past, free):
-            keys = stand_ins[a | bit, b]
-        elif bit := _first_extension(site, past_of, b, pb, a, pa, past, free):
-            keys = stand_ins[a, b | bit]
-        elif (keys := stand_ins.get((b, a))) is None:
-            keys = [(a, b) if a < b else (b, a)]
-            group[1].append(keys)
-        stand_ins[pair] = keys
-        if a > b:  # its fallbacks are the stand-ins of (b, a), met later
-            atoms = n_configs(site, a) * n_configs(site, b)
-            proxy = pending[pair] = [keys, None, n_configs(site, past), atoms]
-        else:
-            rkeys, _, cells, atoms = reverse = pending.pop((b, a))
-            reverse[1] = keys
-            proxy = (keys, rkeys, cells, atoms)
-        plan.append(((past, proxy),))
-    # `_screen` keys a scan by its regions alone, so a union shared by two
-    # pasts is made the certificate of only one of them
-    for union, maximal in dict(groups.values()).items():
+    units = tuple(_check_units(site, check))
+    # a pair check lists both (A, B) and (B, A); multi-so lists each tuple once, ascending
+    ordered = not isinstance(check, int)
+    groups: dict[int, tuple[dict, dict]] = {}  # P: (stand-ins by step, by maximal step)
+    full = site.full_mask
+    for regions, pasts in reversed(units):
+        free = full & ~sum(regions)  # the regions are disjoint
+        for past in pasts:
+            if (group := groups.get(past)) is None:
+                group = groups[past] = ({}, {})
+            steps, maximal = group
+            keys = None
+            for i, region in enumerate(regions):
+                head, tail, rest = regions[:i], regions[i + 1 :], free
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    grown = head + (region | bit,) + tail
+                    if keys := steps.get(grown if ordered else tuple(sorted(grown))):
+                        break
+                if keys:
+                    break
+            else:
+                ascending = tuple(sorted(regions))
+                keys = maximal.setdefault(ascending, [(past, ascending)])
+            steps[regions] = keys
+    for past, (_, maximal) in groups.items():
         if len(maximal) > 1:
-            certificate = tuple(1 << e for e in iter_bits(union))
-            for keys in maximal:
+            union = 0
+            for regions in maximal:
+                union |= sum(regions)
+            certificate = (past, tuple(1 << e for e in iter_bits(union)))
+            for keys in maximal.values():
                 keys.insert(0, certificate)
-    plan.reverse()
+    configs = [n_configs(site, r) ** power for r in site.regions()]
+    plan = []
+    for regions, pasts in units:
+        atoms = 1
+        for r in regions:
+            atoms *= configs[r]
+        steps = []
+        for past in pasts:
+            keys_of = groups[past][0]
+            others = keys_of.get(regions[::-1]) or ((past, regions),)
+            steps.append((past, (keys_of[regions], others, configs[past], atoms)))
+        plan.append((regions, tuple(steps)))
     return tuple(plan)
 
 
-def _screening_units(site: CausalSite, rule: str, power: int = 1, pairs=None):
-    """The units of a pairwise check under `rule`, from `_screening_plan`.
+def _screening_units(site: CausalSite, check, power: int = 1, pairs=None):
+    """The units of a planned check, from `_screening_plan(site, check, power)`.
 
-    The first screened pair comes first, as its own dominator, and the plan
-    is built only after it, so a check that fails there builds no plan.
-    With `power` 2 (the quantal checks, which check null pseudo-cells too) a
-    step's counts are squared.  `pairs` defaults to `_spacelike_pairs(site)`;
-    the quantal checks list theirs through quantal's own binding, whose patch
+    The first unit comes first, each of its steps scanned itself, and the
+    plan is built only after it, so a check that fails there builds no plan.
+    `pairs` lists a pair check's pairs for that first unit; the quantal
+    checks list theirs through quantal's own binding, whose patch
     perfbench's tracer test checks.
     """
-    past_of, clear = _RULES[rule]
-    excluded = site.initial_elements() if clear else 0
-    pairs = _spacelike_pairs(site) if pairs is None else pairs
-    first = next((i for i, (a, b) in enumerate(pairs) if not (a | b) & excluded), None)
+    first = next(_check_units(site, check, pairs), None)
     if first is None:
         return
-    a, b = pair = pairs[first]
-    keys = (pair,)
-    yield pair, ((past_of(site.past(a), site.past(b), a | b), (keys, keys, 0, 0)),)
-    rest = itertools.islice(zip(pairs, _screening_plan(site, rule)), first + 1, None)
-    if power == 1:
-        yield from filter(itemgetter(1), rest)
-        return
-    for pair, steps in rest:
-        if steps is not None:
-            ((past, (keys, rkeys, cells, atoms)),) = steps
-            yield pair, ((past, (keys, rkeys, cells**power, atoms**power)),)
+    regions, pasts = first
+    steps = []
+    for past in pasts:
+        keys = ((past, regions),)
+        steps.append((past, (keys, keys, 0, 0)))
+    yield regions, tuple(steps)
+    yield from itertools.islice(_screening_plan(site, check, power), 1, None)
 
 
 def _pairwise_screening(
@@ -542,7 +552,7 @@ def _pairwise_screening(
     """Screen the units of `_screening_units` in order, each stand-in scanned once."""
     units = _screening_units(model.site, rule)
     note = "conditional product rule fails for this atom pair given C"
-    if _RULES[rule][1]:
+    if rule == "joint-clear":
         reason = "no spacelike region pairs clear of the initial elements"
     else:
         reason = "no spacelike pairs of disjoint nonempty regions"
@@ -572,22 +582,21 @@ def check_so2w(model: StochasticModel) -> CheckReport:
 SELECTOR_NAMES = ("mutual", "joint", "bell", "all")
 
 
-def _admissible_or_raise(site: CausalSite, past: int, ra: int, rb: int) -> None:
-    if site.mutual_past(ra, rb) & ~past:
-        problem = "does not contain the mutual past"
-    elif past & (site.future(ra) | site.future(rb)):
-        problem = "intersects the future of the pair"
-    else:
-        return
-    raise SelectorError(
-        f"selector error: region {site.region_ids(past)} for pair "
-        f"({site.region_ids(ra)}, {site.region_ids(rb)}) {problem}"
-    )
-
-
-def _bell(site: CausalSite, ra: int, rb: int) -> int:
-    """Bell's conditioning region: the past of the first region, minus the region."""
-    return site.past(ra) & ~ra
+def _admissible_or_raise(site: CausalSite, pasts, ra: int, rb: int) -> None:
+    """Raise for the first of `pasts` that misses the mutual past of the pair or meets its future."""
+    mutual = site.mutual_past(ra, rb)
+    futures = site.future(ra) | site.future(rb)
+    for past in pasts:
+        if mutual & ~past:
+            problem = "does not contain the mutual past"
+        elif past & futures:
+            problem = "intersects the future of the pair"
+        else:
+            continue
+        raise SelectorError(
+            f"selector error: region {site.region_ids(past)} for pair "
+            f"({site.region_ids(ra)}, {site.region_ids(rb)}) {problem}"
+        )
 
 
 def check_generalized_so(model: StochasticModel, selector="mutual") -> CheckReport:
@@ -597,8 +606,10 @@ def check_generalized_so(model: StochasticModel, selector="mutual") -> CheckRepo
     (the past of the first region minus the region itself), "all" (every
     region that contains the mutual past and avoids both futures) — or a
     callable (site, region_a, region_b) -> region.  Every selected region
-    is validated against those two constraints as its pair streams; "mutual"
-    and "joint" stream the pruned walks of so1 and so2.
+    is validated against those two constraints as its pair streams.  The
+    built-in selectors stream the planned walk of their rule in `_RULES`
+    ("mutual" and "joint" share the plans of so1 and so2); a callable one
+    is scanned pair by pair.
     """
     site = model.site
     label = selector if isinstance(selector, str) else getattr(selector, "__name__", "custom")
@@ -609,24 +620,16 @@ def check_generalized_so(model: StochasticModel, selector="mutual") -> CheckRepo
         )
 
     def units():
-        if selector == "all":
-            for ra, rb in _spacelike_pairs(site):
-                p1 = site.mutual_past(ra, rb)
-                free = site.full_mask & ~(site.future(ra) | site.future(rb)) & ~p1
-                yield (ra, rb), [(p1 | extra, None) for extra in submasks(free)]
-            return
-        if isinstance(selector, str) and selector in _RULES:
+        if isinstance(selector, str):
             selected = _screening_units(site, selector)
         else:
-            select = _bell if selector == "bell" else selector
             selected = (
-                (pair, ((site.check_region(select(site, *pair)), None),))
+                (pair, ((site.check_region(selector(site, *pair)), None),))
                 for pair in _spacelike_pairs(site)
             )
-        for unit in selected:
-            pair, ((past, _),) = unit
-            _admissible_or_raise(site, past, *pair)
-            yield unit
+        for pair, steps in selected:
+            _admissible_or_raise(site, [past for past, _ in steps], *pair)
+            yield pair, steps
 
     note = f"conditional product rule fails for this atom pair given C (selector {label})"
     return _screen(
@@ -639,15 +642,13 @@ def check_generalized_so(model: StochasticModel, selector="mutual") -> CheckRepo
     )
 
 
-@lru_cache(maxsize=None)
-def _spacelike_tuples(site: CausalSite, n: int) -> tuple[tuple[int, ...], ...]:
-    """All ascending n-tuples of pairwise-disjoint pairwise-spacelike regions."""
+def _spacelike_tuples(site: CausalSite, n: int):
+    """Every ascending n-tuple of pairwise-disjoint pairwise-spacelike regions, lazily."""
     if n > site.n:  # n disjoint nonempty regions need n elements
-        return ()
+        return
     full = site.full_mask
-    out: list[tuple[int, ...]] = []
 
-    def extend(start: int, chosen: tuple[int, ...], used: int) -> None:
+    def extend(start: int, chosen: tuple[int, ...], used: int):
         for r in range(start, full + 1):
             if r & used:
                 continue
@@ -655,12 +656,11 @@ def _spacelike_tuples(site: CausalSite, n: int) -> tuple[tuple[int, ...], ...]:
                 continue
             grown = chosen + (r,)
             if len(grown) == n:
-                out.append(grown)
+                yield grown
             else:
-                extend(r + 1, grown, used | r)
+                yield from extend(r + 1, grown, used | r)
 
-    extend(1, (), 0)
-    return tuple(out)
+    yield from extend(1, (), 0)
 
 
 def check_multi_so(model: StochasticModel, n: int) -> CheckReport:
@@ -670,19 +670,16 @@ def check_multi_so(model: StochasticModel, n: int) -> CheckReport:
     of atoms, the joint conditional measure must equal the product of the
     atom conditionals, given any positive-measure full specification of the
     tuple's joint past.  The factorization is checked directly, so no
-    pairwise-correlation precondition is needed.
+    pairwise-correlation precondition is needed.  The tuples stream the
+    planned walk of `_screening_units(site, n)`: the tuples with one joint
+    past share that group's certificate.
     """
     if n < 2:
         raise ValueError("check_multi_so requires n >= 2")
-    site = model.site
-    units = (
-        (regions, ((site.multi_joint_past(list(regions)), None),))
-        for regions in _spacelike_tuples(site, n)
-    )
     return _screen(
         model,
         f"multi-so[n={n}]",
-        units,
+        _screening_units(model.site, n),
         "joint conditional factorization fails for this atom tuple given C",
         f"no {n}-tuples of pairwise-spacelike disjoint regions",
         names=tuple(f"A{i + 1}" for i in range(n)),
@@ -1144,15 +1141,13 @@ def check_penrose_percival(model: StochasticModel) -> CheckReport:
 
     This condition is strictly stronger than conditioning on the mutual past
     and is probed, not asserted: the report carries the plain mutual-past
-    verdict alongside, so the two can be compared.
+    verdict alongside, so the two can be compared.  Each pair is a unit with
+    one step per dissection, and the planned walk proves each dissection's
+    group of pairs with one certificate where it can.  The dissection scan
+    shares so1's cell tables.
     """
-    site = model.site
     tables: dict = {}
     so1 = _pairwise_screening(model, "so1", "mutual", tables=tables)
-    units = (
-        ((ra, rb), ((pd, None) for pd, _sides in site.enumerate_dissections(ra, rb)))
-        for ra, rb in _spacelike_pairs(site)
-    )
     note = (
         "conjecture probe: conditioning on a full specification of a "
         "dissection of the joint past fails to screen this atom pair"
@@ -1160,7 +1155,7 @@ def check_penrose_percival(model: StochasticModel) -> CheckReport:
     return _screen(
         model,
         "penrose-percival",
-        units,
+        _screening_units(model.site, "dissections"),
         note,
         step_key="dissections",
         fixed={"so1_verdict": so1.verdict},

@@ -356,15 +356,14 @@ class TestCellTables:
 
     def test_penrose_percival_shares_its_tables_with_so1(self, monkeypatch):
         # 7 leaves: each pair's only dissection is the root, so the dissection
-        # scan needs the root with 2..7 leaves, 2^7 - 7 - 1 = 120 unions, and
-        # so1's one union (the whole site) is among them
+        # walk is so1's, the first pair and then the 7 leaves given the root,
+        # and it reads both of its unions from the tables so1 built
         model = _common_cause(7)
         calls = _counting(monkeypatch, "_cell_weights")
         report = check_penrose_percival(model)
         assert report.verdict == HOLDS
         assert report.stats["so1_verdict"] == HOLDS
-        assert len(calls) == 120
-        assert len({sum(regions) for (_, regions), _ in calls}) == 120
+        assert [sum(regions) for (_, regions), _ in calls] == [0b111, model.site.full_mask]
 
 
 class TestPrunedScreening:
@@ -407,8 +406,8 @@ class TestPrunedScreening:
     def test_plan_is_cached_per_site_and_rule(self):
         site = _common_cause(4).site
         for rule in ("mutual", "joint", "joint-clear"):
-            plan = stochastic._screening_plan(site, rule)
-            assert stochastic._screening_plan(site, rule) is plan
+            plan = stochastic._screening_plan(site, rule, 1)
+            assert stochastic._screening_plan(site, rule, 1) is plan
             assert len(plan) == len(stochastic._spacelike_pairs(site))
 
 
@@ -567,7 +566,7 @@ class TestMultiSO:
 
         small = StochasticModel(antichain(3), [F(1, 8)] * 8)
         for n in (2, 3, 4):
-            assert stochastic._spacelike_tuples(small.site, n) == every_tuple(small.site, n)
+            assert tuple(stochastic._spacelike_tuples(small.site, n)) == every_tuple(small.site, n)
         with monkeypatch.context() as m:
             m.setattr(stochastic, "_spacelike_tuples", every_tuple)
             want = check_multi_so(small, 13).to_json_dict()

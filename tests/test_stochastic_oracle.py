@@ -2,14 +2,16 @@
 
 The reference code below is the per-pair scan the classical checks used
 before one cell table per region union was shared across a check, and
-before so1, so2 and so2w skipped the pairs a larger held pair vouches for:
+before the planned checks skipped the units a larger held scan vouches for:
 ``ref_cell_weights`` rescans every history into the (past, A, B) table of a
 single pair, ``ref_factorization_failure`` walks that table atom by atom,
-``ref_pairwise_screening`` scans every pair in order, and ``ref_wrc`` runs
-the common-correlate search over each pair's table.  The pairwise checks
-are rebuilt on the reference scan, and every report's ``to_json_dict()``
-(which carries no ``runtime_ms``) and every error text is compared with the
-program's byte for byte.
+``ref_pairwise_screening`` scans every pair in order, ``ref_units`` lists
+the ordinal units of the other planned checks (gen-so's built-in
+selectors, multi-so, penrose-percival's dissections) from ``CausalSite``
+methods alone, and ``ref_wrc`` runs the common-correlate search over each
+pair's table.  The checks are rebuilt on the reference scan, and every
+report's ``to_json_dict()`` (which carries no ``runtime_ms``) and every
+error text is compared with the program's byte for byte.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import screenoff.stochastic as stochastic
@@ -301,9 +303,41 @@ def _outcome(run) -> str:
         return f"{type(e).__name__}: {e}"
 
 
-# The conditioning region of every pair under gen-so's built-in rule
-# selectors, by check label.
-REF_SELECTOR_PASTS = {"gen-so[mutual]": CausalSite.mutual_past, "gen-so[joint]": CausalSite.joint_past}
+def ref_spacelike_pairs(site: CausalSite) -> list[tuple[int, int]]:
+    """Every ordered pair of disjoint nonempty spacelike regions, ascending."""
+    regions = range(1, site.full_mask + 1)
+    return [(a, b) for a in regions for b in regions if not a & b and site.spacelike(a, b)]
+
+
+def ref_spacelike_tuples(site: CausalSite, n: int) -> list[tuple[int, ...]]:
+    """Every ascending n-tuple of pairwise-disjoint pairwise-spacelike regions."""
+    return [t for t in itertools.combinations(range(1, site.full_mask + 1), n)
+            if all(not x & y and site.spacelike(x, y) for x, y in itertools.combinations(t, 2))]
+
+
+# The conditioning regions of each pair under the planned pair checks other
+# than so1, so2 and so2w, by check label, in ascending order.
+REF_PAIR_PASTS = {
+    "gen-so[mutual]": lambda site, a, b: [site.mutual_past(a, b)],
+    "gen-so[joint]": lambda site, a, b: [site.joint_past(a, b)],
+    "gen-so[bell]": lambda site, a, b: [site.past(a) & ~a],
+    "gen-so[all]": lambda site, a, b: [
+        p for p in site.regions()
+        if not site.mutual_past(a, b) & ~p and not p & (site.future(a) | site.future(b))
+    ],
+    "penrose-percival": lambda site, a, b: [p for p, _ in site.enumerate_dissections(a, b)],
+}
+
+
+def ref_units(label: str, site: CausalSite):
+    """The ordinal unit stream of a planned check, every step scanned itself."""
+    if label.startswith("multi-so[n="):
+        n = int(label[len("multi-so[n="):-1])
+        for regions in ref_spacelike_tuples(site, n):
+            yield regions, ((site.multi_joint_past(regions), None),)
+        return
+    for a, b in ref_spacelike_pairs(site):
+        yield (a, b), tuple((past, None) for past in REF_PAIR_PASTS[label](site, a, b))
 
 
 def _reference_outcome(label, run, model) -> str:
@@ -320,16 +354,9 @@ def _reference_outcome(label, run, model) -> str:
             "_pairwise_screening",
             lambda model, condition, *args, **kwargs: REF_SCREENING[condition](model),
         )
-        # and so do gen-so[mutual] and gen-so[joint], given the past the label names
-        if label in REF_SELECTOR_PASTS:
-            past_of = REF_SELECTOR_PASTS[label]
-            m.setattr(
-                stochastic,
-                "_screening_units",
-                lambda site, rule: (
-                    (pair, ((past_of(site, *pair), None),)) for pair in stochastic._spacelike_pairs(site)
-                ),
-            )
+        # and every other planned check scans its ordinal units, listed here
+        m.setattr(stochastic, "_screening_units", lambda site, check, *args: ref_units(label, site))
+        m.setattr(stochastic, "_screening_plan", None)
         return _outcome(lambda: run(model))
 
 
@@ -496,14 +523,19 @@ SCREENING = (
     ("gen-so[mutual]", lambda m: check_generalized_so(m, "mutual")),
     ("gen-so[joint]", lambda m: check_generalized_so(m, "joint")),
     ("penrose-percival", check_penrose_percival),
+    ("gen-so[bell]", lambda m: check_generalized_so(m, "bell")),
+    ("gen-so[all]", lambda m: check_generalized_so(m, "all")),
+    ("multi-so[n=2]", lambda m: check_multi_so(m, 2)),
+    ("multi-so[n=3]", lambda m: check_multi_so(m, 3)),
 )
 
 
 def assert_screening_matches_reference(model: StochasticModel) -> dict[str, dict | str]:
-    """so1, so2, so2w, gen-so[mutual|joint] and penrose-percival against the full ordinal scan.
+    """Every planned check against the full ordinal scan.
 
     Each report is returned as a dict, or as its error text if the check
-    raised (gen-so[joint] does on a pair with a non-convex region).
+    raised (gen-so[joint] and gen-so[bell] do on a pair with a non-convex
+    region).
     """
     reports = {}
     for label, run in SCREENING:
@@ -608,8 +640,8 @@ def test_so2w_with_initial_elements_blocking_extensions(seed):
     reports = assert_screening_matches_reference(local_dynamics(rng, site, zero_share=0.2))
     assert reports["so2w"]["verdict"] == HOLDS
     assert reports["so2w"]["stats"]["region_pairs"] < reports["so2"]["stats"]["region_pairs"]
-    plan_so2 = stochastic._screening_plan(site, "joint")
-    plan_so2w = stochastic._screening_plan(site, "joint-clear")
+    plan_so2 = stochastic._screening_plan(site, "joint", 1)
+    plan_so2w = stochastic._screening_plan(site, "joint-clear", 1)
     assert plan_so2w != plan_so2
 
 
@@ -744,19 +776,21 @@ def test_a_pair_and_its_reverse_share_two_stand_in_lists(shape):
     # the fallbacks of (a, b) are the stand-ins of (b, a), so the plan keeps
     # one pair of lists per dominator, never a list per pair
     site = PRUNING_SITES.get(shape) or CausalSite([(f"s{i}", 2) for i in range(5)])
-    pairs = stochastic._spacelike_pairs(site)
+    init = site.initial_elements()
     for rule in ("mutual", "joint", "joint-clear"):
-        steps = dict(zip(pairs, stochastic._screening_plan(site, rule)))
+        steps = dict(stochastic._screening_plan(site, rule, 1))
+        # the plan lists every screened pair, in pair order
+        assert list(steps) == [(a, b) for a, b in stochastic._spacelike_pairs(site)
+                               if rule != "joint-clear" or not (a | b) & init]
         for (a, b), step in steps.items():
-            if step is None:
-                assert steps[b, a] is None
-                continue
             ((past, (keys, others, cells, atoms)),) = step
             ((r_past, (r_keys, r_others, r_cells, r_atoms)),) = steps[b, a]
             assert keys is r_others and others is r_keys
             assert (past, cells, atoms) == (r_past, r_cells, r_atoms)
-            # the last of each list covers the pair, A-first and B-first
-            for x, y in (keys[-1], others[-1]):
+            # each stand-in is keyed by its past, and the last of each list
+            # covers the pair, A-first and B-first
+            assert {key_past for key_past, _ in (*keys, *others)} == {past}
+            for _, (x, y) in (keys[-1], others[-1]):
                 assert (a & ~x, b & ~y) == (0, 0) or (a & ~y, b & ~x) == (0, 0)
 
 
@@ -781,14 +815,77 @@ def test_a_product_on_an_antichain_is_certified_at_once(alphabets, monkeypatch):
     # every pair has the empty past, and every site is independent of the
     # others: after the first pair, the certificate of all k sites holds; with
     # k = 2 the one maximal pair is the whole group, so no certificate is tried
+    # gen-so[bell] and the dissection walk of penrose-percival, whose only P
+    # is the empty past too, make so1's scans; multi-so[n=3] scans its first
+    # triple, then the same certificate, which on 3 sites is that triple
+    # itself (and on 2 sites there is no triple)
     model = product_on_antichain(random.Random(f"certified {alphabets}"), alphabets)
     reports = assert_screening_matches_reference(model)
     assert reports["so1"]["verdict"] == reports["so2"]["verdict"] == HOLDS
     assert reports["so2w"]["verdict"] == VACUOUS
     scans = recorded_scans(monkeypatch)
-    check_so1(model)
-    singletons = tuple(1 << e for e in range(len(alphabets)))
-    assert scans == [((1, 2), 0)] + ([(singletons, 0)] if len(alphabets) > 2 else [])
+    k = len(alphabets)
+    certificate = [(tuple(1 << e for e in range(k)), 0)] if k > 2 else []
+    so1 = [((1, 2), 0)] + certificate
+    want = {
+        "so1": so1,
+        "gen-so[bell]": so1,
+        "penrose-percival": so1 + so1,  # its so1 verdict, then its dissection walk
+        "multi-so[n=3]": [((1, 2, 4), 0)] + (certificate if k > 3 else []) if k > 2 else [],
+    }
+    for label, run in SCREENING:
+        if label in want:
+            del scans[:]
+            run(model)
+            assert scans == want[label], label
+
+
+def test_a_late_violation_is_the_ordinal_one_in_every_planned_check(monkeypatch):
+    # leaves l3 and l4 are tied beyond the root: the certificate of the
+    # leaves fails, and every planned check reaches the first failing unit,
+    # counterexample and stats of its ordinal scan, late in its walk
+    model = leaves_below_a_root(5, (1, 1, 2), coupled=(3, 4))
+    reports = assert_screening_matches_reference(model)
+    scans = recorded_scans(monkeypatch)
+    walks = {}
+    for label, run in SCREENING:
+        stats = reports[label]["stats"]
+        assert reports[label]["verdict"] == VIOLATED, label
+        assert stats.get("region_pairs", stats.get("region_tuples")) > 10, label
+        del scans[:]
+        run(model)
+        walks[label] = list(scans)
+        assert (tuple(1 << e for e in range(1, 6)), 1) in scans, label
+    # each pair's only dissection is the root, its mutual past: the
+    # dissection walk is so1's, after the so1 verdict's own
+    assert walks["penrose-percival"] == walks["so1"] * 2
+
+
+@settings(max_examples=50)
+@given(seed=st.integers(0, 10**6), n_elements=st.integers(3, 6),
+       weights=st.sampled_from(["product", "local", "random"]))
+def test_planned_checks_on_drawn_posets(seed, n_elements, weights):
+    # any order, so regions may be non-convex and gen-so[joint] and
+    # gen-so[bell] may raise; a product measure holds everywhere, local
+    # dynamics hold so1 and so2, and random weights (some 0) mostly fail
+    # early; every gen-so selector, multi-so and penrose-percival is the
+    # ordinal scan's, error texts included
+    rng = random.Random(seed)
+    alphabets = [rng.choice((2, 3)) if n_elements < 5 else 2 for _ in range(n_elements)]
+    relations = [(f"e{i}", f"e{j}") for i, j in itertools.combinations(range(n_elements), 2)
+                 if rng.random() < 0.3]
+    site = CausalSite([(f"e{i}", k) for i, k in enumerate(alphabets)], relations)
+    if weights == "local":
+        model = local_dynamics(rng, site, zero_share=0.2)
+    elif weights == "product":
+        model = local_dynamics(rng, CausalSite([(f"e{i}", k) for i, k in enumerate(alphabets)]))
+        model = StochasticModel(site, model.weights)
+    else:
+        nums = [rng.choice((0, 0, 1, 2, 3)) for _ in range(n_histories(site))]
+        nums[rng.randrange(len(nums))] += 1
+        model = StochasticModel(site, [F(x, sum(nums)) for x in nums])
+    for label, run in SCREENING[3:]:
+        assert _outcome(lambda: run(model)) == _reference_outcome(label, run, model), label
 
 
 @pytest.mark.parametrize("coupled", list(itertools.combinations(range(7), 2)))
