@@ -66,11 +66,14 @@ def _human_report(report: CheckReport) -> str:
     return "\n".join(lines)
 
 
+def _print_json(payload: dict, started: float) -> None:
+    payload["runtime_ms"] = int((time.monotonic() - started) * 1000)
+    print(json.dumps(payload, sort_keys=True, indent=2))
+
+
 def _emit_report(report: CheckReport, args, started: float) -> int:
     if args.format == "json":
-        payload = report.to_json_dict()
-        payload["runtime_ms"] = int((time.monotonic() - started) * 1000)
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        _print_json(report.to_json_dict(), started)
     else:
         print(_human_report(report))
     return 1 if report.verdict == VIOLATED else 0
@@ -117,8 +120,7 @@ def _cmd_validate(args) -> int:
             "sites": len(site.elements),
             "histories": n,
         }
-        payload["runtime_ms"] = int((time.monotonic() - started) * 1000)
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        _print_json(payload, started)
     else:
         print(f"valid {kind} model: {len(site.elements)} sites, {n} histories")
         print(_human_report(report))
@@ -163,13 +165,8 @@ def _cmd_find(args) -> int:
     site = model.site
     refs = [event_ref(site, m) for m in masks]
     if args.format == "json":
-        payload = {
-            "op": f"find-{args.what}",
-            "count": len(refs),
-            "events": [r.to_json() for r in refs],
-            "runtime_ms": int((time.monotonic() - started) * 1000),
-        }
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        payload = {"op": f"find-{args.what}", "count": len(refs), "events": [r.to_json() for r in refs]}
+        _print_json(payload, started)
     else:
         noun = "screening" if args.what == "screening" else "independence-breaking"
         print(f"{len(refs)} {noun} event(s)")
@@ -201,19 +198,16 @@ def _cmd_corpus(args) -> int:
     if args.action == "list":
         entries = corpus_mod.corpus_entries()
         if args.format == "json":
-            payload = {
-                "entries": [
-                    {
-                        "name": e.name,
-                        "kind": corpus_mod.model_kind(e.model),
-                        "expected": dict(sorted(e.expected.items())),
-                        "named_events": dict(sorted(e.named_events.items())),
-                    }
-                    for e in entries
-                ],
-                "runtime_ms": int((time.monotonic() - started) * 1000),
-            }
-            print(json.dumps(payload, sort_keys=True, indent=2))
+            entries_json = [
+                {
+                    "name": e.name,
+                    "kind": corpus_mod.model_kind(e.model),
+                    "expected": dict(sorted(e.expected.items())),
+                    "named_events": dict(sorted(e.named_events.items())),
+                }
+                for e in entries
+            ]
+            _print_json({"entries": entries_json}, started)
         else:
             for e in entries:
                 kind = corpus_mod.model_kind(e.model)

@@ -288,13 +288,13 @@ def _deep_past() -> CorpusEntry:
 # -- quantal catalogue ------------------------------------------------------
 
 
+def _decohered(m: StochasticModel) -> QuantalModel:
+    """The measure of `m` on the diagonal of an otherwise zero matrix."""
+    ints = [[(w, 0) if h == g else (0, 0) for g in range(len(m._nums))] for h, w in enumerate(m._nums)]
+    return QuantalModel._from_scaled(m.site, m._den, ints)
+
+
 def _diagonal_embedding(base: CorpusEntry) -> CorpusEntry:
-    model = base.model
-    assert isinstance(model, StochasticModel)
-    n = len(model.weights)
-    entries = [
-        [model.weights[h] if h == g else 0 for g in range(n)] for h in range(n)
-    ]
     expected = {"diag-reduce": HOLDS}
     if "so1" in base.expected:
         expected["qso1"] = base.expected["so1"]
@@ -302,7 +302,7 @@ def _diagonal_embedding(base: CorpusEntry) -> CorpusEntry:
         expected["qso2"] = base.expected["so2"]
     return CorpusEntry(
         name=base.name + "_diag",
-        model=QuantalModel(model.site, entries),
+        model=_decohered(base.model),
         expected=expected,
         named_events=base.named_events,
         note=(
@@ -548,6 +548,8 @@ def _random_site(
 ) -> CausalSite:
     if n_sites < 1:
         raise ValueError("corpus error: n_sites must be at least 1")
+    if max_alphabet < 2:
+        raise ValueError(f"corpus error: max_alphabet must be at least 2, not {max_alphabet}")
     pairs = [
         (f"t{i}", rng.randrange(2, max_alphabet + 1)) for i in range(n_sites)
     ]
@@ -572,8 +574,7 @@ def random_stochastic(
     nums = [rng.randrange(0, 4) for _ in range(n_histories(site))]
     if not any(nums):
         nums[rng.randrange(len(nums))] = 1
-    total = sum(nums)
-    return StochasticModel(site, [F(k, total) for k in nums])
+    return StochasticModel._from_scaled(site, sum(nums), nums)
 
 
 def random_quantal(
@@ -629,9 +630,7 @@ def random_diagonal_quantal(
     seed: int, n_sites: int = 4, max_alphabet: int = 3
 ) -> QuantalModel:
     """A random classical measure embedded on the diagonal."""
-    m = random_stochastic(seed, n_sites, max_alphabet)
-    ints = [[(w, 0) if h == g else (0, 0) for g in range(len(m._nums))] for h, w in enumerate(m._nums)]
-    return QuantalModel._from_scaled(m.site, m._den, ints)
+    return _decohered(random_stochastic(seed, n_sites, max_alphabet))
 
 
 def random_deterministic_local(

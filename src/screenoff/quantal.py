@@ -194,12 +194,13 @@ class QuantalModel:
 
     def d_value(self, left: int, right: int) -> ComplexFraction:
         """The matrix summed over an ordered pair of events."""
-        total = CF_ZERO
+        re = im = 0
         for h in iter_bits(left):
-            row = self.entries[h]
+            row = self._ints[h]
             for g in iter_bits(right):
-                total = total + row[g]
-        return total
+                x, y = row[g]
+                re, im = re + x, im + y
+        return ComplexFraction(Fraction(re, self._den), Fraction(im, self._den))
 
     def mu_hat(self, p: PseudoEvent) -> ComplexFraction:
         """The complex measure of a pseudo-event."""
@@ -550,13 +551,13 @@ def diagonal_reduction(q: QuantalModel) -> CheckReport:
                     f"quantal error: off-diagonal entry at ({h}, {g}); "
                     "diagonal reduction needs a fully decohered matrix"
                 )
-    weights = []
+    nums = []
     for h in range(n):
         re, im = q._ints[h][h]
         if im != 0:
             raise QuantalError(f"quantal error: diagonal entry {h} is not real")
-        weights.append(Fraction(re, q._den))
-    induced = StochasticModel(site, weights)
+        nums.append(re)
+    induced = StochasticModel._from_scaled(site, q._den, nums)
     so = check_so1(induced)
     qso = check_qso1(q)
     stats = {"so1_verdict": so.verdict, "qso1_verdict": qso.verdict}

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .events import (
     CapacityError,
@@ -66,41 +66,56 @@ class StochasticModel:
     """An exact probability measure on the histories of a causal site.
 
     ``weights[h]`` is the probability of history index ``h``; weights must be
-    nonnegative rationals summing to exactly 1.
+    nonnegative rationals summing to exactly 1.  The model holds them as
+    integer numerators ``_nums`` over one reduced denominator ``_den``
+    (``gcd(_den, *_nums) == 1``); ``weights`` is a view built on first use.
     """
 
-    __slots__ = ("site", "weights", "_nums", "_den")
+    __slots__ = ("site", "_den", "_nums", "_weight_view")
 
     def __init__(self, site: CausalSite, weights) -> None:
+        ws = [Fraction(w) for w in weights]
+        den = lcm(*(w.denominator for w in ws))
+        self._setup(site, den, [w.numerator * (den // w.denominator) for w in ws])
+
+    @classmethod
+    def _from_scaled(cls, site: CausalSite, den: int, nums) -> "StochasticModel":
+        """A model from integer numerators over a positive `den`."""
+        return cls.__new__(cls)._setup(site, den, nums)
+
+    def _setup(self, site: CausalSite, den: int, nums) -> "StochasticModel":
         n = n_histories(site)
-        ws = tuple(Fraction(w) for w in weights)
-        if len(ws) != n:
+        if len(nums) != n:
             raise MeasureError(
-                f"measure error: dimension mismatch: got {len(ws)} weights "
+                f"measure error: dimension mismatch: got {len(nums)} weights "
                 f"for a history space of size {n}"
             )
-        for h, w in enumerate(ws):
+        for h, w in enumerate(nums):
             if w < 0:
-                raise MeasureError(f"measure error: negative weight {w} at history {h}")
-        total = sum(ws)
-        if total != 1:
-            raise MeasureError(f"measure error: normalization: weights sum to {total}, not 1")
-        den = lcm(*(w.denominator for w in ws))
-        self.site = site
-        self.weights = ws
-        self._den = den
-        self._nums = tuple(int(w * den) for w in ws)
+                raise MeasureError(f"measure error: negative weight {Fraction(w, den)} at history {h}")
+        if sum(nums) != den:
+            raise MeasureError(f"measure error: normalization: weights sum to {Fraction(sum(nums), den)}, not 1")
+        g = gcd(*nums)  # divides their sum, den: dividing it out makes (_den, _nums) canonical
+        self.site, self._den, self._nums = site, den // g, tuple(w // g for w in nums)
+        self._weight_view = None
+        return self
+
+    @property
+    def weights(self) -> tuple[Fraction, ...]:
+        if self._weight_view is None:
+            self._weight_view = tuple(Fraction(w, self._den) for w in self._nums)
+        return self._weight_view
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StochasticModel):
             return NotImplemented
-        return self.site == other.site and self.weights == other.weights
+        return self.site == other.site and self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
-        return hash((self.site, self.weights))
+        return hash((self.site, self._den, self._nums))
 
     def __repr__(self) -> str:
-        return f"StochasticModel(site={self.site!r}, n_histories={len(self.weights)})"
+        return f"StochasticModel(site={self.site!r}, n_histories={len(self._nums)})"
 
     def _w(self, event: int) -> int:
         """Scaled weight of an event: mu(event) * common denominator."""
@@ -860,17 +875,20 @@ def _event_pair_vacuous(model: StochasticModel, condition: str, a: int, b: int, 
         condition,
         VACUOUS,
         reason="events are not positively correlated" if positive else "events are not correlated",
-        stats={
-            "mu(A)": format_rational(Fraction(wa, model._den)),
-            "mu(B)": format_rational(Fraction(wb, model._den)),
-            "mu(A&B)": format_rational(Fraction(wab, model._den)),
-        },
+        stats=dict(_event_pair_values(model, a, b)),
+    )
+
+
+def _event_pair_values(model: StochasticModel, a: int, b: int) -> tuple[tuple[str, str], ...]:
+    """mu(A), mu(B) and mu(A&B), rendered."""
+    return tuple(
+        (f"mu({name})", format_rational(Fraction(model._w(e), model._den)))
+        for name, e in (("A", a), ("B", b), ("A&B", a & b))
     )
 
 
 def _no_witness_counterexample(model: StochasticModel, a: int, b: int, note: str) -> Counterexample:
     site = model.site
-    L = model._den
     return Counterexample(
         regions=(
             ("A", site.region_ids(dom(site, a))),
@@ -878,13 +896,8 @@ def _no_witness_counterexample(model: StochasticModel, a: int, b: int, note: str
         ),
         events=(("A", event_ref(site, a)), ("B", event_ref(site, b))),
         values=(
-            ("mu(A)", format_rational(Fraction(model._w(a), L))),
-            ("mu(B)", format_rational(Fraction(model._w(b), L))),
-            ("mu(A&B)", format_rational(Fraction(model._w(a & b), L))),
-            (
-                "product",
-                format_rational(Fraction(model._w(a) * model._w(b), L * L)),
-            ),
+            *_event_pair_values(model, a, b),
+            ("product", format_rational(Fraction(model._w(a) * model._w(b), model._den**2))),
         ),
         note=note,
     )
@@ -1177,7 +1190,7 @@ def deterministic_local_model(model_site: CausalSite, initial_dists, rules) -> S
     """
     site = model_site
     init = site.initial_elements()
-    dists = {}
+    dists, den = {}, 1
     for e in iter_bits(init):
         sid = site.elements[e]
         d = [Fraction(x) for x in initial_dists[sid]]
@@ -1186,11 +1199,12 @@ def deterministic_local_model(model_site: CausalSite, initial_dists, rules) -> S
                 f"measure error: initial distribution for {sid!r} has {len(d)} "
                 f"entries; alphabet size is {site.alphabets[e]}"
             )
-        dists[e] = d
-    weights = []
+        de = lcm(*(x.denominator for x in d))
+        dists[e], den = [x.numerator * (de // x.denominator) for x in d], den * de
+    nums = []
     for h in range(n_histories(site)):
         digs = history_digits(site, h)
-        w = Fraction(1)
+        w = 1
         for e in range(site.n):
             bit = 1 << e
             if init & bit:
@@ -1206,10 +1220,10 @@ def deterministic_local_model(model_site: CausalSite, initial_dists, rules) -> S
                         f"{value!r}, outside its alphabet"
                     )
                 if value != digs[e]:
-                    w = Fraction(0)
+                    w = 0
                     break
-        weights.append(w)
-    return StochasticModel(site, weights)
+        nums.append(w)
+    return StochasticModel._from_scaled(site, den, nums)
 
 
 def deterministic_local_satisfies_so1(
