@@ -31,6 +31,7 @@ from .report import HOLDS, VIOLATED, CheckReport, Counterexample
 from .stochastic import (
     EXHAUSTIVE_EVENT_LIMIT,
     StochasticModel,
+    _deterministic_local,
     check_generalized_so,
     check_multi_so,
     check_pcc_original,
@@ -41,7 +42,6 @@ from .stochastic import (
     check_so2,
     check_so2w,
     check_wrc,
-    deterministic_local_model,
 )
 
 F = Fraction
@@ -646,8 +646,7 @@ def random_deterministic_local(
         nums = [rng.randrange(0, 3) for _ in range(k)]
         if not any(nums):
             nums[rng.randrange(k)] = 1
-        total = sum(nums)
-        dists[site.elements[e]] = [F(x, total) for x in nums]
+        dists[e] = sum(nums), nums
     rules = {}
     for e in range(site.n):
         bit = 1 << e
@@ -664,7 +663,7 @@ def random_deterministic_local(
         rules[site.elements[e]] = lambda cfg, ids=past_ids, tab=table: tab[
             tuple(cfg[s] for s in ids)
         ]
-    return deterministic_local_model(site, dists, rules)
+    return _deterministic_local(site, dists, rules)
 
 
 # -- equivalence fuzzing ----------------------------------------------------

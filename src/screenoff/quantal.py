@@ -35,11 +35,13 @@ from .report import (
 from .stochastic import (
     StochasticModel,
     _atom_coords,
-    _history_cells,
+    _block,
+    _margins,
     _screen,
     _screening_units,
     _spacelike_pairs,
     _union_offsets,
+    _union_table,
     check_so1,
 )
 
@@ -374,13 +376,14 @@ def _cmul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
-def _pair_matrix(q: QuantalModel, regions: tuple[int, ...], offsets) -> tuple[list[int], list[int]]:
+def _pair_matrix(q: QuantalModel, regions: tuple[int, ...]) -> tuple[list[int], list[int]]:
     """d-values between configurations of the union U of disjoint regions.
 
-    `offsets` holds each region's `_union_offsets` in U.  The n_U x n_U matrix
-    is flat and row-major in U's config order, as real and imaginary parts.
+    The n_U x n_U matrix is flat and row-major in U's config order, as real
+    and imaginary parts.
     """
-    union, cells = _history_cells(q.site, regions, offsets)
+    union = sum(regions)  # the regions are disjoint
+    cells = config_indices(q.site, union)
     n = n_configs(q.site, union)
     re, im = [0] * (n * n), [0] * (n * n)
     for row_cell, row in zip(cells, q._ints):
@@ -409,30 +412,19 @@ def _quantal_screening_failure(
     """
     site = q.site
     parts = (past, *regions)
-    union = sum(parts)  # the parts are disjoint
-    offsets = [_union_offsets(site, r, union) for r in parts]
-    if union not in tables:
-        tables[union] = _pair_matrix(q, parts, offsets)
-    re, im = tables[union]
+    union, (re, im) = _union_table(q, parts, tables, _pair_matrix)
     n = n_configs(site, union)
-    doubled_p, *doubled = ([x * n + y for x in o for y in o] for o in offsets)
-    block = doubled[0]
-    for region_offsets in doubled[1:]:
-        block = [b + x for b in block for x in region_offsets]
+    offsets = [_union_offsets(site, r, union) for r in parts]
+    doubled_p, *doubled = (_block(([x * n for x in o], o)) for o in offsets)
+    block = _block(doubled)
     sizes = tuple(map(len, doubled))
     power = len(regions) - 1
     checked = 0
     for p, base in enumerate(doubled_p):
         jr = [re[base + i] for i in block]
         ji = [im[base + i] for i in block]
-        margins, mr, mi = [], jr, ji
-        for size in reversed(sizes[1:]):
-            margins.append(([sum(mr[c::size]) for c in range(size)], [sum(mi[c::size]) for c in range(size)]))
-            mr = [sum(mr[t : t + size]) for t in range(0, len(mr), size)]
-            mi = [sum(mi[t : t + size]) for t in range(0, len(mi), size)]
-        margins.append((mr, mi))
-        margins.reverse()
-        pr, pi = sum(mr), sum(mi)
+        margins = list(zip(_margins(jr, sizes), _margins(ji, sizes)))
+        pr, pi = map(sum, margins[0])
         if power > 1 and not (pr or pi):  # a certificate needs a zero block here
             lhs_re, lhs_im, rhs_re, rhs_im = jr, ji, [0] * len(jr), [0] * len(jr)
         else:

@@ -151,41 +151,51 @@ def correlated(model: StochasticModel, a: int, b: int) -> bool:
 #
 # For pairwise-disjoint regions, every conditional-independence equation in
 # this module reduces to integer identities between joint-configuration cell
-# weights.  A check keeps one table per union U of the regions it scans, flat
-# in U's own config order (mixed radix over U's members, lowest element index
-# most significant, like history indices).  The cells of any partition of U
-# into regions are read back through per-region offset lists, so every pair
-# with the same union shares one pass over the histories.
+# weights.  A check keeps one table per union U of the regions it scans,
+# indexed by `config_indices(site, U)`: flat in U's own config order (mixed
+# radix over U's members, lowest element index most significant, like
+# history indices).  The cells of any partition of U into regions are read
+# back through per-region offset lists, so every pair with the same union
+# shares one pass over the histories.
+
+
+def _block(offset_lists) -> list[int]:
+    """Every sum of one offset per list, the first list most significant."""
+    block = [0]
+    for offsets in offset_lists:
+        block = [b + o for b in block for o in offsets]
+    return block
+
+
+def _margins(cells: list[int], sizes: tuple[int, ...]) -> list[list[int]]:
+    """Each region's margin of a block over regions of these sizes, the first most significant."""
+    # Sum out the regions last to first: each step reads one region's margin
+    # off the last axis and leaves the joint of the ones before it.
+    margins = []
+    joint = cells
+    for size in reversed(sizes[1:]):
+        margins.append([sum(joint[c::size]) for c in range(size)])
+        joint = [sum(joint[t : t + size]) for t in range(0, len(joint), size)]
+    margins.append(joint)
+    margins.reverse()
+    return margins
 
 
 def _union_offsets(site: CausalSite, region: int, union: int) -> list[int]:
     """For each configuration of `region`, its offset in the config order of `union`."""
     members, strides, _ = _region_meta(site, union)
-    offsets = [0]
-    for i, stride in zip(members, strides):
-        if region >> i & 1:
-            steps = range(0, site.alphabets[i] * stride, stride)
-            offsets = [o + s for o in offsets for s in steps]
-    return offsets
-
-
-def _history_cells(site: CausalSite, regions: tuple[int, ...], offsets=None) -> tuple[int, list[int]]:
-    """The union of disjoint regions, and each history's config index in it (from `offsets`, if given)."""
-    union = 0
-    for r in regions:
-        union |= r
-    offsets = offsets or [_union_offsets(site, r, union) for r in regions]
-    flat = [0] * n_histories(site)
-    for r, region_offsets in zip(regions, offsets):
-        flat = [f + region_offsets[c] for f, c in zip(flat, config_indices(site, r))]
-    return union, flat
+    return _block(
+        range(0, site.alphabets[i] * stride, stride)
+        for i, stride in zip(members, strides)
+        if region >> i & 1
+    )
 
 
 def _cell_weights(model: StochasticModel, regions: tuple[int, ...]) -> list[int]:
     """Scaled weights of the configurations of the union of disjoint regions."""
-    union, flat = _history_cells(model.site, regions)
+    union = sum(regions)  # the regions are disjoint
     table = [0] * n_configs(model.site, union)
-    for f, w in zip(flat, model._nums):
+    for f, w in zip(config_indices(model.site, union), model._nums):
         if w:
             table[f] += w
     return table
@@ -193,9 +203,7 @@ def _cell_weights(model: StochasticModel, regions: tuple[int, ...]) -> list[int]
 
 def _union_table(model, regions: tuple[int, ...], tables: dict, build):
     """(union, table) for disjoint regions, built by `build` once per union into `tables`."""
-    union = 0
-    for r in regions:
-        union |= r
+    union = sum(regions)
     table = tables.get(union)
     if table is None:
         table = tables[union] = build(model, regions)
@@ -238,28 +246,18 @@ def _factorization_failure(
     site = model.site
     union, table = _union_table(model, (past, *event_regions), tables, _cell_weights)
     offsets = [_union_offsets(site, r, union) for r in event_regions]
-    block = [0]
-    for region_offsets in offsets:
-        block = [b + o for b in block for o in region_offsets]
-    sizes = tuple(len(o) for o in offsets)
+    block = _block(offsets)
+    sizes = tuple(map(len, offsets))
     exponent = len(event_regions) - 1
     checked = 0
     skipped = 0
     for p, base in enumerate(_union_offsets(site, past, union)):
         cells = [table[base + i] for i in block]
-        # Sum out the regions last to first: each step reads one region's
-        # margin off the last axis and leaves the joint of the ones before it.
-        margins = []
-        joint = cells
-        for size in reversed(sizes[1:]):
-            margins.append([sum(joint[c::size]) for c in range(size)])
-            joint = [sum(joint[t : t + size]) for t in range(0, len(joint), size)]
-        margins.append(joint)
-        w_past = sum(joint)
+        margins = _margins(cells, sizes)
+        w_past = sum(margins[0])
         if w_past == 0:
             skipped += 1
             continue
-        margins.reverse()
         *head_margins, margin_last = margins
         row_factors = [1]
         for margin in head_margins:
@@ -661,21 +659,22 @@ def _spacelike_tuples(site: CausalSite, n: int):
     """Every ascending n-tuple of pairwise-disjoint pairwise-spacelike regions, lazily."""
     if n > site.n:  # n disjoint nonempty regions need n elements
         return
-    full = site.full_mask
+    above: dict[int, list[int]] = {}  # each region's partners above it, ascending
+    for a, b in _spacelike_pairs(site):
+        if a < b:
+            above.setdefault(a, []).append(b)
 
-    def extend(start: int, chosen: tuple[int, ...], used: int):
-        for r in range(start, full + 1):
-            if r & used:
-                continue
-            if not all(site.spacelike(r, c) for c in chosen):
-                continue
+    def extend(chosen: tuple[int, ...], candidates):
+        # every candidate is above the last chosen region and a partner of each chosen one
+        pool = set(candidates)
+        for r in candidates:
             grown = chosen + (r,)
             if len(grown) == n:
                 yield grown
             else:
-                yield from extend(r + 1, grown, used | r)
+                yield from extend(grown, [c for c in above.get(r, ()) if c in pool])
 
-    yield from extend(1, (), 0)
+    yield from extend((), range(1, site.full_mask + 1))
 
 
 def check_multi_so(model: StochasticModel, n: int) -> CheckReport:
@@ -690,7 +689,7 @@ def check_multi_so(model: StochasticModel, n: int) -> CheckReport:
     past share that group's certificate.
     """
     if n < 2:
-        raise ValueError("check_multi_so requires n >= 2")
+        raise ValueError(f"check error: multi-so needs n >= 2, not {n}")
     return _screen(
         model,
         f"multi-so[n={n}]",
@@ -738,17 +737,15 @@ def _correlate_failure(
             f"({_PAST_CELL_LIMIT} mutual-past cells)"
         )
     union, table = _union_table(model, (past, ra, rb), tables, _cell_weights)
-    off_a = _union_offsets(site, ra, union)
-    off_b = _union_offsets(site, rb, union)
-    na, nb = len(off_a), len(off_b)
-    block = [oa + ob for oa in off_a for ob in off_b]
+    offsets = [_union_offsets(site, r, union) for r in regions]
+    sizes = na, nb = tuple(map(len, offsets))
+    block = _block(offsets)
     # Each past cell's row: W(p), then W(a&p) per atom of A, W(b&p) per atom
     # of B, and W(a&b&p) per atom pair; an event's row is the sum over its cells.
     rows = []
     for base in _union_offsets(site, past, union):
         cells = [table[base + i] for i in block]
-        wa = [sum(cells[t : t + nb]) for t in range(0, len(cells), nb)]
-        wb = [sum(cells[c::nb]) for c in range(nb)]
+        wa, wb = _margins(cells, sizes)
         rows.append([sum(wa), *wa, *wb, *cells])
     full = (1 << n_past) - 1
     if conditioned:
@@ -1189,9 +1186,8 @@ def deterministic_local_model(model_site: CausalSite, initial_dists, rules) -> S
     their initial-value weights.
     """
     site = model_site
-    init = site.initial_elements()
-    dists, den = {}, 1
-    for e in iter_bits(init):
+    dists = {}
+    for e in iter_bits(site.initial_elements()):
         sid = site.elements[e]
         d = [Fraction(x) for x in initial_dists[sid]]
         if len(d) != site.alphabets[e]:
@@ -1200,7 +1196,14 @@ def deterministic_local_model(model_site: CausalSite, initial_dists, rules) -> S
                 f"entries; alphabet size is {site.alphabets[e]}"
             )
         de = lcm(*(x.denominator for x in d))
-        dists[e], den = [x.numerator * (de // x.denominator) for x in d], den * de
+        dists[e] = de, [x.numerator * (de // x.denominator) for x in d]
+    return _deterministic_local(site, dists, rules)
+
+
+def _deterministic_local(site: CausalSite, dists: dict, rules) -> StochasticModel:
+    """`deterministic_local_model` on scaled distributions: initial element -> (den, numerators)."""
+    init = site.initial_elements()
+    den = prod(d for d, _ in dists.values())
     nums = []
     for h in range(n_histories(site)):
         digs = history_digits(site, h)
@@ -1208,7 +1211,7 @@ def deterministic_local_model(model_site: CausalSite, initial_dists, rules) -> S
         for e in range(site.n):
             bit = 1 << e
             if init & bit:
-                w *= dists[e][digs[e]]
+                w *= dists[e][1][digs[e]]
             else:
                 past_config = {
                     site.elements[x]: digs[x] for x in iter_bits(site.past(bit) & ~bit)

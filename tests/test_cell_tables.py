@@ -1,0 +1,130 @@
+"""The shared cell-table kernel of the screening scans.
+
+A union U = P ∪ A ∪ B of disjoint regions has one table, indexed by
+``config_indices(site, U)``; every scan reads a region tuple's joint cells
+from it through ``_block`` of the regions' ``_union_offsets`` and sums out
+their margins with ``_margins``.  Each piece is compared here with a direct
+computation: history by history for the classical table, by ``d_value`` over
+cell pairs for the quantal matrix, and by ``itertools.product`` for the
+block and margin kernels.
+"""
+from __future__ import annotations
+
+import itertools
+import random
+from fractions import Fraction
+from math import prod
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from screenoff.events import history_digits, n_configs, n_histories
+from screenoff.order import CausalSite, iter_bits
+from screenoff.quantal import QuantalModel, _pair_matrix
+from screenoff.stochastic import StochasticModel, _block, _cell_weights, _margins, _union_offsets
+
+
+@st.composite
+def interleaved_regions(draw):
+    """A site with order relations and disjoint regions (P, A[, B]), P's elements between A's."""
+    n = draw(st.integers(3, 5))
+    alphabets = draw(st.lists(st.integers(2, 3), min_size=n, max_size=n))
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    relations = draw(st.lists(st.sampled_from(edges), min_size=1, max_size=4, unique=True))
+    site = CausalSite(
+        [(f"e{i}", k) for i, k in enumerate(alphabets)],
+        [(f"e{i}", f"e{j}") for i, j in relations],
+    )
+    k = draw(st.integers(2, 3))
+    labels = draw(st.lists(st.integers(0, k), min_size=n, max_size=n))  # label k: in no region
+    at = draw(st.integers(0, n - 3))
+    labels[at : at + 3] = [1, 0, 1]  # an element of P between two of A
+    regions = tuple(sum(1 << e for e, label in enumerate(labels) if label == i) for i in range(k))
+    return site, regions, draw(st.integers(0, 2**32))
+
+
+def config(site: CausalSite, h: int, region: int) -> int:
+    """History h's configuration index on the region, lowest element most significant."""
+    digits = history_digits(site, h)
+    index = 0
+    for i in iter_bits(region):
+        index = index * site.alphabets[i] + digits[i]
+    return index
+
+
+def block_positions(site: CausalSite, regions: tuple[int, ...]) -> list[int]:
+    """Each history's position in the regions' joint block, the first region most significant."""
+    positions = []
+    for h in range(n_histories(site)):
+        pos = 0
+        for r in regions:
+            pos = pos * n_configs(site, r) + config(site, h, r)
+        positions.append(pos)
+    return positions
+
+
+@given(interleaved_regions())
+def test_cell_weights_sum_the_histories_of_each_cell(drawn):
+    site, regions, seed = drawn
+    rng = random.Random(seed)
+    nums = [rng.randrange(0, 4) for _ in range(n_histories(site))]
+    nums[rng.randrange(len(nums))] += 1
+    model = StochasticModel._from_scaled(site, sum(nums), nums)
+    union = sum(regions)
+    table = _cell_weights(model, regions)
+    block = _block([_union_offsets(site, r, union) for r in regions])
+    assert len(table) == n_configs(site, union)
+    assert sorted(block) == list(range(len(table)))
+    expected = [Fraction(0)] * len(block)
+    for h, pos in enumerate(block_positions(site, regions)):
+        expected[pos] += model.weights[h]
+    assert [Fraction(table[i], model._den) for i in block] == expected
+
+
+@given(interleaved_regions())
+def test_pair_matrix_sums_d_values_over_cell_pairs(drawn):
+    site, regions, seed = drawn
+    rng = random.Random(seed)
+    n = n_histories(site)
+    # any Gaussian-integer matrix will do: the sums do not need a valid model,
+    # and a non-Hermitian one tells rows from columns
+    ints = [[(rng.randrange(-3, 4), rng.randrange(-3, 4)) for _ in range(n)] for _ in range(n)]
+    q = QuantalModel._from_scaled(site, rng.randrange(1, 7), ints)
+    union = sum(regions)
+    re, im = _pair_matrix(q, regions)
+    size = n_configs(site, union)
+    assert len(re) == len(im) == size * size
+    block = _block([_union_offsets(site, r, union) for r in regions])
+    events = [0] * len(block)
+    for h, pos in enumerate(block_positions(site, regions)):
+        events[pos] |= 1 << h
+    for x, ex in zip(block, events):
+        for y, ey in zip(block, events):
+            d = q.d_value(ex, ey)
+            assert (Fraction(re[x * size + y], q._den), Fraction(im[x * size + y], q._den)) == (d.re, d.im)
+
+
+offset_lists = st.lists(st.lists(st.integers(-20, 20), max_size=4), max_size=4)
+
+
+@given(offset_lists)
+def test_block_sums_one_offset_per_list_first_most_significant(lists):
+    assert _block(lists) == [sum(t) for t in itertools.product(*lists)]
+
+
+@st.composite
+def sized_blocks(draw):
+    sizes = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    cells = draw(st.lists(st.integers(-9, 9), min_size=prod(sizes), max_size=prod(sizes)))
+    return cells, sizes
+
+
+@given(sized_blocks())
+def test_margins_sum_out_every_other_region(drawn):
+    cells, sizes = drawn
+    coords = list(itertools.product(*(range(s) for s in sizes)))
+    expected = [
+        [sum(x for x, at in zip(cells, coords) if at[i] == c) for c in range(size)]
+        for i, size in enumerate(sizes)
+    ]
+    assert _margins(cells, sizes) == expected

@@ -211,6 +211,14 @@ class TestCheck:
         assert code == 2
         assert "n >= 2" in err
 
+    @pytest.mark.parametrize("n", ["1", "0", "-3"])
+    def test_multi_so_arity_is_a_check_error(self, capsys, model_dir, n):
+        code, out, err = run(
+            capsys, "check", "multi-so", str(model_dir / "bernstein_xor.json"), "--n", n
+        )
+        assert (code, out) == (2, "")
+        assert err == f"check error: multi-so needs n >= 2, not {n}\n"
+
     def test_gen_so_selector(self, capsys, model_dir):
         code, out, _ = run(
             capsys,

@@ -32,7 +32,13 @@ from screenoff.corpus import (
 from screenoff.events import history_digits, n_histories
 from screenoff.order import CausalSite, iter_bits
 from screenoff.quantal import ComplexFraction, PseudoEvent, QuantalModel, check_qso1, diagonal_reduction
-from screenoff.stochastic import MeasureError, StochasticModel, check_so1, check_so2
+from screenoff.stochastic import (
+    MeasureError,
+    StochasticModel,
+    check_so1,
+    check_so2,
+    deterministic_local_model,
+)
 
 F = Fraction
 SEEDS = range(200)
@@ -165,24 +171,27 @@ def test_random_stochastic_matches_the_fraction_path():
 
 
 def test_deterministic_local_model_matches_the_fraction_path(monkeypatch):
+    # the generator hands the dynamics its integer draws, each over its total
     calls = []
-    produce = corpus_mod.deterministic_local_model
+    produce = corpus_mod._deterministic_local
 
     def recording(site, dists, rules):
         calls.append((site, dists, rules))
         return produce(site, dists, rules)
 
-    monkeypatch.setattr(corpus_mod, "deterministic_local_model", recording)
+    monkeypatch.setattr(corpus_mod, "_deterministic_local", recording)
     for seed in SEEDS:
         m = random_deterministic_local(seed, n_sites=2 + seed % 4, max_alphabet=2 + seed % 2)
-        ref = ref_deterministic_local_model(*calls[-1])
+        site, dists, rules = calls[-1]
+        fractions = {site.elements[e]: [F(x, den) for x in nums] for e, (den, nums) in dists.items()}
+        ref = ref_deterministic_local_model(site, fractions, rules)
         assert m == ref and m.weights == ref.weights, seed
 
 
 def test_deterministic_local_model_takes_any_rational_spelling():
     site = CausalSite([("x", 3), ("y", 2)], [("x", "y")])
     dists = {"x": ["1/2", 0, F(2, 4)]}
-    m = corpus_mod.deterministic_local_model(site, dists, {"y": lambda past: past["x"] % 2})
+    m = deterministic_local_model(site, dists, {"y": lambda past: past["x"] % 2})
     assert m == ref_deterministic_local_model(site, dists, {"y": lambda past: past["x"] % 2})
     assert (m._den, m._nums) == (2, (1, 0, 0, 0, 1, 0))
 
@@ -260,6 +269,7 @@ def test_draws_build_no_fraction(fraction_count):
         random_stochastic(seed, 5, 2)
         random_quantal(seed, 3, 2)
         random_diagonal_quantal(seed, 3, 2)
+        random_deterministic_local(seed, 5)
     assert fraction_count() == 0
 
 

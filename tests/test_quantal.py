@@ -34,7 +34,7 @@ from screenoff.quantal import (
     verify_quantal_lemmas,
 )
 from screenoff.report import HOLDS, VACUOUS, VIOLATED
-from screenoff.stochastic import StochasticModel, _union_offsets, check_so1
+from screenoff.stochastic import StochasticModel, check_so1
 
 F = Fraction
 CF = ComplexFraction
@@ -391,13 +391,11 @@ class TestUnionTables:
         assert report.verdict == HOLDS
         assert report.stats == {"region_pairs": 180, "equations_checked": 52800}
         assert len(calls) == 2
-        # the matrix is built from the offsets the scan computed, not again
+        # the benchmark tracer's hook takes exactly (q, regions)
         for args, kwargs in calls:
-            assert len(args) == 3 and not kwargs
-            model, regions, offsets = args
-            assert model is q
-            assert offsets == [_union_offsets(site, r, sum(regions)) for r in regions]
-        assert [sum(regions) for (_, regions, _), _ in calls] == [0b00011, 0b11111]
+            assert len(args) == 2 and not kwargs
+            assert args[0] is q
+        assert [sum(regions) for (_, regions), _ in calls] == [0b00011, 0b11111]
 
 
 # -- reduction to the classical checker -------------------------------------

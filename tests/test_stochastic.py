@@ -565,8 +565,13 @@ class TestMultiSO:
             return tuple(filter(fits, itertools.combinations(range(1, site.full_mask + 1), n)))
 
         small = StochasticModel(antichain(3), [F(1, 8)] * 8)
-        for n in (2, 3, 4):
-            assert tuple(stochastic._spacelike_tuples(small.site, n)) == every_tuple(small.site, n)
+        ordered = CausalSite(
+            [("r", 2), ("x", 2), ("y", 2), ("z", 2), ("w", 2)],
+            [("r", "x"), ("r", "y"), ("x", "z")],
+        )
+        for site in (small.site, ordered, diamond(), _common_cause(4).site):
+            for n in (2, 3, 4):
+                assert tuple(stochastic._spacelike_tuples(site, n)) == every_tuple(site, n)
         with monkeypatch.context() as m:
             m.setattr(stochastic, "_spacelike_tuples", every_tuple)
             want = check_multi_so(small, 13).to_json_dict()
