@@ -16,7 +16,7 @@ from itertools import combinations
 from math import prod
 from typing import Iterator, Sequence
 
-from .order import CausalSite, iter_bits, submasks
+from .order import CausalSite, RegionError, iter_bits, submasks
 from .report import HOLDS, VIOLATED, CheckReport, Counterexample, EventRef
 
 # Largest history space a site may have; checked before any per-history
@@ -28,114 +28,72 @@ class CapacityError(ValueError):
     """Raised when a search would exceed a fixed size limit of this checker."""
 
 
-class _Space:
-    """Per-site history bookkeeping, built once and memoized."""
-
-    __slots__ = ("site", "n_hist", "omega", "strides", "digits", "cyclers")
-
-    def __init__(self, site: CausalSite):
-        self.site = site
-        strides = [1] * site.n
-        for i in range(site.n - 2, -1, -1):
-            strides[i] = strides[i + 1] * site.alphabets[i + 1]
-        self.strides = tuple(strides)
-        n_hist = strides[0] * site.alphabets[0] if site.n else 1
-        self.n_hist = n_hist
-        self.omega = (1 << n_hist) - 1
-        digits = []
-        for h in range(n_hist):
-            row = []
-            rem = h
-            for i in range(site.n):
-                row.append(rem // strides[i])
-                rem %= strides[i]
-            digits.append(tuple(row))
-        self.digits = tuple(digits)
-        # cyclers[i][h] = index of h with element i's value bumped mod alphabet
-        cyclers = []
-        for i in range(site.n):
-            k = site.alphabets[i]
-            stride = strides[i]
-            perm = []
-            for h in range(n_hist):
-                v = digits[h][i]
-                perm.append(h - v * stride + ((v + 1) % k) * stride)
-            cyclers.append(tuple(perm))
-        self.cyclers = tuple(cyclers)
-
-
-@lru_cache(maxsize=None)
-def _space(site: CausalSite) -> _Space:
+def n_histories(site: CausalSite) -> int:
     count = prod(site.alphabets)
     if count > HISTORY_LIMIT:
         raise CapacityError(
             f"capacity error: the site has {count} histories (the product of its "
             f"alphabet sizes); the limit is {HISTORY_LIMIT}"
         )
-    return _Space(site)
-
-
-def n_histories(site: CausalSite) -> int:
-    return _space(site).n_hist
+    return count
 
 
 def omega(site: CausalSite) -> int:
     """The sure event: every history."""
-    return _space(site).omega
+    return (1 << n_histories(site)) - 1
 
 
 def history_digits(site: CausalSite, h: int) -> tuple[int, ...]:
-    return _space(site).digits[h]
+    n = n_histories(site)
+    if not 0 <= h < n:
+        raise ValueError(f"history {h} out of range 0..{n - 1}")
+    _, strides, _ = _region_meta(site, site.full_mask)
+    return tuple(h // stride % k for stride, k in zip(strides, site.alphabets))
 
 
 def history_index(site: CausalSite, values: Sequence[int]) -> int:
-    sp = _space(site)
+    n_histories(site)  # refuses a site over the limit
     if len(values) != site.n:
         raise ValueError(f"history needs {site.n} values, got {len(values)}")
+    _, strides, _ = _region_meta(site, site.full_mask)
     h = 0
     for i, v in enumerate(values):
         if not 0 <= v < site.alphabets[i]:
             raise ValueError(
                 f"value {v} out of range for element {site.elements[i]!r}"
             )
-        h += v * sp.strides[i]
+        h += v * strides[i]
     return h
 
 
 def cylinder(site: CausalSite, element: int | str, value: int) -> int:
     """All histories whose given element carries the given value."""
     i = element if isinstance(element, int) else site.index(element)
+    if not 0 <= i < site.n:
+        raise RegionError(f"region error: element {i} outside 0..{site.n - 1}")
     if not 0 <= value < site.alphabets[i]:
         raise ValueError(
             f"value {value} out of range for element {site.elements[i]!r}"
         )
-    sp = _space(site)
-    mask = 0
-    for h in range(sp.n_hist):
-        if sp.digits[h][i] == value:
-            mask |= 1 << h
-    return mask
-
-
-def _apply_cycler(mask: int, perm: tuple[int, ...]) -> int:
-    out = 0
-    for h in iter_bits(mask):
-        out |= 1 << perm[h]
-    return out
+    return full_specifications(site, 1 << i)[value]
 
 
 def dom(site: CausalSite, event: int) -> int:
-    """Least region the event is decidable on."""
-    sp = _space(site)
-    if event < 0 or event > sp.omega:
+    """Least region the event is decidable on.
+
+    Element i is in it iff some value slice of the event, moved one value
+    up (by i's place value), differs from the next slice.
+    """
+    om = omega(site)
+    if event < 0 or event > om:
         raise ValueError(f"event mask {event:#x} outside the history space")
-    if event == 0 or event == sp.omega:
+    if event == 0 or event == om:
         return 0
+    _, strides, _ = _region_meta(site, site.full_mask)
     region = 0
-    for i in range(site.n):
-        if site.alphabets[i] == 1:
-            continue
-        if _apply_cycler(event, sp.cyclers[i]) != event:
+    for i, stride in enumerate(strides):
+        cells = full_specifications(site, 1 << i)
+        if any((event & lo) << stride != event & hi for lo, hi in zip(cells, cells[1:])):
             region |= 1 << i
     return region
 
@@ -156,19 +114,24 @@ def n_configs(site: CausalSite, region: int) -> int:
     return _region_meta(site, region)[2]
 
 
+def _block(offset_lists) -> list[int]:
+    """Every sum of one offset per list, the first list most significant."""
+    block = [0]
+    for offsets in offset_lists:
+        block = [b + o for b in block for o in offsets]
+    return block
+
+
 @lru_cache(maxsize=None)
 def config_indices(site: CausalSite, region: int) -> tuple[int, ...]:
     """For each history, the index of its configuration on the region."""
     members, strides, _ = _region_meta(site, region)
-    sp = _space(site)
-    out = []
-    for h in range(sp.n_hist):
-        digs = sp.digits[h]
-        ci = 0
-        for j, i in enumerate(members):
-            ci += digs[i] * strides[j]
-        out.append(ci)
-    return tuple(out)
+    n_histories(site)  # refuses a site over the limit
+    place = dict(zip(members, strides))
+    return tuple(_block(
+        range(0, k * place[i], place[i]) if i in place else (0,) * k
+        for i, k in enumerate(site.alphabets)
+    ))
 
 
 @lru_cache(maxsize=None)

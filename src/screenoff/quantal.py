@@ -16,6 +16,7 @@ from itertools import chain
 from math import gcd, lcm
 
 from .events import (
+    _block,
     config_indices,
     dom,
     event_ref,
@@ -35,7 +36,6 @@ from .report import (
 from .stochastic import (
     StochasticModel,
     _atom_coords,
-    _block,
     _margins,
     _screen,
     _screening_units,

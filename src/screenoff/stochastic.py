@@ -15,6 +15,7 @@ from math import gcd, lcm, prod
 
 from .events import (
     CapacityError,
+    _block,
     _region_meta,
     config_indices,
     dom,
@@ -157,14 +158,6 @@ def correlated(model: StochasticModel, a: int, b: int) -> bool:
 # history indices).  The cells of any partition of U into regions are read
 # back through per-region offset lists, so every pair with the same union
 # shares one pass over the histories.
-
-
-def _block(offset_lists) -> list[int]:
-    """Every sum of one offset per list, the first list most significant."""
-    block = [0]
-    for offsets in offset_lists:
-        block = [b + o for b in block for o in offsets]
-    return block
 
 
 def _margins(cells: list[int], sizes: tuple[int, ...]) -> list[list[int]]:

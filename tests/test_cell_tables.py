@@ -18,10 +18,10 @@ from math import prod
 from hypothesis import given
 from hypothesis import strategies as st
 
-from screenoff.events import history_digits, n_configs, n_histories
+from screenoff.events import _block, n_configs, n_histories
 from screenoff.order import CausalSite, iter_bits
 from screenoff.quantal import QuantalModel, _pair_matrix
-from screenoff.stochastic import StochasticModel, _block, _cell_weights, _margins, _union_offsets
+from screenoff.stochastic import StochasticModel, _cell_weights, _margins, _union_offsets
 
 
 @st.composite
@@ -43,9 +43,8 @@ def interleaved_regions(draw):
     return site, regions, draw(st.integers(0, 2**32))
 
 
-def config(site: CausalSite, h: int, region: int) -> int:
-    """History h's configuration index on the region, lowest element most significant."""
-    digits = history_digits(site, h)
+def config(site: CausalSite, digits: tuple[int, ...], region: int) -> int:
+    """A history's configuration index on the region, lowest element most significant."""
     index = 0
     for i in iter_bits(region):
         index = index * site.alphabets[i] + digits[i]
@@ -55,10 +54,10 @@ def config(site: CausalSite, h: int, region: int) -> int:
 def block_positions(site: CausalSite, regions: tuple[int, ...]) -> list[int]:
     """Each history's position in the regions' joint block, the first region most significant."""
     positions = []
-    for h in range(n_histories(site)):
+    for digits in itertools.product(*(range(k) for k in site.alphabets)):
         pos = 0
         for r in regions:
-            pos = pos * n_configs(site, r) + config(site, h, r)
+            pos = pos * n_configs(site, r) + config(site, digits, r)
         positions.append(pos)
     return positions
 

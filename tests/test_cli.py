@@ -546,7 +546,7 @@ class TestStartup:
             "sites": [{"id": f"s{i}", "alphabet": 2} for i in range(30)],
             "measure": {"type": "stochastic", "weights": {"0" * 30: "1"}},
         }))
-        monkeypatch.setattr(events, "_Space", None)
+        monkeypatch.setattr(events, "_block", None)
         code, out, err = run(capsys, "check", "so1", str(path))
         assert code == 2
         assert out == ""

@@ -7,9 +7,12 @@ decides-every-decidable-event property.
 """
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import screenoff.events as events
 from screenoff.events import (
@@ -30,7 +33,7 @@ from screenoff.events import (
     verify_fullspec_lemmas,
     atom_expr,
 )
-from screenoff.order import CausalSite, iter_bits, submasks
+from screenoff.order import CausalSite, RegionError, iter_bits, submasks
 
 from test_order import antichain, chain, coin_site
 
@@ -38,14 +41,19 @@ from test_order import antichain, chain, coin_site
 # -- oracles ---------------------------------------------------------------
 
 
+def all_digits(site: CausalSite) -> list[tuple[int, ...]]:
+    """Every history's values in index order, first element most significant."""
+    return list(itertools.product(*(range(k) for k in site.alphabets)))
+
+
 def project_pullback(site: CausalSite, e: int, r: int) -> int:
     """Keep histories agreeing on r with a member of e (by raw digit compare)."""
     members = list(iter_bits(r))
-    digs = [history_digits(site, h) for h in range(n_histories(site))]
+    digs = all_digits(site)
     configs = {tuple(digs[h][i] for i in members) for h in iter_bits(e)}
     out = 0
-    for h in range(n_histories(site)):
-        if tuple(digs[h][i] for i in members) in configs:
+    for h, d in enumerate(digs):
+        if tuple(d[i] for i in members) in configs:
             out |= 1 << h
     return out
 
@@ -108,7 +116,7 @@ class TestHistories:
 
     def test_history_space_over_the_limit_is_refused(self, monkeypatch):
         # the count comes from the alphabets; no per-history table is built
-        monkeypatch.setattr(events, "_Space", None)
+        monkeypatch.setattr(events, "_block", None)
         s = CausalSite([(f"e{i}", 2) for i in range(17)])
         with pytest.raises(CapacityError) as err:
             n_histories(s)
@@ -117,6 +125,40 @@ class TestHistories:
             "alphabet sizes); the limit is 65536"
         )
         assert isinstance(err.value, ValueError)
+        for refused in (
+            lambda: omega(s),
+            lambda: history_index(s, (0,) * 17),
+            lambda: config_indices(s, 0b11),
+            lambda: full_specifications(s, 0b1),
+            lambda: cylinder(s, "e3", 1),
+        ):
+            with pytest.raises(CapacityError):
+                refused()
+
+    def test_admitted_history_space_needs_no_per_history_table(self, monkeypatch):
+        def refuse(_):
+            raise AssertionError("a per-history table was built")
+
+        s = antichain(16)
+        monkeypatch.setattr(events, "_block", refuse)
+        assert n_histories(s) == 65536
+        assert omega(s) == (1 << 65536) - 1
+        assert history_index(s, (1,) * 16) == 65535
+        assert history_digits(s, 65535) == (1,) * 16
+
+    @pytest.mark.parametrize("h", [-1, 6, 7])  # -1, N and N+1
+    def test_history_out_of_range_is_refused(self, h):
+        s = CausalSite([("a", 3), ("b", 2)])
+        with pytest.raises(ValueError) as err:
+            history_digits(s, h)
+        assert str(err.value) == f"history {h} out of range 0..5"
+
+    @pytest.mark.parametrize("i", [-1, 2, 3])  # -1, n and n+1
+    def test_cylinder_of_an_element_outside_the_site_is_refused(self, i):
+        s = CausalSite([("a", 3), ("b", 2)])
+        with pytest.raises(RegionError) as err:
+            cylinder(s, i, 0)
+        assert str(err.value) == f"region error: element {i} outside 0..1"
 
 
 # -- dom -------------------------------------------------------------------
@@ -157,6 +199,55 @@ class TestDom:
     def test_alphabet_one_site_never_in_dom(self):
         s = CausalSite([("a", 1), ("b", 2)])
         assert dom(s, cylinder(s, "b", 0)) == s.region(["b"])
+
+
+# -- history positions against itertools.product ----------------------------
+
+
+@st.composite
+def indexed_sites(draw):
+    """A site of 1-6 elements with alphabets 1-3 and order relations, and a seed."""
+    n = draw(st.integers(1, 6))
+    alphabets = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    relations = draw(st.lists(st.sampled_from(edges), max_size=4, unique=True)) if edges else []
+    site = CausalSite(
+        [(f"e{i}", k) for i, k in enumerate(alphabets)],
+        [(f"e{i}", f"e{j}") for i, j in relations],
+    )
+    return site, draw(st.integers(0, 2**32))
+
+
+@given(indexed_sites())
+def test_history_positions_match_the_product_order(drawn):
+    site, seed = drawn
+    rng = random.Random(seed)
+    digs = all_digits(site)
+    assert n_histories(site) == len(digs)
+    for h, d in enumerate(digs):
+        assert history_digits(site, h) == d
+        assert history_index(site, d) == h
+    for i, k in enumerate(site.alphabets):
+        for v in range(k):
+            assert cylinder(site, i, v) == sum(1 << h for h, d in enumerate(digs) if d[i] == v)
+    for _ in range(4):
+        region = rng.randrange(site.full_mask + 1)
+        members = list(iter_bits(region))
+        configs = {
+            values: c
+            for c, values in enumerate(itertools.product(*(range(site.alphabets[i]) for i in members)))
+        }
+        expected = tuple(configs[tuple(d[i] for i in members)] for d in digs)
+        assert config_indices(site, region) == expected
+        # a random union of the region's cells; element i is in its domain iff
+        # the event is not decidable on the other elements together
+        picked = {c for c in configs.values() if rng.random() < 0.5}
+        event = sum(1 << h for h, c in enumerate(expected) if c in picked)
+        relevant = sum(
+            1 << i for i in range(site.n)
+            if project_pullback(site, event, site.full_mask & ~(1 << i)) != event
+        )
+        assert dom(site, event) == relevant
 
 
 # -- restriction -----------------------------------------------------------
