@@ -1,8 +1,11 @@
-"""Golden CLI outputs: every byte the ``check``, ``fuzz`` and ``corpus`` commands print.
+"""Golden CLI outputs: every byte each subcommand prints.
 
 ``tests/data/cli_golden.json`` maps each invocation (its argv, with model files
 named as ``{models}/<corpus name>.json``) to the exit code and the sha256 of
-its stdout and stderr.  The ``"runtime_ms"`` line of JSON output is dropped
+its stdout and stderr.  The invocations run every condition on every corpus
+model of its kind, ``find`` and ``validate`` on the corpus files, ``corpus
+emit``, ``list`` and ``verify``, every fuzz pair, and a row for each refused
+input.  The ``"runtime_ms"`` line of JSON output is dropped
 before hashing; nothing else is.  On a mismatch the test prints the actual
 output.  Regenerate the file only when an output change is intended:
 
@@ -10,6 +13,7 @@ output.  Regenerate the file only when an output change is intended:
 """
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
@@ -21,7 +25,7 @@ from pathlib import Path
 import pytest
 
 from screenoff import corpus
-from screenoff.cli import main
+from screenoff.cli import _build_parser, main
 from screenoff.quantal import QuantalModel
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
@@ -43,11 +47,18 @@ def invocations() -> list[list[str]]:
         path = f"{{models}}/{entry.name}.json"
         quantal = isinstance(entry.model, QuantalModel)
         conds = list(_QUANTAL_CONDS if quantal else _STOCHASTIC_CONDS)
-        if not quantal and {"A", "B"} <= set(entry.named_events):
+        names_pair = not quantal and {"A", "B"} <= set(entry.named_events)
+        if names_pair:
             conds += [[c[0], "--a", "A", "--b", "B"] for c in _PCC_CONDS]
         for cond in conds:
             for fmt in ("json", "human"):
                 out.append(["check", cond[0], path, *cond[1:], "--format", fmt])
+        for fmt in ("json", "human"):
+            if names_pair:
+                out += [["find", what, path, "--a", "A", "--b", "B", "--format", fmt]
+                        for what in ("screening", "simpson")]
+            out.append(["validate", path, "--format", fmt])
+        out.append(["corpus", "emit", entry.name])
     stochastic, quantal = "{models}/pr_box.json", "{models}/pr_box_diag.json"
     out += [
         # the model kind does not fit the condition
@@ -68,6 +79,7 @@ def invocations() -> list[list[str]]:
         ["check", "so3", stochastic],
         ["check", "gen-so", stochastic, "--selector", "nearest"],
         ["check", "multi-so", stochastic, "--n", "1"],
+        ["find", "screening", quantal, "--a", "A", "--b", "B"],
         ["fuzz", "--pair", "so1-so3", "--seed", "0", "--count", "3"],
         ["fuzz", "--pair", "so1-so2", "--seed", "0", "--count", "0"],
         ["corpus", "verify", "--format", "json"],
@@ -117,6 +129,15 @@ _GOLDEN = {" ".join(r["argv"]): r for r in json.loads(GOLDEN.read_text())} if GO
 
 def test_golden_file_covers_every_invocation():
     assert sorted(_GOLDEN) == sorted(" ".join(argv) for argv in invocations())
+
+
+def test_invocations_cover_every_condition_fuzz_pair_and_subcommand():
+    argvs = invocations()
+    (commands,) = (a.choices for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    assert set(commands) == {argv[0] for argv in argvs}
+    assert set(corpus.CONDITIONS) <= {argv[1] for argv in argvs if argv[0] == "check"}
+    assert set(corpus.FUZZ_PAIRS) <= {argv[2] for argv in argvs if argv[:2] == ["fuzz", "--pair"]}
 
 
 @pytest.mark.parametrize("key", sorted(_GOLDEN))
