@@ -38,7 +38,7 @@ from .stochastic import (
     _atom_coords,
     _margins,
     _screen,
-    _screening_units,
+    _screening_steps,
     _spacelike_pairs,
     _union_offsets,
     _union_table,
@@ -281,31 +281,24 @@ class QuantalModel:
                 f"the enumeration limit ({POSITIVITY_ENUMERATION_LIMIT}) and no "
                 "positivity witness was given"
             )
-        # incremental double sum over one-bit-flip subset steps
+        # incremental double sum over one-bit-flip subset steps: col[x] sums
+        # column x over the rows of the event.  Adding (sign 1) or removing
+        # (sign -1) h moves the measure by sign * (D[h][h] + 2 Re c), c being
+        # col[h] over the event without h: D[h][h] + sign * 2 Re col[h] with
+        # col read before the step
+        negated = [[(-re, -im) for re, im in row] for row in ints]
         col = [(0, 0)] * n
-        s_re = 0
-        s_im = 0
-        cur = 0
+        s_re = s_im = cur = 0
         for g in range(1, 1 << n):
             h = (g & -g).bit_length() - 1
-            bit = 1 << h
+            sign = -1 if cur >> h & 1 else 1
+            cur ^= 1 << h
             d_re, d_im = ints[h][h]
-            if cur & bit:  # removing h
-                cur ^= bit
-                for x in range(n):
-                    cr, ci = col[x]
-                    er, ei = ints[h][x]
-                    col[x] = (cr - er, ci - ei)
-                s_re -= d_re + 2 * col[h][0]
-                s_im -= d_im
-            else:  # adding h
-                cur ^= bit
-                s_re += d_re + 2 * col[h][0]
-                s_im += d_im
-                for x in range(n):
-                    cr, ci = col[x]
-                    er, ei = ints[h][x]
-                    col[x] = (cr + er, ci + ei)
+            s_re += d_re + sign * 2 * col[h][0]
+            s_im += sign * d_im
+            for x, (er, ei) in enumerate(ints[h] if sign > 0 else negated[h]):
+                cr, ci = col[x]
+                col[x] = (cr + er, ci + ei)
             if s_im:
                 raise InternalCheckError("internal error: event measure not real")
             if s_re < 0:
@@ -499,7 +492,7 @@ def _quantal_pairwise_check(q: QuantalModel, condition: str, rule: str) -> Check
     return _screen(
         q,
         condition,
-        _screening_units(q.site, rule, 2, _spacelike_pairs(q.site)),
+        _screening_steps(q.site, rule, 2, _spacelike_pairs(q.site)),
         "complex product rule fails for this pseudo-atom triple",
         scan=_quantal_screening_failure,
         counterexample=_quantal_counterexample,

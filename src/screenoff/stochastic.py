@@ -321,17 +321,18 @@ def _spacelike_pairs(site: CausalSite) -> tuple[tuple[int, int], ...]:
 # form: for every unit a check's plan picks out, the atoms of the unit's
 # event regions must factorize given each cell of every conditioning region
 # of the unit; wrc and wrc-cond scan the same units for correlated atom
-# pairs.  A unit is (regions, steps); a step is (past, proxy), with proxy
-# None for a step that is scanned itself, or (stand-ins, fallbacks, cells of
-# past, atoms of the unit) for a step whose scan may be stood in for by the
-# scan of a larger tuple of regions with the same past, each stand-in keyed
-# (past, regions); of the fallbacks only the last is tried.
+# pairs.  A check is a flat stream of steps, one per (unit, past), a unit's
+# steps consecutive and sharing its regions.  A step is (regions, past,
+# stand-ins, fallbacks, cells of past, atoms of the unit), with stand-ins
+# None for a step that is scanned itself; otherwise its scan may be stood in
+# for by the scan of a larger tuple of regions with the same past, each
+# stand-in keyed (past, regions); of the fallbacks only the last is tried.
 
 
 def _screen(
     model,
     condition: str,
-    units,
+    steps,
     note: str,
     vacuous_reason: str = "no spacelike pairs of disjoint nonempty regions",
     *,
@@ -344,10 +345,11 @@ def _screen(
     counterexample=None,
     count_keys: tuple[str, ...] = ("atom_checks", "null_conditions_skipped"),
 ) -> CheckReport:
-    """Scan the units in order and report the first failing step, if any.
+    """Scan the steps in order and report the first failing one, if any.
 
-    `units` is consumed lazily, so a plan's error surfaces at the unit that
-    raises it.  Each stand-in is scanned at most once, when a step first
+    `steps` is consumed lazily, so a plan's error surfaces at the step that
+    raises it; a step whose regions differ from the previous step's starts
+    a unit.  Each stand-in is scanned at most once, when a step first
     needs it, and a step uses the first that held of its stand-ins and then
     its last fallback: the step is not scanned, and its stats follow from
     its past's cells: each positive one checks every atom of the unit, each
@@ -365,32 +367,30 @@ def _screen(
     tables = {} if tables is None else tables
     scans: dict[tuple[int, tuple[int, ...]], tuple] = {}
     n_units = n_steps = checked = skipped = 0
-    fail = None
-    for regions, steps in units:
-        n_units += 1
-        for past, proxy in steps:
-            n_steps += 1
-            if proxy is None:
-                fail, c, s = scan(model, regions, past, tables=tables)
+    fail = unit = None
+    for regions, past, stand_ins, others, past_cells, atoms in steps:
+        n_steps += 1
+        if regions != unit:
+            n_units += 1
+            unit = regions
+        if stand_ins is None:
+            fail, c, s = scan(model, regions, past, tables=tables)
+        else:
+            for key in stand_ins:
+                result = scans.get(key) or scans.setdefault(key, scan(model, key[1], past, tables=tables))
+                if result[0] is None:
+                    break
             else:
-                stand_ins, others, past_cells, atoms = proxy
-                for key in stand_ins:
-                    result = scans.get(key) or scans.setdefault(key, scan(model, key[1], past, tables=tables))
-                    if result[0] is None:
-                        break
+                key = others[-1]
+                result = scans.get(key) or scans.setdefault(key, scan(model, key[1], past, tables=tables))
+            fail, c, s = result
+            if key[1] != regions:
+                if fail is None:
+                    c = (past_cells - s) * atoms
                 else:
-                    key = others[-1]
-                    result = scans.get(key) or scans.setdefault(key, scan(model, key[1], past, tables=tables))
-                fail, c, s = result
-                if key[1] != regions:
-                    if fail is None:
-                        c = (past_cells - s) * atoms
-                    else:
-                        fail, c, s = scan(model, regions, past, tables=tables)
-            checked += c
-            skipped += s
-            if fail is not None:
-                break
+                    fail, c, s = scan(model, regions, past, tables=tables)
+        checked += c
+        skipped += s
         if fail is not None:
             break
     stats = dict(fixed or {})
@@ -463,11 +463,11 @@ def _check_units(site: CausalSite, check, pairs=None):
 
 @lru_cache(maxsize=None)
 def _screening_plan(site: CausalSite, check, power: int) -> tuple[tuple, ...]:
-    """Every unit of `_check_units(site, check)`, each step with its stand-ins.
+    """Every step of `_check_units(site, check)`, in order, with its stand-ins.
 
-    A unit is (regions, steps), and a step is (P, (stand-ins, fallbacks,
-    |Φ(P)|^power, ∏|Φ(Xi)|^power)); `power` is 2 for the quantal checks,
-    which scan doubled regions and check null pseudo-cells too.  A stand-in
+    A step is (regions, P, stand-ins, fallbacks, |Φ(P)|^power,
+    ∏|Φ(Xi)|^power); `power` is 2 for the quantal checks, which scan
+    doubled regions and check null pseudo-cells too.  A stand-in
     is keyed (P, regions), so that no scan is reused under another P.  The
     last stand-in is the A-first dominator: the step reached by growing the
     first region by the lowest element that gives another step with the same
@@ -522,47 +522,43 @@ def _screening_plan(site: CausalSite, check, power: int) -> tuple[tuple, ...]:
         atoms = 1
         for r in regions:
             atoms *= configs[r]
-        steps = []
         for past in pasts:
             keys_of = groups[past][0]
             others = keys_of.get(regions[::-1]) or ((past, regions),)
-            steps.append((past, (keys_of[regions], others, configs[past], atoms)))
-        plan.append((regions, tuple(steps)))
+            plan.append((regions, past, keys_of[regions], others, configs[past], atoms))
     return tuple(plan)
 
 
-def _screening_units(site: CausalSite, check, power: int = 1, pairs=None):
-    """The units of a planned check, from `_screening_plan(site, check, power)`.
+def _screening_steps(site: CausalSite, check, power: int = 1, pairs=None):
+    """The steps of a planned check, from `_screening_plan(site, check, power)`.
 
-    The first unit comes first, each of its steps scanned itself, and the
-    plan is built only after it, so a check that fails there builds no plan.
-    `pairs` lists a pair check's pairs for that first unit; the quantal
-    checks list theirs through quantal's own binding, whose patch
+    The first unit's steps come first, each its own only stand-in, and the
+    plan is built only after them, so a check that fails there builds no
+    plan.  `pairs` lists a pair check's pairs for that first unit; the
+    quantal checks list theirs through quantal's own binding, whose patch
     perfbench's tracer test checks.
     """
     first = next(_check_units(site, check, pairs), None)
     if first is None:
         return
     regions, pasts = first
-    steps = []
     for past in pasts:
         keys = ((past, regions),)
-        steps.append((past, (keys, keys, 0, 0)))
-    yield regions, tuple(steps)
-    yield from itertools.islice(_screening_plan(site, check, power), 1, None)
+        yield regions, past, keys, keys, 0, 0
+    yield from itertools.islice(_screening_plan(site, check, power), len(pasts), None)
 
 
 def _pairwise_screening(
     model: StochasticModel, condition: str, rule: str, tables: dict | None = None
 ) -> CheckReport:
-    """Screen the units of `_screening_units` in order, each stand-in scanned once."""
-    units = _screening_units(model.site, rule)
+    """Screen the steps of `_screening_steps` in order, each stand-in scanned once."""
+    steps = _screening_steps(model.site, rule)
     note = "conditional product rule fails for this atom pair given C"
     if rule == "joint-clear":
         reason = "no spacelike region pairs clear of the initial elements"
     else:
         reason = "no spacelike pairs of disjoint nonempty regions"
-    return _screen(model, condition, units, note, reason, tables=tables)
+    return _screen(model, condition, steps, note, reason, tables=tables)
 
 
 def check_so1(model: StochasticModel) -> CheckReport:
@@ -588,23 +584,6 @@ def check_so2w(model: StochasticModel) -> CheckReport:
 SELECTOR_NAMES = ("mutual", "joint", "bell", "all")
 
 
-def _admissible_or_raise(site: CausalSite, pasts, ra: int, rb: int) -> None:
-    """Raise for the first of `pasts` that misses the mutual past of the pair or meets its future."""
-    mutual = site.mutual_past(ra, rb)
-    futures = site.future(ra) | site.future(rb)
-    for past in pasts:
-        if mutual & ~past:
-            problem = "does not contain the mutual past"
-        elif past & futures:
-            problem = "intersects the future of the pair"
-        else:
-            continue
-        raise SelectorError(
-            f"selector error: region {site.region_ids(past)} for pair "
-            f"({site.region_ids(ra)}, {site.region_ids(rb)}) {problem}"
-        )
-
-
 def check_generalized_so(model: StochasticModel, selector="mutual") -> CheckReport:
     """Screening with a pluggable conditioning region per region pair.
 
@@ -625,23 +604,34 @@ def check_generalized_so(model: StochasticModel, selector="mutual") -> CheckRepo
             f"expected one of {', '.join(SELECTOR_NAMES)}"
         )
 
-    def units():
+    def steps():
         if isinstance(selector, str):
-            selected = _screening_units(site, selector)
+            selected = _screening_steps(site, selector)
         else:
             selected = (
-                (pair, ((site.check_region(selector(site, *pair)), None),))
+                (pair, site.check_region(selector(site, *pair)), None, None, 0, 0)
                 for pair in _spacelike_pairs(site)
             )
-        for pair, steps in selected:
-            _admissible_or_raise(site, [past for past, _ in steps], *pair)
-            yield pair, steps
+        pair = None
+        for step in selected:
+            if step[0] != pair:  # a new unit: its pair's mutual past and futures
+                pair = ra, rb = step[0]
+                mutual, futures = site.mutual_past(ra, rb), site.future(ra) | site.future(rb)
+            past = step[1]
+            if mutual & ~past or past & futures:
+                problem = ("does not contain the mutual past" if mutual & ~past
+                           else "intersects the future of the pair")
+                raise SelectorError(
+                    f"selector error: region {site.region_ids(past)} for pair "
+                    f"({site.region_ids(ra)}, {site.region_ids(rb)}) {problem}"
+                )
+            yield step
 
     note = f"conditional product rule fails for this atom pair given C (selector {label})"
     return _screen(
         model,
         f"gen-so[{label}]",
-        units(),
+        steps(),
         note,
         step_key="conditioning_regions",
         fixed={"selector": label},
@@ -678,7 +668,7 @@ def check_multi_so(model: StochasticModel, n: int) -> CheckReport:
     atom conditionals, given any positive-measure full specification of the
     tuple's joint past.  The factorization is checked directly, so no
     pairwise-correlation precondition is needed.  The tuples stream the
-    planned walk of `_screening_units(site, n)`: the tuples with one joint
+    planned walk of `_screening_steps(site, n)`: the tuples with one joint
     past share that group's certificate.
     """
     if n < 2:
@@ -686,7 +676,7 @@ def check_multi_so(model: StochasticModel, n: int) -> CheckReport:
     return _screen(
         model,
         f"multi-so[n={n}]",
-        _screening_units(model.site, n),
+        _screening_steps(model.site, n),
         "joint conditional factorization fails for this atom tuple given C",
         f"no {n}-tuples of pairwise-spacelike disjoint regions",
         names=tuple(f"A{i + 1}" for i in range(n)),
@@ -794,11 +784,11 @@ def check_wrc(model: StochasticModel, conditioned: bool = False) -> CheckReport:
     mutual past (the strengthening that survives Simpson-style reversals).
     """
     site = model.site
-    units = ((pair, ((site.mutual_past(*pair), None),)) for pair in _spacelike_pairs(site))
+    steps = ((pair, site.mutual_past(*pair), None, None, 0, 0) for pair in _spacelike_pairs(site))
     return _screen(
         model,
         "wrc-cond" if conditioned else "wrc",
-        units,
+        steps,
         "correlated atom pair with no common correlate decidable in the mutual past",
         scan=partial(_correlate_failure, conditioned=conditioned),
         counterexample=_correlate_counterexample,
@@ -847,8 +837,26 @@ def _past_region_cells(site: CausalSite) -> tuple[int, ...]:
     return tuple(seen)
 
 
-def _event_pair_vacuous(model: StochasticModel, condition: str, a: int, b: int, positive: bool):
-    """Shared precondition screen for the explicit-pair checks; None if satisfied."""
+def _witness_search(
+    model: StochasticModel,
+    condition: str,
+    a: int,
+    b: int,
+    positive: bool,
+    search,
+    accepts,
+    witness,
+    noun: str,
+    none_found: str,
+) -> CheckReport:
+    """One common-cause demand on events A and B: some candidate witness must be accepted.
+
+    The check is vacuous unless the events' domains are spacelike and the
+    events are correlated, positively when `positive`.  Then `search()`
+    gives (mode, candidates); the first candidate that `accepts` holds the
+    check, its stats from `witness(candidate)`, and with none the
+    counterexample's note is `none_found`.  Each counts its `noun`s examined.
+    """
     site = model.site
     da, db = dom(site, a), dom(site, b)
     if not site.spacelike(da, db):
@@ -859,38 +867,33 @@ def _event_pair_vacuous(model: StochasticModel, condition: str, a: int, b: int, 
             stats={"dom_a": site.region_ids(da), "dom_b": site.region_ids(db)},
         )
     wa, wb, wab = model._w(a), model._w(b), model._w(a & b)
-    if (wab * model._den > wa * wb) if positive else (wab * model._den != wa * wb):
-        return None
-    return CheckReport(
-        condition,
-        VACUOUS,
-        reason="events are not positively correlated" if positive else "events are not correlated",
-        stats=dict(_event_pair_values(model, a, b)),
+    values = tuple(
+        (f"mu({name})", format_rational(Fraction(w, model._den)))
+        for name, w in (("A", wa), ("B", wb), ("A&B", wab))
     )
-
-
-def _event_pair_values(model: StochasticModel, a: int, b: int) -> tuple[tuple[str, str], ...]:
-    """mu(A), mu(B) and mu(A&B), rendered."""
-    return tuple(
-        (f"mu({name})", format_rational(Fraction(model._w(e), model._den)))
-        for name, e in (("A", a), ("B", b), ("A&B", a & b))
-    )
-
-
-def _no_witness_counterexample(model: StochasticModel, a: int, b: int, note: str) -> Counterexample:
-    site = model.site
-    return Counterexample(
-        regions=(
-            ("A", site.region_ids(dom(site, a))),
-            ("B", site.region_ids(dom(site, b))),
-        ),
+    if not ((wab * model._den > wa * wb) if positive else (wab * model._den != wa * wb)):
+        reason = "events are not positively correlated" if positive else "events are not correlated"
+        return CheckReport(condition, VACUOUS, reason=reason, stats=dict(values))
+    mode, candidates = search()
+    examined = 0
+    for candidate in candidates:
+        examined += 1
+        if accepts(candidate):
+            stats = {"mode": mode, f"{noun}_examined": examined, **witness(candidate)}
+            return CheckReport(condition, HOLDS, stats=stats)
+    cx = Counterexample(
+        regions=(("A", site.region_ids(da)), ("B", site.region_ids(db))),
         events=(("A", event_ref(site, a)), ("B", event_ref(site, b))),
-        values=(
-            *_event_pair_values(model, a, b),
-            ("product", format_rational(Fraction(model._w(a) * model._w(b), model._den**2))),
-        ),
-        note=note,
+        values=(*values, ("product", format_rational(Fraction(wa * wb, model._den**2)))),
+        note=f"{none_found} ({mode} search, {examined} examined)",
     )
+    stats = {"mode": mode, f"{noun}_examined": examined}
+    return CheckReport(condition, VIOLATED, counterexample=cx, stats=stats)
+
+
+def _require_exhaustive_limit(exhaustive_limit: int) -> None:
+    if exhaustive_limit < 0:
+        raise ValueError(f"check error: exhaustive_limit must be at least 0, not {exhaustive_limit}")
 
 
 def _candidate_events(model: StochasticModel, a: int, b: int, exhaustive_limit: int):
@@ -925,20 +928,18 @@ def _screening_like_check(
     exhaustive_limit: int,
     want_inequalities: bool,
 ) -> CheckReport:
-    """Shared engine for the single-event common-cause checks.
+    """The single-event common-cause checks, pcc-original and pcc-rev1.
 
     A witness C must have measure strictly between 0 and 1 and screen the pair
     under both C and its complement; with ``want_inequalities`` it must also
     strictly raise the conditional measure of each event (the "cause" reading).
     """
-    site = model.site
-    vac = _event_pair_vacuous(model, condition, a, b, positive=want_inequalities)
-    if vac is not None:
-        return vac
+    _require_exhaustive_limit(exhaustive_limit)
     L = model._den
     wa, wb, wab = model._w(a), model._w(b), model._w(a & b)
 
-    def satisfies(wc: int, wac: int, wbc: int, wabc: int) -> bool:
+    def satisfies(candidate) -> bool:
+        wc, wac, wbc, wabc = candidate[1]
         if wc == 0 or wc == L:
             return False
         if wabc * wc != wac * wbc:
@@ -955,26 +956,13 @@ def _screening_like_check(
                 return False
         return True
 
-    mode, candidates = _candidate_events(model, a, b, exhaustive_limit)
-    examined = 0
-    for mask, sums in candidates:
-        examined += 1
-        if satisfies(*sums):
-            stats = {
-                "mode": mode,
-                "candidates_examined": examined,
-                "witness": event_ref(site, mask).to_json(),
-            }
-            return CheckReport(condition, HOLDS, stats=stats)
     wanted = "screening and likelihood-raising conditions" if want_inequalities else "two-sided screening condition"
-    cx = _no_witness_counterexample(
-        model, a, b, f"no candidate event satisfies the {wanted} ({mode} search, {examined} examined)"
-    )
-    return CheckReport(
-        condition,
-        VIOLATED,
-        counterexample=cx,
-        stats={"mode": mode, "candidates_examined": examined},
+    return _witness_search(
+        model, condition, a, b, want_inequalities,
+        lambda: _candidate_events(model, a, b, exhaustive_limit),
+        satisfies,
+        lambda candidate: {"witness": event_ref(model.site, candidate[0]).to_json()},
+        "candidates", f"no candidate event satisfies the {wanted}",
     )
 
 
@@ -1036,14 +1024,10 @@ def check_pcc_rev2(
         raise ValueError(
             f"check error: max_partition_size must be at least 1, not {max_partition_size}"
         )
-    condition = "pcc-rev2"
     site = model.site
-    vac = _event_pair_vacuous(model, condition, a, b, positive=False)
-    if vac is not None:
-        return vac
 
-    def screens(cells) -> bool:
-        for cell in cells:
+    def screens(candidate) -> bool:
+        for cell in candidate[0]:
             wc = model._w(cell)
             if wc == 0:
                 continue
@@ -1062,34 +1046,21 @@ def check_pcc_rev2(
                 seen.add(key)
                 yield cells, r
 
-    n = n_histories(site)
-    if n <= SET_PARTITION_LIMIT:
-        mode = "set-partitions"
+    def search():
+        n = n_histories(site)
+        if n > SET_PARTITION_LIMIT:
+            return "region-partitions", region_partitions()
         cap = max_partition_size if max_partition_size is not None else n
-        partitions = ((cells, None) for cells in _iter_set_partitions(n, cap))
-    else:
-        mode = "region-partitions"
-        partitions = region_partitions()
-    examined = 0
-    for cells, region in partitions:
-        examined += 1
-        if screens(cells):
-            # a region's cells are named by their configurations; set partitions have no region
-            witness = [event_ref(site, c, region, i).to_json() for i, c in enumerate(cells)]
-            stats = {"mode": mode, "partitions_examined": examined, "witness_partition": witness}
-            return CheckReport(condition, HOLDS, stats=stats)
-    cx = _no_witness_counterexample(
-        model,
-        a,
-        b,
-        f"no partition screens the pair in every positive-measure cell "
-        f"({mode} search, {examined} examined)",
-    )
-    return CheckReport(
-        condition,
-        VIOLATED,
-        counterexample=cx,
-        stats={"mode": mode, "partitions_examined": examined},
+        return "set-partitions", ((cells, None) for cells in _iter_set_partitions(n, cap))
+
+    def witness(candidate):
+        # a region's cells are named by their configurations; set partitions have no region
+        cells, region = candidate
+        return {"witness_partition": [event_ref(site, c, region, i).to_json() for i, c in enumerate(cells)]}
+
+    return _witness_search(
+        model, "pcc-rev2", a, b, False, search, screens, witness,
+        "partitions", "no partition screens the pair in every positive-measure cell",
     )
 
 
@@ -1102,6 +1073,7 @@ def find_screening_events(
     when the history space has at most `exhaustive_limit` points, otherwise
     it is restricted to full-specification cells of past-closed regions.
     """
+    _require_exhaustive_limit(exhaustive_limit)
     if not correlated(model, a, b):
         raise PreconditionError(
             "precondition error: the events are not correlated; "
@@ -1114,6 +1086,7 @@ def find_simpson_events(
     model: StochasticModel, a: int, b: int, exhaustive_limit: int = EXHAUSTIVE_EVENT_LIMIT
 ) -> list[int]:
     """All events that break the independence of an uncorrelated pair."""
+    _require_exhaustive_limit(exhaustive_limit)
     if correlated(model, a, b):
         raise PreconditionError(
             "precondition error: the events are correlated; "
@@ -1158,7 +1131,7 @@ def check_penrose_percival(model: StochasticModel) -> CheckReport:
     return _screen(
         model,
         "penrose-percival",
-        _screening_units(model.site, "dissections"),
+        _screening_steps(model.site, "dissections"),
         note,
         step_key="dissections",
         fixed={"so1_verdict": so1.verdict},

@@ -287,6 +287,26 @@ class TestCheck:
         assert out == ""
         assert err == f"check error: max_partition_size must be at least 1, not {cap}\n"
 
+    @pytest.mark.parametrize("command", [["check", "pcc-original"], ["check", "pcc-rev1"],
+                                         ["find", "screening"], ["find", "simpson"]])
+    @pytest.mark.parametrize("limit", ["-1", "-5"])
+    def test_negative_exhaustive_limit_is_a_check_error(self, capsys, model_dir, command, limit):
+        # a negative limit used to switch silently to the past-region-cell search
+        code, out, err = run(
+            capsys, *command, str(model_dir / "illusionist_coins.json"),
+            "--a", "A", "--b", "B", "--max-omega-exhaustive", limit,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"check error: exhaustive_limit must be at least 0, not {limit}\n"
+
+    def test_exhaustive_limit_zero_restricts_the_search(self, capsys, model_dir):
+        code, out, err = run(
+            capsys, "check", "pcc-rev1", str(model_dir / "illusionist_coins.json"),
+            "--a", "A", "--b", "B", "--max-omega-exhaustive", "0", "--format", "json",
+        )
+        assert err == ""
+        assert json.loads(out)["stats"]["mode"] == "past-region-cells"
+
     def test_wrc_capacity_limit_is_a_usage_error(self, capsys, tmp_path):
         from screenoff.corpus import random_deterministic_local
         from screenoff.modelfile import render_model_json

@@ -80,6 +80,9 @@ def invocations() -> list[list[str]]:
         ["check", "gen-so", stochastic, "--selector", "nearest"],
         ["check", "multi-so", stochastic, "--n", "1"],
         ["find", "screening", quantal, "--a", "A", "--b", "B"],
+        *([*cmd, "{models}/three_pair_coins.json", "--a", "A", "--b", "B", "--max-omega-exhaustive", "-5"]
+          for cmd in (["check", "pcc-original"], ["check", "pcc-rev1"],
+                      ["find", "screening"], ["find", "simpson"])),
         ["fuzz", "--pair", "so1-so3", "--seed", "0", "--count", "3"],
         ["fuzz", "--pair", "so1-so2", "--seed", "0", "--count", "0"],
         ["corpus", "verify", "--format", "json"],

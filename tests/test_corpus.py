@@ -28,6 +28,9 @@ from screenoff.quantal import QuantalModel, check_qso1, validate_quantal
 from screenoff.report import HOLDS, VIOLATED, CheckReport
 from screenoff.stochastic import (
     StochasticModel,
+    check_pcc_original,
+    check_pcc_rev1,
+    check_pcc_rev2,
     check_so1,
     correlated,
     deterministic_local_satisfies_so1,
@@ -123,6 +126,38 @@ class TestGoldenVerdicts:
             named_events=entry.named_events,
         )
         assert run_condition(broken, "so1").verdict == HOLDS
+
+    def test_verify_corpus_reports_the_first_mismatch(self, monkeypatch):
+        # pr_box's first pinned verdict (so1) is flipped in a stand-in catalogue
+        entries = corpus_entries()
+        at = corpus_names().index("pr_box")
+        box = entries[at]
+        first = min(box.expected)
+        flipped = {**box.expected, first: HOLDS if box.expected[first] == VIOLATED else VIOLATED}
+        entries[at] = CorpusEntry(box.name, box.model, flipped, box.note, box.named_events)
+        monkeypatch.setattr(corpus_mod, "corpus_entries", lambda: entries)
+        report = verify_corpus()
+        assert report.violated
+        assert report.stats == {
+            "entries": at + 1,
+            "verdicts_checked": sum(len(e.expected) for e in entries[:at]) + 1,
+        }
+        cx = report.counterexample
+        assert cx.values == (
+            ("entry", "pr_box"),
+            ("condition", first),
+            ("expected", flipped[first]),
+            ("actual", box.expected[first]),
+        )
+        assert cx.note == "a pinned corpus verdict no longer reproduces"
+
+    @pytest.mark.parametrize("token, check", [("pcc-original", check_pcc_original),
+                                              ("pcc-rev1", check_pcc_rev1), ("pcc-rev2", check_pcc_rev2)])
+    def test_run_condition_passes_the_named_events(self, token, check):
+        entry = builtin("pr_box")
+        want = check(entry.model, entry.event("A"), entry.event("B"))
+        assert want.verdict == HOLDS
+        assert run_condition(entry, token).to_json_dict() == want.to_json_dict()
 
     def test_unknown_condition_token(self):
         with pytest.raises(CorpusError, match="unknown condition token"):

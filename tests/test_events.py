@@ -160,6 +160,20 @@ class TestHistories:
             cylinder(s, i, 0)
         assert str(err.value) == f"region error: element {i} outside 0..1"
 
+    @pytest.mark.parametrize("value", [-1, 3, 4])  # -1, k and k+1
+    def test_cylinder_value_out_of_range_is_refused(self, value):
+        s = CausalSite([("a", 3), ("b", 2)])
+        with pytest.raises(ValueError) as err:
+            cylinder(s, "a", value)
+        assert str(err.value) == f"value {value} out of range for element 'a'"
+
+    @pytest.mark.parametrize("config", [-1, 6, 7])  # -1, N and N+1
+    def test_atom_expr_config_out_of_range_is_refused(self, config):
+        s = CausalSite([("a", 3), ("b", 2)])
+        with pytest.raises(ValueError) as err:
+            atom_expr(s, 0b11, config)
+        assert str(err.value) == f"config {config} out of range for region"
+
 
 # -- dom -------------------------------------------------------------------
 
@@ -169,6 +183,13 @@ class TestDom:
         s = antichain(3)
         assert dom(s, 0) == 0
         assert dom(s, omega(s)) == 0
+
+    @pytest.mark.parametrize("event", [-1, 1 << 6, (1 << 6) + 1])  # -1, Ω + 1 and Ω + 2
+    def test_mask_outside_the_history_space_is_refused(self, event):
+        s = CausalSite([("a", 3), ("b", 2)])
+        with pytest.raises(ValueError) as err:
+            dom(s, event)
+        assert str(err.value) == f"event mask {event:#x} outside the history space"
 
     def test_single_cylinder(self):
         s = coin_site()

@@ -7,6 +7,7 @@ already-oracled verdicts.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,7 @@ from screenoff.quantal import (
     validate_quantal,
     verify_quantal_lemmas,
 )
-from screenoff.report import HOLDS, VACUOUS, VIOLATED
+from screenoff.report import HOLDS, VACUOUS, VIOLATED, CheckReport
 from screenoff.stochastic import StochasticModel, check_so1
 
 F = Fraction
@@ -433,6 +434,36 @@ class TestDiagonalReduction:
         r = diagonal_reduction(diagonal_model(site, m.weights))
         assert r.verdict == HOLDS
         assert r.stats["so1_verdict"] == VIOLATED
+
+    def test_disagreeing_verdicts_are_reported(self, monkeypatch):
+        # the reduction is a theorem; a stand-in so1 verdict reaches the report
+        m = selection_reversal()
+        monkeypatch.setattr(quantal, "check_so1", lambda model: CheckReport("so1", HOLDS))
+        r = diagonal_reduction(diagonal_model(m.site, m.weights))
+        assert r.verdict == VIOLATED
+        assert r.stats == {"so1_verdict": HOLDS, "qso1_verdict": VIOLATED}
+        assert r.counterexample.values == (("so1", HOLDS), ("qso1", VIOLATED))
+        assert r.counterexample.note == "quantal and classical verdicts disagree on a decohered matrix"
+
+    def test_different_counterexamples_are_reported(self, monkeypatch):
+        # a stand-in so1 report names other regions than the quantal one
+        m = selection_reversal()
+        so1 = check_so1(m)
+        moved = replace(so1, counterexample=replace(so1.counterexample, regions=()))
+        monkeypatch.setattr(quantal, "check_so1", lambda model: moved)
+        q = diagonal_model(m.site, m.weights)
+        qc = quantal.check_qso1(q).counterexample
+        r = diagonal_reduction(q)
+        assert r.verdict == VIOLATED
+        assert r.stats == {"so1_verdict": VIOLATED, "qso1_verdict": VIOLATED, "counterexamples_matched": False}
+        sc = so1.counterexample
+        assert r.counterexample.values == (
+            ("classical A", sc.event("A").describe()),
+            ("quantal A1", qc.event("A1").describe()),
+            ("classical C", sc.event("C").describe()),
+            ("quantal C1", qc.event("C1").describe()),
+        )
+        assert r.counterexample.note == "matching verdicts but different first counterexamples"
 
     def test_rejects_off_diagonal(self):
         with pytest.raises(QuantalError, match="off-diagonal"):

@@ -713,6 +713,33 @@ class TestPCCOriginal:
         # below the caller's limit the cells of past regions are searched
         assert check_pcc_rev1(m, a, b).stats["mode"] == "past-region-cells"
 
+    def test_a_witness_must_raise_the_second_event_too(self, monkeypatch):
+        # given the precondition a screening event that raises A's likelihood
+        # raises B's too, so the B-side test is reached only by letting a
+        # negatively correlated pair through: c=1 screens it and raises A
+        entries = {}
+        for c in (0, 1):
+            pa = F(3, 4) if c else F(1, 4)
+            for a in (0, 1):
+                for b in (0, 1):
+                    entries[(c, a, b)] = F(1, 2) * (pa if a else 1 - pa) * (1 - pa if b else pa)
+        m = sparse_model(coin_site(), entries)
+        a, b, c = (parse_event(m.site, e) for e in ("a_s=1", "b_s=1", "c=1"))
+        cc = omega(m.site) & ~c
+        assert m.mu(a & b) < m.mu(a) * m.mu(b)
+        assert m.conditional(a & b, c) == m.conditional(a, c) * m.conditional(b, c)
+        assert m.conditional(a & b, cc) == m.conditional(a, cc) * m.conditional(b, cc)
+        assert m.conditional(a, c) > m.conditional(a, cc)
+        search = stochastic._witness_search
+        monkeypatch.setattr(
+            stochastic, "_witness_search",
+            lambda model, condition, a, b, positive, *rest: search(model, condition, a, b, False, *rest),
+        )
+        r = check_pcc_original(m, a, b)
+        assert r.verdict == VIOLATED
+        assert r.stats == {"mode": "exhaustive", "candidates_examined": 255}
+        assert check_pcc_rev1(m, a, b).verdict == HOLDS
+
     def test_vacuous_when_not_spacelike(self):
         m = StochasticModel(chain(2), [F(1, 4)] * 4)
         r = check_pcc_original(m, parse_event(m.site, "e0=0"), parse_event(m.site, "e1=0"))
@@ -809,6 +836,37 @@ class TestPCCRevisions:
         b = parse_event(m.site, "b_s=1")
         r = check_pcc_rev2(m, a, b, max_partition_size=1)
         assert r.verdict == VIOLATED
+
+    def test_rev2_skips_a_null_cell(self):
+        # e0=2 has measure zero: the cells of e0 screen the pair wherever
+        # they have weight, so e0's partition is the witness, null cell and all
+        site = CausalSite([("e0", 3), ("e1", 3)])
+        m = sparse_model(site, {(0, 0): F(1, 3), (0, 1): F(1, 6), (1, 0): F(1, 6), (1, 1): F(1, 3)})
+        r = check_pcc_rev2(m, parse_event(site, "e0=0"), parse_event(site, "e1=0"))
+        assert (r.verdict, r.stats["mode"], r.stats["partitions_examined"]) == (HOLDS, "region-partitions", 2)
+        cells = [int(c["mask"], 16) for c in r.stats["witness_partition"]]
+        assert cells == list(full_specifications(site, site.region(["e0"])))
+        assert m.mu(cells[2]) == 0
+
+    @pytest.mark.parametrize("search", [check_pcc_original, check_pcc_rev1,
+                                        find_screening_events, find_simpson_events])
+    @pytest.mark.parametrize("limit", [-1, -5])
+    def test_negative_exhaustive_limit_is_refused_before_the_precondition(self, search, limit):
+        # the pair is independent, so every search but find_simpson_events
+        # stops at its precondition with a valid limit, 0 included
+        m = selection_reversal()
+        a, b = parse_event(m.site, "a_s=0"), parse_event(m.site, "b_s=0")
+        with pytest.raises(ValueError) as got:
+            search(m, a, b, exhaustive_limit=limit)
+        assert str(got.value) == f"check error: exhaustive_limit must be at least 0, not {limit}"
+        if search is find_screening_events:
+            with pytest.raises(PreconditionError):
+                search(m, a, b, exhaustive_limit=0)
+        elif search is find_simpson_events:
+            selectors = [parse_event(m.site, "c=0"), parse_event(m.site, "c=1")]
+            assert search(m, a, b, exhaustive_limit=0) == selectors
+        else:
+            assert search(m, a, b, exhaustive_limit=0).verdict == VACUOUS
 
     @pytest.mark.parametrize("cap", [0, -1])
     def test_rev2_cap_below_one_is_refused(self, cap):
@@ -960,6 +1018,18 @@ class TestDeterministicLocal:
         assert m.mu(parse_event(site, "u=1 & v=1")) == F(1, 3)
         assert check_so1(m).verdict == HOLDS
         assert check_wrc(m, conditioned=True).verdict == HOLDS
+
+    def test_a_violation_names_the_model_seed(self, monkeypatch):
+        # deterministic local models satisfy so1, so the report of a
+        # violation is reached only through a stand-in check
+        violated = check_so1(selection_reversal())
+        verdicts = iter([check_so1(anticorrelated_coins()), violated])
+        monkeypatch.setattr(stochastic, "check_so1", lambda model: next(verdicts))
+        r = stochastic.deterministic_local_satisfies_so1(7, 5)
+        assert r.verdict == VIOLATED
+        assert r.stats == {"models": 5, "failed_at": 1, "seed": 7}
+        assert r.counterexample.note == violated.counterexample.note + " (model generated from seed 8)"
+        assert r.counterexample.events == violated.counterexample.events
 
     def test_bad_rule_value(self):
         site = coin_site()

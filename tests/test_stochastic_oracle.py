@@ -330,14 +330,15 @@ REF_PAIR_PASTS = {
 
 
 def ref_units(label: str, site: CausalSite):
-    """The ordinal unit stream of a planned check, every step scanned itself."""
+    """The ordinal step stream of a planned check, every step scanned itself."""
     if label.startswith("multi-so[n="):
         n = int(label[len("multi-so[n="):-1])
         for regions in ref_spacelike_tuples(site, n):
-            yield regions, ((site.multi_joint_past(regions), None),)
+            yield regions, site.multi_joint_past(regions), None, None, 0, 0
         return
     for a, b in ref_spacelike_pairs(site):
-        yield (a, b), tuple((past, None) for past in REF_PAIR_PASTS[label](site, a, b))
+        for past in REF_PAIR_PASTS[label](site, a, b):
+            yield (a, b), past, None, None, 0, 0
 
 
 def _reference_outcome(label, run, model) -> str:
@@ -355,7 +356,7 @@ def _reference_outcome(label, run, model) -> str:
             lambda model, condition, *args, **kwargs: REF_SCREENING[condition](model),
         )
         # and every other planned check scans its ordinal units, listed here
-        m.setattr(stochastic, "_screening_units", lambda site, check, *args: ref_units(label, site))
+        m.setattr(stochastic, "_screening_steps", lambda site, check, *args: ref_units(label, site))
         m.setattr(stochastic, "_screening_plan", None)
         return _outcome(lambda: run(model))
 
@@ -778,13 +779,13 @@ def test_a_pair_and_its_reverse_share_two_stand_in_lists(shape):
     site = PRUNING_SITES.get(shape) or CausalSite([(f"s{i}", 2) for i in range(5)])
     init = site.initial_elements()
     for rule in ("mutual", "joint", "joint-clear"):
-        steps = dict(stochastic._screening_plan(site, rule, 1))
-        # the plan lists every screened pair, in pair order
+        steps = {step[0]: step for step in stochastic._screening_plan(site, rule, 1)}
+        # the plan lists every screened pair once, in pair order
         assert list(steps) == [(a, b) for a, b in stochastic._spacelike_pairs(site)
                                if rule != "joint-clear" or not (a | b) & init]
-        for (a, b), step in steps.items():
-            ((past, (keys, others, cells, atoms)),) = step
-            ((r_past, (r_keys, r_others, r_cells, r_atoms)),) = steps[b, a]
+        assert len(steps) == len(stochastic._screening_plan(site, rule, 1))
+        for (a, b), (_, past, keys, others, cells, atoms) in steps.items():
+            _, r_past, r_keys, r_others, r_cells, r_atoms = steps[b, a]
             assert keys is r_others and others is r_keys
             assert (past, cells, atoms) == (r_past, r_cells, r_atoms)
             # each stand-in is keyed by its past, and the last of each list
@@ -1051,30 +1052,42 @@ def test_one_coupled_block_below_a_root(seed, n_leaves, data):
             assert set(scans) <= one_block_scans(site, label, failing), label
 
 
-@pytest.mark.parametrize("label", ["so1", "so2", "so2w"])
+# so1, so2, so2w and the built-in gen-so selectors, with each one's
+# conditioning regions of a pair
+FIRST_UNIT_CHECKS = {
+    **{label: (check, {"so1": "gen-so[mutual]"}.get(label, "gen-so[joint]"))
+       for label, check in PAIRWISE.items()},
+    **{f"gen-so[{sel}]": (lambda m, sel=sel: check_generalized_so(m, selector=sel), f"gen-so[{sel}]")
+       for sel in ("mutual", "joint", "bell", "all")},
+}
+
+
+@pytest.mark.parametrize("label", list(FIRST_UNIT_CHECKS))
 def test_a_first_pair_failure_scans_once_and_builds_no_plan(label, monkeypatch):
     # nearly every random model fails at its first screened pair; such a
-    # check costs one scan and no plan, and so tries no certificate
+    # check scans that pair given its conditioning regions in order, up to
+    # the failing one, and builds no plan, so it tries no certificate
+    check, pasts_label = FIRST_UNIT_CHECKS[label]
     models = []
-    for seed in range(60):
+    for seed in range(120):
         model = random_stochastic(seed, 3 + seed % 2, 2)
-        report = REF_SCREENING[label](model)
-        if report.verdict == VIOLATED and report.stats["region_pairs"] == 1:
-            models.append((model, report))
-    assert len(models) >= 20
+        want = _reference_outcome(label, check, model)
+        report = json.loads(want)
+        if report["verdict"] == VIOLATED and report["stats"]["region_pairs"] == 1:
+            models.append((model, want, report["stats"].get("conditioning_regions", 1)))
+    assert len(models) >= 30
 
     def no_plan(*args):
         raise AssertionError("a plan was built for a first-pair failure")
 
     monkeypatch.setattr(stochastic, "_screening_plan", no_plan)
     scans = recorded_scans(monkeypatch)
-    for model, want in models:
+    for model, want, n_scanned in models:
         del scans[:]
-        report = PAIRWISE[label](model)
-        assert report.to_json_dict() == want.to_json_dict()
+        assert _outcome(lambda: check(model)) == want
         first = first_screened_pair(model.site, label)
-        past_of = model.site.mutual_past if label == "so1" else model.site.joint_past
-        assert scans == [(first, past_of(*first))]
+        pasts = REF_PAIR_PASTS[pasts_label](model.site, *first)
+        assert scans == [(first, past) for past in pasts[:n_scanned]]
 
 
 @given(seed=st.integers(0, 10**6), n_leaves=st.integers(2, 5), coupled=st.booleans())
