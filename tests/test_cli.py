@@ -289,15 +289,14 @@ class TestCheck:
 
     @pytest.mark.parametrize("command", [["check", "pcc-original"], ["check", "pcc-rev1"],
                                          ["find", "screening"], ["find", "simpson"]])
-    @pytest.mark.parametrize("limit", ["-1", "-5"])
-    def test_negative_exhaustive_limit_is_a_check_error(self, capsys, model_dir, command, limit):
+    def test_negative_exhaustive_limit_is_a_check_error(self, capsys, model_dir, command):
         # a negative limit used to switch silently to the past-region-cell search
         code, out, err = run(
             capsys, *command, str(model_dir / "illusionist_coins.json"),
-            "--a", "A", "--b", "B", "--max-omega-exhaustive", limit,
+            "--a", "A", "--b", "B", "--max-omega-exhaustive", "-5",
         )
         assert (code, out) == (2, "")
-        assert err == f"check error: exhaustive_limit must be at least 0, not {limit}\n"
+        assert err == "check error: exhaustive_limit must be at least 0, not -5\n"
 
     def test_exhaustive_limit_zero_restricts_the_search(self, capsys, model_dir):
         code, out, err = run(

@@ -1055,8 +1055,9 @@ def test_one_coupled_block_below_a_root(seed, n_leaves, data):
 # so1, so2, so2w and the built-in gen-so selectors, with each one's
 # conditioning regions of a pair
 FIRST_UNIT_CHECKS = {
-    **{label: (check, {"so1": "gen-so[mutual]"}.get(label, "gen-so[joint]"))
-       for label, check in PAIRWISE.items()},
+    "so1": (check_so1, "gen-so[mutual]"),
+    "so2": (check_so2, "gen-so[joint]"),
+    "so2w": (check_so2w, "gen-so[joint]"),
     **{f"gen-so[{sel}]": (lambda m, sel=sel: check_generalized_so(m, selector=sel), f"gen-so[{sel}]")
        for sel in ("mutual", "joint", "bell", "all")},
 }
