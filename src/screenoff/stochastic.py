@@ -426,21 +426,28 @@ def _screen(
 # pair that does not split K has a dominator that holds.
 
 
-def _admissible_pasts(site: CausalSite, a: int, b: int) -> tuple[int, ...]:
+@lru_cache(maxsize=None)
+def _region_pasts(site: CausalSite) -> tuple[int, ...]:
+    """The past of every region, indexed by its mask: the rules below read it for every pair."""
+    return tuple(map(site.past, site.regions()))
+
+
+def _admissible_pasts(site: CausalSite, past: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
     """Every region that contains the mutual past of (a, b) and avoids both futures."""
-    mutual = site.mutual_past(a, b)
+    mutual = past[a] & past[b]
     free = site.full_mask & ~(site.future(a) | site.future(b) | mutual)
     return tuple(mutual | extra for extra in submasks(free))
 
 
 # The planned pair checks: each one's conditioning regions for a spacelike
-# pair (A, B).  "joint-clear" leaves out the pairs touching an initial element.
+# pair (A, B), given `_region_pasts(site)`.  "joint-clear" leaves out the
+# pairs touching an initial element.
 _RULES = {
-    "mutual": lambda site, a, b: (site.past(a) & site.past(b),),  # so1
-    "joint": lambda site, a, b: (site.joint_past(a, b),),  # so2
-    "bell": lambda site, a, b: (site.past(a) & ~a,),  # gen-so[bell]
+    "mutual": lambda site, past, a, b: (past[a] & past[b],),  # so1
+    "joint": lambda site, past, a, b: (past[a | b] & ~(a | b),),  # so2
+    "bell": lambda site, past, a, b: (past[a] & ~a,),  # gen-so[bell]
     "all": _admissible_pasts,  # gen-so[all]
-    "dissections": lambda site, a, b: tuple(p for p, _ in site.enumerate_dissections(a, b)),  # penrose-percival
+    "dissections": lambda site, past, a, b: tuple(p for p, _ in site.enumerate_dissections(a, b)),  # penrose-percival
 }
 _RULES["joint-clear"] = _RULES["joint"]  # so2w
 
@@ -458,12 +465,24 @@ def _check_units(site: CausalSite, check, pairs=None):
     pasts_of = _RULES[check]
     excluded = site.initial_elements() if check == "joint-clear" else 0
     pairs = _spacelike_pairs(site) if pairs is None else pairs
-    return ((pair, pasts_of(site, *pair)) for pair in pairs if not (pair[0] | pair[1]) & excluded)
+    past = _region_pasts(site)
+    return ((pair, pasts_of(site, past, *pair)) for pair in pairs if not (pair[0] | pair[1]) & excluded)
 
 
 @lru_cache(maxsize=None)
 def _screening_plan(site: CausalSite, check, power: int) -> tuple[tuple, ...]:
-    """Every step of `_check_units(site, check)`, in order, with its stand-ins.
+    """The plan of `_check_units(site, check)`, shared by every check with the same units.
+
+    On a site where the mutual and joint pasts of every spacelike pair
+    coincide (an antichain, or a common cause below it), so1, so2 and
+    gen-so[bell] walk one plan, built once.
+    """
+    return _plan(site, tuple(_check_units(site, check)), not isinstance(check, int), power)
+
+
+@lru_cache(maxsize=None)
+def _plan(site: CausalSite, units: tuple, ordered: bool, power: int) -> tuple[tuple, ...]:
+    """Every step of `units`, in order, with its stand-ins.
 
     A step is (regions, P, stand-ins, fallbacks, |Φ(P)|^power,
     ∏|Φ(Xi)|^power); `power` is 2 for the quantal checks, which scan
@@ -482,9 +501,7 @@ def _screening_plan(site: CausalSite, check, power: int) -> tuple[tuple, ...]:
     singletons of E_P, the union of the group's regions.  With one maximal
     step, that step's scan already covers the group.
     """
-    units = tuple(_check_units(site, check))
-    # a pair check lists both (A, B) and (B, A); multi-so lists each tuple once, ascending
-    ordered = not isinstance(check, int)
+    # `ordered`: a pair check lists both (A, B) and (B, A); multi-so lists each tuple once, ascending
     groups: dict[int, tuple[dict, dict]] = {}  # P: (stand-ins by step, by maximal step)
     full = site.full_mask
     for regions, pasts in reversed(units):

@@ -410,6 +410,22 @@ class TestPrunedScreening:
             assert stochastic._screening_plan(site, rule, 1) is plan
             assert len(plan) == len(stochastic._spacelike_pairs(site))
 
+    def test_rules_with_the_same_units_share_one_plan(self):
+        # below one common cause the mutual and joint pasts of every pair are
+        # {c}: so2 walks the plan that so1 built and builds none of its own
+        model = _common_cause(5)
+        assert check_so1(model).verdict == HOLDS
+        built = stochastic._plan.cache_info().misses
+        assert check_so2(model).verdict == HOLDS
+        assert stochastic._plan.cache_info().misses == built
+        site = model.site
+        assert stochastic._screening_plan(site, "joint", 1) is stochastic._screening_plan(site, "mutual", 1)
+        assert stochastic._region_pasts(site) == tuple(map(site.past, site.regions()))
+        # x lies below l2 only: the joint past of ({l0}, {l2}) holds x, the mutual one does not
+        site = CausalSite([("r", 2), ("x", 2), ("l0", 2), ("l1", 2), ("l2", 2)],
+                          [("r", "l0"), ("r", "l1"), ("r", "l2"), ("x", "l2")])
+        assert stochastic._screening_plan(site, "joint", 1) != stochastic._screening_plan(site, "mutual", 1)
+
 
 class TestSO2:
     def test_shared_source_screens(self):
