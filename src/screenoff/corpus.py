@@ -652,7 +652,7 @@ def random_deterministic_local(
         bit = 1 << e
         if init & bit:
             continue
-        past_ids = site.region_ids(site.past(bit) & ~bit)
+        past_ids = site.region_ids(site.below[e] & ~bit)
         k = site.alphabets[e]
         table = {
             cfg: rng.randrange(k)

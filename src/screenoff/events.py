@@ -43,6 +43,13 @@ def omega(site: CausalSite) -> int:
     return (1 << n_histories(site)) - 1
 
 
+def check_event(site: CausalSite, event: int) -> int:
+    """The event itself, if it is a mask over the site's histories."""
+    if event < 0 or event >> n_histories(site):
+        raise ValueError(f"event mask {event:#x} outside the history space")
+    return event
+
+
 def history_digits(site: CausalSite, h: int) -> tuple[int, ...]:
     n = n_histories(site)
     if not 0 <= h < n:
@@ -84,10 +91,7 @@ def dom(site: CausalSite, event: int) -> int:
     Element i is in it iff some value slice of the event, moved one value
     up (by i's place value), differs from the next slice.
     """
-    om = omega(site)
-    if event < 0 or event > om:
-        raise ValueError(f"event mask {event:#x} outside the history space")
-    if event == 0 or event == om:
+    if check_event(site, event) in (0, omega(site)):
         return 0
     _, strides, _ = _region_meta(site, site.full_mask)
     region = 0
@@ -181,7 +185,7 @@ def restriction(site: CausalSite, event: int, region: int) -> int:
     cells = full_specifications(site, region)
     cis = config_indices(site, region)
     seen: set[int] = set()
-    for h in iter_bits(event):
+    for h in iter_bits(check_event(site, event)):
         seen.add(cis[h])
     out = 0
     for ci in seen:

@@ -17,6 +17,7 @@ from math import gcd, lcm
 
 from .events import (
     _block,
+    check_event,
     config_indices,
     dom,
     event_ref,
@@ -196,6 +197,7 @@ class QuantalModel:
 
     def d_value(self, left: int, right: int) -> ComplexFraction:
         """The matrix summed over an ordered pair of events."""
+        left, right = check_event(self.site, left), check_event(self.site, right)
         re = im = 0
         for h in iter_bits(left):
             row = self._ints[h]

@@ -17,6 +17,7 @@ from .events import (
     CapacityError,
     _block,
     _region_meta,
+    check_event,
     config_indices,
     dom,
     event_ref,
@@ -125,11 +126,12 @@ class StochasticModel:
 
     def mu(self, event: int) -> Fraction:
         """Measure of an event (bitmask over history indices)."""
-        return Fraction(self._w(event), self._den)
+        return Fraction(self._w(check_event(self.site, event)), self._den)
 
     def conditional(self, event: int, given: int) -> Fraction:
         """mu(event | given); the conditioning event must have positive measure."""
-        wg = self._w(given)
+        check_event(self.site, event)
+        wg = self._w(check_event(self.site, given))
         if wg == 0:
             raise MeasureError("measure error: conditioning on an event of measure zero")
         return Fraction(self._w(event & given), wg)
@@ -145,7 +147,8 @@ class StochasticModel:
 
 def correlated(model: StochasticModel, a: int, b: int) -> bool:
     """True iff mu(a & b) differs from mu(a) * mu(b), exactly."""
-    return model._w(a & b) * model._den != model._w(a) * model._w(b)
+    wa, wb = model._w(check_event(model.site, a)), model._w(check_event(model.site, b))
+    return model._w(a & b) * model._den != wa * wb
 
 
 # --- cell tables -------------------------------------------------------------
@@ -304,15 +307,38 @@ def _conditional_counterexample(
 
 
 @lru_cache(maxsize=None)
+def _cones(site: CausalSite) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The past and the future of every region, each indexed by its mask."""
+    return tuple(map(site.past, site.regions())), tuple(map(site.future, site.regions()))
+
+
+def _spacelike_tuples(site: CausalSite, n: int, ascending: bool = True):
+    """Every n-tuple of pairwise-disjoint pairwise-spacelike regions, lazily, in ascending order.
+
+    B is disjoint from and spacelike to A iff B lies in A's free set S_A,
+    outside past(A) and future(A): each next region is a nonempty submask
+    of the chosen regions' free sets, with `ascending` above the last one.
+    """
+    if n > site.n:  # n disjoint nonempty regions need n elements
+        return
+    past, future = _cones(site)
+
+    def extend(chosen: tuple[int, ...], free: int, low: int):
+        for r in submasks(free):
+            if r > low:
+                grown = chosen + (r,)
+                if len(grown) == n:
+                    yield grown
+                else:
+                    yield from extend(grown, free & ~(past[r] | future[r]), r if ascending else 0)
+
+    yield from extend((), site.full_mask, 0)
+
+
+@lru_cache(maxsize=None)
 def _spacelike_pairs(site: CausalSite) -> tuple[tuple[int, int], ...]:
     """All ordered pairs of disjoint nonempty spacelike regions, ascending."""
-    pairs = []
-    full = site.full_mask
-    for a in range(1, full + 1):
-        for b in submasks(full & ~a):
-            if b and site.spacelike(a, b):
-                pairs.append((a, b))
-    return tuple(pairs)
+    return tuple(_spacelike_tuples(site, 2, ascending=False))
 
 
 # --- one screening driver ----------------------------------------------------
@@ -323,10 +349,10 @@ def _spacelike_pairs(site: CausalSite) -> tuple[tuple[int, int], ...]:
 # of the unit; wrc and wrc-cond scan the same units for correlated atom
 # pairs.  A check is a flat stream of steps, one per (unit, past), a unit's
 # steps consecutive and sharing its regions.  A step is (regions, past,
-# stand-ins, fallbacks, cells of past, atoms of the unit), with stand-ins
+# stand-ins, fallback, cells of past, atoms of the unit), with stand-ins
 # None for a step that is scanned itself; otherwise its scan may be stood in
 # for by the scan of a larger tuple of regions with the same past, each
-# stand-in keyed (past, regions); of the fallbacks only the last is tried.
+# stand-in and the fallback keyed (past, regions).
 
 
 def _screen(
@@ -351,11 +377,11 @@ def _screen(
     raises it; a step whose regions differ from the previous step's starts
     a unit.  Each stand-in is scanned at most once, when a step first
     needs it, and a step uses the first that held of its stand-ins and then
-    its last fallback: the step is not scanned, and its stats follow from
-    its past's cells: each positive one checks every atom of the unit, each
-    null one is skipped.  A step whose stand-ins and last fallback all
-    failed is scanned itself.  A stand-in's key carries its past, so a unit
-    with several pasts never reuses a scan made under another one.  `fixed`
+    its fallback: the step is not scanned, and its stats follow from its
+    past's cells: each positive one checks every atom of the unit, each
+    null one is skipped.  A step whose stand-ins and fallback all failed is
+    scanned itself.  A stand-in's key carries its past, so a unit with
+    several pasts never reuses a scan made under another one.  `fixed`
     stats lead the report's stats; `tables` may carry cell tables shared
     with another scan of the model.  `scan` (default `_factorization_failure`) returns
     (failure-or-None, checked, skipped), reported under `count_keys`, and
@@ -368,7 +394,7 @@ def _screen(
     scans: dict[tuple[int, tuple[int, ...]], tuple] = {}
     n_units = n_steps = checked = skipped = 0
     fail = unit = None
-    for regions, past, stand_ins, others, past_cells, atoms in steps:
+    for regions, past, stand_ins, fallback, past_cells, atoms in steps:
         n_steps += 1
         if regions != unit:
             n_units += 1
@@ -381,7 +407,7 @@ def _screen(
                 if result[0] is None:
                     break
             else:
-                key = others[-1]
+                key = fallback
                 result = scans.get(key) or scans.setdefault(key, scan(model, key[1], past, tables=tables))
             fail, c, s = result
             if key[1] != regions:
@@ -426,28 +452,22 @@ def _screen(
 # pair that does not split K has a dominator that holds.
 
 
-@lru_cache(maxsize=None)
-def _region_pasts(site: CausalSite) -> tuple[int, ...]:
-    """The past of every region, indexed by its mask: the rules below read it for every pair."""
-    return tuple(map(site.past, site.regions()))
-
-
-def _admissible_pasts(site: CausalSite, past: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
+def _admissible_pasts(site: CausalSite, past, future, a: int, b: int) -> tuple[int, ...]:
     """Every region that contains the mutual past of (a, b) and avoids both futures."""
     mutual = past[a] & past[b]
-    free = site.full_mask & ~(site.future(a) | site.future(b) | mutual)
+    free = site.full_mask & ~(future[a] | future[b] | mutual)
     return tuple(mutual | extra for extra in submasks(free))
 
 
 # The planned pair checks: each one's conditioning regions for a spacelike
-# pair (A, B), given `_region_pasts(site)`.  "joint-clear" leaves out the
-# pairs touching an initial element.
+# pair (A, B), given `_cones(site)`.  "joint-clear" leaves out the pairs
+# touching an initial element; "dissections" is penrose-percival's.
 _RULES = {
-    "mutual": lambda site, past, a, b: (past[a] & past[b],),  # so1
-    "joint": lambda site, past, a, b: (past[a | b] & ~(a | b),),  # so2
-    "bell": lambda site, past, a, b: (past[a] & ~a,),  # gen-so[bell]
+    "mutual": lambda site, past, future, a, b: (past[a] & past[b],),  # so1
+    "joint": lambda site, past, future, a, b: (past[a | b] & ~(a | b),),  # so2
+    "bell": lambda site, past, future, a, b: (past[a] & ~a,),  # gen-so[bell]
     "all": _admissible_pasts,  # gen-so[all]
-    "dissections": lambda site, past, a, b: tuple(p for p, _ in site.enumerate_dissections(a, b)),  # penrose-percival
+    "dissections": lambda site, past, future, a, b: tuple(p for p, _ in site.enumerate_dissections(a, b)),
 }
 _RULES["joint-clear"] = _RULES["joint"]  # so2w
 
@@ -460,13 +480,13 @@ def _check_units(site: CausalSite, check, pairs=None):
     multi-so's tuple size n, whose units are the n-tuples of
     `_spacelike_tuples`, each given its joint past.
     """
+    past, future = _cones(site)
     if isinstance(check, int):
-        return ((t, (site.multi_joint_past(t),)) for t in _spacelike_tuples(site, check))
+        return ((t, (past[sum(t)] & ~sum(t),)) for t in _spacelike_tuples(site, check))
     pasts_of = _RULES[check]
     excluded = site.initial_elements() if check == "joint-clear" else 0
     pairs = _spacelike_pairs(site) if pairs is None else pairs
-    past = _region_pasts(site)
-    return ((pair, pasts_of(site, past, *pair)) for pair in pairs if not (pair[0] | pair[1]) & excluded)
+    return ((pair, pasts_of(site, past, future, *pair)) for pair in pairs if not (pair[0] | pair[1]) & excluded)
 
 
 @lru_cache(maxsize=None)
@@ -484,7 +504,7 @@ def _screening_plan(site: CausalSite, check, power: int) -> tuple[tuple, ...]:
 def _plan(site: CausalSite, units: tuple, ordered: bool, power: int) -> tuple[tuple, ...]:
     """Every step of `units`, in order, with its stand-ins.
 
-    A step is (regions, P, stand-ins, fallbacks, |Φ(P)|^power,
+    A step is (regions, P, stand-ins, fallback, |Φ(P)|^power,
     ∏|Φ(Xi)|^power); `power` is 2 for the quantal checks, which scan
     doubled regions and check null pseudo-cells too.  A stand-in
     is keyed (P, regions), so that no scan is reused under another P.  The
@@ -494,12 +514,12 @@ def _plan(site: CausalSite, units: tuple, ordered: bool, power: int) -> tuple[tu
     regions are given in ascending order, since the product rule is
     symmetric in them.  The grown step comes later in ordinal order, so one
     backward pass finds every dominator, and each step shares the stand-in
-    list of the step it grows into.  The fallbacks are the stand-ins of the
-    reversed pair with the same P (the B-first dominator), where the check
-    has that step, else the step itself.  Where P's group (its steps) has
-    more than one maximal step, the group's certificate stands first: the
-    singletons of E_P, the union of the group's regions.  With one maximal
-    step, that step's scan already covers the group.
+    list of the step it grows into.  The fallback is the last stand-in of
+    the reversed pair with the same P (its A-first dominator, the pair's
+    B-first one), where the check has that step, else the step itself.
+    Where P's group (its steps) has more than one maximal step, the group's
+    certificate stands first: the singletons of E_P, the union of the
+    group's regions.  With one maximal step, its scan covers the group.
     """
     # `ordered`: a pair check lists both (A, B) and (B, A); multi-so lists each tuple once, ascending
     groups: dict[int, tuple[dict, dict]] = {}  # P: (stand-ins by step, by maximal step)
@@ -541,8 +561,8 @@ def _plan(site: CausalSite, units: tuple, ordered: bool, power: int) -> tuple[tu
             atoms *= configs[r]
         for past in pasts:
             keys_of = groups[past][0]
-            others = keys_of.get(regions[::-1]) or ((past, regions),)
-            plan.append((regions, past, keys_of[regions], others, configs[past], atoms))
+            fallback = keys_of.get(regions[::-1], ((past, regions),))[-1]
+            plan.append((regions, past, keys_of[regions], fallback, configs[past], atoms))
     return tuple(plan)
 
 
@@ -561,7 +581,7 @@ def _screening_steps(site: CausalSite, check, power: int = 1, pairs=None):
     regions, pasts = first
     for past in pasts:
         keys = ((past, regions),)
-        yield regions, past, keys, keys, 0, 0
+        yield regions, past, keys, keys[0], 0, 0
     yield from itertools.islice(_screening_plan(site, check, power), len(pasts), None)
 
 
@@ -629,13 +649,11 @@ def check_generalized_so(model: StochasticModel, selector="mutual") -> CheckRepo
                 (pair, site.check_region(selector(site, *pair)), None, None, 0, 0)
                 for pair in _spacelike_pairs(site)
             )
-        pair = None
+        pasts, futures = _cones(site)
         for step in selected:
-            if step[0] != pair:  # a new unit: its pair's mutual past and futures
-                pair = ra, rb = step[0]
-                mutual, futures = site.mutual_past(ra, rb), site.future(ra) | site.future(rb)
-            past = step[1]
-            if mutual & ~past or past & futures:
+            (ra, rb), past = step[:2]
+            mutual = pasts[ra] & pasts[rb]
+            if mutual & ~past or past & (futures[ra] | futures[rb]):
                 problem = ("does not contain the mutual past" if mutual & ~past
                            else "intersects the future of the pair")
                 raise SelectorError(
@@ -653,28 +671,6 @@ def check_generalized_so(model: StochasticModel, selector="mutual") -> CheckRepo
         step_key="conditioning_regions",
         fixed={"selector": label},
     )
-
-
-def _spacelike_tuples(site: CausalSite, n: int):
-    """Every ascending n-tuple of pairwise-disjoint pairwise-spacelike regions, lazily."""
-    if n > site.n:  # n disjoint nonempty regions need n elements
-        return
-    above: dict[int, list[int]] = {}  # each region's partners above it, ascending
-    for a, b in _spacelike_pairs(site):
-        if a < b:
-            above.setdefault(a, []).append(b)
-
-    def extend(chosen: tuple[int, ...], candidates):
-        # every candidate is above the last chosen region and a partner of each chosen one
-        pool = set(candidates)
-        for r in candidates:
-            grown = chosen + (r,)
-            if len(grown) == n:
-                yield grown
-            else:
-                yield from extend(grown, [c for c in above.get(r, ()) if c in pool])
-
-    yield from extend((), range(1, site.full_mask + 1))
 
 
 def check_multi_so(model: StochasticModel, n: int) -> CheckReport:
@@ -800,8 +796,7 @@ def check_wrc(model: StochasticModel, conditioned: bool = False) -> CheckReport:
     relative to every positive-measure conditioning event decidable in the
     mutual past (the strengthening that survives Simpson-style reversals).
     """
-    site = model.site
-    steps = ((pair, site.mutual_past(*pair), None, None, 0, 0) for pair in _spacelike_pairs(site))
+    steps = ((pair, past, None, None, 0, 0) for pair, (past,) in _check_units(model.site, "mutual"))
     return _screen(
         model,
         "wrc-cond" if conditioned else "wrc",
@@ -953,7 +948,7 @@ def _screening_like_check(
     """
     _require_exhaustive_limit(exhaustive_limit)
     L = model._den
-    wa, wb, wab = model._w(a), model._w(b), model._w(a & b)
+    wa, wb, wab = (model._w(check_event(model.site, e)) for e in (a, b, a & b))
 
     def satisfies(candidate) -> bool:
         wc, wac, wbc, wabc = candidate[1]
@@ -1196,9 +1191,7 @@ def _deterministic_local(site: CausalSite, dists: dict, rules) -> StochasticMode
             if init & bit:
                 w *= dists[e][1][digs[e]]
             else:
-                past_config = {
-                    site.elements[x]: digs[x] for x in iter_bits(site.past(bit) & ~bit)
-                }
+                past_config = {site.elements[x]: digs[x] for x in iter_bits(site.below[e] & ~bit)}
                 value = rules[site.elements[e]](past_config)
                 if not 0 <= value < site.alphabets[e]:
                     raise MeasureError(

@@ -116,38 +116,29 @@ class TestGoldenVerdicts:
         assert report.holds
         assert report.stats == {"entries": 16, "verdicts_checked": 56}
 
-    def test_mismatch_is_reported(self):
-        entry = builtin("illusionist_coins")
-        broken = CorpusEntry(
-            name=entry.name,
-            model=entry.model,
-            expected={"so1": VIOLATED},
-            note=entry.note,
-            named_events=entry.named_events,
-        )
-        assert run_condition(broken, "so1").verdict == HOLDS
-
-    def test_verify_corpus_reports_the_first_mismatch(self, monkeypatch):
-        # pr_box's first pinned verdict (so1) is flipped in a stand-in catalogue
+    @pytest.mark.parametrize("name, token", [("pr_box", None), ("illusionist_coins", "so1")])
+    def test_verify_corpus_reports_the_first_mismatch(self, name, token, monkeypatch):
+        # one pinned verdict is flipped in a stand-in catalogue: pr_box's
+        # first (so1), or illusionist_coins' so1, which holds, pinned violated
         entries = corpus_entries()
-        at = corpus_names().index("pr_box")
-        box = entries[at]
-        first = min(box.expected)
-        flipped = {**box.expected, first: HOLDS if box.expected[first] == VIOLATED else VIOLATED}
-        entries[at] = CorpusEntry(box.name, box.model, flipped, box.note, box.named_events)
+        at = corpus_names().index(name)
+        entry = entries[at]
+        token = token or min(entry.expected)
+        flipped = {**entry.expected, token: HOLDS if entry.expected[token] == VIOLATED else VIOLATED}
+        entries[at] = CorpusEntry(entry.name, entry.model, flipped, entry.note, entry.named_events)
         monkeypatch.setattr(corpus_mod, "corpus_entries", lambda: entries)
         report = verify_corpus()
         assert report.violated
         assert report.stats == {
             "entries": at + 1,
-            "verdicts_checked": sum(len(e.expected) for e in entries[:at]) + 1,
+            "verdicts_checked": sum(len(e.expected) for e in entries[:at]) + sorted(flipped).index(token) + 1,
         }
         cx = report.counterexample
         assert cx.values == (
-            ("entry", "pr_box"),
-            ("condition", first),
-            ("expected", flipped[first]),
-            ("actual", box.expected[first]),
+            ("entry", name),
+            ("condition", token),
+            ("expected", flipped[token]),
+            ("actual", entry.expected[token]),
         )
         assert cx.note == "a pinned corpus verdict no longer reproduces"
 

@@ -33,7 +33,10 @@ from screenoff.events import (
     verify_fullspec_lemmas,
     atom_expr,
 )
+from screenoff import stochastic
+from screenoff.corpus import builtin
 from screenoff.order import CausalSite, RegionError, iter_bits, submasks
+from screenoff.quantal import PseudoEvent
 
 from test_order import antichain, chain, coin_site
 
@@ -190,6 +193,34 @@ class TestDom:
         with pytest.raises(ValueError) as err:
             dom(s, event)
         assert str(err.value) == f"event mask {event:#x} outside the history space"
+
+    def test_every_event_argument_refuses_a_mask_outside_the_history_space(self):
+        # each public function that reads an event refuses it as dom does,
+        # not with an IndexError from the weight lookup
+        coins = builtin("three_pair_coins")
+        m, a, b = coins.model, coins.event("A"), coins.event("B")
+        product = builtin("product_quantal")
+        q, qa = product.model, product.event("A")
+        calls = {
+            "mu": (m, m.mu),
+            "conditional/event": (m, lambda e: m.conditional(e, a)),
+            "conditional/given": (m, lambda e: m.conditional(a, e)),
+            "restriction": (m, lambda e: restriction(m.site, e, m.site.full_mask)),
+            "d_value/left": (q, lambda e: q.d_value(e, qa)),
+            "d_value/right": (q, lambda e: q.d_value(qa, e)),
+            "mu_hat/left": (q, lambda e: q.mu_hat(PseudoEvent(e, qa))),
+            "mu_hat/right": (q, lambda e: q.mu_hat(PseudoEvent(qa, e))),
+            "mu_q": (q, q.mu_q),
+        }
+        for f in (stochastic.correlated, stochastic.find_screening_events, stochastic.find_simpson_events,
+                  stochastic.check_pcc_original, stochastic.check_pcc_rev1, stochastic.check_pcc_rev2):
+            calls[f"{f.__name__}/a"] = (m, lambda e, f=f: f(m, e, b))
+            calls[f"{f.__name__}/b"] = (m, lambda e, f=f: f(m, a, e))
+        for name, (model, call) in calls.items():
+            for event in (-1, 1 << n_histories(model.site)):
+                with pytest.raises(ValueError) as err:
+                    call(event)
+                assert str(err.value) == f"event mask {event:#x} outside the history space", name
 
     def test_single_cylinder(self):
         s = coin_site()

@@ -420,7 +420,8 @@ class TestPrunedScreening:
         assert stochastic._plan.cache_info().misses == built
         site = model.site
         assert stochastic._screening_plan(site, "joint", 1) is stochastic._screening_plan(site, "mutual", 1)
-        assert stochastic._region_pasts(site) == tuple(map(site.past, site.regions()))
+        assert stochastic._cones(site) == (tuple(map(site.past, site.regions())),
+                                           tuple(map(site.future, site.regions())))
         # x lies below l2 only: the joint past of ({l0}, {l2}) holds x, the mutual one does not
         site = CausalSite([("r", 2), ("x", 2), ("l0", 2), ("l1", 2), ("l2", 2)],
                           [("r", "l0"), ("r", "l1"), ("r", "l2"), ("x", "l2")])
@@ -596,7 +597,7 @@ class TestMultiSO:
         def walked(*args):
             raise AssertionError("the region walk ran for a vacuous n")
 
-        monkeypatch.setattr(CausalSite, "spacelike", walked)
+        monkeypatch.setattr(stochastic, "submasks", walked)
         start = time.perf_counter()
         report = check_multi_so(big, 13)
         assert time.perf_counter() - start < 1

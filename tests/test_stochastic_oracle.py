@@ -6,12 +6,13 @@ before the planned checks skipped the units a larger held scan vouches for:
 ``ref_cell_weights`` rescans every history into the (past, A, B) table of a
 single pair, ``ref_factorization_failure`` walks that table atom by atom,
 ``ref_pairwise_screening`` scans every pair in order, ``ref_units`` lists
-the ordinal units of the other planned checks (gen-so's built-in
-selectors, multi-so, penrose-percival's dissections) from ``CausalSite``
-methods alone, and ``ref_wrc`` runs the common-correlate search over each
-pair's table.  The checks are rebuilt on the reference scan, and every
-report's ``to_json_dict()`` (which carries no ``runtime_ms``) and every
-error text is compared with the program's byte for byte.
+the ordinal steps of the other planned checks (gen-so's selectors,
+multi-so, penrose-percival's dissections) from ``CausalSite`` methods
+alone, ``ref_screening`` walks them with its own unit and step counts, and
+``ref_wrc`` runs the common-correlate search over each pair's table.  No
+reference runs the program's screening driver; every report's
+``to_json_dict()`` (which carries no ``runtime_ms``) and every error text
+is compared with the program's byte for byte.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction
-from math import prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -280,15 +281,21 @@ def _whole_site(site, a, b):
     return site.full_mask
 
 
+# gen-so's selectors by name: None for a built-in one, whose pasts are in
+# REF_PAIR_PASTS, else the callable.
+REF_SELECTORS = {
+    **dict.fromkeys(("mutual", "joint", "bell", "all")),
+    **{f.__name__: f for f in (_outside_futures, _empty_region, _whole_site)},
+}
+
 # (label, run(model)) for every check that scans region pairs against a past.
 CHECKS = (
     ("so1", check_so1),
     ("so2", check_so2),
     ("so2w", check_so2w),
     *(
-        (f"gen-so[{sel}]", lambda m, sel=sel: check_generalized_so(m, selector=sel))
-        for sel in ("mutual", "joint", "bell", "all", "nope",
-                    _outside_futures, _empty_region, _whole_site)
+        (f"gen-so[{name}]", lambda m, sel=sel or name: check_generalized_so(m, selector=sel))
+        for name, sel in (*REF_SELECTORS.items(), ("nope", None))
     ),
     ("multi-so[n=2]", lambda m: check_multi_so(m, 2)),
     ("multi-so[n=3]", lambda m: check_multi_so(m, 3)),
@@ -329,43 +336,104 @@ REF_PAIR_PASTS = {
 }
 
 
+def ref_admissible(site: CausalSite, a: int, b: int, past: int) -> None:
+    """Refuse a gen-so selection unless it holds the mutual past and avoids both futures."""
+    problem = None
+    if site.mutual_past(a, b) & ~past:
+        problem = "does not contain the mutual past"
+    elif past & (site.future(a) | site.future(b)):
+        problem = "intersects the future of the pair"
+    if problem:
+        raise stochastic.SelectorError(
+            f"selector error: region {site.region_ids(past)} for pair "
+            f"({site.region_ids(a)}, {site.region_ids(b)}) {problem}"
+        )
+
+
 def ref_units(label: str, site: CausalSite):
-    """The ordinal step stream of a planned check, every step scanned itself."""
+    """The ordinal steps of a planned check as (regions, past), from `CausalSite` methods alone.
+
+    gen-so's selections are checked as they stream, so an inadmissible one
+    raises at its own pair.
+    """
+    if label.startswith("multi-so[n="):
+        for regions in ref_spacelike_tuples(site, int(label[len("multi-so[n="):-1])):
+            yield regions, site.multi_joint_past(regions)
+        return
+    pasts_of = REF_PAIR_PASTS.get(label)
+    if pasts_of is None:  # a callable gen-so selector
+        selector = REF_SELECTORS[label[len("gen-so["):-1]]
+        pasts_of = lambda site, a, b: [selector(site, a, b)]
+    for a, b in ref_spacelike_pairs(site):
+        for past in pasts_of(site, a, b):
+            if label.startswith("gen-so["):
+                ref_admissible(site, a, b, past)
+            yield (a, b), past
+
+
+def ref_screening(label: str, model: StochasticModel) -> CheckReport:
+    """A planned check as a scan of every step of `ref_units`, in order.
+
+    Units (a change of regions) and steps are counted here, and every step
+    is scanned by `ref_factorization_failure`: no code of the program's
+    driver runs.
+    """
+    if label in REF_SCREENING:
+        return REF_SCREENING[label](model)
+    site = model.site
+    names, unit_key, step_key = ("A", "B"), "region_pairs", None
+    note = "conditional product rule fails for this atom pair given C"
+    reason = "no spacelike pairs of disjoint nonempty regions"
     if label.startswith("multi-so[n="):
         n = int(label[len("multi-so[n="):-1])
-        for regions in ref_spacelike_tuples(site, n):
-            yield regions, site.multi_joint_past(regions), None, None, 0, 0
-        return
-    for a, b in ref_spacelike_pairs(site):
-        for past in REF_PAIR_PASTS[label](site, a, b):
-            yield (a, b), past, None, None, 0, 0
+        names, unit_key, fixed = tuple(f"A{i + 1}" for i in range(n)), "region_tuples", {"n": n}
+        note = "joint conditional factorization fails for this atom tuple given C"
+        reason = f"no {n}-tuples of pairwise-spacelike disjoint regions"
+    elif label == "penrose-percival":
+        step_key, fixed = "dissections", {"so1_verdict": ref_so1(model).verdict}
+        note = ("conjecture probe: conditioning on a full specification of a "
+                "dissection of the joint past fails to screen this atom pair")
+    else:
+        selector = label[len("gen-so["):-1]
+        if selector not in REF_SELECTORS:
+            raise stochastic.SelectorError(
+                f"selector error: unknown selector {selector!r}; expected one of mutual, joint, bell, all"
+            )
+        step_key, fixed = "conditioning_regions", {"selector": selector}
+        note += f" (selector {selector})"
+    n_units = n_steps = checked = skipped = 0
+    unit = fail = None
+    for regions, past in ref_units(label, site):
+        n_steps += 1
+        if regions != unit:
+            n_units += 1
+            unit = regions
+        fail, c, s = ref_factorization_failure(model, regions, past)
+        checked += c
+        skipped += s
+        if fail is not None:
+            break
+    stats = {**fixed, unit_key: n_units}
+    if step_key is not None:
+        stats[step_key] = n_steps
+    stats.update(atom_checks=checked, null_conditions_skipped=skipped)
+    if fail is not None:
+        cx = stochastic._conditional_counterexample(model, regions, names, past, fail, note)
+        return CheckReport(label, VIOLATED, counterexample=cx, stats=stats)
+    if n_units == 0:
+        return CheckReport(label, VACUOUS, reason=reason, stats=stats)
+    return CheckReport(label, HOLDS, stats=stats)
 
 
-def _reference_outcome(label, run, model) -> str:
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(
-            stochastic,
-            "_factorization_failure",
-            lambda model, regions, past, *, tables: ref_factorization_failure(model, regions, past),
-        )
-        m.setattr(stochastic, "_cell_weights", None)  # the reference never reads a shared table
-        # so1, so2, so2w (and penrose-percival's so1 verdict) scan every pair
-        m.setattr(
-            stochastic,
-            "_pairwise_screening",
-            lambda model, condition, *args, **kwargs: REF_SCREENING[condition](model),
-        )
-        # and every other planned check scans its ordinal units, listed here
-        m.setattr(stochastic, "_screening_steps", lambda site, check, *args: ref_units(label, site))
-        m.setattr(stochastic, "_screening_plan", None)
-        return _outcome(lambda: run(model))
+def _reference_outcome(label, model) -> str:
+    return _outcome(lambda: ref_screening(label, model))
 
 
 def assert_matches_reference(model: StochasticModel) -> list[str]:
     outcomes = []
     for label, run in CHECKS:
         got = _outcome(lambda: run(model))
-        want = _reference_outcome(label, run, model)
+        want = _reference_outcome(label, model)
         assert got == want, label
         outcomes.append(got)
     for conditioned in (False, True):
@@ -541,7 +609,7 @@ def assert_screening_matches_reference(model: StochasticModel) -> dict[str, dict
     reports = {}
     for label, run in SCREENING:
         got = _outcome(lambda: run(model))
-        assert got == _reference_outcome(label, run, model), label
+        assert got == _reference_outcome(label, model), label
         reports[label] = json.loads(got) if got.startswith("{") else got
     return reports
 
@@ -774,8 +842,8 @@ def test_a_holding_check_scans_each_stand_in_once(shape, monkeypatch):
 
 @pytest.mark.parametrize("shape", [*PRUNING_SITES, "antichain"])
 def test_a_pair_and_its_reverse_share_two_stand_in_lists(shape):
-    # the fallbacks of (a, b) are the stand-ins of (b, a), so the plan keeps
-    # one pair of lists per dominator, never a list per pair
+    # the fallback of (a, b) is the last stand-in of (b, a), so the plan
+    # keeps one list per dominator, never a list per pair
     site = PRUNING_SITES.get(shape) or CausalSite([(f"s{i}", 2) for i in range(5)])
     init = site.initial_elements()
     for rule in ("mutual", "joint", "joint-clear"):
@@ -784,15 +852,57 @@ def test_a_pair_and_its_reverse_share_two_stand_in_lists(shape):
         assert list(steps) == [(a, b) for a, b in stochastic._spacelike_pairs(site)
                                if rule != "joint-clear" or not (a | b) & init]
         assert len(steps) == len(stochastic._screening_plan(site, rule, 1))
-        for (a, b), (_, past, keys, others, cells, atoms) in steps.items():
-            _, r_past, r_keys, r_others, r_cells, r_atoms = steps[b, a]
-            assert keys is r_others and others is r_keys
+        for (a, b), (_, past, keys, fallback, cells, atoms) in steps.items():
+            _, r_past, r_keys, r_fallback, r_cells, r_atoms = steps[b, a]
+            assert fallback is r_keys[-1] and r_fallback is keys[-1]
             assert (past, cells, atoms) == (r_past, r_cells, r_atoms)
-            # each stand-in is keyed by its past, and the last of each list
-            # covers the pair, A-first and B-first
-            assert {key_past for key_past, _ in (*keys, *others)} == {past}
-            for _, (x, y) in (keys[-1], others[-1]):
+            # each stand-in is keyed by its past, and the last stand-in and
+            # the fallback cover the pair, A-first and B-first
+            assert {key_past for key_past, _ in (*keys, fallback)} == {past}
+            for _, (x, y) in (keys[-1], fallback):
                 assert (a & ~x, b & ~y) == (0, 0) or (a & ~y, b & ~x) == (0, 0)
+
+
+# -- the spacelike lister -----------------------------------------------------
+
+
+@st.composite
+def posets(draw):
+    """A site of 1-7 elements under random order relations, declared in a drawn order."""
+    n = draw(st.integers(1, 7))
+    place = draw(st.permutations(range(n)))
+    edges = [(place[i], place[j]) for i in range(n) for j in range(i + 1, n)]
+    relations = draw(st.lists(st.sampled_from(edges), unique=True)) if edges else []
+    return CausalSite([(f"e{i}", 2) for i in range(n)], [(f"e{i}", f"e{j}") for i, j in relations])
+
+
+def stirling2(m: int, n: int) -> int:
+    """Ways to split m labelled items into n nonempty unlabelled blocks."""
+    return sum((-1) ** (n - j) * comb(n, j) * j**m for j in range(n + 1)) // factorial(n)
+
+
+@given(posets())
+def test_the_pair_listing_is_every_pair_of_disjoint_spacelike_regions(site):
+    # B is disjoint from and spacelike to A exactly when B lies in A's free
+    # set S_A, so each A has 2^|S_A| - 1 partners
+    assert list(stochastic._spacelike_pairs(site)) == ref_spacelike_pairs(site)
+    free = (site.full_mask & ~(site.past(a) | site.future(a)) for a in range(1, site.full_mask + 1))
+    assert len(stochastic._spacelike_pairs(site)) == sum(2 ** bin(s).count("1") - 1 for s in free)
+
+
+@given(posets(), st.integers(2, 4))
+def test_the_tuple_listing_is_every_ascending_tuple_of_spacelike_regions(site, n):
+    # the ascending n-tuples with union U split U's comparability components
+    # into n blocks: a Stirling number of them for each U
+    tuples = list(stochastic._spacelike_tuples(site, n))
+    assert len(tuples) == sum(stirling2(len(site.comparability_components(u, 0)), n)
+                              for u in range(1, site.full_mask + 1))
+    if comb(site.full_mask, n) <= 50_000:
+        assert tuples == ref_spacelike_tuples(site, n)
+    else:  # too many candidates to filter: each listed tuple is one, in their order, and the count is theirs
+        assert tuples == sorted(set(tuples))
+        assert all(list(t) == sorted(t) for t in tuples)
+        assert all(not x & y and site.spacelike(x, y) for t in tuples for x, y in itertools.combinations(t, 2))
 
 
 # -- group certificates -------------------------------------------------------
@@ -886,7 +996,7 @@ def test_planned_checks_on_drawn_posets(seed, n_elements, weights):
         nums[rng.randrange(len(nums))] += 1
         model = StochasticModel(site, [F(x, sum(nums)) for x in nums])
     for label, run in SCREENING[3:]:
-        assert _outcome(lambda: run(model)) == _reference_outcome(label, run, model), label
+        assert _outcome(lambda: run(model)) == _reference_outcome(label, model), label
 
 
 @pytest.mark.parametrize("coupled", list(itertools.combinations(range(7), 2)))
@@ -914,7 +1024,7 @@ def test_seven_leaves_coupled_at_every_position(coupled, monkeypatch):
         # no pair before the first failure is scanned on its own
         assert set(scans) <= one_block_scans(site, label, failing), label
     for label, run in SCREENING[3:5]:
-        assert _outcome(lambda: run(model)) == _reference_outcome(label, run, model), label
+        assert _outcome(lambda: run(model)) == _reference_outcome(label, model), label
 
 
 @pytest.mark.parametrize("coupled", [False, True])
@@ -963,7 +1073,7 @@ def test_a_selector_error_surfaces_at_its_own_pair():
     label, run = SCREENING[4]
     for model in (uniform, tied):
         got = _outcome(lambda: run(model))
-        assert got == _reference_outcome(label, run, model)
+        assert got == _reference_outcome(label, model)
         if model is uniform:
             assert got.startswith("SelectorError: selector error: region ")
             assert "intersects the future of the pair" in got
@@ -1072,7 +1182,7 @@ def test_a_first_pair_failure_scans_once_and_builds_no_plan(label, monkeypatch):
     models = []
     for seed in range(120):
         model = random_stochastic(seed, 3 + seed % 2, 2)
-        want = _reference_outcome(label, check, model)
+        want = _reference_outcome(label, model)
         report = json.loads(want)
         if report["verdict"] == VIOLATED and report["stats"]["region_pairs"] == 1:
             models.append((model, want, report["stats"].get("conditioning_regions", 1)))
