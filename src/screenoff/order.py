@@ -261,7 +261,10 @@ class CausalSite:
             raise NotSpacelikeError(
                 f"dissection error: regions {self.region_ids(a)} and {self.region_ids(b)} are not spacelike"
             )
-        universe = self.past(a) | self.past(b)
+        return self._dissections(a, b, self.past(a) | self.past(b))
+
+    def _dissections(self, a: int, b: int, universe: int) -> list[tuple[int, tuple[int, int]]]:
+        """`enumerate_dissections` of a spacelike pair, given past(a) | past(b) as `universe`."""
         candidates = universe & ~(a | b)
         out: list[tuple[int, tuple[int, int]]] = []
         for p in submasks(candidates):

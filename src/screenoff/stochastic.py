@@ -352,7 +352,9 @@ def _spacelike_pairs(site: CausalSite) -> tuple[tuple[int, int], ...]:
 # stand-ins, fallback, cells of past, atoms of the unit), with stand-ins
 # None for a step that is scanned itself; otherwise its scan may be stood in
 # for by the scan of a larger tuple of regions with the same past, each
-# stand-in and the fallback keyed (past, regions).
+# stand-in and the fallback keyed (past, regions).  After its first unit, a
+# planned check's stream has one record with regions None: the plan's group
+# proofs, which decide the check when they all hold (`_proved`).
 
 
 def _screen(
@@ -381,7 +383,9 @@ def _screen(
     past's cells: each positive one checks every atom of the unit, each
     null one is skipped.  A step whose stand-ins and fallback all failed is
     scanned itself.  A stand-in's key carries its past, so a unit with
-    several pasts never reuses a scan made under another one.  `fixed`
+    several pasts never reuses a scan made under another one.  If every
+    proof of the plan's proof record holds, through the same scans, the
+    check holds and no later step is drawn; else the walk goes on.  `fixed`
     stats lead the report's stats; `tables` may carry cell tables shared
     with another scan of the model.  `scan` (default `_factorization_failure`) returns
     (failure-or-None, checked, skipped), reported under `count_keys`, and
@@ -395,6 +399,12 @@ def _screen(
     n_units = n_steps = checked = skipped = 0
     fail = unit = None
     for regions, past, stand_ins, fallback, past_cells, atoms in steps:
+        if regions is None:  # the first unit held: `stand_ins` proves the plan's other steps
+            if (rest := _proved(model, stand_ins, scans, scan, tables)) is None:
+                continue
+            units, more_steps, c, s = rest
+            n_units, n_steps, checked, skipped = n_units + units, n_steps + more_steps, checked + c, skipped + s
+            break
         n_steps += 1
         if regions != unit:
             n_units += 1
@@ -432,6 +442,26 @@ def _screen(
     return CheckReport(condition, HOLDS, stats=stats)
 
 
+def _proved(model, proofs, scans: dict, scan, tables: dict):
+    """(units, steps, checked, skipped) after the first unit if every group proof holds, else None.
+
+    `proofs` is `_plan`'s (units, steps, groups).  A held proof stands in
+    for each step of its group, as in the walk: with nulls the null cells
+    of P its scan skipped, a group checks (|Φ(P)| − nulls)·Σ atoms and
+    skips nulls per step.  The scans stop at the first failing proof; the
+    walk scans every proof tried by then before its first failing step.
+    """
+    n_units, n_steps, groups = proofs
+    checked = skipped = 0
+    for key, cells, atoms, n in groups:
+        fail, _, nulls = scans.get(key) or scans.setdefault(key, scan(model, key[1], key[0], tables=tables))
+        if fail is not None:
+            return None
+        checked += (cells - nulls) * atoms
+        skipped += nulls * n
+    return n_units, n_steps, checked, skipped
+
+
 # --- certificate-first planning ----------------------------------------------
 #
 # Conditional independence decomposes: if X1, ..., Xk factorize given P, so
@@ -467,7 +497,7 @@ _RULES = {
     "joint": lambda site, past, future, a, b: (past[a | b] & ~(a | b),),  # so2
     "bell": lambda site, past, future, a, b: (past[a] & ~a,),  # gen-so[bell]
     "all": _admissible_pasts,  # gen-so[all]
-    "dissections": lambda site, past, future, a, b: tuple(p for p, _ in site.enumerate_dissections(a, b)),
+    "dissections": lambda site, past, future, a, b: tuple(p for p, _ in site._dissections(a, b, past[a] | past[b])),
 }
 _RULES["joint-clear"] = _RULES["joint"]  # so2w
 
@@ -490,7 +520,7 @@ def _check_units(site: CausalSite, check, pairs=None):
 
 
 @lru_cache(maxsize=None)
-def _screening_plan(site: CausalSite, check, power: int) -> tuple[tuple, ...]:
+def _screening_plan(site: CausalSite, check, power: int) -> tuple[tuple, tuple]:
     """The plan of `_check_units(site, check)`, shared by every check with the same units.
 
     On a site where the mutual and joint pasts of every spacelike pair
@@ -501,8 +531,8 @@ def _screening_plan(site: CausalSite, check, power: int) -> tuple[tuple, ...]:
 
 
 @lru_cache(maxsize=None)
-def _plan(site: CausalSite, units: tuple, ordered: bool, power: int) -> tuple[tuple, ...]:
-    """Every step of `units`, in order, with its stand-ins.
+def _plan(site: CausalSite, units: tuple, ordered: bool, power: int) -> tuple[tuple, tuple]:
+    """(every step of `units` in order, with its stand-ins; the plan's proof record).
 
     A step is (regions, P, stand-ins, fallback, |Φ(P)|^power,
     ∏|Φ(Xi)|^power); `power` is 2 for the quantal checks, which scan
@@ -520,6 +550,12 @@ def _plan(site: CausalSite, units: tuple, ordered: bool, power: int) -> tuple[tu
     Where P's group (its steps) has more than one maximal step, the group's
     certificate stands first: the singletons of E_P, the union of the
     group's regions.  With one maximal step, its scan covers the group.
+    Either way every step of the group has it as its first stand-in, the
+    group's proof.  The proof record is the step-shaped (None, None,
+    (units, steps, groups), None, 0, 0) of the steps after the first unit,
+    which `_screening_steps` scans itself, a group being (proof,
+    |Φ(P)|^power, Σ atoms, steps), in order of its first step there;
+    `_proved` reads it.
     """
     # `ordered`: a pair check lists both (A, B) and (B, A); multi-so lists each tuple once, ascending
     groups: dict[int, tuple[dict, dict]] = {}  # P: (stand-ins by step, by maximal step)
@@ -555,15 +591,24 @@ def _plan(site: CausalSite, units: tuple, ordered: bool, power: int) -> tuple[tu
                 keys.insert(0, certificate)
     configs = [n_configs(site, r) ** power for r in site.regions()]
     plan = []
+    proof_of: dict[int, list] = {}  # P: [proof, |Φ(P)|^power, Σ atoms, steps] after the first unit
+    first = len(units[0][1]) if units else 0
     for regions, pasts in units:
         atoms = 1
         for r in regions:
             atoms *= configs[r]
         for past in pasts:
             keys_of = groups[past][0]
+            keys = keys_of[regions]
             fallback = keys_of.get(regions[::-1], ((past, regions),))[-1]
-            plan.append((regions, past, keys_of[regions], fallback, configs[past], atoms))
-    return tuple(plan)
+            plan.append((regions, past, keys, fallback, configs[past], atoms))
+            if len(plan) > first:
+                if (proof := proof_of.get(past)) is None:
+                    proof = proof_of[past] = [keys[0], configs[past], 0, 0]
+                proof[2] += atoms
+                proof[3] += 1
+    proofs = (max(len(units) - 1, 0), len(plan) - first, tuple(map(tuple, proof_of.values())))
+    return tuple(plan), (None, None, proofs, None, 0, 0)
 
 
 def _screening_steps(site: CausalSite, check, power: int = 1, pairs=None):
@@ -571,9 +616,10 @@ def _screening_steps(site: CausalSite, check, power: int = 1, pairs=None):
 
     The first unit's steps come first, each its own only stand-in, and the
     plan is built only after them, so a check that fails there builds no
-    plan.  `pairs` lists a pair check's pairs for that first unit; the
-    quantal checks list theirs through quantal's own binding, whose patch
-    perfbench's tracer test checks.
+    plan.  Its proof record comes next, then its other steps.  `pairs`
+    lists a pair check's pairs for that first unit; the quantal checks list
+    theirs through quantal's own binding, whose patch perfbench's tracer
+    test checks.
     """
     first = next(_check_units(site, check, pairs), None)
     if first is None:
@@ -582,7 +628,9 @@ def _screening_steps(site: CausalSite, check, power: int = 1, pairs=None):
     for past in pasts:
         keys = ((past, regions),)
         yield regions, past, keys, keys[0], 0, 0
-    yield from itertools.islice(_screening_plan(site, check, power), len(pasts), None)
+    plan, proofs = _screening_plan(site, check, power)
+    yield proofs
+    yield from itertools.islice(plan, len(pasts), None)
 
 
 def _pairwise_screening(
@@ -621,6 +669,22 @@ def check_so2w(model: StochasticModel) -> CheckReport:
 SELECTOR_NAMES = ("mutual", "joint", "bell", "all")
 
 
+def _inadmissible(pasts, futures, ra: int, rb: int, past: int) -> str | None:
+    """Why gen-so may not condition the pair (ra, rb) on `past`, or None if it may."""
+    if pasts[ra] & pasts[rb] & ~past:
+        return "does not contain the mutual past"
+    if past & (futures[ra] | futures[rb]):
+        return "intersects the future of the pair"
+    return None
+
+
+@lru_cache(maxsize=None)
+def _admissible_plan(site: CausalSite, selector: str) -> bool:
+    """Whether every step of a built-in selector's plan conditions on an admissible region."""
+    cones = _cones(site)
+    return not any(_inadmissible(*cones, *step[0], step[1]) for step in _screening_plan(site, selector, 1)[0])
+
+
 def check_generalized_so(model: StochasticModel, selector="mutual") -> CheckReport:
     """Screening with a pluggable conditioning region per region pair.
 
@@ -630,8 +694,9 @@ def check_generalized_so(model: StochasticModel, selector="mutual") -> CheckRepo
     callable (site, region_a, region_b) -> region.  Every selected region
     is validated against those two constraints as its pair streams.  The
     built-in selectors stream the planned walk of their rule in `_RULES`
-    ("mutual" and "joint" share the plans of so1 and so2); a callable one
-    is scanned pair by pair.
+    ("mutual" and "joint" share the plans of so1 and so2), decided by its
+    group proofs unless some selection is inadmissible; a callable one is
+    scanned pair by pair.
     """
     site = model.site
     label = selector if isinstance(selector, str) else getattr(selector, "__name__", "custom")
@@ -649,13 +714,14 @@ def check_generalized_so(model: StochasticModel, selector="mutual") -> CheckRepo
                 (pair, site.check_region(selector(site, *pair)), None, None, 0, 0)
                 for pair in _spacelike_pairs(site)
             )
-        pasts, futures = _cones(site)
+        cones = _cones(site)
         for step in selected:
+            if step[0] is None:  # the plan's proofs; with an inadmissible step, the walk must reach it
+                if _admissible_plan(site, selector):
+                    yield step
+                continue
             (ra, rb), past = step[:2]
-            mutual = pasts[ra] & pasts[rb]
-            if mutual & ~past or past & (futures[ra] | futures[rb]):
-                problem = ("does not contain the mutual past" if mutual & ~past
-                           else "intersects the future of the pair")
+            if problem := _inadmissible(*cones, ra, rb, past):
                 raise SelectorError(
                     f"selector error: region {site.region_ids(past)} for pair "
                     f"({site.region_ids(ra)}, {site.region_ids(rb)}) {problem}"

@@ -21,11 +21,19 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_stochastic_oracle import PRUNING_SITES, expected_scans, local_dynamics, maximal_pairs
+from test_stochastic_oracle import (
+    PRUNING_SITES,
+    expected_scans,
+    local_dynamics,
+    maximal_pairs,
+    outcomes_with_and_without_proofs,
+    proof_models,
+)
 
 import screenoff.quantal as quantal_mod
 import screenoff.stochastic as stochastic_mod
 from screenoff.corpus import (
+    _decohered,
     _fuzz_model,
     _random_site,
     _rng,
@@ -983,3 +991,30 @@ def test_a_first_pair_failure_scans_once_and_builds_no_plan(monkeypatch):
         assert report.verdict == VIOLATED
         assert _dump(report) == _dump(ref(q))
         assert scans == [_spacelike_pairs(q.site)[0]]
+
+
+# -- group proofs ---------------------------------------------------------------
+
+
+@st.composite
+def proof_quantal_models(draw) -> QuantalModel:
+    """A decohered `proof_models` measure, a product amplitude on an antichain, or a `random_quantal` draw."""
+    kind = draw(st.sampled_from(["decohered", "decohered", "amplitude", "random"]))
+    if kind == "decohered":
+        return _decohered(draw(proof_models()))
+    seed = draw(st.integers(0, 10**6))
+    if kind == "amplitude":
+        return product_amplitude_model(random.Random(seed), draw(st.lists(st.integers(2, 3), min_size=1, max_size=4)))
+    return random_quantal(seed, draw(st.integers(1, 4)), 2, draw(st.integers(1, 3)))
+
+
+@settings(max_examples=200)
+@given(proof_quantal_models())
+def test_held_proofs_decide_qso_checks_as_the_walk_does(q):
+    # the pseudo-atom scan skips no null pseudo-cell, so a held proof adds
+    # |Φ(P)|² per pseudo-atom tuple of each step; reports and scan counts
+    # are the walk's
+    runs = {"qso1": check_qso1, "qso2": check_qso2}
+    proved, walked = outcomes_with_and_without_proofs(q, runs.values(), quantal_mod, "_quantal_screening_failure")
+    for label, got, want in zip(runs, proved, walked):
+        assert got == want, label

@@ -390,6 +390,39 @@ class TestPrunedScreening:
             for (m, _, _), kwargs in calls:
                 assert m is model and set(kwargs) == {"tables"}
 
+    def test_a_held_proof_decides_the_check_without_its_steps(self, monkeypatch):
+        # the benchmark's so_holds shape: a ternary root below 7 binary
+        # leaves, the leaves independent given the root; the plan's one group
+        # proof, the 7 leaves given the root, decides so1 and so2 after their
+        # first pair, so neither draws a plan step after it, and so2 reads
+        # the plan that so1 built
+        rng = random.Random("so_holds")
+        leaves = [f"l{i}" for i in range(7)]
+        site = CausalSite([("c", 3)] + [(l, 2) for l in leaves], [("c", l) for l in leaves])
+        root = [F(rng.randrange(1, 5)) for _ in range(3)]
+        ps = [[F(rng.randrange(1, 5), 5) for _ in leaves] for _ in root]
+        weights = []
+        for c, *values in itertools.product(range(3), *([range(2)] * 7)):
+            w = root[c]
+            for p, v in zip(ps[c], values):
+                w *= p if v else 1 - p
+            weights.append(w / sum(root))
+        model = StochasticModel(site, weights)
+        drawn = []
+        steps = stochastic._screening_steps
+        monkeypatch.setattr(stochastic, "_screening_steps", lambda *args: (drawn.append(s) or s for s in steps(*args)))
+        scans = _counting(monkeypatch, "_factorization_failure")
+        for check in (check_so1, check_so2):
+            del drawn[:], scans[:]
+            misses = stochastic._plan.cache_info().misses
+            report = check(model)
+            assert report.verdict == HOLDS
+            assert report.stats == {"region_pairs": 1932, "atom_checks": 221256, "null_conditions_skipped": 0}
+            assert len(scans) == 2
+            # the first unit, then the plan's proof record
+            assert [step[0] for step in drawn] == [(0b10, 0b100), None]
+        assert stochastic._plan.cache_info().misses == misses
+
     def test_a_failure_costs_at_most_one_extra_scan(self, monkeypatch):
         # l0 and l1 are copies of each other: the first pair ({l0}, {l1})
         # fails at its own scan, before any plan is built
@@ -408,7 +441,7 @@ class TestPrunedScreening:
         for rule in ("mutual", "joint", "joint-clear"):
             plan = stochastic._screening_plan(site, rule, 1)
             assert stochastic._screening_plan(site, rule, 1) is plan
-            assert len(plan) == len(stochastic._spacelike_pairs(site))
+            assert len(plan[0]) == len(stochastic._spacelike_pairs(site))
 
     def test_rules_with_the_same_units_share_one_plan(self):
         # below one common cause the mutual and joint pasts of every pair are

@@ -847,11 +847,11 @@ def test_a_pair_and_its_reverse_share_two_stand_in_lists(shape):
     site = PRUNING_SITES.get(shape) or CausalSite([(f"s{i}", 2) for i in range(5)])
     init = site.initial_elements()
     for rule in ("mutual", "joint", "joint-clear"):
-        steps = {step[0]: step for step in stochastic._screening_plan(site, rule, 1)}
+        steps = {step[0]: step for step in stochastic._screening_plan(site, rule, 1)[0]}
         # the plan lists every screened pair once, in pair order
         assert list(steps) == [(a, b) for a, b in stochastic._spacelike_pairs(site)
                                if rule != "joint-clear" or not (a | b) & init]
-        assert len(steps) == len(stochastic._screening_plan(site, rule, 1))
+        assert len(steps) == len(stochastic._screening_plan(site, rule, 1)[0])
         for (a, b), (_, past, keys, fallback, cells, atoms) in steps.items():
             _, r_past, r_keys, r_fallback, r_cells, r_atoms = steps[b, a]
             assert fallback is r_keys[-1] and r_fallback is keys[-1]
@@ -867,9 +867,9 @@ def test_a_pair_and_its_reverse_share_two_stand_in_lists(shape):
 
 
 @st.composite
-def posets(draw):
-    """A site of 1-7 elements under random order relations, declared in a drawn order."""
-    n = draw(st.integers(1, 7))
+def posets(draw, max_elements: int = 7):
+    """A site of 1 to `max_elements` elements under random order relations, declared in a drawn order."""
+    n = draw(st.integers(1, max_elements))
     place = draw(st.permutations(range(n)))
     edges = [(place[i], place[j]) for i in range(n) for j in range(i + 1, n)]
     relations = draw(st.lists(st.sampled_from(edges), unique=True)) if edges else []
@@ -1227,3 +1227,67 @@ def test_leaves_below_a_local_root(seed, n_leaves, coupled):
             check(model)
             if reports[label]["verdict"] == HOLDS:
                 assert {regions for regions, _ in scans} == expected_scans(model, label)[0], label
+
+
+# -- group proofs ---------------------------------------------------------------
+
+
+@st.composite
+def proof_models(draw) -> StochasticModel:
+    """A measure on a drawn poset of 1-6 binary elements.
+
+    A product of the elements' marginals holds every planned check; two
+    independent blocks, each with its own random joint, fail the
+    certificates that span both blocks' dependences; a `random_stochastic`
+    draw brings its own site and mostly fails early.  Some weights are 0.
+    """
+    kind = draw(st.sampled_from(["product", "blocks", "random"]))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    if kind == "random":
+        return random_stochastic(rng.randrange(10**6), draw(st.integers(1, 6)), 2)
+    site = draw(posets(6))
+    if kind == "product":
+        parts = [1 << e for e in range(site.n)]
+    else:
+        block = draw(st.integers(0, site.full_mask))
+        parts = [p for p in (block, site.full_mask & ~block) if p]
+    tables = []
+    for part in parts:
+        nums = [rng.choice((0, 1, 2, 3)) for _ in range(n_configs(site, part))]
+        nums[rng.randrange(len(nums))] += 1
+        tables.append((config_indices(site, part), nums, sum(nums)))
+    den = prod(total for _, _, total in tables)
+    weights = [prod(nums[cells[h]] for cells, nums, _ in tables) for h in range(n_histories(site))]
+    return StochasticModel(site, [F(w, den) for w in weights])
+
+
+def outcomes_with_and_without_proofs(model, runs, module, scan: str) -> list[list[tuple[str, int]]]:
+    """Each run's outcome and scan count, with the proof pass and then without it.
+
+    Without it, `_proved` fails every plan, so each check walks its steps.
+    """
+    rows = []
+    for proved in (stochastic._proved, lambda *args: None):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(stochastic, "_proved", proved)
+            calls = []
+            original = getattr(module, scan)
+            m.setattr(module, scan, lambda *a, **k: calls.append(a[1:3]) or original(*a, **k))
+            row = []
+            for run in runs:
+                del calls[:]
+                row.append((_outcome(lambda: run(model)), len(calls)))
+            rows.append(row)
+    return rows
+
+
+@settings(max_examples=200)
+@given(proof_models())
+def test_held_proofs_decide_as_the_walk_does(model):
+    # a check whose group proofs all hold reports the walk's stats, and one
+    # whose proof fails walks on, reusing the proofs it scanned: every
+    # report, error text and scan count is the walk's
+    proved, walked = outcomes_with_and_without_proofs(
+        model, [run for _, run in SCREENING], stochastic, "_factorization_failure")
+    for (label, _), got, want in zip(SCREENING, proved, walked):
+        assert got == want, label
