@@ -525,9 +525,34 @@ def _screening_plan(site: CausalSite, check, power: int) -> tuple[tuple, tuple]:
 
     On a site where the mutual and joint pasts of every spacelike pair
     coincide (an antichain, or a common cause below it), so1, so2 and
-    gen-so[bell] walk one plan, built once.
+    gen-so[bell] walk one plan, built once; `_one_strict_past` tells so
+    without listing the units again.
     """
+    if check in ("joint", "bell") and _one_strict_past(site):
+        return _screening_plan(site, "mutual", power)
     return _plan(site, tuple(_check_units(site, check)), not isinstance(check, int), power)
+
+
+@lru_cache(maxsize=None)
+def _one_strict_past(site: CausalSite) -> bool:
+    """Whether every two spacelike elements have the same strict past.
+
+    Exactly then the mutual, joint and Bell pasts of every spacelike pair
+    (A, B) are one region: every element of A is spacelike to every element
+    of B, so all of them share one strict past S, which meets neither
+    region, and past(A) & past(B) = (S | A) & (S | B) = S = past(A) - A =
+    past(A | B) - (A | B).  Where two spacelike elements' strict pasts
+    differ, their singletons' mutual past is the intersection, their joint
+    past the union, and the Bell past of one order the larger.
+    """
+    below = site.below
+    strict = [below[i] & ~(1 << i) for i in range(site.n)]
+    return all(
+        strict[x] == strict[y]
+        for x in range(site.n)
+        for y in range(x)
+        if not (below[x] >> y & 1 or below[y] >> x & 1)
+    )
 
 
 @lru_cache(maxsize=None)

@@ -890,6 +890,21 @@ def test_the_pair_listing_is_every_pair_of_disjoint_spacelike_regions(site):
     assert len(stochastic._spacelike_pairs(site)) == sum(2 ** bin(s).count("1") - 1 for s in free)
 
 
+@given(posets())
+def test_one_strict_past_is_when_the_single_region_rules_agree(site):
+    # the mutual, joint and Bell pasts agree on every spacelike pair exactly
+    # when every two spacelike elements have one strict past; then so2 and
+    # gen-so[bell] take so1's plan without listing their own units
+    units = {rule: tuple(stochastic._check_units(site, rule)) for rule in ("mutual", "joint", "bell")}
+    agree = units["mutual"] == units["joint"] == units["bell"]
+    assert stochastic._one_strict_past(site) == agree
+    assert (units["mutual"] == units["joint"]) == (units["mutual"] == units["bell"]) == agree
+    for rule in ("joint", "bell"):
+        plan = stochastic._screening_plan(site, rule, 1)
+        assert plan == stochastic._plan(site, units[rule], True, 1)
+        assert (plan is stochastic._screening_plan(site, "mutual", 1)) == agree
+
+
 @given(posets(), st.integers(2, 4))
 def test_the_tuple_listing_is_every_ascending_tuple_of_spacelike_regions(site, n):
     # the ascending n-tuples with union U split U's comparability components
