@@ -472,8 +472,10 @@ CONDITIONS = {
 FUZZ_COUNT_LIMIT = 100_000
 
 # Fuzz pairs: (first token, second token, whether the pair is proved
-# equivalent).  A disagreement on a proved pair is a violation; on the
-# conjectured pair it is only recorded.
+# equivalent).  A disagreement on a proved pair is a violation; on
+# so1-generalized_all it is only recorded: that pair is no equivalence, since
+# gen-so[all] implies so1 but a collider (a = x, b = y, s = x xor y) refutes
+# the converse.
 FUZZ_PAIRS = {
     "so1-so2": ("so1", "so2", True),
     "qso1-qso2": ("qso1", "qso2", True),
@@ -714,8 +716,9 @@ def fuzz_equivalence(
 ) -> CheckReport:
     """Run a pair of checks on ``count`` seeded models and compare verdicts.
 
-    Proved-equivalent pairs make a disagreement a violation; the conjectured
-    pair only records it.  The report is identical for any ``jobs`` setting.
+    Proved-equivalent pairs make a disagreement a violation; so1-generalized_all,
+    a one-way implication, only records it.  The report is identical for any
+    ``jobs`` setting.
     """
     if pair not in FUZZ_PAIRS:
         raise ValueError(

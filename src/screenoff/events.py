@@ -12,12 +12,11 @@ value alone can move a history in or out of the event.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 from math import prod
 from typing import Iterator, Sequence
 
-from .order import CausalSite, RegionError, iter_bits, submasks
-from .report import HOLDS, VIOLATED, CheckReport, Counterexample, EventRef
+from .order import CausalSite, RegionError, iter_bits
+from .report import EventRef
 
 # Largest history space a site may have; checked before any per-history
 # table is built.
@@ -217,174 +216,3 @@ def is_full_specification(site: CausalSite, event: int, region: int) -> bool:
         if event & x != event and event & x != 0:
             return False
     return True
-
-
-# -- axiom verification ----------------------------------------------------
-
-
-def _family_report(
-    condition: str,
-    site: CausalSite,
-    prop: str,
-    family: Sequence[int],
-    detail: str,
-    stats: dict,
-) -> CheckReport:
-    events = tuple(
-        (f"X{k}", event_ref(site, e)) for k, e in enumerate(family)
-    )
-    return CheckReport(
-        condition=condition,
-        verdict=VIOLATED,
-        counterexample=Counterexample(
-            events=events,
-            values=(("property", prop),),
-            note=detail,
-        ),
-        stats=stats,
-    )
-
-
-def verify_dom_axioms(site: CausalSite, sample: Sequence[int], max_family: int = 3) -> CheckReport:
-    """Check the domain calculus on families drawn from the sample.
-
-    Disjoint-domain families must split the domain of a nonempty meet
-    (and of a join short of the sure event); equal-domain families keep
-    meets and joins inside the shared domain; complement preserves the
-    domain; and an event is generated by any two-way split of its domain.
-    """
-    cond = "dom-axioms"
-    om = omega(site)
-    stats = {"events": len(sample), "families": 0, "splits": 0}
-    doms = {e: dom(site, e) for e in set(sample)}
-
-    for e in sample:
-        d = doms[e]
-        if dom(site, om ^ e) != d:
-            return _family_report(cond, site, "complement", [e], "dom changed under complement", stats)
-        # two-way splits of the domain generate the event from cells
-        for x in submasks(d):
-            stats["splits"] += 1
-            y = d & ~x
-            cells_x = full_specifications(site, x)
-            cells_y = full_specifications(site, y)
-            rebuilt = 0
-            for cx in cells_x:
-                for cy in cells_y:
-                    cell = cx & cy
-                    if cell and cell & e == cell:
-                        rebuilt |= cell
-            if rebuilt != e:
-                return _family_report(
-                    cond, site, "generated-by-split", [e],
-                    f"split {x:#x}/{y:#x} fails to rebuild the event", stats,
-                )
-
-    pool = list(dict.fromkeys(sample))
-    for size in range(2, max_family + 1):
-        for family in combinations(pool, size):
-            stats["families"] += 1
-            ds = [doms[e] for e in family]
-            meet = om
-            join = 0
-            for e in family:
-                meet &= e
-                join |= e
-            if all(not (ds[i] & ds[j]) for i in range(size) for j in range(i + 1, size)):
-                split = 0
-                for d in ds:
-                    split |= d
-                if meet and dom(site, meet) != split:
-                    return _family_report(
-                        cond, site, "disjoint-domains-meet", family,
-                        "dom of nonempty meet is not the disjoint union", stats,
-                    )
-                if join != om and dom(site, join) != split:
-                    return _family_report(
-                        cond, site, "disjoint-domains-join", family,
-                        "dom of proper join is not the disjoint union", stats,
-                    )
-            if all(d == ds[0] for d in ds):
-                if dom(site, meet) & ~ds[0]:
-                    return _family_report(
-                        cond, site, "equal-domains-meet", family,
-                        "dom of meet escapes the shared domain", stats,
-                    )
-                if dom(site, join) & ~ds[0]:
-                    return _family_report(
-                        cond, site, "equal-domains-join", family,
-                        "dom of join escapes the shared domain", stats,
-                    )
-    return CheckReport(condition=cond, verdict=HOLDS, stats=stats)
-
-
-def verify_fullspec_lemmas(site: CausalSite) -> CheckReport:
-    """Exhaustive structure checks for full specifications on a small site.
-
-    Partition, intersection across disjoint regions, restriction down a
-    nested region, and factorization over disjoint decompositions.
-    """
-    cond = "fullspec-lemmas"
-    om = omega(site)
-    stats = {"regions": 0, "pairs": 0, "factorizations": 0}
-
-    spec_sets = {}
-    for r in site.regions():
-        cells = full_specifications(site, r)
-        spec_sets[r] = frozenset(cells)
-        stats["regions"] += 1
-        total = 0
-        for c in cells:
-            if c == 0 or total & c:
-                return _family_report(cond, site, "partition", [c], f"region {r:#x}", stats)
-            total |= c
-        if total != om:
-            return _family_report(cond, site, "partition-cover", [total], f"region {r:#x}", stats)
-        if len(cells) != n_configs(site, r):
-            return _family_report(cond, site, "partition-count", [], f"region {r:#x}", stats)
-
-    full = site.full_mask
-    for a in range(full + 1):
-        for b in submasks(full & ~a):
-            stats["pairs"] += 1
-            # meets of specifications of disjoint regions specify the union
-            target = spec_sets[a | b]
-            for fa in full_specifications(site, a):
-                for fb in full_specifications(site, b):
-                    if fa & fb not in target:
-                        return _family_report(
-                            cond, site, "disjoint-meet", [fa, fb],
-                            f"regions {a:#x},{b:#x}", stats,
-                        )
-        for b in submasks(a):
-            # restriction of a specification to a nested region specifies it
-            for fa in full_specifications(site, a):
-                if restriction(site, fa, b) not in spec_sets[b]:
-                    return _family_report(
-                        cond, site, "nested-restriction", [fa],
-                        f"regions {a:#x} down to {b:#x}", stats,
-                    )
-
-    for r in range(full + 1):
-        decomps = [[x, r & ~x] for x in submasks(r)]
-        singletons = [1 << i for i in iter_bits(r)]
-        if len(singletons) > 2:
-            decomps.append(singletons)
-        for parts in decomps:
-            stats["factorizations"] += 1
-            for f in full_specifications(site, r):
-                factors = [restriction(site, f, p) for p in parts]
-                meet = om
-                for p, fac in zip(parts, factors):
-                    if fac not in spec_sets[p]:
-                        return _family_report(
-                            cond, site, "factor-not-spec", [f, fac],
-                            f"region {r:#x} part {p:#x}", stats,
-                        )
-                    meet &= fac
-                if meet != f:
-                    return _family_report(
-                        cond, site, "factorization", [f],
-                        f"region {r:#x} decomposition {parts}", stats,
-                    )
-    return CheckReport(condition=cond, verdict=HOLDS, stats=stats)

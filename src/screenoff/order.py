@@ -266,6 +266,9 @@ class CausalSite:
     def _dissections(self, a: int, b: int, universe: int) -> list[tuple[int, tuple[int, int]]]:
         """`enumerate_dissections` of a spacelike pair, given past(a) | past(b) as `universe`."""
         candidates = universe & ~(a | b)
+        if not candidates:
+            # the combined past is a | b itself: nothing to remove, one empty dissection
+            return [(0, (a, b))]
         out: list[tuple[int, tuple[int, int]]] = []
         for p in submasks(candidates):
             comps = self.comparability_components(universe, p)

@@ -9,7 +9,6 @@ divide and never round.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -578,126 +577,4 @@ def diagonal_reduction(q: QuantalModel) -> CheckReport:
                 note="matching verdicts but different first counterexamples",
             )
             return CheckReport(condition, VIOLATED, counterexample=cx, stats=stats)
-    return CheckReport(condition, HOLDS, stats=stats)
-
-
-# -- the pseudo-event lemma toolbox, run as executable properties -------------
-
-
-def verify_quantal_lemmas(q: QuantalModel, samples: int = 200, seed: int = 7) -> CheckReport:
-    """Exercise the supporting lemmas behind the quantal equivalence proof.
-
-    Three families: domains of intersections of pseudo-events with disjoint
-    domains stay inside the union; pseudo-cells of a union of disjoint
-    regions factor into componentwise intersections of the parts' cells;
-    and the pure complex-rational identity that carries the equivalence
-    argument, instantiated on random exact values satisfying its hypotheses.
-    """
-    site = q.site
-    rng = random.Random(seed)
-    n = n_histories(site)
-    condition = "quantal-lemmas"
-
-    # intersection domains stay inside the union of disjoint domains;
-    # sample events decidable on disjoint regions so the hypothesis is live
-    def cell_union(region: int) -> int:
-        cells = full_specifications(site, region)
-        return sum(c for c in cells if rng.random() < 0.5)
-
-    pdom_checks = 0
-    for _ in range(samples):
-        r1 = rng.randrange(site.full_mask + 1)
-        r2 = rng.randrange(site.full_mask + 1) & ~r1
-        x = PseudoEvent(cell_union(r1), cell_union(r1))
-        y = PseudoEvent(cell_union(r2), cell_union(r2))
-        if pdom(q, x) & pdom(q, y):
-            raise InternalCheckError("internal error: sampler produced overlapping domains")
-        pdom_checks += 1
-        inside = pdom(q, x & y)
-        outside = inside & ~(pdom(q, x) | pdom(q, y))
-        if outside:
-            cx = Counterexample(
-                events=(
-                    ("X1", event_ref(site, x.left)),
-                    ("X2", event_ref(site, x.right)),
-                    ("Y1", event_ref(site, y.left)),
-                    ("Y2", event_ref(site, y.right)),
-                ),
-                values=(("property", "intersection-domain"),),
-                note=(
-                    "domain of the intersection reaches "
-                    f"{site.region_ids(outside)}, outside both factors' domains"
-                ),
-            )
-            return CheckReport(condition, VIOLATED, counterexample=cx)
-
-    # pseudo-cells of a disjoint union factor componentwise
-    factev = 0
-    full = site.full_mask
-    for ra in range(1, full + 1):
-        for rb in range(1, full + 1):
-            if ra & rb:
-                continue
-            cis_a = config_indices(site, ra)
-            cis_b = config_indices(site, rb)
-            cells_a = full_specifications(site, ra)
-            cells_b = full_specifications(site, rb)
-            for f in pseudo_full_specifications(q, ra | rb):
-                h1 = next(iter_bits(f.left))
-                h2 = next(iter_bits(f.right))
-                ga = PseudoEvent(cells_a[cis_a[h1]], cells_a[cis_a[h2]])
-                gb = PseudoEvent(cells_b[cis_b[h1]], cells_b[cis_b[h2]])
-                factev += 1
-                if ga & gb != f:
-                    cx = Counterexample(
-                        events=(
-                            ("F1", event_ref(site, f.left)),
-                            ("F2", event_ref(site, f.right)),
-                        ),
-                        values=(("property", "cell-factorization"),),
-                        note=(
-                            f"pseudo-cell of {site.region_ids(ra | rb)} is not the "
-                            "intersection of its component cells"
-                        ),
-                    )
-                    return CheckReport(condition, VIOLATED, counterexample=cx)
-
-    # the complex-rational identity: four product hypotheses force the fifth
-    def draw() -> ComplexFraction:
-        return ComplexFraction(
-            Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)),
-            Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)),
-        )
-
-    identity_checks = 0
-    for _ in range(samples):
-        m_p = draw()
-        while not m_p:
-            m_p = draw()
-        m_ay = draw()
-        m_bx = draw()
-        m_x = draw()
-        m_y = draw()
-        # each composite measure is a product over m_p; the identity is
-        # tested multiplied through by m_p**2, which is not zero
-        m_abxy = m_ay * m_bx
-        m_axy = m_ay * m_x
-        m_bxy = m_y * m_bx
-        m_xy = m_y * m_x
-        identity_checks += 1
-        if m_axy * m_bxy != m_abxy * m_xy:
-            cx = Counterexample(
-                values=(
-                    ("property", "product-identity"),
-                    ("base", str(m_p)),
-                ),
-                note="the composite product identity failed on exact values",
-            )
-            return CheckReport(condition, VIOLATED, counterexample=cx)
-
-    stats = {
-        "intersection_domain_samples": pdom_checks,
-        "cell_factorizations": factev,
-        "identity_samples": identity_checks,
-    }
     return CheckReport(condition, HOLDS, stats=stats)

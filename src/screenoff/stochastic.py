@@ -8,7 +8,7 @@ rounding) happens anywhere on a check path.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import gcd, lcm, prod
@@ -1294,27 +1294,3 @@ def _deterministic_local(site: CausalSite, dists: dict, rules) -> StochasticMode
                     break
         nums.append(w)
     return StochasticModel._from_scaled(site, den, nums)
-
-
-def deterministic_local_satisfies_so1(
-    seed: int, count: int, n_sites: int = 4, max_alphabet: int = 2
-) -> CheckReport:
-    """Generate deterministic locally-driven models and check each against so1."""
-    from .corpus import random_deterministic_local
-
-    condition = "deterministic-local-so1"
-    for i in range(count):
-        model = random_deterministic_local(seed + i, n_sites=n_sites, max_alphabet=max_alphabet)
-        report = check_so1(model)
-        if report.violated:
-            cx = replace(
-                report.counterexample,
-                note=report.counterexample.note + f" (model generated from seed {seed + i})",
-            )
-            return CheckReport(
-                condition,
-                VIOLATED,
-                counterexample=cx,
-                stats={"models": count, "failed_at": i, "seed": seed},
-            )
-    return CheckReport(condition, HOLDS, stats={"models": count, "seed": seed})

@@ -9,16 +9,23 @@ import io
 import time
 from contextlib import redirect_stdout
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations, product
+from operator import and_, or_
+
+from hypothesis import given
+from hypothesis import strategies as st
 
 from screenoff.cli import main
 from screenoff.corpus import (
     builtin,
     corpus_entries,
     fuzz_equivalence,
+    random_deterministic_local,
     random_diagonal_quantal,
-    random_stochastic,
 )
-from screenoff.events import verify_dom_axioms, verify_fullspec_lemmas
+from screenoff.events import dom, full_specifications, n_configs, omega, restriction
+from screenoff.order import CausalSite, iter_bits, submasks
 from screenoff.quantal import QuantalModel, diagonal_reduction
 from screenoff.report import HOLDS, VACUOUS, VIOLATED
 from screenoff.stochastic import (
@@ -30,7 +37,6 @@ from screenoff.stochastic import (
     check_so1,
     check_so2,
     check_wrc,
-    deterministic_local_satisfies_so1,
     find_simpson_events,
 )
 
@@ -157,33 +163,85 @@ def test_criterion_06_bernstein_paradox():
 
 
 def test_criterion_07_dom_axiom_suite():
-    import random
+    tally = {"sites": 0, "families": 0}
 
-    total_families = 0
-    runs = 0
-    for seed in range(5):
-        site = random_stochastic(seed, n_sites=3, max_alphabet=2).site
-        rng = random.Random(1000 + seed)
-        omega = (1 << 8) - 1
-        sample = [rng.randrange(1, omega + 1) for _ in range(15)]
-        report = verify_dom_axioms(site, sample)
-        assert report.holds, seed
-        total_families += report.stats["families"]
-        runs += 1
-    assert total_families >= 500
-    _line(7, f"{total_families} event families across {runs} sites, 0 violations")
+    @st.composite
+    def site_and_events(draw):
+        alphabets = draw(st.lists(st.integers(2, 3), min_size=3, max_size=3))
+        edges = draw(st.sets(st.sampled_from([(0, 1), (0, 2), (1, 2)])))
+        site = CausalSite(
+            [(f"e{i}", k) for i, k in enumerate(alphabets)],
+            [(f"e{i}", f"e{j}") for i, j in edges],
+        )
+        # unions of one region's cells, so that families with disjoint and
+        # with equal domains both turn up
+        events = []
+        for _ in range(4):
+            cells = full_specifications(site, draw(st.integers(0, site.full_mask)))
+            pick = draw(st.integers(0, (1 << len(cells)) - 1))
+            events.append(sum(c for k, c in enumerate(cells) if pick >> k & 1))
+        return site, events
+
+    @given(site_and_events())
+    def domain_calculus(drawn):
+        site, events = drawn
+        om = omega(site)
+        for e in events:
+            d = dom(site, e)
+            assert dom(site, om ^ e) == d
+            # any two-way split of the domain generates the event from cells
+            for x in submasks(d):
+                cells = product(full_specifications(site, x), full_specifications(site, d & ~x))
+                assert sum(f & g for f, g in cells if f & g & ~e == 0) == e
+        for size in (2, 3):
+            for family in combinations(events, size):
+                tally["families"] += 1
+                ds = [dom(site, e) for e in family]
+                meet = reduce(and_, family, om)
+                join = reduce(or_, family)
+                if all(not p & q for p, q in combinations(ds, 2)):
+                    if meet:
+                        assert dom(site, meet) == sum(ds)
+                    if join != om:
+                        assert dom(site, join) == sum(ds)
+                if len(set(ds)) == 1:
+                    assert (dom(site, meet) | dom(site, join)) & ~ds[0] == 0
+        tally["sites"] += 1
+
+    domain_calculus()
+    assert tally["families"] >= 500
+    _line(7, f"{tally['families']} event families across {tally['sites']} drawn sites, 0 violations")
 
 
 def test_criterion_08_full_specification_lemma_suite():
     regions = pairs = factorizations = 0
     for entry in corpus_entries():
         site = entry.model.site
+        om = omega(site)
+        full = site.full_mask
         assert len(site.elements) <= 4
-        report = verify_fullspec_lemmas(site)
-        assert report.holds, entry.name
-        regions += report.stats["regions"]
-        pairs += report.stats["pairs"]
-        factorizations += report.stats["factorizations"]
+        specs = {r: full_specifications(site, r) for r in range(full + 1)}
+        for r, cells in specs.items():
+            regions += 1
+            # the cells partition the history space, one per configuration
+            assert all(cells) and sum(cells) == om and len(cells) == n_configs(site, r)
+        for a in range(full + 1):
+            for b in submasks(full & ~a):
+                pairs += 1
+                # meets of specifications of disjoint regions specify the union
+                assert {f & g for f in specs[a] for g in specs[b]} <= set(specs[a | b])
+            for b in submasks(a):
+                assert {restriction(site, f, b) for f in specs[a]} <= set(specs[b])
+        for r in range(full + 1):
+            decompositions = [[x, r & ~x] for x in submasks(r)]
+            if bin(r).count("1") > 2:
+                decompositions.append([1 << i for i in iter_bits(r)])
+            for parts in decompositions:
+                factorizations += 1
+                for f in specs[r]:
+                    factors = [restriction(site, f, p) for p in parts]
+                    assert all(g in specs[p] for g, p in zip(factors, parts))
+                    assert reduce(and_, factors, om) == f
     _line(
         8,
         f"{regions} regions, {pairs} region pairs, {factorizations} "
@@ -192,9 +250,8 @@ def test_criterion_08_full_specification_lemma_suite():
 
 
 def test_criterion_09_determinism_implies_screening():
-    report = deterministic_local_satisfies_so1(1, 200)
-    assert report.holds
-    assert report.stats["models"] == 200
+    for seed in range(1, 201):
+        assert not check_so1(random_deterministic_local(seed, n_sites=4, max_alphabet=2)).violated, seed
     _line(9, "200/200 deterministic locally-driven models satisfy so1")
 
 

@@ -33,7 +33,6 @@ from screenoff.stochastic import (
     check_pcc_rev2,
     check_so1,
     correlated,
-    deterministic_local_satisfies_so1,
 )
 
 F = Fraction
@@ -240,11 +239,6 @@ class TestGenerators:
 
     def test_deterministic_local_deterministic(self):
         assert random_deterministic_local(3) == random_deterministic_local(3)
-
-    def test_deterministic_local_satisfies_screening(self):
-        report = deterministic_local_satisfies_so1(400, 25)
-        assert report.holds
-        assert report.stats == {"models": 25, "seed": 400}
 
     def test_bad_site_count(self):
         with pytest.raises(ValueError, match="n_sites"):

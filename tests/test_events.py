@@ -29,16 +29,14 @@ from screenoff.events import (
     n_histories,
     omega,
     restriction,
-    verify_dom_axioms,
-    verify_fullspec_lemmas,
     atom_expr,
 )
 from screenoff import stochastic
 from screenoff.corpus import builtin
-from screenoff.order import CausalSite, RegionError, iter_bits, submasks
+from screenoff.order import CausalSite, RegionError, iter_bits
 from screenoff.quantal import PseudoEvent
 
-from test_order import antichain, chain, coin_site
+from test_order import antichain, coin_site
 
 
 # -- oracles ---------------------------------------------------------------
@@ -380,30 +378,10 @@ class TestFullSpecifications:
                 assert cis[h] == ci
 
 
-# -- axiom and lemma verifiers ---------------------------------------------
+# -- restriction of full specifications ------------------------------------
 
 
-class TestVerifiers:
-    def test_dom_axioms_on_sampled_families(self):
-        s = antichain(3)
-        rng = random.Random(41)
-        sample = [rng.randrange(1 << 8) for _ in range(10)]
-        sample += [cylinder(s, "e0", 0), cylinder(s, "e1", 1), 0, omega(s)]
-        rep = verify_dom_axioms(s, sample)
-        assert rep.holds, rep.counterexample
-
-    def test_dom_axioms_all_corpus_shapes(self):
-        for s in (chain(3), coin_site(), CausalSite([("a", 3), ("b", 2)])):
-            rng = random.Random(17)
-            sample = [rng.randrange(1 << n_histories(s)) for _ in range(8)]
-            rep = verify_dom_axioms(s, sample)
-            assert rep.holds, rep.counterexample
-
-    def test_fullspec_lemmas_small_sites(self):
-        for s in (antichain(2), chain(3), coin_site()):
-            rep = verify_fullspec_lemmas(s)
-            assert rep.holds, (s, rep.counterexample)
-
+class TestSpecRestriction:
     def test_restriction_of_spec_is_spec_random(self):
         rng = random.Random(9)
         s = coin_site()

@@ -1,5 +1,7 @@
 """Every name a module of the package imports is used in that module, and
 every private module-level function or class is used somewhere in the package.
+The package's modules import each other without a cycle, function-local
+imports included, and only the corpus's random generators import ``random``.
 
 ``__init__.py`` is left out of the import check: it imports names to
 re-export them.
@@ -82,3 +84,64 @@ def test_the_guard_sees_a_dead_helper():
 def test_every_private_definition_is_used():
     sources = {path.name: path.read_text() for path in SOURCES}
     assert unreferenced_private_definitions(sources) == []
+
+
+def package_imports(source: str) -> set[str]:
+    """Modules of the package a source imports, function-local imports included."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def import_cycle(sources: dict[str, str]) -> list[str]:
+    """One cycle of the package's import graph, as module names, or []."""
+    graph = {Path(name).stem: package_imports(source) for name, source in sources.items()}
+    done: set[str] = set()
+
+    def visit(module: str, path: list[str]) -> list[str]:
+        if module in path:
+            return path[path.index(module):] + [module]
+        if module in done or module not in graph:
+            return []
+        for target in sorted(graph[module]):
+            cycle = visit(target, path + [module])
+            if cycle:
+                return cycle
+        done.add(module)
+        return []
+
+    for module in sorted(graph):
+        cycle = visit(module, [])
+        if cycle:
+            return cycle
+    return []
+
+
+def test_the_guard_sees_a_cycle_through_a_local_import():
+    sources = {
+        "a.py": "from .b import x\n",
+        "b.py": "from . import c\n",
+        "c.py": "def f():\n    from .a import y\n",
+    }
+    assert import_cycle(sources) == ["a", "b", "c", "a"]
+    assert import_cycle({**sources, "c.py": "import random\n"}) == []
+
+
+def test_the_import_graph_is_acyclic():
+    assert import_cycle({path.name: path.read_text() for path in SOURCES}) == []
+
+
+def test_only_the_corpus_draws_random_numbers():
+    importers = [
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Import) and any(alias.name == "random" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "random")
+    ]
+    assert importers == ["corpus.py"]

@@ -264,10 +264,35 @@ class TestDissections:
         out = s.enumerate_dissections(l, r)
         assert out == [(s.region(["o"]), (l, r))]
 
-    def test_antichain_empty_dissection(self):
+    def test_antichain_empty_dissection(self, monkeypatch):
+        # a pair with no past outside itself has the empty region as its one
+        # dissection, found without a component search
+        monkeypatch.setattr(CausalSite, "comparability_components", lambda *args: pytest.fail("searched"))
         s = antichain(2)
         out = s.enumerate_dissections(0b01, 0b10)
         assert out == [(0, (0b01, 0b10))]
+        s = CausalSite([("x", 2), ("y", 2), ("a", 2), ("b", 2)], [("x", "a"), ("y", "b")])
+        a, b = s.region(["x", "a"]), s.region(["y", "b"])
+        assert s.enumerate_dissections(a, b) == [(0, (a, b))]
+
+    def test_dissections_match_their_definition(self):
+        rng = random.Random(23)
+        for _ in range(30):
+            n = rng.randint(2, 5)
+            rels = [(f"e{i}", f"e{j}") for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+            s = CausalSite([(f"e{i}", 2) for i in range(n)], rels)
+            for a in range(1, s.full_mask + 1):
+                for b in submasks(s.full_mask & ~a):
+                    if not (b and s.spacelike(a, b)):
+                        continue
+                    universe = s.past(a) | s.past(b)
+                    expected = []
+                    for p in submasks(universe & ~(a | b)):
+                        comps = s.comparability_components(universe, p)
+                        if not any(c & a and c & b for c in comps):
+                            sides = tuple(sum(c for c in comps if c & r) for r in (a, b))
+                            expected.append((p, sides))
+                    assert s.enumerate_dissections(a, b) == expected
 
     def test_chain_pair_errors(self):
         s = chain(2)

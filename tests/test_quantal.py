@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -16,9 +17,17 @@ from test_order import antichain, coin_site
 from test_stochastic import selection_reversal, sparse_model
 
 import screenoff.quantal as quantal
-from screenoff.events import history_index, n_histories, omega
+from screenoff.events import (
+    config_indices,
+    decidable_events,
+    full_specifications,
+    history_index,
+    n_configs,
+    n_histories,
+    omega,
+)
 from screenoff.exprs import parse_event
-from screenoff.order import CausalSite
+from screenoff.order import CausalSite, iter_bits, submasks
 from screenoff.quantal import (
     CF_ONE,
     CF_ZERO,
@@ -32,7 +41,6 @@ from screenoff.quantal import (
     pdom,
     pseudo_full_specifications,
     validate_quantal,
-    verify_quantal_lemmas,
 )
 from screenoff.report import HOLDS, VACUOUS, VIOLATED, CheckReport
 from screenoff.stochastic import StochasticModel, check_so1
@@ -478,35 +486,37 @@ class TestDiagonalReduction:
             diagonal_reduction(q)
 
 
-# -- pseudo-event lemma properties ------------------------------------------
+# -- pseudo-event lemmas, exhaustive on small sites ---------------------------
+
+
+def uniform_model(site: CausalSite) -> QuantalModel:
+    n = n_histories(site)
+    return diagonal_model(site, [F(1, n)] * n)
 
 
 class TestQuantalLemmas:
-    def test_pass_on_source_site(self):
-        q = diagonal_model(coin_site(), coin_weights())
-        r = verify_quantal_lemmas(q)
-        assert r.verdict == HOLDS
-        assert r.stats["intersection_domain_samples"] == 200
-        assert r.stats["cell_factorizations"] == 480
-        assert r.stats["identity_samples"] == 200
+    def test_intersections_of_disjoint_domains_stay_inside_their_union(self):
+        for site in (antichain(2), CausalSite([("a", 3), ("b", 2)])):
+            q = uniform_model(site)
+            for r1 in range(site.full_mask + 1):
+                for r2 in submasks(site.full_mask & ~r1):
+                    xs = [PseudoEvent(*p) for p in product(decidable_events(site, r1), repeat=2)]
+                    ys = [PseudoEvent(*p) for p in product(decidable_events(site, r2), repeat=2)]
+                    for x in xs:
+                        for y in ys:
+                            assert pdom(q, x & y) & ~(pdom(q, x) | pdom(q, y)) == 0
 
-    def test_pass_on_entangled_model(self):
-        assert verify_quantal_lemmas(entangled_pair()).verdict == HOLDS
-
-    def test_identity_needs_nonzero_base(self):
-        # with a zero base the four product hypotheses can hold while the
-        # conclusion fails — the sampler rightly draws nonzero bases only
-        m_p = CF_ZERO
-        m_ayp = CF_ZERO
-        m_bxp = CF_ZERO
-        m_xp = CF_ZERO
-        m_yp = CF_ONE
-        m_axyp = CF_ONE
-        m_bxyp = CF_ONE
-        m_abxyp = CF_ZERO
-        m_xyp = CF_ZERO
-        assert m_ayp * m_bxp == m_abxyp * m_p
-        assert m_ayp * m_xp == m_axyp * m_p
-        assert m_yp * m_bxp == m_bxyp * m_p
-        assert m_yp * m_xp == m_xyp * m_p
-        assert m_axyp * m_bxyp != m_abxyp * m_xyp
+    def test_pseudo_cells_of_a_disjoint_union_factor(self):
+        for site in (antichain(2), coin_site(), CausalSite([("a", 3), ("b", 2)])):
+            q = uniform_model(site)
+            for ra in range(site.full_mask + 1):
+                cells_a, cis_a = full_specifications(site, ra), config_indices(site, ra)
+                for rb in submasks(site.full_mask & ~ra):
+                    cells_b, cis_b = full_specifications(site, rb), config_indices(site, rb)
+                    union = pseudo_full_specifications(q, ra | rb)
+                    assert len(union) == n_configs(site, ra | rb) ** 2
+                    for f in union:
+                        h1, h2 = next(iter_bits(f.left)), next(iter_bits(f.right))
+                        ga = PseudoEvent(cells_a[cis_a[h1]], cells_a[cis_a[h2]])
+                        gb = PseudoEvent(cells_b[cis_b[h1]], cells_b[cis_b[h2]])
+                        assert ga & gb == f

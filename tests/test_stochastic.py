@@ -13,10 +13,13 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from test_order import antichain, chain, coin_site, diamond
 
 import screenoff.stochastic as stochastic
+from screenoff.corpus import random_deterministic_local, random_stochastic
 from screenoff.events import (
     dom,
     full_specifications,
@@ -556,6 +559,39 @@ class TestGeneralizedSO:
     def test_bell_selector_runs_where_admissible(self):
         assert check_generalized_so(anticorrelated_coins(), "bell").verdict == HOLDS
 
+    def test_the_collider_screens_pairwise_but_not_on_every_region(self):
+        # fair independent x, y with a = x, b = y and s = x xor y: conditioning
+        # on the common effect s couples a and b, and only the "all"
+        # selector offers s as a conditioning region
+        site = CausalSite(
+            [("x", 2), ("y", 2), ("a", 2), ("b", 2), ("s", 2)],
+            [("x", "a"), ("y", "b"), ("x", "s"), ("y", "s")],
+        )
+        fair = (F(1, 2), F(1, 2))
+        m = deterministic_local_model(
+            site,
+            {"x": fair, "y": fair},
+            {"a": lambda c: c["x"], "b": lambda c: c["y"], "s": lambda c: c["x"] ^ c["y"]},
+        )
+        for r in (
+            check_so1(m),
+            check_so2(m),
+            *(check_generalized_so(m, selector) for selector in ("mutual", "joint", "bell")),
+            check_penrose_percival(m),
+            check_wrc(m, conditioned=True),
+        ):
+            assert r.verdict == HOLDS, r.condition
+        r = check_generalized_so(m, "all")
+        assert r.verdict == VIOLATED
+        assert r.counterexample.regions == (("A", ("a",)), ("B", ("b",)), ("past", ("s",)))
+
+
+@given(st.integers(0, 10**6), st.integers(3, 5), st.sampled_from([random_deterministic_local, random_stochastic]))
+def test_screening_on_every_region_implies_so1(seed, n_sites, generate):
+    m = generate(seed, n_sites=n_sites, max_alphabet=2)
+    if check_generalized_so(m, "all").verdict == HOLDS:
+        assert check_so1(m).verdict == HOLDS
+
 
 # -- joint factorization for region tuples ---------------------------------
 
@@ -1068,18 +1104,6 @@ class TestDeterministicLocal:
         assert m.mu(parse_event(site, "u=1 & v=1")) == F(1, 3)
         assert check_so1(m).verdict == HOLDS
         assert check_wrc(m, conditioned=True).verdict == HOLDS
-
-    def test_a_violation_names_the_model_seed(self, monkeypatch):
-        # deterministic local models satisfy so1, so the report of a
-        # violation is reached only through a stand-in check
-        violated = check_so1(selection_reversal())
-        verdicts = iter([check_so1(anticorrelated_coins()), violated])
-        monkeypatch.setattr(stochastic, "check_so1", lambda model: next(verdicts))
-        r = stochastic.deterministic_local_satisfies_so1(7, 5)
-        assert r.verdict == VIOLATED
-        assert r.stats == {"models": 5, "failed_at": 1, "seed": 7}
-        assert r.counterexample.note == violated.counterexample.note + " (model generated from seed 8)"
-        assert r.counterexample.events == violated.counterexample.events
 
     def test_bad_rule_value(self):
         site = coin_site()
