@@ -385,22 +385,33 @@ def _screen(
     scanned itself.  A stand-in's key carries its past, so a unit with
     several pasts never reuses a scan made under another one.  If every
     proof of the plan's proof record holds, through the same scans, the
-    check holds and no later step is drawn; else the walk goes on.  `fixed`
+    check holds and no later step is drawn; else the walk goes on, and
+    with the default scan a step whose group proof failed tries its
+    group's blocks (`_split`) before its other stand-ins: while their
+    certificate holds, the step holds on it when each of its restrictions
+    to a block holds, and is scanned itself when one fails.  `fixed`
     stats lead the report's stats; `tables` may carry cell tables shared
     with another scan of the model.  `scan` (default `_factorization_failure`) returns
     (failure-or-None, checked, skipped), reported under `count_keys`, and
     `counterexample` (default `_conditional_counterexample`) reports a
     failure.
     """
+    classical = scan is None
     scan = scan or _factorization_failure
     counterexample = counterexample or _conditional_counterexample
     tables = {} if tables is None else tables
     scans: dict[tuple[int, tuple[int, ...]], tuple] = {}
+
+    def get(key):
+        return scans.get(key) or scans.setdefault(key, scan(model, key[1], key[0], tables=tables))
+
+    splits = None  # P: its blocks (`_split`), once a group proof failed; a passed-in scan has none
     n_units = n_steps = checked = skipped = 0
     fail = unit = None
     for regions, past, stand_ins, fallback, past_cells, atoms in steps:
         if regions is None:  # the first unit held: `stand_ins` proves the plan's other steps
-            if (rest := _proved(model, stand_ins, scans, scan, tables)) is None:
+            if (rest := _proved(stand_ins, get)) is None:
+                splits = {} if classical else None
                 continue
             units, more_steps, c, s = rest
             n_units, n_steps, checked, skipped = n_units + units, n_steps + more_steps, checked + c, skipped + s
@@ -412,19 +423,25 @@ def _screen(
         if stand_ins is None:
             fail, c, s = scan(model, regions, past, tables=tables)
         else:
-            for key in stand_ins:
-                result = scans.get(key) or scans.setdefault(key, scan(model, key[1], past, tables=tables))
-                if result[0] is None:
-                    break
-            else:
-                key = fallback
-                result = scans.get(key) or scans.setdefault(key, scan(model, key[1], past, tables=tables))
-            fail, c, s = result
+            key = stand_ins[0]
+            if get(key)[0] is not None:  # the group's proof failed
+                if splits is not None and past not in splits:
+                    splits[past] = _split(get, past, sum(key[1]))
+                if splits and (split := splits[past]):
+                    key, blocks = split  # the blocks' certificate, unless a restriction fails
+                    for k in blocks:
+                        part = [r & k for r in regions if r & k]
+                        if len(part) > 1 and get((past, tuple(sorted(part))))[0] is not None:
+                            key = (past, regions)
+                            break
+                else:
+                    key = next((k for k in stand_ins[1:] if get(k)[0] is None), fallback)
+            fail, c, s = get(key)
             if key[1] != regions:
                 if fail is None:
                     c = (past_cells - s) * atoms
                 else:
-                    fail, c, s = scan(model, regions, past, tables=tables)
+                    fail, c, s = get((past, regions))
         checked += c
         skipped += s
         if fail is not None:
@@ -442,24 +459,46 @@ def _screen(
     return CheckReport(condition, HOLDS, stats=stats)
 
 
-def _proved(model, proofs, scans: dict, scan, tables: dict):
+def _proved(proofs, get):
     """(units, steps, checked, skipped) after the first unit if every group proof holds, else None.
 
-    `proofs` is `_plan`'s (units, steps, groups).  A held proof stands in
-    for each step of its group, as in the walk: with nulls the null cells
-    of P its scan skipped, a group checks (|Φ(P)| − nulls)·Σ atoms and
-    skips nulls per step.  The scans stop at the first failing proof; the
-    walk scans every proof tried by then before its first failing step.
+    `proofs` is `_plan`'s (units, steps, groups), scanned through the
+    walk's cached `get`.  A held proof stands in for each step of its
+    group, as in the walk: with nulls the null cells of P its scan skipped,
+    a group checks (|Φ(P)| − nulls)·Σ atoms and skips nulls per step.  The
+    scans stop at the first failing proof; the walk scans every proof tried
+    by then before its first failing step.
     """
     n_units, n_steps, groups = proofs
     checked = skipped = 0
     for key, cells, atoms, n in groups:
-        fail, _, nulls = scans.get(key) or scans.setdefault(key, scan(model, key[1], key[0], tables=tables))
+        fail, _, nulls = get(key)
         if fail is not None:
             return None
         checked += (cells - nulls) * atoms
         skipped += nulls * n
     return n_units, n_steps, checked, skipped
+
+
+def _split(get, past: int, union: int):
+    """(block certificate, non-singleton blocks) of the elements of `union` given `past`, or None.
+
+    Elements i and j are dependent given P when ({i}, {j}) fails; the blocks
+    are the components of that relation, in ascending order.  With at least
+    two blocks, one of them not a singleton, one scan of the blocks as the
+    regions of a tuple is their certificate, which must hold: pairwise
+    independence is not joint independence.
+    """
+    singles = [1 << e for e in iter_bits(union)]
+    block = {x: x for x in singles}
+    for x, y in itertools.combinations(singles, 2):
+        if get((past, (x, y)))[0] is not None:
+            merged = block[x] | block[y]
+            block.update((1 << e, merged) for e in iter_bits(merged))
+    blocks = tuple(sorted(set(block.values())))
+    if not 1 < len(blocks) < len(singles) or get(certificate := (past, blocks))[0] is not None:
+        return None
+    return certificate, tuple(k for k in blocks if k & (k - 1))
 
 
 # --- certificate-first planning ----------------------------------------------
@@ -478,8 +517,20 @@ def _proved(model, proofs, scans: dict, scan, tables: dict):
 # the A-first dominator of (B, A) with the same P (its B-first one), and is
 # scanned itself only when all failed; a failed stand-in proves nothing, so
 # the first failing step and its counterexample are those of the full
-# ordinal scan.  If the dependence given P lies in one block K of E_P, every
-# pair that does not split K has a dominator that holds.
+# ordinal scan.
+#
+# When a group's proof fails, its blocks may decide it.  If E_P splits into
+# blocks K1, ..., Km mutually independent given each cell of P, then
+# X1, ..., Xk factorize given P iff every restriction (X1 ∩ Kj, ...), its
+# empty regions dropped, does: each side of a product-rule identity is the
+# product of its restrictions' sides (decomposition and composition; Pearl
+# 1988, ch. 3; Studený 2005), and one of fewer than two regions holds.  The
+# blocks are the components of the element pairs of E_P that fail given P,
+# and their own k-region scan, the block certificate, must hold: pairwise
+# independence is not joint independence (`bernstein_xor`).  Where it
+# fails, or the blocks are one or all singletons, a step falls back to its
+# dominators.  The quantal checks keep the dominators: a null pseudo-cell
+# needs its own proof.
 
 
 def _admissible_pasts(site: CausalSite, past, future, a: int, b: int) -> tuple[int, ...]:
@@ -705,7 +756,13 @@ def _inadmissible(pasts, futures, ra: int, rb: int, past: int) -> str | None:
 
 @lru_cache(maxsize=None)
 def _admissible_plan(site: CausalSite, selector: str) -> bool:
-    """Whether every step of a built-in selector's plan conditions on an admissible region."""
+    """Whether every step of a built-in selector's plan conditions on an admissible region.
+
+    Only "joint" and "bell" are swept: "all" builds admissible regions, and
+    a spacelike pair's mutual past meets neither future.
+    """
+    if selector in ("mutual", "all"):
+        return True
     cones = _cones(site)
     return not any(_inadmissible(*cones, *step[0], step[1]) for step in _screening_plan(site, selector, 1)[0])
 

@@ -1,4 +1,4 @@
-"""Every name a module of the package imports is used in that module, and
+"""Every name a module of the package or a test module imports is used in that module, and
 every private module-level function or class is used somewhere in the package.
 The package's modules import each other without a cycle, function-local
 imports included, and only the corpus's random generators import ``random``.
@@ -16,6 +16,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "screenoff"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 SOURCES = sorted(PACKAGE.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,7 +38,7 @@ def test_the_guard_sees_an_unused_name():
     assert unused_imports(source) == ["line 2: prod", "line 3: y"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

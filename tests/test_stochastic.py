@@ -29,10 +29,9 @@ from screenoff.events import (
     omega,
 )
 from screenoff.exprs import parse_event
-from screenoff.order import CausalSite, iter_bits
+from screenoff.order import CausalSite
 from screenoff.report import HOLDS, VACUOUS, VIOLATED
 from screenoff.stochastic import (
-    EXHAUSTIVE_EVENT_LIMIT,
     MeasureError,
     PreconditionError,
     SelectorError,

@@ -21,6 +21,7 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, prod
 
 import pytest
@@ -316,8 +317,9 @@ def ref_spacelike_pairs(site: CausalSite) -> list[tuple[int, int]]:
     return [(a, b) for a in regions for b in regions if not a & b and site.spacelike(a, b)]
 
 
+@lru_cache(maxsize=None)
 def ref_spacelike_tuples(site: CausalSite, n: int) -> list[tuple[int, ...]]:
-    """Every ascending n-tuple of pairwise-disjoint pairwise-spacelike regions."""
+    """Every ascending n-tuple of pairwise-disjoint pairwise-spacelike regions (cached: do not mutate)."""
     return [t for t in itertools.combinations(range(1, site.full_mask + 1), n)
             if all(not x & y and site.spacelike(x, y) for x, y in itertools.combinations(t, 2))]
 
@@ -778,17 +780,16 @@ def first_screened_pair(site: CausalSite, condition: str) -> tuple[int, int] | N
     return next(((a, b) for a, b in stochastic._spacelike_pairs(site) if not (a | b) & init), None)
 
 
-def expected_scans(model, condition: str, failure=None) -> tuple[set, int]:
-    """The regions a holding check scans, and how many of its certificates fail.
+def expected_scans(model, condition: str, failure) -> tuple[set, int]:
+    """The regions a holding qso1 or qso2 scans, and how many of its certificates fail.
 
-    The first screened pair is scanned; then each group of pairs with one
-    conditioning region P is proved by its certificate (every element of
-    the group's union, as singletons, given P) if it has more than one
-    maximal pair, or else by each of its maximal pairs.  `failure(model,
-    regions, past)` decides a certificate, by default
-    `ref_factorization_failure`.
+    The qso walks have no block path.  The first screened pair is scanned;
+    then each group of pairs with one conditioning region P is proved by its
+    certificate (every element of the group's union, as singletons, given P)
+    if it has more than one maximal pair, or else by each of its maximal
+    pairs; where a certificate fails, the maximal pairs are scanned.
+    `failure(model, regions, past)` decides a certificate.
     """
-    failure = failure or ref_factorization_failure
     site = model.site
     init = site.initial_elements()
     past_of = site.mutual_past if condition == "so1" else site.joint_past
@@ -815,28 +816,108 @@ def expected_scans(model, condition: str, failure=None) -> tuple[set, int]:
     return scans, failed
 
 
+def walked_scans(model, condition: str) -> tuple[set, int] | None:
+    """Every (regions, past) that so1, so2 or so2w scans, and how many group proofs fail.
+
+    A group is every screened pair with one conditioning region P, E_P is
+    the union of its pairs, and its proof is E_P's singletons given P if it
+    has more than one maximal pair, else that pair.  The first screened pair
+    is scanned; if it holds, each group's proof, in order of the group's
+    first later pair, up to the first that fails.  Then the later pairs are
+    walked in order up to the first failing one.  Each tries its group's
+    proof, and where that fails, the group's blocks: every pair of
+    singletons of E_P is scanned given P, and the blocks are the components
+    of the failing ones.  With two or more blocks, one not a singleton, the
+    blocks given P are scanned, and if they hold, the pair's restriction
+    (A ∩ K, B ∩ K) to each block K that it splits, in ascending order, up to
+    the first that fails, and then the pair itself.  Otherwise a holding
+    check scans the group's maximal pairs; for a violated one that fallback
+    is not modelled, and the result is None.  Every scan is decided by
+    `ref_factorization_failure`.
+    """
+    site = model.site
+    init = site.initial_elements()
+    past_of = site.mutual_past if condition == "so1" else site.joint_past
+    pairs = [(a, b) for a, b in stochastic._spacelike_pairs(site)
+             if not (condition == "so2w" and (a | b) & init)]
+    held: dict = {}
+
+    def holds(regions, past) -> bool:
+        if (regions, past) not in held:
+            held[regions, past] = ref_factorization_failure(model, regions, past)[0] is None
+        return held[regions, past]
+
+    if not pairs or not holds(pairs[0], past_of(*pairs[0])):
+        return set(held), 0
+    unions: dict[int, int] = {}
+    for a, b in pairs:
+        unions[past_of(a, b)] = unions.get(past_of(a, b), 0) | a | b
+    maximal: dict[int, list] = {}
+    for a, b in maximal_pairs(site, condition):
+        maximal.setdefault(past_of(a, b), []).append((a, b))
+    proofs = {}
+    for a, b in pairs[1:]:
+        group = maximal[past_of(a, b)]
+        proofs.setdefault(past_of(a, b), tuple(1 << e for e in iter_bits(unions[past_of(a, b)]))
+                          if len(group) > 1 else group[0])
+
+    def failed() -> int:
+        return sum(not held[proof, past] for past, proof in proofs.items() if (proof, past) in held)
+
+    if all(holds(proof, past) for past, proof in proofs.items()):
+        return set(held), 0
+    splits: dict = {}
+
+    def blocks_of(past) -> list | None:
+        singles = [1 << e for e in iter_bits(unions[past])]
+        component = {x: {x} for x in singles}
+        for x, y in itertools.combinations(singles, 2):
+            if not holds((x, y), past):
+                merged = component[x] | component[y]
+                for z in merged:
+                    component[z] = merged
+        blocks = tuple(sorted({sum(c) for c in component.values()}))
+        if not 1 < len(blocks) < len(singles) or not holds(blocks, past):
+            return None
+        return [k for k in blocks if bin(k).count("1") > 1]
+
+    for a, b in pairs[1:]:
+        past = past_of(a, b)
+        if holds(proofs[past], past):
+            continue
+        if past not in splits:
+            splits[past] = blocks_of(past)
+        if splits[past] is None:
+            if REF_SCREENING[condition](model).verdict == VIOLATED:
+                return None
+            for pair in maximal[past]:
+                holds(pair, past)
+            continue
+        parts = [tuple(sorted((a & k, b & k))) for k in splits[past] if a & k and b & k]
+        if not all(holds(part, past) for part in parts):
+            holds((a, b), past)
+            break
+    return set(held), failed()
+
+
 @pytest.mark.parametrize("shape", ["chain-and-point", "blocked", "diamond"])
 def test_a_holding_check_scans_each_stand_in_once(shape, monkeypatch):
     site = PRUNING_SITES[shape]
     model = local_dynamics(random.Random(shape), site)
     assert_screening_matches_reference(model)
-    scans = []
-    original = stochastic._factorization_failure
-    monkeypatch.setattr(
-        stochastic, "_factorization_failure",
-        lambda m, regions, past, **k: scans.append(regions) or original(m, regions, past, **k),
-    )
+    scans = recorded_scans(monkeypatch)
     failed = 0
     for label, check in (("so1", check_so1), ("so2", check_so2), ("so2w", check_so2w)):
         del scans[:]
         assert check(model).verdict in (HOLDS, VACUOUS)
-        want, n_failed = expected_scans(model, label)
+        want, n_failed = walked_scans(model, label)
         assert len(scans) == len(set(scans))
         assert set(scans) == want, label
-        assert scans[:1] == [first_screened_pair(site, label)] or not want
+        assert [regions for regions, _ in scans[:1]] == [first_screened_pair(site, label)] or not want
         failed += n_failed
     # blocked and diamond hold although a group's elements are not
-    # independent, so a certificate fails and its maximal pairs are scanned
+    # independent, so a certificate fails and the group's blocks, or else its
+    # maximal pairs, decide its pairs
     assert (failed > 0) == (shape != "chain-and-point")
 
 
@@ -903,6 +984,16 @@ def test_one_strict_past_is_when_the_single_region_rules_agree(site):
         plan = stochastic._screening_plan(site, rule, 1)
         assert plan == stochastic._plan(site, units[rule], True, 1)
         assert (plan is stochastic._screening_plan(site, "mutual", 1)) == agree
+
+
+@given(posets())
+def test_the_mutual_and_all_plans_are_admissible_by_construction(site):
+    # so `_admissible_plan` skips its sweep for them: the full sweep of
+    # `_inadmissible` over every step of their plans finds nothing
+    cones = stochastic._cones(site)
+    for selector in ("mutual", "all"):
+        steps = stochastic._screening_plan(site, selector, 1)[0]
+        assert not any(stochastic._inadmissible(*cones, *step[0], step[1]) for step in steps), selector
 
 
 @given(posets(), st.integers(2, 4))
@@ -1016,8 +1107,10 @@ def test_planned_checks_on_drawn_posets(seed, n_elements, weights):
 
 @pytest.mark.parametrize("coupled", list(itertools.combinations(range(7), 2)))
 def test_seven_leaves_coupled_at_every_position(coupled, monkeypatch):
-    # the 7-leaf certificate fails wherever the coupled pair sits; the walk
-    # falls back to the maximal pairs and reaches the ordinal first failure
+    # the 7-leaf certificate fails wherever the coupled pair sits; the 21
+    # leaf pairs given the root find the coupled pair's block, the 6 blocks
+    # hold, and each later pair is decided by its restriction to that block:
+    # the first pair that splits it is ({li}, {lj}) itself, one of the 21
     model = leaves_below_a_root(7, (1, 1, 2), coupled)
     # every pair is of leaves, with the root as mutual and joint past, and
     # only the root is initial: the three ordinal scans are the same scan
@@ -1028,16 +1121,22 @@ def test_seven_leaves_coupled_at_every_position(coupled, monkeypatch):
     want = ref_so1(model)
     assert want.verdict == VIOLATED
     failing = stochastic._spacelike_pairs(site)[want.stats["region_pairs"] - 1]
+    leaves = tuple(1 << e for e in range(1, 8))
+    tied = sum(leaves[i] for i in coupled)
+    assert failing == tuple(leaves[i] for i in coupled)
+    blocks = tuple(sorted([x for x in leaves if not x & tied] + [tied]))
+    if coupled == (0, 1):
+        walk = {failing}
+    else:
+        walk = {leaves, *itertools.combinations(leaves, 2), blocks}
     scans = recorded_scans(monkeypatch)
     for label, check in PAIRWISE.items():
         del scans[:]
         got = _outcome(lambda: check(model))
         assert got == _outcome(lambda: replace(want, condition=label)), label
-        leaves = (tuple(1 << e for e in range(1, 8)), 1)
         assert len(set(scans)) == len(scans)
-        assert (leaves in scans) == (coupled != (0, 1))
-        # no pair before the first failure is scanned on its own
-        assert set(scans) <= one_block_scans(site, label, failing), label
+        assert set(scans) == {(r, 1) for r in walk}, label
+        assert set(scans) == walked_scans(model, label)[0], label
     for label, run in SCREENING[3:5]:
         assert _outcome(lambda: run(model)) == _reference_outcome(label, model), label
 
@@ -1046,8 +1145,13 @@ def test_seven_leaves_coupled_at_every_position(coupled, monkeypatch):
 def test_gen_so_makes_the_scans_of_so1_and_so2(coupled, monkeypatch):
     # gen-so[mutual] and gen-so[joint] walk so1's and so2's plans: on the
     # common cause below 7 leaves, 2 scans when it holds (the first pair and
-    # the 7-leaf certificate), 66 when the last two leaves are coupled
+    # the 7-leaf certificate); 23 when the last two leaves are coupled: the
+    # certificate, the 21 leaf pairs (the first pair among them) and the 6
+    # blocks, against 66 when a failed certificate fell back to dominators
     model = common_cause(random.Random(3), 7, coupled)
+    leaves = tuple(1 << e for e in range(1, 8))
+    blocks = (*leaves[:5], leaves[5] | leaves[6])
+    walk = {leaves, *itertools.combinations(leaves, 2), blocks} if coupled else {leaves[:2], leaves}
     scans = recorded_scans(monkeypatch)
     for pairwise, selector in ((check_so1, "mutual"), (check_so2, "joint")):
         del scans[:]
@@ -1056,7 +1160,8 @@ def test_gen_so_makes_the_scans_of_so1_and_so2(coupled, monkeypatch):
         del scans[:]
         check_generalized_so(model, selector)
         assert scans == want
-        assert len(scans) == (66 if coupled else 2)
+        assert len(scans) == (23 if coupled else 2)
+        assert set(scans) == {(r, 1) for r in walk}
 
 
 def non_convex_late() -> CausalSite:
@@ -1103,46 +1208,48 @@ def test_a_selector_error_surfaces_at_its_own_pair():
             }
 
 
-def one_block_scans(site: CausalSite, label: str, failing: tuple[int, int]) -> set:
-    """What a check of leaves below a root may scan, the dependence in one block.
-
-    Given the root, the leaves' dependence lies in one block K: a pair that
-    does not split K has a dominator that holds, the A-first one if K misses
-    B and the B-first one if K misses A.  So only the first pair, the
-    certificate of all leaves, the maximal pairs and the first failing pair
-    are scanned, each given the root.
-    """
-    leaves = tuple(1 << e for e in iter_bits(site.full_mask & ~1))
-    regions = {first_screened_pair(site, label), leaves, failing} | maximal_pairs(site, label)
-    return {(r, 1) for r in regions}
-
-
-def leaves_with_coupled_blocks(rng: random.Random, n_leaves: int, blocks) -> StochasticModel:
+def leaves_with_coupled_blocks(
+    rng: random.Random, n_leaves: int, blocks, xor: bool = False, root_weights=(1, 2, 3),
+) -> StochasticModel:
     """Ternary root below binary leaves; the leaves of each block take one value.
 
     Outside the blocks the leaves are independent given the root, and so
     are the blocks, so the dependence given the root lies within each block.
+    With ``xor`` the first block is a triple (x, y, z) of fair leaves with
+    z = x XOR y instead: pairwise independent given the root, but not
+    jointly.  ``root_weights`` may give a root value weight 0.
     """
     elements = [("c", 3)] + [(f"l{i}", 2) for i in range(n_leaves)]
     site = CausalSite(elements, [("c", f"l{i}") for i in range(n_leaves)])
     leaf_ps = [[F(rng.randrange(1, 5), 5) for _ in range(n_leaves)] for _ in range(3)]
+    if xor:
+        for ps in leaf_ps:
+            for i in blocks[0]:
+                ps[i] = F(1, 2)
     weights = []
     for c, *leaves in itertools.product(range(3), *([range(2)] * n_leaves)):
-        w = F(c + 1)
+        w = F(root_weights[c])
         for p, v in zip(leaf_ps[c], leaves):
             w *= p if v else 1 - p
-        weights.append(w if all(len({leaves[i] for i in block}) == 1 for block in blocks) else F(0))
+        tied = all(len({leaves[i] for i in block}) == 1 for block in blocks[xor:])
+        if xor:
+            x, y, z = blocks[0]
+            tied = tied and leaves[z] == leaves[x] ^ leaves[y]
+        weights.append(w if tied else F(0))
     return StochasticModel(site, [w / sum(weights) for w in weights])
 
 
 @pytest.mark.parametrize("blocks", [((1, 2), (0, 5)), ((0, 3), (1, 4)), ((1, 2), (0, 4, 5))])
-def test_two_coupled_blocks_scan_some_pairs_on_their_own(blocks, monkeypatch):
-    # ({l0}, {l2}) with blocks {l1, l2} and {l0, l5} splits neither, but its
-    # A-first dominator puts l1 and l2 apart and its B-first one l0 and l5:
-    # it holds, and is scanned on its own before the first failure
+def test_two_coupled_blocks_decide_their_pairs_by_restriction(blocks, monkeypatch):
+    # ({l0}, {l2}) with blocks {l1, l2} and {l0, l5} splits neither block, so
+    # it holds on the blocks' certificate without a scan of its own; before
+    # the first failure no pair is scanned except pairs of single leaves and
+    # restrictions to one block
     model = leaves_with_coupled_blocks(random.Random(f"blocks {blocks}"), 6, blocks)
     site = model.site
     scans = recorded_scans(monkeypatch)
+    masks = [sum(2 << i for i in block) for block in blocks]
+    certificate = tuple(sorted([2 << i for i in range(6) if not 2 << i & sum(masks)] + masks))
     for label, check in PAIRWISE.items():
         del scans[:]
         got = _outcome(lambda: check(model))
@@ -1151,19 +1258,19 @@ def test_two_coupled_blocks_scan_some_pairs_on_their_own(blocks, monkeypatch):
         assert report["verdict"] == VIOLATED
         failing = stochastic._spacelike_pairs(site)[report["stats"]["region_pairs"] - 1]
         assert len(set(scans)) == len(scans)
-        on_their_own = set(scans) - one_block_scans(site, label, failing)
-        assert on_their_own, label
-        for regions, past in on_their_own:
-            assert len(regions) == 2 and ref_factorization_failure(model, regions, past)[0] is None
+        assert set(scans) == walked_scans(model, label)[0], label
+        assert (certificate, 1) in scans, label
+        for regions, _ in scans:
+            if len(regions) == 2 and regions != failing:
+                assert all(r & (r - 1) == 0 for r in regions) or any(not sum(regions) & ~k for k in masks), label
 
 
 @given(seed=st.integers(0, 10**6), n_leaves=st.integers(3, 5), data=st.data())
 def test_one_coupled_block_below_a_root(seed, n_leaves, data):
     # wherever the block lies, the first failure is the ordinal one, and
-    # every pair before it has a dominator that holds
+    # every pair before it is decided by its restriction to the block
     block = data.draw(st.lists(st.integers(0, n_leaves - 1), min_size=2, max_size=3, unique=True))
     model = leaves_with_coupled_blocks(random.Random(seed), n_leaves, [block])
-    site = model.site
     with pytest.MonkeyPatch.context() as m:
         scans = recorded_scans(m)
         for label, check in PAIRWISE.items():
@@ -1172,9 +1279,92 @@ def test_one_coupled_block_below_a_root(seed, n_leaves, data):
             assert got == _outcome(lambda: REF_SCREENING[label](model)), label
             report = json.loads(got)
             assert report["verdict"] == VIOLATED
-            failing = stochastic._spacelike_pairs(site)[report["stats"]["region_pairs"] - 1]
             assert len(set(scans)) == len(scans)
-            assert set(scans) <= one_block_scans(site, label, failing), label
+            assert set(scans) == walked_scans(model, label)[0], label
+
+
+@st.composite
+def leaf_blocks(draw) -> StochasticModel:
+    """4-7 leaves below a root, with 1-3 disjoint tied blocks of 2-3 leaves.
+
+    In one variant the first block is an XOR triple, pairwise independent
+    but not jointly: its leaves are singleton blocks, and the walk falls
+    back to dominators.  Some roots have a value of weight 0.
+    """
+    n_leaves = draw(st.integers(4, 7))
+    order = draw(st.permutations(range(n_leaves)))
+    blocks, used = [], 0
+    for size in draw(st.lists(st.integers(2, 3), min_size=1, max_size=3)):
+        if used + size <= n_leaves:
+            blocks.append(tuple(sorted(order[used:used + size])))
+            used += size
+    xor = len(blocks[0]) == 3 and draw(st.booleans())
+    root_weights = draw(st.sampled_from([(1, 2, 3), (1, 0, 2)]))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    return leaves_with_coupled_blocks(rng, n_leaves, blocks, xor, root_weights)
+
+
+@settings(max_examples=25)
+@given(leaf_blocks())
+def test_tied_and_xor_blocks_below_a_root(model):
+    # every planned check, decided by block restrictions where the blocks'
+    # certificate holds and by dominators where it fails, is the ordinal scan
+    assert_screening_matches_reference(model)
+
+
+# (leaves, blocks, xor, root weights, scans of so1, so2 and so2w) of models
+# that pin the block path
+BLOCK_MODELS = {
+    "two tied blocks": (6, [(1, 2), (0, 5)], False, (1, 2, 3), 17),
+    "a tied block and a null root value": (5, [(2, 4)], False, (1, 0, 2), 12),
+    "an xor triple": (5, [(1, 2, 3)], True, (1, 2, 3), 29),
+    "an xor triple and a tied pair": (5, [(0, 1, 2), (3, 4)], True, (1, 0, 2), 16),
+}
+
+
+@pytest.mark.parametrize("name", list(BLOCK_MODELS))
+def test_the_block_path_is_the_ordinal_scan(name, monkeypatch):
+    # tied blocks are decided by their restrictions, each scanned once; a
+    # null root cell is skipped by every pair decided without a scan; an
+    # XOR triple is found as three singleton blocks, and beside a tied pair
+    # the blocks' certificate is scanned and fails: both fall back to the
+    # dominators; the scan counts are pinned
+    n_leaves, blocks, xor, root_weights, n_scans = BLOCK_MODELS[name]
+    model = leaves_with_coupled_blocks(random.Random(name), n_leaves, blocks, xor, root_weights)
+    reports = assert_screening_matches_reference(model)
+    for label in PAIRWISE:
+        assert reports[label]["verdict"] == VIOLATED
+        assert (reports[label]["stats"]["null_conditions_skipped"] > 0) == (0 in root_weights)
+    leaves = tuple(2 << i for i in range(n_leaves))
+    tied = [sum(leaves[i] for i in block) for block in blocks[xor:]]
+    certificates = [leaves] + [tuple(sorted([x for x in leaves if not x & sum(tied)] + tied))] * bool(tied)
+    scans = recorded_scans(monkeypatch)
+    for label, check in PAIRWISE.items():
+        del scans[:]
+        check(model)
+        assert len(scans) == len(set(scans)) == n_scans, label
+        # the group's certificate, then the blocks' where a block is tied
+        assert [regions for regions, _ in scans if len(regions) > 2] == certificates, label
+        if not xor:
+            assert set(scans) == walked_scans(model, label)[0], label
+        elif tied:
+            assert ref_factorization_failure(model, certificates[1], 1)[0] is not None
+
+
+def test_multi_so_scans_each_block_restriction_once(monkeypatch):
+    # leaves l2 and l3 are tied: multi-so[n=2] fails at its 37th tuple,
+    # ({l2}, {l3}), after the failed 5-leaf certificate, the 10 leaf pairs
+    # given the root and the 4 blocks: 12 scans, against one per tuple when
+    # a failed certificate fell back to dominators
+    model = leaves_with_coupled_blocks(random.Random(1), 5, [(2, 3)])
+    scans = recorded_scans(monkeypatch)
+    report = check_multi_so(model, 2)
+    assert _outcome(lambda: report) == _reference_outcome("multi-so[n=2]", model)
+    assert report.stats["region_tuples"] == 37
+    leaves = tuple(2 << i for i in range(5))
+    blocks = (leaves[0], leaves[1], leaves[2] | leaves[3], leaves[4])
+    assert len(scans) == 12
+    assert set(scans) == {(r, 1) for r in (leaves, *itertools.combinations(leaves, 2), blocks)}
 
 
 # so1, so2, so2w and the built-in gen-so selectors, with each one's
@@ -1241,7 +1431,7 @@ def test_leaves_below_a_local_root(seed, n_leaves, coupled):
             del scans[:]
             check(model)
             if reports[label]["verdict"] == HOLDS:
-                assert {regions for regions, _ in scans} == expected_scans(model, label)[0], label
+                assert set(scans) == walked_scans(model, label)[0], label
 
 
 # -- group proofs ---------------------------------------------------------------
