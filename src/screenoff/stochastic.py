@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 
 from .events import (
     CapacityError,
@@ -385,16 +385,14 @@ def _screen(
     scanned itself.  A stand-in's key carries its past, so a unit with
     several pasts never reuses a scan made under another one.  If every
     proof of the plan's proof record holds, through the same scans, the
-    check holds and no later step is drawn; else the walk goes on, and
-    with the default scan a step whose group proof failed tries its
-    group's blocks (`_split`) before its other stand-ins: while their
-    certificate holds, the step holds on it when each of its restrictions
-    to a block holds, and is scanned itself when one fails.  `fixed`
-    stats lead the report's stats; `tables` may carry cell tables shared
-    with another scan of the model.  `scan` (default `_factorization_failure`) returns
+    check holds and no later step is drawn; else the walk goes on, and with
+    the default scan a step of a failed group marked for a search tries its
+    blocks (`_split`) first: while they hold, the step holds when its
+    restrictions to them hold, else it is scanned.  `fixed` stats lead the
+    report's stats; `tables` may carry cell tables shared with another scan
+    of the model.  `scan` (default `_factorization_failure`) returns
     (failure-or-None, checked, skipped), reported under `count_keys`, and
-    `counterexample` (default `_conditional_counterexample`) reports a
-    failure.
+    `counterexample` (default `_conditional_counterexample`) reports a failure.
     """
     classical = scan is None
     scan = scan or _factorization_failure
@@ -405,13 +403,13 @@ def _screen(
     def get(key):
         return scans.get(key) or scans.setdefault(key, scan(model, key[1], key[0], tables=tables))
 
-    splits = None  # P: its blocks (`_split`), once a group proof failed; a passed-in scan has none
+    splits = None  # P: its blocks once its proof failed (`_split`), None where dominators decide
     n_units = n_steps = checked = skipped = 0
     fail = unit = None
     for regions, past, stand_ins, fallback, past_cells, atoms in steps:
         if regions is None:  # the first unit held: `stand_ins` proves the plan's other steps
             if (rest := _proved(stand_ins, get)) is None:
-                splits = {} if classical else None
+                splits = {key[0]: None for key, *_, search in stand_ins[2] if not search} if classical else None
                 continue
             units, more_steps, c, s = rest
             n_units, n_steps, checked, skipped = n_units + units, n_steps + more_steps, checked + c, skipped + s
@@ -423,20 +421,25 @@ def _screen(
         if stand_ins is None:
             fail, c, s = scan(model, regions, past, tables=tables)
         else:
-            key = stand_ins[0]
-            if get(key)[0] is not None:  # the group's proof failed
-                if splits is not None and past not in splits:
-                    splits[past] = _split(get, past, sum(key[1]))
-                if splits and (split := splits[past]):
-                    key, blocks = split  # the blocks' certificate, unless a restriction fails
-                    for k in blocks:
-                        part = [r & k for r in regions if r & k]
-                        if len(part) > 1 and get((past, tuple(sorted(part))))[0] is not None:
-                            key = (past, regions)
+            if not (split := splits and splits.get(past)):
+                for key in stand_ins:
+                    result = scans.get(key) or scans.setdefault(key, scan(model, key[1], past, tables=tables))
+                    if result[0] is None:
+                        break
+                    if splits is not None and past not in splits:  # the group's proof failed
+                        if split := splits.setdefault(past, _split(get, past, sum(key[1]))):
                             break
                 else:
-                    key = next((k for k in stand_ins[1:] if get(k)[0] is None), fallback)
-            fail, c, s = get(key)
+                    result = get(key := fallback)
+            if split:
+                key, blocks = split  # the blocks' certificate, unless a restriction fails
+                for k in blocks:
+                    part = [r & k for r in regions if r & k]
+                    if len(part) > 1 and get((past, tuple(sorted(part))))[0] is not None:
+                        key = (past, regions)
+                        break
+                result = get(key)
+            fail, c, s = result
             if key[1] != regions:
                 if fail is None:
                     c = (past_cells - s) * atoms
@@ -462,16 +465,15 @@ def _screen(
 def _proved(proofs, get):
     """(units, steps, checked, skipped) after the first unit if every group proof holds, else None.
 
-    `proofs` is `_plan`'s (units, steps, groups), scanned through the
-    walk's cached `get`.  A held proof stands in for each step of its
-    group, as in the walk: with nulls the null cells of P its scan skipped,
-    a group checks (|Φ(P)| − nulls)·Σ atoms and skips nulls per step.  The
-    scans stop at the first failing proof; the walk scans every proof tried
-    by then before its first failing step.
+    `proofs` is `_plan`'s (units, steps, groups), scanned through the walk's
+    cached `get`.  A held proof stands in for each step of its group, as in
+    the walk: with nulls the null cells of P its scan skipped, a group checks
+    (|Φ(P)| − nulls)·Σ atoms and skips nulls per step.  The scans stop at the
+    first failing proof; the walk scans every proof tried by then first.
     """
     n_units, n_steps, groups = proofs
     checked = skipped = 0
-    for key, cells, atoms, n in groups:
+    for key, cells, atoms, n, _ in groups:
         fail, _, nulls = get(key)
         if fail is not None:
             return None
@@ -484,7 +486,8 @@ def _split(get, past: int, union: int):
     """(block certificate, non-singleton blocks) of the elements of `union` given `past`, or None.
 
     Elements i and j are dependent given P when ({i}, {j}) fails; the blocks
-    are the components of that relation, in ascending order.  With at least
+    are the components of that relation, in ascending order.  A pair inside
+    one block is not scanned, and one block ends the search.  With at least
     two blocks, one of them not a singleton, one scan of the blocks as the
     regions of a tuple is their certificate, which must hold: pairwise
     independence is not joint independence.
@@ -492,8 +495,9 @@ def _split(get, past: int, union: int):
     singles = [1 << e for e in iter_bits(union)]
     block = {x: x for x in singles}
     for x, y in itertools.combinations(singles, 2):
-        if get((past, (x, y)))[0] is not None:
-            merged = block[x] | block[y]
+        if block[x] != block[y] and get((past, (x, y)))[0] is not None:
+            if (merged := block[x] | block[y]) == union:
+                return None
             block.update((1 << e, merged) for e in iter_bits(merged))
     blocks = tuple(sorted(set(block.values())))
     if not 1 < len(blocks) < len(singles) or get(certificate := (past, blocks))[0] is not None:
@@ -529,7 +533,9 @@ def _split(get, past: int, union: int):
 # and their own k-region scan, the block certificate, must hold: pairwise
 # independence is not joint independence (`bernstein_xor`).  Where it
 # fails, or the blocks are one or all singletons, a step falls back to its
-# dominators.  The quantal checks keep the dominators: a null pseudo-cell
+# dominators.  The search costs up to C(m, 2) + 1 scans, m = |E_P|, and the
+# dominators one per maximal step, so only a group with more maximal steps
+# is searched.  The quantal checks keep the dominators: a null pseudo-cell
 # needs its own proof.
 
 
@@ -630,8 +636,8 @@ def _plan(site: CausalSite, units: tuple, ordered: bool, power: int) -> tuple[tu
     group's proof.  The proof record is the step-shaped (None, None,
     (units, steps, groups), None, 0, 0) of the steps after the first unit,
     which `_screening_steps` scans itself, a group being (proof,
-    |Φ(P)|^power, Σ atoms, steps), in order of its first step there;
-    `_proved` reads it.
+    |Φ(P)|^power, Σ atoms, steps, whether a failed proof searches its
+    blocks), in order of its first step there; `_proved` reads it.
     """
     # `ordered`: a pair check lists both (A, B) and (B, A); multi-so lists each tuple once, ascending
     groups: dict[int, tuple[dict, dict]] = {}  # P: (stand-ins by step, by maximal step)
@@ -667,7 +673,7 @@ def _plan(site: CausalSite, units: tuple, ordered: bool, power: int) -> tuple[tu
                 keys.insert(0, certificate)
     configs = [n_configs(site, r) ** power for r in site.regions()]
     plan = []
-    proof_of: dict[int, list] = {}  # P: [proof, |Φ(P)|^power, Σ atoms, steps] after the first unit
+    proof_of: dict[int, list] = {}  # P: [proof, |Φ(P)|^power, Σ atoms, steps, search] after the first unit
     first = len(units[0][1]) if units else 0
     for regions, pasts in units:
         atoms = 1
@@ -680,7 +686,8 @@ def _plan(site: CausalSite, units: tuple, ordered: bool, power: int) -> tuple[tu
             plan.append((regions, past, keys, fallback, configs[past], atoms))
             if len(plan) > first:
                 if (proof := proof_of.get(past)) is None:
-                    proof = proof_of[past] = [keys[0], configs[past], 0, 0]
+                    search = len(groups[past][1]) > comb(len(keys[0][1]), 2) + 1
+                    proof = proof_of[past] = [keys[0], configs[past], 0, 0, search]
                 proof[2] += atoms
                 proof[3] += 1
     proofs = (max(len(units) - 1, 0), len(plan) - first, tuple(map(tuple, proof_of.values())))
@@ -756,12 +763,8 @@ def _inadmissible(pasts, futures, ra: int, rb: int, past: int) -> str | None:
 
 @lru_cache(maxsize=None)
 def _admissible_plan(site: CausalSite, selector: str) -> bool:
-    """Whether every step of a built-in selector's plan conditions on an admissible region.
-
-    Only "joint" and "bell" are swept: "all" builds admissible regions, and
-    a spacelike pair's mutual past meets neither future.
-    """
-    if selector in ("mutual", "all"):
+    """Whether every step of a built-in selector's plan conditions on an admissible region."""
+    if selector in ("mutual", "all"):  # a pair's mutual past meets neither future; "all" builds such pasts
         return True
     cones = _cones(site)
     return not any(_inadmissible(*cones, *step[0], step[1]) for step in _screening_plan(site, selector, 1)[0])

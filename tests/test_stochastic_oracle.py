@@ -780,15 +780,18 @@ def first_screened_pair(site: CausalSite, condition: str) -> tuple[int, int] | N
     return next(((a, b) for a, b in stochastic._spacelike_pairs(site) if not (a | b) & init), None)
 
 
-def expected_scans(model, condition: str, failure) -> tuple[set, int]:
-    """The regions a holding qso1 or qso2 scans, and how many of its certificates fail.
+def expected_scans(model, condition: str, failure=None) -> tuple[set, int] | None:
+    """The regions a holding check scans, and how many of its certificates fail.
 
-    The qso walks have no block path.  The first screened pair is scanned;
-    then each group of pairs with one conditioning region P is proved by its
-    certificate (every element of the group's union, as singletons, given P)
-    if it has more than one maximal pair, or else by each of its maximal
-    pairs; where a certificate fails, the maximal pairs are scanned.
-    `failure(model, regions, past)` decides a certificate.
+    The first screened pair is scanned; then each group of pairs with one
+    conditioning region P is proved by its certificate (every element of
+    the group's union E_P, as singletons, given P) if it has more than one
+    maximal pair, or else by each of its maximal pairs; where a certificate
+    fails, the maximal pairs are scanned.  `failure(model, regions, past)`
+    decides a certificate, by default `ref_factorization_failure`.  With
+    that default (so1, so2, so2w) a failed group with more maximal pairs
+    than C(|E_P|, 2) + 1 has its blocks searched first, and the result is
+    None; the qso walks never search blocks.
     """
     site = model.site
     init = site.initial_elements()
@@ -809,95 +812,13 @@ def expected_scans(model, condition: str, failure) -> tuple[set, int]:
         if len(group) > 1:
             certificate = tuple(1 << e for e in iter_bits(unions[past]))
             scans.add(certificate)
-            if failure(model, certificate, past)[0] is None:
+            if (failure or ref_factorization_failure)(model, certificate, past)[0] is None:
                 continue
             failed += 1
+            if failure is None and len(group) > comb(len(certificate), 2) + 1:
+                return None
         scans.update(group)
     return scans, failed
-
-
-def walked_scans(model, condition: str) -> tuple[set, int] | None:
-    """Every (regions, past) that so1, so2 or so2w scans, and how many group proofs fail.
-
-    A group is every screened pair with one conditioning region P, E_P is
-    the union of its pairs, and its proof is E_P's singletons given P if it
-    has more than one maximal pair, else that pair.  The first screened pair
-    is scanned; if it holds, each group's proof, in order of the group's
-    first later pair, up to the first that fails.  Then the later pairs are
-    walked in order up to the first failing one.  Each tries its group's
-    proof, and where that fails, the group's blocks: every pair of
-    singletons of E_P is scanned given P, and the blocks are the components
-    of the failing ones.  With two or more blocks, one not a singleton, the
-    blocks given P are scanned, and if they hold, the pair's restriction
-    (A ∩ K, B ∩ K) to each block K that it splits, in ascending order, up to
-    the first that fails, and then the pair itself.  Otherwise a holding
-    check scans the group's maximal pairs; for a violated one that fallback
-    is not modelled, and the result is None.  Every scan is decided by
-    `ref_factorization_failure`.
-    """
-    site = model.site
-    init = site.initial_elements()
-    past_of = site.mutual_past if condition == "so1" else site.joint_past
-    pairs = [(a, b) for a, b in stochastic._spacelike_pairs(site)
-             if not (condition == "so2w" and (a | b) & init)]
-    held: dict = {}
-
-    def holds(regions, past) -> bool:
-        if (regions, past) not in held:
-            held[regions, past] = ref_factorization_failure(model, regions, past)[0] is None
-        return held[regions, past]
-
-    if not pairs or not holds(pairs[0], past_of(*pairs[0])):
-        return set(held), 0
-    unions: dict[int, int] = {}
-    for a, b in pairs:
-        unions[past_of(a, b)] = unions.get(past_of(a, b), 0) | a | b
-    maximal: dict[int, list] = {}
-    for a, b in maximal_pairs(site, condition):
-        maximal.setdefault(past_of(a, b), []).append((a, b))
-    proofs = {}
-    for a, b in pairs[1:]:
-        group = maximal[past_of(a, b)]
-        proofs.setdefault(past_of(a, b), tuple(1 << e for e in iter_bits(unions[past_of(a, b)]))
-                          if len(group) > 1 else group[0])
-
-    def failed() -> int:
-        return sum(not held[proof, past] for past, proof in proofs.items() if (proof, past) in held)
-
-    if all(holds(proof, past) for past, proof in proofs.items()):
-        return set(held), 0
-    splits: dict = {}
-
-    def blocks_of(past) -> list | None:
-        singles = [1 << e for e in iter_bits(unions[past])]
-        component = {x: {x} for x in singles}
-        for x, y in itertools.combinations(singles, 2):
-            if not holds((x, y), past):
-                merged = component[x] | component[y]
-                for z in merged:
-                    component[z] = merged
-        blocks = tuple(sorted({sum(c) for c in component.values()}))
-        if not 1 < len(blocks) < len(singles) or not holds(blocks, past):
-            return None
-        return [k for k in blocks if bin(k).count("1") > 1]
-
-    for a, b in pairs[1:]:
-        past = past_of(a, b)
-        if holds(proofs[past], past):
-            continue
-        if past not in splits:
-            splits[past] = blocks_of(past)
-        if splits[past] is None:
-            if REF_SCREENING[condition](model).verdict == VIOLATED:
-                return None
-            for pair in maximal[past]:
-                holds(pair, past)
-            continue
-        parts = [tuple(sorted((a & k, b & k))) for k in splits[past] if a & k and b & k]
-        if not all(holds(part, past) for part in parts):
-            holds((a, b), past)
-            break
-    return set(held), failed()
 
 
 @pytest.mark.parametrize("shape", ["chain-and-point", "blocked", "diamond"])
@@ -910,14 +831,14 @@ def test_a_holding_check_scans_each_stand_in_once(shape, monkeypatch):
     for label, check in (("so1", check_so1), ("so2", check_so2), ("so2w", check_so2w)):
         del scans[:]
         assert check(model).verdict in (HOLDS, VACUOUS)
-        want, n_failed = walked_scans(model, label)
+        want, n_failed = expected_scans(model, label)
         assert len(scans) == len(set(scans))
-        assert set(scans) == want, label
+        assert {regions for regions, _ in scans} == want, label
         assert [regions for regions, _ in scans[:1]] == [first_screened_pair(site, label)] or not want
         failed += n_failed
     # blocked and diamond hold although a group's elements are not
-    # independent, so a certificate fails and the group's blocks, or else its
-    # maximal pairs, decide its pairs
+    # independent, so a certificate fails; its group has too few maximal
+    # pairs for a block search to pay, and they are scanned
     assert (failed > 0) == (shape != "chain-and-point")
 
 
@@ -1136,7 +1057,6 @@ def test_seven_leaves_coupled_at_every_position(coupled, monkeypatch):
         assert got == _outcome(lambda: replace(want, condition=label)), label
         assert len(set(scans)) == len(scans)
         assert set(scans) == {(r, 1) for r in walk}, label
-        assert set(scans) == walked_scans(model, label)[0], label
     for label, run in SCREENING[3:5]:
         assert _outcome(lambda: run(model)) == _reference_outcome(label, model), label
 
@@ -1208,6 +1128,46 @@ def test_a_selector_error_surfaces_at_its_own_pair():
             }
 
 
+def one_block_scans(site: CausalSite, label: str, failing: tuple[int, int]) -> set:
+    """What a check of leaves below a root may scan, the dependence in one block.
+
+    Given the root, the leaves' dependence lies in one block K: a pair that
+    does not split K has a dominator that holds, the A-first one if K misses
+    B and the B-first one if K misses A.  So only the first pair, the
+    certificate of all leaves, the maximal pairs and the first failing pair
+    are scanned, each given the root.
+    """
+    leaves = tuple(1 << e for e in iter_bits(site.full_mask & ~1))
+    regions = {first_screened_pair(site, label), leaves, failing} | maximal_pairs(site, label)
+    return {(r, 1) for r in regions}
+
+
+def tied_block_scans(n_leaves: int, blocks, failing: tuple[int, int]) -> set:
+    """What so1, so2 or so2w scans on tied blocks of leaves below a root.
+
+    The leaves l0, l1, ... sit below the root c; the first pair ({l0}, {l1})
+    is scanned, and fails where l0 and l1 are tied.  Otherwise the
+    certificate of all leaves fails, and with more maximal pairs than leaf
+    pairs, plus one (5 or more leaves), the block search scans each pair of
+    leaves given c but the last pair (y, z) of a tied triple x < y < z,
+    which (x, y) and (x, z) already joined.  The blocks' certificate holds,
+    so a pair that splits no tied block holds on it.  The first that splits
+    one is `failing`: its restriction to the first such block fails, and it
+    is scanned itself.
+    """
+    leaves = [2 << i for i in range(n_leaves)]
+    if failing == (leaves[0], leaves[1]):
+        return {(failing, 1)}
+    ties = sorted(sum(leaves[i] for i in block) for block in blocks)
+    singles = tuple(x for x in leaves if not x & sum(ties))
+    joined = {(leaves[b], leaves[c]) for _, b, c in (sorted(block) for block in blocks if len(block) == 3)}
+    a, b = failing
+    restriction = next(tuple(sorted((a & k, b & k))) for k in ties if a & k and b & k)
+    regions = {tuple(leaves), *set(itertools.combinations(leaves, 2)) - joined,
+               tuple(sorted(singles + tuple(ties))), restriction, failing}
+    return {(r, 1) for r in regions}
+
+
 def leaves_with_coupled_blocks(
     rng: random.Random, n_leaves: int, blocks, xor: bool = False, root_weights=(1, 2, 3),
 ) -> StochasticModel:
@@ -1258,19 +1218,19 @@ def test_two_coupled_blocks_decide_their_pairs_by_restriction(blocks, monkeypatc
         assert report["verdict"] == VIOLATED
         failing = stochastic._spacelike_pairs(site)[report["stats"]["region_pairs"] - 1]
         assert len(set(scans)) == len(scans)
-        assert set(scans) == walked_scans(model, label)[0], label
+        assert set(scans) == tied_block_scans(6, blocks, failing), label
         assert (certificate, 1) in scans, label
-        for regions, _ in scans:
-            if len(regions) == 2 and regions != failing:
-                assert all(r & (r - 1) == 0 for r in regions) or any(not sum(regions) & ~k for k in masks), label
 
 
 @given(seed=st.integers(0, 10**6), n_leaves=st.integers(3, 5), data=st.data())
 def test_one_coupled_block_below_a_root(seed, n_leaves, data):
-    # wherever the block lies, the first failure is the ordinal one, and
-    # every pair before it is decided by its restriction to the block
+    # wherever the block lies, the first failure is the ordinal one; with 5
+    # leaves every pair before it is decided by its restriction to the
+    # block, and with 3 or 4, whose groups have no more maximal pairs than
+    # leaf pairs, plus one, by a dominator that holds
     block = data.draw(st.lists(st.integers(0, n_leaves - 1), min_size=2, max_size=3, unique=True))
     model = leaves_with_coupled_blocks(random.Random(seed), n_leaves, [block])
+    site = model.site
     with pytest.MonkeyPatch.context() as m:
         scans = recorded_scans(m)
         for label, check in PAIRWISE.items():
@@ -1279,8 +1239,12 @@ def test_one_coupled_block_below_a_root(seed, n_leaves, data):
             assert got == _outcome(lambda: REF_SCREENING[label](model)), label
             report = json.loads(got)
             assert report["verdict"] == VIOLATED
+            failing = stochastic._spacelike_pairs(site)[report["stats"]["region_pairs"] - 1]
             assert len(set(scans)) == len(scans)
-            assert set(scans) == walked_scans(model, label)[0], label
+            if n_leaves == 5:
+                assert set(scans) == tied_block_scans(n_leaves, [block], failing), label
+            else:
+                assert set(scans) <= one_block_scans(site, label, failing), label
 
 
 @st.composite
@@ -1346,7 +1310,8 @@ def test_the_block_path_is_the_ordinal_scan(name, monkeypatch):
         # the group's certificate, then the blocks' where a block is tied
         assert [regions for regions, _ in scans if len(regions) > 2] == certificates, label
         if not xor:
-            assert set(scans) == walked_scans(model, label)[0], label
+            failing = stochastic._spacelike_pairs(model.site)[reports[label]["stats"]["region_pairs"] - 1]
+            assert set(scans) == tied_block_scans(n_leaves, blocks, failing), label
         elif tied:
             assert ref_factorization_failure(model, certificates[1], 1)[0] is not None
 
@@ -1365,6 +1330,32 @@ def test_multi_so_scans_each_block_restriction_once(monkeypatch):
     blocks = (leaves[0], leaves[1], leaves[2] | leaves[3], leaves[4])
     assert len(scans) == 12
     assert set(scans) == {(r, 1) for r in (leaves, *itertools.combinations(leaves, 2), blocks)}
+
+
+def test_one_block_ends_the_block_search(monkeypatch):
+    # given the root, l0 and l1 are independent and l2 = l3 = l4 = l0 AND l1:
+    # the first pair holds and the 5-leaf certificate fails; the search joins
+    # every leaf into one block by (l0, l2), (l0, l3), (l0, l4) and (l1, l2),
+    # and stops: the other 5 leaf pairs are not scanned.  The dominators of
+    # ({l0}, {l2}) fail, and its own scan is the search's, already made
+    rng = random.Random(5)
+    site = CausalSite([("c", 3)] + [(f"l{i}", 2) for i in range(5)], [("c", f"l{i}") for i in range(5)])
+    ps = [[F(rng.randrange(1, 5), 5) for _ in range(2)] for _ in range(3)]
+    weights = []
+    for c, *l in itertools.product(range(3), *([range(2)] * 5)):
+        w = F(c + 1) * (ps[c][0] if l[0] else 1 - ps[c][0]) * (ps[c][1] if l[1] else 1 - ps[c][1])
+        weights.append(w if l[2] == l[3] == l[4] == l[0] & l[1] else F(0))
+    model = StochasticModel(site, [w / sum(weights) for w in weights])
+    reports = assert_screening_matches_reference(model)
+    l0, l1, l2, l3, l4 = (2 << i for i in range(5))
+    searched = [(l0, l1), (l0, l2), (l0, l3), (l0, l4), (l1, l2)]
+    scans = recorded_scans(monkeypatch)
+    for label, check in PAIRWISE.items():
+        assert reports[label]["stats"]["region_pairs"] == 2, label
+        del scans[:]
+        check(model)
+        assert scans == [(r, 1) for r in (searched[0], (l0, l1, l2, l3, l4), *searched[1:],
+                                          (l2, l0 | l1 | l3 | l4), (l0, l1 | l2 | l3 | l4))], label
 
 
 # so1, so2, so2w and the built-in gen-so selectors, with each one's
@@ -1430,8 +1421,8 @@ def test_leaves_below_a_local_root(seed, n_leaves, coupled):
         for label, check in PAIRWISE.items():
             del scans[:]
             check(model)
-            if reports[label]["verdict"] == HOLDS:
-                assert set(scans) == walked_scans(model, label)[0], label
+            if reports[label]["verdict"] == HOLDS and (want := expected_scans(model, label)):
+                assert {regions for regions, _ in scans} == want[0], label
 
 
 # -- group proofs ---------------------------------------------------------------
