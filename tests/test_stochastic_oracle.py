@@ -948,6 +948,17 @@ def recorded_scans(monkeypatch) -> list:
     return scans
 
 
+def recorded_passes(monkeypatch) -> list:
+    """The (E_P, P) of every pair pass of a block search, in order."""
+    passes = []
+    original = stochastic._dependent_pairs
+    monkeypatch.setattr(
+        stochastic, "_dependent_pairs",
+        lambda m, past, union, tables: passes.append((union, past)) or original(m, past, union, tables),
+    )
+    return passes
+
+
 @pytest.mark.parametrize("alphabets", [(2, 2), (2, 3, 2), (2, 2, 2, 2), (3, 2, 2, 2, 2), (2,) * 6])
 def test_a_product_on_an_antichain_is_certified_at_once(alphabets, monkeypatch):
     # every pair has the empty past, and every site is independent of the
@@ -1028,10 +1039,10 @@ def test_planned_checks_on_drawn_posets(seed, n_elements, weights):
 
 @pytest.mark.parametrize("coupled", list(itertools.combinations(range(7), 2)))
 def test_seven_leaves_coupled_at_every_position(coupled, monkeypatch):
-    # the 7-leaf certificate fails wherever the coupled pair sits; the 21
-    # leaf pairs given the root find the coupled pair's block, the 6 blocks
-    # hold, and each later pair is decided by its restriction to that block:
-    # the first pair that splits it is ({li}, {lj}) itself, one of the 21
+    # the 7-leaf certificate fails wherever the coupled pair sits; one pass
+    # over its table finds the coupled pair's block, the 6 blocks hold, and
+    # each later pair is decided by its restriction to that block: the first
+    # pair that splits it is ({li}, {lj}) itself, so 4 scans in all
     model = leaves_below_a_root(7, (1, 1, 2), coupled)
     # every pair is of leaves, with the root as mutual and joint past, and
     # only the root is initial: the three ordinal scans are the same scan
@@ -1047,16 +1058,17 @@ def test_seven_leaves_coupled_at_every_position(coupled, monkeypatch):
     assert failing == tuple(leaves[i] for i in coupled)
     blocks = tuple(sorted([x for x in leaves if not x & tied] + [tied]))
     if coupled == (0, 1):
-        walk = {failing}
+        walk, searched = [failing], []
     else:
-        walk = {leaves, *itertools.combinations(leaves, 2), blocks}
+        walk, searched = [leaves[:2], leaves, blocks, failing], [(sum(leaves), 1)]
     scans = recorded_scans(monkeypatch)
+    passes = recorded_passes(monkeypatch)
     for label, check in PAIRWISE.items():
-        del scans[:]
+        del scans[:], passes[:]
         got = _outcome(lambda: check(model))
         assert got == _outcome(lambda: replace(want, condition=label)), label
-        assert len(set(scans)) == len(scans)
-        assert set(scans) == {(r, 1) for r in walk}, label
+        assert scans == [(r, 1) for r in walk], label
+        assert passes == searched, label
     for label, run in SCREENING[3:5]:
         assert _outcome(lambda: run(model)) == _reference_outcome(label, model), label
 
@@ -1065,23 +1077,51 @@ def test_seven_leaves_coupled_at_every_position(coupled, monkeypatch):
 def test_gen_so_makes_the_scans_of_so1_and_so2(coupled, monkeypatch):
     # gen-so[mutual] and gen-so[joint] walk so1's and so2's plans: on the
     # common cause below 7 leaves, 2 scans when it holds (the first pair and
-    # the 7-leaf certificate); 23 when the last two leaves are coupled: the
-    # certificate, the 21 leaf pairs (the first pair among them) and the 6
-    # blocks, against 66 when a failed certificate fell back to dominators
+    # the 7-leaf certificate); 4 when the last two leaves are coupled: the
+    # first pair, the certificate, the 6 blocks after one pass over the
+    # certificate's table, and the coupled pair, its own restriction
     model = common_cause(random.Random(3), 7, coupled)
     leaves = tuple(1 << e for e in range(1, 8))
     blocks = (*leaves[:5], leaves[5] | leaves[6])
-    walk = {leaves, *itertools.combinations(leaves, 2), blocks} if coupled else {leaves[:2], leaves}
+    walk = [leaves[:2], leaves, blocks, leaves[5:]] if coupled else [leaves[:2], leaves]
     scans = recorded_scans(monkeypatch)
+    passes = recorded_passes(monkeypatch)
     for pairwise, selector in ((check_so1, "mutual"), (check_so2, "joint")):
-        del scans[:]
+        del scans[:], passes[:]
         pairwise(model)
-        want = list(scans)
-        del scans[:]
+        want = list(scans), list(passes)
+        del scans[:], passes[:]
         check_generalized_so(model, selector)
-        assert scans == want
-        assert len(scans) == (23 if coupled else 2)
-        assert set(scans) == {(r, 1) for r in walk}
+        assert (scans, passes) == want
+        assert scans == [(r, 1) for r in walk]
+        assert passes == [(sum(leaves), 1)] * coupled
+
+
+def test_the_other_searching_checks_make_one_pass_per_failed_group(monkeypatch):
+    # on the common cause below 7 leaves with the last two coupled, each
+    # check searches a marked group's blocks by one pass over the table its
+    # failed certificate built: multi-so[n=2] makes so1's 4 scans (577 with
+    # dominators alone); penrose-percival makes them twice, for its so1
+    # verdict and its dissection walk; gen-so[all] searches again for each
+    # of the 16 marked conditioning regions P whose certificate fails, and
+    # makes 252 scans; every P holds the root, and each pass reads the one
+    # table of the site
+    model = common_cause(random.Random(3), 7, True)
+    leaves = tuple(1 << e for e in range(1, 8))
+    so1 = [(r, 1) for r in (leaves[:2], leaves, (*leaves[:5], leaves[5] | leaves[6]), leaves[5:])]
+    scans = recorded_scans(monkeypatch)
+    passes = recorded_passes(monkeypatch)
+    check_multi_so(model, 2)
+    assert (scans, passes) == (so1, [(sum(leaves), 1)])
+    del scans[:], passes[:]
+    check_penrose_percival(model)
+    assert (scans, passes) == (so1 * 2, [(sum(leaves), 1)] * 2)
+    del scans[:], passes[:]
+    check_generalized_so(model, "all")
+    assert len(scans) == len(set(scans)) == 252
+    assert len(passes) == len(set(passes)) == 16
+    assert {union | past for union, past in passes} == {model.site.full_mask}
+    assert all(past & 1 for _, past in passes)
 
 
 def non_convex_late() -> CausalSite:
@@ -1142,30 +1182,28 @@ def one_block_scans(site: CausalSite, label: str, failing: tuple[int, int]) -> s
     return {(r, 1) for r in regions}
 
 
-def tied_block_scans(n_leaves: int, blocks, failing: tuple[int, int]) -> set:
-    """What so1, so2 or so2w scans on tied blocks of leaves below a root.
+def tied_block_scans(n_leaves: int, blocks, failing: tuple[int, int]) -> list:
+    """What so1, so2 or so2w scans, in order, on tied blocks of leaves below a root.
 
     The leaves l0, l1, ... sit below the root c; the first pair ({l0}, {l1})
     is scanned, and fails where l0 and l1 are tied.  Otherwise the
     certificate of all leaves fails, and with more maximal pairs than leaf
-    pairs, plus one (5 or more leaves), the block search scans each pair of
-    leaves given c but the last pair (y, z) of a tied triple x < y < z,
-    which (x, y) and (x, z) already joined.  The blocks' certificate holds,
-    so a pair that splits no tied block holds on it.  The first that splits
-    one is `failing`: its restriction to the first such block fails, and it
-    is scanned itself.
+    pairs, plus one (5 or more leaves), one pass over its table finds the
+    tied blocks, and the blocks' certificate is scanned.  It holds, so a pair
+    that splits no tied block holds on it.  The first that splits one is
+    `failing`: its restriction to the first such block fails, and it is
+    scanned itself, unless it is that restriction.
     """
     leaves = [2 << i for i in range(n_leaves)]
-    if failing == (leaves[0], leaves[1]):
-        return {(failing, 1)}
+    first = (leaves[0], leaves[1])
+    if failing == first:
+        return [(failing, 1)]
     ties = sorted(sum(leaves[i] for i in block) for block in blocks)
     singles = tuple(x for x in leaves if not x & sum(ties))
-    joined = {(leaves[b], leaves[c]) for _, b, c in (sorted(block) for block in blocks if len(block) == 3)}
     a, b = failing
     restriction = next(tuple(sorted((a & k, b & k))) for k in ties if a & k and b & k)
-    regions = {tuple(leaves), *set(itertools.combinations(leaves, 2)) - joined,
-               tuple(sorted(singles + tuple(ties))), restriction, failing}
-    return {(r, 1) for r in regions}
+    regions = [first, tuple(leaves), tuple(sorted(singles + tuple(ties))), restriction]
+    return [(r, 1) for r in regions + [failing] * (failing != restriction)]
 
 
 def leaves_with_coupled_blocks(
@@ -1202,24 +1240,25 @@ def leaves_with_coupled_blocks(
 @pytest.mark.parametrize("blocks", [((1, 2), (0, 5)), ((0, 3), (1, 4)), ((1, 2), (0, 4, 5))])
 def test_two_coupled_blocks_decide_their_pairs_by_restriction(blocks, monkeypatch):
     # ({l0}, {l2}) with blocks {l1, l2} and {l0, l5} splits neither block, so
-    # it holds on the blocks' certificate without a scan of its own; before
-    # the first failure no pair is scanned except pairs of single leaves and
-    # restrictions to one block
+    # it holds on the blocks' certificate without a scan of its own; one pass
+    # over the leaves' table finds the blocks, and before the first failure
+    # only the first pair and the two certificates are scanned
     model = leaves_with_coupled_blocks(random.Random(f"blocks {blocks}"), 6, blocks)
     site = model.site
     scans = recorded_scans(monkeypatch)
+    passes = recorded_passes(monkeypatch)
     masks = [sum(2 << i for i in block) for block in blocks]
     certificate = tuple(sorted([2 << i for i in range(6) if not 2 << i & sum(masks)] + masks))
     for label, check in PAIRWISE.items():
-        del scans[:]
+        del scans[:], passes[:]
         got = _outcome(lambda: check(model))
         assert got == _outcome(lambda: REF_SCREENING[label](model)), label
         report = json.loads(got)
         assert report["verdict"] == VIOLATED
         failing = stochastic._spacelike_pairs(site)[report["stats"]["region_pairs"] - 1]
-        assert len(set(scans)) == len(scans)
-        assert set(scans) == tied_block_scans(6, blocks, failing), label
+        assert scans == tied_block_scans(6, blocks, failing), label
         assert (certificate, 1) in scans, label
+        assert passes == [(site.full_mask - 1, 1)], label
 
 
 @given(seed=st.integers(0, 10**6), n_leaves=st.integers(3, 5), data=st.data())
@@ -1240,10 +1279,10 @@ def test_one_coupled_block_below_a_root(seed, n_leaves, data):
             report = json.loads(got)
             assert report["verdict"] == VIOLATED
             failing = stochastic._spacelike_pairs(site)[report["stats"]["region_pairs"] - 1]
-            assert len(set(scans)) == len(scans)
             if n_leaves == 5:
-                assert set(scans) == tied_block_scans(n_leaves, [block], failing), label
+                assert scans == tied_block_scans(n_leaves, [block], failing), label
             else:
+                assert len(set(scans)) == len(scans)
                 assert set(scans) <= one_block_scans(site, label, failing), label
 
 
@@ -1279,10 +1318,10 @@ def test_tied_and_xor_blocks_below_a_root(model):
 # (leaves, blocks, xor, root weights, scans of so1, so2 and so2w) of models
 # that pin the block path
 BLOCK_MODELS = {
-    "two tied blocks": (6, [(1, 2), (0, 5)], False, (1, 2, 3), 17),
-    "a tied block and a null root value": (5, [(2, 4)], False, (1, 0, 2), 12),
-    "an xor triple": (5, [(1, 2, 3)], True, (1, 2, 3), 29),
-    "an xor triple and a tied pair": (5, [(0, 1, 2), (3, 4)], True, (1, 0, 2), 16),
+    "two tied blocks": (6, [(1, 2), (0, 5)], False, (1, 2, 3), 4),
+    "a tied block and a null root value": (5, [(2, 4)], False, (1, 0, 2), 4),
+    "an xor triple": (5, [(1, 2, 3)], True, (1, 2, 3), 22),
+    "an xor triple and a tied pair": (5, [(0, 1, 2), (3, 4)], True, (1, 0, 2), 8),
 }
 
 
@@ -1292,7 +1331,9 @@ def test_the_block_path_is_the_ordinal_scan(name, monkeypatch):
     # null root cell is skipped by every pair decided without a scan; an
     # XOR triple is found as three singleton blocks, and beside a tied pair
     # the blocks' certificate is scanned and fails: both fall back to the
-    # dominators; the scan counts are pinned
+    # dominators, and the failed search costs one pass and the blocks'
+    # certificate, if any, over the walk that never searches; the scan
+    # counts are pinned
     n_leaves, blocks, xor, root_weights, n_scans = BLOCK_MODELS[name]
     model = leaves_with_coupled_blocks(random.Random(name), n_leaves, blocks, xor, root_weights)
     reports = assert_screening_matches_reference(model)
@@ -1303,41 +1344,50 @@ def test_the_block_path_is_the_ordinal_scan(name, monkeypatch):
     tied = [sum(leaves[i] for i in block) for block in blocks[xor:]]
     certificates = [leaves] + [tuple(sorted([x for x in leaves if not x & sum(tied)] + tied))] * bool(tied)
     scans = recorded_scans(monkeypatch)
+    passes = recorded_passes(monkeypatch)
     for label, check in PAIRWISE.items():
-        del scans[:]
+        del scans[:], passes[:]
         check(model)
         assert len(scans) == len(set(scans)) == n_scans, label
+        assert passes == [(sum(leaves), 1)], label
         # the group's certificate, then the blocks' where a block is tied
         assert [regions for regions, _ in scans if len(regions) > 2] == certificates, label
         if not xor:
             failing = stochastic._spacelike_pairs(model.site)[reports[label]["stats"]["region_pairs"] - 1]
-            assert set(scans) == tied_block_scans(n_leaves, blocks, failing), label
-        elif tied:
+            assert scans == tied_block_scans(n_leaves, blocks, failing), label
+            continue
+        if tied:
             assert ref_factorization_failure(model, certificates[1], 1)[0] is not None
+        searched = list(scans)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(stochastic, "_split", lambda *args: None)
+            del scans[:]
+            check(model)
+        assert searched == scans[:2] + [(r, 1) for r in certificates[1:]] + scans[2:], label
 
 
 def test_multi_so_scans_each_block_restriction_once(monkeypatch):
     # leaves l2 and l3 are tied: multi-so[n=2] fails at its 37th tuple,
-    # ({l2}, {l3}), after the failed 5-leaf certificate, the 10 leaf pairs
-    # given the root and the 4 blocks: 12 scans, against one per tuple when
-    # a failed certificate fell back to dominators
+    # ({l2}, {l3}), after its first tuple, the failed 5-leaf certificate,
+    # one pass over its table and the 4 blocks: 4 scans, against one per
+    # tuple when a failed certificate fell back to dominators
     model = leaves_with_coupled_blocks(random.Random(1), 5, [(2, 3)])
     scans = recorded_scans(monkeypatch)
+    passes = recorded_passes(monkeypatch)
     report = check_multi_so(model, 2)
     assert _outcome(lambda: report) == _reference_outcome("multi-so[n=2]", model)
     assert report.stats["region_tuples"] == 37
     leaves = tuple(2 << i for i in range(5))
     blocks = (leaves[0], leaves[1], leaves[2] | leaves[3], leaves[4])
-    assert len(scans) == 12
-    assert set(scans) == {(r, 1) for r in (leaves, *itertools.combinations(leaves, 2), blocks)}
+    assert scans == [(r, 1) for r in (leaves[:2], leaves, blocks, leaves[2:4])]
+    assert passes == [(sum(leaves), 1)]
 
 
 def test_one_block_ends_the_block_search(monkeypatch):
     # given the root, l0 and l1 are independent and l2 = l3 = l4 = l0 AND l1:
-    # the first pair holds and the 5-leaf certificate fails; the search joins
-    # every leaf into one block by (l0, l2), (l0, l3), (l0, l4) and (l1, l2),
-    # and stops: the other 5 leaf pairs are not scanned.  The dominators of
-    # ({l0}, {l2}) fail, and its own scan is the search's, already made
+    # the first pair holds and the 5-leaf certificate fails; one pass over
+    # its table finds every leaf in one block, so no blocks' certificate is
+    # scanned.  The dominators of ({l0}, {l2}) fail, and it is scanned itself
     rng = random.Random(5)
     site = CausalSite([("c", 3)] + [(f"l{i}", 2) for i in range(5)], [("c", f"l{i}") for i in range(5)])
     ps = [[F(rng.randrange(1, 5), 5) for _ in range(2)] for _ in range(3)]
@@ -1348,14 +1398,91 @@ def test_one_block_ends_the_block_search(monkeypatch):
     model = StochasticModel(site, [w / sum(weights) for w in weights])
     reports = assert_screening_matches_reference(model)
     l0, l1, l2, l3, l4 = (2 << i for i in range(5))
-    searched = [(l0, l1), (l0, l2), (l0, l3), (l0, l4), (l1, l2)]
     scans = recorded_scans(monkeypatch)
+    passes = recorded_passes(monkeypatch)
     for label, check in PAIRWISE.items():
         assert reports[label]["stats"]["region_pairs"] == 2, label
-        del scans[:]
+        del scans[:], passes[:]
         check(model)
-        assert scans == [(r, 1) for r in (searched[0], (l0, l1, l2, l3, l4), *searched[1:],
-                                          (l2, l0 | l1 | l3 | l4), (l0, l1 | l2 | l3 | l4))], label
+        assert scans == [(r, 1) for r in ((l0, l1), (l0, l1, l2, l3, l4),
+                                          (l2, l0 | l1 | l3 | l4), (l0, l1 | l2 | l3 | l4), (l0, l2))], label
+        assert passes == [(site.full_mask - 1, 1)], label
+
+
+# integer weights of the values of a binary or a ternary element; (2, 1, 3)
+# weighs one third at 0
+VALUE_WEIGHTS = {2: [(1, 1), (1, 3)], 3: [(1, 1, 1), (2, 1, 3)]}
+
+
+@st.composite
+def pair_pass_models(draw):
+    """(model, P, E_P) on an antichain of 3-6 elements with alphabets 2 and 3.
+
+    An element is of P, of E_P or of neither, and one of P's lies between
+    two of E_P's, so P's cells are not contiguous in the table of P ∪ E_P.
+    Some cells of P have weight 0.  Each element of E_P takes its own value
+    weights, the same or drawn anew in each cell of P, or is tied to an
+    earlier one (that value modulo its alphabet), or is the XOR (the sum
+    modulo its alphabet) of two earlier ones, or takes drawn value weights
+    w, read at the negated value where an earlier one is odd.  Uniform
+    inputs make an XOR triple pairwise independent.  A ternary element with
+    w = (2, 1, 3) is 0 with weight one third whatever its source is, so the
+    pair meets the product rule at the value pair (0, 0), and fails it at
+    (0, 1) where the source is odd and even, each with positive weight.
+    """
+    roles = draw(st.lists(st.sampled_from("PEx"), max_size=3))
+    at = draw(st.integers(0, len(roles)))
+    roles[at:at] = ["E", "P", "E"]
+    alphabets = draw(st.lists(st.sampled_from((2, 3)), min_size=len(roles), max_size=len(roles)))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    site = CausalSite([(f"e{i}", k) for i, k in enumerate(alphabets)])
+    past = sum(1 << i for i, role in enumerate(roles) if role == "P")
+    union = sum(1 << i for i, role in enumerate(roles) if role == "E")
+    cells = list(itertools.product(*(range(alphabets[i]) for i in iter_bits(past))))
+    past_weights = draw(st.lists(st.sampled_from((0, 1, 2)), min_size=len(cells), max_size=len(cells)))
+    past_weights[0] += not any(past_weights)
+    factors = []  # each element's weight, given a history's values and its cell of P
+    earlier = []
+    for e, role in enumerate(roles):
+        k = alphabets[e]
+        kind = draw(st.sampled_from(("own", "tie", "flip", "xor"))) if role == "E" else "own"
+        if kind == "own" or len(earlier) < 1 + (kind == "xor"):
+            own = {cell: rng.choice(VALUE_WEIGHTS[k]) for cell in cells} if rng.random() < 0.5 else None
+            fixed = rng.choice(VALUE_WEIGHTS[k])
+            factors.append(lambda v, cell, e=e, own=own, fixed=fixed: (own[cell] if own else fixed)[v[e]])
+        elif kind == "tie":
+            src = rng.choice(earlier)
+            factors.append(lambda v, cell, e=e, k=k, src=src: int(v[e] == v[src] % k))
+        elif kind == "flip":
+            src, w = rng.choice(earlier), rng.choice(VALUE_WEIGHTS[k])
+            factors.append(lambda v, cell, e=e, k=k, src=src, w=w: w[v[e] * (-1) ** v[src] % k])
+        else:
+            x, y = rng.sample(earlier, 2)
+            factors.append(lambda v, cell, e=e, k=k, x=x, y=y: int(v[e] == (v[x] + v[y]) % k))
+        if role == "E":
+            earlier.append(e)
+    weights = []
+    for v in itertools.product(*(range(k) for k in alphabets)):
+        cell = tuple(v[i] for i in iter_bits(past))
+        weights.append(past_weights[cells.index(cell)] * prod(f(v, cell) for f in factors))
+    total = sum(weights)
+    return StochasticModel(site, [F(w, total) for w in weights]), past, union
+
+
+@settings(max_examples=60)
+@given(pair_pass_models())
+def test_the_pair_pass_finds_the_failing_element_pairs(drawn):
+    # the pass over the table the failed certificate of E_P given P built
+    # finds exactly the element pairs whose own scans fail, and builds no
+    # table of its own
+    model, past, union = drawn
+    singles = tuple(1 << e for e in iter_bits(union))
+    want = [(x, y) for x, y in itertools.combinations(singles, 2)
+            if ref_factorization_failure(model, (x, y), past)[0] is not None]
+    tables = {}
+    stochastic._factorization_failure(model, singles, past, tables=tables)
+    assert stochastic._dependent_pairs(model, past, union, tables) == want
+    assert list(tables) == [past | union]
 
 
 # so1, so2, so2w and the built-in gen-so selectors, with each one's
