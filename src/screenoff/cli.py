@@ -26,6 +26,7 @@ from .report import HOLDS, VIOLATED, CheckReport, InternalCheckError
 from .stochastic import (
     EXHAUSTIVE_EVENT_LIMIT,
     SELECTOR_NAMES,
+    _require_exhaustive_limit,
     find_screening_events,
     find_simpson_events,
 )
@@ -149,6 +150,11 @@ def _cmd_check(args) -> int:
             f"cli error: condition {cond!r} does not take --a/--b; "
             f"event arguments apply to: {', '.join(takers)}"
         )
+    for flag in ("selector", "n", "max_partition"):
+        if getattr(args, flag) is not None and flag not in row.reads:
+            takers = sorted(t for t, r in corpus_mod.CONDITIONS.items() if flag in r.reads)
+            raise CliError(f"cli error: condition {cond!r} does not take --{flag.replace('_', '-')}; "
+                           f"it applies to: {', '.join(takers)}")
     return _emit_report(row.run(model, a, b, args), args, started)
 
 
@@ -277,19 +283,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--a", help="first event (expression or a name defined in the file)")
     p.add_argument("--b", help="second event")
-    p.add_argument("--n", type=int, default=3, help="arity for multi-so (default: 3)")
-    p.add_argument(
-        "--selector",
-        default="mutual",
-        choices=SELECTOR_NAMES,
-        help="conditioning-region selector for gen-so (default: mutual)",
-    )
-    p.add_argument(
-        "--max-partition",
-        type=int,
-        default=None,
-        help="cap on partition size for pcc-rev2 (default: unlimited)",
-    )
+    p.add_argument("--n", type=int, help="arity for multi-so (default: 3)")
+    p.add_argument("--selector", choices=SELECTOR_NAMES,
+                   help="conditioning-region selector for gen-so (default: mutual)")
+    p.add_argument("--max-partition", type=int, help="cap on partition size for pcc-rev2 (default: unlimited)")
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("find", parents=[common], help="search witness events for a pair")
@@ -325,6 +322,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         corpus_mod.check_jobs(args.jobs)
+        _require_exhaustive_limit(args.max_omega_exhaustive)
         code = args.handler(args)
         sys.stdout.flush()
         return code

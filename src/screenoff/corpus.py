@@ -420,8 +420,8 @@ def model_kind(model: StochasticModel | QuantalModel) -> str:
 class CheckOptions:
     """Parameters a condition's runner may read, named as ``check``'s flags."""
 
-    selector: str = "mutual"
-    n: int = 3
+    selector: str | None = None
+    n: int | None = None
     max_omega_exhaustive: int = EXHAUSTIVE_EVENT_LIMIT
     max_partition: int | None = None
 
@@ -431,15 +431,17 @@ class Condition:
     """One condition that ``check``, the corpus and the fuzzer can run.
 
     ``run(model, a, b, options)`` returns the report; ``a`` and ``b`` are
-    event masks for a condition that takes ``--a/--b`` and None otherwise,
-    and ``options`` is a CheckOptions or the CLI's parsed arguments.
-    Runners look their check up in this module's namespace at call time.
+    event masks for a condition that takes ``--a/--b`` and None otherwise;
+    of ``options``, a CheckOptions or the CLI's parsed arguments (None where
+    unset), it reads the fields in ``reads``.  Runners look their check up in
+    this module's namespace at call time.
     """
 
     token: str
     kind: str
     takes_events: bool
     run: Callable[..., CheckReport]
+    reads: tuple[str, ...] = ()
 
 
 CONDITIONS = {
@@ -450,13 +452,15 @@ CONDITIONS = {
         Condition("pcc-rev1", STOCHASTIC, True,
                   lambda m, a, b, o: check_pcc_rev1(m, a, b, o.max_omega_exhaustive)),
         Condition("pcc-rev2", STOCHASTIC, True,
-                  lambda m, a, b, o: check_pcc_rev2(m, a, b, o.max_partition)),
+                  lambda m, a, b, o: check_pcc_rev2(m, a, b, o.max_partition), ("max_partition",)),
         Condition("so1", STOCHASTIC, False, lambda m, a, b, o: check_so1(m)),
         Condition("so2", STOCHASTIC, False, lambda m, a, b, o: check_so2(m)),
         Condition("so2w", STOCHASTIC, False, lambda m, a, b, o: check_so2w(m)),
         Condition("gen-so", STOCHASTIC, False,
-                  lambda m, a, b, o: check_generalized_so(m, selector=o.selector)),
-        Condition("multi-so", STOCHASTIC, False, lambda m, a, b, o: check_multi_so(m, o.n)),
+                  lambda m, a, b, o: check_generalized_so(m, "mutual" if o.selector is None else o.selector),
+                  ("selector",)),
+        Condition("multi-so", STOCHASTIC, False,
+                  lambda m, a, b, o: check_multi_so(m, 3 if o.n is None else o.n), ("n",)),
         Condition("wrc", STOCHASTIC, False, lambda m, a, b, o: check_wrc(m)),
         Condition("wrc-cond", STOCHASTIC, False,
                   lambda m, a, b, o: check_wrc(m, conditioned=True)),

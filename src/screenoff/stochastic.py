@@ -7,7 +7,10 @@ rounding) happens anywhere on a check path.
 """
 from __future__ import annotations
 
+import bisect
+import heapq
 import itertools
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -353,8 +356,11 @@ def _spacelike_pairs(site: CausalSite) -> tuple[tuple[int, int], ...]:
 # None for a step that is scanned itself; otherwise its scan may be stood in
 # for by the scan of a larger tuple of regions with the same past, each
 # stand-in and the fallback keyed (past, regions).  After its first unit, a
-# planned check's stream has one record with regions None: the plan's group
-# proofs, which decide the check when they all hold (`_proved`).
+# planned check's stream has one record with regions None: the group proofs,
+# which decide the check when they all hold (`_proved`), else `_walk` visits
+# the plan's steps that can still fail.  Any held step with past P checks
+# (|Φ(P)| − nulls)·atoms and skips nulls, the null cells of P, so a step a
+# held scan decides is not drawn: its group's running sums give its stats.
 
 
 def _screen(
@@ -373,26 +379,19 @@ def _screen(
     counterexample=None,
     count_keys: tuple[str, ...] = ("atom_checks", "null_conditions_skipped"),
 ) -> CheckReport:
-    """Scan the steps in order and report the first failing one, if any.
+    """Decide the steps in order and report the first failing one, if any.
 
     `steps` is consumed lazily, so a plan's error surfaces at the step that
-    raises it; a step whose regions differ from the previous step's starts
-    a unit.  Each stand-in is scanned at most once, when a step first
-    needs it, and a step uses the first that held of its stand-ins and then
-    its fallback: the step is not scanned, and its stats follow from its
-    past's cells: each positive one checks every atom of the unit, each
-    null one is skipped.  A step whose stand-ins and fallback all failed is
-    scanned itself.  A stand-in's key carries its past, so a unit with
-    several pasts never reuses a scan made under another one.  If every
-    proof of the plan's proof record holds, through the same scans, the
-    check holds and no later step is drawn; else the walk goes on, and with
-    the default scan a step of a failed group marked for a search tries its
-    blocks (`_split`) first: while they hold, the step holds when its
-    restrictions to them hold, else it is scanned.  `fixed` stats lead the
-    report's stats; `tables` may carry cell tables shared with another scan
-    of the model.  `scan` (default `_factorization_failure`) returns
-    (failure-or-None, checked, skipped), reported under `count_keys`, and
-    `counterexample` (default `_conditional_counterexample`) reports a failure.
+    raises it.  A step takes the first of its stand-ins that holds, each
+    scanned once, when a step first needs it, then its fallback, else its
+    own scan; with the default scan, a step of a failed group marked for a
+    search first tries the group's blocks (`_split`): while they hold, it
+    holds when its restrictions to them do.  The proof record ends the
+    stream (`_proved`, else `_walk`).  `fixed` stats lead the report's;
+    `tables` may carry cell tables shared with another scan of the model.
+    `scan` (default `_factorization_failure`) returns (failure-or-None,
+    checked, skipped), reported under `count_keys`, and `counterexample`
+    (default `_conditional_counterexample`) reports a failure.
     """
     classical = scan is None
     scan = scan or _factorization_failure
@@ -403,48 +402,46 @@ def _screen(
     def get(key):
         return scans.get(key) or scans.setdefault(key, scan(model, key[1], key[0], tables=tables))
 
+    def decide(regions, past, stand_ins, fallback, past_cells, atoms):
+        if stand_ins is None:
+            return scan(model, regions, past, tables=tables)
+        if not (split := splits and splits.get(past)):
+            for key in stand_ins:
+                if (result := get(key))[0] is None:
+                    break
+                if splits is not None and past not in splits:  # the group's proof failed
+                    if split := splits.setdefault(past, _split(model, tables, get, past, sum(key[1]))):
+                        break
+            else:
+                result = get(key := fallback)
+        if split:
+            key, blocks = split  # the blocks' certificate, unless a restriction fails
+            for k in blocks:
+                part = [r & k for r in regions if r & k]
+                if len(part) > 1 and get((past, tuple(sorted(part))))[0] is not None:
+                    key = (past, regions)
+                    break
+            result = get(key)
+        fail, _, s = result
+        if key[1] == regions:
+            return result
+        return (None, (past_cells - s) * atoms, s) if fail is None else get((past, regions))
+
     splits = None  # P: its blocks once its proof failed (`_split`), None where dominators decide
     n_units = n_steps = checked = skipped = 0
     fail = unit = None
-    for regions, past, stand_ins, fallback, past_cells, atoms in steps:
-        if regions is None:  # the first unit held: `stand_ins` proves the plan's other steps
+    for regions, past, stand_ins, *rest in steps:
+        if regions is None:  # the first unit held: `stand_ins` is the plan's proof record
             if (rest := _proved(stand_ins, get)) is None:
                 splits = {key[0]: None for key, *_, search in stand_ins[2] if not search} if classical else None
-                continue
-            units, more_steps, c, s = rest
-            n_units, n_steps, checked, skipped = n_units + units, n_steps + more_steps, checked + c, skipped + s
+                fail, regions, past, rest = _walk(stand_ins, decide, scans, splits)
+            n_units, n_steps, checked, skipped = map(sum, zip((n_units, n_steps, checked, skipped), rest))
             break
         n_steps += 1
         if regions != unit:
             n_units += 1
             unit = regions
-        if stand_ins is None:
-            fail, c, s = scan(model, regions, past, tables=tables)
-        else:
-            if not (split := splits and splits.get(past)):
-                for key in stand_ins:
-                    result = scans.get(key) or scans.setdefault(key, scan(model, key[1], past, tables=tables))
-                    if result[0] is None:
-                        break
-                    if splits is not None and past not in splits:  # the group's proof failed
-                        if split := splits.setdefault(past, _split(model, tables, get, past, sum(key[1]))):
-                            break
-                else:
-                    result = get(key := fallback)
-            if split:
-                key, blocks = split  # the blocks' certificate, unless a restriction fails
-                for k in blocks:
-                    part = [r & k for r in regions if r & k]
-                    if len(part) > 1 and get((past, tuple(sorted(part))))[0] is not None:
-                        key = (past, regions)
-                        break
-                result = get(key)
-            fail, c, s = result
-            if key[1] != regions:
-                if fail is None:
-                    c = (past_cells - s) * atoms
-                else:
-                    fail, c, s = get((past, regions))
+        fail, c, s = decide(regions, past, stand_ins, *rest)
         checked += c
         skipped += s
         if fail is not None:
@@ -462,16 +459,15 @@ def _screen(
     return CheckReport(condition, HOLDS, stats=stats)
 
 
-def _proved(proofs, get):
+def _proved(record, get):
     """(units, steps, checked, skipped) after the first unit if every group proof holds, else None.
 
-    `proofs` is `_plan`'s (units, steps, groups), scanned through the walk's
-    cached `get`.  A held proof stands in for each step of its group, as in
-    the walk: with nulls the null cells of P its scan skipped, a group checks
-    (|Φ(P)| − nulls)·Σ atoms and skips nulls per step.  The scans stop at the
-    first failing proof; the walk scans every proof tried by then first.
+    The proofs of `_plan`'s `record` are scanned in order through `get`, up
+    to the first that fails.  With nulls the null cells of P its proof
+    skipped, a held group checks (|Φ(P)| − nulls)·Σ atoms and skips nulls
+    per step: Σ atoms and steps are where its running sums end.
     """
-    n_units, n_steps, groups = proofs
+    n_units, n_steps, groups = record[:3]
     checked = skipped = 0
     for key, cells, atoms, n, _ in groups:
         fail, _, nulls = get(key)
@@ -482,16 +478,75 @@ def _proved(proofs, get):
     return n_units, n_steps, checked, skipped
 
 
+def _walk(record, decide, scans: dict, splits):
+    """(failure-or-None, its regions, its past, (units, steps, checked, skipped)) after the first unit.
+
+    After a failed proof record, visits in ordinal order the plan's steps
+    that may fail or scan: a group's first step, which tries its proof,
+    unless that held in the record; past a held proof, none; where its
+    blocks held (`splits`), each step meeting a non-singleton block in two
+    regions (`_hits`); else each.  The rest add stats from the running sums.
+    """
+    n_units, n_steps, groups, plan, first, sums = record
+    if not sums:  # built once per plan
+        sums.append(_running_sums(plan, first, groups))
+    units_to, members = sums[0]
+    nulls = [0] * len(groups)
+
+    def visits(g):
+        (proof, *_), (ords, _, columns) = groups[g], members[g]
+        if (tried := scans.get(proof)) and tried[0] is None:
+            nulls[g] = tried[2]
+            return
+        yield ords[0], g
+        if scans[proof][0] is None:
+            return
+        positions = range(1, len(ords))
+        if split := splits and splits.get(proof[0]):
+            hits = heapq.merge(*(_hits(x, y, k) for k in split[1] for x, y in itertools.combinations(columns, 2)))
+            positions = (p for p, _ in itertools.groupby(hits))
+        yield from ((ords[p], g) for p in positions)
+
+    for i, g in heapq.merge(*map(visits, range(len(groups)))):
+        fail, c, s = decide(*plan[i])
+        if fail is not None:
+            regions, past = plan[i][:2]
+            units, steps = units_to[i] - 1, i + 1 - first
+            break
+        nulls[g] = s
+    else:
+        fail, regions, past, c, s, i, units, steps = None, None, None, 0, 0, len(plan), n_units, n_steps
+    for (_, cells, *_), z, (ords, acc, _) in zip(groups, nulls, members):
+        n = bisect.bisect_left(ords, i)
+        c += (cells - z) * acc[n]
+        s += z * n
+    return fail, regions, past, (units, steps, c, s)
+
+
+def _running_sums(plan, first: int, groups) -> tuple[array, list]:
+    """(units up to each step; per group, its steps' ordinals, Σ atoms before each, region columns)."""
+    units_to = array("q", itertools.accumulate(p[0] != q[0] for p, q in zip(((None,), *plan), plan)))
+    members = {key[0]: array("q") for key, *_ in groups}  # by P, in the order of `groups`
+    for i in range(first, len(plan)):
+        members[plan[i][1]].append(i)
+    return units_to, [
+        (ords, [0, *itertools.accumulate(plan[i][5] for i in ords)], list(zip(*(plan[i][0] for i in ords))))
+        for ords in members.values()
+    ]
+
+
+def _hits(x, y, k: int):
+    """The positions after the first where the region columns x and y both meet k, ascending."""
+    return (p for p in range(1, len(x)) if x[p] & k and y[p] & k)
+
+
 def _split(model, tables: dict, get, past: int, union: int):
     """(block certificate, non-singleton blocks) of the elements of `union` given `past`, or None.
 
     The blocks are the components of `_dependent_pairs`, in ascending
     order.  With at least two blocks, one of them not a singleton, one scan
     of the blocks as the regions of a tuple is their certificate, which must
-    hold: pairwise independence is not joint independence.  So the search
-    costs one pass over the table the failed certificate built plus one
-    scan, not up to C(m, 2) + 1 scans (m = |E_P|) of each pair on its own:
-    `so_late_violation`'s so1 and so2 make 4 scans and 3 tables, not 23 and 22.
+    hold: pairwise independence is not joint independence.
     """
     singles = [1 << e for e in iter_bits(union)]
     block = {x: x for x in singles}
@@ -555,18 +610,16 @@ def _pair_cells(site: CausalSite, union: int) -> tuple:
 # Conditional independence decomposes: if X1, ..., Xk factorize given P, so
 # does every tuple of disjoint X'i ⊆ Xi, since each product-rule identity of
 # the smaller tuple is a sum of identities of the larger one over the same
-# cells of P.  So a step (regions, P) with a held dominator (a step of the
-# same check with the same P whose regions contain its own) holds without a
-# scan.  A whole group, every step with one P, can be proved at once: if the
-# elements of E_P, the union of the group's regions, are mutually
-# independent given each cell of P, then so is every tuple of disjoint
+# cells of P.  So a step (regions, P) with a held dominator (a step with the
+# same P whose regions contain its own) holds without a scan; and if the
+# elements of E_P, the union of the regions of P's group (its steps), are
+# mutually independent given each cell of P, so is every tuple of disjoint
 # regions inside E_P (decomposition plus the chain rule of the
-# semi-graphoid), and one k-region scan is that group's certificate.  A step
-# tries its certificate, then its A-first dominator and, for a pair (A, B),
-# the A-first dominator of (B, A) with the same P (its B-first one), and is
-# scanned itself only when all failed; a failed stand-in proves nothing, so
-# the first failing step and its counterexample are those of the full
-# ordinal scan.
+# semi-graphoid): one k-region scan is the group's certificate.  A step
+# tries it, then its A-first dominator and, for a pair (A, B), that of
+# (B, A) with the same P, and is scanned itself only when all failed; a
+# failed stand-in proves nothing, so the first failing step and its
+# counterexample are those of the full ordinal scan.
 #
 # When a group's proof fails, its blocks may decide it.  If E_P splits into
 # blocks K1, ..., Km mutually independent given each cell of P, then
@@ -579,13 +632,14 @@ def _pair_cells(site: CausalSite, union: int) -> tuple:
 # their own k-region scan, the block certificate, must hold: pairwise
 # independence is not joint independence (`bernstein_xor`).  Where it
 # fails, or the blocks are one or all singletons, a step falls back to its
-# dominators.  The search costs that pass plus one scan (so1 on the
-# `so_late_violation` model: 4 scans, not 23); it cost up to C(m, 2) + 1
-# scans, m = |E_P|, when it scanned each pair, and the dominators cost one
-# per maximal step.  The mark stays: only a group with more maximal steps
-# than C(m, 2) + 1 is searched, since another mark would change the scans
-# where blocks cannot help, which no benchmark workload measures.  The
-# quantal checks keep the dominators: a null pseudo-cell needs its own proof.
+# dominators; while it holds, only a step that meets a non-singleton block
+# in two regions can fail, and `_walk` visits no other step of the group.
+# The search costs that pass plus one scan (so1 on `so_late_violation`: 4
+# scans, not 23), yet a group is searched only with more maximal steps than
+# C(m, 2) + 1, m = |E_P|, what it cost when it scanned each pair: another
+# mark would change scans where blocks cannot help, which no workload
+# measures.  The quantal checks keep the dominators: a null pseudo-cell
+# needs its own proof.
 
 
 def _admissible_pasts(site: CausalSite, past, future, a: int, b: int) -> tuple[int, ...]:
@@ -667,9 +721,9 @@ def _plan(site: CausalSite, units: tuple, ordered: bool, power: int) -> tuple[tu
 
     A step is (regions, P, stand-ins, fallback, |Φ(P)|^power,
     ∏|Φ(Xi)|^power); `power` is 2 for the quantal checks, which scan
-    doubled regions and check null pseudo-cells too.  A stand-in
-    is keyed (P, regions), so that no scan is reused under another P.  The
-    last stand-in is the A-first dominator: the step reached by growing the
+    doubled regions and check null pseudo-cells too.  A stand-in is keyed
+    (P, regions), so that no scan is reused under another P.  The last
+    stand-in is the A-first dominator: the step reached by growing the
     first region by the lowest element that gives another step with the same
     P, for as long as there is one, then the second region, and so on; its
     regions are given in ascending order, since the product rule is
@@ -678,20 +732,12 @@ def _plan(site: CausalSite, units: tuple, ordered: bool, power: int) -> tuple[tu
     list of the step it grows into.  The fallback is the last stand-in of
     the reversed pair with the same P (its A-first dominator, the pair's
     B-first one), where the check has that step, else the step itself.
-    Where P's group (its steps) has more than one maximal step, the group's
-    certificate stands first: the singletons of E_P, the union of the
-    group's regions.  With one maximal step, its scan covers the group.
-    Either way every step of the group has it as its first stand-in, the
-    group's proof.  The proof record is the step-shaped (None, None,
-    (units, steps, groups), None, 0, 0) of the steps after the first unit,
-    which `_screening_steps` scans itself, a group being (proof,
-    |Φ(P)|^power, Σ atoms, steps, whether a failed proof searches its
-    blocks), in order of its first step there; `_proved` reads it.  A group
-    searches with more maximal steps than C(m, 2) + 1, m = |E_P|: what the
-    search cost while it scanned each pair, kept now that it costs one table
-    pass and one scan (4 scans, not 23, on `so_late_violation`), as another
-    mark would change scans where blocks cannot help and no workload
-    measures that side.
+    Each step's first stand-in is its group's proof: the singletons of E_P
+    where the group has more than one maximal step, else that step.  The
+    proof record is the step-shaped (None, None, (units, steps, groups,
+    plan, first, running sums), None, 0, 0) of the steps after the first
+    unit's `first`, a group being (proof, |Φ(P)|^power, Σ atoms, steps,
+    whether a failed proof searches its blocks) in order of its first step.
     """
     # `ordered`: a pair check lists both (A, B) and (B, A); multi-so lists each tuple once, ascending
     groups: dict[int, tuple[dict, dict]] = {}  # P: (stand-ins by step, by maximal step)
@@ -730,9 +776,7 @@ def _plan(site: CausalSite, units: tuple, ordered: bool, power: int) -> tuple[tu
     proof_of: dict[int, list] = {}  # P: [proof, |Φ(P)|^power, Σ atoms, steps, search] after the first unit
     first = len(units[0][1]) if units else 0
     for regions, pasts in units:
-        atoms = 1
-        for r in regions:
-            atoms *= configs[r]
+        atoms = prod(configs[r] for r in regions)
         for past in pasts:
             keys_of = groups[past][0]
             keys = keys_of[regions]
@@ -744,8 +788,9 @@ def _plan(site: CausalSite, units: tuple, ordered: bool, power: int) -> tuple[tu
                     proof = proof_of[past] = [keys[0], configs[past], 0, 0, search]
                 proof[2] += atoms
                 proof[3] += 1
-    proofs = (max(len(units) - 1, 0), len(plan) - first, tuple(map(tuple, proof_of.values())))
-    return tuple(plan), (None, None, proofs, None, 0, 0)
+    plan = tuple(plan)
+    record = (max(len(units) - 1, 0), len(plan) - first, tuple(map(tuple, proof_of.values())), plan, first, [])
+    return plan, (None, None, record, None, 0, 0)
 
 
 def _screening_steps(site: CausalSite, check, power: int = 1, pairs=None):
@@ -762,9 +807,7 @@ def _screening_steps(site: CausalSite, check, power: int = 1, pairs=None):
     if first is None:
         return
     regions, pasts = first
-    for past in pasts:
-        keys = ((past, regions),)
-        yield regions, past, keys, keys[0], 0, 0
+    yield from ((regions, past, ((past, regions),), (past, regions), 0, 0) for past in pasts)
     plan, proofs = _screening_plan(site, check, power)
     yield proofs
     yield from itertools.islice(plan, len(pasts), None)

@@ -298,6 +298,37 @@ class TestCheck:
         assert (code, out) == (2, "")
         assert err == "check error: exhaustive_limit must be at least 0, not -5\n"
 
+    @pytest.mark.parametrize("argv", [["corpus", "verify"], ["validate", "{models}/wizard_simpson.json"],
+                                      ["check", "so1", "{models}/wizard_simpson.json"]])
+    def test_negative_exhaustive_limit_is_refused_before_any_subcommand_runs(self, capsys, model_dir, argv):
+        # a limit no condition reads was ignored: corpus verify and so1 exited 0
+        argv = [arg.format(models=model_dir) for arg in argv]
+        for flags in (["--max-omega-exhaustive", "-5", *argv], [*argv, "--max-omega-exhaustive", "-5"]):
+            assert run(capsys, *flags) == (2, "", "check error: exhaustive_limit must be at least 0, not -5\n")
+
+    @pytest.mark.parametrize("cond, flag, value, takers", [
+        ("so1", "--selector", "all", "gen-so"),
+        ("gen-so", "--n", "2", "multi-so"),
+        ("multi-so", "--selector", "mutual", "gen-so"),
+        ("so2", "--max-partition", "2", "pcc-rev2"),
+        ("wrc", "--n", "3", "multi-so"),
+    ])
+    def test_an_option_the_condition_does_not_read_is_refused(self, capsys, model_dir, cond, flag, value, takers):
+        # so1 with --selector all ran plain so1 and exited 1 without a word
+        code, out, err = run(capsys, "check", cond, str(model_dir / "wizard_simpson.json"), flag, value)
+        assert (code, out) == (2, "")
+        assert err == f"cli error: condition {cond!r} does not take {flag}; it applies to: {takers}\n"
+
+    def test_unset_options_take_their_defaults(self, capsys, model_dir):
+        # --n and --selector default to None on the command line, and the
+        # condition table applies 3 and mutual
+        path = str(model_dir / "bernstein_xor.json")
+        for cond, flags, token in (("multi-so", ["--n", "3"], "multi-so[n=3]"),
+                                   ("gen-so", ["--selector", "mutual"], "gen-so[mutual]")):
+            code, out, err = run(capsys, "check", cond, path)
+            assert (code, out, err) == run(capsys, "check", cond, path, *flags)
+            assert out.startswith(f"{token}: violated\n") and code == 1
+
     def test_exhaustive_limit_zero_restricts_the_search(self, capsys, model_dir):
         code, out, err = run(
             capsys, "check", "pcc-rev1", str(model_dir / "illusionist_coins.json"),

@@ -28,6 +28,8 @@ from test_stochastic_oracle import (
     maximal_pairs,
     outcomes_with_and_without_proofs,
     proof_models,
+    skipped_steps,
+    two_roots,
 )
 
 import screenoff.quantal as quantal_mod
@@ -1018,3 +1020,16 @@ def test_held_proofs_decide_qso_checks_as_the_walk_does(q):
     proved, walked = outcomes_with_and_without_proofs(q, runs.values(), quantal_mod, "_quantal_screening_failure")
     for label, got, want in zip(runs, proved, walked):
         assert got == want, label
+
+
+@pytest.mark.parametrize("tie", [(0, 1), (1, 2)])
+def test_a_late_failure_after_held_groups_matches_the_per_pair_scan(tie):
+    # on the diagonal, y leaves tied beyond their root d fail qso1 and qso2
+    # late, after the walk skipped every step of the groups whose proofs
+    # held: each adds |Φ(P)|²·|Φ(A)|²·|Φ(B)|² equations from the running sums
+    q = _decohered(two_roots(random.Random(5), 2, tie, (True, True)))
+    for label, run, ref in (("qso1", check_qso1, ref_qso1), ("qso2", check_qso2, ref_qso2)):
+        outcome, skipped = skipped_steps(q, run)
+        assert outcome == json.dumps(ref(q).to_json_dict(), sort_keys=True), label
+        assert json.loads(outcome)["verdict"] == VIOLATED, label
+        assert skipped and {kind for _, kind in skipped} == {"proof"}, label

@@ -1614,3 +1614,86 @@ def test_held_proofs_decide_as_the_walk_does(model):
         model, [run for _, run in SCREENING], stochastic, "_factorization_failure")
     for (label, _), got, want in zip(SCREENING, proved, walked):
         assert got == want, label
+
+
+# -- the steps a held scan decides ------------------------------------------------
+
+
+def two_roots(rng: random.Random, n_x: int, tie: tuple[int, int], null_roots: tuple[bool, bool]) -> StochasticModel:
+    """Ternary roots c below binary leaves x0, x1, ... and d below y0, y1, y2, declared in that order.
+
+    Each leaf is drawn given its root alone, except that the y leaves in
+    `tie` take one value; a root marked in `null_roots` has a value of
+    weight 0, so every conditioning region holding it has null cells.
+    """
+    elements = [("c", 3)] + [(f"x{i}", 2) for i in range(n_x)] + [("d", 3)] + [(f"y{i}", 2) for i in range(3)]
+    site = CausalSite(elements, [("c", f"x{i}") for i in range(n_x)] + [("d", f"y{i}") for i in range(3)])
+    roots = [[rng.randrange(1, 4) for _ in range(3)] for _ in null_roots]
+    for weights, null in zip(roots, null_roots):
+        weights[rng.randrange(3)] *= not null
+    leaf_ps = [[[F(rng.randrange(1, 5), 5) for _ in range(n)] for _ in range(3)] for n in (n_x, 3)]
+    weights = []
+    for digits in itertools.product(*(range(k) for k in site.alphabets)):
+        c, xs, d, ys = digits[0], digits[1 : n_x + 1], digits[n_x + 1], digits[n_x + 2 :]
+        w = F(roots[0][c] * roots[1][d] * (ys[tie[0]] == ys[tie[1]]))
+        for p, v in zip(leaf_ps[0][c] + leaf_ps[1][d], xs + ys):
+            w *= p if v else 1 - p
+        weights.append(w)
+    return StochasticModel(site, [w / sum(weights) for w in weights])
+
+
+def skipped_steps(model, run) -> tuple[str, list[tuple[int, str]]]:
+    """A check's outcome, and (P, how its group held) for each step the walk skipped before a failure.
+
+    A group is named "proof" when its proof held and "blocks" when its
+    block certificate did: the two ways a step goes undrawn.
+    """
+    walks = []
+    walk = stochastic._walk
+
+    def recorded(record, decide, scans, splits):
+        visited = set()
+        result = walk(record, lambda *step: visited.add(step[:2]) or decide(*step), scans, splits)
+        walks.append((record, visited, scans, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(stochastic, "_walk", recorded)
+        outcome = _outcome(lambda: run(model))
+    skipped = []
+    for (_, _, groups, plan, first, _), visited, scans, (fail, regions, past, _) in walks:
+        end = [step[:2] for step in plan].index((regions, past)) if fail else len(plan)
+        for regions, past, *_ in plan[first:end]:
+            if (regions, past) not in visited:
+                proof = next(key for key, *_ in groups if key[0] == past)
+                skipped.append((past, "proof" if scans[proof][0] is None else "blocks"))
+    return outcome, skipped
+
+
+SKIPPING = {label: run for label, run in SCREENING if label in
+            ("so1", "so2", "so2w", "gen-so[all]", "multi-so[n=2]", "penrose-percival")}
+
+
+def test_skipped_steps_add_the_null_cells_of_their_past():
+    # a step that a held proof or a held block certificate decides is not
+    # drawn: it adds (|Φ(P)| − nulls)·atoms checks and nulls skips from its
+    # group's running sums, so late failures after skipped steps with null
+    # cells of P report the ordinal scan's stats; each kind of skip occurs
+    found = {"proof": 0, "blocks": 0}
+
+    @settings(max_examples=12)
+    @given(seed=st.integers(0, 10**6), n_x=st.integers(1, 2), tie=st.sampled_from([(0, 1), (0, 2), (1, 2)]),
+           null_roots=st.sampled_from([(True, True), (True, False), (False, True)]))
+    def late_failures(seed, n_x, tie, null_roots):
+        model = two_roots(random.Random(seed), n_x, tie, null_roots)
+        kinds = set()
+        for label, run in SKIPPING.items():
+            outcome, skipped = skipped_steps(model, run)
+            assert outcome == _reference_outcome(label, model), label
+            assert json.loads(outcome)["verdict"] == VIOLATED, label
+            kinds.update(kind for past, kind in skipped if 0 in ref_cell_weights(model, (past,))[1])
+        for kind in kinds:
+            found[kind] += 1
+
+    late_failures()
+    assert found["proof"] >= 4 and found["blocks"] >= 4, found
