@@ -150,7 +150,7 @@ def _cmd_check(args) -> int:
             f"cli error: condition {cond!r} does not take --a/--b; "
             f"event arguments apply to: {', '.join(takers)}"
         )
-    for flag in ("selector", "n", "max_partition"):
+    for flag in ("selector", "n", "max_partition", "max_omega_exhaustive"):
         if getattr(args, flag) is not None and flag not in row.reads:
             takers = sorted(t for t, r in corpus_mod.CONDITIONS.items() if flag in r.reads)
             raise CliError(f"cli error: condition {cond!r} does not take --{flag.replace('_', '-')}; "
@@ -167,7 +167,7 @@ def _cmd_find(args) -> int:
     a = _resolve_event(loaded, args.a, "--a")
     b = _resolve_event(loaded, args.b, "--b")
     finder = find_screening_events if args.what == "screening" else find_simpson_events
-    masks = finder(model, a, b, exhaustive_limit=args.max_omega_exhaustive)
+    masks = finder(model, a, b, exhaustive_limit=corpus_mod.exhaustive_limit(args))
     site = model.site
     refs = [event_ref(site, m) for m in masks]
     if args.format == "json":
@@ -255,7 +255,7 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument(
         "--max-omega-exhaustive",
         type=int,
-        default=default(EXHAUSTIVE_EVENT_LIMIT),
+        default=default(None),
         help=(
             "largest history space searched exhaustively for witness events "
             f"(default: {EXHAUSTIVE_EVENT_LIMIT} histories)"
@@ -322,7 +322,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         corpus_mod.check_jobs(args.jobs)
-        _require_exhaustive_limit(args.max_omega_exhaustive)
+        if args.max_omega_exhaustive is not None:
+            _require_exhaustive_limit(args.max_omega_exhaustive)
         code = args.handler(args)
         sys.stdout.flush()
         return code

@@ -422,7 +422,7 @@ class CheckOptions:
 
     selector: str | None = None
     n: int | None = None
-    max_omega_exhaustive: int = EXHAUSTIVE_EVENT_LIMIT
+    max_omega_exhaustive: int | None = None
     max_partition: int | None = None
 
 
@@ -444,13 +444,21 @@ class Condition:
     reads: tuple[str, ...] = ()
 
 
+def exhaustive_limit(options) -> int:
+    """``options.max_omega_exhaustive``, or EXHAUSTIVE_EVENT_LIMIT where unset."""
+    limit = options.max_omega_exhaustive
+    return EXHAUSTIVE_EVENT_LIMIT if limit is None else limit
+
+
 CONDITIONS = {
     row.token: row
     for row in (
         Condition("pcc-original", STOCHASTIC, True,
-                  lambda m, a, b, o: check_pcc_original(m, a, b, o.max_omega_exhaustive)),
+                  lambda m, a, b, o: check_pcc_original(m, a, b, exhaustive_limit(o)),
+                  ("max_omega_exhaustive",)),
         Condition("pcc-rev1", STOCHASTIC, True,
-                  lambda m, a, b, o: check_pcc_rev1(m, a, b, o.max_omega_exhaustive)),
+                  lambda m, a, b, o: check_pcc_rev1(m, a, b, exhaustive_limit(o)),
+                  ("max_omega_exhaustive",)),
         Condition("pcc-rev2", STOCHASTIC, True,
                   lambda m, a, b, o: check_pcc_rev2(m, a, b, o.max_partition), ("max_partition",)),
         Condition("so1", STOCHASTIC, False, lambda m, a, b, o: check_so1(m)),

@@ -78,18 +78,52 @@ class Counterexample:
         }
 
 
+class _BuiltOnFirstRead:
+    """A report's `counterexample` field: a Counterexample, None, or a pending build.
+
+    A pending build is a zero-argument callable.  The first read calls it,
+    keeps the Counterexample in its place and so drops the callable and
+    everything it holds; every later read, `==`, `repr`, `replace` and
+    `to_json_dict` see that one object.
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            return None  # the field's default
+        value = report.__dict__[self.name]
+        if callable(value):
+            if (value := value()) is None:
+                raise InternalCheckError("internal error: a counterexample builder returned None")
+            report.__dict__[self.name] = value
+        return value
+
+    def __set__(self, report, value) -> None:
+        report.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class CheckReport:
+    """A verdict, its counterexample when violated, and stats.
+
+    `counterexample` may be given as a zero-argument callable that builds
+    it: the build runs on first read, so a caller that reads only the
+    verdict never pays for it.
+    """
+
     condition: str
     verdict: str
-    counterexample: Counterexample | None = None
+    counterexample: Counterexample | None = _BuiltOnFirstRead()
     reason: str | None = None
     stats: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.verdict not in (HOLDS, VIOLATED, VACUOUS):
             raise InternalCheckError(f"internal error: bad verdict {self.verdict!r}")
-        if (self.counterexample is not None) != (self.verdict == VIOLATED):
+        # a pending build counts as present, unbuilt
+        if (self.__dict__["counterexample"] is not None) != (self.verdict == VIOLATED):
             raise InternalCheckError(
                 "internal error: counterexample present iff verdict is violated"
             )

@@ -361,6 +361,9 @@ def _spacelike_pairs(site: CausalSite) -> tuple[tuple[int, int], ...]:
 # the plan's steps that can still fail.  Any held step with past P checks
 # (|Φ(P)| − nulls)·atoms and skips nulls, the null cells of P, so a step a
 # held scan decides is not drawn: its group's running sums give its stats.
+# A violated report gets its counterexample builder and the failing step,
+# not the counterexample: it is built when first read, so a caller that
+# reads only the verdict, as fuzz does, never builds one.
 
 
 def _screen(
@@ -391,7 +394,9 @@ def _screen(
     `tables` may carry cell tables shared with another scan of the model.
     `scan` (default `_factorization_failure`) returns (failure-or-None,
     checked, skipped), reported under `count_keys`, and `counterexample`
-    (default `_conditional_counterexample`) reports a failure.
+    (default `_conditional_counterexample`) reports a failure: the report
+    calls it with (model, regions, names, past, failure, note) when its
+    counterexample is first read.
     """
     classical = scan is None
     scan = scan or _factorization_failure
@@ -452,7 +457,7 @@ def _screen(
         stats[step_key] = n_steps
     stats.update(zip(count_keys, (checked, skipped)))
     if fail is not None:
-        cx = counterexample(model, regions, names, past, fail, note)
+        cx = partial(counterexample, model, regions, names, past, fail, note)
         return CheckReport(condition, VIOLATED, counterexample=cx, stats=stats)
     if n_units == 0:
         return CheckReport(condition, VACUOUS, reason=vacuous_reason, stats=stats)

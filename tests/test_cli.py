@@ -319,6 +319,41 @@ class TestCheck:
         assert (code, out) == (2, "")
         assert err == f"cli error: condition {cond!r} does not take {flag}; it applies to: {takers}\n"
 
+    @pytest.mark.parametrize("cond", ["so1", "qso1", "pcc-rev2"])
+    def test_an_exhaustive_limit_the_condition_does_not_read_is_refused(self, capsys, model_dir, cond):
+        # a global flag: check so1 FILE --max-omega-exhaustive 5 ran plain so1
+        path = str(model_dir / ("entangled_rank1.json" if cond == "qso1" else "illusionist_coins.json"))
+        argv = ["check", cond, path, *(["--a", "A", "--b", "B"] if cond == "pcc-rev2" else [])]
+        want = (2, "", f"cli error: condition {cond!r} does not take --max-omega-exhaustive; "
+                       "it applies to: pcc-original, pcc-rev1\n")
+        for flags in (["--max-omega-exhaustive", "5", *argv], [*argv, "--max-omega-exhaustive", "5"]):
+            assert run(capsys, *flags) == want
+
+    def test_an_exhaustive_limit_is_read_in_either_position(self, capsys, model_dir):
+        argv = ["check", "pcc-rev1", str(model_dir / "illusionist_coins.json"), "--a", "A", "--b", "B", "--format", "json"]
+        modes = set()
+        for flags in (["--max-omega-exhaustive", "0", *argv], [*argv, "--max-omega-exhaustive", "0"], argv):
+            code, out, err = run(capsys, *flags)
+            assert (code, err) == (0, "")
+            modes.add(json.loads(out)["stats"]["mode"])
+        assert modes == {"past-region-cells", "exhaustive"}  # unset, the limit is 20
+
+    @pytest.mark.parametrize("fmt", ["human", "json"])
+    def test_a_counterexample_build_error_keeps_its_exit_code(self, capsys, model_dir, monkeypatch, fmt):
+        # the counterexample is built when the report is rendered; a failure
+        # there prints no partial report, as a failure inside the check does
+        def fail(*args):
+            raise screenoff.InternalCheckError("internal error: counterexample build failed")
+
+        argv = ["check", "so1", str(model_dir / "wizard_simpson.json"), "--format", fmt]
+        want = (3, "", "internal error: counterexample build failed\n")
+        with monkeypatch.context() as patch:
+            patch.setattr(stochastic, "_conditional_counterexample", fail)
+            assert run(capsys, *argv) == want
+        with monkeypatch.context() as patch:
+            patch.setattr(corpus_mod, "check_so1", fail)
+            assert run(capsys, *argv) == want
+
     def test_unset_options_take_their_defaults(self, capsys, model_dir):
         # --n and --selector default to None on the command line, and the
         # condition table applies 3 and mutual
