@@ -387,8 +387,8 @@ def _screen(
     `steps` is consumed lazily, so a plan's error surfaces at the step that
     raises it.  A step takes the first of its stand-ins that holds, each
     scanned once, when a step first needs it, then its fallback, else its
-    own scan; with the default scan, a step of a failed group marked for a
-    search first tries the group's blocks (`_split`): while they hold, it
+    own scan; a step of a failed group that the plan marks for a search
+    first tries the group's blocks (`_split`): while they hold, it
     holds when its restrictions to them do.  The proof record ends the
     stream (`_proved`, else `_walk`).  `fixed` stats lead the report's;
     `tables` may carry cell tables shared with another scan of the model.
@@ -398,7 +398,6 @@ def _screen(
     calls it with (model, regions, names, past, failure, note) when its
     counterexample is first read.
     """
-    classical = scan is None
     scan = scan or _factorization_failure
     counterexample = counterexample or _conditional_counterexample
     tables = {} if tables is None else tables
@@ -438,7 +437,7 @@ def _screen(
     for regions, past, stand_ins, *rest in steps:
         if regions is None:  # the first unit held: `stand_ins` is the plan's proof record
             if (rest := _proved(stand_ins, get)) is None:
-                splits = {key[0]: None for key, *_, search in stand_ins[2] if not search} if classical else None
+                splits = {key[0]: None for key, *_, search in stand_ins[2] if not search}
                 fail, regions, past, rest = _walk(stand_ins, decide, scans, splits)
             n_units, n_steps, checked, skipped = map(sum, zip((n_units, n_steps, checked, skipped), rest))
             break
@@ -643,8 +642,8 @@ def _pair_cells(site: CausalSite, union: int) -> tuple:
 # scans, not 23), yet a group is searched only with more maximal steps than
 # C(m, 2) + 1, m = |E_P|, what it cost when it scanned each pair: another
 # mark would change scans where blocks cannot help, which no workload
-# measures.  The quantal checks keep the dominators: a null pseudo-cell
-# needs its own proof.
+# measures.  `_plan` marks no quantal group, so those keep the dominators:
+# a null pseudo-cell needs its own proof.
 
 
 def _admissible_pasts(site: CausalSite, past, future, a: int, b: int) -> tuple[int, ...]:
@@ -686,15 +685,17 @@ def _check_units(site: CausalSite, check, pairs=None):
 
 @lru_cache(maxsize=None)
 def _screening_plan(site: CausalSite, check, power: int) -> tuple[tuple, tuple]:
-    """The plan of `_check_units(site, check)`, shared by every check with the same units.
+    """The plan of `_check_units(site, check)`; no other cache holds a plan.
 
-    On a site where the mutual and joint pasts of every spacelike pair
-    coincide (an antichain, or a common cause below it), so1, so2 and
-    gen-so[bell] walk one plan, built once; `_one_strict_past` tells so
-    without listing the units again.
+    Rules share one where the site makes their units coincide, told
+    without listing them: so2 and gen-so[bell] walk so1's plan where
+    `_one_strict_past` holds (an antichain, or a common cause below it),
+    and so2w walks so2's where one initial element lies below all others.
     """
     if check in ("joint", "bell") and _one_strict_past(site):
         return _screening_plan(site, "mutual", power)
+    if check == "joint-clear" and not (init := site.initial_elements()) & (init - 1):
+        return _screening_plan(site, "joint", power)
     return _plan(site, tuple(_check_units(site, check)), not isinstance(check, int), power)
 
 
@@ -720,7 +721,6 @@ def _one_strict_past(site: CausalSite) -> bool:
     )
 
 
-@lru_cache(maxsize=None)
 def _plan(site: CausalSite, units: tuple, ordered: bool, power: int) -> tuple[tuple, tuple]:
     """(every step of `units` in order, with its stand-ins; the plan's proof record).
 
@@ -789,7 +789,7 @@ def _plan(site: CausalSite, units: tuple, ordered: bool, power: int) -> tuple[tu
             plan.append((regions, past, keys, fallback, configs[past], atoms))
             if len(plan) > first:
                 if (proof := proof_of.get(past)) is None:
-                    search = len(groups[past][1]) > comb(len(keys[0][1]), 2) + 1
+                    search = power == 1 and len(groups[past][1]) > comb(len(keys[0][1]), 2) + 1
                     proof = proof_of[past] = [keys[0], configs[past], 0, 0, search]
                 proof[2] += atoms
                 proof[3] += 1

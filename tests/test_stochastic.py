@@ -7,9 +7,11 @@ deterministic scan order.
 """
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -414,16 +416,16 @@ class TestPrunedScreening:
         steps = stochastic._screening_steps
         monkeypatch.setattr(stochastic, "_screening_steps", lambda *args: (drawn.append(s) or s for s in steps(*args)))
         scans = _counting(monkeypatch, "_factorization_failure")
+        built = _counting(monkeypatch, "_plan")
         for check in (check_so1, check_so2):
-            del drawn[:], scans[:]
-            misses = stochastic._plan.cache_info().misses
+            del drawn[:], scans[:], built[:]
             report = check(model)
             assert report.verdict == HOLDS
             assert report.stats == {"region_pairs": 1932, "atom_checks": 221256, "null_conditions_skipped": 0}
             assert len(scans) == 2
             # the first unit, then the plan's proof record
             assert [step[0] for step in drawn] == [(0b10, 0b100), None]
-        assert stochastic._plan.cache_info().misses == misses
+        assert built == []
 
     def test_a_failure_costs_at_most_one_extra_scan(self, monkeypatch):
         # l0 and l1 are copies of each other: the first pair ({l0}, {l1})
@@ -445,16 +447,47 @@ class TestPrunedScreening:
             assert stochastic._screening_plan(site, rule, 1) is plan
             assert len(plan[0]) == len(stochastic._spacelike_pairs(site))
 
-    def test_rules_with_the_same_units_share_one_plan(self):
+    def test_clearing_the_plan_cache_frees_the_plan(self):
+        # a failing so1 on a 9-site binary antichain with s7 and s8 tied
+        # walks past its failed proof record, so its plan holds running sums;
+        # the plan, its sums and its units live in `_screening_plan` alone
+        def clear():
+            for cache in (stochastic._screening_plan, stochastic._spacelike_pairs, stochastic._cones):
+                cache.cache_clear()
+            gc.collect()
+
+        site = antichain(9)
+        weights = [F(1, 256) if history_digits(site, h)[7] == history_digits(site, h)[8] else 0
+                   for h in range(n_histories(site))]
+        model = StochasticModel(site, weights)
+        clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = check_so1(model)
+            assert (report.verdict, report.stats["region_pairs"]) == (VIOLATED, 8237)
+            del report
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+            clear()
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained > 10**6
+        assert left < 0.1 * retained
+
+    def test_rules_with_the_same_units_share_one_plan(self, monkeypatch):
         # below one common cause the mutual and joint pasts of every pair are
-        # {c}: so2 walks the plan that so1 built and builds none of its own
+        # {c}, and c, the one initial element, is in no spacelike pair: so2
+        # and so2w walk the plan that so1 built and build none of their own
         model = _common_cause(5)
         assert check_so1(model).verdict == HOLDS
-        built = stochastic._plan.cache_info().misses
-        assert check_so2(model).verdict == HOLDS
-        assert stochastic._plan.cache_info().misses == built
+        built = _counting(monkeypatch, "_plan")
+        assert check_so2(model).verdict == check_so2w(model).verdict == HOLDS
+        assert built == []
         site = model.site
         assert stochastic._screening_plan(site, "joint", 1) is stochastic._screening_plan(site, "mutual", 1)
+        assert stochastic._screening_plan(site, "joint-clear", 1) is stochastic._screening_plan(site, "mutual", 1)
         assert stochastic._cones(site) == (tuple(map(site.past, site.regions())),
                                            tuple(map(site.future, site.regions())))
         # x lies below l2 only: the joint past of ({l0}, {l2}) holds x, the mutual one does not

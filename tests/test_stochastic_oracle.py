@@ -19,6 +19,8 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import sys
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -29,11 +31,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import screenoff.stochastic as stochastic
-from screenoff.corpus import corpus_entries, random_deterministic_local, random_stochastic
+from screenoff.corpus import _decohered, corpus_entries, random_deterministic_local, random_stochastic
 from screenoff.events import (
     config_indices, event_ref, full_specifications, history_digits, n_configs, n_histories,
 )
 from screenoff.order import CausalSite, iter_bits
+from screenoff.quantal import check_qso1, check_qso2
 from screenoff.report import HOLDS, VACUOUS, VIOLATED, CheckReport, Counterexample, format_rational
 from screenoff.stochastic import (
     CapacityError,
@@ -903,8 +906,31 @@ def test_one_strict_past_is_when_the_single_region_rules_agree(site):
     assert (units["mutual"] == units["joint"]) == (units["mutual"] == units["bell"]) == agree
     for rule in ("joint", "bell"):
         plan = stochastic._screening_plan(site, rule, 1)
-        assert plan == stochastic._plan(site, units[rule], True, 1)
+        assert same_plan(plan, stochastic._plan(site, units[rule], True, 1))
         assert (plan is stochastic._screening_plan(site, "mutual", 1)) == agree
+
+
+def same_plan(plan, fresh) -> bool:
+    """Whether two plans have the same steps and group summaries.
+
+    A walk past a failed proof record fills the record's running sums, so
+    a cached plan may hold them where a fresh one does not yet.
+    """
+    (steps, proofs), (fresh_steps, fresh_proofs) = plan, fresh
+    return steps == fresh_steps and proofs[2][:-1] == fresh_proofs[2][:-1]
+
+
+@given(posets())
+def test_joint_clear_is_joint_when_one_element_is_initial(site):
+    # one initial element lies below every other, so it is in no spacelike
+    # pair: exactly then so2w screens so2's units, and it walks so2's plan
+    init = site.initial_elements()
+    single = init & (init - 1) == 0
+    units = {rule: tuple(stochastic._check_units(site, rule)) for rule in ("joint", "joint-clear")}
+    assert (units["joint"] == units["joint-clear"]) == single
+    plan = stochastic._screening_plan(site, "joint-clear", 1)
+    assert same_plan(plan, stochastic._plan(site, units["joint-clear"], True, 1))
+    assert (plan is stochastic._screening_plan(site, "joint", 1)) == single
 
 
 @given(posets())
@@ -1697,3 +1723,66 @@ def test_skipped_steps_add_the_null_cells_of_their_past():
 
     late_failures()
     assert found["proof"] >= 4 and found["blocks"] >= 4, found
+
+
+# -- cached plans, cold and warm --------------------------------------------------
+
+
+def clear_screenoff_caches() -> None:
+    """Clear every `lru_cache` of the loaded screenoff modules."""
+    for name, module in list(sys.modules.items()):
+        if name == "screenoff" or name.startswith("screenoff."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+
+def tied_product(rng: random.Random, site: CausalSite, tie: tuple[int, int]) -> StochasticModel:
+    """Independent binary elements, some of them constant, except that element tie[1] copies tie[0]."""
+    i, j = tie
+    quarters = [rng.choice((0, 1, 2, 3, 4)) for _ in range(site.n)]
+    weights = []
+    for h in range(n_histories(site)):
+        digs = history_digits(site, h)
+        weights.append(0 if digs[i] != digs[j] else
+                       prod(q if d else 4 - q for e, (q, d) in enumerate(zip(quarters, digs)) if e != j))
+    return StochasticModel(site, [F(w, 4 ** (site.n - 1)) for w in weights])
+
+
+PLANNED = (*SCREENING, ("qso1", check_qso1), ("qso2", check_qso2))
+
+
+def test_a_warm_plan_reports_what_a_cold_one_does():
+    # each planned check on a drawn model reports the same cold, with every
+    # cache cleared, and warm, after the checks of another model on the same
+    # site have walked and filled the cached plans; the first model ties the
+    # last two elements (a late failure) or a drawn pair, the second a drawn pair
+    walked = []
+
+    @settings(max_examples=100)
+    @given(site=posets(5).filter(lambda site: site.n >= 2), late=st.booleans(), data=st.data())
+    def cold_and_warm(site, late, data):
+        pairs = list(itertools.combinations(range(site.n), 2))
+        rng = random.Random(data.draw(st.integers(0, 10**6)))
+        first = tied_product(rng, site, pairs[-1] if late else data.draw(st.sampled_from(pairs)))
+        other = tied_product(rng, site, data.draw(st.sampled_from(pairs)))
+
+        def run(check, model):
+            return _outcome(lambda: check(_decohered(model) if check in (check_qso1, check_qso2) else model))
+
+        cold = {}
+        for label, check in PLANNED:
+            clear_screenoff_caches()
+            cold[label] = run(check, first)
+        clear_screenoff_caches()
+        with pytest.MonkeyPatch.context() as m:
+            for label, check in PLANNED:
+                walk = stochastic._walk
+                m.setattr(stochastic, "_walk", lambda *args: walked.append(label) or walk(*args))
+                run(check, other)
+                m.undo()
+        for label, check in PLANNED:
+            assert run(check, first) == cold[label], label
+
+    cold_and_warm()
+    assert set(walked) == {label for label, _ in PLANNED}, Counter(walked)
