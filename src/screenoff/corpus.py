@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .events import CapacityError, history_index, n_histories
+from .events import HISTORY_LIMIT, CapacityError, history_index, n_histories
 from .exprs import parse_event
 from .modelfile import render_model
 from .order import CausalSite, iter_bits
@@ -552,6 +552,12 @@ def verify_corpus() -> CheckReport:
 
 # -- random generators ------------------------------------------------------
 
+# Most matrix entries (n^2 on n histories), or witness amplitudes (k vectors
+# of n), that a random quantal model may need.  At the limit, 1,024 histories
+# take 0.7-0.9 s to generate, 0.6-0.8 s to validate and 131 MB (2-core host),
+# and each doubling of the histories quadruples that.
+QUANTAL_ENTRY_LIMIT = 1 << 20
+
 
 def _rng(*key) -> random.Random:
     return random.Random(":".join(str(k) for k in key))
@@ -564,6 +570,11 @@ def _random_site(
         raise ValueError("corpus error: n_sites must be at least 1")
     if max_alphabet < 2:
         raise ValueError(f"corpus error: max_alphabet must be at least 2, not {max_alphabet}")
+    if n_sites >= HISTORY_LIMIT.bit_length():  # 2^n_sites > HISTORY_LIMIT: every alphabet is at least 2
+        raise CapacityError(
+            f"capacity error: {n_sites} sites of at least 2 values each have at least "
+            f"2^{n_sites} histories; the limit is {HISTORY_LIMIT}"
+        )
     pairs = [
         (f"t{i}", rng.randrange(2, max_alphabet + 1)) for i in range(n_sites)
     ]
@@ -608,21 +619,10 @@ def random_quantal(
     rng = _rng("quantal", seed, n_sites, max_alphabet, rank)
     site = _random_site(rng, n_sites, max_alphabet, 0.5)
     n = n_histories(site)
+    _require_entries(n, n * n, f"a {n} x {n} matrix")
     k = rng.randrange(1, rank + 1)
-    vectors = []
-    weights = []
-    norm = 0
-    for _ in range(k):
-        while True:
-            psi = [(rng.randrange(-2, 3), rng.randrange(-2, 3)) for _ in range(n)]
-            t_re = sum(a[0] for a in psi)
-            t_im = sum(a[1] for a in psi)
-            if t_re or t_im:
-                break
-        w = rng.randrange(1, 4)
-        vectors.append(psi)
-        weights.append(w)
-        norm += w * (t_re * t_re + t_im * t_im)
+    _require_entries(n, k * n, f"{k} witness vectors")
+    weights, vectors, norm = _witness_terms(rng, n, k)
     # matrix numerators sum w * psi[h] * conj(psi[g]) over the integer norm;
     # the matrix is Hermitian, so the lower triangle mirrors the upper
     num = [[(0, 0)] * n for _ in range(n)]
@@ -640,11 +640,42 @@ def random_quantal(
     return QuantalModel._from_scaled(site, norm, num, witness)
 
 
+def _require_entries(n: int, count: int, what: str) -> None:
+    """Refuse a random quantal model on `n` histories that needs more than QUANTAL_ENTRY_LIMIT entries."""
+    if count > QUANTAL_ENTRY_LIMIT:
+        raise CapacityError(
+            f"capacity error: a random quantal model on {n} histories needs {what} "
+            f"({count} entries); the limit is {QUANTAL_ENTRY_LIMIT} entries"
+        )
+
+
+def _witness_terms(rng: random.Random, n: int, k: int) -> tuple[list[int], list[list], int]:
+    """k weights and Gaussian-integer vectors of length n with a nonzero sum, and their norm."""
+    vectors = []
+    weights = []
+    norm = 0
+    for _ in range(k):
+        while True:
+            psi = [(rng.randrange(-2, 3), rng.randrange(-2, 3)) for _ in range(n)]
+            t_re = sum(a[0] for a in psi)
+            t_im = sum(a[1] for a in psi)
+            if t_re or t_im:
+                break
+        w = rng.randrange(1, 4)
+        vectors.append(psi)
+        weights.append(w)
+        norm += w * (t_re * t_re + t_im * t_im)
+    return weights, vectors, norm
+
+
 def random_diagonal_quantal(
     seed: int, n_sites: int = 4, max_alphabet: int = 3
 ) -> QuantalModel:
     """A random classical measure embedded on the diagonal."""
-    return _decohered(random_stochastic(seed, n_sites, max_alphabet))
+    m = random_stochastic(seed, n_sites, max_alphabet)
+    n = len(m._nums)
+    _require_entries(n, n * n, f"a {n} x {n} matrix")
+    return _decohered(m)
 
 
 def random_deterministic_local(

@@ -6,8 +6,10 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -665,6 +667,33 @@ class TestStartup:
         assert code == 2
         assert out == ""
         assert err.startswith("capacity error: fuzz count 1000000000 is over the limit")
+
+    @pytest.mark.parametrize("argv, message", [
+        # model seed 0 draws 16 binary sites: a 65,536 x 65,536 matrix
+        (["--pair", "qso1-qso2", "--sites", "16"],
+         "a random quantal model on 65536 histories needs a 65536 x 65536 matrix "
+         "(4294967296 entries); the limit is 1048576 entries"),
+        (["--pair", "qso1-qso2", "--rank", str(10**9)],
+         "a random quantal model on 8 histories needs 517494936 witness vectors "
+         "(4139959488 entries); the limit is 1048576 entries"),
+        # model seed 0 draws 379,514 sites, refused before their relations are drawn
+        (["--pair", "so1-so2", "--sites", str(10**6)],
+         "379514 sites of at least 2 values each have at least 2^379514 histories; "
+         "the limit is 65536"),
+    ])
+    def test_fuzz_shapes_over_the_generator_bounds_are_refused(self, capsys, monkeypatch, argv, message):
+        # reaching a stochastic model's draws or a quantal model's witness fails the test
+        def unreachable(*args):
+            raise AssertionError("a generator allocated past its bound")
+
+        draw = corpus_mod._rng
+        monkeypatch.setattr(corpus_mod, "_rng", lambda *key: SimpleNamespace(randrange=unreachable, random=unreachable)
+                            if key[0] == "stochastic" else draw(*key))
+        monkeypatch.setattr(corpus_mod, "_witness_terms", unreachable)
+        started = time.perf_counter()
+        code, out, err = run(capsys, "fuzz", *argv, "--seed", "0", "--count", "1")
+        assert time.perf_counter() - started < 1
+        assert (code, out, err) == (2, "", f"capacity error: {message}\n")
 
 
 # -- argument handling ------------------------------------------------------

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -243,6 +244,30 @@ class TestGenerators:
     def test_bad_site_count(self):
         with pytest.raises(ValueError, match="n_sites"):
             random_stochastic(1, n_sites=0)
+
+    def test_sites_over_the_history_limit_are_refused_before_drawing(self, monkeypatch):
+        # every alphabet is at least 2, so 17 sites have at least 2^17 histories
+        assert len(corpus_mod._random_site(random.Random(0), 16, 2, 0.5).elements) == 16
+        monkeypatch.setattr(corpus_mod, "CausalSite", None)
+        with pytest.raises(CapacityError) as err:
+            corpus_mod._random_site(None, 17, 2, 0.5)
+        assert str(err.value) == (
+            "capacity error: 17 sites of at least 2 values each have at least "
+            "2^17 histories; the limit is 65536"
+        )
+
+    def test_quantal_entries_over_the_bound_are_refused(self, monkeypatch):
+        # 1,024 histories are admitted, and a matrix one entry larger is not
+        corpus_mod._require_entries(1024, 1024 * 1024, "a 1024 x 1024 matrix")
+        with pytest.raises(CapacityError, match=r"\(1048577 entries\); the limit is 1048576 entries$"):
+            corpus_mod._require_entries(1024, 1024 * 1024 + 1, "a matrix")
+        monkeypatch.setattr(corpus_mod, "_decohered", None)
+        with pytest.raises(CapacityError) as err:
+            random_diagonal_quantal(0, n_sites=16, max_alphabet=2)
+        assert str(err.value) == (
+            "capacity error: a random quantal model on 65536 histories needs a 65536 x 65536 "
+            "matrix (4294967296 entries); the limit is 1048576 entries"
+        )
 
 
 # -- fuzzing ----------------------------------------------------------------
