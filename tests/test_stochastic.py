@@ -448,7 +448,7 @@ class TestPrunedScreening:
             assert len(plan[0]) == len(stochastic._spacelike_pairs(site))
 
     def test_clearing_the_plan_cache_frees_the_plan(self):
-        # a failing so1 on a 9-site binary antichain with s7 and s8 tied
+        # a failing so1 on a 9-site binary antichain with e7 and e8 tied
         # walks past its failed proof record, so its plan holds running sums;
         # the plan, its sums and its units live in `_screening_plan` alone
         def clear():
