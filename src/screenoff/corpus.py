@@ -13,6 +13,7 @@ import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Mapping
 
 from .events import HISTORY_LIMIT, CapacityError, history_index, n_histories
@@ -563,6 +564,12 @@ def _rng(*key) -> random.Random:
     return random.Random(":".join(str(k) for k in key))
 
 
+@lru_cache(maxsize=None)
+def _interned(site: CausalSite) -> CausalSite:
+    """The first drawn site equal to this one, so that site-keyed caches hit by identity."""
+    return site
+
+
 def _random_site(
     rng: random.Random, n_sites: int, max_alphabet: int, edge_density: float
 ) -> CausalSite:
@@ -584,7 +591,7 @@ def _random_site(
         for j in range(i + 1, n_sites)
         if rng.random() < edge_density
     ]
-    return CausalSite(pairs, relations)
+    return _interned(CausalSite(pairs, relations))
 
 
 def random_stochastic(

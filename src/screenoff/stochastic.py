@@ -13,8 +13,9 @@ import itertools
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from math import comb, gcd, lcm, prod
+from operator import add, itemgetter
 
 from .events import (
     CapacityError,
@@ -159,45 +160,57 @@ def correlated(model: StochasticModel, a: int, b: int) -> bool:
 # For pairwise-disjoint regions, every conditional-independence equation in
 # this module reduces to integer identities between joint-configuration cell
 # weights.  A check keeps one table per union U of the regions it scans,
-# indexed by `config_indices(site, U)`: flat in U's own config order (mixed
-# radix over U's members, lowest element index most significant, like
-# history indices).  The cells of any partition of U into regions are read
-# back through per-region offset lists, so every pair with the same union
-# shares one pass over the histories.
+# flat in U's own config order (mixed radix over U's members, lowest element
+# index most significant, like history indices), gathered from the history
+# weights by one cached `itemgetter`.  The cells of any partition of U into
+# regions are read back through per-region offset tuples (one slice where
+# they are contiguous), so every pair with the same union shares one pass
+# over the histories.  Tables and margins are summed inside builtins.
 
 
 def _margins(cells: list[int], sizes: tuple[int, ...]) -> list[list[int]]:
     """Each region's margin of a block over regions of these sizes, the first most significant."""
-    # Sum out the regions last to first: each step reads one region's margin
-    # off the last axis and leaves the joint of the ones before it.
+    # Sum out the regions last to first: each step sums the last axis's columns
+    # into its region's margin and adds them up into the joint of the others.
     margins = []
     joint = cells
     for size in reversed(sizes[1:]):
-        margins.append([sum(joint[c::size]) for c in range(size)])
-        joint = [sum(joint[t : t + size]) for t in range(0, len(joint), size)]
+        columns = [joint[c::size] for c in range(size)]
+        margins.append(list(map(sum, columns)))
+        joint = list(reduce(partial(map, add), columns))
     margins.append(joint)
     margins.reverse()
     return margins
 
 
-def _union_offsets(site: CausalSite, region: int, union: int) -> list[int]:
+@lru_cache(maxsize=1 << 12)  # its entries grow with the pairs scanned, not with the unions
+def _union_offsets(site: CausalSite, region: int, union: int) -> tuple[int, ...]:
     """For each configuration of `region`, its offset in the config order of `union`."""
     members, strides, _ = _region_meta(site, union)
-    return _block(
+    return tuple(_block(
         range(0, site.alphabets[i] * stride, stride)
         for i, stride in zip(members, strides)
         if region >> i & 1
-    )
+    ))
+
+
+@lru_cache(maxsize=None)
+def _cell_gather(site: CausalSite, union: int):
+    """(gather of the history weights in the union's cell order, histories per cell, the same for all)."""
+    cells = config_indices(site, union)  # refuses a site over the limit
+    per_cell = len(cells) // n_configs(site, union)
+    if per_cell == 1:  # the cell order is the history order
+        return None, 1
+    # the whole site's config indices are the history indices: every gather shares their ints
+    return itemgetter(*sorted(config_indices(site, site.full_mask), key=cells.__getitem__)), per_cell
 
 
 def _cell_weights(model: StochasticModel, regions: tuple[int, ...]) -> list[int]:
     """Scaled weights of the configurations of the union of disjoint regions."""
-    union = sum(regions)  # the regions are disjoint
-    table = [0] * n_configs(model.site, union)
-    for f, w in zip(config_indices(model.site, union), model._nums):
-        if w:
-            table[f] += w
-    return table
+    gather, per_cell = _cell_gather(model.site, sum(regions))  # the regions are disjoint
+    if gather is None:
+        return list(model._nums)
+    return list(map(sum, zip(*[iter(gather(model._nums))] * per_cell)))
 
 
 def _union_table(model, regions: tuple[int, ...], tables: dict, build):
@@ -246,12 +259,14 @@ def _factorization_failure(
     union, table = _union_table(model, (past, *event_regions), tables, _cell_weights)
     offsets = [_union_offsets(site, r, union) for r in event_regions]
     block = _block(offsets)
+    span = len(block)
+    contiguous = block == list(range(span))  # each past cell's block is one slice
     sizes = tuple(map(len, offsets))
     exponent = len(event_regions) - 1
     checked = 0
     skipped = 0
     for p, base in enumerate(_union_offsets(site, past, union)):
-        cells = [table[base + i] for i in block]
+        cells = table[base : base + span] if contiguous else [table[base + i] for i in block]
         margins = _margins(cells, sizes)
         w_past = sum(margins[0])
         if w_past == 0:

@@ -1,12 +1,13 @@
 """The shared cell-table kernel of the screening scans.
 
-A union U = P ∪ A ∪ B of disjoint regions has one table, indexed by
-``config_indices(site, U)``; every scan reads a region tuple's joint cells
+A union U = P ∪ A ∪ B of disjoint regions has one table, in U's config order
+(``config_indices(site, U)``); every scan reads a region tuple's joint cells
 from it through ``_block`` of the regions' ``_union_offsets`` and sums out
 their margins with ``_margins``.  Each piece is compared here with a direct
 computation: history by history for the classical table, by ``d_value`` over
 cell pairs for the quantal matrix, and by ``itertools.product`` for the
-block and margin kernels.
+block and margin kernels.  ``ref_cell_weights`` and ``ref_margins`` are the
+per-element loops the builtin kernels replaced, kept as references.
 """
 from __future__ import annotations
 
@@ -15,13 +16,42 @@ import random
 from fractions import Fraction
 from math import prod
 
-from hypothesis import given
+import pytest
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from screenoff.events import _block, n_configs, n_histories
+from screenoff.events import CapacityError, _block, config_indices, n_configs, n_histories
 from screenoff.order import CausalSite, iter_bits
 from screenoff.quantal import QuantalModel, _pair_matrix
-from screenoff.stochastic import StochasticModel, _cell_weights, _margins, _union_offsets
+from screenoff.stochastic import (
+    StochasticModel,
+    _cell_gather,
+    _cell_weights,
+    _margins,
+    _union_offsets,
+)
+
+
+def ref_cell_weights(model: StochasticModel, regions: tuple[int, ...]) -> list[int]:
+    """The table of the regions' union, one history at a time."""
+    union = sum(regions)
+    table = [0] * n_configs(model.site, union)
+    for f, w in zip(config_indices(model.site, union), model._nums):
+        if w:
+            table[f] += w
+    return table
+
+
+def ref_margins(cells: list[int], sizes: tuple[int, ...]) -> list[list[int]]:
+    """Each region's margin, one sum per column and per row of the last axis."""
+    margins = []
+    joint = cells
+    for size in reversed(sizes[1:]):
+        margins.append([sum(joint[c::size]) for c in range(size)])
+        joint = [sum(joint[t : t + size]) for t in range(0, len(joint), size)]
+    margins.append(joint)
+    margins.reverse()
+    return margins
 
 
 @st.composite
@@ -62,13 +92,17 @@ def block_positions(site: CausalSite, regions: tuple[int, ...]) -> list[int]:
     return positions
 
 
-@given(interleaved_regions())
-def test_cell_weights_sum_the_histories_of_each_cell(drawn):
-    site, regions, seed = drawn
+def drawn_model(site: CausalSite, seed: int) -> StochasticModel:
     rng = random.Random(seed)
     nums = [rng.randrange(0, 4) for _ in range(n_histories(site))]
     nums[rng.randrange(len(nums))] += 1
-    model = StochasticModel._from_scaled(site, sum(nums), nums)
+    return StochasticModel._from_scaled(site, sum(nums), nums)
+
+
+@given(interleaved_regions())
+def test_cell_weights_sum_the_histories_of_each_cell(drawn):
+    site, regions, seed = drawn
+    model = drawn_model(site, seed)
     union = sum(regions)
     table = _cell_weights(model, regions)
     block = _block([_union_offsets(site, r, union) for r in regions])
@@ -126,4 +160,60 @@ def test_margins_sum_out_every_other_region(drawn):
         [sum(x for x, at in zip(cells, coords) if at[i] == c) for c in range(size)]
         for i, size in enumerate(sizes)
     ]
-    assert _margins(cells, sizes) == expected
+    assert _margins(cells, sizes) == expected == ref_margins(cells, sizes)
+
+
+@st.composite
+def sites_with_regions(draw):
+    """A site whose alphabets may be 1 and 1-4 disjoint regions, any of them empty."""
+    n = draw(st.integers(1, 5))
+    alphabets = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    relations = draw(st.lists(st.sampled_from(edges), max_size=4, unique=True)) if edges else []
+    site = CausalSite(
+        [(f"e{i}", k) for i, k in enumerate(alphabets)],
+        [(f"e{i}", f"e{j}") for i, j in relations],
+    )
+    k = draw(st.integers(1, 4))
+    labels = draw(st.lists(st.integers(0, k), min_size=n, max_size=n))  # label k: in no region
+    regions = tuple(sum(1 << e for e, label in enumerate(labels) if label == i) for i in range(k))
+    return site, regions, draw(st.integers(0, 2**32))
+
+
+ONE_HISTORY = CausalSite([("a", 1), ("b", 1)], [("a", "b")])
+MIXED = CausalSite([("a", 2), ("u", 1), ("b", 3), ("c", 2)], [("a", "b")])
+
+
+@given(sites_with_regions())
+@example((ONE_HISTORY, (0,), 0))  # one history, the empty past
+@example((ONE_HISTORY, (0b01, 0b10), 1))  # one history, the full union
+@example((MIXED, (0b0001, 0b0100, 0b1000), 2))  # every element of alphabet >1: one history per cell
+@example((MIXED, (0, 0b0001, 0b0100, 0b1000), 3))  # the same union with an empty past first
+@example((MIXED, (0,), 4))  # the empty union: one cell holding every history
+def test_builtin_kernels_equal_the_per_element_loops(drawn):
+    site, regions, seed = drawn
+    model = drawn_model(site, seed)
+    union = sum(regions)
+    table = _cell_weights(model, regions)
+    assert type(table) is list
+    assert table == ref_cell_weights(model, regions)
+    offsets = [_union_offsets(site, r, union) for r in regions]
+    for r, o in zip(regions, offsets):
+        assert type(o) is tuple  # a shared cache entry, which no caller can mutate
+        assert _union_offsets(site, r, union) is o
+    sizes = tuple(map(len, offsets))
+    block = _block(offsets)
+    for base in _union_offsets(site, 0, union):
+        cells = [table[base + i] for i in block]
+        margins = _margins(cells, sizes)
+        assert all(type(m) is list for m in margins)
+        assert margins == ref_margins(cells, sizes)
+
+
+def test_the_gather_refuses_a_site_over_the_history_limit():
+    site = CausalSite([(f"e{i}", 2) for i in range(17)])
+    with pytest.raises(CapacityError) as refused:
+        _cell_gather(site, 0b11)
+    with pytest.raises(CapacityError) as direct:
+        n_histories(site)
+    assert str(refused.value) == str(direct.value)

@@ -1,6 +1,7 @@
 """The built-in model catalogue, random generators, and fuzz harness."""
 from __future__ import annotations
 
+import json
 import os
 import random
 from fractions import Fraction
@@ -244,6 +245,26 @@ class TestGenerators:
     def test_bad_site_count(self):
         with pytest.raises(ValueError, match="n_sites"):
             random_stochastic(1, n_sites=0)
+
+    def test_draws_of_one_site_shape_share_one_site_object(self):
+        # site-keyed caches then hit by identity, without calling CausalSite.__eq__
+        drawn = {}
+        for seed in range(40):
+            for draw in (random_stochastic, random_quantal, random_deterministic_local):
+                site = draw(seed, 3, 2).site
+                assert drawn.setdefault((site.elements, site.alphabets, site.below), site) is site
+        assert len(drawn) < 120  # shapes repeat
+        assert random_diagonal_quantal(9, 3, 2).site is random_stochastic(9, 3, 2).site
+
+    def test_interning_sites_leaves_fuzz_reports_unchanged(self, monkeypatch):
+        runs = [(3, 60, "so1-so2"), (3, 40, "qso1-qso2"), (7, 30, "so1-wrc_conditioned")]
+
+        def reports():
+            return [json.dumps(fuzz_equivalence(*run).to_json_dict(), sort_keys=True) for run in runs]
+
+        interned = reports()
+        monkeypatch.setattr(corpus_mod, "_interned", lambda site: site)
+        assert reports() == interned
 
     def test_sites_over_the_history_limit_are_refused_before_drawing(self, monkeypatch):
         # every alphabet is at least 2, so 17 sites have at least 2^17 histories

@@ -2,6 +2,9 @@
 every private module-level function or class is used somewhere in the package.
 The package's modules import each other without a cycle, function-local
 imports included, and only the corpus's random generators import ``random``.
+No float enters the package's arithmetic: no float constant, ``float()`` call
+or true division ``/`` appears in its source, but for the ``edge_density`` of
+the random generators.
 
 ``__init__.py`` is left out of the import check: it imports names to
 re-export them.
@@ -146,3 +149,45 @@ def test_only_the_corpus_draws_random_numbers():
         or (isinstance(node, ast.ImportFrom) and node.module == "random")
     ]
     assert importers == ["corpus.py"]
+
+
+def float_uses(source: str) -> list[str]:
+    """Float constants, `float()` calls and true divisions, but for an `edge_density`.
+
+    An `edge_density` is a parameter's default of that name or the argument of
+    `_random_site` in its place: the share of order relations a random site draws.
+    """
+    tree = ast.parse(source)
+    densities = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            params = node.args.args[len(node.args.args) - len(node.args.defaults):]
+            densities.update(id(d) for p, d in zip(params, node.args.defaults) if p.arg == "edge_density")
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_random_site" and len(node.args) == 4:
+            densities.add(id(node.args[3]))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)) and id(node) not in densities:
+            found.append((node.lineno, node.col_offset, repr(node.value)))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float":
+            found.append((node.lineno, node.col_offset, "float()"))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append((node.lineno, node.col_offset, "/"))
+    return [f"line {line}: {what}" for line, _, what in sorted(found)]
+
+
+def test_the_guard_sees_a_float():
+    source = (
+        "def draw(rng, edge_density=0.5, bias=0.25):\n"
+        "    site = _random_site(rng, 3, 2, 0.5)\n"
+        "    x = len(site) / 2\n"
+        "    x //= 2\n"
+        "    x /= 2\n"
+        "    return float(x), 1e3\n"
+    )
+    assert float_uses(source) == ["line 1: 0.25", "line 3: /", "line 5: /", "line 6: float()", "line 6: 1000.0"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_floats_in_the_package(path):
+    assert float_uses(path.read_text()) == []
