@@ -183,13 +183,16 @@ def _cmd_find(args) -> int:
 
 def _cmd_fuzz(args) -> int:
     started = time.monotonic()
+    quantal = [p for p in corpus_mod.FUZZ_PAIRS if corpus_mod._fuzz_kind(p) == corpus_mod.QUANTAL]
+    if args.rank is not None and args.pair not in quantal:
+        raise CliError(f"cli error: fuzz pair {args.pair!r} does not take --rank; it applies to: {', '.join(quantal)}")
     report = corpus_mod.fuzz_equivalence(
         args.seed,
         args.count,
         args.pair,
         n_sites=args.sites,
         max_alphabet=args.alphabet,
-        rank=args.rank,
+        rank=3 if args.rank is None else args.rank,
         jobs=args.jobs,
     )
     if args.format == "human":
@@ -201,6 +204,9 @@ def _cmd_fuzz(args) -> int:
 
 def _cmd_corpus(args) -> int:
     started = time.monotonic()
+    if args.name is not None and args.action != "emit":
+        raise CliError(f"cli error: corpus {args.action} does not take a model name ({args.name!r}); "
+                       "it applies to: corpus emit")
     if args.action == "list":
         entries = corpus_mod.corpus_entries()
         if args.format == "json":
@@ -302,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--sites", type=int, default=None, help="site count bound per model")
     p.add_argument("--alphabet", type=int, default=None, help="largest alphabet")
-    p.add_argument("--rank", type=int, default=3, help="largest quantal rank (default: 3)")
+    p.add_argument("--rank", type=int, help="largest quantal rank (default: 3)")
     p.set_defaults(handler=_cmd_fuzz)
 
     p = sub.add_parser("corpus", parents=[common], help="built-in example models")
@@ -324,6 +330,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         corpus_mod.check_jobs(args.jobs)
         if args.max_omega_exhaustive is not None:
             _require_exhaustive_limit(args.max_omega_exhaustive)
+            if args.command not in ("check", "find"):
+                takers = [f"check {t}" for t, r in corpus_mod.CONDITIONS.items() if "max_omega_exhaustive" in r.reads]
+                raise CliError(f"cli error: {args.command} does not take --max-omega-exhaustive; "
+                               f"it applies to: {', '.join(takers)}, find")
         code = args.handler(args)
         sys.stdout.flush()
         return code

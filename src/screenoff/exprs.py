@@ -17,7 +17,7 @@ import re
 from .order import CausalSite
 from .events import cylinder, omega
 
-_TOKEN = re.compile(r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>\d+)|(?P<op>[|&!()=]))")
+_TOKEN = re.compile(r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)|(?P<op>[|&!()=]))")
 
 
 class ExpressionError(ValueError):

@@ -23,8 +23,8 @@ from .stochastic import StochasticModel
 
 FORMAT_VERSION = 1
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
-_NAME_RE = re.compile(r"^[A-Za-z_]\w*$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class ModelFileError(ValueError):
@@ -59,7 +59,7 @@ def _rational(value: Any, source: str, where: str) -> Fraction:
         raise _err(source, f"{where}: expected a rational string, got a boolean")
     if isinstance(value, int):
         return Fraction(value)
-    if not isinstance(value, str) or not _RATIONAL_RE.match(value):
+    if not isinstance(value, str) or not _RATIONAL_RE.fullmatch(value):
         raise _err(
             source, f"{where}: {value!r} is not a rational ('p/q' or integer)"
         )
@@ -118,7 +118,7 @@ def _history_key(site: CausalSite, key: str, source: str) -> int:
         )
     digits = []
     for pos, part in enumerate(parts):
-        if not part.isdigit():
+        if not re.fullmatch("[0-9]+", part):
             raise _err(source, f"weights key {key!r}: bad digit {part!r}")
         d = int(part)
         if d >= site.alphabets[pos]:
@@ -138,8 +138,11 @@ def _stochastic_measure(
     if not isinstance(weights_map, dict):
         raise _err(source, "measure.weights must be an object keyed by history")
     weights = [Fraction(0)] * n_histories(site)
+    keys: dict[int, str] = {}
     for key, value in weights_map.items():
         h = _history_key(site, key, source)
+        if (given := keys.setdefault(h, key)) != key:
+            raise _err(source, f"weights keys {given!r} and {key!r} name the same history")
         weights[h] = _rational(value, source, f"measure.weights[{key!r}]")
     try:
         return StochasticModel(site, weights)
@@ -209,7 +212,7 @@ def parse_model_text(text: str, source: str = "<string>") -> LoadedModel:
 
     named_events: dict[str, str] = {}
     for name, expr in (data.get("named_events") or {}).items():
-        if not _NAME_RE.match(name):
+        if not _NAME_RE.fullmatch(name):
             raise _err(source, f"named_events: {name!r} is not an identifier")
         if not isinstance(expr, str):
             raise _err(source, f"named_events[{name!r}]: expected an expression string")
@@ -221,7 +224,7 @@ def parse_model_text(text: str, source: str = "<string>") -> LoadedModel:
 
     named_regions: dict[str, tuple[str, ...]] = {}
     for name, ids in (data.get("named_regions") or {}).items():
-        if not _NAME_RE.match(name):
+        if not _NAME_RE.fullmatch(name):
             raise _err(source, f"named_regions: {name!r} is not an identifier")
         if not isinstance(ids, list) or not all(isinstance(s, str) for s in ids):
             raise _err(source, f"named_regions[{name!r}]: expected a list of site ids")

@@ -485,9 +485,9 @@ def _quantal_pairwise_check(q: QuantalModel, condition: str, rule: str) -> Check
 
     The complex product rule is linear in each pseudo-event component, so it
     decomposes like conditional independence and the walk is so1's or so2's:
-    the first pair, then the plan's group proofs, which decide the check
-    when they all hold; else each step's group certificate, A-first and
-    B-first dominator, the first that holds standing in for it.  A held
+    the first pair, then each group by its proof where that holds; else
+    each step by its group certificate, A-first and B-first dominator, the
+    first that holds standing in for it.  A held
     stand-in counts |Φ(P)|²·|Φ(A)|²·|Φ(B)|² equations, null pseudo-cells
     included.
     """

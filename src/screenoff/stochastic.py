@@ -371,14 +371,14 @@ def _spacelike_pairs(site: CausalSite) -> tuple[tuple[int, int], ...]:
 # None for a step that is scanned itself; otherwise its scan may be stood in
 # for by the scan of a larger tuple of regions with the same past, each
 # stand-in and the fallback keyed (past, regions).  After its first unit, a
-# planned check's stream has one record with regions None: the group proofs,
-# which decide the check when they all hold (`_proved`), else `_walk` visits
-# the plan's steps that can still fail.  Any held step with past P checks
-# (|Φ(P)| − nulls)·atoms and skips nulls, the null cells of P, so a step a
-# held scan decides is not drawn: its group's running sums give its stats.
-# A violated report gets its counterexample builder and the failing step,
-# not the counterexample: it is built when first read, so a caller that
-# reads only the verdict, as fuzz does, never builds one.
+# planned check's stream has one record with regions None, the group
+# proofs, on which `_walk` decides the rest: a group by its proof where it
+# holds, else by its steps that can still fail.  Any held step with past P
+# checks (|Φ(P)| − nulls)·atoms and skips nulls, the null cells of P, so a
+# step a held scan decides is not drawn: its group gives its stats.  A
+# violated report gets its counterexample builder and the failing step, not
+# the counterexample: it is built when first read, so a caller that reads
+# only the verdict, as fuzz does, never builds one.
 
 
 def _screen(
@@ -402,15 +402,14 @@ def _screen(
     `steps` is consumed lazily, so a plan's error surfaces at the step that
     raises it.  A step takes the first of its stand-ins that holds, each
     scanned once, when a step first needs it, then its fallback, else its
-    own scan; a step of a failed group that the plan marks for a search
-    first tries the group's blocks (`_split`): while they hold, it
-    holds when its restrictions to them do.  The proof record ends the
-    stream (`_proved`, else `_walk`).  `fixed` stats lead the report's;
-    `tables` may carry cell tables shared with another scan of the model.
-    `scan` (default `_factorization_failure`) returns (failure-or-None,
-    checked, skipped), reported under `count_keys`, and `counterexample`
-    (default `_conditional_counterexample`) reports a failure: the report
-    calls it with (model, regions, names, past, failure, note) when its
+    own scan; a step given its group's blocks (`_split`) holds when its
+    restrictions to them do.  The proof record ends the stream: `_walk`
+    decides the rest.  `fixed` stats lead the report's; `tables` may carry
+    cell tables shared with another scan of the model.  `scan` (default
+    `_factorization_failure`) returns (failure-or-None, checked, skipped),
+    reported under `count_keys`, and `counterexample` (default
+    `_conditional_counterexample`) reports a failure: the report calls it
+    with (model, regions, names, past, failure, note) when its
     counterexample is first read.
     """
     scan = scan or _factorization_failure
@@ -421,18 +420,9 @@ def _screen(
     def get(key):
         return scans.get(key) or scans.setdefault(key, scan(model, key[1], key[0], tables=tables))
 
-    def decide(regions, past, stand_ins, fallback, past_cells, atoms):
+    def decide(regions, past, stand_ins, fallback, past_cells, atoms, split=None):
         if stand_ins is None:
             return scan(model, regions, past, tables=tables)
-        if not (split := splits and splits.get(past)):
-            for key in stand_ins:
-                if (result := get(key))[0] is None:
-                    break
-                if splits is not None and past not in splits:  # the group's proof failed
-                    if split := splits.setdefault(past, _split(model, tables, get, past, sum(key[1]))):
-                        break
-            else:
-                result = get(key := fallback)
         if split:
             key, blocks = split  # the blocks' certificate, unless a restriction fails
             for k in blocks:
@@ -441,19 +431,22 @@ def _screen(
                     key = (past, regions)
                     break
             result = get(key)
+        else:
+            for key in stand_ins:
+                if (result := get(key))[0] is None:
+                    break
+            else:
+                result = get(key := fallback)
         fail, _, s = result
         if key[1] == regions:
             return result
         return (None, (past_cells - s) * atoms, s) if fail is None else get((past, regions))
 
-    splits = None  # P: its blocks once its proof failed (`_split`), None where dominators decide
     n_units = n_steps = checked = skipped = 0
     fail = unit = None
     for regions, past, stand_ins, *rest in steps:
         if regions is None:  # the first unit held: `stand_ins` is the plan's proof record
-            if (rest := _proved(stand_ins, get)) is None:
-                splits = {key[0]: None for key, *_, search in stand_ins[2] if not search}
-                fail, regions, past, rest = _walk(stand_ins, decide, scans, splits)
+            fail, regions, past, rest = _walk(stand_ins, decide, get, partial(_split, model, tables, get))
             n_units, n_steps, checked, skipped = map(sum, zip((n_units, n_steps, checked, skipped), rest))
             break
         n_steps += 1
@@ -478,68 +471,53 @@ def _screen(
     return CheckReport(condition, HOLDS, stats=stats)
 
 
-def _proved(record, get):
-    """(units, steps, checked, skipped) after the first unit if every group proof holds, else None.
-
-    The proofs of `_plan`'s `record` are scanned in order through `get`, up
-    to the first that fails.  With nulls the null cells of P its proof
-    skipped, a held group checks (|Φ(P)| − nulls)·Σ atoms and skips nulls
-    per step: Σ atoms and steps are where its running sums end.
-    """
-    n_units, n_steps, groups = record[:3]
-    checked = skipped = 0
-    for key, cells, atoms, n, _ in groups:
-        fail, _, nulls = get(key)
-        if fail is not None:
-            return None
-        checked += (cells - nulls) * atoms
-        skipped += nulls * n
-    return n_units, n_steps, checked, skipped
-
-
-def _walk(record, decide, scans: dict, splits):
+def _walk(record, decide, get, search):
     """(failure-or-None, its regions, its past, (units, steps, checked, skipped)) after the first unit.
 
-    After a failed proof record, visits in ordinal order the plan's steps
-    that may fail or scan: a group's first step, which tries its proof,
-    unless that held in the record; past a held proof, none; where its
-    blocks held (`splits`), each step meeting a non-singleton block in two
-    regions (`_hits`); else each.  The rest add stats from the running sums.
+    Meets each group at its first step, in ordinal order, and scans its
+    proof: a held proof decides the group.  Past a failed one, it decides
+    that step, then, in ordinal order, each later step of the group that
+    may fail: where its blocks held (`search(P, E_P)`, if `_plan` marks the
+    group), each meeting a non-singleton block in two regions (`_hits`);
+    else each.  The rest add stats from their group's totals, or from its
+    running sums, built once per plan, up to a failing step.
     """
     n_units, n_steps, groups, plan, first, sums = record
-    if not sums:  # built once per plan
-        sums.append(_running_sums(plan, first, groups))
-    units_to, members = sums[0]
     nulls = [0] * len(groups)
-
-    def visits(g):
-        (proof, *_), (ords, _, columns) = groups[g], members[g]
-        if (tried := scans.get(proof)) and tried[0] is None:
-            nulls[g] = tried[2]
-            return
-        yield ords[0], g
-        if scans[proof][0] is None:
-            return
-        positions = range(1, len(ords))
-        if split := splits and splits.get(proof[0]):
-            hits = heapq.merge(*(_hits(x, y, k) for k in split[1] for x, y in itertools.combinations(columns, 2)))
-            positions = (p for p, _ in itertools.groupby(hits))
-        yield from ((ords[p], g) for p in positions)
-
-    for i, g in heapq.merge(*map(visits, range(len(groups)))):
-        fail, c, s = decide(*plan[i])
+    heap = [(groups[0][5], 0, None, None)] if groups else []  # (ordinal, group, its later ordinals, blocks)
+    while heap:
+        i, g, later, split = heapq.heappop(heap)
+        if later is None:  # g's first step: its proof decides the group where it holds
+            if g + 1 < len(groups):
+                heapq.heappush(heap, (groups[g + 1][5], g + 1, None, None))
+            proof, _, _, _, marked, _ = groups[g]
+            if (tried := get(proof))[0] is None:
+                nulls[g] = tried[2]
+                continue
+            if not sums:  # built once per plan
+                sums.append(_running_sums(plan, first, groups))
+            ords, _, columns = sums[0][1][g]
+            positions = range(1, len(ords))
+            if split := marked and search(proof[0], sum(proof[1])):
+                hits = heapq.merge(*(_hits(x, y, k) for k in split[1] for x, y in itertools.combinations(columns, 2)))
+                positions = (p for p, _ in itertools.groupby(hits))
+            later = map(ords.__getitem__, positions)
+        if (j := next(later, None)) is not None:
+            heapq.heappush(heap, (j, g, later, split))
+        fail, c, s = decide(*plan[i], split)
         if fail is not None:
-            regions, past = plan[i][:2]
-            units, steps = units_to[i] - 1, i + 1 - first
-            break
+            units_to, members = sums[0]
+            for (_, cells, *_), z, (ords, acc, _) in zip(groups, nulls, members):
+                n = bisect.bisect_left(ords, i)
+                c += (cells - z) * acc[n]
+                s += z * n
+            return fail, plan[i][0], plan[i][1], (units_to[i] - 1, i + 1 - first, c, s)
         nulls[g] = s
-    else:
-        fail, regions, past, c, s, i, units, steps = None, None, None, 0, 0, len(plan), n_units, n_steps
-    for (_, cells, *_), z, (ords, acc, _) in zip(groups, nulls, members):
-        n = bisect.bisect_left(ords, i)
-        c += (cells - z) * acc[n]
+    c = s = 0
+    for (_, cells, atoms, n, *_), z in zip(groups, nulls):
+        c += (cells - z) * atoms
         s += z * n
-    return fail, regions, past, (units, steps, c, s)
+    return None, None, None, (n_units, n_steps, c, s)
 
 
 def _running_sums(plan, first: int, groups) -> tuple[array, list]:
@@ -757,7 +735,9 @@ def _plan(site: CausalSite, units: tuple, ordered: bool, power: int) -> tuple[tu
     proof record is the step-shaped (None, None, (units, steps, groups,
     plan, first, running sums), None, 0, 0) of the steps after the first
     unit's `first`, a group being (proof, |Φ(P)|^power, Σ atoms, steps,
-    whether a failed proof searches its blocks) in order of its first step.
+    whether a failed proof searches its blocks, its first step's ordinal)
+    in ordinal order; `_walk` alone reads it, and fills the running sums
+    slot only where a proof fails.
     """
     # `ordered`: a pair check lists both (A, B) and (B, A); multi-so lists each tuple once, ascending
     groups: dict[int, tuple[dict, dict]] = {}  # P: (stand-ins by step, by maximal step)
@@ -793,7 +773,7 @@ def _plan(site: CausalSite, units: tuple, ordered: bool, power: int) -> tuple[tu
                 keys.insert(0, certificate)
     configs = [n_configs(site, r) ** power for r in site.regions()]
     plan = []
-    proof_of: dict[int, list] = {}  # P: [proof, |Φ(P)|^power, Σ atoms, steps, search] after the first unit
+    proof_of: dict[int, list] = {}  # P: [proof, |Φ(P)|^power, Σ atoms, steps, search, start] after the first unit
     first = len(units[0][1]) if units else 0
     for regions, pasts in units:
         atoms = prod(configs[r] for r in regions)
@@ -805,7 +785,7 @@ def _plan(site: CausalSite, units: tuple, ordered: bool, power: int) -> tuple[tu
             if len(plan) > first:
                 if (proof := proof_of.get(past)) is None:
                     search = power == 1 and len(groups[past][1]) > comb(len(keys[0][1]), 2) + 1
-                    proof = proof_of[past] = [keys[0], configs[past], 0, 0, search]
+                    proof = proof_of[past] = [keys[0], configs[past], 0, 0, search, len(plan) - 1]
                 proof[2] += atoms
                 proof[3] += 1
     plan = tuple(plan)
@@ -818,7 +798,9 @@ def _screening_steps(site: CausalSite, check, power: int = 1, pairs=None):
 
     The first unit's steps come first, each its own only stand-in, and the
     plan is built only after them, so a check that fails there builds no
-    plan.  Its proof record comes next, then its other steps.  `pairs`
+    plan.  Its proof record comes next, on which `_walk` decides the rest;
+    then its other steps, which only gen-so with an inadmissible plan,
+    dropping the record, reads.  `pairs`
     lists a pair check's pairs for that first unit; the quantal checks list
     theirs through quantal's own binding, whose patch perfbench's tracer
     test checks.

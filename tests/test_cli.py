@@ -713,3 +713,31 @@ class TestUsage:
         assert main(["--help"]) == 0
         out = capsys.readouterr().out
         assert "validate" in out and "fuzz" in out
+
+    @pytest.mark.parametrize("argv, message", [
+        # each ran as if the argument were absent and exited 0
+        (["corpus", "list", "pr_box"], "corpus list does not take a model name ('pr_box'); it applies to: corpus emit"),
+        (["corpus", "verify", "pr_box"],
+         "corpus verify does not take a model name ('pr_box'); it applies to: corpus emit"),
+        *(([*argv, "--max-omega-exhaustive", "5"],
+           f"{argv[0]} does not take --max-omega-exhaustive; "
+           "it applies to: check pcc-original, check pcc-rev1, find")
+          for argv in (["validate", "{models}/wizard_simpson.json"], ["corpus", "verify"], ["corpus", "list"],
+                       ["fuzz", "--pair", "so1-so2", "--seed", "0", "--count", "1"])),
+        *((["fuzz", "--pair", pair, "--seed", "0", "--count", "1", "--rank", rank],
+           f"fuzz pair {pair!r} does not take --rank; it applies to: qso1-qso2")
+          for pair in ("so1-so2", "so1-wrc_conditioned", "so1-generalized_all") for rank in ("0", "3")),
+    ])
+    def test_an_argument_the_subcommand_does_not_read_is_refused(self, capsys, model_dir, argv, message):
+        argv = [arg.format(models=model_dir) for arg in argv]
+        assert run(capsys, *argv) == (2, "", f"cli error: {message}\n")
+        if "--max-omega-exhaustive" in argv:  # the global flag is refused before the subcommand too
+            flags = ["--max-omega-exhaustive", "5", *argv[:-2]]
+            assert run(capsys, *flags) == (2, "", f"cli error: {message}\n")
+
+    def test_a_quantal_fuzz_pair_reads_its_rank(self, capsys):
+        argv = ["fuzz", "--pair", "qso1-qso2", "--seed", "0", "--count", "2", "--format", "json"]
+        code, out, _ = run(capsys, *argv)
+        code_3, out_3, _ = run(capsys, *argv, "--rank", "3")
+        assert (code, json.loads(out)["stats"]) == (code_3, json.loads(out_3)["stats"])
+        assert run(capsys, *argv, "--rank", "0") == (2, "", "corpus error: rank must be at least 1\n")

@@ -7,11 +7,15 @@ or true division ``/`` appears in its source, but for the ``edge_density`` of
 the random generators.
 
 ``__init__.py`` is left out of the import check: it imports names to
-re-export them.
+re-export them.  Every backquoted private name a comment or docstring of the
+package cites is one the package defines.
 """
 from __future__ import annotations
 
 import ast
+import io
+import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -191,3 +195,77 @@ def test_the_guard_sees_a_float():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_floats_in_the_package(path):
     assert float_uses(path.read_text()) == []
+
+
+BACKQUOTED_PRIVATE = re.compile(r"`(_[A-Za-z_][A-Za-z0-9_]*)")
+
+
+def private_citations(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each backquoted private name in a comment or docstring, such as `_walk`."""
+    texts = [(tok.start[0], tok.string) for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+             if tok.type == tokenize.COMMENT]
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) and isinstance(first.value.value, str):
+                texts.append((first.lineno, first.value.value))
+    return sorted((line + text[:m.start()].count("\n"), m.group(1))
+                  for line, text in texts for m in BACKQUOTED_PRIVATE.finditer(text))
+
+
+def defined_names(sources: dict[str, str]) -> set[str]:
+    """Functions, classes, module-level names and attributes the sources define.
+
+    An attribute is one assigned as `x.name = ...`, a class-level name, or an
+    entry of `__slots__`.
+    """
+    names = set()
+    for source in sources.values():
+        tree = ast.parse(source)
+        scopes = [tree, *(node for node in ast.walk(tree) if isinstance(node, ast.ClassDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                names.add(node.attr)
+        for scope in scopes:
+            for stmt in scope.body:
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+                for target in targets:
+                    for node in ast.walk(target) if target is not None else ():
+                        if isinstance(node, ast.Name):
+                            names.add(node.id)
+                if isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == "__slots__" for t in targets):
+                    names.update(c.value for c in ast.walk(stmt.value) if isinstance(c, ast.Constant))
+    return names
+
+
+def stale_citations(sources: dict[str, str]) -> list[str]:
+    """Backquoted private names in comments and docstrings that no source defines."""
+    defined = defined_names(sources)
+    return [f"{module} line {line}: {name}" for module, source in sources.items()
+            for line, name in private_citations(source) if name not in defined]
+
+
+def test_the_guard_sees_a_stale_citation():
+    sources = {
+        "a.py": (
+            '"""Reads `_kept`, `_slot`, `_field` and `_TABLE(x)`; not `_gone`."""\n'
+            "_TABLE = {}\n\n"
+            "class _Kept:\n"
+            "    __slots__ = ('_slot',)\n"
+            "    _field: int = 0\n\n"
+            "def _kept(x):\n"
+            "    x._attr = 1  # sets `_attr`; `_planted` names nothing\n"
+            '    """Not a docstring: `_quoted` in a string is not a citation."""\n'
+        ),
+    }
+    assert private_citations(sources["a.py"]) == [
+        (1, "_TABLE"), (1, "_field"), (1, "_gone"), (1, "_kept"), (1, "_slot"), (9, "_attr"), (9, "_planted")]
+    assert stale_citations(sources) == ["a.py line 1: _gone", "a.py line 9: _planted"]
+
+
+def test_every_cited_private_name_is_defined():
+    sources = {path.name: path.read_text() for path in SOURCES}
+    assert stale_citations(sources) == []
+    assert len({name for source in sources.values() for _, name in private_citations(source)}) >= 15

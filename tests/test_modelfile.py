@@ -311,3 +311,65 @@ class TestRenderDeterminism:
 
     def test_version_constant(self):
         assert json.loads(coins_json())["format_version"] == FORMAT_VERSION
+
+
+# -- ASCII digits and one key per history -------------------------------------
+
+
+class TestStrictReading:
+    """Each case below was read as a model before: digits in other scripts, a
+    trailing newline, or a second key naming a history already given."""
+
+    def make(self, weights: dict, **extra) -> str:
+        return json.dumps({
+            "format_version": 1,
+            "sites": [{"id": "a", "alphabet": 2}, {"id": "b", "alphabet": 2}],
+            "order": [],
+            "measure": {"type": "stochastic", "weights": weights},
+            **extra,
+        })
+
+    def test_arabic_indic_rational_is_refused(self):
+        with pytest.raises(ModelFileError, match=r"'١/٢' is not a rational"):
+            parse_model_text(self.make({"00": "١/٢", "11": "1/2"}))
+
+    def test_rational_with_a_trailing_newline_is_refused(self):
+        with pytest.raises(ModelFileError, match=r"'1/2\\n' is not a rational"):
+            parse_model_text(self.make({"00": "1/2\n", "11": "1/2"}))
+
+    def test_arabic_indic_history_key_is_refused(self):
+        with pytest.raises(ModelFileError, match="weights key '٠٠': bad digit '٠'"):
+            parse_model_text(self.make({"٠٠": "1/2", "11": "1/2"}))
+
+    def test_superscript_history_key_is_a_model_file_error(self):
+        # '²'.isdigit() holds, and int('²') raised a bare "invalid literal"
+        with pytest.raises(ModelFileError, match="^model file error: <string>: weights key '²0': bad digit '²'$"):
+            parse_model_text(self.make({"²0": "1/2", "11": "1/2"}))
+
+    @pytest.mark.parametrize("keys", [("00", "0.0"), ("0.0", "00")])
+    def test_two_keys_for_one_history_are_refused(self, keys):
+        # in this order the 1/4 was dropped and mu(00) read as 1/2
+        first, second = keys
+        weights = {first: "1/4", second: "1/2", "11": "1/2"}
+        with pytest.raises(ModelFileError, match=f"weights keys '{first}' and '{second}' name the same history$"):
+            parse_model_text(self.make(weights))
+
+    @pytest.mark.parametrize("table", ["named_events", "named_regions"])
+    def test_a_name_with_a_trailing_newline_is_refused(self, table):
+        value = "a=0" if table == "named_events" else ["a"]
+        with pytest.raises(ModelFileError, match=rf"{table}: 'A\\n' is not an identifier"):
+            parse_model_text(self.make({"00": "1/2", "11": "1/2"}, **{table: {"A\n": value}}))
+
+    def test_an_event_value_in_another_script_is_refused(self):
+        with pytest.raises(ModelFileError, match=r"named_events\['A'\]: expression error: unexpected character '١'"):
+            parse_model_text(self.make({"00": "1/2", "11": "1/2"}, named_events={"A": "a=١"}))
+
+    def test_validate_exits_2_on_a_second_key_for_one_history(self, tmp_path, capsys):
+        from screenoff.cli import main
+
+        path = tmp_path / "twice.json"
+        path.write_text(self.make({"00": "1/4", "0.0": "1/2", "11": "1/2"}))
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"model file error: {path}: weights keys '00' and '0.0' name the same history\n")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -23,10 +24,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_stochastic_oracle import (
     PRUNING_SITES,
+    clear_screenoff_caches,
     expected_scans,
+    held_scans,
     local_dynamics,
     maximal_pairs,
-    outcomes_with_and_without_proofs,
     proof_models,
     skipped_steps,
     two_roots,
@@ -1010,16 +1012,47 @@ def proof_quantal_models(draw) -> QuantalModel:
     return random_quantal(seed, draw(st.integers(1, 4)), 2, draw(st.integers(1, 3)))
 
 
-@settings(max_examples=200)
-@given(proof_quantal_models())
-def test_held_proofs_decide_qso_checks_as_the_walk_does(q):
+def test_every_qso_check_matches_the_reference_on_proof_models():
     # the pseudo-atom scan skips no null pseudo-cell, so a held proof adds
-    # |Φ(P)|² per pseudo-atom tuple of each step; reports and scan counts
-    # are the walk's
-    runs = {"qso1": check_qso1, "qso2": check_qso2}
-    proved, walked = outcomes_with_and_without_proofs(q, runs.values(), quantal_mod, "_quantal_screening_failure")
-    for label, got, want in zip(runs, proved, walked):
-        assert got == want, label
+    # |Φ(P)|² per pseudo-atom tuple of each step: every report is the
+    # per-pair scan's, and a check whose proofs all hold scans its first
+    # pair and each distinct proof once
+    held = Counter()
+
+    @settings(max_examples=200)
+    @given(proof_quantal_models())
+    def proofs(q):
+        outcomes = assert_qso_matches_reference(q)
+        with pytest.MonkeyPatch.context() as m:
+            scans = []
+            scan = quantal_mod._quantal_screening_failure
+            m.setattr(quantal_mod, "_quantal_screening_failure",
+                      lambda q, regions, past, **k: scans.append((regions, past)) or scan(q, regions, past, **k))
+            for (label, run), rule, outcome in zip((("qso1", check_qso1), ("qso2", check_qso2)), ("mutual", "joint"),
+                                                   outcomes):
+                if not outcome.startswith("{") or json.loads(outcome)["verdict"] != HOLDS:
+                    continue
+                want = held_scans(q.site, rule, 2,
+                                  lambda regions, past: ref_quantal_certificate_failure(q, regions, past)[0] is not None)
+                if want is None:
+                    continue
+                del scans[:]
+                run(q)
+                assert sorted(scans) == want, label
+                held[label] += 1
+
+    proofs()
+    assert set(held) == {"qso1", "qso2"}, held
+
+
+def test_a_holding_qso_check_never_builds_the_running_sums():
+    # qso1 and qso2 hold on a product amplitude: the group totals give
+    # their stats, and the plans' running sums stay unbuilt
+    clear_screenoff_caches()
+    q = product_amplitude_model(random.Random("running sums"), (2,) * 5)
+    for check, rule in ((check_qso1, "mutual"), (check_qso2, "joint")):
+        assert check(q).verdict == HOLDS
+        assert stochastic_mod._screening_plan(q.site, rule, 2)[1][2][5] == [], rule
 
 
 @pytest.mark.parametrize("tie", [(0, 1), (1, 2)])

@@ -1610,36 +1610,83 @@ def proof_models(draw) -> StochasticModel:
     return StochasticModel(site, [F(w, den) for w in weights])
 
 
-def outcomes_with_and_without_proofs(model, runs, module, scan: str) -> list[list[tuple[str, int]]]:
-    """Each run's outcome and scan count, with the proof pass and then without it.
+RULES = {"so1": "mutual", "so2": "joint", "so2w": "joint-clear", "gen-so[mutual]": "mutual",
+         "gen-so[joint]": "joint", "penrose-percival": "dissections", "gen-so[bell]": "bell",
+         "gen-so[all]": "all", "multi-so[n=2]": 2, "multi-so[n=3]": 3}
 
-    Without it, `_proved` fails every plan, so each check walks its steps.
+
+def held_scans(site, rule, power: int, fails) -> list | None:
+    """The (regions, past) scans of a holding check whose group proofs all hold, or None if one fails.
+
+    Its first unit's steps are scanned, then each distinct group proof of
+    its plan once; `fails(regions, past)` decides a proof by a reference scan.
     """
-    rows = []
-    for proved in (stochastic._proved, lambda *args: None):
+    regions, pasts = next(stochastic._check_units(site, rule))
+    proofs = {(key[1], key[0]) for key, *_ in stochastic._screening_plan(site, rule, power)[1][2][2]}
+    if any(fails(*proof) for proof in proofs):
+        return None
+    return sorted({(regions, past) for past in pasts} | proofs)
+
+
+def test_every_planned_check_matches_the_reference_on_proof_models():
+    # one walk decides each check after its first unit, whether its group
+    # proofs hold or fail: every report and error text is the full ordinal
+    # scan's, and a check whose proofs all hold scans its first unit and
+    # each distinct proof once (penrose-percival also its own so1's scans)
+    held = Counter()
+
+    @settings(max_examples=200)
+    @given(proof_models())
+    def proofs(model):
+        reports = assert_screening_matches_reference(model)
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(stochastic, "_proved", proved)
-            calls = []
-            original = getattr(module, scan)
-            m.setattr(module, scan, lambda *a, **k: calls.append(a[1:3]) or original(*a, **k))
-            row = []
-            for run in runs:
-                del calls[:]
-                row.append((_outcome(lambda: run(model)), len(calls)))
-            rows.append(row)
-    return rows
+            scans = recorded_scans(m)
+            for label, run in SCREENING:
+                if not isinstance(reports[label], dict) or reports[label]["verdict"] != HOLDS:
+                    continue
+                want = held_scans(model.site, RULES[label], 1,
+                                  lambda regions, past: ref_factorization_failure(model, regions, past)[0] is not None)
+                if want is None:
+                    continue
+                del scans[:]
+                if label == "penrose-percival":
+                    check_so1(model)
+                so1 = scans[:]
+                del scans[:]
+                run(model)
+                assert scans[:len(so1)] == so1 and sorted(scans[len(so1):]) == want, label
+                held[label] += 1
+
+    proofs()
+    assert set(held) == set(RULES), held
 
 
-@settings(max_examples=200)
-@given(proof_models())
-def test_held_proofs_decide_as_the_walk_does(model):
-    # a check whose group proofs all hold reports the walk's stats, and one
-    # whose proof fails walks on, reusing the proofs it scanned: every
-    # report, error text and scan count is the walk's
-    proved, walked = outcomes_with_and_without_proofs(
-        model, [run for _, run in SCREENING], stochastic, "_factorization_failure")
-    for (label, _), got, want in zip(SCREENING, proved, walked):
-        assert got == want, label
+def running_sums(site, rule, power: int = 1) -> list:
+    """The running sums slot of a plan's proof record: empty until a walk past a failed proof fills it."""
+    return stochastic._screening_plan(site, rule, power)[1][2][5]
+
+
+def test_a_holding_check_never_builds_the_running_sums():
+    # a check whose group proofs all hold takes its stats from the group
+    # totals; a late failure builds its plan's sums once, and a second
+    # failing model on the same site reuses them
+    clear_screenoff_caches()
+    rng = random.Random("running sums")
+    model = common_cause(rng, 7, coupled=False)
+    for check, rule in ((check_so1, "mutual"), (check_so2, "joint")):
+        assert check(model).verdict == HOLDS
+        assert running_sums(model.site, rule) == [], rule
+    product = product_on_antichain(rng, (2,) * 5)
+    assert check_generalized_so(product, "all").verdict == HOLDS
+    assert running_sums(product.site, "all") == []
+    built = []
+    for _ in range(2):
+        report = check_so1(common_cause(rng, 7, coupled=True))
+        assert report.verdict == VIOLATED and report.stats["region_pairs"] > 1
+        sums = running_sums(model.site, "mutual")
+        assert len(sums) == 1
+        built.append(sums[0])
+    assert built[0] is built[1]
 
 
 # -- the steps a held scan decides ------------------------------------------------
@@ -1677,22 +1724,22 @@ def skipped_steps(model, run) -> tuple[str, list[tuple[int, str]]]:
     walks = []
     walk = stochastic._walk
 
-    def recorded(record, decide, scans, splits):
+    def recorded(record, decide, get, search):
         visited = set()
-        result = walk(record, lambda *step: visited.add(step[:2]) or decide(*step), scans, splits)
-        walks.append((record, visited, scans, result))
+        result = walk(record, lambda *step: visited.add(step[:2]) or decide(*step), get, search)
+        walks.append((record, visited, get, result))
         return result
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(stochastic, "_walk", recorded)
         outcome = _outcome(lambda: run(model))
     skipped = []
-    for (_, _, groups, plan, first, _), visited, scans, (fail, regions, past, _) in walks:
+    for (_, _, groups, plan, first, _), visited, get, (fail, regions, past, _) in walks:
         end = [step[:2] for step in plan].index((regions, past)) if fail else len(plan)
         for regions, past, *_ in plan[first:end]:
             if (regions, past) not in visited:
                 proof = next(key for key, *_ in groups if key[0] == past)
-                skipped.append((past, "proof" if scans[proof][0] is None else "blocks"))
+                skipped.append((past, "proof" if get(proof)[0] is None else "blocks"))
     return outcome, skipped
 
 
