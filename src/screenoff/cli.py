@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 import time
 from typing import Sequence
@@ -20,7 +19,7 @@ from typing import Sequence
 from . import corpus as corpus_mod
 from .events import event_ref, n_histories
 from .exprs import parse_event
-from .modelfile import LoadedModel, load_model, render_model_json
+from .modelfile import _NAME_RE, LoadedModel, load_model, render_model_json
 from .quantal import validate_quantal
 from .report import HOLDS, VIOLATED, CheckReport, InternalCheckError
 from .stochastic import (
@@ -30,9 +29,6 @@ from .stochastic import (
     find_screening_events,
     find_simpson_events,
 )
-
-_IDENT_RE = re.compile(r"^[A-Za-z_]\w*$")
-
 
 class CliError(ValueError):
     """Raised for bad command-line input not caught by argparse."""
@@ -84,16 +80,15 @@ def _emit_report(report: CheckReport, args, started: float) -> int:
 
 
 def _resolve_event(loaded: LoadedModel, text: str, flag: str) -> int:
-    site = loaded.model.site
-    if _IDENT_RE.match(text):
+    if _NAME_RE.fullmatch(text):  # a name a model file can define
         if text in loaded.named_events:
-            return parse_event(site, loaded.named_events[text])
+            return loaded.event(text)
         known = ", ".join(sorted(loaded.named_events)) or "none"
         raise CliError(
             f"cli error: {flag}: {text!r} is not a named event of this file "
             f"(defined: {known}); give an expression like 'id=0'"
         )
-    return parse_event(site, text)
+    return parse_event(loaded.model.site, text)
 
 
 # -- subcommand handlers ----------------------------------------------------

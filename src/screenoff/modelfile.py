@@ -182,10 +182,20 @@ def _quantal_measure(
     return q
 
 
+def _object(pairs: list, source: str) -> dict:
+    """A JSON object from its (key, value) pairs; a key given twice is refused, not overwritten."""
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise _err(source, f"key {key!r} appears twice in one object")
+        seen.add(key)
+    return dict(pairs)
+
+
 def parse_model_text(text: str, source: str = "<string>") -> LoadedModel:
     """Parse and validate a model from JSON text."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=lambda pairs: _object(pairs, source))
     except json.JSONDecodeError as e:
         raise _err(
             source, f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}"

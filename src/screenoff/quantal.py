@@ -37,8 +37,8 @@ from .stochastic import (
     StochasticModel,
     _atom_coords,
     _margins,
+    _planned,
     _screen,
-    _screening_steps,
     _spacelike_pairs,
     _union_offsets,
     _union_table,
@@ -486,17 +486,18 @@ def _quantal_pairwise_check(q: QuantalModel, condition: str, rule: str) -> Check
     The complex product rule is linear in each pseudo-event component, so it
     decomposes like conditional independence and the walk is so1's or so2's:
     the first pair, then each group by its proof where that holds; else
-    each step by its group certificate, A-first and B-first dominator, the
-    first that holds standing in for it.  A held
-    stand-in counts |Φ(P)|²·|Φ(A)|²·|Φ(B)|² equations, null pseudo-cells
-    included.
+    each step by its A-first, then its B-first dominator, the first that
+    holds standing in for it, else by its own scan.  A held stand-in counts
+    |Φ(P)|²·|Φ(A)|²·|Φ(B)|² equations, null pseudo-cells included.
     """
     q._require_valid()
+    steps, plan = _planned(q.site, rule, 2, _spacelike_pairs(q.site))
     return _screen(
         q,
         condition,
-        _screening_steps(q.site, rule, 2, _spacelike_pairs(q.site)),
+        steps,
         "complex product rule fails for this pseudo-atom triple",
+        plan=plan,
         scan=_quantal_screening_failure,
         counterexample=_quantal_counterexample,
         count_keys=("equations_checked",),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from math import comb, gcd, lcm, prod
-from operator import add, itemgetter
+from operator import add, itemgetter, or_
 
 from .events import (
     CapacityError,
@@ -57,11 +57,7 @@ class MeasureError(ValueError):
 
 
 class PreconditionError(ValueError):
-    """Raised when a search's correlation precondition fails.
-
-    The command-line front end renders this as a vacuous outcome rather
-    than a failure: there was nothing to search for.
-    """
+    """Raised when a search's correlation precondition fails: an input error, on which `find` exits 2."""
 
 
 class SelectorError(ValueError):
@@ -365,17 +361,14 @@ def _spacelike_pairs(site: CausalSite) -> tuple[tuple[int, int], ...]:
 # form: for every unit a check's plan picks out, the atoms of the unit's
 # event regions must factorize given each cell of every conditioning region
 # of the unit; wrc and wrc-cond scan the same units for correlated atom
-# pairs.  A check is a flat stream of steps, one per (unit, past), a unit's
-# steps consecutive and sharing its regions.  A step is (regions, past,
-# stand-ins, fallback, cells of past, atoms of the unit), with stand-ins
-# None for a step that is scanned itself; otherwise its scan may be stood in
-# for by the scan of a larger tuple of regions with the same past, each
-# stand-in and the fallback keyed (past, regions).  After its first unit, a
-# planned check's stream has one record with regions None, the group
-# proofs, on which `_walk` decides the rest: a group by its proof where it
-# holds, else by its steps that can still fail.  Any held step with past P
-# checks (|Φ(P)| − nulls)·atoms and skips nulls, the null cells of P, so a
-# step a held scan decides is not drawn: its group gives its stats.  A
+# pairs.  A check streams steps (regions, past), one per (unit, past), a
+# unit's steps consecutive and sharing its regions.  A planned check streams
+# its first unit's steps alone; once they hold, `_walk` decides the rest on
+# the plan's proof record: a group by its proof where it holds, else by its
+# steps that can still fail, each stood in for by the scan of a larger tuple
+# of regions with the same past, keyed (past, regions).  Any held step with
+# past P checks (|Φ(P)| − nulls)·atoms and skips nulls, the null cells of P,
+# so a step a held scan decides is not drawn: its group gives its stats.  A
 # violated report gets its counterexample builder and the failing step, not
 # the counterexample: it is built when first read, so a caller that reads
 # only the verdict, as fuzz does, never builds one.
@@ -388,6 +381,7 @@ def _screen(
     note: str,
     vacuous_reason: str = "no spacelike pairs of disjoint nonempty regions",
     *,
+    plan=None,
     names: tuple[str, ...] = ("A", "B"),
     unit_key: str = "region_pairs",
     step_key: str | None = None,
@@ -397,15 +391,16 @@ def _screen(
     counterexample=None,
     count_keys: tuple[str, ...] = ("atom_checks", "null_conditions_skipped"),
 ) -> CheckReport:
-    """Decide the steps in order and report the first failing one, if any.
+    """Scan the (regions, past) steps in order and report the first failing one, if any.
 
-    `steps` is consumed lazily, so a plan's error surfaces at the step that
-    raises it.  A step takes the first of its stand-ins that holds, each
-    scanned once, when a step first needs it, then its fallback, else its
-    own scan; a step given its group's blocks (`_split`) holds when its
-    restrictions to them do.  The proof record ends the stream: `_walk`
-    decides the rest.  `fixed` stats lead the report's; `tables` may carry
-    cell tables shared with another scan of the model.  `scan` (default
+    `steps` is consumed lazily, so a selector's error surfaces at the step
+    that raises it.  With `plan`, a call that returns the plan's proof
+    record, each scan is kept for the walk, which decides the rest once
+    every step held; a step it decides takes the first of its dominator and
+    fallback that holds, each scanned once, else its own scan, and a step
+    given its group's blocks (`_split`) holds when its restrictions to them
+    do.  `fixed` stats lead the report's; `tables` may carry cell tables
+    shared with another scan of the model.  `scan` (default
     `_factorization_failure`) returns (failure-or-None, checked, skipped),
     reported under `count_keys`, and `counterexample` (default
     `_conditional_counterexample`) reports a failure: the report calls it
@@ -420,9 +415,7 @@ def _screen(
     def get(key):
         return scans.get(key) or scans.setdefault(key, scan(model, key[1], key[0], tables=tables))
 
-    def decide(regions, past, stand_ins, fallback, past_cells, atoms, split=None):
-        if stand_ins is None:
-            return scan(model, regions, past, tables=tables)
+    def decide(regions, past, dominator, fallback, past_cells, atoms, split=None):
         if split:
             key, blocks = split  # the blocks' certificate, unless a restriction fails
             for k in blocks:
@@ -432,11 +425,9 @@ def _screen(
                     break
             result = get(key)
         else:
-            for key in stand_ins:
+            for key in (dominator, fallback):
                 if (result := get(key))[0] is None:
                     break
-            else:
-                result = get(key := fallback)
         fail, _, s = result
         if key[1] == regions:
             return result
@@ -444,20 +435,20 @@ def _screen(
 
     n_units = n_steps = checked = skipped = 0
     fail = unit = None
-    for regions, past, stand_ins, *rest in steps:
-        if regions is None:  # the first unit held: `stand_ins` is the plan's proof record
-            fail, regions, past, rest = _walk(stand_ins, decide, get, partial(_split, model, tables, get))
-            n_units, n_steps, checked, skipped = map(sum, zip((n_units, n_steps, checked, skipped), rest))
-            break
+    for regions, past in steps:
         n_steps += 1
         if regions != unit:
             n_units += 1
             unit = regions
-        fail, c, s = decide(regions, past, stand_ins, *rest)
+        fail, c, s = get((past, regions)) if plan else scan(model, regions, past, tables=tables)
         checked += c
         skipped += s
         if fail is not None:
             break
+    else:
+        if plan:
+            fail, regions, past, rest = _walk(plan(), decide, get, partial(_split, model, tables, get))
+            n_units, n_steps, checked, skipped = map(sum, zip((n_units, n_steps, checked, skipped), rest))
     stats = dict(fixed or {})
     stats[unit_key] = n_units
     if step_key is not None:
@@ -677,8 +668,8 @@ def _check_units(site: CausalSite, check, pairs=None):
 
 
 @lru_cache(maxsize=None)
-def _screening_plan(site: CausalSite, check, power: int) -> tuple[tuple, tuple]:
-    """The plan of `_check_units(site, check)`; no other cache holds a plan.
+def _screening_plan(site: CausalSite, check, power: int) -> tuple:
+    """The proof record of `_check_units(site, check)`; no other cache holds a plan.
 
     Rules share one where the site makes their units coincide, told
     without listing them: so2 and gen-so[bell] walk so1's plan where
@@ -714,33 +705,31 @@ def _one_strict_past(site: CausalSite) -> bool:
     )
 
 
-def _plan(site: CausalSite, units: tuple, ordered: bool, power: int) -> tuple[tuple, tuple]:
-    """(every step of `units` in order, with its stand-ins; the plan's proof record).
+def _plan(site: CausalSite, units: tuple, ordered: bool, power: int) -> tuple:
+    """The proof record of `units`: (units, steps, groups, plan, first, running sums).
 
-    A step is (regions, P, stand-ins, fallback, |Φ(P)|^power,
-    ∏|Φ(Xi)|^power); `power` is 2 for the quantal checks, which scan
-    doubled regions and check null pseudo-cells too.  A stand-in is keyed
-    (P, regions), so that no scan is reused under another P.  The last
-    stand-in is the A-first dominator: the step reached by growing the
+    `plan` is every step of `units` in order, (regions, P, dominator,
+    fallback, |Φ(P)|^power, ∏|Φ(Xi)|^power); `power` is 2 for the quantal
+    checks, which scan doubled regions and check null pseudo-cells too.  A
+    stand-in is keyed (P, regions), so that no scan is reused under another
+    P.  The dominator is the A-first one: the step reached by growing the
     first region by the lowest element that gives another step with the same
     P, for as long as there is one, then the second region, and so on; its
     regions are given in ascending order, since the product rule is
     symmetric in them.  The grown step comes later in ordinal order, so one
-    backward pass finds every dominator, and each step shares the stand-in
-    list of the step it grows into.  The fallback is the last stand-in of
-    the reversed pair with the same P (its A-first dominator, the pair's
-    B-first one), where the check has that step, else the step itself.
-    Each step's first stand-in is its group's proof: the singletons of E_P
-    where the group has more than one maximal step, else that step.  The
-    proof record is the step-shaped (None, None, (units, steps, groups,
-    plan, first, running sums), None, 0, 0) of the steps after the first
-    unit's `first`, a group being (proof, |Φ(P)|^power, Σ atoms, steps,
-    whether a failed proof searches its blocks, its first step's ordinal)
-    in ordinal order; `_walk` alone reads it, and fills the running sums
-    slot only where a proof fails.
+    backward pass finds every dominator, and each step shares the key of the
+    step it grows into.  The fallback is the dominator of the reversed pair
+    with the same P (the pair's B-first one), where the check has that step,
+    else the step itself.  The units, steps and groups are those after the
+    first unit's `first` steps, a group being (proof, |Φ(P)|^power, Σ atoms,
+    steps, whether a failed proof searches its blocks, its first step's
+    ordinal) in ordinal order.  A group's proof is the singletons of E_P
+    where it has more than one maximal step, else that step.  `_walk` alone
+    reads the record, and fills the running sums slot only where a proof
+    fails.
     """
     # `ordered`: a pair check lists both (A, B) and (B, A); multi-so lists each tuple once, ascending
-    groups: dict[int, tuple[dict, dict]] = {}  # P: (stand-ins by step, by maximal step)
+    groups: dict[int, tuple[dict, dict]] = {}  # P: (dominators by step, by maximal step)
     full = site.full_mask
     for regions, pasts in reversed(units):
         free = full & ~sum(regions)  # the regions are disjoint
@@ -748,29 +737,21 @@ def _plan(site: CausalSite, units: tuple, ordered: bool, power: int) -> tuple[tu
             if (group := groups.get(past)) is None:
                 group = groups[past] = ({}, {})
             steps, maximal = group
-            keys = None
+            key = None
             for i, region in enumerate(regions):
                 head, tail, rest = regions[:i], regions[i + 1 :], free
                 while rest:
                     bit = rest & -rest
                     rest ^= bit
                     grown = head + (region | bit,) + tail
-                    if keys := steps.get(grown if ordered else tuple(sorted(grown))):
+                    if key := steps.get(grown if ordered else tuple(sorted(grown))):
                         break
-                if keys:
+                if key:
                     break
             else:
                 ascending = tuple(sorted(regions))
-                keys = maximal.setdefault(ascending, [(past, ascending)])
-            steps[regions] = keys
-    for past, (_, maximal) in groups.items():
-        if len(maximal) > 1:
-            union = 0
-            for regions in maximal:
-                union |= sum(regions)
-            certificate = (past, tuple(1 << e for e in iter_bits(union)))
-            for keys in maximal.values():
-                keys.insert(0, certificate)
+                key = maximal.setdefault(ascending, (past, ascending))
+            steps[regions] = key
     configs = [n_configs(site, r) ** power for r in site.regions()]
     plan = []
     proof_of: dict[int, list] = {}  # P: [proof, |Φ(P)|^power, Σ atoms, steps, search, start] after the first unit
@@ -778,54 +759,50 @@ def _plan(site: CausalSite, units: tuple, ordered: bool, power: int) -> tuple[tu
     for regions, pasts in units:
         atoms = prod(configs[r] for r in regions)
         for past in pasts:
-            keys_of = groups[past][0]
-            keys = keys_of[regions]
-            fallback = keys_of.get(regions[::-1], ((past, regions),))[-1]
-            plan.append((regions, past, keys, fallback, configs[past], atoms))
+            dominators, maximal = groups[past]
+            fallback = dominators.get(regions[::-1]) or (past, regions)
+            plan.append((regions, past, dominators[regions], fallback, configs[past], atoms))
             if len(plan) > first:
                 if (proof := proof_of.get(past)) is None:
-                    search = power == 1 and len(groups[past][1]) > comb(len(keys[0][1]), 2) + 1
-                    proof = proof_of[past] = [keys[0], configs[past], 0, 0, search, len(plan) - 1]
+                    if len(maximal) > 1:
+                        key = (past, tuple(1 << e for e in iter_bits(reduce(or_, map(sum, maximal)))))
+                    else:
+                        (key,) = maximal.values()
+                    search = power == 1 and len(maximal) > comb(len(key[1]), 2) + 1
+                    proof = proof_of[past] = [key, configs[past], 0, 0, search, len(plan) - 1]
                 proof[2] += atoms
                 proof[3] += 1
-    plan = tuple(plan)
-    record = (max(len(units) - 1, 0), len(plan) - first, tuple(map(tuple, proof_of.values())), plan, first, [])
-    return plan, (None, None, record, None, 0, 0)
+    return max(len(units) - 1, 0), len(plan) - first, tuple(map(tuple, proof_of.values())), tuple(plan), first, []
 
 
-def _screening_steps(site: CausalSite, check, power: int = 1, pairs=None):
-    """The steps of a planned check, from `_screening_plan(site, check, power)`.
+def _planned(site: CausalSite, check, power: int = 1, pairs=None):
+    """(the first unit's (regions, past) steps, a call that returns the plan's proof record).
 
-    The first unit's steps come first, each its own only stand-in, and the
-    plan is built only after them, so a check that fails there builds no
-    plan.  Its proof record comes next, on which `_walk` decides the rest;
-    then its other steps, which only gen-so with an inadmissible plan,
-    dropping the record, reads.  `pairs`
-    lists a pair check's pairs for that first unit; the quantal checks list
-    theirs through quantal's own binding, whose patch perfbench's tracer
-    test checks.
+    A check with no units has neither.  The plan is built only when the
+    walk asks for it, after the first unit held, so a check that fails
+    there builds no plan; the call looks `_screening_plan` up when it is
+    made.  `pairs` lists a pair check's pairs for that first unit; the
+    quantal checks list theirs through quantal's own binding, whose patch
+    perfbench's tracer test checks.
     """
     first = next(_check_units(site, check, pairs), None)
     if first is None:
-        return
+        return (), None
     regions, pasts = first
-    yield from ((regions, past, ((past, regions),), (past, regions), 0, 0) for past in pasts)
-    plan, proofs = _screening_plan(site, check, power)
-    yield proofs
-    yield from itertools.islice(plan, len(pasts), None)
+    return [(regions, past) for past in pasts], lambda: _screening_plan(site, check, power)
 
 
 def _pairwise_screening(
     model: StochasticModel, condition: str, rule: str, tables: dict | None = None
 ) -> CheckReport:
-    """Screen the steps of `_screening_steps` in order, each stand-in scanned once."""
-    steps = _screening_steps(model.site, rule)
+    """Screen the first pair of `rule`, then walk its plan, each stand-in scanned once."""
+    steps, plan = _planned(model.site, rule)
     note = "conditional product rule fails for this atom pair given C"
     if rule == "joint-clear":
         reason = "no spacelike region pairs clear of the initial elements"
     else:
         reason = "no spacelike pairs of disjoint nonempty regions"
-    return _screen(model, condition, steps, note, reason, tables=tables)
+    return _screen(model, condition, steps, note, reason, plan=plan, tables=tables)
 
 
 def check_so1(model: StochasticModel) -> CheckReport:
@@ -851,22 +828,26 @@ def check_so2w(model: StochasticModel) -> CheckReport:
 SELECTOR_NAMES = ("mutual", "joint", "bell", "all")
 
 
-def _inadmissible(pasts, futures, ra: int, rb: int, past: int) -> str | None:
-    """Why gen-so may not condition the pair (ra, rb) on `past`, or None if it may."""
+def _inadmissible(site: CausalSite, pasts, futures, ra: int, rb: int, past: int) -> str | None:
+    """gen-so's error for conditioning the pair (ra, rb) on `past`, or None if it may."""
     if pasts[ra] & pasts[rb] & ~past:
-        return "does not contain the mutual past"
-    if past & (futures[ra] | futures[rb]):
-        return "intersects the future of the pair"
-    return None
+        problem = "does not contain the mutual past"
+    elif past & (futures[ra] | futures[rb]):
+        problem = "intersects the future of the pair"
+    else:
+        return None
+    ids = site.region_ids
+    return f"selector error: region {ids(past)} for pair ({ids(ra)}, {ids(rb)}) {problem}"
 
 
 @lru_cache(maxsize=None)
-def _admissible_plan(site: CausalSite, selector: str) -> bool:
-    """Whether every step of a built-in selector's plan conditions on an admissible region."""
+def _first_inadmissible(site: CausalSite, selector: str) -> tuple[int, str] | None:
+    """(ordinal, error) of the first step of a built-in selector's units that gen-so may not take, or None."""
     if selector in ("mutual", "all"):  # a pair's mutual past meets neither future; "all" builds such pasts
-        return True
+        return None
     cones = _cones(site)
-    return not any(_inadmissible(*cones, *step[0], step[1]) for step in _screening_plan(site, selector, 1)[0])
+    errors = (_inadmissible(site, *cones, *pair, past) for pair, pasts in _check_units(site, selector) for past in pasts)
+    return next(((i, error) for i, error in enumerate(errors) if error), None)
 
 
 def check_generalized_so(model: StochasticModel, selector="mutual") -> CheckReport:
@@ -875,52 +856,49 @@ def check_generalized_so(model: StochasticModel, selector="mutual") -> CheckRepo
     `selector` is one of the built-in names — "mutual", "joint", "bell"
     (the past of the first region minus the region itself), "all" (every
     region that contains the mutual past and avoids both futures) — or a
-    callable (site, region_a, region_b) -> region.  Every selected region
-    is validated against those two constraints as its pair streams.  The
-    built-in selectors stream the planned walk of their rule in `_RULES`
-    ("mutual" and "joint" share the plans of so1 and so2), decided by its
-    group proofs unless some selection is inadmissible; a callable one is
-    scanned pair by pair.
+    callable (site, region_a, region_b) -> region.  A selected region that
+    breaks those two constraints is an error, unless a step before it
+    fails.  The built-in selectors walk the plan of their rule in `_RULES`
+    ("mutual" and "joint" share the plans of so1 and so2) whatever their
+    selections, and the walk's failing step is the ordinal scan's, so its
+    ordinal is compared with that of the first inadmissible step
+    (`_first_inadmissible`); a callable one is validated and scanned pair
+    by pair.
     """
     site = model.site
     label = selector if isinstance(selector, str) else getattr(selector, "__name__", "custom")
-    if isinstance(selector, str) and selector not in SELECTOR_NAMES:
-        raise SelectorError(
-            f"selector error: unknown selector {selector!r}; "
-            f"expected one of {', '.join(SELECTOR_NAMES)}"
-        )
-
-    def steps():
-        if isinstance(selector, str):
-            selected = _screening_steps(site, selector)
-        else:
-            selected = (
-                (pair, site.check_region(selector(site, *pair)), None, None, 0, 0)
-                for pair in _spacelike_pairs(site)
+    if isinstance(selector, str):
+        if selector not in SELECTOR_NAMES:
+            raise SelectorError(
+                f"selector error: unknown selector {selector!r}; "
+                f"expected one of {', '.join(SELECTOR_NAMES)}"
             )
+        steps, plan = _planned(site, selector)
+    else:
         cones = _cones(site)
-        for step in selected:
-            if step[0] is None:  # the plan's proofs; with an inadmissible step, the walk must reach it
-                if _admissible_plan(site, selector):
-                    yield step
-                continue
-            (ra, rb), past = step[:2]
-            if problem := _inadmissible(*cones, ra, rb, past):
-                raise SelectorError(
-                    f"selector error: region {site.region_ids(past)} for pair "
-                    f"({site.region_ids(ra)}, {site.region_ids(rb)}) {problem}"
-                )
-            yield step
 
+        def selected():
+            for pair in _spacelike_pairs(site):
+                past = site.check_region(selector(site, *pair))
+                if error := _inadmissible(site, *cones, *pair, past):
+                    raise SelectorError(error)
+                yield pair, past
+
+        steps, plan = selected(), None
     note = f"conditional product rule fails for this atom pair given C (selector {label})"
-    return _screen(
+    report = _screen(
         model,
         f"gen-so[{label}]",
-        steps(),
+        steps,
         note,
+        plan=plan,
         step_key="conditioning_regions",
         fixed={"selector": label},
     )
+    if plan and (bad := _first_inadmissible(site, selector)):
+        if not (report.violated and report.stats["conditioning_regions"] <= bad[0]):
+            raise SelectorError(bad[1])
+    return report
 
 
 def check_multi_so(model: StochasticModel, n: int) -> CheckReport:
@@ -930,18 +908,20 @@ def check_multi_so(model: StochasticModel, n: int) -> CheckReport:
     of atoms, the joint conditional measure must equal the product of the
     atom conditionals, given any positive-measure full specification of the
     tuple's joint past.  The factorization is checked directly, so no
-    pairwise-correlation precondition is needed.  The tuples stream the
-    planned walk of `_screening_steps(site, n)`: the tuples with one joint
-    past share that group's certificate.
+    pairwise-correlation precondition is needed.  After the first tuple,
+    the planned walk of `_planned(site, n)` decides the rest: the tuples
+    with one joint past share that group's certificate.
     """
     if n < 2:
         raise ValueError(f"check error: multi-so needs n >= 2, not {n}")
+    steps, plan = _planned(model.site, n)
     return _screen(
         model,
         f"multi-so[n={n}]",
-        _screening_steps(model.site, n),
+        steps,
         "joint conditional factorization fails for this atom tuple given C",
         f"no {n}-tuples of pairwise-spacelike disjoint regions",
+        plan=plan,
         names=tuple(f"A{i + 1}" for i in range(n)),
         unit_key="region_tuples",
         fixed={"n": n},
@@ -1046,7 +1026,7 @@ def check_wrc(model: StochasticModel, conditioned: bool = False) -> CheckReport:
     relative to every positive-measure conditioning event decidable in the
     mutual past (the strengthening that survives Simpson-style reversals).
     """
-    steps = ((pair, past, None, None, 0, 0) for pair, (past,) in _check_units(model.site, "mutual"))
+    steps = ((pair, past) for pair, (past,) in _check_units(model.site, "mutual"))
     return _screen(
         model,
         "wrc-cond" if conditioned else "wrc",
@@ -1390,11 +1370,13 @@ def check_penrose_percival(model: StochasticModel) -> CheckReport:
         "conjecture probe: conditioning on a full specification of a "
         "dissection of the joint past fails to screen this atom pair"
     )
+    steps, plan = _planned(model.site, "dissections")
     return _screen(
         model,
         "penrose-percival",
-        _screening_steps(model.site, "dissections"),
+        steps,
         note,
+        plan=plan,
         step_key="dissections",
         fixed={"so1_verdict": so1.verdict},
         tables=tables,

@@ -176,6 +176,18 @@ class TestCheck:
         assert "not a named event" in err
         assert "A, B, C" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("Aé", "expression error: unexpected character 'é' (at position 1)"),
+        ("A\n", "expression error: unexpected end of expression (at position 2)"),
+    ])
+    def test_a_name_no_model_file_can_define_is_an_expression(self, capsys, model_dir, text, message):
+        # a model file refuses such a name, so no file defines it: the
+        # argument is read as an expression, not as an unknown named event
+        code, out, err = run(
+            capsys, "check", "pcc-rev1", str(model_dir / "illusionist_coins.json"), "--a", text, "--b", "B"
+        )
+        assert (code, out, err) == (2, "", message + "\n")
+
     def test_bad_expression(self, capsys, model_dir):
         code, _, err = run(
             capsys,

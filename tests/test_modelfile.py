@@ -373,3 +373,41 @@ class TestStrictReading:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (
             "", f"model file error: {path}: weights keys '00' and '0.0' name the same history\n")
+
+
+# -- one value per key ----------------------------------------------------------
+
+
+class TestRepeatedKeys:
+    """JSON keeps the last of two equal keys in an object; a model file refuses the second."""
+
+    TEXT = (
+        '{"format_version": 1, "sites": [{"id": "a", "alphabet": 2}], "order": [], '
+        '"measure": {"type": "stochastic", "weights": {"0": "1/4", "1": "3/4"}}, '
+        '"named_events": {"A": "a=0"}, "named_regions": {"R": ["a"]}}'
+    )
+
+    @pytest.mark.parametrize("kind, old, new, key", [
+        # each was read before, the second value winning
+        ("top level", '"order": []', '"order": [], "order": []', "order"),
+        ("site", '"alphabet": 2', '"alphabet": 3, "alphabet": 2', "alphabet"),
+        ("measure", '"type": "stochastic"', '"type": "quantal", "type": "stochastic"', "type"),
+        ("weights", '"0": "1/4", "1": "3/4"', '"0": "1/4", "0": "1"', "0"),
+        ("named_events", '"A": "a=0"', '"A": "a=0", "A": "a=1"', "A"),
+        ("named_regions", '"R": ["a"]', '"R": ["a"], "R": []', "R"),
+    ])
+    def test_a_repeated_key_is_refused(self, kind, old, new, key):
+        assert parse_model_text(self.TEXT).model.site.n == 1
+        text = self.TEXT.replace(old, new, 1)
+        assert text != self.TEXT, kind
+        with pytest.raises(ModelFileError, match=f"^model file error: <string>: key '{key}' appears twice in one object$"):
+            parse_model_text(text)
+
+    def test_validate_exits_2_on_a_repeated_key(self, tmp_path, capsys):
+        from screenoff.cli import main
+
+        path = tmp_path / "twice.json"
+        path.write_text(self.TEXT.replace('"0": "1/4", "1": "3/4"', '"0": "1/4", "0": "1"'))
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"model file error: {path}: key '0' appears twice in one object\n")

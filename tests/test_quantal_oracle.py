@@ -1052,7 +1052,7 @@ def test_a_holding_qso_check_never_builds_the_running_sums():
     q = product_amplitude_model(random.Random("running sums"), (2,) * 5)
     for check, rule in ((check_qso1, "mutual"), (check_qso2, "joint")):
         assert check(q).verdict == HOLDS
-        assert stochastic_mod._screening_plan(q.site, rule, 2)[1][2][5] == [], rule
+        assert stochastic_mod._screening_plan(q.site, rule, 2)[5] == [], rule
 
 
 @pytest.mark.parametrize("tie", [(0, 1), (1, 2)])

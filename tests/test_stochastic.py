@@ -414,8 +414,16 @@ class TestPrunedScreening:
             weights.append(w / sum(root))
         model = StochasticModel(site, weights)
         drawn = []
-        steps = stochastic._screening_steps
-        monkeypatch.setattr(stochastic, "_screening_steps", lambda *args: (drawn.append(s) or s for s in steps(*args)))
+        planned, walk = stochastic._planned, stochastic._walk
+
+        def recorded(*args):
+            steps, plan = planned(*args)
+            return (drawn.append(step) or step for step in steps), lambda: drawn.append("record") or plan()
+
+        monkeypatch.setattr(stochastic, "_planned", recorded)
+        # every plan step the walk decides is drawn too
+        monkeypatch.setattr(stochastic, "_walk", lambda record, decide, *rest: walk(
+            record, lambda *step: drawn.append(step[:2]) or decide(*step), *rest))
         scans = _counting(monkeypatch, "_factorization_failure")
         built = _counting(monkeypatch, "_plan")
         for check in (check_so1, check_so2):
@@ -424,8 +432,8 @@ class TestPrunedScreening:
             assert report.verdict == HOLDS
             assert report.stats == {"region_pairs": 1932, "atom_checks": 221256, "null_conditions_skipped": 0}
             assert len(scans) == 2
-            # the first unit, then the plan's proof record
-            assert [step[0] for step in drawn] == [(0b10, 0b100), None]
+            # the first unit, then the plan's proof record, and no plan step
+            assert drawn == [((0b10, 0b100), 0b1), "record"]
         assert built == []
 
     def test_a_failure_costs_at_most_one_extra_scan(self, monkeypatch):
@@ -444,9 +452,9 @@ class TestPrunedScreening:
     def test_plan_is_cached_per_site_and_rule(self):
         site = _common_cause(4).site
         for rule in ("mutual", "joint", "joint-clear"):
-            plan = stochastic._screening_plan(site, rule, 1)
-            assert stochastic._screening_plan(site, rule, 1) is plan
-            assert len(plan[0]) == len(stochastic._spacelike_pairs(site))
+            record = stochastic._screening_plan(site, rule, 1)
+            assert stochastic._screening_plan(site, rule, 1) is record
+            assert len(record[3]) == len(stochastic._spacelike_pairs(site))
 
     def test_clearing_the_plan_cache_frees_the_plan(self):
         # a failing so1 on a 9-site binary antichain with e7 and e8 tied

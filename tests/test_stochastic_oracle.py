@@ -846,25 +846,28 @@ def test_a_holding_check_scans_each_stand_in_once(shape, monkeypatch):
 
 
 @pytest.mark.parametrize("shape", [*PRUNING_SITES, "antichain"])
-def test_a_pair_and_its_reverse_share_two_stand_in_lists(shape):
-    # the fallback of (a, b) is the last stand-in of (b, a), so the plan
-    # keeps one list per dominator, never a list per pair
+def test_a_pair_and_its_reverse_share_two_dominator_keys(shape):
+    # the fallback of (a, b) is the dominator key of (b, a), the very
+    # object, so the plan keeps one key per dominator, never a key per pair
     site = PRUNING_SITES.get(shape) or CausalSite([(f"s{i}", 2) for i in range(5)])
     init = site.initial_elements()
     for rule in ("mutual", "joint", "joint-clear"):
-        steps = {step[0]: step for step in stochastic._screening_plan(site, rule, 1)[0]}
+        plan = stochastic._screening_plan(site, rule, 1)[3]
+        steps = {step[0]: step for step in plan}
         # the plan lists every screened pair once, in pair order
         assert list(steps) == [(a, b) for a, b in stochastic._spacelike_pairs(site)
                                if rule != "joint-clear" or not (a | b) & init]
-        assert len(steps) == len(stochastic._screening_plan(site, rule, 1)[0])
-        for (a, b), (_, past, keys, fallback, cells, atoms) in steps.items():
-            _, r_past, r_keys, r_fallback, r_cells, r_atoms = steps[b, a]
-            assert fallback is r_keys[-1] and r_fallback is keys[-1]
+        assert len(steps) == len(plan)
+        dominators = [step[2] for step in plan]
+        assert len(set(map(id, dominators))) == len(set(dominators))
+        for (a, b), (_, past, dominator, fallback, cells, atoms) in steps.items():
+            _, r_past, r_dominator, r_fallback, r_cells, r_atoms = steps[b, a]
+            assert fallback is r_dominator and r_fallback is dominator
             assert (past, cells, atoms) == (r_past, r_cells, r_atoms)
-            # each stand-in is keyed by its past, and the last stand-in and
-            # the fallback cover the pair, A-first and B-first
-            assert {key_past for key_past, _ in (*keys, fallback)} == {past}
-            for _, (x, y) in (keys[-1], fallback):
+            # each key is keyed by its past, and the dominator and the
+            # fallback cover the pair, A-first and B-first
+            assert {key_past for key_past, _ in (dominator, fallback)} == {past}
+            for _, (x, y) in (dominator, fallback):
                 assert (a & ~x, b & ~y) == (0, 0) or (a & ~y, b & ~x) == (0, 0)
 
 
@@ -911,13 +914,12 @@ def test_one_strict_past_is_when_the_single_region_rules_agree(site):
 
 
 def same_plan(plan, fresh) -> bool:
-    """Whether two plans have the same steps and group summaries.
+    """Whether two proof records have the same counts, group summaries and steps.
 
-    A walk past a failed proof record fills the record's running sums, so
-    a cached plan may hold them where a fresh one does not yet.
+    A walk past a failed proof fills the record's running sums, its last
+    slot, so a cached record may hold them where a fresh one does not yet.
     """
-    (steps, proofs), (fresh_steps, fresh_proofs) = plan, fresh
-    return steps == fresh_steps and proofs[2][:-1] == fresh_proofs[2][:-1]
+    return plan[:-1] == fresh[:-1]
 
 
 @given(posets())
@@ -935,12 +937,12 @@ def test_joint_clear_is_joint_when_one_element_is_initial(site):
 
 @given(posets())
 def test_the_mutual_and_all_plans_are_admissible_by_construction(site):
-    # so `_admissible_plan` skips its sweep for them: the full sweep of
-    # `_inadmissible` over every step of their plans finds nothing
-    cones = stochastic._cones(site)
+    # so `_first_inadmissible` skips its sweep for them: the reference
+    # sweep of `ref_admissible` over every step of their plans refuses none
     for selector in ("mutual", "all"):
-        steps = stochastic._screening_plan(site, selector, 1)[0]
-        assert not any(stochastic._inadmissible(*cones, *step[0], step[1]) for step in steps), selector
+        assert stochastic._first_inadmissible(site, selector) is None
+        for (a, b), past, *_ in stochastic._screening_plan(site, selector, 1)[3]:
+            ref_admissible(site, a, b, past)
 
 
 @given(posets(), st.integers(2, 4))
@@ -1192,6 +1194,87 @@ def test_a_selector_error_surfaces_at_its_own_pair():
             assert report["counterexample"]["regions"] == {
                 "A": ["u0"], "B": ["w"], "past": ["e0", "e1", "e2"],
             }
+
+
+def ref_first_refusal(label: str, site: CausalSite) -> tuple[int, str] | None:
+    """(ordinal, error text) of the first step of `ref_units` that gen-so refuses, or None."""
+    n = 0
+    try:
+        for _ in ref_units(label, site):
+            n += 1
+    except stochastic.SelectorError as e:
+        return n, str(e)
+    return None
+
+
+@st.composite
+def chain_beside_a_point(draw) -> StochasticModel:
+    """A measure on 4-6 binary elements: a chain x < y < z, a point w apart from all, the rest drawn.
+
+    {x, z} is spacelike to {w}, and its joint and Bell pasts hold y, which
+    lies in the future of x: both plans are inadmissible.  The weights are
+    a product, local dynamics, random (some 0), or a product with two
+    elements tied: an element of each region of the step before a plan's
+    first refused one, or the spacelike pair that comes last.
+    """
+    n = draw(st.integers(4, 6))
+    place = draw(st.permutations(range(n)))
+    x, y, z, w = place[:4]
+    edges = [(place[i], place[j]) for i in range(n) for j in range(i + 1, n) if w not in (place[i], place[j])]
+    relations = {(x, y), (y, z), *draw(st.lists(st.sampled_from(edges), unique=True))}
+    site = CausalSite([(f"e{i}", 2) for i in range(n)], [(f"e{i}", f"e{j}") for i, j in sorted(relations)])
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    kind = draw(st.sampled_from(["product", "local", "random", "tied"]))
+    if kind == "product":
+        return StochasticModel(site, local_dynamics(rng, CausalSite([(f"e{i}", 2) for i in range(n)])).weights)
+    if kind == "local":
+        return local_dynamics(rng, site, zero_share=0.2)
+    if kind == "random":
+        nums = [rng.choice((0, 0, 1, 2, 3)) for _ in range(n_histories(site))]
+        nums[rng.randrange(len(nums))] += 1
+        return StochasticModel(site, [F(v, sum(nums)) for v in nums])
+    # no pair splits the spacelike elements whose lower one is highest before their own pair, which comes late
+    ties = [max((p for p in itertools.combinations(range(n), 2) if site.spacelike(*(1 << e for e in p))), key=min)]
+    pairs = ref_spacelike_pairs(site)  # each plan has one step per pair: a step's ordinal is its pair's
+    for label in ("gen-so[joint]", "gen-so[bell]"):
+        refused, _ = ref_first_refusal(label, site)
+        ties += [((a & -a).bit_length() - 1, (b & -b).bit_length() - 1) for a, b in pairs[max(refused - 1, 0) : refused]]
+    return tied_product(rng, site, draw(st.sampled_from(ties)))
+
+
+def test_an_inadmissible_plan_errs_unless_an_earlier_step_fails():
+    # gen-so[joint] and gen-so[bell] walk their plans whatever they select,
+    # then refuse the first inadmissible step unless the walk failed before
+    # it: every report and error text is the ordinal scan's, the refused
+    # step is the reference's first, and both outcomes occur, a violation
+    # at the very step before a refused one among them
+    seen = Counter()
+
+    @settings(max_examples=300)
+    @given(chain_beside_a_point())
+    def inadmissible(model):
+        site = model.site
+        for selector in ("joint", "bell"):
+            label = f"gen-so[{selector}]"
+            refused = ref_first_refusal(label, site)
+            assert refused is not None
+            assert stochastic._first_inadmissible(site, selector) == refused
+            got = _outcome(lambda: check_generalized_so(model, selector))
+            assert got == _reference_outcome(label, model), label
+            if got.startswith("SelectorError"):
+                # where the ordinal scan, were no step refused, fails first
+                failing = next((i for i, (a, b) in enumerate(ref_spacelike_pairs(site))
+                                if ref_factorization_failure(model, (a, b), REF_PAIR_PASTS[label](site, a, b)[0])[0]
+                                is not None), None)
+                seen["error"] += 1
+                seen["error at or before a failure"] += failing is not None
+            else:
+                steps = json.loads(got)["stats"]["conditioning_regions"]
+                seen["violated"] += 1
+                seen["violated just before"] += steps == refused[0]
+
+    inadmissible()
+    assert seen["error at or before a failure"] and seen["violated just before"], seen
 
 
 def one_block_scans(site: CausalSite, label: str, failing: tuple[int, int]) -> set:
@@ -1622,7 +1705,7 @@ def held_scans(site, rule, power: int, fails) -> list | None:
     its plan once; `fails(regions, past)` decides a proof by a reference scan.
     """
     regions, pasts = next(stochastic._check_units(site, rule))
-    proofs = {(key[1], key[0]) for key, *_ in stochastic._screening_plan(site, rule, power)[1][2][2]}
+    proofs = {(key[1], key[0]) for key, *_ in stochastic._screening_plan(site, rule, power)[2]}
     if any(fails(*proof) for proof in proofs):
         return None
     return sorted({(regions, past) for past in pasts} | proofs)
@@ -1663,7 +1746,7 @@ def test_every_planned_check_matches_the_reference_on_proof_models():
 
 def running_sums(site, rule, power: int = 1) -> list:
     """The running sums slot of a plan's proof record: empty until a walk past a failed proof fills it."""
-    return stochastic._screening_plan(site, rule, power)[1][2][5]
+    return stochastic._screening_plan(site, rule, power)[5]
 
 
 def test_a_holding_check_never_builds_the_running_sums():
