@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd, lcm
+from operator import add, mul, sub
 
 from .events import (
-    _block,
     check_event,
     config_indices,
     dom,
@@ -35,12 +35,13 @@ from .report import (
 )
 from .stochastic import (
     StochasticModel,
+    _atom_block,
     _atom_coords,
     _margins,
     _planned,
     _screen,
     _spacelike_pairs,
-    _union_offsets,
+    _sum_out,
     _union_table,
     check_so1,
 )
@@ -388,6 +389,24 @@ def _pair_matrix(q: QuantalModel, regions: tuple[int, ...]) -> tuple[list[int], 
     return re, im
 
 
+def _gaussian_factorizes(re: list[int], im: list[int], sizes: tuple[int, ...], w: tuple[int, int]) -> bool:
+    """`_factorizes` in Gaussian integers, a block and w = muhat(C) ≠ 0 given by real and imaginary parts."""
+    for (cr, jr), (ci, ji) in zip(_sum_out(re, sizes), _sum_out(im, sizes)):
+        for xr, xi in zip(cr[:-1], ci[:-1]):
+            if _times(xr, xi, w) != _times(jr, ji, (sum(xr), sum(xi))):
+                return False
+    return True
+
+
+def _times(re: list[int], im: list[int], x: tuple[int, int]) -> tuple[list[int], list[int]]:
+    """The Gaussian integers re + i·im, each times x."""
+    xr, xi = x
+    if not xi:  # muhat(C) is real on every pseudo-cell of an empty past
+        return list(map(mul, re, repeat(xr))), list(map(mul, im, repeat(xr)))
+    return (list(map(sub, map(mul, re, repeat(xr)), map(mul, im, repeat(xi)))),
+            list(map(add, map(mul, re, repeat(xi)), map(mul, im, repeat(xr)))))
+
+
 def _quantal_screening_failure(
     q: QuantalModel, regions: tuple[int, ...], past: int, *, tables: dict
 ):
@@ -398,8 +417,9 @@ def _quantal_screening_failure(
     the matrix of U = P u X1 u ... u Xk through offsets on both axes, first
     coordinate most significant.  Each pseudo-cell's margins are summed out
     of its block as in `_factorization_failure`, and J * muhat(C)^(k-1) ==
-    prod M_i is tested in Gaussian integers, on null pseudo-cells too.  For
-    a pair that is muhat(A&B&C) * muhat(C) == muhat(A&C) * muhat(B&C).  A
+    prod M_i is tested in Gaussian integers, on null pseudo-cells too, step
+    by step where k > 2 and muhat(C) != 0 (`_gaussian_factorizes`).  For a
+    pair that is muhat(A&B&C) * muhat(C) == muhat(A&C) * muhat(B&C).  A
     k > 2 scan is a group certificate, sound only where muhat(C) != 0: on a
     null pseudo-cell it demands a zero block, which zeroes every pair's
     margins.  Returns (failure-or-None, equations_checked, 0).
@@ -407,16 +427,16 @@ def _quantal_screening_failure(
     site = q.site
     parts = (past, *regions)
     union, (re, im) = _union_table(q, parts, tables, _pair_matrix)
-    n = n_configs(site, union)
-    offsets = [_union_offsets(site, r, union) for r in parts]
-    doubled_p, *doubled = (_block(([x * n for x in o], o)) for o in offsets)
-    block = _block(doubled)
-    sizes = tuple(map(len, doubled))
+    _, doubled_p = _atom_block(site, (past,), union, 2)
+    sizes, block = _atom_block(site, regions, union, 2)
     power = len(regions) - 1
     checked = 0
     for p, base in enumerate(doubled_p):
         jr = [re[base + i] for i in block]
         ji = [im[base + i] for i in block]
+        if power > 1 and any(w := (sum(jr), sum(ji))) and _gaussian_factorizes(jr, ji, sizes, w):
+            checked += len(jr)
+            continue
         margins = list(zip(_margins(jr, sizes), _margins(ji, sizes)))
         pr, pi = map(sum, margins[0])
         if power > 1 and not (pr or pi):  # a certificate needs a zero block here
@@ -425,12 +445,7 @@ def _quantal_screening_failure(
             sr, si = pr, pi
             for _ in range(power - 1):
                 sr, si = sr * pr - si * pi, sr * pi + si * pr
-            if si:
-                lhs_re = [x * sr - y * si for x, y in zip(jr, ji)]
-                lhs_im = [x * si + y * sr for x, y in zip(jr, ji)]
-            else:  # muhat(C) is real, as on every pseudo-cell of an empty past
-                lhs_re = [x * sr for x in jr]
-                lhs_im = [y * sr for y in ji]
+            lhs_re, lhs_im = _times(jr, ji, (sr, si))
             rhs_re, rhs_im = margins[0]
             for ur, ui in margins[1:]:
                 rhs_re, rhs_im = (
@@ -443,7 +458,7 @@ def _quantal_screening_failure(
                 if x != y or u != v
             )
             atom = _atom_coords(sizes)[i]
-            where = tuple([x for o, c in zip(offsets, (p, *atom)) for x in divmod(c, len(o))])
+            where = tuple([x for r, c in zip(parts, (p, *atom)) for x in divmod(c, n_configs(site, r))])
             values = ((jr[i], ji[i]), (pr, pi), *[(m[0][c], m[1][c]) for m, c in zip(margins, atom)])
             return (where, values), checked + i + 1, 0
         checked += len(jr)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from math import comb, gcd, lcm, prod
-from operator import add, itemgetter, or_
+from operator import add, itemgetter, mul, or_
 
 from .events import (
     CapacityError,
@@ -162,21 +162,43 @@ def correlated(model: StochasticModel, a: int, b: int) -> bool:
 # regions are read back through per-region offset tuples (one slice where
 # they are contiguous), so every pair with the same union shares one pass
 # over the histories.  Tables and margins are summed inside builtins.
+#
+# A block J of k > 2 regions given a cell of total w ≠ 0 (W(C), or muhat(C))
+# factorizes, J·w^(k−1) = M_1 ⊗ … ⊗ M_k, iff each step of `_sum_out` has
+# T_j·w = T_{j−1} ⊗ M_j, T_j the joint of the first j regions (`_factorizes`).
+# Over ℚ or ℚ(i) the steps telescope to the product, as T_1 = M_1; and as
+# every margin sums to w, summing the product over regions j+1…k gives
+# T_j·w^(k−1) = w^(k−j)·⊗_{i≤j} M_i: with the same for j−1 put in, dividing
+# by w^(k−2) leaves the step.  A step's last column is w·T_{j−1} minus the
+# others, so it is not compared.  At k = 2 the step is the identity itself:
+# pairs, null cells and rejected blocks take the direct test, which alone
+# locates a first failing atom.
+
+
+def _sum_out(cells: list[int], sizes: tuple[int, ...]):
+    """Sum out the regions last to first: per step, the last axis's columns and the joint of the others."""
+    joint = cells
+    for size in reversed(sizes[1:]):
+        columns = [joint[c::size] for c in range(size)]
+        joint = list(reduce(partial(map, add), columns))
+        yield columns, joint
 
 
 def _margins(cells: list[int], sizes: tuple[int, ...]) -> list[list[int]]:
     """Each region's margin of a block over regions of these sizes, the first most significant."""
-    # Sum out the regions last to first: each step sums the last axis's columns
-    # into its region's margin and adds them up into the joint of the others.
-    margins = []
-    joint = cells
-    for size in reversed(sizes[1:]):
-        columns = [joint[c::size] for c in range(size)]
+    joint, margins = cells, []
+    for columns, joint in _sum_out(cells, sizes):
         margins.append(list(map(sum, columns)))
-        joint = list(reduce(partial(map, add), columns))
-    margins.append(joint)
-    margins.reverse()
-    return margins
+    return [joint, *reversed(margins)]
+
+
+def _factorizes(cells: list[int], sizes: tuple[int, ...], w: int) -> bool:
+    """Whether a block of k > 2 regions given a cell of total w ≠ 0 factorizes, step by step."""
+    for columns, joint in _sum_out(cells, sizes):
+        for column in columns[:-1]:
+            if list(map(mul, column, itertools.repeat(w))) != list(map(mul, joint, itertools.repeat(sum(column)))):
+                return False
+    return True
 
 
 @lru_cache(maxsize=1 << 12)  # its entries grow with the pairs scanned, not with the unions
@@ -188,6 +210,22 @@ def _union_offsets(site: CausalSite, region: int, union: int) -> tuple[int, ...]
         for i, stride in zip(members, strides)
         if region >> i & 1
     ))
+
+
+@lru_cache(maxsize=1 << 10)
+def _atom_block(site: CausalSite, regions: tuple[int, ...], union: int, power: int = 1) -> tuple:
+    """(atom counts, offsets in the union's table) of the regions' joint atoms, the first most significant.
+
+    With power 2 an atom is a pair (x, y) of configurations, at x·n_U + y in
+    the union's n_U × n_U matrix.  A block of offsets 0, 1, … is a range.
+    """
+    offsets = [_union_offsets(site, r, union) for r in regions]
+    if power == 2:
+        n = n_configs(site, union)
+        offsets = [_block(([x * n for x in o], o)) for o in offsets]
+    block = _block(offsets)
+    span = range(len(block))
+    return tuple(map(len, offsets)), span if block == list(span) else tuple(block)
 
 
 @lru_cache(maxsize=None)
@@ -245,24 +283,25 @@ def _factorization_failure(
     Checks mu(atoms jointly | C) = product of mu(atom_i | C) for every
     conditioning cell C with positive weight, in cross-multiplied form
     W(joint) * W(C)^(k-1) == prod W(atom_i within C), one conditioning cell's
-    block of atoms at a time, with the first region most significant.  The
-    cell weights are read from the table of the regions' union, which is
-    built into `tables` on first use and shared by every later scan of the
-    same union.  Returns (failure-or-None, conditions_checked,
-    null_conditions_skipped).
+    block of atoms at a time, with the first region most significant: step
+    by step first where k > 2 (`_factorizes`).  The cell weights are read
+    from the table of the regions' union, which is built into `tables` on
+    first use and shared by every later scan of the same union.  Returns
+    (failure-or-None, conditions_checked, null_conditions_skipped).
     """
     site = model.site
     union, table = _union_table(model, (past, *event_regions), tables, _cell_weights)
-    offsets = [_union_offsets(site, r, union) for r in event_regions]
-    block = _block(offsets)
+    sizes, block = _atom_block(site, event_regions, union)
     span = len(block)
-    contiguous = block == list(range(span))  # each past cell's block is one slice
-    sizes = tuple(map(len, offsets))
+    contiguous = type(block) is range  # each past cell's block is one slice
     exponent = len(event_regions) - 1
     checked = 0
     skipped = 0
     for p, base in enumerate(_union_offsets(site, past, union)):
         cells = table[base : base + span] if contiguous else [table[base + i] for i in block]
+        if exponent > 1 and (w := sum(cells)) and _factorizes(cells, sizes, w):
+            checked += span
+            continue
         margins = _margins(cells, sizes)
         w_past = sum(margins[0])
         if w_past == 0:
@@ -382,6 +421,7 @@ def _screen(
     vacuous_reason: str = "no spacelike pairs of disjoint nonempty regions",
     *,
     plan=None,
+    stop: int | None = None,
     names: tuple[str, ...] = ("A", "B"),
     unit_key: str = "region_pairs",
     step_key: str | None = None,
@@ -396,16 +436,16 @@ def _screen(
     `steps` is consumed lazily, so a selector's error surfaces at the step
     that raises it.  With `plan`, a call that returns the plan's proof
     record, each scan is kept for the walk, which decides the rest once
-    every step held; a step it decides takes the first of its dominator and
-    fallback that holds, each scanned once, else its own scan, and a step
-    given its group's blocks (`_split`) holds when its restrictions to them
-    do.  `fixed` stats lead the report's; `tables` may carry cell tables
-    shared with another scan of the model.  `scan` (default
-    `_factorization_failure`) returns (failure-or-None, checked, skipped),
-    reported under `count_keys`, and `counterexample` (default
-    `_conditional_counterexample`) reports a failure: the report calls it
-    with (model, regions, names, past, failure, note) when its
-    counterexample is first read.
+    every step held, before the ordinal `stop` if given; a step it decides
+    takes the first of its dominator and fallback that holds, each scanned
+    once, else its own scan, and a step given its group's blocks (`_split`)
+    holds when its restrictions to them do.  `fixed` stats lead the
+    report's; `tables` may carry cell tables shared with another scan of
+    the model.  `scan` (default `_factorization_failure`) returns
+    (failure-or-None, checked, skipped), reported under `count_keys`, and
+    `counterexample` (default `_conditional_counterexample`) reports a
+    failure: the report calls it with (model, regions, names, past,
+    failure, note) when its counterexample is first read.
     """
     scan = scan or _factorization_failure
     counterexample = counterexample or _conditional_counterexample
@@ -447,7 +487,7 @@ def _screen(
             break
     else:
         if plan:
-            fail, regions, past, rest = _walk(plan(), decide, get, partial(_split, model, tables, get))
+            fail, regions, past, rest = _walk(plan(), decide, get, partial(_split, model, tables, get), stop)
             n_units, n_steps, checked, skipped = map(sum, zip((n_units, n_steps, checked, skipped), rest))
     stats = dict(fixed or {})
     stats[unit_key] = n_units
@@ -462,7 +502,7 @@ def _screen(
     return CheckReport(condition, HOLDS, stats=stats)
 
 
-def _walk(record, decide, get, search):
+def _walk(record, decide, get, search, stop=None):
     """(failure-or-None, its regions, its past, (units, steps, checked, skipped)) after the first unit.
 
     Meets each group at its first step, in ordinal order, and scans its
@@ -471,12 +511,13 @@ def _walk(record, decide, get, search):
     may fail: where its blocks held (`search(P, E_P)`, if `_plan` marks the
     group), each meeting a non-singleton block in two regions (`_hits`);
     else each.  The rest add stats from their group's totals, or from its
-    running sums, built once per plan, up to a failing step.
+    running sums, built once per plan, up to a failing step.  A walk given
+    `stop` ends before that ordinal, with no failure and no stats of use.
     """
     n_units, n_steps, groups, plan, first, sums = record
     nulls = [0] * len(groups)
     heap = [(groups[0][5], 0, None, None)] if groups else []  # (ordinal, group, its later ordinals, blocks)
-    while heap:
+    while heap and (stop is None or heap[0][0] < stop):
         i, g, later, split = heapq.heappop(heap)
         if later is None:  # g's first step: its proof decides the group where it holds
             if g + 1 < len(groups):
@@ -860,10 +901,10 @@ def check_generalized_so(model: StochasticModel, selector="mutual") -> CheckRepo
     breaks those two constraints is an error, unless a step before it
     fails.  The built-in selectors walk the plan of their rule in `_RULES`
     ("mutual" and "joint" share the plans of so1 and so2) whatever their
-    selections, and the walk's failing step is the ordinal scan's, so its
-    ordinal is compared with that of the first inadmissible step
-    (`_first_inadmissible`); a callable one is validated and scanned pair
-    by pair.
+    selections, up to the first inadmissible step (`_first_inadmissible`),
+    since the walk's failing step is the ordinal scan's (the first unit,
+    two singletons, is never refused); a callable one is validated and
+    scanned pair by pair.
     """
     site = model.site
     label = selector if isinstance(selector, str) else getattr(selector, "__name__", "custom")
@@ -874,6 +915,7 @@ def check_generalized_so(model: StochasticModel, selector="mutual") -> CheckRepo
                 f"expected one of {', '.join(SELECTOR_NAMES)}"
             )
         steps, plan = _planned(site, selector)
+        bad = plan and _first_inadmissible(site, selector)
     else:
         cones = _cones(site)
 
@@ -884,7 +926,7 @@ def check_generalized_so(model: StochasticModel, selector="mutual") -> CheckRepo
                     raise SelectorError(error)
                 yield pair, past
 
-        steps, plan = selected(), None
+        steps, plan, bad = selected(), None, None
     note = f"conditional product rule fails for this atom pair given C (selector {label})"
     report = _screen(
         model,
@@ -892,12 +934,12 @@ def check_generalized_so(model: StochasticModel, selector="mutual") -> CheckRepo
         steps,
         note,
         plan=plan,
+        stop=bad and bad[0],
         step_key="conditioning_regions",
         fixed={"selector": label},
     )
-    if plan and (bad := _first_inadmissible(site, selector)):
-        if not (report.violated and report.stats["conditioning_regions"] <= bad[0]):
-            raise SelectorError(bad[1])
+    if bad and not report.violated:
+        raise SelectorError(bad[1])
     return report
 
 
@@ -963,9 +1005,8 @@ def _correlate_failure(
             f"({_PAST_CELL_LIMIT} mutual-past cells)"
         )
     union, table = _union_table(model, (past, ra, rb), tables, _cell_weights)
-    offsets = [_union_offsets(site, r, union) for r in regions]
-    sizes = na, nb = tuple(map(len, offsets))
-    block = _block(offsets)
+    sizes, block = _atom_block(site, regions, union)
+    na, nb = sizes
     # Each past cell's row: W(p), then W(a&p) per atom of A, W(b&p) per atom
     # of B, and W(a&b&p) per atom pair; an event's row is the sum over its cells.
     rows = []

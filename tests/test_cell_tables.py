@@ -7,7 +7,9 @@ their margins with ``_margins``.  Each piece is compared here with a direct
 computation: history by history for the classical table, by ``d_value`` over
 cell pairs for the quantal matrix, and by ``itertools.product`` for the
 block and margin kernels.  ``ref_cell_weights`` and ``ref_margins`` are the
-per-element loops the builtin kernels replaced, kept as references.
+per-element loops the builtin kernels replaced, kept as references.  The
+step-wise factorization tests (``_factorizes``, ``_gaussian_factorizes``)
+are compared with the outer-product identity they stand in for.
 """
 from __future__ import annotations
 
@@ -22,11 +24,13 @@ from hypothesis import strategies as st
 
 from screenoff.events import CapacityError, _block, config_indices, n_configs, n_histories
 from screenoff.order import CausalSite, iter_bits
-from screenoff.quantal import QuantalModel, _pair_matrix
+from screenoff.quantal import QuantalModel, _gaussian_factorizes, _pair_matrix
 from screenoff.stochastic import (
     StochasticModel,
+    _atom_block,
     _cell_gather,
     _cell_weights,
+    _factorizes,
     _margins,
     _union_offsets,
 )
@@ -208,6 +212,104 @@ def test_builtin_kernels_equal_the_per_element_loops(drawn):
         margins = _margins(cells, sizes)
         assert all(type(m) is list for m in margins)
         assert margins == ref_margins(cells, sizes)
+
+
+def gmul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def gsum(xs) -> tuple[int, int]:
+    re, im = zip(*xs)
+    return sum(re), sum(im)
+
+
+def outer_product_holds(cells: list[tuple[int, int]], sizes: tuple[int, ...]) -> bool:
+    """J·w^(k−1) == ∏ M_i on every atom, in Gaussian integers: the direct test."""
+    coords = list(itertools.product(*(range(s) for s in sizes)))
+    margins = [[gsum(x for x, at in zip(cells, coords) if at[i] == c) for c in range(s)] for i, s in enumerate(sizes)]
+    scale = (1, 0)
+    for _ in sizes[1:]:
+        scale = gmul(scale, gsum(cells))
+    for x, at in zip(cells, coords):
+        rhs = (1, 0)
+        for m, c in zip(margins, at):
+            rhs = gmul(rhs, m[c])
+        if gmul(x, scale) != rhs:
+            return False
+    return True
+
+
+@st.composite
+def factorization_blocks(draw, gaussian: bool):
+    """(cells as Gaussian integers, sizes): k = 2..5 regions of 1..4 atoms, a total w ≠ 0.
+
+    The block is an outer product v_1 ⊗ … ⊗ v_k, which factorizes, or
+    such a product with one cell moved, or two cells traded so that the
+    total stays, or random cells.
+    """
+    sizes = tuple(draw(st.lists(st.integers(1, 4), min_size=2, max_size=5)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["product", "moved", "traded", "random"]))
+
+    def value() -> tuple[int, int]:
+        return rng.randrange(-3, 4), rng.randrange(-3, 4) if gaussian else 0
+
+    if kind == "random":
+        cells = [value() for _ in range(prod(sizes))]
+    else:
+        cells = [(1, 0)]
+        for s in sizes:
+            v = [value() for _ in range(s)]
+            if gsum(v) == (0, 0):
+                v[0] = (v[0][0] + 1, v[0][1])
+            cells = [gmul(x, y) for x in cells for y in v]
+        i, j = rng.randrange(len(cells)), rng.randrange(len(cells))
+        d = value() if kind == "moved" else (rng.choice((-1, 1)), 0)
+        if kind != "product":
+            cells[i] = (cells[i][0] + d[0], cells[i][1] + d[1])
+        if kind == "traded":
+            cells[j] = (cells[j][0] - d[0], cells[j][1] - d[1])
+    if gsum(cells) == (0, 0):
+        cells[-1] = (cells[-1][0] + 1, cells[-1][1])
+    return cells, sizes
+
+
+@given(factorization_blocks(gaussian=False))
+@example(([(1, 0), (1, 0), (1, 0), (2, 0)], (2, 2)))  # a pair that fails
+@example(([(1, 0)] * 8, (2, 2, 2)))
+@example(([(1, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (1, 0)], (2, 2, 2)))  # pairwise but not jointly
+def test_the_stepwise_test_is_the_outer_product_identity(drawn):
+    cells, sizes = drawn
+    real = [x for x, _ in cells]
+    assert _factorizes(real, sizes, sum(real)) == outer_product_holds(cells, sizes)
+
+
+@given(factorization_blocks(gaussian=True))
+@example(([(1, 1), (0, 1), (2, 0), (1, -1)], (2, 2)))  # a complex w, 4 + i, on a pair that fails
+@example(([(1, 1), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1)], (2, 2, 2)))  # w = 8 + 8i
+def test_the_gaussian_stepwise_test_is_the_outer_product_identity(drawn):
+    cells, sizes = drawn
+    re, im = [x for x, _ in cells], [y for _, y in cells]
+    assert _gaussian_factorizes(re, im, sizes, gsum(cells)) == outer_product_holds(cells, sizes)
+
+
+@given(sites_with_regions())
+@example((MIXED, (0b0001, 0b0100, 0b1000), 2))
+def test_atom_blocks_are_cached_and_read_the_block_of_the_offsets(drawn):
+    site, regions, _ = drawn
+    union = sum(regions)
+    offsets = [_union_offsets(site, r, union) for r in regions]
+    sizes, block = _atom_block(site, regions, union)
+    assert _atom_block(site, regions, union) == (sizes, block)
+    assert _atom_block(site, regions, union)[1] is block
+    assert sizes == tuple(map(len, offsets))
+    assert list(block) == _block(offsets)
+    assert isinstance(block, range) == (_block(offsets) == list(range(len(block))))
+    n = n_configs(site, union)
+    doubled = [[x * n + y for x in o for y in o] for o in offsets]
+    sizes2, block2 = _atom_block(site, regions, union, 2)
+    assert sizes2 == tuple(len(o) ** 2 for o in offsets)
+    assert list(block2) == _block(doubled)
 
 
 def test_the_gather_refuses_a_site_over_the_history_limit():

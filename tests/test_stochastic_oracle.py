@@ -1244,11 +1244,13 @@ def chain_beside_a_point(draw) -> StochasticModel:
 
 def test_an_inadmissible_plan_errs_unless_an_earlier_step_fails():
     # gen-so[joint] and gen-so[bell] walk their plans whatever they select,
-    # then refuse the first inadmissible step unless the walk failed before
-    # it: every report and error text is the ordinal scan's, the refused
-    # step is the reference's first, and both outcomes occur, a violation
-    # at the very step before a refused one among them
+    # up to the first inadmissible step, and refuse it unless the walk
+    # failed before it: every report and error text is the ordinal scan's,
+    # the refused step is the reference's first, an error scans only for
+    # steps before it, and both outcomes occur, a violation at the very
+    # step before a refused one among them
     seen = Counter()
+    walk, scan = stochastic._walk, stochastic._factorization_failure
 
     @settings(max_examples=300)
     @given(chain_beside_a_point())
@@ -1257,11 +1259,26 @@ def test_an_inadmissible_plan_errs_unless_an_earlier_step_fails():
         for selector in ("joint", "bell"):
             label = f"gen-so[{selector}]"
             refused = ref_first_refusal(label, site)
-            assert refused is not None
+            assert refused is not None and refused[0] > 0  # the first pair, two singletons, is admissible
             assert stochastic._first_inadmissible(site, selector) == refused
-            got = _outcome(lambda: check_generalized_so(model, selector))
+            decided, scanned = [], []
+
+            def recorded(record, decide, *rest):
+                steps = [step[:2] for step in record[3]]
+                return walk(record, lambda *step: decided.append(steps.index(step[:2])) or decide(*step), *rest)
+
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(stochastic, "_walk", recorded)
+                m.setattr(stochastic, "_factorization_failure",
+                          lambda model, regions, past, **k: scanned.append(past) or scan(model, regions, past, **k))
+                got = _outcome(lambda: check_generalized_so(model, selector))
             assert got == _reference_outcome(label, model), label
             if got.startswith("SelectorError"):
+                # no step at or past the refused one is decided, and each
+                # scan is given the past of a step before it
+                before = {past for _, past in itertools.islice(ref_units(label, site), refused[0])}
+                assert all(i < refused[0] for i in decided)
+                assert set(scanned) <= before
                 # where the ordinal scan, were no step refused, fails first
                 failing = next((i for i, (a, b) in enumerate(ref_spacelike_pairs(site))
                                 if ref_factorization_failure(model, (a, b), REF_PAIR_PASTS[label](site, a, b)[0])[0]
@@ -1807,9 +1824,9 @@ def skipped_steps(model, run) -> tuple[str, list[tuple[int, str]]]:
     walks = []
     walk = stochastic._walk
 
-    def recorded(record, decide, get, search):
+    def recorded(record, decide, get, search, stop=None):
         visited = set()
-        result = walk(record, lambda *step: visited.add(step[:2]) or decide(*step), get, search)
+        result = walk(record, lambda *step: visited.add(step[:2]) or decide(*step), get, search, stop)
         walks.append((record, visited, get, result))
         return result
 
