@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
-from math import gcd, lcm
-from operator import add, mul, sub
+from itertools import chain
+from math import gcd, lcm, prod
 
 from .events import (
     check_event,
@@ -35,13 +34,10 @@ from .report import (
 )
 from .stochastic import (
     StochasticModel,
-    _atom_block,
-    _atom_coords,
-    _margins,
     _planned,
+    _product_rule_failure,
     _screen,
     _spacelike_pairs,
-    _sum_out,
     _union_table,
     check_so1,
 )
@@ -367,44 +363,42 @@ def pseudo_full_specifications(q: QuantalModel, region: int) -> tuple[PseudoEven
 # -- the quantal screening conditions ----------------------------------------
 
 
-def _cmul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+def _pair_matrix(q: QuantalModel, regions: tuple[int, ...]) -> tuple[list[int], int]:
+    """(d-values between configurations of the union U of disjoint regions, N), x + iy as x + y·N.
 
-
-def _pair_matrix(q: QuantalModel, regions: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """d-values between configurations of the union U of disjoint regions.
-
-    The n_U x n_U matrix is flat and row-major in U's config order, as real
-    and imaginary parts.
+    The n_U x n_U matrix is flat and row-major in U's config order.  Let S
+    be its sum of absolute parts, and N = 2·S^|U| + 1.  Every block sum z
+    has |Re z| + |Im z| <= S, and that measure of a product is at most the
+    product of its factors', so both sides of a product-rule identity over
+    k <= |U| regions, a product of k block sums, have parts at most S^|U|,
+    and their difference below N.  Mod N² + 1, i ↦ N is a ring homomorphism,
+    as N² ≡ −1, and one-to-one on parts below N: a + bN ≡ 0 with |a|, |b| <
+    N gives |a + bN| < N² + 1, so a + bN = 0, which forces b = 0, then a = 0.
+    So every identity on this table holds in ℤ[i] iff it holds mod N² + 1.
+    Sums stay unreduced: one is zero iff its Gaussian sum is, and
+    `_gaussian` decodes it.
     """
     union = sum(regions)  # the regions are disjoint
     cells = config_indices(q.site, union)
     n = n_configs(q.site, union)
-    re, im = [0] * (n * n), [0] * (n * n)
-    for row_cell, row in zip(cells, q._ints):
-        base = row_cell * n
-        for cell, (x, y) in zip(cells, row):
-            re[base + cell] += x
-            im[base + cell] += y
-    return re, im
+    if n == len(cells):  # U's config order is the history order
+        entries = list(chain.from_iterable(q._ints))
+    else:
+        re, im = [0] * (n * n), [0] * (n * n)
+        for row_cell, row in zip(cells, q._ints):
+            base = row_cell * n
+            for cell, (x, y) in zip(cells, row):
+                re[base + cell] += x
+                im[base + cell] += y
+        entries = list(zip(re, im))
+    big = 2 * sum(map(abs, chain.from_iterable(entries))) ** union.bit_count() + 1
+    return [x + y * big for x, y in entries], big
 
 
-def _gaussian_factorizes(re: list[int], im: list[int], sizes: tuple[int, ...], w: tuple[int, int]) -> bool:
-    """`_factorizes` in Gaussian integers, a block and w = muhat(C) ≠ 0 given by real and imaginary parts."""
-    for (cr, jr), (ci, ji) in zip(_sum_out(re, sizes), _sum_out(im, sizes)):
-        for xr, xi in zip(cr[:-1], ci[:-1]):
-            if _times(xr, xi, w) != _times(jr, ji, (sum(xr), sum(xi))):
-                return False
-    return True
-
-
-def _times(re: list[int], im: list[int], x: tuple[int, int]) -> tuple[list[int], list[int]]:
-    """The Gaussian integers re + i·im, each times x."""
-    xr, xi = x
-    if not xi:  # muhat(C) is real on every pseudo-cell of an empty past
-        return list(map(mul, re, repeat(xr))), list(map(mul, im, repeat(xr)))
-    return (list(map(sub, map(mul, re, repeat(xr)), map(mul, im, repeat(xi)))),
-            list(map(add, map(mul, re, repeat(xi)), map(mul, im, repeat(xr)))))
+def _gaussian(value: int, big: int) -> tuple[int, int]:
+    """The Gaussian integer x + iy with parts below big / 2 encoded as x + y·big."""
+    y, x = divmod(value, big)
+    return (x - big, y + 1) if 2 * x > big else (x, y)
 
 
 def _quantal_screening_failure(
@@ -412,69 +406,33 @@ def _quantal_screening_failure(
 ):
     """First pseudo-atom tuple breaking the complex product rule, or None.
 
-    The classical scan over doubled regions: a pseudo-cell (c1, c2) of P is
-    a cell of P x P and a pseudo-atom (x1, x2) of X one of X x X, read from
-    the matrix of U = P u X1 u ... u Xk through offsets on both axes, first
-    coordinate most significant.  Each pseudo-cell's margins are summed out
-    of its block as in `_factorization_failure`, and J * muhat(C)^(k-1) ==
-    prod M_i is tested in Gaussian integers, on null pseudo-cells too, step
-    by step where k > 2 and muhat(C) != 0 (`_gaussian_factorizes`).  For a
-    pair that is muhat(A&B&C) * muhat(C) == muhat(A&C) * muhat(B&C).  A
-    k > 2 scan is a group certificate, sound only where muhat(C) != 0: on a
-    null pseudo-cell it demands a zero block, which zeroes every pair's
-    margins.  Returns (failure-or-None, equations_checked, 0).
+    `_product_rule_failure` over doubled regions: a pseudo-cell (c1, c2) of
+    P is a cell of P x P and a pseudo-atom (x1, x2) of X one of X x X, read
+    from the encoded matrix of U = P u X1 u ... u Xk (`_pair_matrix`).  For
+    a pair the rule is muhat(A&B&C) * muhat(C) == muhat(A&C) * muhat(B&C).
+    A skipped null pseudo-cell counts its equations as checked.  Returns
+    ((c1, c2, x1, x2, ...), Gaussian (joint, muhat(C), margins...)) or
+    None, equations_checked, 0.
     """
     site = q.site
     parts = (past, *regions)
-    union, (re, im) = _union_table(q, parts, tables, _pair_matrix)
-    _, doubled_p = _atom_block(site, (past,), union, 2)
-    sizes, block = _atom_block(site, regions, union, 2)
-    power = len(regions) - 1
-    checked = 0
-    for p, base in enumerate(doubled_p):
-        jr = [re[base + i] for i in block]
-        ji = [im[base + i] for i in block]
-        if power > 1 and any(w := (sum(jr), sum(ji))) and _gaussian_factorizes(jr, ji, sizes, w):
-            checked += len(jr)
-            continue
-        margins = list(zip(_margins(jr, sizes), _margins(ji, sizes)))
-        pr, pi = map(sum, margins[0])
-        if power > 1 and not (pr or pi):  # a certificate needs a zero block here
-            lhs_re, lhs_im, rhs_re, rhs_im = jr, ji, [0] * len(jr), [0] * len(jr)
-        else:
-            sr, si = pr, pi
-            for _ in range(power - 1):
-                sr, si = sr * pr - si * pi, sr * pi + si * pr
-            lhs_re, lhs_im = _times(jr, ji, (sr, si))
-            rhs_re, rhs_im = margins[0]
-            for ur, ui in margins[1:]:
-                rhs_re, rhs_im = (
-                    [x * u - y * v for x, y in zip(rhs_re, rhs_im) for u, v in zip(ur, ui)],
-                    [x * v + y * u for x, y in zip(rhs_re, rhs_im) for u, v in zip(ur, ui)],
-                )
-        if lhs_re != rhs_re or lhs_im != rhs_im:
-            i = next(
-                i for i, (x, y, u, v) in enumerate(zip(lhs_re, rhs_re, lhs_im, rhs_im))
-                if x != y or u != v
-            )
-            atom = _atom_coords(sizes)[i]
-            where = tuple([x for r, c in zip(parts, (p, *atom)) for x in divmod(c, n_configs(site, r))])
-            values = ((jr[i], ji[i]), (pr, pi), *[(m[0][c], m[1][c]) for m, c in zip(margins, atom)])
-            return (where, values), checked + i + 1, 0
-        checked += len(jr)
-    return None, checked, 0
+    union, (table, big) = _union_table(q, parts, tables, _pair_matrix)
+    fail, checked, nulls = _product_rule_failure(site, table, union, regions, past, 2, big * big + 1)
+    checked += nulls * prod(n_configs(site, r) ** 2 for r in regions)
+    if fail is None:
+        return None, checked, 0
+    coords = (fail.past_index, *fail.atom_indexes)
+    where = tuple([x for r, c in zip(parts, coords) for x in divmod(c, n_configs(site, r))])
+    values = (fail.w_joint, fail.w_past, *fail.w_margins)
+    return (where, tuple(_gaussian(v, big) for v in values)), checked, 0
 
 
 def _quantal_counterexample(
     q: QuantalModel, regions: tuple[int, int], names: tuple[str, str], past: int, fail, note: str
 ) -> Counterexample:
     site = q.site
-    (c1, c2, a1, a2, b1, b2), (joint, mp, ma, mb) = fail
-    den = q._den
-
-    def fmt(v: tuple[int, int], d: int = den) -> str:
-        return format_complex(Fraction(v[0], d), Fraction(v[1], d))
-
+    (c1, c2, a1, a2, b1, b2), values = fail
+    joint, mp, ma, mb = _fractions(values, q._den)
     labels = [(name, site.region_ids(r)) for name, r in zip(names, regions)]
     events = []
     for name, r, atoms in zip((*names, "C"), (*regions, past), ((a1, a2), (b1, b2), (c1, c2))):
@@ -484,12 +442,12 @@ def _quantal_counterexample(
         regions=(*labels, ("past", site.region_ids(past))),
         events=tuple(events),
         values=(
-            ("muhat(A&B&C)", fmt(joint)),
-            ("muhat(C)", fmt(mp)),
-            ("muhat(A&C)", fmt(ma)),
-            ("muhat(B&C)", fmt(mb)),
-            ("muhat(A&B&C)*muhat(C)", fmt(_cmul(joint, mp), den * den)),
-            ("muhat(A&C)*muhat(B&C)", fmt(_cmul(ma, mb), den * den)),
+            ("muhat(A&B&C)", str(joint)),
+            ("muhat(C)", str(mp)),
+            ("muhat(A&C)", str(ma)),
+            ("muhat(B&C)", str(mb)),
+            ("muhat(A&B&C)*muhat(C)", str(joint * mp)),
+            ("muhat(A&C)*muhat(B&C)", str(ma * mb)),
         ),
         note=note,
     )

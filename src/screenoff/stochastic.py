@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from math import comb, gcd, lcm, prod
-from operator import add, itemgetter, mul, or_
+from operator import add, itemgetter, mod, mul, or_, sub
 
 from .events import (
     CapacityError,
@@ -171,8 +171,9 @@ def correlated(model: StochasticModel, a: int, b: int) -> bool:
 # T_j·w^(k−1) = w^(k−j)·⊗_{i≤j} M_i: with the same for j−1 put in, dividing
 # by w^(k−2) leaves the step.  A step's last column is w·T_{j−1} minus the
 # others, so it is not compared.  At k = 2 the step is the identity itself:
-# pairs, null cells and rejected blocks take the direct test, which alone
-# locates a first failing atom.
+# pairs, rejected blocks and null cells with a nonzero block take the direct
+# test, which alone locates a first failing atom.  The quantal tables encode
+# ℤ[i] in ℤ/(N² + 1) (`_pair_matrix`), where every comparison is taken.
 
 
 def _sum_out(cells: list[int], sizes: tuple[int, ...]):
@@ -192,11 +193,12 @@ def _margins(cells: list[int], sizes: tuple[int, ...]) -> list[list[int]]:
     return [joint, *reversed(margins)]
 
 
-def _factorizes(cells: list[int], sizes: tuple[int, ...], w: int) -> bool:
-    """Whether a block of k > 2 regions given a cell of total w ≠ 0 factorizes, step by step."""
+def _factorizes(cells: list[int], sizes: tuple[int, ...], w: int, modulus: int = 0) -> bool:
+    """Whether a block of k > 2 regions given a cell of total w ≠ 0 factorizes, step by step, mod a nonzero `modulus`."""
     for columns, joint in _sum_out(cells, sizes):
         for column in columns[:-1]:
-            if list(map(mul, column, itertools.repeat(w))) != list(map(mul, joint, itertools.repeat(sum(column)))):
+            differences = map(sub, map(mul, column, itertools.repeat(w)), map(mul, joint, itertools.repeat(sum(column))))
+            if any(map(mod, differences, itertools.repeat(modulus)) if modulus else differences):
                 return False
     return True
 
@@ -212,7 +214,7 @@ def _union_offsets(site: CausalSite, region: int, union: int) -> tuple[int, ...]
     ))
 
 
-@lru_cache(maxsize=1 << 10)
+@lru_cache(maxsize=256)  # twice the ~120 blocks that corpus verify or a 720-model qso fuzz reuses; wrc misses on every pair
 def _atom_block(site: CausalSite, regions: tuple[int, ...], union: int, power: int = 1) -> tuple:
     """(atom counts, offsets in the union's table) of the regions' joint atoms, the first most significant.
 
@@ -281,46 +283,64 @@ def _factorization_failure(
     """Scan atoms of the event regions against full specifications of `past`.
 
     Checks mu(atoms jointly | C) = product of mu(atom_i | C) for every
-    conditioning cell C with positive weight, in cross-multiplied form
-    W(joint) * W(C)^(k-1) == prod W(atom_i within C), one conditioning cell's
-    block of atoms at a time, with the first region most significant: step
-    by step first where k > 2 (`_factorizes`).  The cell weights are read
-    from the table of the regions' union, which is built into `tables` on
-    first use and shared by every later scan of the same union.  Returns
-    (failure-or-None, conditions_checked, null_conditions_skipped).
+    positive cell C by `_product_rule_failure` on the table of the regions'
+    union, built into `tables` on first use and shared by every later scan
+    of it.  Returns (failure-or-None, conditions_checked, null_conditions_skipped).
     """
-    site = model.site
     union, table = _union_table(model, (past, *event_regions), tables, _cell_weights)
-    sizes, block = _atom_block(site, event_regions, union)
+    return _product_rule_failure(model.site, table, union, event_regions, past)
+
+
+def _product_rule_failure(
+    site: CausalSite, table: list[int], union: int, regions: tuple[int, ...], past: int, power: int = 1, modulus: int = 0
+):
+    """The product-rule scan of both engines: (first failure or None, checked, null cells skipped).
+
+    Tests J·W(C)^(k−1) == ∏ M_i, in cross-multiplied form, on the block J
+    of the regions' atoms given each cell C of `past`, one cell's block at
+    a time, with the first region most significant: step by step first
+    where k > 2 (`_factorizes`).  A block is read from the union's table
+    through `_atom_block` of this `power`; with a nonzero `modulus` the
+    comparisons are taken mod it, the sums are not.  A null cell with a
+    zero block is skipped.  On another null cell a pair must have
+    0 = M_A ⊗ M_B, and a k > 2 scan, a group certificate, fails: a
+    certificate is sound there only on a zero block.
+    """
+    sizes, block = _atom_block(site, regions, union, power)
     span = len(block)
     contiguous = type(block) is range  # each past cell's block is one slice
-    exponent = len(event_regions) - 1
+    exponent = len(regions) - 1
     checked = 0
     skipped = 0
-    for p, base in enumerate(_union_offsets(site, past, union)):
+    for p, base in enumerate(_atom_block(site, (past,), union, power)[1]):
         cells = table[base : base + span] if contiguous else [table[base + i] for i in block]
-        if exponent > 1 and (w := sum(cells)) and _factorizes(cells, sizes, w):
+        if exponent > 1 and (w := sum(cells)) and _factorizes(cells, sizes, w, modulus):
             checked += span
             continue
         margins = _margins(cells, sizes)
         w_past = sum(margins[0])
-        if w_past == 0:
+        if w_past == 0 and not any(cells):
             skipped += 1
             continue
-        *head_margins, margin_last = margins
-        row_factors = [1]
-        for margin in head_margins:
-            row_factors = [f * w for f in row_factors for w in margin]
-        scale = w_past**exponent
-        lhs = [x * scale for x in cells]
-        rhs = [f * y for f in row_factors for y in margin_last]
+        if w_past == 0 and exponent > 1:
+            lhs, rhs = cells, [0] * span
+        else:
+            *head_margins, margin_last = margins
+            row_factors = [1]
+            for margin in head_margins:
+                row_factors = [f * w for f in row_factors for w in margin]
+            scale = w_past**exponent
+            lhs = [x * scale for x in cells]
+            rhs = [f * y for f in row_factors for y in margin_last]
+        if modulus:  # the residues of the differences, against 0
+            lhs, rhs = list(map(mod, map(sub, lhs, rhs), itertools.repeat(modulus))), [0] * span
         if lhs != rhs:
             i = next(i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
             atom = _atom_coords(sizes)[i]
             checked += i + 1
             margin_ws = tuple(m[c] for m, c in zip(margins, atom))
             return _Failure(p, atom, w_past, cells[i], margin_ws), checked, skipped
-        checked += len(cells)
+        checked += span
     return None, checked, skipped
 
 

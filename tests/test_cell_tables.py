@@ -8,8 +8,9 @@ computation: history by history for the classical table, by ``d_value`` over
 cell pairs for the quantal matrix, and by ``itertools.product`` for the
 block and margin kernels.  ``ref_cell_weights`` and ``ref_margins`` are the
 per-element loops the builtin kernels replaced, kept as references.  The
-step-wise factorization tests (``_factorizes``, ``_gaussian_factorizes``)
-are compared with the outer-product identity they stand in for.
+step-wise factorization test ``_factorizes``, over ℤ and on Gaussian
+integers encoded as x + y·N mod N² + 1, is compared with the outer-product
+identity it stands in for.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 
 from screenoff.events import CapacityError, _block, config_indices, n_configs, n_histories
 from screenoff.order import CausalSite, iter_bits
-from screenoff.quantal import QuantalModel, _gaussian_factorizes, _pair_matrix
+from screenoff.quantal import QuantalModel, _gaussian, _pair_matrix
 from screenoff.stochastic import (
     StochasticModel,
     _atom_block,
@@ -128,9 +129,9 @@ def test_pair_matrix_sums_d_values_over_cell_pairs(drawn):
     ints = [[(rng.randrange(-3, 4), rng.randrange(-3, 4)) for _ in range(n)] for _ in range(n)]
     q = QuantalModel._from_scaled(site, rng.randrange(1, 7), ints)
     union = sum(regions)
-    re, im = _pair_matrix(q, regions)
+    table, big = _pair_matrix(q, regions)
     size = n_configs(site, union)
-    assert len(re) == len(im) == size * size
+    assert len(table) == size * size
     block = _block([_union_offsets(site, r, union) for r in regions])
     events = [0] * len(block)
     for h, pos in enumerate(block_positions(site, regions)):
@@ -138,7 +139,8 @@ def test_pair_matrix_sums_d_values_over_cell_pairs(drawn):
     for x, ex in zip(block, events):
         for y, ey in zip(block, events):
             d = q.d_value(ex, ey)
-            assert (Fraction(re[x * size + y], q._den), Fraction(im[x * size + y], q._den)) == (d.re, d.im)
+            re, im = _gaussian(table[x * size + y], big)
+            assert (Fraction(re, q._den), Fraction(im, q._den)) == (d.re, d.im)
 
 
 offset_lists = st.lists(st.lists(st.integers(-20, 20), max_size=4), max_size=4)
@@ -245,11 +247,13 @@ def factorization_blocks(draw, gaussian: bool):
 
     The block is an outer product v_1 ⊗ … ⊗ v_k, which factorizes, or
     such a product with one cell moved, or two cells traded so that the
-    total stays, or random cells.
+    total stays, or random cells; or, aligned, a product of nonnegative
+    vectors with one cell maybe raised by 1, all turned by one unit, so
+    that no sum cancels and the parts of both sides reach S^k.
     """
     sizes = tuple(draw(st.lists(st.integers(1, 4), min_size=2, max_size=5)))
     rng = random.Random(draw(st.integers(0, 2**32)))
-    kind = draw(st.sampled_from(["product", "moved", "traded", "random"]))
+    kind = draw(st.sampled_from(["product", "moved", "traded", "random", "aligned"]))
 
     def value() -> tuple[int, int]:
         return rng.randrange(-3, 4), rng.randrange(-3, 4) if gaussian else 0
@@ -259,16 +263,19 @@ def factorization_blocks(draw, gaussian: bool):
     else:
         cells = [(1, 0)]
         for s in sizes:
-            v = [value() for _ in range(s)]
+            v = [(rng.randrange(4), 0) if kind == "aligned" else value() for _ in range(s)]
             if gsum(v) == (0, 0):
                 v[0] = (v[0][0] + 1, v[0][1])
             cells = [gmul(x, y) for x in cells for y in v]
         i, j = rng.randrange(len(cells)), rng.randrange(len(cells))
-        d = value() if kind == "moved" else (rng.choice((-1, 1)), 0)
+        d = value() if kind == "moved" else (rng.randrange(2), 0) if kind == "aligned" else (rng.choice((-1, 1)), 0)
         if kind != "product":
             cells[i] = (cells[i][0] + d[0], cells[i][1] + d[1])
         if kind == "traded":
             cells[j] = (cells[j][0] - d[0], cells[j][1] - d[1])
+        if kind == "aligned":
+            unit = rng.choice(((1, 0), (-1, 0), (0, 1), (0, -1))[: 4 if gaussian else 2])
+            cells = [gmul(unit, x) for x in cells]
     if gsum(cells) == (0, 0):
         cells[-1] = (cells[-1][0] + 1, cells[-1][1])
     return cells, sizes
@@ -284,13 +291,38 @@ def test_the_stepwise_test_is_the_outer_product_identity(drawn):
     assert _factorizes(real, sizes, sum(real)) == outer_product_holds(cells, sizes)
 
 
+def encoded(cells: list[tuple[int, int]], k: int) -> tuple[list[int], int]:
+    """The cells as x + y·N, N = 2·S^k + 1 over their sum S of absolute parts, as `_pair_matrix` encodes a union."""
+    big = 2 * sum(abs(x) + abs(y) for x, y in cells) ** k + 1
+    return [x + y * big for x, y in cells], big
+
+
 @given(factorization_blocks(gaussian=True))
 @example(([(1, 1), (0, 1), (2, 0), (1, -1)], (2, 2)))  # a complex w, 4 + i, on a pair that fails
 @example(([(1, 1), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1)], (2, 2, 2)))  # w = 8 + 8i
+@example(([(0, 0), (0, 9), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0)], (2, 2, 2)))  # parts reach S^k = 9^3
+@example(([(5, -4), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (-4, 5)], (2, 2, 2)))  # w = 1 + i of S = 18
+@example(([(-3, 3), (3, -3), (3, 3), (-3, -3), (3, 3), (3, -3), (-3, 3), (3, 3)], (2, 2, 2)))  # every part ±3
 def test_the_gaussian_stepwise_test_is_the_outer_product_identity(drawn):
     cells, sizes = drawn
-    re, im = [x for x, _ in cells], [y for _, y in cells]
-    assert _gaussian_factorizes(re, im, sizes, gsum(cells)) == outer_product_holds(cells, sizes)
+    ints, big = encoded(cells, len(sizes))
+    assert _factorizes(ints, sizes, sum(ints), big * big + 1) == outer_product_holds(cells, sizes)
+
+
+def test_the_encoding_separates_every_difference_up_to_the_bound():
+    # two binary sites, S = 2 and |U| = 2: lhs − rhs of an identity has
+    # parts at most 2·S^|U| = 8, and each such nonzero Gaussian integer
+    # must encode to a nonzero residue.  At N one too small, 8, the
+    # difference (a, b) = (8, −1) would encode to 8 − 8 = 0
+    site = CausalSite([("a", 2), ("b", 2)])
+    ints = [[(0, 0)] * 4 for _ in range(4)]
+    ints[0][0], ints[1][2] = (1, 0), (0, -1)
+    table, big = _pair_matrix(QuantalModel._from_scaled(site, 1, ints), (0b01, 0b10))
+    bound = 2 * sum(abs(x) + abs(y) for x, y in (_gaussian(v, big) for v in table)) ** 2
+    assert bound == 8
+    assert (bound - big) % (big * big + 1) != 0
+    parts = range(-bound, bound + 1)
+    assert all((a + b * big) % (big * big + 1) for a in parts for b in parts if a or b)
 
 
 @given(sites_with_regions())
