@@ -371,12 +371,12 @@ def _pair_matrix(q: QuantalModel, regions: tuple[int, ...]) -> tuple[list[int], 
     has |Re z| + |Im z| <= S, and that measure of a product is at most the
     product of its factors', so both sides of a product-rule identity over
     k <= |U| regions, a product of k block sums, have parts at most S^|U|,
-    and their difference below N.  Mod N² + 1, i ↦ N is a ring homomorphism,
-    as N² ≡ −1, and one-to-one on parts below N: a + bN ≡ 0 with |a|, |b| <
-    N gives |a + bN| < N² + 1, so a + bN = 0, which forces b = 0, then a = 0.
-    So every identity on this table holds in ℤ[i] iff it holds mod N² + 1.
-    Sums stay unreduced: one is zero iff its Gaussian sum is, and
-    `_gaussian` decodes it.
+    and their difference at most 2·S^|U| < N.  Mod N² + 1, i ↦ N is a ring
+    homomorphism, as N² ≡ −1, and one-to-one on parts below N: a + bN ≡ 0
+    with |a|, |b| < N gives |a + bN| < N² + 1, so a + bN = 0, which forces
+    b = 0, then a = 0.  So every identity on this table holds in ℤ[i] iff
+    it holds mod N² + 1.  Sums stay unreduced: one is zero iff its Gaussian
+    sum is, and `_gaussian` decodes it.
     """
     union = sum(regions)  # the regions are disjoint
     cells = config_indices(q.site, union)
