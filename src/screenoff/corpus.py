@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import neg
 from typing import Callable, Mapping
 
 from .events import HISTORY_LIMIT, CapacityError, history_index, n_histories
@@ -291,8 +292,10 @@ def _deep_past() -> CorpusEntry:
 
 def _decohered(m: StochasticModel) -> QuantalModel:
     """The measure of `m` on the diagonal of an otherwise zero matrix."""
-    ints = [[(w, 0) if h == g else (0, 0) for g in range(len(m._nums))] for h, w in enumerate(m._nums)]
-    return QuantalModel._from_scaled(m.site, m._den, ints)
+    n = len(m._nums)
+    re = [0] * (n * n)
+    re[:: n + 1] = m._nums
+    return QuantalModel._from_scaled(m.site, m._den, re, [0] * (n * n))
 
 
 def _diagonal_embedding(base: CorpusEntry) -> CorpusEntry:
@@ -632,19 +635,19 @@ def random_quantal(
     weights, vectors, norm = _witness_terms(rng, n, k)
     # matrix numerators sum w * psi[h] * conj(psi[g]) over the integer norm;
     # the matrix is Hermitian, so the lower triangle mirrors the upper
-    num = [[(0, 0)] * n for _ in range(n)]
+    re, im = [0] * (n * n), [0] * (n * n)
     for w, psi in zip(weights, vectors):
         for h, (hr, hi) in enumerate(psi):
-            row = num[h]
-            for g in range(h, n):
-                gr, gi = psi[g]
-                er, ei = row[g]
-                row[g] = (er + w * (hr * gr + hi * gi), ei + w * (hi * gr - hr * gi))
-    for h in range(n):
-        for g in range(h + 1, n):
-            num[g][h] = (num[h][g][0], -num[h][g][1])
+            i = h * n + h  # entry (h, g), from g = h
+            for gr, gi in psi[h:]:
+                re[i] += w * (hr * gr + hi * gi)
+                im[i] += w * (hi * gr - hr * gi)
+                i += 1
+    for h in range(n):  # row h right of the diagonal is column h below it
+        re[h * n + h + n :: n] = re[h * n + h + 1 : h * n + n]
+        im[h * n + h + n :: n] = map(neg, im[h * n + h + 1 : h * n + n])
     witness = [(w, norm, 1, tuple(psi)) for w, psi in zip(weights, vectors)]
-    return QuantalModel._from_scaled(site, norm, num, witness)
+    return QuantalModel._from_scaled(site, norm, re, im, witness)
 
 
 def _require_entries(n: int, count: int, what: str) -> None:

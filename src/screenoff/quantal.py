@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from functools import partial, reduce
+from itertools import repeat
 from math import gcd, lcm, prod
+from operator import add, mul, neg, sub
 
 from .events import (
     check_event,
-    config_indices,
-    dom,
     event_ref,
     full_specifications,
     n_configs,
@@ -34,6 +34,8 @@ from .report import (
 )
 from .stochastic import (
     StochasticModel,
+    _cell_gather,
+    _gaussian,
     _planned,
     _product_rule_failure,
     _screen,
@@ -94,7 +96,6 @@ class ComplexFraction:
 
 
 CF_ZERO = ComplexFraction()
-CF_ONE = ComplexFraction(Fraction(1), Fraction(0))
 
 
 def _scaled(values) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -112,17 +113,6 @@ def _fractions(values, den: int) -> tuple[ComplexFraction, ...]:
     return tuple(ComplexFraction(Fraction(x, den), Fraction(y, den)) for x, y in values)
 
 
-@dataclass(frozen=True)
-class PseudoEvent:
-    """An ordered product of two plain events — a rectangle in Omega x Omega."""
-
-    left: int
-    right: int
-
-    def __and__(self, other: "PseudoEvent") -> "PseudoEvent":
-        return PseudoEvent(self.left & other.left, self.right & other.right)
-
-
 class QuantalModel:
     """An interference matrix over the histories of a causal site.
 
@@ -130,10 +120,12 @@ class QuantalModel:
     pair (h, g).  An optional ``positivity_witness`` — a sequence of
     (weight, amplitude-vector) pairs whose weighted outer products sum to
     the matrix — certifies positivity without enumeration.  Both are views,
-    built on first use, of Gaussian-integer rows ``_ints`` over a reduced ``_den``.
+    built on first use, of the matrix's Gaussian-integer parts, flat and
+    row-major ``_re`` and ``_im``, over a reduced ``_den``.  ``_encoded``
+    is the matrix as `_pair_matrix` encodes it, built on its first call.
     """
 
-    __slots__ = ("site", "_den", "_ints", "_witness", "_entry_view", "_witness_view", "_validation")
+    __slots__ = ("site", "_den", "_re", "_im", "_witness", "_encoded", "_entry_view", "_witness_view", "_validation")
 
     def __init__(self, site: CausalSite, entries, positivity_witness=None) -> None:
         n = n_histories(site)
@@ -149,27 +141,28 @@ class QuantalModel:
             (*Fraction(w).as_integer_ratio(), *_scaled(map(ComplexFraction.of, vec)))
             for w, vec in positivity_witness
         ]
-        self._setup(site, den, [flat[i : i + n] for i in range(0, n * n, n)], witness)
+        self._setup(site, den, *zip(*flat), witness)
 
     @classmethod
-    def _from_scaled(cls, site: CausalSite, den: int, ints, witness=None) -> "QuantalModel":
-        """A model from Gaussian-integer rows over `den` and (p, q, dv, V) witness terms."""
-        return cls.__new__(cls)._setup(site, den, ints, witness)
+    def _from_scaled(cls, site: CausalSite, den: int, re, im, witness=None) -> "QuantalModel":
+        """A model from flat row-major Gaussian-integer parts over `den` and (p, q, dv, V) witness terms."""
+        return cls.__new__(cls)._setup(site, den, re, im, witness)
 
-    def _setup(self, site: CausalSite, den: int, ints, witness) -> "QuantalModel":
-        # divide out the common factor, so that (_den, _ints) is canonical
-        g = gcd(den, *chain.from_iterable(chain.from_iterable(ints)))
+    def _setup(self, site: CausalSite, den: int, re, im, witness) -> "QuantalModel":
+        # divide out the common factor, so that (_den, _re, _im) is canonical
+        g = gcd(den, *re, *im)
         if g > 1:
-            den, ints = den // g, [[(x // g, y // g) for x, y in row] for row in ints]
-        self.site, self._den, self._ints = site, den, tuple(map(tuple, ints))
+            den, re, im = den // g, [x // g for x in re], [y // g for y in im]
+        self.site, self._den, self._re, self._im = site, den, tuple(re), tuple(im)
         self._witness = None if witness is None else tuple(witness)
-        self._entry_view = self._witness_view = self._validation = None
+        self._encoded = self._entry_view = self._witness_view = self._validation = None
         return self
 
     @property
     def entries(self) -> tuple[tuple[ComplexFraction, ...], ...]:
         if self._entry_view is None:
-            self._entry_view = tuple(_fractions(row, self._den) for row in self._ints)
+            flat, n = _fractions(zip(self._re, self._im), self._den), n_histories(self.site)
+            self._entry_view = tuple(flat[i : i + n] for i in range(0, len(flat), n))
         return self._entry_view
 
     @property
@@ -181,30 +174,24 @@ class QuantalModel:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuantalModel):
             return NotImplemented
-        return self.site == other.site and self._den == other._den and self._ints == other._ints
+        return (self.site, self._den, self._re, self._im) == (other.site, other._den, other._re, other._im)
 
     def __hash__(self) -> int:
-        return hash((self.site, self._den, self._ints))
+        return hash((self.site, self._den, self._re, self._im))
 
     def __repr__(self) -> str:
-        return f"QuantalModel(site={self.site!r}, n_histories={len(self._ints)})"
+        return f"QuantalModel(site={self.site!r}, n_histories={n_histories(self.site)})"
 
     # -- measures ----------------------------------------------------------
 
     def d_value(self, left: int, right: int) -> ComplexFraction:
         """The matrix summed over an ordered pair of events."""
         left, right = check_event(self.site, left), check_event(self.site, right)
-        re = im = 0
+        n, re, im = n_histories(self.site), 0, 0
         for h in iter_bits(left):
-            row = self._ints[h]
             for g in iter_bits(right):
-                x, y = row[g]
-                re, im = re + x, im + y
+                re, im = re + self._re[h * n + g], im + self._im[h * n + g]
         return ComplexFraction(Fraction(re, self._den), Fraction(im, self._den))
-
-    def mu_hat(self, p: PseudoEvent) -> ComplexFraction:
-        """The complex measure of a pseudo-event."""
-        return self.d_value(p.left, p.right)
 
     def mu_q(self, a: int) -> Fraction:
         """The real quantal measure of a plain event."""
@@ -223,24 +210,22 @@ class QuantalModel:
 
     def _validate(self) -> CheckReport:
         condition = "quantal-axioms"
-        ints = self._ints
-        n = len(ints)
-        for h in range(n):
-            for g in range(h, n):
-                re, im = ints[g][h]
-                if ints[h][g] != (re, -im):
-                    cx = Counterexample(
-                        values=(
-                            ("axiom", "hermiticity"),
-                            ("entry", f"({h}, {g})"),
-                            (f"D[{h}][{g}]", str(self.entries[h][g])),
-                            (f"conj(D[{g}][{h}])", str(self.entries[g][h].conjugate())),
-                        ),
-                        note=f"hermiticity fails at history pair ({h}, {g})",
-                    )
-                    return CheckReport(condition, VIOLATED, counterexample=cx)
-        total_re = sum(x[0] for row in ints for x in row)
-        total_im = sum(x[1] for row in ints for x in row)
+        re, im, n = self._re, self._im, n_histories(self.site)
+        for h in range(n):  # row h from the diagonal against column h from it
+            d = h * n + h
+            if re[d : h * n + n] != re[d::n] or im[d : h * n + n] != tuple(map(neg, im[d::n])):
+                g = next(g for g in range(h, n) if (re[h * n + g], im[h * n + g]) != (re[g * n + h], -im[g * n + h]))
+                cx = Counterexample(
+                    values=(
+                        ("axiom", "hermiticity"),
+                        ("entry", f"({h}, {g})"),
+                        (f"D[{h}][{g}]", str(self.entries[h][g])),
+                        (f"conj(D[{g}][{h}])", str(self.entries[g][h].conjugate())),
+                    ),
+                    note=f"hermiticity fails at history pair ({h}, {g})",
+                )
+                return CheckReport(condition, VIOLATED, counterexample=cx)
+        total_re, total_im = sum(re), sum(im)
         if (total_re, total_im) != (self._den, 0):
             total = ComplexFraction(Fraction(total_re, self._den), Fraction(total_im, self._den))
             cx = Counterexample(
@@ -265,13 +250,12 @@ class QuantalModel:
         if self._witness is not None:
             self._check_witness()
             return None
-        ints = self._ints
-        n = len(ints)
-        if all(x == (0, 0) for h, row in enumerate(ints) for g, x in enumerate(row) if h != g):
+        re, im, n = self._re, self._im, n_histories(self.site)
+        if self._first_off_diagonal() is None:
             # fully decohered: additivity reduces every event to its singletons
-            for h in range(n):
-                if ints[h][h][0] < 0:
-                    return 1 << h, Fraction(ints[h][h][0], self._den)
+            for h, x in enumerate(re[:: n + 1]):
+                if x < 0:
+                    return 1 << h, Fraction(x, self._den)
             return None
         if n > POSITIVITY_ENUMERATION_LIMIT:
             raise QuantalError(
@@ -280,31 +264,33 @@ class QuantalModel:
                 "positivity witness was given"
             )
         # incremental double sum over one-bit-flip subset steps: col[x] sums
-        # column x over the rows of the event.  Adding (sign 1) or removing
+        # Re of column x over the rows of the event.  Adding (sign 1) or removing
         # (sign -1) h moves the measure by sign * (D[h][h] + 2 Re c), c being
         # col[h] over the event without h: D[h][h] + sign * 2 Re col[h] with
         # col read before the step
-        negated = [[(-re, -im) for re, im in row] for row in ints]
-        col = [(0, 0)] * n
+        col = [0] * n
         s_re = s_im = cur = 0
         for g in range(1, 1 << n):
             h = (g & -g).bit_length() - 1
             sign = -1 if cur >> h & 1 else 1
             cur ^= 1 << h
-            d_re, d_im = ints[h][h]
-            s_re += d_re + sign * 2 * col[h][0]
-            s_im += sign * d_im
-            for x, (er, ei) in enumerate(ints[h] if sign > 0 else negated[h]):
-                cr, ci = col[x]
-                col[x] = (cr + er, ci + ei)
+            s_re += re[h * n + h] + sign * 2 * col[h]
+            s_im += sign * im[h * n + h]
+            col = list(map(add if sign > 0 else sub, col, re[h * n : h * n + n]))
             if s_im:
                 raise InternalCheckError("internal error: event measure not real")
             if s_re < 0:
                 return cur, Fraction(s_re, self._den)
         return None
 
+    def _first_off_diagonal(self):
+        """(h, g) of the first nonzero entry off the diagonal, row by row, or None."""
+        n = n_histories(self.site)
+        i = next((i for i, z in enumerate(zip(self._re, self._im)) if i % (n + 1) and any(z)), None)
+        return None if i is None else divmod(i, n)
+
     def _check_witness(self) -> None:
-        n = len(self._ints)
+        n = n_histories(self.site)
         for p, q, _, vec in self._witness:
             if p <= 0:
                 raise QuantalError(f"quantal error: witness weight {Fraction(p, q)} is not positive")
@@ -317,11 +303,10 @@ class QuantalModel:
         # over the common denominator L of every q * dv^2
         big = lcm(*(q * dv * dv for _, q, dv, _ in self._witness))
         terms = [(p * (big // (q * dv * dv)), vec) for p, q, dv, vec in self._witness]
-        den = self._den
+        re, im, den = self._re, self._im, self._den
         # relies on _validate checking hermiticity first: the matrix and the sum of
         # terms are both Hermitian, so their differences are mirrored, first at h <= g
         for h in range(n):
-            row = self._ints[h]
             for g in range(h, n):
                 acc_re = acc_im = 0
                 for c, v in terms:
@@ -329,7 +314,7 @@ class QuantalModel:
                     gr, gi = v[g]
                     acc_re += c * (hr * gr + hi * gi)
                     acc_im += c * (hi * gr - hr * gi)
-                er, ei = row[g]
+                er, ei = re[h * n + g], im[h * n + g]
                 if acc_re * den != er * big or acc_im * den != ei * big:
                     acc = ComplexFraction(Fraction(acc_re, big), Fraction(acc_im, big))
                     raise QuantalError(
@@ -345,60 +330,43 @@ def validate_quantal(q: QuantalModel) -> CheckReport:
     return q._validation
 
 
-def pdom(q: QuantalModel, p: PseudoEvent) -> int:
-    """The least region deciding both components of a pseudo-event."""
-    return dom(q.site, p.left) | dom(q.site, p.right)
-
-
-def pseudo_full_specifications(q: QuantalModel, region: int) -> tuple[PseudoEvent, ...]:
-    """All ordered products of full specifications of the region.
-
-    These partition the space of history pairs; there are |Phi(region)|^2
-    of them, enumerated with the left component outermost.
-    """
-    cells = full_specifications(q.site, region)
-    return tuple(PseudoEvent(f, g) for f in cells for g in cells)
-
-
 # -- the quantal screening conditions ----------------------------------------
 
 
 def _pair_matrix(q: QuantalModel, regions: tuple[int, ...]) -> tuple[list[int], int]:
     """(d-values between configurations of the union U of disjoint regions, N), x + iy as x + y·N.
 
-    The n_U x n_U matrix is flat and row-major in U's config order.  Let S
-    be its sum of absolute parts, and N = 2·S^|U| + 1.  Every block sum z
-    has |Re z| + |Im z| <= S, and that measure of a product is at most the
-    product of its factors', so both sides of a product-rule identity over
-    k <= |U| regions, a product of k block sums, have parts at most S^|U|,
-    and their difference at most 2·S^|U| < N.  Mod N² + 1, i ↦ N is a ring
-    homomorphism, as N² ≡ −1, and one-to-one on parts below N: a + bN ≡ 0
-    with |a|, |b| < N gives |a + bN| < N² + 1, so a + bN = 0, which forces
-    b = 0, then a = 0.  So every identity on this table holds in ℤ[i] iff
-    it holds mod N² + 1.  Sums stay unreduced: one is zero iff its Gaussian
-    sum is, and `_gaussian` decodes it.
+    The n_U x n_U matrix is flat and row-major in U's config order, summed
+    by `_cell_gather` over rows, then columns, from the model's matrix
+    encoded on the first call.  Let S be that matrix's sum of absolute
+    parts, and N = 2·S² + 1.  Every table entry, and every block sum, w,
+    column and joint of a scan, is a sum of its entries, so it has
+    |Re| + |Im| <= S, and that measure of a product is at most the product
+    of its factors'.  So every comparison of degree 2, a step
+    T_j·w = T_{j−1} ⊗ M_j, a pair J·w = M_A ⊗ M_B or a null cell 0 = J,
+    has a difference with parts at most 2·S² < N.  Mod N² + 1, i ↦ N is a
+    ring homomorphism, as N² ≡ −1, and one-to-one on parts below N:
+    a + bN ≡ 0 with |a|, |b| < N gives |a + bN| < N² + 1, so a + bN = 0,
+    which forces b = 0, then a = 0.  So each such identity holds in ℤ[i]
+    iff it holds mod N² + 1.  The one test of degree k > 2, J·w^(k−1) =
+    M_1 ⊗ … ⊗ M_k, runs only on a cell the steps rejected, to locate its
+    first failing atom; `_product_rule_failure` takes it at N^k > 2·S^k,
+    mod N^(2k) + 1.  Sums stay unreduced: one is zero iff its Gaussian sum
+    is, and `_gaussian` decodes it.
     """
-    union = sum(regions)  # the regions are disjoint
-    cells = config_indices(q.site, union)
-    n = n_configs(q.site, union)
-    if n == len(cells):  # U's config order is the history order
-        entries = list(chain.from_iterable(q._ints))
-    else:
-        re, im = [0] * (n * n), [0] * (n * n)
-        for row_cell, row in zip(cells, q._ints):
-            base = row_cell * n
-            for cell, (x, y) in zip(cells, row):
-                re[base + cell] += x
-                im[base + cell] += y
-        entries = list(zip(re, im))
-    big = 2 * sum(map(abs, chain.from_iterable(entries))) ** union.bit_count() + 1
-    return [x + y * big for x, y in entries], big
-
-
-def _gaussian(value: int, big: int) -> tuple[int, int]:
-    """The Gaussian integer x + iy with parts below big / 2 encoded as x + y·big."""
-    y, x = divmod(value, big)
-    return (x - big, y + 1) if 2 * x > big else (x, y)
+    if q._encoded is None:
+        big = 2 * (sum(map(abs, q._re)) + sum(map(abs, q._im))) ** 2 + 1
+        q._encoded = list(map(add, q._re, map(mul, q._im, repeat(big)))), big
+    flat, big = q._encoded
+    gather, per_cell = _cell_gather(q.site, sum(regions))  # the regions are disjoint
+    if gather is None:  # U's config order is the history order
+        return flat, big
+    n, table = n_histories(q.site), []
+    starts = gather(range(0, len(flat), n))  # the rows in U's cell order
+    for i in range(0, n, per_cell):
+        row = gather(list(reduce(partial(map, add), (flat[s : s + n] for s in starts[i : i + per_cell]))))
+        table += map(sum, zip(*[iter(row)] * per_cell))
+    return table, big
 
 
 def _quantal_screening_failure(
@@ -505,21 +473,17 @@ def diagonal_reduction(q: QuantalModel) -> CheckReport:
     cell.  A nonzero off-diagonal entry is an error.
     """
     site = q.site
-    n = len(q._ints)
-    for h in range(n):
-        for g in range(n):
-            if h != g and q._ints[h][g] != (0, 0):
-                raise QuantalError(
-                    f"quantal error: off-diagonal entry at ({h}, {g}); "
-                    "diagonal reduction needs a fully decohered matrix"
-                )
-    nums = []
-    for h in range(n):
-        re, im = q._ints[h][h]
-        if im != 0:
+    n = n_histories(site)
+    off = q._first_off_diagonal()
+    if off is not None:
+        raise QuantalError(
+            f"quantal error: off-diagonal entry at {off}; "
+            "diagonal reduction needs a fully decohered matrix"
+        )
+    for h, y in enumerate(q._im[:: n + 1]):
+        if y != 0:
             raise QuantalError(f"quantal error: diagonal entry {h} is not real")
-        nums.append(re)
-    induced = StochasticModel._from_scaled(site, q._den, nums)
+    induced = StochasticModel._from_scaled(site, q._den, q._re[:: n + 1])
     so = check_so1(induced)
     qso = check_qso1(q)
     stats = {"so1_verdict": so.verdict, "qso1_verdict": qso.verdict}

@@ -14,7 +14,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from math import comb, gcd, lcm, prod
+from math import comb, gcd, isqrt, lcm, prod
 from operator import add, itemgetter, mod, mul, or_, sub
 
 from .events import (
@@ -173,7 +173,8 @@ def correlated(model: StochasticModel, a: int, b: int) -> bool:
 # others, so it is not compared.  At k = 2 the step is the identity itself:
 # pairs, rejected blocks and null cells with a nonzero block take the direct
 # test, which alone locates a first failing atom.  The quantal tables encode
-# ℤ[i] in ℤ/(N² + 1) (`_pair_matrix`), where every comparison is taken.
+# ℤ[i] in ℤ/(N² + 1) (`_pair_matrix`), where every comparison of degree 2 is
+# taken; a rejected k-region cell is re-encoded for its direct test.
 
 
 def _sum_out(cells: list[int], sizes: tuple[int, ...]):
@@ -291,6 +292,12 @@ def _factorization_failure(
     return _product_rule_failure(model.site, table, union, event_regions, past)
 
 
+def _gaussian(value: int, big: int) -> tuple[int, int]:
+    """The Gaussian integer x + iy with parts below big / 2 encoded as x + y·big."""
+    y, x = divmod(value, big)
+    return (x - big, y + 1) if 2 * x > big else (x, y)
+
+
 def _product_rule_failure(
     site: CausalSite, table: list[int], union: int, regions: tuple[int, ...], past: int, power: int = 1, modulus: int = 0
 ):
@@ -300,11 +307,12 @@ def _product_rule_failure(
     of the regions' atoms given each cell C of `past`, one cell's block at
     a time, with the first region most significant: step by step first
     where k > 2 (`_factorizes`).  A block is read from the union's table
-    through `_atom_block` of this `power`; with a nonzero `modulus` the
-    comparisons are taken mod it, the sums are not.  A null cell with a
-    zero block is skipped.  On another null cell a pair must have
-    0 = M_A ⊗ M_B, and a k > 2 scan, a group certificate, fails: a
-    certificate is sound there only on a zero block.
+    through `_atom_block` of this `power`; with a nonzero `modulus` N² + 1
+    the comparisons are taken mod it, the sums are not, and the direct test
+    of a cell the steps reject, of degree k, at N^k (`_pair_matrix`).  A
+    null cell with a zero block is skipped.  On another null cell a pair
+    must have 0 = M_A ⊗ M_B, and a k > 2 scan, a group certificate, fails:
+    a certificate is sound there only on a zero block.
     """
     sizes, block = _atom_block(site, regions, union, power)
     span = len(block)
@@ -322,18 +330,24 @@ def _product_rule_failure(
         if w_past == 0 and not any(cells):
             skipped += 1
             continue
+        tested, factors, test_modulus = cells, margins, modulus
+        if modulus and exponent > 1 and w_past:  # re-encode the rejected cell at N^k
+            big = isqrt(modulus - 1)
+            wide = big ** (exponent + 1)
+            tested = [x + y * wide for x, y in map(_gaussian, cells, itertools.repeat(big))]
+            factors, test_modulus = _margins(tested, sizes), wide * wide + 1
         if w_past == 0 and exponent > 1:
             lhs, rhs = cells, [0] * span
         else:
-            *head_margins, margin_last = margins
+            *head_margins, margin_last = factors
             row_factors = [1]
             for margin in head_margins:
                 row_factors = [f * w for f in row_factors for w in margin]
-            scale = w_past**exponent
-            lhs = [x * scale for x in cells]
+            scale = sum(factors[0]) ** exponent
+            lhs = [x * scale for x in tested]
             rhs = [f * y for f in row_factors for y in margin_last]
         if modulus:  # the residues of the differences, against 0
-            lhs, rhs = list(map(mod, map(sub, lhs, rhs), itertools.repeat(modulus))), [0] * span
+            lhs, rhs = list(map(mod, map(sub, lhs, rhs), itertools.repeat(test_modulus))), [0] * span
         if lhs != rhs:
             i = next(i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
             atom = _atom_coords(sizes)[i]

@@ -10,7 +10,9 @@ block and margin kernels.  ``ref_cell_weights`` and ``ref_margins`` are the
 per-element loops the builtin kernels replaced, kept as references.  The
 step-wise factorization test ``_factorizes``, over ℤ and on Gaussian
 integers encoded as x + y·N mod N² + 1, is compared with the outer-product
-identity it stands in for.
+identity it stands in for, and the whole kernel ``_product_rule_failure`` on
+encoded blocks, a rejected k-region cell re-encoded at N^k, with that
+identity's first failing atom.
 """
 from __future__ import annotations
 
@@ -25,14 +27,16 @@ from hypothesis import strategies as st
 
 from screenoff.events import CapacityError, _block, config_indices, n_configs, n_histories
 from screenoff.order import CausalSite, iter_bits
-from screenoff.quantal import QuantalModel, _gaussian, _pair_matrix
+from screenoff.quantal import QuantalModel, _pair_matrix
 from screenoff.stochastic import (
     StochasticModel,
     _atom_block,
     _cell_gather,
     _cell_weights,
     _factorizes,
+    _gaussian,
     _margins,
+    _product_rule_failure,
     _union_offsets,
 )
 
@@ -126,10 +130,12 @@ def test_pair_matrix_sums_d_values_over_cell_pairs(drawn):
     n = n_histories(site)
     # any Gaussian-integer matrix will do: the sums do not need a valid model,
     # and a non-Hermitian one tells rows from columns
-    ints = [[(rng.randrange(-3, 4), rng.randrange(-3, 4)) for _ in range(n)] for _ in range(n)]
-    q = QuantalModel._from_scaled(site, rng.randrange(1, 7), ints)
+    re, im = ([rng.randrange(-3, 4) for _ in range(n * n)] for _ in "ri")
+    q = QuantalModel._from_scaled(site, rng.randrange(1, 7), re, im)
     union = sum(regions)
+    _, first_big = _pair_matrix(q, regions[1:])  # the model is encoded once, whichever union comes first
     table, big = _pair_matrix(q, regions)
+    assert big == first_big
     size = n_configs(site, union)
     assert len(table) == size * size
     block = _block([_union_offsets(site, r, union) for r in regions])
@@ -225,20 +231,33 @@ def gsum(xs) -> tuple[int, int]:
     return sum(re), sum(im)
 
 
-def outer_product_holds(cells: list[tuple[int, int]], sizes: tuple[int, ...]) -> bool:
-    """J·w^(k−1) == ∏ M_i on every atom, in Gaussian integers: the direct test."""
+def direct_failure(cells: list[tuple[int, int]], sizes: tuple[int, ...]):
+    """(atom, w, joint, margins) of the first failing atom of one cell's block, in Gaussian integers; None if it holds; "skip" for a null cell with a zero block.
+
+    The kernel's rule without encodings or steps: J·w^(k−1) == ∏ M_i on
+    each atom, and on a null cell of k > 2 regions, J == 0.
+    """
     coords = list(itertools.product(*(range(s) for s in sizes)))
     margins = [[gsum(x for x, at in zip(cells, coords) if at[i] == c) for c in range(s)] for i, s in enumerate(sizes)]
+    w = gsum(cells)
+    if w == (0, 0) and not any(map(any, cells)):
+        return "skip"
+    null_certificate = w == (0, 0) and len(sizes) > 2
     scale = (1, 0)
     for _ in sizes[1:]:
-        scale = gmul(scale, gsum(cells))
+        scale = gmul(scale, w)
     for x, at in zip(cells, coords):
         rhs = (1, 0)
         for m, c in zip(margins, at):
             rhs = gmul(rhs, m[c])
-        if gmul(x, scale) != rhs:
-            return False
-    return True
+        if x != (0, 0) if null_certificate else gmul(x, scale) != rhs:
+            return at, w, x, tuple(m[c] for m, c in zip(margins, at))
+    return None
+
+
+def outer_product_holds(cells: list[tuple[int, int]], sizes: tuple[int, ...]) -> bool:
+    """J·w^(k−1) == ∏ M_i on every atom of a block of total w ≠ 0, in Gaussian integers: the direct test."""
+    return direct_failure(cells, sizes) is None
 
 
 @st.composite
@@ -291,9 +310,9 @@ def test_the_stepwise_test_is_the_outer_product_identity(drawn):
     assert _factorizes(real, sizes, sum(real)) == outer_product_holds(cells, sizes)
 
 
-def encoded(cells: list[tuple[int, int]], k: int) -> tuple[list[int], int]:
-    """The cells as x + y·N, N = 2·S^k + 1 over their sum S of absolute parts, as `_pair_matrix` encodes a union."""
-    big = 2 * sum(abs(x) + abs(y) for x, y in cells) ** k + 1
+def encoded(cells: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """The cells as x + y·N, N = 2·S² + 1 over their sum S of absolute parts, as `_pair_matrix` encodes a model."""
+    big = 2 * sum(abs(x) + abs(y) for x, y in cells) ** 2 + 1
     return [x + y * big for x, y in cells], big
 
 
@@ -305,24 +324,82 @@ def encoded(cells: list[tuple[int, int]], k: int) -> tuple[list[int], int]:
 @example(([(-3, 3), (3, -3), (3, 3), (-3, -3), (3, 3), (3, -3), (-3, 3), (3, 3)], (2, 2, 2)))  # every part ±3
 def test_the_gaussian_stepwise_test_is_the_outer_product_identity(drawn):
     cells, sizes = drawn
-    ints, big = encoded(cells, len(sizes))
+    ints, big = encoded(cells)
     assert _factorizes(ints, sizes, sum(ints), big * big + 1) == outer_product_holds(cells, sizes)
 
 
 def test_the_encoding_separates_every_difference_up_to_the_bound():
-    # two binary sites, S = 2 and |U| = 2: lhs − rhs of an identity has
-    # parts at most 2·S^|U| = 8, and each such nonzero Gaussian integer
-    # must encode to a nonzero residue.  At N one too small, 8, the
-    # difference (a, b) = (8, −1) would encode to 8 − 8 = 0
+    # two binary sites and three entries, so S = 3, the whole matrix's sum
+    # of absolute parts; the first table built, of site a alone, sums two
+    # of them to 0, yet N stays the model's.  A comparison of degree 2 has
+    # a difference with parts at most 2·S² = 18, and each such nonzero
+    # Gaussian integer must encode to a nonzero residue.  At N one too
+    # small, 18, the difference (a, b) = (18, −1) would encode to 18 − 18 = 0
     site = CausalSite([("a", 2), ("b", 2)])
-    ints = [[(0, 0)] * 4 for _ in range(4)]
-    ints[0][0], ints[1][2] = (1, 0), (0, -1)
-    table, big = _pair_matrix(QuantalModel._from_scaled(site, 1, ints), (0b01, 0b10))
+    re, im = [0] * 16, [0] * 16
+    re[0], re[4], im[6] = 1, -1, -1  # D[0][0] = 1, D[1][0] = −1 and D[1][2] = −i
+    q = QuantalModel._from_scaled(site, 1, re, im)
+    small, first_big = _pair_matrix(q, (0b01,))
+    table, big = _pair_matrix(q, (0b01, 0b10))
+    assert [_gaussian(v, first_big) for v in small] == [(0, 0), (0, -1), (0, 0), (0, 0)]
+    assert first_big == big
     bound = 2 * sum(abs(x) + abs(y) for x, y in (_gaussian(v, big) for v in table)) ** 2
-    assert bound == 8
+    assert bound == 18
     assert (bound - big) % (big * big + 1) != 0
     parts = range(-bound, bound + 1)
     assert all((a + b * big) % (big * big + 1) for a in parts for b in parts if a or b)
+
+
+def kernel_failure(cells: list[tuple[int, int]], sizes: tuple[int, ...]):
+    """`_product_rule_failure` on one cell's block, encoded as `_pair_matrix` encodes, decoded as `direct_failure` reports."""
+    site = CausalSite([(f"e{i}", s) for i, s in enumerate(sizes)])
+    regions = tuple(1 << i for i in range(len(sizes)))
+    table, big = encoded(cells)
+    fail, checked, skipped = _product_rule_failure(site, table, sum(regions), regions, 0, 1, big * big + 1)
+    if skipped:
+        assert (fail, checked) == (None, 0)
+        return "skip"
+    if fail is None:
+        assert checked == len(cells)
+        return None
+    assert checked == 1 + list(itertools.product(*(range(s) for s in sizes))).index(fail.atom_indexes)
+    decoded = [_gaussian(v, big) for v in (fail.w_past, fail.w_joint, *fail.w_margins)]
+    return fail.atom_indexes, decoded[0], decoded[1], tuple(decoded[2:])
+
+
+# three binary regions, S = 51 and N = 2·S² + 1 = 5203.  The first atom's
+# joint cell is 0, and the cells u, v, t beside it give it the margins
+# u + v, u + t and v + t, whose product (9 + 14i)(17 + i)(16 + 9i) is
+# 1 + 5203i = i·(N − i): the first failing atom's difference −i·(N − i)
+# encodes to −(N² + 1), so a comparison at N passes it.  The last cell pads
+# S to 51.  Of all 9^8 blocks of 2 × 2 × 2 cells with parts in {−1, 0, 1},
+# none has a first failing atom whose difference collides at N
+COLLIDING = [(0, 0), (5, 3), (4, 11), (0, 0), (12, -2), (0, 0), (0, 0), (14, 0)]
+
+
+def test_a_rejected_block_is_tested_at_degree_k():
+    sizes = (2, 2, 2)
+    ints, big = encoded(COLLIDING)
+    assert big == 5203
+    assert not _factorizes(ints, sizes, sum(ints), big * big + 1)
+    assert direct_failure(COLLIDING, sizes)[0] == (0, 0, 0)
+    margins = _margins(ints, sizes)
+    product = margins[0][0] * margins[1][0] * margins[2][0]
+    assert product % (big * big + 1) == 0 and product != 0  # at N the first atom's test passes
+    assert kernel_failure(COLLIDING, sizes) == direct_failure(COLLIDING, sizes)
+
+
+@given(factorization_blocks(gaussian=True), st.booleans())
+@example((COLLIDING, (2, 2, 2)), False)
+@example(([(1, 1), (0, 1), (2, 0), (1, -1)], (2, 2)), False)  # a complex w on a pair that fails
+@example(([(1, 0), (0, 0), (0, 0), (-1, 0)], (2, 2)), False)  # a null cell of a pair whose margins do not vanish
+@example(([(1, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (-1, 0)], (2, 2, 2)), False)  # a null cell with a nonzero block
+def test_the_encoded_kernel_is_the_direct_gaussian_test(drawn, null):
+    cells, sizes = drawn
+    if null:  # move the total out of the last cell: a null cell, its block zero or not
+        w = gsum(cells)
+        cells = [*cells[:-1], (cells[-1][0] - w[0], cells[-1][1] - w[1])]
+    assert kernel_failure(cells, sizes) == direct_failure(cells, sizes)
 
 
 @given(sites_with_regions())

@@ -34,8 +34,8 @@ from screenoff.events import (
 from screenoff import stochastic
 from screenoff.corpus import builtin
 from screenoff.order import CausalSite, RegionError, iter_bits
-from screenoff.quantal import PseudoEvent
 
+from pseudo_events import PseudoEvent, mu_hat
 from test_order import antichain, coin_site
 
 
@@ -206,8 +206,8 @@ class TestDom:
             "restriction": (m, lambda e: restriction(m.site, e, m.site.full_mask)),
             "d_value/left": (q, lambda e: q.d_value(e, qa)),
             "d_value/right": (q, lambda e: q.d_value(qa, e)),
-            "mu_hat/left": (q, lambda e: q.mu_hat(PseudoEvent(e, qa))),
-            "mu_hat/right": (q, lambda e: q.mu_hat(PseudoEvent(qa, e))),
+            "mu_hat/left": (q, lambda e: mu_hat(q, PseudoEvent(e, qa))),
+            "mu_hat/right": (q, lambda e: mu_hat(q, PseudoEvent(qa, e))),
             "mu_q": (q, q.mu_q),
         }
         for f in (stochastic.correlated, stochastic.find_screening_events, stochastic.find_simpson_events,

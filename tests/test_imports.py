@@ -8,7 +8,9 @@ the random generators.
 
 ``__init__.py`` is left out of the import check: it imports names to
 re-export them.  Every backquoted private name a comment or docstring of the
-package cites is one the package defines.
+package cites is one the package defines, and every name the package exports
+is used by one of its modules or named in the README: a name only tests use
+belongs in a test helper.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "screenoff"
+README = PACKAGE.parent.parent / "README.md"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 SOURCES = sorted(PACKAGE.glob("*.py"))
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
@@ -269,3 +272,35 @@ def test_every_cited_private_name_is_defined():
     sources = {path.name: path.read_text() for path in SOURCES}
     assert stale_citations(sources) == []
     assert len({name for source in sources.values() for _, name in private_citations(source)}) >= 15
+
+
+def unused_exports(sources: dict[str, str], readme: str) -> list[str]:
+    """Names in `__init__.py`'s `__all__` that no other module uses and the README does not name."""
+    init = ast.parse(sources["__init__.py"])
+    exported = next(
+        ast.literal_eval(stmt.value)
+        for stmt in init.body
+        if isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in stmt.targets)
+    )
+    used = set()
+    for module, source in sources.items():
+        if module != "__init__.py":
+            for node in ast.walk(ast.parse(source)):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    return [name for name in exported if name not in used and not re.search(rf"\b{re.escape(name)}\b", readme)]
+
+
+def test_the_guard_sees_an_export_only_tests_use():
+    sources = {
+        "__init__.py": 'from .a import f, g, h\n__all__ = ["f", "g", "h"]\n',
+        "a.py": "def f():\n    return g()\n\ndef g():\n    return 1\n\ndef h():\n    return 2\n",
+    }
+    assert unused_exports(sources, "Call `f()`, not `hh()`.") == ["h"]
+
+
+def test_every_export_is_used_or_documented():
+    sources = {path.name: path.read_text() for path in SOURCES}
+    assert unused_exports(sources, README.read_text()) == []

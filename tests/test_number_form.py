@@ -31,7 +31,7 @@ from screenoff.corpus import (
 )
 from screenoff.events import history_digits, n_histories
 from screenoff.order import CausalSite, iter_bits
-from screenoff.quantal import ComplexFraction, PseudoEvent, QuantalModel, check_qso1, diagonal_reduction
+from screenoff.quantal import ComplexFraction, QuantalModel, check_qso1, diagonal_reduction
 from screenoff.stochastic import (
     MeasureError,
     StochasticModel,
@@ -39,6 +39,8 @@ from screenoff.stochastic import (
     check_so2,
     deterministic_local_model,
 )
+
+from pseudo_events import PseudoEvent, mu_hat
 
 F = Fraction
 SEEDS = range(200)
@@ -238,7 +240,7 @@ def test_quantal_measures_match_a_complex_fraction_sum():
         rng = random.Random(seed)
         for _ in range(6):
             left, right = rng.randrange(1 << n), rng.randrange(1 << n)
-            assert q.mu_hat(PseudoEvent(left, right)) == ref_d_value(q, left, right)
+            assert mu_hat(q, PseudoEvent(left, right)) == ref_d_value(q, left, right)
             assert q.mu_q(left) == ref_d_value(q, left, left).re
 
 

@@ -22,6 +22,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pseudo_events import CF_ONE
 from test_stochastic_oracle import (
     PRUNING_SITES,
     clear_screenoff_caches,
@@ -49,7 +50,6 @@ from screenoff.events import config_indices, event_ref, full_specifications, n_c
 from screenoff.modelfile import render_model_json
 from screenoff.order import CausalSite
 from screenoff.quantal import (
-    CF_ONE,
     CF_ZERO,
     POSITIVITY_ENUMERATION_LIMIT,
     ComplexFraction,
@@ -106,13 +106,13 @@ def reference_random_quantal(seed, n_sites=4, max_alphabet=2, rank=3):
 
 
 def reference_ints(entries):
+    """(common denominator, real parts, imaginary parts), flat and row-major."""
     den = 1
     for row in entries:
         for x in row:
             den = lcm(den, x.re.denominator, x.im.denominator)
-    return den, tuple(
-        tuple((int(x.re * den), int(x.im * den)) for x in row) for row in entries
-    )
+    flat = [x for row in entries for x in row]
+    return den, tuple(int(x.re * den) for x in flat), tuple(int(x.im * den) for x in flat)
 
 
 def reference_witness_check(entries, witness) -> None:
@@ -216,7 +216,7 @@ def reference_validate(site, entries, witness) -> CheckReport:
 def reference_model(site, entries, witness) -> QuantalModel:
     """A model whose scaled matrix and validation come from the reference code."""
     q = QuantalModel(site, entries, witness)
-    q._den, q._ints = reference_ints(q.entries)
+    q._den, q._re, q._im = reference_ints(q.entries)
     q._validation = reference_validate(site, q.entries, q.positivity_witness)
     return q
 
@@ -249,7 +249,7 @@ def test_generation_and_checks_match_the_reference(sites, alphabet, rank):
         ref = reference_model(site, entries, witness)
         assert render_model_json(model) == render_model_json(ref)
         assert model.positivity_witness == ref.positivity_witness
-        assert (model._den, model._ints) == (ref._den, ref._ints)
+        assert (model._den, model._re, model._im) == (ref._den, ref._re, ref._im)
         assert _dump(validate_quantal(model)) == _dump(ref._validation)
         assert _dump(check_qso1(model)) == _dump(check_qso1(ref))
         assert _dump(check_qso2(model)) == _dump(check_qso2(ref))
@@ -366,8 +366,8 @@ def test_generation_and_validation_do_no_complex_fraction_arithmetic(monkeypatch
 def test_the_public_constructor_rebuilds_a_generated_model(seed, sites, alphabet, rank):
     m = random_quantal(seed, sites, alphabet, rank)
     m2 = QuantalModel(m.site, m.entries, m.positivity_witness)
-    assert (m._den, m._ints) == (m2._den, m2._ints)
-    assert gcd(m._den, *(x for row in m._ints for pair in row for x in pair)) == 1
+    assert (m._den, m._re, m._im) == (m2._den, m2._re, m2._im)
+    assert gcd(m._den, *m._re, *m._im) == 1
     assert m == m2 and hash(m) == hash(m2)
     assert render_model_json(m) == render_model_json(m2)
     for check in (validate_quantal, check_qso1, check_qso2):
@@ -413,15 +413,11 @@ def ref_pair_matrix(q, regions):
         for ci, size in zip(index_maps, sizes):
             flat = flat * size + ci[h]
         flat_of[h] = flat
-    ints = q._ints
     m = [[(0, 0)] * n_cells for _ in range(n_cells)]
     for h in range(n):
         mrow = m[flat_of[h]]
-        irow = ints[h]
-        for g in range(n):
-            u = flat_of[g]
+        for u, br, bi in zip(flat_of, q._re[h * n : h * n + n], q._im[h * n : h * n + n]):
             ar, ai = mrow[u]
-            br, bi = irow[g]
             mrow[u] = (ar + br, ai + bi)
     return sizes, m
 
@@ -649,7 +645,7 @@ def decohered_common_cause(n_leaves: int, coupled: bool) -> QuantalModel:
 def test_qso_corpus_entries_match_the_per_pair_scan(entry):
     q = entry.model
     n = len(q.entries)
-    decohered = all(q._ints[h][g] == (0, 0) for h in range(n) for g in range(n) if h != g)
+    decohered = all((q._re[h * n + g], q._im[h * n + g]) == (0, 0) for h in range(n) for g in range(n) if h != g)
     assert_qso_matches_reference(q, decohered)
 
 
