@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import prod
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .order import CausalSite, RegionError, iter_bits
 from .report import EventRef
@@ -174,45 +174,3 @@ def event_ref(site: CausalSite, event: int, region: int | None = None, config: i
         expr = atom_expr(site, region, config)
     return EventRef(mask=event, omega=n_histories(site), expr=expr)
 
-
-def restriction(site: CausalSite, event: int, region: int) -> int:
-    """Pullback of the event's projection onto the region.
-
-    The least event containing the given one that is decidable inside the
-    region: keep every history agreeing on the region with some member.
-    """
-    cells = full_specifications(site, region)
-    cis = config_indices(site, region)
-    seen: set[int] = set()
-    for h in iter_bits(check_event(site, event)):
-        seen.add(cis[h])
-    out = 0
-    for ci in seen:
-        out |= cells[ci]
-    return out
-
-
-def decidable_events(site: CausalSite, region: int) -> Iterator[int]:
-    """Every event decidable inside the region (all unions of its cells).
-
-    Exponential in the number of configurations; meant for small spaces.
-    """
-    cells = full_specifications(site, region)
-    for pick in range(1 << len(cells)):
-        acc = 0
-        for j in iter_bits(pick):
-            acc |= cells[j]
-        yield acc
-
-
-def is_full_specification(site: CausalSite, event: int, region: int) -> bool:
-    """Definitional check: nonempty, decidable in region, decides every
-    event that is decidable in the region."""
-    if event == 0:
-        return False
-    if dom(site, event) & ~region:
-        return False
-    for x in decidable_events(site, region):
-        if event & x != event and event & x != 0:
-            return False
-    return True

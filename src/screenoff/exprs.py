@@ -17,6 +17,9 @@ import re
 from .order import CausalSite
 from .events import cylinder, omega
 
+# Deepest nesting of '!' and '(' a term may have; each level costs the
+# parser up to three stack frames.
+_DEPTH_LIMIT = 100
 _TOKEN = re.compile(r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)|(?P<op>[|&!()=]))")
 
 
@@ -47,6 +50,7 @@ class _Parser:
             bad = pos + (len(rest) - len(rest.lstrip()))
             raise ExpressionError(f"unexpected character {text[bad]!r}", bad)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -87,11 +91,16 @@ class _Parser:
     def term(self) -> int:
         tok = self.take()
         kind, text, pos = tok
-        if kind == "op" and text == "!":
-            return omega(self.site) ^ self.term()
-        if kind == "op" and text == "(":
-            mask = self.or_expr()
-            self.expect_op(")")
+        if kind == "op" and text in "!(":
+            if self.depth == _DEPTH_LIMIT:
+                raise ExpressionError(f"nested more than {_DEPTH_LIMIT} deep", pos)
+            self.depth += 1
+            if text == "!":
+                mask = omega(self.site) ^ self.term()
+            else:
+                mask = self.or_expr()
+                self.expect_op(")")
+            self.depth -= 1
             return mask
         if kind == "ident":
             self.expect_op("=")
@@ -100,14 +109,12 @@ class _Parser:
                 raise ExpressionError(f"expected a value after '=', found {vtok[1]!r}", vtok[2])
             if text not in self.site.elements:
                 raise ExpressionError(f"unknown element {text!r}", pos)
-            value = int(vtok[1])
             i = self.site.index(text)
-            if not 0 <= value < self.site.alphabets[i]:
-                raise ExpressionError(
-                    f"value {value} out of range for {text!r} (alphabet {self.site.alphabets[i]})",
-                    vtok[2],
-                )
-            return cylinder(self.site, i, value)
+            k = self.site.alphabets[i]
+            value = vtok[1].lstrip("0") or "0"  # compared by length first: int() refuses over 4,300 digits
+            if len(value) > len(str(k)) or int(value) >= k:
+                raise ExpressionError(f"value {value} out of range for {text!r} (alphabet {k})", vtok[2])
+            return cylinder(self.site, i, int(value))
         raise ExpressionError(f"unexpected token {text!r}", pos)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
@@ -47,9 +48,6 @@ class LoadedModel:
         """Resolve a named event to its mask."""
         return parse_event(self.model.site, self.named_events[name])
 
-    def region(self, name: str) -> int:
-        return self.model.site.region(self.named_regions[name])
-
 
 # -- parsing ----------------------------------------------------------------
 
@@ -67,6 +65,8 @@ def _rational(value: Any, source: str, where: str) -> Fraction:
         return Fraction(value)
     except ZeroDivisionError:
         raise _err(source, f"{where}: zero denominator in {value!r}") from None
+    except ValueError:  # int() refuses more than 4,300 digits
+        raise _err(source, f"{where}: a number of more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def _site_table(data: Any, source: str) -> CausalSite:
@@ -200,6 +200,12 @@ def parse_model_text(text: str, source: str = "<string>") -> LoadedModel:
         raise _err(
             source, f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}"
         ) from e
+    except RecursionError:
+        raise _err(source, "invalid JSON: nested too deeply") from None
+    except ModelFileError:
+        raise
+    except ValueError:  # int() refuses a JSON integer of more than 4,300 digits
+        raise _err(source, f"invalid JSON: an integer of more than {sys.get_int_max_str_digits()} digits") from None
     if not isinstance(data, dict):
         raise _err(source, "top level must be an object")
     version = data.get("format_version")

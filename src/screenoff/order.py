@@ -138,11 +138,6 @@ class CausalSite:
         except KeyError:
             raise RegionError(f"region error: unknown element {sid!r}") from None
 
-    def leq(self, lo: str | int, hi: str | int) -> bool:
-        i = lo if isinstance(lo, int) else self.index(lo)
-        j = hi if isinstance(hi, int) else self.index(hi)
-        return bool(self.below[j] >> i & 1)
-
     def relation_pairs(self) -> tuple[tuple[str, str], ...]:
         """All strict pairs (lo, hi) with lo < hi, in declaration order."""
         out = []
@@ -196,20 +191,6 @@ class CausalSite:
     def spacelike(self, x: int, y: int) -> bool:
         """Neither region meets the past of the other."""
         return not (self.past(x) & y) and not (self.past(y) & x)
-
-    def mutual_past(self, a: int, b: int) -> int:
-        return self.past(a) & self.past(b)
-
-    def joint_past(self, a: int, b: int) -> int:
-        return self.past(a | b) & ~(a | b)
-
-    def multi_joint_past(self, regions: Sequence[int]) -> int:
-        if not regions:
-            raise RegionError("region error: multi_joint_past needs at least one region")
-        union = 0
-        for r in regions:
-            union |= r
-        return self.past(union) & ~union
 
     def initial_elements(self) -> int:
         """Minimal elements of the order."""

@@ -16,6 +16,7 @@ from operator import and_, or_
 from hypothesis import given
 from hypothesis import strategies as st
 
+from definitions import restriction
 from screenoff.cli import main
 from screenoff.corpus import (
     builtin,
@@ -24,7 +25,7 @@ from screenoff.corpus import (
     random_deterministic_local,
     random_diagonal_quantal,
 )
-from screenoff.events import dom, full_specifications, n_configs, omega, restriction
+from screenoff.events import dom, full_specifications, n_configs, omega
 from screenoff.order import CausalSite, iter_bits, submasks
 from screenoff.quantal import QuantalModel, diagonal_reduction
 from screenoff.report import HOLDS, VACUOUS, VIOLATED

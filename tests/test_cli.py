@@ -91,6 +91,23 @@ class TestValidate:
         assert code == 2
         assert "model file error" in err
 
+    @pytest.mark.parametrize("edit, detail", [
+        (lambda text: text.replace('"a_s=0"', json.dumps("(" * 3000 + "a_s=0" + ")" * 3000)),
+         "named_events['A']: expression error: nested more than 100 deep (at position 100)"),
+        (lambda text: "[" * 100000 + "]" * 100000, "invalid JSON: nested too deeply"),
+        (lambda text: text.replace('"1/2"', '"1/' + "4" * 5000 + '"', 1),
+         "measure.weights['001']: a number of more than 4300 digits"),
+        (lambda text: text.replace('"alphabet": 2', '"alphabet": ' + "2" * 5000, 1),
+         "invalid JSON: an integer of more than 4300 digits"),
+    ], ids=["nested-event", "nested-json", "long-weight", "long-alphabet"])
+    def test_a_nested_or_oversized_file_is_a_model_file_error(self, capsys, model_dir, tmp_path, edit, detail):
+        text = (model_dir / "illusionist_coins.json").read_text()
+        bad = tmp_path / "bad.json"
+        bad.write_text(edit(text))
+        assert bad.read_text() != text
+        code, out, err = run(capsys, "validate", str(bad))
+        assert (code, out, err) == (2, "", f"model file error: {bad}: {detail}\n")
+
 
 # -- check ------------------------------------------------------------------
 
@@ -200,6 +217,16 @@ class TestCheck:
             "B",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("text, detail", [
+        ("!" * 5000 + "a_s=0", "nested more than 100 deep (at position 100)"),
+        ("a_s=" + "9" * 5000, f"value {'9' * 5000} out of range for 'a_s' (alphabet 2) (at position 4)"),
+    ], ids=["nested", "long-value"])
+    def test_a_nested_or_oversized_expression_is_an_expression_error(self, capsys, model_dir, text, detail):
+        code, out, err = run(
+            capsys, "check", "pcc-rev1", str(model_dir / "illusionist_coins.json"), "--a", text, "--b", "B"
+        )
+        assert (code, out, err) == (2, "", f"expression error: {detail}\n")
 
     def test_multi_so(self, capsys, model_dir):
         code, out, _ = run(

@@ -19,22 +19,20 @@ from screenoff.events import (
     CapacityError,
     config_indices,
     cylinder,
-    decidable_events,
     dom,
     full_specifications,
     history_digits,
     history_index,
-    is_full_specification,
     n_configs,
     n_histories,
     omega,
-    restriction,
     atom_expr,
 )
 from screenoff import stochastic
 from screenoff.corpus import builtin
 from screenoff.order import CausalSite, RegionError, iter_bits
 
+from definitions import decidable_events, is_full_specification, restriction
 from pseudo_events import PseudoEvent, mu_hat
 from test_order import antichain, coin_site
 

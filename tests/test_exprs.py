@@ -68,6 +68,24 @@ def test_value_out_of_range():
         parse_event(s, "c=2")
 
 
+def test_nesting_deeper_than_the_limit_is_refused_where_it_starts():
+    s = coin_site()
+    assert parse_event(s, "(" * 100 + "c=0" + ")" * 100) == cylinder(s, "c", 0)
+    assert parse_event(s, "!(" * 50 + "c=0" + ")" * 50) == cylinder(s, "c", 0)
+    for text in ("(" * 101 + "c=0" + ")" * 101, "!" * 5000 + "c=0", "!(" * 51 + "c=0" + ")" * 51):
+        with pytest.raises(ExpressionError, match="nested more than 100 deep") as err:
+            parse_event(s, text)
+        assert err.value.position == 100
+
+
+def test_a_value_of_any_length_is_read_exactly():
+    s = coin_site()
+    assert parse_event(s, "c=" + "0" * 5000 + "1") == cylinder(s, "c", 1)
+    with pytest.raises(ExpressionError, match=f"value {'9' * 5000} out of range for 'c'") as err:
+        parse_event(s, "c=" + "9" * 5000)
+    assert err.value.position == 2
+
+
 def test_syntax_error_position():
     s = coin_site()
     with pytest.raises(ExpressionError) as err:

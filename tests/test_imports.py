@@ -9,8 +9,10 @@ the random generators.
 ``__init__.py`` is left out of the import check: it imports names to
 re-export them.  Every backquoted private name a comment or docstring of the
 package cites is one the package defines, and every name the package exports
-is used by one of its modules or named in the README: a name only tests use
-belongs in a test helper.
+is used by one of its modules or named in the README, and every public method
+or property of a class the package defines is read as an attribute by the
+package or by a perfbench script (whose string literals count too), or named
+in the README: a name only tests use belongs in a test helper.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "screenoff"
 README = PACKAGE.parent.parent / "README.md"
+PERFBENCH = sorted((PACKAGE.parent.parent / "perfbench").glob("*.py"))
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 SOURCES = sorted(PACKAGE.glob("*.py"))
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
@@ -304,3 +307,54 @@ def test_the_guard_sees_an_export_only_tests_use():
 def test_every_export_is_used_or_documented():
     sources = {path.name: path.read_text() for path in SOURCES}
     assert unused_exports(sources, README.read_text()) == []
+
+
+def unused_methods(sources: dict[str, str], users: dict[str, str], readme: str) -> list[str]:
+    """Public methods and properties of the sources' classes that nothing outside the tests reads.
+
+    A read is an attribute of that name in any source or user, a word of a
+    user's string literal (perfbench's tracer names the methods it wraps as
+    strings), or the name as a word of the README.
+    """
+    used = set()
+    for texts, read_strings in ((sources, False), (users, True)):
+        for source in texts.values():
+            for node in ast.walk(ast.parse(source)):
+                if isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif read_strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    used.update(re.findall(r"\w+", node.value))
+    return [
+        f"{module} line {stmt.lineno}: {cls.name}.{stmt.name}"
+        for module, source in sources.items()
+        for cls in ast.walk(ast.parse(source)) if isinstance(cls, ast.ClassDef)
+        for stmt in cls.body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and not stmt.name.startswith("_")
+        and stmt.name not in used and not re.search(rf"\b{stmt.name}\b", readme)
+    ]
+
+
+def test_the_guard_sees_a_method_only_tests_use():
+    sources = {
+        "a.py": (
+            "class Site:\n"
+            "    def past(self):\n        return self.cone()\n\n"
+            "    def cone(self):\n        return 0\n\n"
+            "    @property\n"
+            "    def width(self):\n        return 1\n\n"
+            "    def leq(self):\n        return True\n\n"
+            "    def split(self):\n        return 'leq'\n\n"
+            "    def _own(self):\n        return 2\n"
+        ),
+    }
+    users = {"bench.py": "SPANS = (('Site', 'split'),)\nx = site.past()\n"}
+    assert unused_methods(sources, users, "") == ["a.py line 9: Site.width", "a.py line 12: Site.leq"]
+    assert unused_methods(sources, users, "`width` and `leq` are documented.") == []
+    assert unused_methods(sources, {}, "") == [
+        "a.py line 2: Site.past", "a.py line 9: Site.width", "a.py line 12: Site.leq", "a.py line 15: Site.split"]
+
+
+def test_every_public_method_is_used_or_documented():
+    sources = {path.name: path.read_text() for path in SOURCES}
+    users = {path.name: path.read_text() for path in PERFBENCH}
+    assert users and unused_methods(sources, users, README.read_text()) == []

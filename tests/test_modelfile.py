@@ -67,7 +67,7 @@ class TestRoundTrip:
     def test_named_lookups(self):
         loaded = parse_model_text(coins_json())
         assert loaded.event("A") == 0x33
-        assert loaded.region("source") == loaded.model.site.region(["c"])
+        assert loaded.named_regions["source"] == ("c",)
         assert loaded.named_regions["wings"] == ("a_s", "b_s")
 
     def test_file_io(self, tmp_path):

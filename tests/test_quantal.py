@@ -13,6 +13,7 @@ from itertools import product
 
 import pytest
 
+from definitions import decidable_events
 from pseudo_events import CF_ONE, PseudoEvent, mu_hat, pdom, pseudo_full_specifications
 from test_order import antichain, coin_site
 from test_stochastic import selection_reversal, sparse_model
@@ -20,7 +21,6 @@ from test_stochastic import selection_reversal, sparse_model
 import screenoff.quantal as quantal
 from screenoff.events import (
     config_indices,
-    decidable_events,
     full_specifications,
     history_index,
     n_configs,

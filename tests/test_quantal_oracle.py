@@ -22,6 +22,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from definitions import joint_past, mutual_past
 from pseudo_events import CF_ONE
 from test_stochastic_oracle import (
     PRUNING_SITES,
@@ -543,7 +544,7 @@ def ref_quantal_pairwise_check(q, condition, past_of):
     checked = 0
     for ra, rb in _spacelike_pairs(q.site):
         pairs += 1
-        past = past_of(ra, rb)
+        past = past_of(q.site, ra, rb)
         failure, c = ref_quantal_screening_failure(q, ra, rb, past)
         checked += c
         if failure is not None:
@@ -559,11 +560,11 @@ def ref_quantal_pairwise_check(q, condition, past_of):
 
 
 def ref_qso1(q):
-    return ref_quantal_pairwise_check(q, "qso1", q.site.mutual_past)
+    return ref_quantal_pairwise_check(q, "qso1", mutual_past)
 
 
 def ref_qso2(q):
-    return ref_quantal_pairwise_check(q, "qso2", q.site.joint_past)
+    return ref_quantal_pairwise_check(q, "qso2", joint_past)
 
 
 def _exact(run) -> str:
@@ -682,7 +683,7 @@ def test_null_pseudo_cells_are_checked_like_the_per_pair_scan(coupled):
     if not coupled:
         pairs = _spacelike_pairs(q.site)
         expected = sum(
-            n_configs(q.site, q.site.mutual_past(a, b)) ** 2
+            n_configs(q.site, mutual_past(q.site, a, b)) ** 2
             * (n_configs(q.site, a) * n_configs(q.site, b)) ** 2
             for a, b in pairs
         )
@@ -967,7 +968,7 @@ def test_a_failure_in_the_imaginary_part_alone_matches_the_per_pair_scan(seed, s
     q = random_quantal(seed, *shape)
     assert_qso_matches_reference(q)
     for ra, rb in _spacelike_pairs(q.site):
-        failure, _ = ref_quantal_screening_failure(q, ra, rb, q.site.mutual_past(ra, rb))
+        failure, _ = ref_quantal_screening_failure(q, ra, rb, mutual_past(q.site, ra, rb))
         if failure is not None:
             break
     _, (joint, mp, ma, mb) = failure

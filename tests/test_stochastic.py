@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from definitions import mutual_past
 from test_order import antichain, chain, coin_site, diamond
 
 import screenoff.events as events
@@ -347,7 +348,7 @@ class TestCellTables:
         site = model.site
         calls = _counting(monkeypatch, "_cell_weights")
         assert check_wrc(model).verdict == HOLDS
-        unions = {site.mutual_past(a, b) | a | b for a, b in stochastic._spacelike_pairs(site)}
+        unions = {mutual_past(site, a, b) | a | b for a, b in stochastic._spacelike_pairs(site)}
         assert len(unions) == 26
         assert len(calls) == len(unions)
         for check in (check_so1, lambda m: check_generalized_so(m, "mutual")):
@@ -581,7 +582,7 @@ class TestGeneralizedSO:
 
     def test_callable_selector(self):
         def everything_below(site, ra, rb):
-            return site.mutual_past(ra, rb)
+            return mutual_past(site, ra, rb)
 
         r = check_generalized_so(anticorrelated_coins(), everything_below)
         assert r.verdict == HOLDS
@@ -1040,7 +1041,7 @@ class TestFindScreening:
         b = parse_event(m.site, "y=0 & b=0")
         found = find_screening_events(m, a, b)
         assert found  # unrestricted, witnesses abound
-        past = m.site.mutual_past(dom(m.site, a), dom(m.site, b))
+        past = mutual_past(m.site, dom(m.site, a), dom(m.site, b))
         assert past == 0
         assert [c for c in found if dom(m.site, c) & ~past == 0] == []
 
@@ -1219,7 +1220,7 @@ def oracle_so1(m: StochasticModel) -> bool:
         for rb in range(1, full + 1):
             if ra & rb or not site.spacelike(ra, rb):
                 continue
-            past = site.mutual_past(ra, rb)
+            past = mutual_past(site, ra, rb)
             for cond in full_specifications(site, past):
                 if m.mu(cond) == 0:
                     continue

@@ -50,6 +50,7 @@ from screenoff.stochastic import (
     check_wrc,
 )
 
+from definitions import joint_past, multi_joint_past, mutual_past
 from test_stochastic import two_cell_correlate
 
 F = Fraction
@@ -122,7 +123,7 @@ def ref_pairwise_screening(
         if eligible is not None and not eligible(ra, rb):
             continue
         pairs += 1
-        past = past_of(ra, rb)
+        past = past_of(model.site, ra, rb)
         fail, c, s = ref_factorization_failure(model, (ra, rb), past)
         checked += c
         skipped += s
@@ -141,17 +142,17 @@ def ref_pairwise_screening(
 
 
 def ref_so1(model):
-    return ref_pairwise_screening(model, "so1", model.site.mutual_past)
+    return ref_pairwise_screening(model, "so1", mutual_past)
 
 
 def ref_so2(model):
-    return ref_pairwise_screening(model, "so2", model.site.joint_past)
+    return ref_pairwise_screening(model, "so2", joint_past)
 
 
 def ref_so2w(model):
     init = model.site.initial_elements()
     return ref_pairwise_screening(
-        model, "so2w", model.site.joint_past,
+        model, "so2w", joint_past,
         eligible=lambda a, b: not ((a | b) & init),
         vacuous_reason="no spacelike region pairs clear of the initial elements",
     )
@@ -174,7 +175,7 @@ def ref_wrc(model, conditioned=False, cap=12):
     correlated_pairs = 0
     for ra, rb in stochastic._spacelike_pairs(site):
         pairs += 1
-        past = site.mutual_past(ra, rb)
+        past = mutual_past(site, ra, rb)
         (n_past, na, nb), table = ref_cell_weights(model, (past, ra, rb))
         if n_past > cap:
             raise CapacityError(
@@ -330,12 +331,12 @@ def ref_spacelike_tuples(site: CausalSite, n: int) -> list[tuple[int, ...]]:
 # The conditioning regions of each pair under the planned pair checks other
 # than so1, so2 and so2w, by check label, in ascending order.
 REF_PAIR_PASTS = {
-    "gen-so[mutual]": lambda site, a, b: [site.mutual_past(a, b)],
-    "gen-so[joint]": lambda site, a, b: [site.joint_past(a, b)],
+    "gen-so[mutual]": lambda site, a, b: [mutual_past(site, a, b)],
+    "gen-so[joint]": lambda site, a, b: [joint_past(site, a, b)],
     "gen-so[bell]": lambda site, a, b: [site.past(a) & ~a],
     "gen-so[all]": lambda site, a, b: [
         p for p in site.regions()
-        if not site.mutual_past(a, b) & ~p and not p & (site.future(a) | site.future(b))
+        if not mutual_past(site, a, b) & ~p and not p & (site.future(a) | site.future(b))
     ],
     "penrose-percival": lambda site, a, b: [p for p, _ in site.enumerate_dissections(a, b)],
 }
@@ -344,7 +345,7 @@ REF_PAIR_PASTS = {
 def ref_admissible(site: CausalSite, a: int, b: int, past: int) -> None:
     """Refuse a gen-so selection unless it holds the mutual past and avoids both futures."""
     problem = None
-    if site.mutual_past(a, b) & ~past:
+    if mutual_past(site, a, b) & ~past:
         problem = "does not contain the mutual past"
     elif past & (site.future(a) | site.future(b)):
         problem = "intersects the future of the pair"
@@ -363,7 +364,7 @@ def ref_units(label: str, site: CausalSite):
     """
     if label.startswith("multi-so[n="):
         for regions in ref_spacelike_tuples(site, int(label[len("multi-so[n="):-1])):
-            yield regions, site.multi_joint_past(regions)
+            yield regions, multi_joint_past(site, regions)
         return
     pasts_of = REF_PAIR_PASTS.get(label)
     if pasts_of is None:  # a callable gen-so selector
@@ -746,7 +747,7 @@ def test_deterministic_local_screening(seed, n_sites):
 def maximal_pairs(site: CausalSite, condition: str) -> set[tuple[int, int]]:
     """Unordered screened pairs that no one-element extension keeps the past of."""
     init = site.initial_elements()
-    past_of = site.mutual_past if condition == "so1" else site.joint_past
+    past_of = mutual_past if condition == "so1" else joint_past
 
     def screened(a, b):
         return (a and b and not a & b and site.spacelike(a, b)
@@ -756,10 +757,10 @@ def maximal_pairs(site: CausalSite, condition: str) -> set[tuple[int, int]]:
     for a, b in stochastic._spacelike_pairs(site):
         if not screened(a, b):
             continue
-        past = past_of(a, b)
+        past = past_of(site, a, b)
         free = [1 << e for e in range(site.n) if not (a | b) >> e & 1]
         grown = [(a | x, b) for x in free] + [(a, b | x) for x in free]
-        if not any(screened(*g) and past_of(*g) == past for g in grown):
+        if not any(screened(*g) and past_of(site, *g) == past for g in grown):
             out.add((min(a, b), max(a, b)))
     return out
 
@@ -798,17 +799,17 @@ def expected_scans(model, condition: str, failure=None) -> tuple[set, int] | Non
     """
     site = model.site
     init = site.initial_elements()
-    past_of = site.mutual_past if condition == "so1" else site.joint_past
+    past_of = mutual_past if condition == "so1" else joint_past
     pairs = [(a, b) for a, b in stochastic._spacelike_pairs(site)
              if not (condition == "so2w" and (a | b) & init)]
     if not pairs:
         return set(), 0
     unions: dict[int, int] = {}
     for a, b in pairs:
-        unions[past_of(a, b)] = unions.get(past_of(a, b), 0) | a | b
+        unions[past_of(site, a, b)] = unions.get(past_of(site, a, b), 0) | a | b
     maximal: dict[int, list] = {}
     for a, b in maximal_pairs(site, condition):
-        maximal.setdefault(past_of(a, b), []).append((a, b))
+        maximal.setdefault(past_of(site, a, b), []).append((a, b))
     scans = {first_screened_pair(site, condition)}
     failed = 0
     for past, group in maximal.items():
@@ -1076,7 +1077,7 @@ def test_seven_leaves_coupled_at_every_position(coupled, monkeypatch):
     # only the root is initial: the three ordinal scans are the same scan
     site = model.site
     assert site.initial_elements() == 1
-    assert {(site.mutual_past(a, b), site.joint_past(a, b))
+    assert {(mutual_past(site, a, b), joint_past(site, a, b))
             for a, b in stochastic._spacelike_pairs(site)} == {(1, 1)}
     want = ref_so1(model)
     assert want.verdict == VIOLATED
@@ -1168,7 +1169,7 @@ def non_convex_late() -> CausalSite:
 def test_a_selector_error_surfaces_at_its_own_pair():
     site = non_convex_late()
     pairs = stochastic._spacelike_pairs(site)
-    convex = [not site.joint_past(a, b) & (site.future(a) | site.future(b)) for a, b in pairs]
+    convex = [not joint_past(site, a, b) & (site.future(a) | site.future(b)) for a, b in pairs]
     first_bad = convex.index(False)
     # 40 of the 162 pairs come before the first non-convex one
     assert (first_bad, len(pairs)) == (40, 162)
