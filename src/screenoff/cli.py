@@ -16,11 +16,10 @@ import sys
 import time
 from typing import Sequence
 
-from . import corpus as corpus_mod
+from .conditions import CONDITIONS, FUZZ_PAIRS, QUANTAL, STOCHASTIC, check_jobs, exhaustive_limit, model_kind
 from .events import event_ref, n_histories
 from .exprs import parse_event
 from .modelfile import _NAME_RE, LoadedModel, load_model, render_model_json
-from .quantal import validate_quantal
 from .report import HOLDS, VIOLATED, CheckReport, InternalCheckError
 from .stochastic import (
     EXHAUSTIVE_EVENT_LIMIT,
@@ -99,9 +98,11 @@ def _cmd_validate(args) -> int:
     loaded = load_model(args.file)
     model = loaded.model
     site = model.site
-    kind = corpus_mod.model_kind(model)
+    kind = model_kind(model)
     n = n_histories(site)
-    if kind == corpus_mod.QUANTAL:
+    if kind == QUANTAL:
+        from .quantal import validate_quantal  # a quantal file has loaded the quantal engine
+
         report = validate_quantal(model)
     else:
         report = CheckReport(
@@ -128,8 +129,8 @@ def _cmd_check(args) -> int:
     loaded = load_model(args.file)
     model = loaded.model
     cond = args.cond
-    row = corpus_mod.CONDITIONS[cond]
-    if corpus_mod.model_kind(model) != row.kind:
+    row = CONDITIONS[cond]
+    if model_kind(model) != row.kind:
         raise CliError(f"cli error: condition {cond!r} needs a {row.kind} model file")
     a = b = None
     if row.takes_events:
@@ -140,14 +141,14 @@ def _cmd_check(args) -> int:
         a = _resolve_event(loaded, args.a, "--a")
         b = _resolve_event(loaded, args.b, "--b")
     elif args.a is not None or args.b is not None:
-        takers = sorted(t for t, r in corpus_mod.CONDITIONS.items() if r.takes_events)
+        takers = sorted(t for t, r in CONDITIONS.items() if r.takes_events)
         raise CliError(
             f"cli error: condition {cond!r} does not take --a/--b; "
             f"event arguments apply to: {', '.join(takers)}"
         )
     for flag in ("selector", "n", "max_partition", "max_omega_exhaustive"):
         if getattr(args, flag) is not None and flag not in row.reads:
-            takers = sorted(t for t, r in corpus_mod.CONDITIONS.items() if flag in r.reads)
+            takers = sorted(t for t, r in CONDITIONS.items() if flag in r.reads)
             raise CliError(f"cli error: condition {cond!r} does not take --{flag.replace('_', '-')}; "
                            f"it applies to: {', '.join(takers)}")
     return _emit_report(row.run(model, a, b, args), args, started)
@@ -157,12 +158,12 @@ def _cmd_find(args) -> int:
     started = time.monotonic()
     loaded = load_model(args.file)
     model = loaded.model
-    if corpus_mod.model_kind(model) != corpus_mod.STOCHASTIC:
+    if model_kind(model) != STOCHASTIC:
         raise CliError("cli error: find works on stochastic model files")
     a = _resolve_event(loaded, args.a, "--a")
     b = _resolve_event(loaded, args.b, "--b")
     finder = find_screening_events if args.what == "screening" else find_simpson_events
-    masks = finder(model, a, b, exhaustive_limit=corpus_mod.exhaustive_limit(args))
+    masks = finder(model, a, b, exhaustive_limit=exhaustive_limit(args))
     site = model.site
     refs = [event_ref(site, m) for m in masks]
     if args.format == "json":
@@ -177,8 +178,10 @@ def _cmd_find(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    from . import corpus as corpus_mod
+
     started = time.monotonic()
-    quantal = [p for p in corpus_mod.FUZZ_PAIRS if corpus_mod._fuzz_kind(p) == corpus_mod.QUANTAL]
+    quantal = [p for p in FUZZ_PAIRS if corpus_mod._fuzz_kind(p) == QUANTAL]
     if args.rank is not None and args.pair not in quantal:
         raise CliError(f"cli error: fuzz pair {args.pair!r} does not take --rank; it applies to: {', '.join(quantal)}")
     report = corpus_mod.fuzz_equivalence(
@@ -198,6 +201,8 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
+    from . import corpus as corpus_mod
+
     started = time.monotonic()
     if args.name is not None and args.action != "emit":
         raise CliError(f"cli error: corpus {args.action} does not take a model name ({args.name!r}); "
@@ -208,7 +213,7 @@ def _cmd_corpus(args) -> int:
             entries_json = [
                 {
                     "name": e.name,
-                    "kind": corpus_mod.model_kind(e.model),
+                    "kind": model_kind(e.model),
                     "expected": dict(sorted(e.expected.items())),
                     "named_events": dict(sorted(e.named_events.items())),
                 }
@@ -217,7 +222,7 @@ def _cmd_corpus(args) -> int:
             _print_json({"entries": entries_json}, started)
         else:
             for e in entries:
-                kind = corpus_mod.model_kind(e.model)
+                kind = model_kind(e.model)
                 expect = ", ".join(f"{k}={v}" for k, v in sorted(e.expected.items()))
                 print(f"{e.name} ({kind}): {expect}")
         return 0
@@ -280,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_validate)
 
     p = sub.add_parser("check", parents=[common], help="run one condition on a model file")
-    p.add_argument("cond", choices=corpus_mod.CONDITIONS, metavar="COND")
+    p.add_argument("cond", choices=CONDITIONS, metavar="COND")
     p.add_argument("file")
     p.add_argument("--a", help="first event (expression or a name defined in the file)")
     p.add_argument("--b", help="second event")
@@ -298,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_find)
 
     p = sub.add_parser("fuzz", parents=[common], help="compare two checks on random models")
-    p.add_argument("--pair", required=True, choices=corpus_mod.FUZZ_PAIRS)
+    p.add_argument("--pair", required=True, choices=FUZZ_PAIRS)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--sites", type=int, default=None, help="site count bound per model")
@@ -322,11 +327,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = e.code
         return code if isinstance(code, int) else 2
     try:
-        corpus_mod.check_jobs(args.jobs)
+        check_jobs(args.jobs)
         if args.max_omega_exhaustive is not None:
             _require_exhaustive_limit(args.max_omega_exhaustive)
             if args.command not in ("check", "find"):
-                takers = [f"check {t}" for t, r in corpus_mod.CONDITIONS.items() if "max_omega_exhaustive" in r.reads]
+                takers = [f"check {t}" for t, r in CONDITIONS.items() if "max_omega_exhaustive" in r.reads]
                 raise CliError(f"cli error: {args.command} does not take --max-omega-exhaustive; "
                                f"it applies to: {', '.join(takers)}, find")
         code = args.handler(args)

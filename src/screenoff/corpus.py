@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -17,34 +16,14 @@ from functools import lru_cache
 from operator import neg
 from typing import Callable, Mapping
 
+from .conditions import CONDITIONS, FUZZ_PAIRS, QUANTAL, CheckOptions, Condition, check_jobs
 from .events import HISTORY_LIMIT, CapacityError, history_index, n_histories
 from .exprs import parse_event
 from .modelfile import render_model
 from .order import CausalSite, iter_bits
-from .quantal import (
-    CF_ZERO,
-    ComplexFraction,
-    QuantalModel,
-    check_qso1,
-    check_qso2,
-    diagonal_reduction,
-)
+from .quantal import CF_ZERO, ComplexFraction, QuantalModel
 from .report import HOLDS, VIOLATED, CheckReport, Counterexample
-from .stochastic import (
-    EXHAUSTIVE_EVENT_LIMIT,
-    StochasticModel,
-    _deterministic_local,
-    check_generalized_so,
-    check_multi_so,
-    check_pcc_original,
-    check_pcc_rev1,
-    check_pcc_rev2,
-    check_penrose_percival,
-    check_so1,
-    check_so2,
-    check_so2w,
-    check_wrc,
-)
+from .stochastic import StochasticModel, _deterministic_local
 
 F = Fraction
 
@@ -411,93 +390,10 @@ def corpus_entries() -> list[CorpusEntry]:
     return [builtin(name) for name in corpus_names()]
 
 
-# -- the condition table -----------------------------------------------------
-
-STOCHASTIC, QUANTAL = "stochastic", "quantal"
-
-
-def model_kind(model: StochasticModel | QuantalModel) -> str:
-    return QUANTAL if isinstance(model, QuantalModel) else STOCHASTIC
-
-
-@dataclass(frozen=True)
-class CheckOptions:
-    """Parameters a condition's runner may read, named as ``check``'s flags."""
-
-    selector: str | None = None
-    n: int | None = None
-    max_omega_exhaustive: int | None = None
-    max_partition: int | None = None
-
-
-@dataclass(frozen=True)
-class Condition:
-    """One condition that ``check``, the corpus and the fuzzer can run.
-
-    ``run(model, a, b, options)`` returns the report; ``a`` and ``b`` are
-    event masks for a condition that takes ``--a/--b`` and None otherwise;
-    of ``options``, a CheckOptions or the CLI's parsed arguments (None where
-    unset), it reads the fields in ``reads``.  Runners look their check up in
-    this module's namespace at call time.
-    """
-
-    token: str
-    kind: str
-    takes_events: bool
-    run: Callable[..., CheckReport]
-    reads: tuple[str, ...] = ()
-
-
-def exhaustive_limit(options) -> int:
-    """``options.max_omega_exhaustive``, or EXHAUSTIVE_EVENT_LIMIT where unset."""
-    limit = options.max_omega_exhaustive
-    return EXHAUSTIVE_EVENT_LIMIT if limit is None else limit
-
-
-CONDITIONS = {
-    row.token: row
-    for row in (
-        Condition("pcc-original", STOCHASTIC, True,
-                  lambda m, a, b, o: check_pcc_original(m, a, b, exhaustive_limit(o)),
-                  ("max_omega_exhaustive",)),
-        Condition("pcc-rev1", STOCHASTIC, True,
-                  lambda m, a, b, o: check_pcc_rev1(m, a, b, exhaustive_limit(o)),
-                  ("max_omega_exhaustive",)),
-        Condition("pcc-rev2", STOCHASTIC, True,
-                  lambda m, a, b, o: check_pcc_rev2(m, a, b, o.max_partition), ("max_partition",)),
-        Condition("so1", STOCHASTIC, False, lambda m, a, b, o: check_so1(m)),
-        Condition("so2", STOCHASTIC, False, lambda m, a, b, o: check_so2(m)),
-        Condition("so2w", STOCHASTIC, False, lambda m, a, b, o: check_so2w(m)),
-        Condition("gen-so", STOCHASTIC, False,
-                  lambda m, a, b, o: check_generalized_so(m, "mutual" if o.selector is None else o.selector),
-                  ("selector",)),
-        Condition("multi-so", STOCHASTIC, False,
-                  lambda m, a, b, o: check_multi_so(m, 3 if o.n is None else o.n), ("n",)),
-        Condition("wrc", STOCHASTIC, False, lambda m, a, b, o: check_wrc(m)),
-        Condition("wrc-cond", STOCHASTIC, False,
-                  lambda m, a, b, o: check_wrc(m, conditioned=True)),
-        Condition("penrose-percival", STOCHASTIC, False,
-                  lambda m, a, b, o: check_penrose_percival(m)),
-        Condition("qso1", QUANTAL, False, lambda m, a, b, o: check_qso1(m)),
-        Condition("qso2", QUANTAL, False, lambda m, a, b, o: check_qso2(m)),
-        Condition("diag-reduce", QUANTAL, False, lambda m, a, b, o: diagonal_reduction(m)),
-    )
-}
+# -- conditions by report token ---------------------------------------------
 
 # Most models one fuzz run draws; each is a task held in memory until the end.
 FUZZ_COUNT_LIMIT = 100_000
-
-# Fuzz pairs: (first token, second token, whether the pair is proved
-# equivalent).  A disagreement on a proved pair is a violation; on
-# so1-generalized_all it is only recorded: that pair is no equivalence, since
-# gen-so[all] implies so1 but a collider (a = x, b = y, s = x xor y) refutes
-# the converse.
-FUZZ_PAIRS = {
-    "so1-so2": ("so1", "so2", True),
-    "qso1-qso2": ("qso1", "qso2", True),
-    "so1-wrc_conditioned": ("so1", "wrc-cond", True),
-    "so1-generalized_all": ("so1", "gen-so[all]", False),
-}
 
 
 def _resolve_token(token: str) -> tuple[Condition, CheckOptions]:
@@ -746,16 +642,6 @@ def _fuzz_one(args: tuple) -> tuple[int, str, str]:
         row, options = _resolve_token(token)
         verdicts.append(row.run(model, None, None, options).verdict)
     return model_seed, *verdicts
-
-
-def check_jobs(jobs: int) -> None:
-    """Refuse a worker count outside 1..the CPU count before any pool exists."""
-    max_jobs = os.cpu_count() or 1
-    if not 1 <= jobs <= max_jobs:
-        raise ValueError(
-            f"corpus error: jobs must be between 1 and {max_jobs} "
-            f"(the CPU count), not {jobs}"
-        )
 
 
 def fuzz_equivalence(

@@ -13,14 +13,16 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from .events import history_digits, history_index, n_histories
 from .exprs import parse_event
 from .order import CausalSite
-from .quantal import ComplexFraction, QuantalModel, validate_quantal
 from .report import VIOLATED
 from .stochastic import StochasticModel
+
+if TYPE_CHECKING:
+    from .quantal import QuantalModel
 
 FORMAT_VERSION = 1
 
@@ -153,6 +155,8 @@ def _stochastic_measure(
 def _quantal_measure(
     site: CausalSite, measure: Mapping[str, Any], source: str
 ) -> QuantalModel:
+    from .quantal import ComplexFraction, QuantalModel, validate_quantal  # only quantal files load it
+
     matrix = measure.get("matrix")
     n = n_histories(site)
     if not isinstance(matrix, list) or len(matrix) != n:

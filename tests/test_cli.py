@@ -1,6 +1,7 @@
 """Command-line behavior: subcommands, exit codes, output stability."""
 from __future__ import annotations
 
+import importlib.util
 import io
 import json
 import os
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import screenoff
+import screenoff.conditions as conditions
 import screenoff.corpus as corpus_mod
 import screenoff.events as events
 import screenoff.stochastic as stochastic
@@ -392,7 +394,7 @@ class TestCheck:
             patch.setattr(stochastic, "_conditional_counterexample", fail)
             assert run(capsys, *argv) == want
         with monkeypatch.context() as patch:
-            patch.setattr(corpus_mod, "check_so1", fail)
+            patch.setattr(conditions, "check_so1", fail)
             assert run(capsys, *argv) == want
 
     def test_unset_options_take_their_defaults(self, capsys, model_dir):
@@ -630,19 +632,56 @@ class TestCorpus:
 # -- start-up and admission ------------------------------------------------
 
 
+def loaded_after(code: str) -> set[str]:
+    """The modules a fresh interpreter has loaded once it has run ``code``.
+
+    ``code`` may print; the module list is the last line of its output.  The
+    interpreter runs without ``site`` (``-S``), because a ``.pth`` file that
+    ``site`` runs may import a module, such as ``random``, before the package does.
+    """
+    src = str(Path(screenoff.__file__).resolve().parent.parent)
+    probe = f"import sys\n{code}\nloaded = sorted(sys.modules)\nimport json\nprint(json.dumps(loaded))"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
 class TestStartup:
     def test_import_leaves_multiprocessing_unloaded(self):
-        # only fuzz --jobs > 1 starts workers, so only it imports the package
-        src = str(Path(screenoff.__file__).resolve().parent.parent)
-        probe = "import sys, screenoff.cli; print('multiprocessing' in sys.modules)"
-        done = subprocess.run(
-            [sys.executable, "-c", probe],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert done.stdout.strip() == "False"
+        # only fuzz --jobs > 1 starts workers, so only it imports the package;
+        # the corpus (with its random generators) and the quantal engine are
+        # imported by the commands that run them
+        loaded = loaded_after("import screenoff.cli")
+        assert "screenoff.cli" in loaded
+        assert {"screenoff.corpus", "screenoff.quantal", "random", "multiprocessing"}.isdisjoint(loaded)
+
+    def test_a_check_imports_only_the_engine_of_its_model_kind(self, model_dir):
+        run_check = "from screenoff.cli import main\nassert main(['check', {!r}, {!r}]) == {}"
+        loaded = loaded_after(run_check.format("so1", str(model_dir / "wizard_simpson.json"), 1))
+        assert "screenoff.stochastic" in loaded and "screenoff.quantal" not in loaded
+        loaded = loaded_after(run_check.format("qso1", str(model_dir / "product_quantal.json"), 0))
+        assert "screenoff.quantal" in loaded and "screenoff.corpus" not in loaded
+
+    def test_the_first_read_of_a_name_loads_the_whole_api(self):
+        # dir() lists the API before any of it is loaded; the first read loads
+        # every module an in-process user such as perfbench's tracer patches
+        src = Path(screenoff.__file__).resolve().parent.parent
+        spec = importlib.util.spec_from_file_location("tracer", src.parent / "perfbench" / "tracer.py")
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        traced = {row[1] for rows in (tracer.SPANS, tracer.METHOD_SPANS, tracer.CACHES) for row in rows}
+        traced |= {module for module, _ in tracer.CHECKS}
+        before = loaded_after("import screenoff.cli, screenoff\nassert set(screenoff.__all__) <= set(dir(screenoff))")
+        assert not {"screenoff.corpus", "screenoff.quantal"} & before
+        after = loaded_after("import screenoff.cli, screenoff\nscreenoff.CausalSite")
+        assert traced - before and traced <= after
+        assert screenoff.check_qso1 is screenoff.quantal.check_qso1
+        assert screenoff.verify_corpus is screenoff.corpus.verify_corpus
 
     def test_closed_stdout_is_an_output_error(self):
         # the reader is gone before the report is written, as with a `head`

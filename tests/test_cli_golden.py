@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from screenoff import corpus
+from screenoff import conditions, corpus
 from screenoff.cli import _build_parser, main
 from screenoff.quantal import QuantalModel
 
@@ -139,8 +139,8 @@ def test_invocations_cover_every_condition_fuzz_pair_and_subcommand():
     (commands,) = (a.choices for a in _build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
     assert set(commands) == {argv[0] for argv in argvs}
-    assert set(corpus.CONDITIONS) <= {argv[1] for argv in argvs if argv[0] == "check"}
-    assert set(corpus.FUZZ_PAIRS) <= {argv[2] for argv in argvs if argv[:2] == ["fuzz", "--pair"]}
+    assert set(conditions.CONDITIONS) <= {argv[1] for argv in argvs if argv[0] == "check"}
+    assert set(conditions.FUZZ_PAIRS) <= {argv[2] for argv in argvs if argv[:2] == ["fuzz", "--pair"]}
 
 
 @pytest.mark.parametrize("key", sorted(_GOLDEN))

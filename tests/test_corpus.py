@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import screenoff.conditions as conditions
 import screenoff.corpus as corpus_mod
 from screenoff.events import CapacityError, n_histories
 from screenoff.corpus import (
@@ -365,7 +366,7 @@ class TestFuzz:
                 )
             return CheckReport("so2", HOLDS)
 
-        monkeypatch.setattr(corpus_mod, "check_so2", upside_down)
+        monkeypatch.setattr(conditions, "check_so2", upside_down)
         report = fuzz_equivalence(5, 6, "so1-so2")
         assert report.violated
         cx = report.counterexample
@@ -384,7 +385,7 @@ class TestFuzz:
                 )
             return CheckReport("gen-so[all]", HOLDS)
 
-        monkeypatch.setattr(corpus_mod, "check_generalized_so", contrarian)
+        monkeypatch.setattr(conditions, "check_generalized_so", contrarian)
         report = fuzz_equivalence(5, 6, "so1-generalized_all")
         assert report.holds
         assert report.stats["agreements"] < 6

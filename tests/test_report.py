@@ -7,7 +7,6 @@ from dataclasses import replace
 
 import pytest
 
-import screenoff.corpus as corpus_mod
 import screenoff.quantal as quantal
 import screenoff.stochastic as stochastic
 from screenoff.corpus import builtin, fuzz_equivalence, verify_corpus
@@ -96,7 +95,7 @@ class TestNoDiscardedBuilds:
         # diag-reduce compares the so1 and qso1 counterexamples of the four
         # decohered entries whose verdicts are violated; nothing else reads one
         inside = Counter()
-        reduce = corpus_mod.diagonal_reduction
+        reduce = quantal.diagonal_reduction
 
         def counted_reduce(q):
             before = dict(builds)
@@ -105,7 +104,7 @@ class TestNoDiscardedBuilds:
             finally:
                 inside.update(builds - Counter(before))
 
-        monkeypatch.setattr(corpus_mod, "diagonal_reduction", counted_reduce)
+        monkeypatch.setattr(quantal, "diagonal_reduction", counted_reduce)
         report = verify_corpus()
         assert builds == inside == {"_conditional_counterexample": 4, "_quantal_counterexample": 4}
         monkeypatch.undo()
