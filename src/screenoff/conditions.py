@@ -7,8 +7,7 @@ already loaded it.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .report import CheckReport
 from .stochastic import (
@@ -33,8 +32,7 @@ def model_kind(model) -> str:
     return STOCHASTIC if isinstance(model, StochasticModel) else QUANTAL
 
 
-@dataclass(frozen=True)
-class CheckOptions:
+class CheckOptions(NamedTuple):
     """Parameters a condition's runner may read, named as ``check``'s flags."""
 
     selector: str | None = None
@@ -43,8 +41,7 @@ class CheckOptions:
     max_partition: int | None = None
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(NamedTuple):
     """One condition that ``check``, the corpus and the fuzzer can run.
 
     ``run(model, a, b, options)`` returns the report; ``a`` and ``b`` are

@@ -10,11 +10,10 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import neg
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .conditions import CONDITIONS, FUZZ_PAIRS, QUANTAL, CheckOptions, Condition, check_jobs
 from .events import HISTORY_LIMIT, CapacityError, history_index, n_histories
@@ -32,8 +31,7 @@ class CorpusError(ValueError):
     """Raised for unknown corpus names."""
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     """A named example model with its frozen expected verdicts.
 
     ``expected`` maps report condition tokens (e.g. ``"so1"``,
@@ -45,7 +43,7 @@ class CorpusEntry:
     model: StochasticModel | QuantalModel
     expected: Mapping[str, str]
     note: str
-    named_events: Mapping[str, str] = field(default_factory=dict)
+    named_events: Mapping[str, str]
 
     def event(self, name: str) -> int:
         return parse_event(self.model.site, self.named_events[name])

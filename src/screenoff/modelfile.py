@@ -11,9 +11,8 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, NamedTuple, Sequence
 
 from .events import history_digits, history_index, n_histories
 from .exprs import parse_event
@@ -38,13 +37,12 @@ def _err(source: str, detail: str) -> ModelFileError:
     return ModelFileError(f"model file error: {source}: {detail}")
 
 
-@dataclass(frozen=True)
-class LoadedModel:
+class LoadedModel(NamedTuple):
     """A parsed model file: the validated model plus its named extras."""
 
     model: StochasticModel | QuantalModel
-    named_events: dict[str, str] = field(default_factory=dict)
-    named_regions: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    named_events: dict[str, str]
+    named_regions: dict[str, tuple[str, ...]]
 
     def event(self, name: str) -> int:
         """Resolve a named event to its mask."""

@@ -9,7 +9,6 @@ divide and never round.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import repeat
@@ -52,12 +51,30 @@ class QuantalError(ValueError):
     """Raised for malformed or uncertifiable interference matrices."""
 
 
-@dataclass(frozen=True)
 class ComplexFraction:
-    """A complex number with exact rational real and imaginary parts."""
+    """A complex number with exact rational real and imaginary parts; immutable."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)) -> None:
+        fields = self.__dict__
+        fields["re"] = re
+        fields["im"] = im
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.re, self.im) == (other.re, other.im)
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
+
+    def __repr__(self) -> str:
+        return f"ComplexFraction(re={self.re!r}, im={self.im!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @staticmethod
     def of(value) -> "ComplexFraction":

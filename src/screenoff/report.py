@@ -1,9 +1,8 @@
 """Check reports: verdicts, counterexamples, serialization helpers."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -25,8 +24,7 @@ def format_complex(re: Fraction, im: Fraction) -> str:
     return f"{re} {sign} {abs(im)}i"
 
 
-@dataclass(frozen=True)
-class EventRef:
+class EventRef(NamedTuple):
     """An event pinned down exactly: bitmask over the history space.
 
     expr, when present, is an equivalent expression in the event grammar;
@@ -48,8 +46,7 @@ class EventRef:
         return f"<mask {self.mask:#x} of {self.omega} histories>"
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     """The data needed to re-evaluate a violation exactly."""
 
     regions: tuple[tuple[str, tuple[str, ...]], ...] = ()
@@ -78,55 +75,79 @@ class Counterexample:
         }
 
 
-class _BuiltOnFirstRead:
-    """A report's `counterexample` field: a Counterexample, None, or a pending build.
-
-    A pending build is a zero-argument callable.  The first read calls it,
-    keeps the Counterexample in its place and so drops the callable and
-    everything it holds; every later read, `==`, `repr`, `replace` and
-    `to_json_dict` see that one object.
-    """
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, report, owner=None):
-        if report is None:
-            return None  # the field's default
-        value = report.__dict__[self.name]
-        if callable(value):
-            if (value := value()) is None:
-                raise InternalCheckError("internal error: a counterexample builder returned None")
-            report.__dict__[self.name] = value
-        return value
-
-    def __set__(self, report, value) -> None:
-        report.__dict__[self.name] = value
+_REPORT_FIELDS = ("condition", "verdict", "counterexample", "reason", "stats")
 
 
-@dataclass(frozen=True)
 class CheckReport:
     """A verdict, its counterexample when violated, and stats.
 
     `counterexample` may be given as a zero-argument callable that builds
     it: the build runs on first read, so a caller that reads only the
-    verdict never pays for it.
+    verdict never pays for it.  A report is immutable; `_replace` returns a
+    copy with some fields changed.
     """
 
-    condition: str
-    verdict: str
-    counterexample: Counterexample | None = _BuiltOnFirstRead()
-    reason: str | None = None
-    stats: Mapping[str, object] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.verdict not in (HOLDS, VIOLATED, VACUOUS):
-            raise InternalCheckError(f"internal error: bad verdict {self.verdict!r}")
+    def __init__(
+        self,
+        condition: str,
+        verdict: str,
+        counterexample: Counterexample | Callable[[], Counterexample] | None = None,
+        reason: str | None = None,
+        stats: Mapping[str, object] | None = None,
+    ) -> None:
+        if verdict not in (HOLDS, VIOLATED, VACUOUS):
+            raise InternalCheckError(f"internal error: bad verdict {verdict!r}")
         # a pending build counts as present, unbuilt
-        if (self.__dict__["counterexample"] is not None) != (self.verdict == VIOLATED):
+        if (counterexample is not None) != (verdict == VIOLATED):
             raise InternalCheckError(
                 "internal error: counterexample present iff verdict is violated"
             )
+        self.__dict__.update(
+            condition=condition,
+            verdict=verdict,
+            counterexample=counterexample,
+            reason=reason,
+            stats={} if stats is None else stats,
+        )
+
+    @property
+    def counterexample(self) -> Counterexample | None:
+        """The counterexample; the first read of a pending build runs it and keeps the result.
+
+        The kept object replaces the builder, so the builder and everything it
+        holds are dropped; every later read, `==`, `repr`, `_replace` and
+        `to_json_dict` see that one object.
+        """
+        value = self.__dict__["counterexample"]
+        if callable(value):
+            if (value := value()) is None:
+                raise InternalCheckError("internal error: a counterexample builder returned None")
+            self.__dict__["counterexample"] = value
+        return value
+
+    def _values(self) -> tuple:
+        return self.condition, self.verdict, self.counterexample, self.reason, self.stats
+
+    def _replace(self, **changes) -> CheckReport:
+        return CheckReport(**dict(zip(_REPORT_FIELDS, self._values()), **changes))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())  # a TypeError while `stats` is a dict
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(_REPORT_FIELDS, self._values()))
+        return f"CheckReport({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def holds(self) -> bool:

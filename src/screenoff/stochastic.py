@@ -11,11 +11,11 @@ import bisect
 import heapq
 import itertools
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from math import comb, gcd, isqrt, lcm, prod
 from operator import add, itemgetter, mod, mul, or_, sub
+from typing import NamedTuple
 
 from .events import (
     CapacityError,
@@ -264,8 +264,7 @@ def _atom_coords(sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.product(*(range(s) for s in sizes)))
 
 
-@dataclass(frozen=True)
-class _Failure:
+class _Failure(NamedTuple):
     """First cell where a conditional product rule breaks, in scaled integers.
 
     For wrc the past_index is the conditioning event, as a mask over cells.

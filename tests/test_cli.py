@@ -667,6 +667,18 @@ class TestStartup:
         loaded = loaded_after(run_check.format("qso1", str(model_dir / "product_quantal.json"), 0))
         assert "screenoff.quantal" in loaded and "screenoff.corpus" not in loaded
 
+    def test_no_path_loads_dataclasses(self, model_dir):
+        # the records are NamedTuples and plain classes: importing `dataclasses`,
+        # and the `inspect` it imports, would cost every process about 12 ms
+        run_check = "from screenoff.cli import main\nassert main(['check', {!r}, {!r}]) == {}"
+        for code in (
+            "import screenoff.cli",
+            run_check.format("so1", str(model_dir / "wizard_simpson.json"), 1),
+            run_check.format("qso1", str(model_dir / "product_quantal.json"), 0),
+            "import screenoff\nscreenoff.CausalSite",
+        ):
+            assert not {"dataclasses", "inspect"} & loaded_after(code), code
+
     def test_the_first_read_of_a_name_loads_the_whole_api(self):
         # dir() lists the API before any of it is loaded; the first read loads
         # every module an in-process user such as perfbench's tracer patches

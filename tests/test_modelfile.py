@@ -297,6 +297,27 @@ class TestErrors:
             parse_model_text(coins_json(named_regions={"R": ["zz"]}))
 
 
+def _with_matrix_cell(cell) -> str:
+    data = render_model(diagonal_model(antichain(1), [F(1, 2), F(1, 2)]))
+    data["measure"]["matrix"][0][1] = cell
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("text, detail", [
+    (coins_json(sites=[{"id": "", "alphabet": 2}]), "sites[0].id: expected a non-empty string"),
+    (coins_json(order={"c": "a_s"}), "'order' must be a list of [below, above] pairs"),
+    (coins_json(order=[["c", "a_s", "b_s"]]), "order[0]: expected a [below, above] pair"),
+    (coins_json(measure={"type": "stochastic", "weights": [["001", "1/2"]]}),
+     "measure.weights must be an object keyed by history"),
+    (_with_matrix_cell("0"), "measure.matrix[0][1]: expected an object with 're'/'im'"),
+    (coins_json(named_events={"A": 0}), "named_events['A']: expected an expression string"),
+    (coins_json(named_regions={"R": "c"}), "named_regions['R']: expected a list of site ids"),
+], ids=["site-id", "order", "order-pair", "weights", "matrix-cell", "named-event", "named-region"])
+def test_reader_refusal_text(text, detail):
+    with pytest.raises(ModelFileError) as refused:
+        parse_model_text(text)
+    assert str(refused.value) == f"model file error: <string>: {detail}"
+
 # -- determinism ------------------------------------------------------------
 
 

@@ -7,7 +7,6 @@ already-oracled verdicts.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -454,7 +453,7 @@ class TestDiagonalReduction:
         # a stand-in so1 report names other regions than the quantal one
         m = selection_reversal()
         so1 = check_so1(m)
-        moved = replace(so1, counterexample=replace(so1.counterexample, regions=()))
+        moved = so1._replace(counterexample=so1.counterexample._replace(regions=()))
         monkeypatch.setattr(quantal, "check_so1", lambda model: moved)
         q = diagonal_model(m.site, m.weights)
         qc = quantal.check_qso1(q).counterexample

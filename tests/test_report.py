@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -58,12 +57,25 @@ class TestBuildOnRead:
         assert builds[name] == 1
         assert vars(report)["counterexample"] is first  # the builder and its references are gone
 
+    def test_every_view_keeps_the_one_build(self, builds, token):
+        report = _violated(token)
+        eager = _eager(_violated(token))
+        name = BUILDERS[token][1]
+        builds.clear()
+        assert report == eager
+        first = vars(report)["counterexample"]
+        assert isinstance(first, Counterexample)
+        repr(report), report.to_json_dict()
+        copy = report._replace(condition="renamed")
+        assert copy.counterexample is report.counterexample is first
+        assert builds[name] == 1
+
     @pytest.mark.parametrize("read", [
         lambda r: r,
         repr,
         lambda r: json.dumps(r.to_json_dict(), sort_keys=True),
-        lambda r: replace(r, condition="renamed"),
-        lambda r: replace(r, stats={}),
+        lambda r: r._replace(condition="renamed"),
+        lambda r: r._replace(stats={}),
     ], ids=["eq", "repr", "json", "replace-condition", "replace-stats"])
     def test_every_view_matches_an_eager_report(self, token, read):
         eager = _eager(_violated(token))

@@ -21,7 +21,6 @@ import json
 import random
 import sys
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
@@ -1095,7 +1094,7 @@ def test_seven_leaves_coupled_at_every_position(coupled, monkeypatch):
     for label, check in PAIRWISE.items():
         del scans[:], passes[:]
         got = _outcome(lambda: check(model))
-        assert got == _outcome(lambda: replace(want, condition=label)), label
+        assert got == _outcome(lambda: want._replace(condition=label)), label
         assert scans == [(r, 1) for r in walk], label
         assert passes == searched, label
     for label, run in SCREENING[3:5]:
