@@ -479,15 +479,21 @@ def _random_site(
             f"capacity error: {n_sites} sites of at least 2 values each have at least "
             f"2^{n_sites} histories; the limit is {HISTORY_LIMIT}"
         )
-    pairs = [
+    pairs = tuple(
         (f"t{i}", rng.randrange(2, max_alphabet + 1)) for i in range(n_sites)
-    ]
-    relations = [
+    )
+    relations = tuple(
         (f"t{i}", f"t{j}")
         for i in range(n_sites)
         for j in range(i + 1, n_sites)
         if rng.random() < edge_density
-    ]
+    )
+    return _drawn_site(pairs, relations)
+
+
+@lru_cache(maxsize=None)
+def _drawn_site(pairs: tuple, relations: tuple) -> CausalSite:
+    """The interned site of a drawn spec, built once per spec."""
     return _interned(CausalSite(pairs, relations))
 
 

@@ -139,10 +139,11 @@ class QuantalModel:
     the matrix — certifies positivity without enumeration.  Both are views,
     built on first use, of the matrix's Gaussian-integer parts, flat and
     row-major ``_re`` and ``_im``, over a reduced ``_den``.  ``_encoded``
-    is the matrix as `_pair_matrix` encodes it, built on its first call.
+    is the matrix as `_pair_matrix` encodes it, built on its first call;
+    ``_memo`` holds what its checks computed, built on the first (`_screen`).
     """
 
-    __slots__ = ("site", "_den", "_re", "_im", "_witness", "_encoded", "_entry_view", "_witness_view", "_validation")
+    __slots__ = ("site", "_den", "_re", "_im", "_witness", "_encoded", "_entry_view", "_witness_view", "_validation", "_memo")
 
     def __init__(self, site: CausalSite, entries, positivity_witness=None) -> None:
         n = n_histories(site)
@@ -172,7 +173,7 @@ class QuantalModel:
             den, re, im = den // g, [x // g for x in re], [y // g for y in im]
         self.site, self._den, self._re, self._im = site, den, tuple(re), tuple(im)
         self._witness = None if witness is None else tuple(witness)
-        self._encoded = self._entry_view = self._witness_view = self._validation = None
+        self._encoded = self._entry_view = self._witness_view = self._validation = self._memo = None
         return self
 
     @property

@@ -71,9 +71,10 @@ class StochasticModel:
     nonnegative rationals summing to exactly 1.  The model holds them as
     integer numerators ``_nums`` over one reduced denominator ``_den``
     (``gcd(_den, *_nums) == 1``); ``weights`` is a view built on first use.
+    ``_memo`` holds what its checks computed, built on the first (`_screen`).
     """
 
-    __slots__ = ("site", "_den", "_nums", "_weight_view")
+    __slots__ = ("site", "_den", "_nums", "_weight_view", "_memo")
 
     def __init__(self, site: CausalSite, weights) -> None:
         ws = [Fraction(w) for w in weights]
@@ -99,7 +100,7 @@ class StochasticModel:
             raise MeasureError(f"measure error: normalization: weights sum to {Fraction(sum(nums), den)}, not 1")
         g = gcd(*nums)  # divides their sum, den: dividing it out makes (_den, _nums) canonical
         self.site, self._den, self._nums = site, den // g, tuple(w // g for w in nums)
-        self._weight_view = None
+        self._weight_view = self._memo = None
         return self
 
     @property
@@ -155,13 +156,14 @@ def correlated(model: StochasticModel, a: int, b: int) -> bool:
 #
 # For pairwise-disjoint regions, every conditional-independence equation in
 # this module reduces to integer identities between joint-configuration cell
-# weights.  A check keeps one table per union U of the regions it scans,
-# flat in U's own config order (mixed radix over U's members, lowest element
-# index most significant, like history indices), gathered from the history
-# weights by one cached `itemgetter`.  The cells of any partition of U into
-# regions are read back through per-region offset tuples (one slice where
-# they are contiguous), so every pair with the same union shares one pass
-# over the histories.  Tables and margins are summed inside builtins.
+# weights.  A model keeps one table per union U of the regions its checks
+# scan, in its memo (`_screen`), flat in U's own config order (mixed radix
+# over U's members, lowest element index most significant, like history
+# indices), gathered from the history weights by one cached `itemgetter`.
+# The cells of any partition of U into regions are read back through
+# per-region offset tuples (one slice where they are contiguous), so every
+# pair with the same union shares one pass over the histories.  Tables and
+# margins are summed inside builtins.
 #
 # A block J of k > 2 regions given a cell of total w ≠ 0 (W(C), or muhat(C))
 # factorizes, J·w^(k−1) = M_1 ⊗ … ⊗ M_k, iff each step of `_sum_out` has
@@ -251,7 +253,7 @@ def _cell_weights(model: StochasticModel, regions: tuple[int, ...]) -> list[int]
 
 
 def _union_table(model, regions: tuple[int, ...], tables: dict, build):
-    """(union, table) for disjoint regions, built by `build` once per union into `tables`."""
+    """(union, table) for disjoint regions, built by `build` once per union into `tables`, keyed by the union."""
     union = sum(regions)
     table = tables.get(union)
     if table is None:
@@ -459,7 +461,6 @@ def _screen(
     unit_key: str = "region_pairs",
     step_key: str | None = None,
     fixed: dict | None = None,
-    tables: dict | None = None,
     scan=None,
     counterexample=None,
     count_keys: tuple[str, ...] = ("atom_checks", "null_conditions_skipped"),
@@ -472,18 +473,24 @@ def _screen(
     every step held, before the ordinal `stop` if given; a step it decides
     takes the first of its dominator and fallback that holds, each scanned
     once, else its own scan, and a step given its group's blocks (`_split`)
-    holds when its restrictions to them do.  `fixed` stats lead the
-    report's; `tables` may carry cell tables shared with another scan of
-    the model.  `scan` (default `_factorization_failure`) returns
-    (failure-or-None, checked, skipped), reported under `count_keys`, and
-    `counterexample` (default `_conditional_counterexample`) reports a
-    failure: the report calls it with (model, regions, names, past,
-    failure, note) when its counterexample is first read.
+    holds when its restrictions to them do.  Every check of a model
+    shares its memo, built here on the first: its cell tables by union, and
+    each planned scan under its scan function by (P, regions), the regions
+    in order, as a failed scan is not symmetric, so a patched scan reads no
+    other function's results; an unplanned scan, as wrc's, is not kept.
+    `fixed` stats lead the report's.  `scan` (default
+    `_factorization_failure`) returns (failure-or-None, checked, skipped),
+    reported under `count_keys`, and `counterexample` (default
+    `_conditional_counterexample`) reports a failure: the report calls it
+    with (model, regions, names, past, failure, note) when its
+    counterexample is first read.
     """
     scan = scan or _factorization_failure
     counterexample = counterexample or _conditional_counterexample
-    tables = {} if tables is None else tables
-    scans: dict[tuple[int, tuple[int, ...]], tuple] = {}
+    if model._memo is None:
+        model._memo = {}
+    tables = model._memo
+    scans = tables.setdefault(scan, {}) if plan else None
 
     def get(key):
         return scans.get(key) or scans.setdefault(key, scan(model, key[1], key[0], tables=tables))
@@ -520,7 +527,7 @@ def _screen(
             break
     else:
         if plan:
-            fail, regions, past, rest = _walk(plan(), decide, get, partial(_split, model, tables, get), stop)
+            fail, regions, past, rest = _walk(plan(), decide, get, partial(_split, model, get), stop)
             n_units, n_steps, checked, skipped = map(sum, zip((n_units, n_steps, checked, skipped), rest))
     stats = dict(fixed or {})
     stats[unit_key] = n_units
@@ -602,7 +609,7 @@ def _hits(x, y, k: int):
     return (p for p in range(1, len(x)) if x[p] & k and y[p] & k)
 
 
-def _split(model, tables: dict, get, past: int, union: int):
+def _split(model, get, past: int, union: int):
     """(block certificate, non-singleton blocks) of the elements of `union` given `past`, or None.
 
     The blocks are the components of `_dependent_pairs`, in ascending
@@ -612,7 +619,7 @@ def _split(model, tables: dict, get, past: int, union: int):
     """
     singles = [1 << e for e in iter_bits(union)]
     block = {x: x for x in singles}
-    for x, y in _dependent_pairs(model, past, union, tables):
+    for x, y in _dependent_pairs(model, past, union, model._memo):
         merged = block[x] | block[y]
         block.update((1 << e, merged) for e in iter_bits(merged))
     blocks = tuple(sorted(set(block.values())))
@@ -866,9 +873,7 @@ def _planned(site: CausalSite, check, power: int = 1, pairs=None):
     return [(regions, past) for past in pasts], lambda: _screening_plan(site, check, power)
 
 
-def _pairwise_screening(
-    model: StochasticModel, condition: str, rule: str, tables: dict | None = None
-) -> CheckReport:
+def _pairwise_screening(model: StochasticModel, condition: str, rule: str) -> CheckReport:
     """Screen the first pair of `rule`, then walk its plan, each stand-in scanned once."""
     steps, plan = _planned(model.site, rule)
     note = "conditional product rule fails for this atom pair given C"
@@ -876,7 +881,7 @@ def _pairwise_screening(
         reason = "no spacelike region pairs clear of the initial elements"
     else:
         reason = "no spacelike pairs of disjoint nonempty regions"
-    return _screen(model, condition, steps, note, reason, plan=plan, tables=tables)
+    return _screen(model, condition, steps, note, reason, plan=plan)
 
 
 def check_so1(model: StochasticModel) -> CheckReport:
@@ -1436,10 +1441,9 @@ def check_penrose_percival(model: StochasticModel) -> CheckReport:
     verdict alongside, so the two can be compared.  Each pair is a unit with
     one step per dissection, and the planned walk proves each dissection's
     group of pairs with one certificate where it can.  The dissection scan
-    shares so1's cell tables.
+    shares so1's cell tables and scans through the model's memo.
     """
-    tables: dict = {}
-    so1 = _pairwise_screening(model, "so1", "mutual", tables=tables)
+    so1 = _pairwise_screening(model, "so1", "mutual")
     note = (
         "conjecture probe: conditioning on a full specification of a "
         "dissection of the joint past fails to screen this atom pair"
@@ -1453,7 +1457,6 @@ def check_penrose_percival(model: StochasticModel) -> CheckReport:
         plan=plan,
         step_key="dissections",
         fixed={"so1_verdict": so1.verdict},
-        tables=tables,
     )
 
 

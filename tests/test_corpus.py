@@ -265,6 +265,7 @@ class TestGenerators:
 
         interned = reports()
         monkeypatch.setattr(corpus_mod, "_interned", lambda site: site)
+        monkeypatch.setattr(corpus_mod, "_drawn_site", corpus_mod._drawn_site.__wrapped__)
         assert reports() == interned
 
     def test_sites_over_the_history_limit_are_refused_before_drawing(self, monkeypatch):

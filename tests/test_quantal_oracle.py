@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from definitions import joint_past, mutual_past
 from pseudo_events import CF_ONE
+from test_stochastic import cold
 from test_stochastic_oracle import (
     PRUNING_SITES,
     clear_screenoff_caches,
@@ -737,7 +738,7 @@ def test_a_holding_qso_check_scans_the_first_and_each_maximal_pair_once(shape, v
     failed = 0
     for label, check in (("so1", check_qso1), ("so2", check_qso2)):
         del scans[:]
-        assert check(q).verdict == HOLDS
+        assert check(cold(q)).verdict == HOLDS
         want, n_failed = expected_scans(q, label, ref_quantal_certificate_failure)
         assert len(scans) == len(set(scans)), label
         assert set(scans) == want, label
@@ -761,7 +762,7 @@ def test_a_product_amplitude_on_an_antichain_is_certified_at_once(alphabets, mon
     singletons = tuple(1 << e for e in range(len(alphabets)))
     for check in (check_qso1, check_qso2):
         del scans[:]
-        check(q)
+        check(cold(q))
         assert scans == [(1, 2)] + ([singletons] if len(alphabets) > 2 else [])
 
 
@@ -772,7 +773,7 @@ def test_a_maximal_first_pair_is_scanned_once(monkeypatch):
     scans = recorded_scans(monkeypatch)
     for check in (check_qso1, check_qso2):
         del scans[:]
-        report = check(q)
+        report = check(cold(q))
         assert report.verdict == HOLDS and report.stats["region_pairs"] == 2
         assert scans == [(1, 2)]
 
@@ -809,7 +810,7 @@ def test_a_late_failure_scans_the_first_maximal_and_failing_pairs(n_leaves, monk
         assert outcome["verdict"] == VIOLATED and outcome["stats"]["region_pairs"] > 1
         failing = pairs[outcome["stats"]["region_pairs"] - 1]
         del scans[:]
-        check(q)
+        check(cold(q))
         assert len(scans) == len(set(scans)), label
         assert scans[:2] == [pairs[0], leaves], label
         assert set(scans) <= {pairs[0], leaves, failing} | maximal_pairs(q.site, label), label
@@ -902,7 +903,7 @@ def test_a_nonzero_block_on_a_null_pseudo_cell_fails_the_certificate(monkeypatch
     scans = recorded_scans(monkeypatch)
     for check in (check_qso1, check_qso2):
         del scans[:]
-        check(q)
+        check(cold(q))
         assert scans[:2] == [(2, 4), certificate]
 
 
@@ -994,7 +995,7 @@ def test_a_first_pair_failure_scans_once_and_builds_no_plan(monkeypatch):
     scans = recorded_scans(monkeypatch)
     for q, check, ref in failing:
         del scans[:]
-        report = check(q)
+        report = check(cold(q))
         assert report.verdict == VIOLATED
         assert _dump(report) == _dump(ref(q))
         assert scans == [_spacelike_pairs(q.site)[0]]
@@ -1040,7 +1041,7 @@ def test_every_qso_check_matches_the_reference_on_proof_models():
                 if want is None:
                     continue
                 del scans[:]
-                run(q)
+                run(cold(q))
                 assert sorted(scans) == want, label
                 held[label] += 1
 

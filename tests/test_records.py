@@ -1,18 +1,21 @@
 """The public records: repr text, equality, hashing, immutability, defaults and `_replace`.
 
 Each repr is the text the package printed when these records were frozen
-dataclasses, so logs and doctest-style output read the same.
+dataclasses, so logs and doctest-style output read the same.  A model's
+memo, what its checks computed, is no part of its value.
 """
 from __future__ import annotations
 
+import pickle
 from fractions import Fraction as F
 
 import pytest
 
-from screenoff.corpus import CorpusEntry
+from screenoff.corpus import CorpusEntry, random_quantal, random_stochastic
 from screenoff.modelfile import LoadedModel
-from screenoff.quantal import ComplexFraction
+from screenoff.quantal import ComplexFraction, check_qso2
 from screenoff.report import CheckReport, Counterexample, EventRef
+from screenoff.stochastic import check_so1
 
 CX = Counterexample(
     regions=(("A", ("a",)),), events=(("A", EventRef(1, 2, "a=0")),), values=(("mu", "1/2"),), note="n"
@@ -133,3 +136,16 @@ def test_a_complex_fraction_is_no_tuple():
 def test_check_report_replace_refuses_an_unknown_field():
     with pytest.raises(TypeError):
         CheckReport("c", "holds")._replace(verdit="violated")
+
+
+@pytest.mark.parametrize("draw, check", [(random_stochastic, check_so1), (random_quantal, check_qso2)])
+def test_a_models_memo_is_no_part_of_its_value(draw, check):
+    # equality, hash and repr read a model's data, not what its checks
+    # computed; a checked model pickles with its memo and loads equal
+    checked, fresh = draw(3), draw(3)
+    report = check(checked).to_json_dict()
+    assert checked._memo and fresh._memo is None
+    assert checked == fresh and hash(checked) == hash(fresh) and repr(checked) == repr(fresh)
+    loaded = pickle.loads(pickle.dumps(checked))
+    assert loaded == checked and hash(loaded) == hash(checked) and repr(loaded) == repr(checked)
+    assert check(loaded).to_json_dict() == check(fresh).to_json_dict() == report

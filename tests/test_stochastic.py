@@ -7,6 +7,7 @@ deterministic scan order.
 """
 from __future__ import annotations
 
+import copy
 import gc
 import itertools
 import random
@@ -336,6 +337,13 @@ def _counting(monkeypatch, name: str) -> list:
     return calls
 
 
+def cold(model):
+    """A copy of a model with an empty memo, so that a check of it makes its own scans and tables."""
+    fresh = copy.copy(model)
+    fresh._memo = None
+    return fresh
+
+
 class TestCellTables:
     def test_one_table_per_region_union(self, monkeypatch):
         # common cause below 5 leaves: every pair's past is the root, so the
@@ -353,6 +361,7 @@ class TestCellTables:
         assert len(calls) == len(unions)
         for check in (check_so1, lambda m: check_generalized_so(m, "mutual")):
             del calls[:]
+            model = cold(model)
             assert check(model).verdict == HOLDS
             assert [sum(regions) for (_, regions), _ in calls] == [0b111, site.full_mask]
         # the benchmark tracer's hook takes exactly (model, regions)
@@ -385,6 +394,7 @@ class TestPrunedScreening:
         calls = _counting(monkeypatch, "_factorization_failure")
         for check in (check_so1, check_so2, check_so2w):
             del calls[:]
+            model = cold(model)
             report = check(model)
             assert report.verdict == HOLDS
             assert report.stats == {
@@ -429,7 +439,7 @@ class TestPrunedScreening:
         built = _counting(monkeypatch, "_plan")
         for check in (check_so1, check_so2):
             del drawn[:], scans[:], built[:]
-            report = check(model)
+            report = check(cold(model))
             assert report.verdict == HOLDS
             assert report.stats == {"region_pairs": 1932, "atom_checks": 221256, "null_conditions_skipped": 0}
             assert len(scans) == 2
