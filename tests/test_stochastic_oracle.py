@@ -1132,10 +1132,9 @@ def test_the_other_searching_checks_make_one_pass_per_failed_group(monkeypatch):
     # failed certificate built: multi-so[n=2] makes so1's 4 scans (577 with
     # dominators alone); penrose-percival makes them once, for its so1
     # verdict, and its dissection walk reads them but makes its own pass;
-    # gen-so[all] searches again for each
-    # of the 16 marked conditioning regions P whose certificate fails, and
-    # makes 252 scans; every P holds the root, and each pass reads the one
-    # table of the site
+    # gen-so[all] searches again for each of the 16 marked conditioning
+    # regions P whose certificate fails, and makes 252 scans; every P holds
+    # the root, and each pass reads the one table of the site
     model = common_cause(random.Random(3), 7, True)
     leaves = tuple(1 << e for e in range(1, 8))
     so1 = [(r, 1) for r in (leaves[:2], leaves, (*leaves[:5], leaves[5] | leaves[6]), leaves[5:])]
