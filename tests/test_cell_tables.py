@@ -6,8 +6,8 @@ from it through ``_block`` of the regions' ``_union_offsets`` and sums out
 their margins with ``_margins``.  Each piece is compared here with a direct
 computation: history by history for the classical table, by ``d_value`` over
 cell pairs for the quantal matrix, and by ``itertools.product`` for the
-block and margin kernels.  ``ref_cell_weights`` and ``ref_margins`` are the
-per-element loops the builtin kernels replaced, kept as references.  The
+block and margin kernels.  ``ref_cell_weights`` below and ``ref_margins``
+of ``reference.py`` are the per-element loops the builtin kernels replaced.  The
 step-wise factorization test ``_factorizes``, over ℤ and on Gaussian
 integers encoded as x + y·N mod N² + 1, is compared with the outer-product
 identity it stands in for, and the whole kernel ``_product_rule_failure`` on
@@ -40,6 +40,8 @@ from screenoff.stochastic import (
     _union_offsets,
 )
 
+from reference import ref_margins
+
 
 def ref_cell_weights(model: StochasticModel, regions: tuple[int, ...]) -> list[int]:
     """The table of the regions' union, one history at a time."""
@@ -49,18 +51,6 @@ def ref_cell_weights(model: StochasticModel, regions: tuple[int, ...]) -> list[i
         if w:
             table[f] += w
     return table
-
-
-def ref_margins(cells: list[int], sizes: tuple[int, ...]) -> list[list[int]]:
-    """Each region's margin, one sum per column and per row of the last axis."""
-    margins = []
-    joint = cells
-    for size in reversed(sizes[1:]):
-        margins.append([sum(joint[c::size]) for c in range(size)])
-        joint = [sum(joint[t : t + size]) for t in range(0, len(joint), size)]
-    margins.append(joint)
-    margins.reverse()
-    return margins
 
 
 @st.composite

@@ -34,7 +34,7 @@ from screenoff.order import CausalSite, RegionError, iter_bits
 
 from definitions import decidable_events, is_full_specification, restriction
 from pseudo_events import PseudoEvent, mu_hat
-from test_order import antichain, coin_site
+from reference import antichain, coin_site
 
 
 # -- oracles ---------------------------------------------------------------

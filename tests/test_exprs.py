@@ -9,7 +9,7 @@ from screenoff.events import cylinder, history_digits, n_histories, omega
 from screenoff.exprs import ExpressionError, parse_event
 from screenoff.order import CausalSite
 
-from test_order import coin_site
+from reference import coin_site
 
 
 def test_atom():

@@ -11,8 +11,7 @@ import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_stochastic import cold
-from test_stochastic_oracle import SCREENING, _outcome, common_cause, recorded_scans
+from reference import SCREENING, _outcome, cold, common_cause, recorded_scans
 
 import screenoff.quantal as quantal_mod
 import screenoff.stochastic as stochastic

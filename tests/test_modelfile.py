@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_order import antichain, coin_site
-from test_quantal import diagonal_model, entangled_pair
-from test_stochastic import anticorrelated_coins, sparse_model
+from reference import (
+    antichain, anticorrelated_coins, coin_site, diagonal_model, entangled_pair, sparse_model,
+)
 
 from screenoff.modelfile import (
     FORMAT_VERSION,

@@ -3,9 +3,10 @@
 A ``StochasticModel`` holds integer numerators over one reduced denominator,
 and the internal producers (the random generators, the deterministic-local
 dynamics, the diagonal reduction and the corpus's decohered embeddings) hand
-it integers.  The reference functions below are the Fraction-path versions of
-those producers; every scaled result is compared against them.  A guard
-counts ``Fraction`` constructions on the generator and check paths.
+it integers.  The ``ref_*`` functions of ``reference.py`` are the
+Fraction-path versions of those producers; every scaled result is compared
+against them.  A guard counts ``Fraction`` constructions on the generator
+and check paths.
 """
 from __future__ import annotations
 
@@ -29,9 +30,9 @@ from screenoff.corpus import (
     random_quantal,
     random_stochastic,
 )
-from screenoff.events import history_digits, n_histories
-from screenoff.order import CausalSite, iter_bits
-from screenoff.quantal import ComplexFraction, QuantalModel, check_qso1, diagonal_reduction
+from screenoff.events import n_histories
+from screenoff.order import CausalSite
+from screenoff.quantal import check_qso1, diagonal_reduction
 from screenoff.stochastic import (
     MeasureError,
     StochasticModel,
@@ -41,6 +42,10 @@ from screenoff.stochastic import (
 )
 
 from pseudo_events import PseudoEvent, mu_hat
+from reference import (
+    ref_d_value, ref_deterministic_local_model, ref_diagonal_embedding, ref_induced_measure,
+    ref_random_stochastic,
+)
 
 F = Fraction
 SEEDS = range(200)
@@ -50,56 +55,6 @@ SITES = (
     CausalSite([("c", 2), ("a", 2), ("b", 2)], [("c", "a"), ("c", "b")]),
     CausalSite([("x", 3), ("y", 2)], [("x", "y")]),
 )
-
-
-# -- Fraction-path references -------------------------------------------------
-
-
-def ref_random_stochastic(seed, n_sites=4, max_alphabet=3, edge_density=0.5):
-    rng = corpus_mod._rng("stochastic", seed, n_sites, max_alphabet, edge_density)
-    site = corpus_mod._random_site(rng, n_sites, max_alphabet, edge_density)
-    nums = [rng.randrange(0, 4) for _ in range(n_histories(site))]
-    if not any(nums):
-        nums[rng.randrange(len(nums))] = 1
-    total = sum(nums)
-    return StochasticModel(site, [F(k, total) for k in nums])
-
-
-def ref_deterministic_local_model(site, initial_dists, rules):
-    init = site.initial_elements()
-    dists = {e: [F(x) for x in initial_dists[site.elements[e]]] for e in iter_bits(init)}
-    weights = []
-    for h in range(n_histories(site)):
-        digs = history_digits(site, h)
-        w = F(1)
-        for e in range(site.n):
-            bit = 1 << e
-            if init & bit:
-                w *= dists[e][digs[e]]
-            else:
-                past = {site.elements[x]: digs[x] for x in iter_bits(site.past(bit) & ~bit)}
-                if rules[site.elements[e]](past) != digs[e]:
-                    w = F(0)
-                    break
-        weights.append(w)
-    return StochasticModel(site, weights)
-
-
-def ref_diagonal_embedding(model: StochasticModel) -> QuantalModel:
-    n = len(model.weights)
-    return QuantalModel(model.site, [[model.weights[h] if h == g else 0 for g in range(n)] for h in range(n)])
-
-
-def ref_induced_measure(q: QuantalModel) -> StochasticModel:
-    return StochasticModel(q.site, [q.entries[h][h].re for h in range(len(q.entries))])
-
-
-def ref_d_value(q: QuantalModel, left: int, right: int) -> ComplexFraction:
-    total = ComplexFraction()
-    for h in iter_bits(left):
-        for g in iter_bits(right):
-            total = total + q.entries[h][g]
-    return total
 
 
 # -- the two constructors -----------------------------------------------------

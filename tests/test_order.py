@@ -19,36 +19,10 @@ from screenoff.order import (
 )
 
 from definitions import joint_past, leq, multi_joint_past, mutual_past
+from reference import antichain, chain, coin_site, diamond
 
 
 # -- helpers ---------------------------------------------------------------
-
-
-def chain(n: int) -> CausalSite:
-    """e0 < e1 < ... < e(n-1), all binary."""
-    sites = [(f"e{i}", 2) for i in range(n)]
-    rels = [(f"e{i}", f"e{i+1}") for i in range(n - 1)]
-    return CausalSite(sites, rels)
-
-
-def antichain(n: int) -> CausalSite:
-    return CausalSite([(f"e{i}", 2) for i in range(n)])
-
-
-def diamond() -> CausalSite:
-    """o below l and r, both below t."""
-    return CausalSite(
-        [("o", 2), ("l", 2), ("r", 2), ("t", 2)],
-        [("o", "l"), ("o", "r"), ("l", "t"), ("r", "t")],
-    )
-
-
-def coin_site() -> CausalSite:
-    """Choice element strictly below the two outcome elements."""
-    return CausalSite(
-        [("c", 2), ("a_s", 2), ("b_s", 2)],
-        [("c", "a_s"), ("c", "b_s")],
-    )
 
 
 def oracle_past(site: CausalSite, r: int) -> int:

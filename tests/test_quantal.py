@@ -14,8 +14,10 @@ import pytest
 
 from definitions import decidable_events
 from pseudo_events import CF_ONE, PseudoEvent, mu_hat, pdom, pseudo_full_specifications
-from test_order import antichain, coin_site
-from test_stochastic import selection_reversal, sparse_model
+from reference import (
+    antichain, coin_site, diagonal_model, entangled_pair, rank_one, selection_reversal,
+    sparse_model,
+)
 
 import screenoff.quantal as quantal
 from screenoff.events import (
@@ -48,34 +50,12 @@ CF = ComplexFraction
 # -- builders ---------------------------------------------------------------
 
 
-def diagonal_model(site: CausalSite, weights) -> QuantalModel:
-    n = n_histories(site)
-    ws = list(weights)
-    return QuantalModel(
-        site, [[ws[h] if h == g else 0 for g in range(n)] for h in range(n)]
-    )
-
-
-def rank_one(site: CausalSite, amplitudes, weight=F(1)) -> QuantalModel:
-    psi = [CF.of(a) for a in amplitudes]
-    entries = [
-        [psi[h] * psi[g].conjugate() * weight for g in range(len(psi))]
-        for h in range(len(psi))
-    ]
-    return QuantalModel(site, entries, positivity_witness=[(weight, psi)])
-
-
 def coin_weights() -> list[Fraction]:
     site = coin_site()
     w = [F(0)] * n_histories(site)
     w[history_index(site, (0, 0, 1))] = F(1, 2)
     w[history_index(site, (1, 1, 0))] = F(1, 2)
     return w
-
-
-def entangled_pair() -> QuantalModel:
-    # amplitudes concentrate on the agreeing outcomes, quarter phase apart
-    return rank_one(antichain(2), [CF(F(1, 2)), 0, 0, CF(F(0), F(1, 2))], weight=F(2))
 
 
 def random_rank_one(rng: random.Random, site: CausalSite) -> QuantalModel:

@@ -1,14 +1,10 @@
 """Differential oracle for the scaled Gaussian-integer quantal paths.
 
-The reference code below is the ComplexFraction construction of random
-quantal models, and the ComplexFraction validation of the matrix axioms,
-that the generator and validator compute in scaled integers.  It also keeps
-the per-pair qso scan: ``ref_pair_matrix`` rebuilds one (past, A, B) matrix
-of d-values for every region pair, ``ref_quantal_screening_failure`` walks
-it pseudo-atom by pseudo-atom, and ``ref_quantal_pairwise_check`` scans
-every spacelike pair in order.  It is kept here, test-only, so that every
-model, report and error text the program produces can be compared with it
-byte for byte.
+The references of ``reference.py`` are the ComplexFraction construction of
+random quantal models and validation of the matrix axioms, which the
+generator and validator compute in scaled integers, and the per-pair qso
+scan (``ref_qso1``, ``ref_qso2``).  Every model, report and error text the
+program produces is compared with them byte for byte.
 """
 from __future__ import annotations
 
@@ -17,24 +13,18 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from definitions import joint_past, mutual_past
+from definitions import mutual_past
 from pseudo_events import CF_ONE
-from test_stochastic import cold
-from test_stochastic_oracle import (
-    PRUNING_SITES,
-    clear_screenoff_caches,
-    expected_scans,
-    held_scans,
-    local_dynamics,
-    maximal_pairs,
-    proof_models,
-    skipped_steps,
-    two_roots,
+from reference import (
+    PRUNING_SITES, _cmul, clear_screenoff_caches, cold, expected_scans, held_scans, local_dynamics,
+    maximal_pairs, proof_models, ref_qso1, ref_qso2, ref_quantal_certificate_failure,
+    ref_quantal_screening_failure, reference_model, reference_random_quantal, reference_validate,
+    reference_witness_check, skipped_steps, two_roots,
 )
 
 import screenoff.quantal as quantal_mod
@@ -42,18 +32,15 @@ import screenoff.stochastic as stochastic_mod
 from screenoff.corpus import (
     _decohered,
     _fuzz_model,
-    _random_site,
-    _rng,
     corpus_entries,
     random_diagonal_quantal,
     random_quantal,
 )
-from screenoff.events import config_indices, event_ref, full_specifications, n_configs, n_histories
+from screenoff.events import full_specifications, n_configs
 from screenoff.modelfile import render_model_json
 from screenoff.order import CausalSite
 from screenoff.quantal import (
     CF_ZERO,
-    POSITIVITY_ENUMERATION_LIMIT,
     ComplexFraction,
     QuantalError,
     QuantalModel,
@@ -62,165 +49,14 @@ from screenoff.quantal import (
     diagonal_reduction,
     validate_quantal,
 )
-from screenoff.report import HOLDS, VACUOUS, VIOLATED, CheckReport, Counterexample, format_complex
+from screenoff.report import HOLDS, VIOLATED, CheckReport
 from screenoff.stochastic import _spacelike_pairs
 
 F = Fraction
 CF = ComplexFraction
 
 
-# -- reference code ---------------------------------------------------------
-
-
-def reference_random_quantal(seed, n_sites=4, max_alphabet=2, rank=3):
-    """(site, entries, witness) built in ComplexFraction arithmetic."""
-    rng = _rng("quantal", seed, n_sites, max_alphabet, rank)
-    site = _random_site(rng, n_sites, max_alphabet, 0.5)
-    n = 1
-    for k in site.alphabets:
-        n *= k
-    k = rng.randrange(1, rank + 1)
-    vectors = []
-    weights = []
-    for _ in range(k):
-        while True:
-            psi = [
-                ComplexFraction(F(rng.randrange(-2, 3)), F(rng.randrange(-2, 3)))
-                for _ in range(n)
-            ]
-            total = CF_ZERO
-            for a in psi:
-                total = total + a
-            if total:
-                break
-        vectors.append((psi, total))
-        weights.append(F(rng.randrange(1, 4)))
-    norm = sum(
-        w * (t.re * t.re + t.im * t.im) for w, (_, t) in zip(weights, vectors)
-    )
-    weights = [w / norm for w in weights]
-    entries = [[CF_ZERO] * n for _ in range(n)]
-    for w, (psi, _) in zip(weights, vectors):
-        for h in range(n):
-            for g in range(n):
-                entries[h][g] = entries[h][g] + psi[h] * psi[g].conjugate() * w
-    return site, entries, list(zip(weights, (p for p, _ in vectors)))
-
-
-def reference_ints(entries):
-    """(common denominator, real parts, imaginary parts), flat and row-major."""
-    den = 1
-    for row in entries:
-        for x in row:
-            den = lcm(den, x.re.denominator, x.im.denominator)
-    flat = [x for row in entries for x in row]
-    return den, tuple(int(x.re * den) for x in flat), tuple(int(x.im * den) for x in flat)
-
-
-def reference_witness_check(entries, witness) -> None:
-    n = len(entries)
-    for w, vec in witness:
-        if w <= 0:
-            raise QuantalError(f"quantal error: witness weight {w} is not positive")
-        if len(vec) != n:
-            raise QuantalError(
-                f"quantal error: witness vector has {len(vec)} amplitudes "
-                f"for {n} histories"
-            )
-    for h in range(n):
-        for g in range(n):
-            acc = CF_ZERO
-            for w, vec in witness:
-                acc = acc + vec[h] * vec[g].conjugate() * w
-            if acc != entries[h][g]:
-                raise QuantalError(
-                    "quantal error: positivity witness does not reproduce "
-                    f"the matrix at entry ({h}, {g}): {acc} != {entries[h][g]}"
-                )
-
-
-def reference_positivity_failure(entries, witness):
-    if witness is not None:
-        reference_witness_check(entries, witness)
-        return None
-    n = len(entries)
-    if all(not entries[h][g] for h in range(n) for g in range(n) if h != g):
-        for h in range(n):
-            if entries[h][h].re < 0:
-                return 1 << h, entries[h][h].re
-        return None
-    if n > POSITIVITY_ENUMERATION_LIMIT:
-        raise QuantalError(
-            f"quantal error: positivity is uncertifiable: {n} histories exceed "
-            f"the enumeration limit ({POSITIVITY_ENUMERATION_LIMIT}) and no "
-            "positivity witness was given"
-        )
-    # every event in the same one-bit-flip order; flipping history b in or
-    # out of the event changes its measure by D[b][b] plus b's cross terms
-    members = set()
-    total = CF_ZERO
-    cur = 0
-    for g in range(1, 1 << n):
-        b = (g & -g).bit_length() - 1
-        cur ^= 1 << b
-        sign = 1 if cur >> b & 1 else -1
-        members.discard(b)
-        step = entries[b][b]
-        for x in members:
-            step = step + entries[b][x] + entries[x][b]
-        total = total + step * sign
-        if sign > 0:
-            members.add(b)
-        if total.re < 0:
-            return cur, total.re
-    return None
-
-
-def reference_validate(site, entries, witness) -> CheckReport:
-    condition = "quantal-axioms"
-    n = len(entries)
-    for h in range(n):
-        for g in range(h, n):
-            if entries[h][g] != entries[g][h].conjugate():
-                cx = Counterexample(
-                    values=(
-                        ("axiom", "hermiticity"),
-                        ("entry", f"({h}, {g})"),
-                        (f"D[{h}][{g}]", str(entries[h][g])),
-                        (f"conj(D[{g}][{h}])", str(entries[g][h].conjugate())),
-                    ),
-                    note=f"hermiticity fails at history pair ({h}, {g})",
-                )
-                return CheckReport(condition, VIOLATED, counterexample=cx)
-    total = CF_ZERO
-    for row in entries:
-        for x in row:
-            total = total + x
-    if total != CF_ONE:
-        cx = Counterexample(
-            values=(("axiom", "normalization"), ("total", str(total))),
-            note=f"matrix sums to {total}, not 1",
-        )
-        return CheckReport(condition, VIOLATED, counterexample=cx)
-    bad = reference_positivity_failure(entries, witness)
-    if bad is not None:
-        event, value = bad
-        cx = Counterexample(
-            events=(("A", event_ref(site, event)),),
-            values=(("axiom", "positivity"), ("mu_q(A)", str(value))),
-            note=f"event {event:#x} has negative measure {value}",
-        )
-        return CheckReport(condition, VIOLATED, counterexample=cx, stats={"positivity": "enumerated"})
-    mode = "witness" if witness is not None else "enumerated"
-    return CheckReport(condition, HOLDS, stats={"positivity": mode})
-
-
-def reference_model(site, entries, witness) -> QuantalModel:
-    """A model whose scaled matrix and validation come from the reference code."""
-    q = QuantalModel(site, entries, witness)
-    q._den, q._re, q._im = reference_ints(q.entries)
-    q._validation = reference_validate(site, q.entries, q.positivity_witness)
-    return q
+# -- comparison harness -----------------------------------------------------
 
 
 def _dump(report: CheckReport) -> str:
@@ -394,178 +230,6 @@ def test_generated_models_are_checked_without_fraction_views():
 
 
 # -- the per-pair qso scan ----------------------------------------------------
-
-
-def _cmul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def ref_pair_matrix(q, regions):
-    """Matrix of d-values between joint configuration cells of the regions."""
-    site = q.site
-    sizes = tuple(n_configs(site, r) for r in regions)
-    index_maps = [config_indices(site, r) for r in regions]
-    n_cells = 1
-    for s in sizes:
-        n_cells *= s
-    n = n_histories(site)
-    flat_of = [0] * n
-    for h in range(n):
-        flat = 0
-        for ci, size in zip(index_maps, sizes):
-            flat = flat * size + ci[h]
-        flat_of[h] = flat
-    m = [[(0, 0)] * n_cells for _ in range(n_cells)]
-    for h in range(n):
-        mrow = m[flat_of[h]]
-        for u, br, bi in zip(flat_of, q._re[h * n : h * n + n], q._im[h * n : h * n + n]):
-            ar, ai = mrow[u]
-            mrow[u] = (ar + br, ai + bi)
-    return sizes, m
-
-
-def ref_quantal_screening_failure(q, ra, rb, past):
-    """First pseudo-atom triple breaking the product rule, or None.
-
-    Ordered pairs of conditioning cells outermost, then left/right atoms of
-    the first region, then of the second; null pseudo-cells are checked.
-    """
-    (np_, na, nb), m = ref_pair_matrix(q, (past, ra, rb))
-    block = na * nb
-    checked = 0
-    for c1 in range(np_):
-        for c2 in range(np_):
-            base1 = c1 * block
-            base2 = c2 * block
-            ma_tab = [[(0, 0)] * na for _ in range(na)]
-            mb_tab = [[(0, 0)] * nb for _ in range(nb)]
-            mp = (0, 0)
-            for f1 in range(block):
-                row = m[base1 + f1]
-                a1, b1 = divmod(f1, nb)
-                for f2 in range(block):
-                    er, ei = row[base2 + f2]
-                    a2, b2 = divmod(f2, nb)
-                    mp = (mp[0] + er, mp[1] + ei)
-                    xr, xi = ma_tab[a1][a2]
-                    ma_tab[a1][a2] = (xr + er, xi + ei)
-                    xr, xi = mb_tab[b1][b2]
-                    mb_tab[b1][b2] = (xr + er, xi + ei)
-            for a1, a2, b1, b2 in itertools.product(range(na), range(na), range(nb), range(nb)):
-                ma = ma_tab[a1][a2]
-                mb = mb_tab[b1][b2]
-                joint = m[base1 + a1 * nb + b1][base2 + a2 * nb + b2]
-                checked += 1
-                if _cmul(joint, mp) != _cmul(ma, mb):
-                    return ((c1, c2, a1, a2, b1, b2), (joint, mp, ma, mb)), checked
-    return None, checked
-
-
-def ref_quantal_certificate_failure(q, regions, past):
-    """(first pseudo-cell where a k-region certificate fails, or None,).
-
-    On each pseudo-cell C the certificate demands J * muhat(C)^(k-1) ==
-    prod M_i for every tuple of pseudo-atoms, and, where muhat(C) = 0, a
-    zero joint block, summed here entry by entry from the matrix.
-    """
-    sizes, m = ref_pair_matrix(q, (past, *regions))
-    n_past, atom_counts = sizes[0], sizes[1:]
-    block = len(m) // n_past
-    coords = tuple(itertools.product(*(range(s) for s in atom_counts)))
-    for c1 in range(n_past):
-        for c2 in range(n_past):
-            joint = {}
-            margins = [{} for _ in regions]
-            mp = (0, 0)
-            for f1 in range(block):
-                for f2 in range(block):
-                    e = m[c1 * block + f1][c2 * block + f2]
-                    joint[f1, f2] = e
-                    mp = (mp[0] + e[0], mp[1] + e[1])
-                    for i, (x1, x2) in enumerate(zip(coords[f1], coords[f2])):
-                        xr, xi = margins[i].get((x1, x2), (0, 0))
-                        margins[i][x1, x2] = (xr + e[0], xi + e[1])
-            if mp == (0, 0):
-                if any(e != (0, 0) for e in joint.values()):
-                    return ((c1, c2),)
-                continue
-            scale = (1, 0)
-            for _ in regions[1:]:
-                scale = _cmul(scale, mp)
-            for (f1, f2), e in joint.items():
-                rhs = (1, 0)
-                for i, (x1, x2) in enumerate(zip(coords[f1], coords[f2])):
-                    rhs = _cmul(rhs, margins[i][x1, x2])
-                if _cmul(e, scale) != rhs:
-                    return ((c1, c2),)
-    return (None,)
-
-
-def ref_quantal_counterexample(q, ra, rb, past, where, values):
-    site = q.site
-    c1, c2, a1, a2, b1, b2 = where
-    joint, mp, ma, mb = values
-    den = Fraction(q._den)
-
-    def fmt(v, d=den):
-        return format_complex(v[0] / d, v[1] / d)
-
-    pa = full_specifications(site, ra)
-    pb = full_specifications(site, rb)
-    pc = full_specifications(site, past)
-    return Counterexample(
-        regions=(
-            ("A", site.region_ids(ra)),
-            ("B", site.region_ids(rb)),
-            ("past", site.region_ids(past)),
-        ),
-        events=(
-            ("A1", event_ref(site, pa[a1], ra, a1)),
-            ("A2", event_ref(site, pa[a2], ra, a2)),
-            ("B1", event_ref(site, pb[b1], rb, b1)),
-            ("B2", event_ref(site, pb[b2], rb, b2)),
-            ("C1", event_ref(site, pc[c1], past, c1)),
-            ("C2", event_ref(site, pc[c2], past, c2)),
-        ),
-        values=(
-            ("muhat(A&B&C)", fmt(joint)),
-            ("muhat(C)", fmt(mp)),
-            ("muhat(A&C)", fmt(ma)),
-            ("muhat(B&C)", fmt(mb)),
-            ("muhat(A&B&C)*muhat(C)", fmt(_cmul(joint, mp), den * den)),
-            ("muhat(A&C)*muhat(B&C)", fmt(_cmul(ma, mb), den * den)),
-        ),
-        note="complex product rule fails for this pseudo-atom triple",
-    )
-
-
-def ref_quantal_pairwise_check(q, condition, past_of):
-    q._require_valid()
-    pairs = 0
-    checked = 0
-    for ra, rb in _spacelike_pairs(q.site):
-        pairs += 1
-        past = past_of(q.site, ra, rb)
-        failure, c = ref_quantal_screening_failure(q, ra, rb, past)
-        checked += c
-        if failure is not None:
-            cx = ref_quantal_counterexample(q, ra, rb, past, *failure)
-            stats = {"region_pairs": pairs, "equations_checked": checked}
-            return CheckReport(condition, VIOLATED, counterexample=cx, stats=stats)
-    stats = {"region_pairs": pairs, "equations_checked": checked}
-    if pairs == 0:
-        return CheckReport(
-            condition, VACUOUS, reason="no spacelike pairs of disjoint nonempty regions", stats=stats
-        )
-    return CheckReport(condition, HOLDS, stats=stats)
-
-
-def ref_qso1(q):
-    return ref_quantal_pairwise_check(q, "qso1", mutual_past)
-
-
-def ref_qso2(q):
-    return ref_quantal_pairwise_check(q, "qso2", joint_past)
 
 
 def _exact(run) -> str:

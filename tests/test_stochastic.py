@@ -7,7 +7,6 @@ deterministic scan order.
 """
 from __future__ import annotations
 
-import copy
 import gc
 import itertools
 import random
@@ -20,7 +19,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from definitions import mutual_past
-from test_order import antichain, chain, coin_site, diamond
+from reference import (
+    antichain, anticorrelated_coins, chain, coin_site, cold, diamond, selection_reversal,
+    sparse_model, two_cell_correlate,
+)
 
 import screenoff.events as events
 import screenoff.stochastic as stochastic
@@ -63,18 +65,6 @@ F = Fraction
 # -- model builders --------------------------------------------------------
 
 
-def sparse_model(site: CausalSite, entries: dict[tuple[int, ...], Fraction]) -> StochasticModel:
-    weights = [F(0)] * n_histories(site)
-    for digs, w in entries.items():
-        weights[history_index(site, digs)] = w
-    return StochasticModel(site, weights)
-
-
-def anticorrelated_coins() -> StochasticModel:
-    # shared source, then two perfectly anticorrelated outcomes
-    return sparse_model(coin_site(), {(0, 0, 1): F(1, 2), (1, 1, 0): F(1, 2)})
-
-
 def biased_coins() -> StochasticModel:
     # c=1 biases both outcomes towards 1, c=0 towards 0; positively correlated
     entries = {}
@@ -86,20 +76,6 @@ def biased_coins() -> StochasticModel:
                 wb = p if b else 1 - p
                 entries[(c, a, b)] = F(1, 2) * wa * wb
     return sparse_model(coin_site(), entries)
-
-
-def selection_reversal() -> StochasticModel:
-    # outcomes independent overall but perfectly (anti)correlated within
-    # each value of the selection element
-    return sparse_model(
-        coin_site(),
-        {
-            (0, 0, 1): F(1, 4),
-            (0, 1, 0): F(1, 4),
-            (1, 0, 0): F(1, 4),
-            (1, 1, 1): F(1, 4),
-        },
-    )
 
 
 def parity_triple() -> StochasticModel:
@@ -152,26 +128,6 @@ def three_value_coins() -> StochasticModel:
                 wi = p[c] if i else 1 - p[c]
                 wj = q[c] if j else 1 - q[c]
                 entries[(c, i, j)] = F(1, 3) * wi * wj
-    return sparse_model(site, entries)
-
-
-def two_cell_correlate() -> StochasticModel:
-    # uniform four-valued source; c=0 and c=1 move only a, c=2 and c=3 only b,
-    # so no single source value correlates with both, but {c=0, c=2} does;
-    # within c=0 the outcomes are tied beyond the source
-    site = CausalSite([("c", 4), ("a", 2), ("b", 2)], [("c", "a"), ("c", "b")])
-    pa = (F(3, 4), F(1, 4), F(1, 2), F(1, 2))  # mu(a=0 | c)
-    pb = (F(1, 2), F(1, 2), F(3, 4), F(1, 4))  # mu(b=0 | c)
-    entries = {}
-    for c in range(4):
-        for a in (0, 1):
-            for b in (0, 1):
-                wa = pa[c] if a == 0 else 1 - pa[c]
-                wb = pb[c] if b == 0 else 1 - pb[c]
-                entries[(c, a, b)] = F(1, 4) * wa * wb
-    tied = {(0, 0): F(1, 2), (0, 1): F(1, 4), (1, 0): F(0), (1, 1): F(1, 4)}
-    for (a, b), w in tied.items():
-        entries[(0, a, b)] = F(1, 4) * w
     return sparse_model(site, entries)
 
 
@@ -335,13 +291,6 @@ def _counting(monkeypatch, name: str) -> list:
 
     monkeypatch.setattr(stochastic, name, counted)
     return calls
-
-
-def cold(model):
-    """A copy of a model with an empty memo, so that a check of it makes its own scans and tables."""
-    fresh = copy.copy(model)
-    fresh._memo = None
-    return fresh
 
 
 class TestCellTables:
