@@ -2,6 +2,8 @@
 every private module-level function or class is used somewhere in the package.
 The package's modules import each other without a cycle, function-local
 imports included, and only the corpus's random generators import ``random``.
+No test module imports another: the helpers they share live in
+``reference.py``, ``definitions.py`` and ``pseudo_events.py``.
 No float enters the package's arithmetic: no float constant, ``float()`` call
 or true division ``/`` appears in its source, but for the ``edge_density`` of
 the random generators.
@@ -32,6 +34,7 @@ PERFBENCH = sorted((PACKAGE.parent.parent / "perfbench").glob("*.py"))
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 SOURCES = sorted(PACKAGE.glob("*.py"))
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("test_*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -56,6 +59,35 @@ def test_the_guard_sees_an_unused_name():
 @pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imports_of(source: str, modules: set[str]) -> list[str]:
+    """The imports of any of the named modules in a source, function-local ones included."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names if alias.name.split(".")[0] in modules]
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module.split(".")[0] in modules:
+            found.append((node.lineno, node.module))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_the_guard_sees_an_import_of_another_test_module():
+    source = (
+        "import json\n"
+        "from reference import cold\n"
+        "from test_order import antichain\n\n"
+        "def draw():\n"
+        "    import test_stochastic as stochastic\n"
+    )
+    modules = {"test_order", "test_stochastic"}
+    assert imports_of(source, modules) == ["line 3: test_order", "line 6: test_stochastic"]
+
+
+def test_no_test_module_imports_another():
+    modules = {path.stem for path in TEST_MODULES}
+    found = {path.name: imports_of(path.read_text(), modules) for path in TEST_MODULES}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
