@@ -7,8 +7,8 @@ Fraction-path producers the scaled-integer paths replaced (``ref_*`` and
 were shared and planned checks skipped the units a held scan vouches for:
 ``ref_screening``, ``ref_wrc`` and ``ref_qso1``/``ref_qso2`` rebuild one
 table or d-value matrix per region pair and walk it atom by atom, in the
-ordinal order of ``ref_units``.  No reference runs the program's screening
-driver.
+ordinal order of ``ref_units``.  No reference runs the program's
+``_screen``.
 """
 from __future__ import annotations
 

@@ -2,7 +2,7 @@
 
 The per-pair scans of ``reference.py`` (``ref_screening`` and ``ref_wrc``
 with the ordinal steps of ``ref_units``) run every classical check in order,
-without the program's screening driver; every report's ``to_json_dict()``
+without the program's ``_screen``; every report's ``to_json_dict()``
 (which carries no ``runtime_ms``) and every error text is compared with the
 program's byte for byte.
 """
