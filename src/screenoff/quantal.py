@@ -501,10 +501,7 @@ def diagonal_reduction(q: QuantalModel) -> CheckReport:
     for h, y in enumerate(q._im[:: n + 1]):
         if y != 0:
             raise QuantalError(f"quantal error: diagonal entry {h} is not real")
-    if q._memo is None:
-        q._memo = {}
-    if (induced := q._memo.get(diagonal_reduction)) is None:  # kept: a repeated call shares its so1 scans
-        induced = q._memo[diagonal_reduction] = StochasticModel._from_scaled(site, q._den, q._re[:: n + 1])
+    induced = StochasticModel._from_scaled(site, q._den, q._re[:: n + 1])
     so = check_so1(induced)
     qso = check_qso1(q)
     stats = {"so1_verdict": so.verdict, "qso1_verdict": qso.verdict}

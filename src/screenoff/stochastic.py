@@ -619,10 +619,7 @@ def _split(model, get, past: int, union: int):
     """
     singles = [1 << e for e in iter_bits(union)]
     block = {x: x for x in singles}
-    found = model._memo.setdefault(_dependent_pairs, {})
-    if (past, union) not in found:
-        found[past, union] = _dependent_pairs(model, past, union, model._memo)
-    for x, y in found[past, union]:
+    for x, y in _dependent_pairs(model, past, union, model._memo):
         merged = block[x] | block[y]
         block.update((1 << e, merged) for e in iter_bits(merged))
     blocks = tuple(sorted(set(block.values())))

@@ -3,8 +3,7 @@
 A check run after others on one model must report exactly what it reports
 on a fresh copy; a check whose scans another check of the model already
 made must not make them again; and the memo must neither leak across models
-of one site nor grow with repeated unplanned scans.  The memo also keeps
-the element pairs of each block search and diag-reduce's induced measure.
+of one site nor grow with repeated unplanned scans.
 """
 from __future__ import annotations
 
@@ -136,16 +135,3 @@ def test_diag_reduce_shares_qso1_scans(monkeypatch):
     del scans[:]
     assert _outcome(lambda: diagonal_reduction(q)) == want
     assert scans == []
-
-
-def test_diag_reduce_keeps_its_induced_measure(monkeypatch):
-    # the induced measure lives in the quantal model's memo, so a repeated
-    # diag-reduce reads its so1 scans as well as its qso1 scans
-    q = random_diagonal_quantal(5, 4, 2)
-    scans = recorded_scans(monkeypatch)
-    counts = []
-    for _ in range(3):
-        diagonal_reduction(q)
-        counts.append(len(scans))
-        del scans[:]
-    assert counts == [5, 0, 0]
