@@ -1,14 +1,11 @@
-"""Reference code, builders and recorders that the test modules share.
+"""Reference scans, builders and recorders that the test modules share.
 
 Test modules import from here, from ``definitions`` and from
 ``pseudo_events``, and never from one another.  The references are the
-Fraction-path producers the scaled-integer paths replaced (``ref_*`` and
-``reference_*``), and the per-pair scans the checks ran before cell tables
-were shared and planned checks skipped the units a held scan vouches for:
-``ref_screening``, ``ref_wrc`` and ``ref_qso1``/``ref_qso2`` rebuild one
-table or d-value matrix per region pair and walk it atom by atom, in the
-ordinal order of ``ref_units``.  No reference runs the program's
-``_screen``.
+Fraction-path producers the scaled-integer paths replaced and the per-pair
+scans (``ref_screening``, ``ref_wrc``, ``ref_qso1``/``ref_qso2``) that
+rebuild one table or d-value matrix per region pair, in the ordinal order of
+``ref_units``; none runs the program's ``_screen``.
 """
 from __future__ import annotations
 
@@ -43,9 +40,6 @@ from pseudo_events import CF_ONE
 
 F = Fraction
 CF = ComplexFraction
-
-
-# -- sites, models, strategies and recorders ---------------------------------
 
 
 def chain(n: int) -> CausalSite:
@@ -339,9 +333,6 @@ def clear_screenoff_caches() -> None:
                     value.cache_clear()
 
 
-# -- Fraction-path producers -------------------------------------------------
-
-
 def ref_random_stochastic(seed, n_sites=4, max_alphabet=3, edge_density=0.5):
     rng = corpus_mod._rng("stochastic", seed, n_sites, max_alphabet, edge_density)
     site = corpus_mod._random_site(rng, n_sites, max_alphabet, edge_density)
@@ -538,9 +529,6 @@ def reference_model(site, entries, witness) -> QuantalModel:
     q._den, q._re, q._im = reference_ints(q.entries)
     q._validation = reference_validate(site, q.entries, q.positivity_witness)
     return q
-
-
-# -- the per-pair classical scan ---------------------------------------------
 
 
 def ref_margins(cells: list[int], sizes: tuple[int, ...]) -> list[list[int]]:
@@ -762,9 +750,6 @@ def ref_wrc(model, conditioned=False, cap=12):
             condition, VACUOUS, reason="no spacelike pairs of disjoint nonempty regions", stats=stats
         )
     return CheckReport(condition, HOLDS, stats=stats)
-
-
-# -- the planned checks, and the scans a pruned walk makes -------------------
 
 
 def _outside_futures(site, a, b):
@@ -1051,9 +1036,6 @@ def skipped_steps(model, run) -> tuple[str, list[tuple[int, str]]]:
                 proof = next(key for key, *_ in groups if key[0] == past)
                 skipped.append((past, "proof" if get(proof)[0] is None else "blocks"))
     return outcome, skipped
-
-
-# -- the per-pair qso scan ---------------------------------------------------
 
 
 def _cmul(a, b):
