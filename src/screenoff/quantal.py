@@ -140,7 +140,7 @@ class QuantalModel:
     built on first use, of the matrix's Gaussian-integer parts, flat and
     row-major ``_re`` and ``_im``, over a reduced ``_den``.  ``_encoded``
     is the matrix as `_pair_matrix` encodes it, built on its first call;
-    ``_memo`` holds what its checks computed, built on the first (`_screen`).
+    ``_memo``, empty at construction, holds what its checks computed (`_screen`).
     """
 
     __slots__ = ("site", "_den", "_re", "_im", "_witness", "_encoded", "_entry_view", "_witness_view", "_validation", "_memo")
@@ -173,7 +173,8 @@ class QuantalModel:
             den, re, im = den // g, [x // g for x in re], [y // g for y in im]
         self.site, self._den, self._re, self._im = site, den, tuple(re), tuple(im)
         self._witness = None if witness is None else tuple(witness)
-        self._encoded = self._entry_view = self._witness_view = self._validation = self._memo = None
+        self._encoded = self._entry_view = self._witness_view = self._validation = None
+        self._memo = {}
         return self
 
     @property
@@ -387,9 +388,7 @@ def _pair_matrix(q: QuantalModel, regions: tuple[int, ...]) -> tuple[list[int], 
     return table, big
 
 
-def _quantal_screening_failure(
-    q: QuantalModel, regions: tuple[int, ...], past: int, *, tables: dict
-):
+def _quantal_screening_failure(q: QuantalModel, regions: tuple[int, ...], past: int):
     """First pseudo-atom tuple breaking the complex product rule, or None.
 
     `_product_rule_failure` over doubled regions: a pseudo-cell (c1, c2) of
@@ -402,7 +401,7 @@ def _quantal_screening_failure(
     """
     site = q.site
     parts = (past, *regions)
-    union, (table, big) = _union_table(q, parts, tables, _pair_matrix)
+    union, (table, big) = _union_table(q, parts, _pair_matrix)
     fail, checked, nulls = _product_rule_failure(site, table, union, regions, past, 2, big * big + 1)
     checked += nulls * prod(n_configs(site, r) ** 2 for r in regions)
     if fail is None:

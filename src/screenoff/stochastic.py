@@ -71,7 +71,7 @@ class StochasticModel:
     nonnegative rationals summing to exactly 1.  The model holds them as
     integer numerators ``_nums`` over one reduced denominator ``_den``
     (``gcd(_den, *_nums) == 1``); ``weights`` is a view built on first use.
-    ``_memo`` holds what its checks computed, built on the first (`_screen`).
+    ``_memo``, empty at construction, holds what its checks computed (`_screen`).
     """
 
     __slots__ = ("site", "_den", "_nums", "_weight_view", "_memo")
@@ -100,7 +100,7 @@ class StochasticModel:
             raise MeasureError(f"measure error: normalization: weights sum to {Fraction(sum(nums), den)}, not 1")
         g = gcd(*nums)  # divides their sum, den: dividing it out makes (_den, _nums) canonical
         self.site, self._den, self._nums = site, den // g, tuple(w // g for w in nums)
-        self._weight_view = self._memo = None
+        self._weight_view, self._memo = None, {}
         return self
 
     @property
@@ -252,12 +252,12 @@ def _cell_weights(model: StochasticModel, regions: tuple[int, ...]) -> list[int]
     return list(map(sum, zip(*[iter(gather(model._nums))] * per_cell)))
 
 
-def _union_table(model, regions: tuple[int, ...], tables: dict, build):
-    """(union, table) for disjoint regions, built by `build` once per union into `tables`, keyed by the union."""
+def _union_table(model, regions: tuple[int, ...], build):
+    """(union, table) for disjoint regions, built by `build` once per union into `model._memo`, keyed by the union."""
     union = sum(regions)
-    table = tables.get(union)
+    table = model._memo.get(union)
     if table is None:
-        table = tables[union] = build(model, regions)
+        table = model._memo[union] = build(model, regions)
     return union, table
 
 
@@ -279,17 +279,15 @@ class _Failure(NamedTuple):
     w_margins: tuple[int, ...]
 
 
-def _factorization_failure(
-    model: StochasticModel, event_regions: tuple[int, ...], past: int, *, tables: dict
-):
+def _factorization_failure(model: StochasticModel, event_regions: tuple[int, ...], past: int):
     """Scan atoms of the event regions against full specifications of `past`.
 
     Checks mu(atoms jointly | C) = product of mu(atom_i | C) for every
     positive cell C by `_product_rule_failure` on the table of the regions'
-    union, built into `tables` on first use and shared by every later scan
-    of it.  Returns (failure-or-None, conditions_checked, null_conditions_skipped).
+    union, built into the model's memo on first use and shared by every
+    later scan of it.  Returns (failure-or-None, conditions_checked, null_conditions_skipped).
     """
-    union, table = _union_table(model, (past, *event_regions), tables, _cell_weights)
+    union, table = _union_table(model, (past, *event_regions), _cell_weights)
     return _product_rule_failure(model.site, table, union, event_regions, past)
 
 
@@ -474,10 +472,10 @@ def _screen(
     takes the first of its dominator and fallback that holds, each scanned
     once, else its own scan, and a step given its group's blocks (`_split`)
     holds when its restrictions to them do.  Every check of a model
-    shares its memo, built here on the first: its cell tables by union, and
-    each planned scan under its scan function by (P, regions), the regions
-    in order, as a failed scan is not symmetric, so a patched scan reads no
-    other function's results; an unplanned scan, as wrc's, is not kept.
+    shares its memo: its cell tables by union, and each planned scan under
+    its scan function by (P, regions), the regions in order, as a failed
+    scan is not symmetric, so a patched scan reads no other function's
+    results; an unplanned scan, as wrc's, is not kept.
     `fixed` stats lead the report's.  `scan` (default
     `_factorization_failure`) returns (failure-or-None, checked, skipped),
     reported under `count_keys`, and `counterexample` (default
@@ -487,13 +485,10 @@ def _screen(
     """
     scan = scan or _factorization_failure
     counterexample = counterexample or _conditional_counterexample
-    if model._memo is None:
-        model._memo = {}
-    tables = model._memo
-    scans = tables.setdefault(scan, {}) if plan else None
+    scans = model._memo.setdefault(scan, {}) if plan else None
 
     def get(key):
-        return scans.get(key) or scans.setdefault(key, scan(model, key[1], key[0], tables=tables))
+        return scans.get(key) or scans.setdefault(key, scan(model, key[1], key[0]))
 
     def decide(regions, past, dominator, fallback, past_cells, atoms, split=None):
         if split:
@@ -520,7 +515,7 @@ def _screen(
         if regions != unit:
             n_units += 1
             unit = regions
-        fail, c, s = get((past, regions)) if plan else scan(model, regions, past, tables=tables)
+        fail, c, s = get((past, regions)) if plan else scan(model, regions, past)
         checked += c
         skipped += s
         if fail is not None:
@@ -619,7 +614,7 @@ def _split(model, get, past: int, union: int):
     """
     singles = [1 << e for e in iter_bits(union)]
     block = {x: x for x in singles}
-    for x, y in _dependent_pairs(model, past, union, model._memo):
+    for x, y in _dependent_pairs(model, past, union):
         merged = block[x] | block[y]
         block.update((1 << e, merged) for e in iter_bits(merged))
     blocks = tuple(sorted(set(block.values())))
@@ -628,17 +623,17 @@ def _split(model, get, past: int, union: int):
     return certificate, tuple(k for k in blocks if k & (k - 1))
 
 
-def _dependent_pairs(model, past: int, union: int, tables: dict) -> list[tuple[int, int]]:
+def _dependent_pairs(model, past: int, union: int) -> list[tuple[int, int]]:
     """Every element pair ({i}, {j}) of `union` that fails given `past`, in ascending order.
 
-    One pass over the table of P ∪ E_P in `tables`: for each positive cell C
+    One pass over the table of P ∪ E_P in the model's memo: for each positive cell C
     of P (null ones are skipped), i and j are dependent when W(i=a, j=b)·W(C)
     ≠ W(i=a)·W(j=b) for some values.  The (a_i − 1)(a_j − 1) leading value
     pairs are enough: an identity at a last value is the margin's identity
     minus those at the other values.
     """
     site = model.site
-    full, table = _union_table(model, (past, union), tables, _cell_weights)
+    full, table = _union_table(model, (past, union), _cell_weights)
     block = _union_offsets(site, union, full)
     members, _, _ = _region_meta(site, union)
     sizes = tuple(site.alphabets[e] for e in members)
@@ -1011,14 +1006,7 @@ def check_multi_so(model: StochasticModel, n: int) -> CheckReport:
 # --- weak relativistic causality ---------------------------------------------
 
 
-def _correlate_failure(
-    model: StochasticModel,
-    regions: tuple[int, int],
-    past: int,
-    *,
-    tables: dict,
-    conditioned: bool,
-):
+def _correlate_failure(model: StochasticModel, regions: tuple[int, int], past: int, *, conditioned: bool):
     """First correlated atom pair of the regions with no common correlate in `past`.
 
     A correlate is an event decidable in `past`: a union C of its cells.
@@ -1042,7 +1030,7 @@ def _correlate_failure(
             f"{site.region_ids(rb)}); the limit is 2^{_PAST_CELL_LIMIT} "
             f"({_PAST_CELL_LIMIT} mutual-past cells)"
         )
-    union, table = _union_table(model, (past, ra, rb), tables, _cell_weights)
+    union, table = _union_table(model, (past, ra, rb), _cell_weights)
     sizes, block = _atom_block(site, regions, union)
     na, nb = sizes
     # Each past cell's row: W(p), then W(a&p) per atom of A, W(b&p) per atom

@@ -237,7 +237,8 @@ def leaves_with_coupled_blocks(
             x, y, z = blocks[0]
             tied = tied and leaves[z] == leaves[x] ^ leaves[y]
         weights.append(w if tied else F(0))
-    return StochasticModel(site, [w / sum(weights) for w in weights])
+    total = sum(weights)
+    return StochasticModel(site, [w / total for w in weights])
 
 
 @st.composite
@@ -303,7 +304,7 @@ def proof_models(draw) -> StochasticModel:
 def cold(model):
     """A copy of a model with an empty memo, so that a check of it makes its own scans and tables."""
     fresh = copy.copy(model)
-    fresh._memo = None
+    fresh._memo = {}
     return fresh
 
 

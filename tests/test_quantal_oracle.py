@@ -558,7 +558,7 @@ def test_a_nonzero_block_on_a_null_pseudo_cell_fails_the_certificate(monkeypatch
     q = leaves_amplitude([CF_ONE, CF_ONE], leaves, ((1, 2), tables))
     certificate = (2, 4, 8)
     assert ref_quantal_certificate_failure(q, certificate, 1)[0] == (0, 0)
-    assert quantal_mod._quantal_screening_failure(q, certificate, 1, tables={})[0][0][:2] == (0, 0)
+    assert quantal_mod._quantal_screening_failure(q, certificate, 1)[0][0][:2] == (0, 0)
     for o in assert_qso_matches_reference(q):
         report = json.loads(o)
         assert report["verdict"] == VIOLATED
@@ -622,7 +622,7 @@ def test_leaf_amplitudes_below_a_root(seed, n_root, n_leaves, coupled, zero_shar
         # the leaves' certificate given the root fails first where the
         # reference's does: a null pseudo-cell takes the direct scan
         certificate = tuple(2 << i for i in range(n_leaves))
-        got, _, _ = quantal_mod._quantal_screening_failure(q, certificate, 1, tables={})
+        got, _, _ = quantal_mod._quantal_screening_failure(q, certificate, 1)
         assert (got and got[0][:2]) == ref_quantal_certificate_failure(q, certificate, 1)[0]
 
 

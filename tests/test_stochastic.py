@@ -353,7 +353,7 @@ class TestPrunedScreening:
             }
             assert [args[1:] for args, _ in calls] == [((0b10, 0b100), 1), (leaves, 1)]
             for (m, _, _), kwargs in calls:
-                assert m is model and set(kwargs) == {"tables"}
+                assert m is model and not kwargs
 
     def test_a_held_proof_decides_the_check_without_its_steps(self, monkeypatch):
         # the benchmark's so_holds shape: a ternary root below 7 binary

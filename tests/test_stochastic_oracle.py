@@ -456,7 +456,7 @@ def recorded_passes(monkeypatch) -> list:
     original = stochastic._dependent_pairs
     monkeypatch.setattr(
         stochastic, "_dependent_pairs",
-        lambda m, past, union, tables: passes.append((union, past)) or original(m, past, union, tables),
+        lambda m, past, union: passes.append((union, past)) or original(m, past, union),
     )
     return passes
 
@@ -1014,13 +1014,13 @@ def test_the_pair_pass_finds_the_failing_element_pairs(drawn):
     # finds exactly the element pairs whose own scans fail, and builds no
     # table of its own
     model, past, union = drawn
+    model = cold(model)
     singles = tuple(1 << e for e in iter_bits(union))
     want = [(x, y) for x, y in itertools.combinations(singles, 2)
             if ref_factorization_failure(model, (x, y), past)[0] is not None]
-    tables = {}
-    stochastic._factorization_failure(model, singles, past, tables=tables)
-    assert stochastic._dependent_pairs(model, past, union, tables) == want
-    assert list(tables) == [past | union]
+    stochastic._factorization_failure(model, singles, past)
+    assert stochastic._dependent_pairs(model, past, union) == want
+    assert list(model._memo) == [past | union]
 
 
 # so1, so2, so2w and the built-in gen-so selectors, with each one's
