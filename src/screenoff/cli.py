@@ -16,7 +16,7 @@ import sys
 import time
 from typing import Sequence
 
-from .conditions import CONDITIONS, FUZZ_PAIRS, QUANTAL, STOCHASTIC, check_jobs, exhaustive_limit, model_kind
+from .conditions import CONDITIONS, FUZZ_PAIRS, QUANTAL, STOCHASTIC, check_jobs, model_kind
 from .events import event_ref, n_histories
 from .exprs import parse_event
 from .modelfile import _NAME_RE, LoadedModel, load_model, render_model_json
@@ -151,7 +151,8 @@ def _cmd_check(args) -> int:
             takers = sorted(t for t, r in CONDITIONS.items() if flag in r.reads)
             raise CliError(f"cli error: condition {cond!r} does not take --{flag.replace('_', '-')}; "
                            f"it applies to: {', '.join(takers)}")
-    return _emit_report(row.run(model, a, b, args), args, started)
+    options = {flag: value for flag in row.reads if (value := getattr(args, flag)) is not None}
+    return _emit_report(row.run(model, a, b, **options), args, started)
 
 
 def _cmd_find(args) -> int:
@@ -163,7 +164,8 @@ def _cmd_find(args) -> int:
     a = _resolve_event(loaded, args.a, "--a")
     b = _resolve_event(loaded, args.b, "--b")
     finder = find_screening_events if args.what == "screening" else find_simpson_events
-    masks = finder(model, a, b, exhaustive_limit=exhaustive_limit(args))
+    limit = args.max_omega_exhaustive
+    masks = finder(model, a, b, exhaustive_limit=EXHAUSTIVE_EVENT_LIMIT if limit is None else limit)
     site = model.site
     refs = [event_ref(site, m) for m in masks]
     if args.format == "json":

@@ -32,24 +32,16 @@ def model_kind(model) -> str:
     return STOCHASTIC if isinstance(model, StochasticModel) else QUANTAL
 
 
-class CheckOptions(NamedTuple):
-    """Parameters a condition's runner may read, named as ``check``'s flags."""
-
-    selector: str | None = None
-    n: int | None = None
-    max_omega_exhaustive: int | None = None
-    max_partition: int | None = None
-
-
 class Condition(NamedTuple):
     """One condition that ``check``, the corpus and the fuzzer can run.
 
-    ``run(model, a, b, options)`` returns the report; ``a`` and ``b`` are
+    ``run(model, a, b, **options)`` returns the report; ``a`` and ``b`` are
     event masks for a condition that takes ``--a/--b`` and None otherwise;
-    of ``options``, a CheckOptions or the CLI's parsed arguments (None where
-    unset), it reads the fields in ``reads``.  Runners look their check up at
-    call time: a stochastic one in this module's namespace, a quantal one in
-    ``screenoff.quantal`` (through `_quantal`), so a patched binding applies.
+    ``options`` are keywords named as ``check``'s flags, exactly those in
+    ``reads``, each defaulted by the runner, so a caller passes only the set
+    ones.  Runners look their check up at call time: a stochastic one in
+    this module's namespace, a quantal one in ``screenoff.quantal`` (through
+    `_quantal`), so a patched binding applies.
     """
 
     token: str
@@ -66,39 +58,31 @@ def _quantal():
     return quantal
 
 
-def exhaustive_limit(options) -> int:
-    """``options.max_omega_exhaustive``, or EXHAUSTIVE_EVENT_LIMIT where unset."""
-    limit = options.max_omega_exhaustive
-    return EXHAUSTIVE_EVENT_LIMIT if limit is None else limit
-
-
 CONDITIONS = {
     row.token: row
     for row in (
         Condition("pcc-original", STOCHASTIC, True,
-                  lambda m, a, b, o: check_pcc_original(m, a, b, exhaustive_limit(o)),
+                  lambda m, a, b, max_omega_exhaustive=EXHAUSTIVE_EVENT_LIMIT:
+                  check_pcc_original(m, a, b, max_omega_exhaustive),
                   ("max_omega_exhaustive",)),
         Condition("pcc-rev1", STOCHASTIC, True,
-                  lambda m, a, b, o: check_pcc_rev1(m, a, b, exhaustive_limit(o)),
+                  lambda m, a, b, max_omega_exhaustive=EXHAUSTIVE_EVENT_LIMIT:
+                  check_pcc_rev1(m, a, b, max_omega_exhaustive),
                   ("max_omega_exhaustive",)),
         Condition("pcc-rev2", STOCHASTIC, True,
-                  lambda m, a, b, o: check_pcc_rev2(m, a, b, o.max_partition), ("max_partition",)),
-        Condition("so1", STOCHASTIC, False, lambda m, a, b, o: check_so1(m)),
-        Condition("so2", STOCHASTIC, False, lambda m, a, b, o: check_so2(m)),
-        Condition("so2w", STOCHASTIC, False, lambda m, a, b, o: check_so2w(m)),
+                  lambda m, a, b, max_partition=None: check_pcc_rev2(m, a, b, max_partition), ("max_partition",)),
+        Condition("so1", STOCHASTIC, False, lambda m, a, b: check_so1(m)),
+        Condition("so2", STOCHASTIC, False, lambda m, a, b: check_so2(m)),
+        Condition("so2w", STOCHASTIC, False, lambda m, a, b: check_so2w(m)),
         Condition("gen-so", STOCHASTIC, False,
-                  lambda m, a, b, o: check_generalized_so(m, "mutual" if o.selector is None else o.selector),
-                  ("selector",)),
-        Condition("multi-so", STOCHASTIC, False,
-                  lambda m, a, b, o: check_multi_so(m, 3 if o.n is None else o.n), ("n",)),
-        Condition("wrc", STOCHASTIC, False, lambda m, a, b, o: check_wrc(m)),
-        Condition("wrc-cond", STOCHASTIC, False,
-                  lambda m, a, b, o: check_wrc(m, conditioned=True)),
-        Condition("penrose-percival", STOCHASTIC, False,
-                  lambda m, a, b, o: check_penrose_percival(m)),
-        Condition("qso1", QUANTAL, False, lambda m, a, b, o: _quantal().check_qso1(m)),
-        Condition("qso2", QUANTAL, False, lambda m, a, b, o: _quantal().check_qso2(m)),
-        Condition("diag-reduce", QUANTAL, False, lambda m, a, b, o: _quantal().diagonal_reduction(m)),
+                  lambda m, a, b, selector="mutual": check_generalized_so(m, selector), ("selector",)),
+        Condition("multi-so", STOCHASTIC, False, lambda m, a, b, n=3: check_multi_so(m, n), ("n",)),
+        Condition("wrc", STOCHASTIC, False, lambda m, a, b: check_wrc(m)),
+        Condition("wrc-cond", STOCHASTIC, False, lambda m, a, b: check_wrc(m, conditioned=True)),
+        Condition("penrose-percival", STOCHASTIC, False, lambda m, a, b: check_penrose_percival(m)),
+        Condition("qso1", QUANTAL, False, lambda m, a, b: _quantal().check_qso1(m)),
+        Condition("qso2", QUANTAL, False, lambda m, a, b: _quantal().check_qso2(m)),
+        Condition("diag-reduce", QUANTAL, False, lambda m, a, b: _quantal().diagonal_reduction(m)),
     )
 }
 

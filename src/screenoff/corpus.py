@@ -15,7 +15,7 @@ from functools import lru_cache
 from operator import neg
 from typing import Callable, Mapping, NamedTuple
 
-from .conditions import CONDITIONS, FUZZ_PAIRS, QUANTAL, CheckOptions, Condition, check_jobs
+from .conditions import CONDITIONS, FUZZ_PAIRS, QUANTAL, Condition, check_jobs
 from .events import HISTORY_LIMIT, CapacityError, history_index, n_histories
 from .exprs import parse_event
 from .modelfile import render_model
@@ -394,14 +394,14 @@ def corpus_entries() -> list[CorpusEntry]:
 FUZZ_COUNT_LIMIT = 100_000
 
 
-def _resolve_token(token: str) -> tuple[Condition, CheckOptions]:
-    """The row and options of a report token: "so1", "gen-so[all]", "multi-so[n=3]"."""
+def _resolve_token(token: str) -> tuple[Condition, dict]:
+    """The row and runner options of a report token: "so1", "gen-so[all]", "multi-so[n=3]"."""
     name, bracket, param = token.partition("[")
-    options = CheckOptions()
+    options = {}
     if name == "gen-so" and bracket:
-        options = CheckOptions(selector=param[:-1])
+        options = {"selector": param[:-1]}
     elif name == "multi-so" and param.startswith("n="):
-        options = CheckOptions(n=int(param[2:-1]))
+        options = {"n": int(param[2:-1])}
     elif bracket or name not in CONDITIONS or name in ("gen-so", "multi-so"):
         raise CorpusError(f"corpus error: unknown condition token {token!r}")
     return CONDITIONS[name], options
@@ -413,7 +413,7 @@ def run_condition(entry: CorpusEntry, token: str) -> CheckReport:
     a = b = None
     if row.takes_events:
         a, b = entry.event("A"), entry.event("B")
-    return row.run(entry.model, a, b, options)
+    return row.run(entry.model, a, b, **options)
 
 
 def verify_corpus() -> CheckReport:
@@ -644,7 +644,7 @@ def _fuzz_one(args: tuple) -> tuple[int, str, str]:
     verdicts = []
     for token in FUZZ_PAIRS[pair][:2]:
         row, options = _resolve_token(token)
-        verdicts.append(row.run(model, None, None, options).verdict)
+        verdicts.append(row.run(model, None, None, **options).verdict)
     return model_seed, *verdicts
 
 
