@@ -407,6 +407,17 @@ class TestCheck:
             assert (code, out, err) == run(capsys, "check", cond, path, *flags)
             assert out.startswith(f"{token}: violated\n") and code == 1
 
+    @pytest.mark.parametrize("cond", sorted(conditions.CONDITIONS))
+    def test_a_runner_takes_exactly_the_flags_its_row_reads(self, cond):
+        # check passes each set flag of `reads` by name, and no other: a
+        # runner without one, or without its default, ends in a TypeError
+        row = conditions.CONDITIONS[cond]
+        code = row.run.__code__
+        params = code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
+        defaults = (*(row.run.__defaults__ or ()), *(row.run.__kwdefaults__ or {}))
+        assert params[3:] == row.reads and len(defaults) == len(row.reads)
+        assert not code.co_flags & 0b1100  # CO_VARARGS, CO_VARKEYWORDS: no *args or **kwargs
+
     def test_exhaustive_limit_zero_restricts_the_search(self, capsys, model_dir):
         code, out, err = run(
             capsys, "check", "pcc-rev1", str(model_dir / "illusionist_coins.json"),
@@ -682,8 +693,8 @@ class TestStartup:
     def test_the_first_read_of_a_name_loads_the_whole_api(self):
         # dir() lists the API before any of it is loaded; the first read loads
         # every module an in-process user such as perfbench's tracer patches
-        src = Path(screenoff.__file__).resolve().parent.parent
-        spec = importlib.util.spec_from_file_location("tracer", src.parent / "perfbench" / "tracer.py")
+        root = Path(__file__).resolve().parents[1]
+        spec = importlib.util.spec_from_file_location("tracer", root / "perfbench" / "tracer.py")
         tracer = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracer)
         traced = {row[1] for rows in (tracer.SPANS, tracer.METHOD_SPANS, tracer.CACHES) for row in rows}
