@@ -2,7 +2,7 @@
 
 Subcommands: ``validate``, ``check``, ``find``, ``fuzz``, and ``corpus``.
 Exit codes: 0 the condition holds (or the task succeeded), 1 it is violated,
-2 the input or usage was bad (or standard output was closed by its reader),
+2 the input or usage was bad (or a write to standard output failed),
 3 an internal invariant failed.  All output is
 deterministic for identical inputs, whatever ``--jobs`` says; JSON output
 differs only in ``runtime_ms``.
@@ -339,9 +339,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = args.handler(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError as e:
-        # the reader closed early; point stdout at nothing so that the flush
-        # at shutdown cannot raise again
+    except OSError as e:
+        tb = e.__traceback__
+        while tb.tb_next:
+            tb = tb.tb_next
+        if tb.tb_frame.f_globals is not globals():  # this module's only I/O is its writes to stdout
+            raise
+        # point stdout at nothing, so that the flush at shutdown cannot raise again
         with open(os.devnull, "w") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         print(f"output error: {e}", file=sys.stderr)

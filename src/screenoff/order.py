@@ -81,17 +81,10 @@ class CausalSite:
             except KeyError as missing:
                 raise OrderError(f"order error: unknown element {missing.args[0]!r} in relation") from None
             below[j] |= 1 << i
-        # reflexive-transitive closure; n is small, fixpoint iteration is fine
-        changed = True
-        while changed:
-            changed = False
+        for k in range(n):  # Warshall's transitive closure, on bitsets
             for j in range(n):
-                acc = below[j]
-                for i in iter_bits(acc):
-                    acc |= below[i]
-                if acc != below[j]:
-                    below[j] = acc
-                    changed = True
+                if below[j] >> k & 1:
+                    below[j] |= below[k]
         for i in range(n):
             for j in iter_bits(below[i]):
                 if j != i and below[j] >> i & 1:

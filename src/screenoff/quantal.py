@@ -389,40 +389,32 @@ def _pair_matrix(q: QuantalModel, regions: tuple[int, ...]) -> tuple[list[int], 
 
 
 def _quantal_screening_failure(q: QuantalModel, regions: tuple[int, ...], past: int):
-    """First pseudo-atom tuple breaking the complex product rule, or None.
+    """`_product_rule_failure`'s (first failure or None, checked, 0) over doubled regions.
 
-    `_product_rule_failure` over doubled regions: a pseudo-cell (c1, c2) of
-    P is a cell of P x P and a pseudo-atom (x1, x2) of X one of X x X, read
-    from the encoded matrix of U = P u X1 u ... u Xk (`_pair_matrix`).  For
-    a pair the rule is muhat(A&B&C) * muhat(C) == muhat(A&C) * muhat(B&C).
-    A skipped null pseudo-cell counts its equations as checked.  Returns
-    ((c1, c2, x1, x2, ...), Gaussian (joint, muhat(C), margins...)) or
-    None, equations_checked, 0.
+    A pseudo-cell (c1, c2) of P is a cell of P x P and a pseudo-atom
+    (x1, x2) of X one of X x X, read from the encoded matrix of
+    U = P u X1 u ... u Xk (`_pair_matrix`).  For a pair the rule is
+    muhat(A&B&C) * muhat(C) == muhat(A&C) * muhat(B&C).  The failure keeps
+    the kernel's pseudo-indexes and encoded sums: only a counterexample,
+    when first read, decodes them (`_quantal_counterexample`).  A skipped
+    null pseudo-cell counts its equations as checked.
     """
-    site = q.site
-    parts = (past, *regions)
-    union, (table, big) = _union_table(q, parts, _pair_matrix)
-    fail, checked, nulls = _product_rule_failure(site, table, union, regions, past, 2, big * big + 1)
-    checked += nulls * prod(n_configs(site, r) ** 2 for r in regions)
-    if fail is None:
-        return None, checked, 0
-    coords = (fail.past_index, *fail.atom_indexes)
-    where = tuple([x for r, c in zip(parts, coords) for x in divmod(c, n_configs(site, r))])
-    values = (fail.w_joint, fail.w_past, *fail.w_margins)
-    return (where, tuple(_gaussian(v, big) for v in values)), checked, 0
+    union, (table, big) = _union_table(q, (past, *regions), _pair_matrix)
+    fail, checked, nulls = _product_rule_failure(q.site, table, union, regions, past, 2, big * big + 1)
+    return fail, checked + nulls * prod(n_configs(q.site, r) ** 2 for r in regions), 0
 
 
 def _quantal_counterexample(
     q: QuantalModel, regions: tuple[int, int], names: tuple[str, str], past: int, fail, note: str
 ) -> Counterexample:
-    site = q.site
-    (c1, c2, a1, a2, b1, b2), values = fail
+    site, big = q.site, q._encoded[1]  # the failing scan encoded the model (`_pair_matrix`)
+    values = map(_gaussian, (fail.w_joint, fail.w_past, *fail.w_margins), repeat(big))
     joint, mp, ma, mb = _fractions(values, q._den)
     labels = [(name, site.region_ids(r)) for name, r in zip(names, regions)]
     events = []
-    for name, r, atoms in zip((*names, "C"), (*regions, past), ((a1, a2), (b1, b2), (c1, c2))):
+    for name, r, index in zip((*names, "C"), (*regions, past), (*fail.atom_indexes, fail.past_index)):
         cells = full_specifications(site, r)
-        events += [(f"{name}{k}", event_ref(site, cells[i], r, i)) for k, i in enumerate(atoms, 1)]
+        events += [(f"{name}{k}", event_ref(site, cells[i], r, i)) for k, i in enumerate(divmod(index, len(cells)), 1)]
     return Counterexample(
         regions=(*labels, ("past", site.region_ids(past))),
         events=tuple(events),

@@ -626,25 +626,25 @@ def _split(model, get, past: int, union: int):
 def _dependent_pairs(model, past: int, union: int) -> list[tuple[int, int]]:
     """Every element pair ({i}, {j}) of `union` that fails given `past`, in ascending order.
 
-    One pass over the table of P ∪ E_P in the model's memo: for each positive cell C
-    of P (null ones are skipped), i and j are dependent when W(i=a, j=b)·W(C)
-    ≠ W(i=a)·W(j=b) for some values.  The (a_i − 1)(a_j − 1) leading value
-    pairs are enough: an identity at a last value is the margin's identity
-    minus those at the other values.
+    One pass over the table of P ∪ E_P in the model's memo, read through
+    `_atom_block` with E_P's members as singleton regions: for each positive
+    cell C of P (null ones are skipped), i and j are dependent when
+    W(i=a, j=b)·W(C) ≠ W(i=a)·W(j=b) for some values.  The (a_i − 1)(a_j − 1)
+    leading value pairs are enough: an identity at a last value is the
+    margin's identity minus those at the other values.
     """
     site = model.site
     full, table = _union_table(model, (past, union), _cell_weights)
-    block = _union_offsets(site, union, full)
-    members, _, _ = _region_meta(site, union)
-    sizes = tuple(site.alphabets[e] for e in members)
+    singles = tuple(1 << e for e in iter_bits(union))
+    sizes, block = _atom_block(site, singles, full)
     rows = []
-    for base in _union_offsets(site, past, full):
+    for base in _atom_block(site, (past,), full)[1]:
         cells = [table[base + i] for i in block]
         margins = _margins(cells, sizes)
         if w_past := sum(margins[0]):
             rows.append((w_past, cells, margins))
     return [
-        (1 << members[p], 1 << members[q])
+        (singles[p], singles[q])
         for p, q, value_pairs in _pair_cells(site, union)
         if any(
             sum(map(cells.__getitem__, positions)) * w_past != margins[p][a] * margins[q][b]

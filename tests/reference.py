@@ -206,7 +206,8 @@ def two_roots(rng: random.Random, n_x: int, tie: tuple[int, int], null_roots: tu
         for p, v in zip(leaf_ps[0][c] + leaf_ps[1][d], xs + ys):
             w *= p if v else 1 - p
         weights.append(w)
-    return StochasticModel(site, [w / sum(weights) for w in weights])
+    total = sum(weights)
+    return StochasticModel(site, [w / total for w in weights])
 
 
 def leaves_with_coupled_blocks(

@@ -1,6 +1,7 @@
 """Command-line behavior: subcommands, exit codes, output stability."""
 from __future__ import annotations
 
+import errno
 import importlib.util
 import io
 import json
@@ -547,6 +548,19 @@ class TestFuzz:
             assert out == ""
             assert f"jobs must be between 1 and {limit}" in err
 
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs two cpus")
+    def test_a_pool_that_cannot_start_is_no_output_error(self, monkeypatch):
+        # only a failed write to stdout is an output error; any other OSError
+        # propagates as it is
+        import multiprocessing
+
+        def refuse(jobs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(multiprocessing, "Pool", refuse)
+        with pytest.raises(OSError, match="No space left"):
+            main(["fuzz", "--pair", "so1-so2", "--seed", "1", "--count", "5", "--jobs", "2"])
+
     def test_json_jobs_stability(self, capsys):
         args = ["fuzz", "--pair", "so1-so2", "--seed", "3", "--count", "30",
                 "--format", "json"]
@@ -725,6 +739,24 @@ class TestStartup:
         assert err.startswith("output error: ")
         assert "Broken pipe" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_a_full_device_is_an_output_error(self):
+        # a write to stdout that fails for want of space takes the path of a
+        # closed reader: one line on stderr and exit 2, not exit 1 ("violated")
+        src = str(Path(screenoff.__file__).resolve().parent.parent)
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "screenoff.cli", "corpus", "list"],
+                env={**os.environ, "PYTHONPATH": src},
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("output error: ")
+        assert "No space left on device" in proc.stderr
+        assert proc.stderr.count("\n") == 1
 
     def test_oversized_history_space_is_refused(self, capsys, tmp_path, monkeypatch):
         # 30 binary sites: 2^30 histories, refused before any is allocated

@@ -6,8 +6,11 @@ brute-force oracles at the bottom of this file and then frozen inline.
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from screenoff.order import (
     CausalSite,
@@ -141,6 +144,34 @@ class TestCones:
                     for k in range(n):
                         if leq(s, i, j) and leq(s, j, k):
                             assert leq(s, i, k)
+
+
+@settings(max_examples=300)
+@given(n=st.integers(1, 7), data=st.data())
+def test_below_is_reachability_and_only_a_cycle_is_refused(n, data):
+    # relations drawn in either direction, self-loops and cycles included:
+    # below[j] is every element from which j is reached along them, and the
+    # set is refused exactly when two distinct elements reach each other
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    reach = []
+    for i in range(n):  # breadth first from i
+        seen, queue = {i}, deque([i])
+        while queue:
+            a = queue.popleft()
+            for lo, hi in pairs:
+                if lo == a and hi not in seen:
+                    seen.add(hi)
+                    queue.append(hi)
+        reach.append(seen)
+    sites = [(f"e{i}", 2) for i in range(n)]
+    relations = [(f"e{lo}", f"e{hi}") for lo, hi in pairs]
+    if any(i in reach[j] for i in range(n) for j in reach[i] - {i}):
+        with pytest.raises(OrderError, match="^order error: cycle through "):
+            CausalSite(sites, relations)
+    else:
+        s = CausalSite(sites, relations)
+        assert s.below == tuple(sum(1 << i for i in range(n) if j in reach[i]) for j in range(n))
+        assert s.above == tuple(sum(1 << j for j in reach[i]) for i in range(n))
 
 
 # -- spacelike, pasts of pairs ---------------------------------------------

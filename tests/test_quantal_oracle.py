@@ -558,7 +558,8 @@ def test_a_nonzero_block_on_a_null_pseudo_cell_fails_the_certificate(monkeypatch
     q = leaves_amplitude([CF_ONE, CF_ONE], leaves, ((1, 2), tables))
     certificate = (2, 4, 8)
     assert ref_quantal_certificate_failure(q, certificate, 1)[0] == (0, 0)
-    assert quantal_mod._quantal_screening_failure(q, certificate, 1)[0][0][:2] == (0, 0)
+    fail = quantal_mod._quantal_screening_failure(q, certificate, 1)[0]
+    assert divmod(fail.past_index, n_configs(q.site, 1)) == (0, 0)
     for o in assert_qso_matches_reference(q):
         report = json.loads(o)
         assert report["verdict"] == VIOLATED
@@ -623,7 +624,8 @@ def test_leaf_amplitudes_below_a_root(seed, n_root, n_leaves, coupled, zero_shar
         # reference's does: a null pseudo-cell takes the direct scan
         certificate = tuple(2 << i for i in range(n_leaves))
         got, _, _ = quantal_mod._quantal_screening_failure(q, certificate, 1)
-        assert (got and got[0][:2]) == ref_quantal_certificate_failure(q, certificate, 1)[0]
+        want = ref_quantal_certificate_failure(q, certificate, 1)[0]
+        assert (got and divmod(got.past_index, n_configs(q.site, 1))) == want
 
 
 @pytest.mark.parametrize("seed, shape", [(43, (3, 2, 1)), (419, (2, 2, 2)), (462, (2, 2, 1))])

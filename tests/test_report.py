@@ -103,6 +103,17 @@ class TestNoDiscardedBuilds:
         monkeypatch.undo()
         assert report == fuzz_equivalence(0, 40, pair, jobs=1)
 
+    def test_a_quantal_failure_is_decoded_only_when_read(self, monkeypatch):
+        # a failing quantal scan keeps the kernel's encoded sums; only its
+        # counterexample decodes them into Gaussian integers
+        decoded = []
+        gaussian = quantal._gaussian
+        monkeypatch.setattr(quantal, "_gaussian", lambda value, big: decoded.append(value) or gaussian(value, big))
+        report = fuzz_equivalence(0, 50, "qso1-qso2", jobs=1)
+        assert report.stats["verdicts"][VIOLATED] > 0
+        assert decoded == []
+        assert _violated("qso1").counterexample.values and decoded
+
     def test_corpus_verify_builds_only_what_diag_reduce_compares(self, builds, monkeypatch):
         # diag-reduce compares the so1 and qso1 counterexamples of the four
         # decohered entries whose verdicts are violated; nothing else reads one

@@ -933,7 +933,8 @@ def test_one_block_ends_the_block_search(monkeypatch):
     for c, *l in itertools.product(range(3), *([range(2)] * 5)):
         w = F(c + 1) * (ps[c][0] if l[0] else 1 - ps[c][0]) * (ps[c][1] if l[1] else 1 - ps[c][1])
         weights.append(w if l[2] == l[3] == l[4] == l[0] & l[1] else F(0))
-    model = StochasticModel(site, [w / sum(weights) for w in weights])
+    total = sum(weights)
+    model = StochasticModel(site, [w / total for w in weights])
     reports = assert_screening_matches_reference(model)
     l0, l1, l2, l3, l4 = (2 << i for i in range(5))
     scans = recorded_scans(monkeypatch)
