@@ -636,9 +636,9 @@ def _dependent_pairs(model, past: int, union: int) -> list[tuple[int, int]]:
     site = model.site
     full, table = _union_table(model, (past, union), _cell_weights)
     singles = tuple(1 << e for e in iter_bits(union))
-    sizes, block = _atom_block(site, singles, full)
+    sizes, block = _atom_block(site, singles, full, 1)  # power passed as the kernel does: one cache key
     rows = []
-    for base in _atom_block(site, (past,), full)[1]:
+    for base in _atom_block(site, (past,), full, 1)[1]:
         cells = [table[base + i] for i in block]
         margins = _margins(cells, sizes)
         if w_past := sum(margins[0]):
