@@ -10,7 +10,6 @@ divide and never round.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial, reduce
 from itertools import repeat
 from math import gcd, lcm, prod
 from operator import add, mul, neg, sub
@@ -33,8 +32,8 @@ from .report import (
 )
 from .stochastic import (
     StochasticModel,
-    _cell_gather,
     _gaussian,
+    _marginal,
     _planned,
     _product_rule_failure,
     _screen,
@@ -356,7 +355,7 @@ def _pair_matrix(q: QuantalModel, regions: tuple[int, ...]) -> tuple[list[int], 
     """(d-values between configurations of the union U of disjoint regions, N), x + iy as x + y·N.
 
     The n_U x n_U matrix is flat and row-major in U's config order, summed
-    by `_cell_gather` over rows, then columns, from the model's matrix
+    by `_marginal` over the history axes doubled, out of the model's matrix
     encoded on the first call.  Let S be that matrix's sum of absolute
     parts, and N = 2·S² + 1.  Every table entry, and every block sum, w,
     column and joint of a scan, is a sum of its entries, so it has
@@ -376,16 +375,8 @@ def _pair_matrix(q: QuantalModel, regions: tuple[int, ...]) -> tuple[list[int], 
     if q._encoded is None:
         big = 2 * (sum(map(abs, q._re)) + sum(map(abs, q._im))) ** 2 + 1
         q._encoded = list(map(add, q._re, map(mul, q._im, repeat(big)))), big
-    flat, big = q._encoded
-    gather, per_cell = _cell_gather(q.site, sum(regions))  # the regions are disjoint
-    if gather is None:  # U's config order is the history order
-        return flat, big
-    n, table = n_histories(q.site), []
-    starts = gather(range(0, len(flat), n))  # the rows in U's cell order
-    for i in range(0, n, per_cell):
-        row = gather(list(reduce(partial(map, add), (flat[s : s + n] for s in starts[i : i + per_cell]))))
-        table += map(sum, zip(*[iter(row)] * per_cell))
-    return table, big
+    union, (flat, big) = sum(regions), q._encoded  # the regions are disjoint
+    return _marginal(flat, q.site.alphabets * 2, union | union << q.site.n), big
 
 
 def _quantal_screening_failure(q: QuantalModel, regions: tuple[int, ...], past: int):

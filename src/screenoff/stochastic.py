@@ -14,7 +14,7 @@ from array import array
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from math import comb, gcd, isqrt, lcm, prod
-from operator import add, itemgetter, mod, mul, or_, sub
+from operator import add, mod, mul, or_, sub
 from typing import NamedTuple
 
 from .events import (
@@ -22,7 +22,6 @@ from .events import (
     _block,
     _region_meta,
     check_event,
-    config_indices,
     dom,
     event_ref,
     full_specifications,
@@ -159,7 +158,7 @@ def correlated(model: StochasticModel, a: int, b: int) -> bool:
 # weights.  A model keeps one table per union U of the regions its checks
 # scan, in its memo (`_screen`), flat in U's own config order (mixed radix
 # over U's members, lowest element index most significant, like history
-# indices), gathered from the history weights by one cached `itemgetter`.
+# indices), summed out of the history weights by `_marginal`.
 # The cells of any partition of U into regions are read back through
 # per-region offset tuples (one slice where they are contiguous), so every
 # pair with the same union shares one pass over the histories.  Tables and
@@ -218,7 +217,7 @@ def _union_offsets(site: CausalSite, region: int, union: int) -> tuple[int, ...]
 
 
 @lru_cache(maxsize=256)  # twice the ~120 blocks that corpus verify or a 720-model qso fuzz reuses; wrc misses on every pair
-def _atom_block(site: CausalSite, regions: tuple[int, ...], union: int, power: int = 1) -> tuple:
+def _atom_block(site: CausalSite, regions: tuple[int, ...], union: int, power: int) -> tuple:
     """(atom counts, offsets in the union's table) of the regions' joint atoms, the first most significant.
 
     With power 2 an atom is a pair (x, y) of configurations, at x·n_U + y in
@@ -233,23 +232,33 @@ def _atom_block(site: CausalSite, regions: tuple[int, ...], union: int, power: i
     return tuple(map(len, offsets)), span if block == list(span) else tuple(block)
 
 
-@lru_cache(maxsize=None)
-def _cell_gather(site: CausalSite, union: int):
-    """(gather of the history weights in the union's cell order, histories per cell, the same for all)."""
-    cells = config_indices(site, union)  # refuses a site over the limit
-    per_cell = len(cells) // n_configs(site, union)
-    if per_cell == 1:  # the cell order is the history order
-        return None, 1
-    # the whole site's config indices are the history indices: every gather shares their ints
-    return itemgetter(*sorted(config_indices(site, site.full_mask), key=cells.__getitem__)), per_cell
+def _marginal(values, alphabets: tuple[int, ...], keep: int) -> list[int]:
+    """A flat mixed-radix array over axes of these sizes, the first most significant, summed over the axes outside `keep`.
+
+    Each run of adjacent summed axes, k values at place value s, is summed in
+    one pass: where s² ≤ len(values), by the k-long runs of each offset's
+    stride-s slice; otherwise by adding each block's k slices of s.
+    """
+    table, stride = values, prod(alphabets)
+    for kept, run in itertools.groupby(enumerate(alphabets), lambda axis: keep >> axis[0] & 1):
+        k = prod(size for _, size in run)
+        stride //= k
+        if not kept:
+            if stride * stride <= len(table):
+                summed = [0] * (len(table) // k)
+                for offset in range(stride):
+                    summed[offset::stride] = map(sum, zip(*[iter(table[offset::stride])] * k))
+            else:
+                summed, size = [], k * stride
+                for base in range(0, len(table), size):
+                    summed += reduce(partial(map, add), (table[s : s + stride] for s in range(base, base + size, stride)))
+            table = summed
+    return list(table)
 
 
 def _cell_weights(model: StochasticModel, regions: tuple[int, ...]) -> list[int]:
     """Scaled weights of the configurations of the union of disjoint regions."""
-    gather, per_cell = _cell_gather(model.site, sum(regions))  # the regions are disjoint
-    if gather is None:
-        return list(model._nums)
-    return list(map(sum, zip(*[iter(gather(model._nums))] * per_cell)))
+    return _marginal(model._nums, model.site.alphabets, sum(regions))  # the regions are disjoint
 
 
 def _union_table(model, regions: tuple[int, ...], build):
@@ -636,7 +645,7 @@ def _dependent_pairs(model, past: int, union: int) -> list[tuple[int, int]]:
     site = model.site
     full, table = _union_table(model, (past, union), _cell_weights)
     singles = tuple(1 << e for e in iter_bits(union))
-    sizes, block = _atom_block(site, singles, full, 1)  # power passed as the kernel does: one cache key
+    sizes, block = _atom_block(site, singles, full, 1)
     rows = []
     for base in _atom_block(site, (past,), full, 1)[1]:
         cells = [table[base + i] for i in block]
@@ -1031,7 +1040,7 @@ def _correlate_failure(model: StochasticModel, regions: tuple[int, int], past: i
             f"({_PAST_CELL_LIMIT} mutual-past cells)"
         )
     union, table = _union_table(model, (past, ra, rb), _cell_weights)
-    sizes, block = _atom_block(site, regions, union)
+    sizes, block = _atom_block(site, regions, union, 1)
     na, nb = sizes
     # Each past cell's row: W(p), then W(a&p) per atom of A, W(b&p) per atom
     # of B, and W(a&b&p) per atom pair; an event's row is the sum over its cells.

@@ -1,12 +1,18 @@
 """The shared cell-table kernel of the screening scans.
 
-A union U = P ∪ A ∪ B of disjoint regions has one table, in U's config order
-(``config_indices(site, U)``); every scan reads a region tuple's joint cells
-from it through ``_block`` of the regions' ``_union_offsets`` and sums out
-their margins with ``_margins``.  Each piece is compared here with a direct
-computation: history by history for the classical table, by ``d_value`` over
-cell pairs for the quantal matrix, and by ``itertools.product`` for the
-block and margin kernels.  ``ref_cell_weights`` below and ``ref_margins``
+A union U = P ∪ A ∪ B of disjoint regions has one table, in U's config
+order, which ``_marginal`` sums out of the model's own array: the history
+weights, or the encoded matrix over the history axes doubled.  It sums each
+run of adjacent summed axes in one pass, by one stride slice per offset
+below a short place value and by adding block slices above a long one.
+Every scan reads a region tuple's joint cells from the table through
+``_block`` of the regions' ``_union_offsets`` and sums out their margins
+with ``_margins``.  Each piece is compared here with a direct computation:
+history by history for the classical table, by ``d_value`` over cell pairs
+for the quantal matrix, and by ``itertools.product`` for the block and
+margin kernels.  ``wrc`` is checked to add no site cache entry per union:
+no ``config_indices`` entry, and no second ``_atom_block`` entry for a
+block the kernel has cached.  ``ref_cell_weights`` below and ``ref_margins``
 of ``reference.py`` are the per-element loops the builtin kernels replaced.  The
 step-wise factorization test ``_factorizes``, over ℤ and on Gaussian
 integers encoded as x + y·N mod N² + 1, is compared with the outer-product
@@ -21,26 +27,29 @@ import random
 from fractions import Fraction
 from math import prod
 
-import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from screenoff.events import CapacityError, _block, config_indices, n_configs, n_histories
+from screenoff.corpus import builtin
+from screenoff.events import _block, config_indices, n_configs, n_histories
 from screenoff.order import CausalSite, iter_bits
 from screenoff.quantal import QuantalModel, _pair_matrix
+from screenoff.report import HOLDS
 from screenoff.stochastic import (
     StochasticModel,
     _atom_block,
-    _cell_gather,
     _cell_weights,
+    _correlate_failure,
+    _factorization_failure,
     _factorizes,
     _gaussian,
     _margins,
     _product_rule_failure,
     _union_offsets,
+    check_wrc,
 )
 
-from reference import ref_margins
+from reference import cold, local_dynamics, ref_margins
 
 
 def ref_cell_weights(model: StochasticModel, regions: tuple[int, ...]) -> list[int]:
@@ -72,6 +81,30 @@ def interleaved_regions(draw):
     return site, regions, draw(st.integers(0, 2**32))
 
 
+ONE_HISTORY = CausalSite([("a", 1), ("b", 1)], [("a", "b")])
+MIXED = CausalSite([("a", 2), ("u", 1), ("b", 3), ("c", 2)], [("a", "b")])
+# six binary elements: the union of the first element and the last four
+# sums a middle run above a place value of 16 (block slices, as 16² > 64),
+# and the union of the last two a head run above a place value of 4 (stride
+# slices, as 4² ≤ 64)
+SIX = CausalSite([(f"e{i}", 2) for i in range(6)])
+TABLE_EXAMPLES = (
+    (MIXED, (0b0010, 0b0101), 5),  # an alphabet-1 element in the past, between two of A's
+    (MIXED, (0b0001, 0b0100), 6),  # the alphabet-1 element summed
+    (MIXED, (0,), 7),  # the empty union
+    (MIXED, (0b0010, 0b0001, 0b1100), 8),  # the whole site
+    (SIX, (0b000001, 0b001100, 0b110000), 9),  # a summed middle run before a long kept tail
+    (SIX, (0b010000, 0b100000), 10),  # a long summed head
+)
+
+
+def tables_examples(test):
+    """The property with each of `TABLE_EXAMPLES` as an explicit example."""
+    for drawn in reversed(TABLE_EXAMPLES):
+        test = example(drawn)(test)
+    return test
+
+
 def config(site: CausalSite, digits: tuple[int, ...], region: int) -> int:
     """A history's configuration index on the region, lowest element most significant."""
     index = 0
@@ -99,6 +132,7 @@ def drawn_model(site: CausalSite, seed: int) -> StochasticModel:
 
 
 @given(interleaved_regions())
+@tables_examples
 def test_cell_weights_sum_the_histories_of_each_cell(drawn):
     site, regions, seed = drawn
     model = drawn_model(site, seed)
@@ -114,6 +148,7 @@ def test_cell_weights_sum_the_histories_of_each_cell(drawn):
 
 
 @given(interleaved_regions())
+@tables_examples
 def test_pair_matrix_sums_d_values_over_cell_pairs(drawn):
     site, regions, seed = drawn
     rng = random.Random(seed)
@@ -180,10 +215,6 @@ def sites_with_regions(draw):
     labels = draw(st.lists(st.integers(0, k), min_size=n, max_size=n))  # label k: in no region
     regions = tuple(sum(1 << e for e, label in enumerate(labels) if label == i) for i in range(k))
     return site, regions, draw(st.integers(0, 2**32))
-
-
-ONE_HISTORY = CausalSite([("a", 1), ("b", 1)], [("a", "b")])
-MIXED = CausalSite([("a", 2), ("u", 1), ("b", 3), ("c", 2)], [("a", "b")])
 
 
 @given(sites_with_regions())
@@ -398,9 +429,9 @@ def test_atom_blocks_are_cached_and_read_the_block_of_the_offsets(drawn):
     site, regions, _ = drawn
     union = sum(regions)
     offsets = [_union_offsets(site, r, union) for r in regions]
-    sizes, block = _atom_block(site, regions, union)
-    assert _atom_block(site, regions, union) == (sizes, block)
-    assert _atom_block(site, regions, union)[1] is block
+    sizes, block = _atom_block(site, regions, union, 1)
+    assert _atom_block(site, regions, union, 1) == (sizes, block)
+    assert _atom_block(site, regions, union, 1)[1] is block
     assert sizes == tuple(map(len, offsets))
     assert list(block) == _block(offsets)
     assert isinstance(block, range) == (_block(offsets) == list(range(len(block))))
@@ -411,10 +442,32 @@ def test_atom_blocks_are_cached_and_read_the_block_of_the_offsets(drawn):
     assert list(block2) == _block(doubled)
 
 
-def test_the_gather_refuses_a_site_over_the_history_limit():
-    site = CausalSite([(f"e{i}", 2) for i in range(17)])
-    with pytest.raises(CapacityError) as refused:
-        _cell_gather(site, 0b11)
-    with pytest.raises(CapacityError) as direct:
-        n_histories(site)
-    assert str(refused.value) == str(direct.value)
+def test_a_wrc_scan_after_the_kernel_adds_no_atom_block():
+    # every caller passes power, so wrc reads the pair's block from the
+    # kernel's cache entry rather than keying a second one
+    coins = builtin("three_pair_coins")
+    model, (past, a, b) = cold(coins.model), (0b001, 0b010, 0b100)  # c below a and b
+    _atom_block.cache_clear()
+    _factorization_failure(model, (a, b), past)
+    assert _atom_block.cache_info().currsize == 2  # the pair's block and the past's offsets
+    _correlate_failure(model, (a, b), past, conditioned=False)
+    assert _atom_block.cache_info().currsize == 2
+
+
+def layered(width: int, depth: int) -> CausalSite:
+    """Binary elements in `depth` layers of `width`, each below its nearest neighbours in the next layer."""
+    return CausalSite(
+        [(f"x{d}{i}", 2) for d in range(depth) for i in range(width)],
+        [(f"x{d}{i}", f"x{d + 1}{j}") for d in range(depth - 1) for i in range(width) for j in range(width)
+         if abs(i - j) <= 1],
+    )
+
+
+def test_wrc_on_a_deep_site_adds_no_config_index_entry():
+    # wrc touches 77 unions here; a table summed out of the history weights
+    # keeps nothing per union with the site, so memory is bounded by the model
+    model = local_dynamics(random.Random(12), layered(3, 4))
+    entries = config_indices.cache_info().currsize
+    assert check_wrc(model).verdict == HOLDS
+    assert len(model._memo) == 77
+    assert config_indices.cache_info().currsize == entries

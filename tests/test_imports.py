@@ -311,6 +311,14 @@ def test_every_cited_private_name_is_defined():
     assert len({name for source in sources.values() for _, name in private_citations(source)}) >= 15
 
 
+def test_every_private_name_the_readme_cites_is_defined():
+    defined = defined_names({path.name: path.read_text() for path in SOURCES + TESTS})
+    cited = [(line, m.group(1)) for line, text in enumerate(README.read_text().splitlines(), 1)
+             for m in BACKQUOTED_PRIVATE.finditer(text)]
+    assert [f"README.md line {line}: {name}" for line, name in cited if name not in defined] == []
+    assert len({name for _, name in cited}) >= 5
+
+
 def unused_exports(exports: dict[str, tuple[str, ...]], sources: dict[str, str], readme: str) -> list[str]:
     """Names an export table maps a module to that no other module uses and the README does not name."""
     used = set()
