@@ -236,8 +236,8 @@ def _marginal(values, alphabets: tuple[int, ...], keep: int) -> list[int]:
     """A flat mixed-radix array over axes of these sizes, the first most significant, summed over the axes outside `keep`.
 
     Each run of adjacent summed axes, k values at place value s, is summed in
-    one pass: where s² ≤ len(values), by the k-long runs of each offset's
-    stride-s slice; otherwise by adding each block's k slices of s.
+    one pass: where s² ≤ the length so far, by the k-long runs of each
+    offset's stride-s slice; otherwise by adding each block's k slices of s.
     """
     table, stride = values, prod(alphabets)
     for kept, run in itertools.groupby(enumerate(alphabets), lambda axis: keep >> axis[0] & 1):
