@@ -32,8 +32,10 @@ from .report import (
 )
 from .stochastic import (
     StochasticModel,
+    _atom_block,
     _gaussian,
     _marginal,
+    _margins,
     _planned,
     _product_rule_failure,
     _screen,
@@ -139,7 +141,9 @@ class QuantalModel:
     built on first use, of the matrix's Gaussian-integer parts, flat and
     row-major ``_re`` and ``_im``, over a reduced ``_den``.  ``_encoded``
     is the matrix as `_pair_matrix` encodes it, built on its first call;
-    ``_memo``, empty at construction, holds what its checks computed (`_screen`).
+    ``_memo``, empty at construction, holds what its checks computed
+    (`_screen`): tables, scans, a one-term witness's sums per union
+    (`_rank_one_holds`) and `diagonal_reduction`'s probability measure.
     """
 
     __slots__ = ("site", "_den", "_re", "_im", "_witness", "_encoded", "_entry_view", "_witness_view", "_validation", "_memo")
@@ -388,11 +392,61 @@ def _quantal_screening_failure(q: QuantalModel, regions: tuple[int, ...], past: 
     muhat(A&B&C) * muhat(C) == muhat(A&C) * muhat(B&C).  The failure keeps
     the kernel's pseudo-indexes and encoded sums: only a counterexample,
     when first read, decodes them (`_quantal_counterexample`).  A skipped
-    null pseudo-cell counts its equations as checked.
+    null pseudo-cell counts its equations as checked.  Once validation has
+    held, a model whose witness has one term, D = w·ψψ†, is first tested
+    from ψ's sums over U (`_rank_one_holds`): a scan that holds there
+    counts |Φ(P)|²·∏|Φ(X_i)|² equations, as the kernel would, and one that
+    fails is scanned by the kernel, which locates its first failure.
     """
+    valid = q._validation is not None and q._validation.holds
+    if valid and len(q._witness or ()) == 1 and _rank_one_holds(q, regions, past):
+        return None, prod(n_configs(q.site, r) ** 2 for r in (past, *regions)), 0
     union, (table, big) = _union_table(q, (past, *regions), _pair_matrix)
     fail, checked, nulls = _product_rule_failure(q.site, table, union, regions, past, 2, big * big + 1)
     return fail, checked + nulls * prod(n_configs(q.site, r) ** 2 for r in regions), 0
+
+
+def _gmul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _rank_one_holds(q: QuantalModel, regions: tuple[int, ...], past: int) -> bool:
+    """Whether the scan holds on a valid model whose witness is one term w·ψψ†, read from ψ alone.
+
+    Every entry of U's table is w·a(x)·conj(a(x')), a summing ψ over the
+    cells of U, kept per union in the model's memo.  Given a cell c of P
+    with sum β(c) and region margins α_i(c, ·), the two sides of the scan
+    are w^k·P ⊗ conj(P) and w^k·Q ⊗ conj(Q) over every pseudo-cell and
+    pseudo-atom, with P(c, x) = a(c, x)·β(c)^(k−1) and Q(c, x) =
+    ∏ α_i(c, x_i).  They agree iff P = λQ with |λ| = 1, and as P(c, ·) and
+    Q(c, ·) both sum to β(c)^k, which a valid model makes nonzero at some
+    c, iff P = Q (README, "Exactness and limits").  For k > 2 the kernel's
+    zero-block demand on a null pseudo-cell is β(c) = 0 ⇒ a(c, ·) = 0.
+    ψ's scale and w > 0 cancel from both sides, so ψ's Gaussian-integer
+    numerators stand in for it.
+    """
+    site, union = q.site, past + sum(regions)
+    tables = q._memo.setdefault(_rank_one_holds, {})
+    if union not in tables:
+        tables[union] = [_marginal(part, site.alphabets, union) for part in zip(*q._witness[0][3])]
+    re, im = tables[union]
+    sizes, block = _atom_block(site, regions, union, 1)
+    exponent = len(regions) - 1
+    for base in _atom_block(site, (past,), union, 1)[1]:
+        cells = [re[base + i] for i in block], [im[base + i] for i in block]
+        m_re, m_im = (_margins(part, sizes) for part in cells)
+        beta = sum(m_re[0]), sum(m_im[0])
+        if beta == (0, 0) and exponent > 1 and any(map(any, cells)):
+            return False
+        scale = (1, 0)
+        for _ in range(exponent):
+            scale = _gmul(scale, beta)
+        factors = [(1, 0)]
+        for margin in map(list, map(zip, m_re, m_im)):
+            factors = [_gmul(f, m) for f in factors for m in margin]
+        if any(_gmul(a, scale) != f for a, f in zip(zip(*cells), factors)):
+            return False
+    return True
 
 
 def _quantal_counterexample(
@@ -470,20 +524,22 @@ def diagonal_reduction(q: QuantalModel) -> CheckReport:
     Builds the probability measure from the diagonal and verifies that the
     quantal and classical screening verdicts coincide — and, when both are
     violations, that they indict the same regions, atoms, and conditioning
-    cell.  A nonzero off-diagonal entry is an error.
+    cell.  A nonzero off-diagonal entry is an error.  The probability
+    measure is kept in the model's memo, so a later call shares its scans.
     """
-    site = q.site
-    n = n_histories(site)
-    off = q._first_off_diagonal()
-    if off is not None:
-        raise QuantalError(
-            f"quantal error: off-diagonal entry at {off}; "
-            "diagonal reduction needs a fully decohered matrix"
-        )
-    for h, y in enumerate(q._im[:: n + 1]):
-        if y != 0:
-            raise QuantalError(f"quantal error: diagonal entry {h} is not real")
-    induced = StochasticModel._from_scaled(site, q._den, q._re[:: n + 1])
+    induced = q._memo.get(diagonal_reduction)
+    if induced is None:
+        n = n_histories(q.site)
+        off = q._first_off_diagonal()
+        if off is not None:
+            raise QuantalError(
+                f"quantal error: off-diagonal entry at {off}; "
+                "diagonal reduction needs a fully decohered matrix"
+            )
+        for h, y in enumerate(q._im[:: n + 1]):
+            if y != 0:
+                raise QuantalError(f"quantal error: diagonal entry {h} is not real")
+        induced = q._memo[diagonal_reduction] = StochasticModel._from_scaled(q.site, q._den, q._re[:: n + 1])
     so = check_so1(induced)
     qso = check_qso1(q)
     stats = {"so1_verdict": so.verdict, "qso1_verdict": qso.verdict}

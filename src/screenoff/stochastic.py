@@ -617,16 +617,19 @@ def _split(model, get, past: int, union: int):
     """(block certificate, non-singleton blocks) of the elements of `union` given `past`, or None.
 
     The blocks are the components of `_dependent_pairs`, in ascending
-    order.  With at least two blocks, one of them not a singleton, one scan
-    of the blocks as the regions of a tuple is their certificate, which must
-    hold: pairwise independence is not joint independence.
+    order, kept in the model's memo by (P, E_P) for every later check.
+    With at least two blocks, one of them not a singleton, one scan of the
+    blocks as the regions of a tuple is their certificate, which must hold:
+    pairwise independence is not joint independence.
     """
     singles = [1 << e for e in iter_bits(union)]
-    block = {x: x for x in singles}
-    for x, y in _dependent_pairs(model, past, union):
-        merged = block[x] | block[y]
-        block.update((1 << e, merged) for e in iter_bits(merged))
-    blocks = tuple(sorted(set(block.values())))
+    found = model._memo.setdefault(_split, {})
+    if (blocks := found.get((past, union))) is None:
+        block = {x: x for x in singles}
+        for x, y in _dependent_pairs(model, past, union):
+            merged = block[x] | block[y]
+            block.update((1 << e, merged) for e in iter_bits(merged))
+        blocks = found[past, union] = tuple(sorted(set(block.values())))
     if not 1 < len(blocks) < len(singles) or get(certificate := (past, blocks))[0] is not None:
         return None
     return certificate, tuple(k for k in blocks if k & (k - 1))

@@ -1063,11 +1063,13 @@ def ref_pair_matrix(q, regions):
     for h in range(n):
         mrow = m[flat_of[h]]
         for u, br, bi in zip(flat_of, q._re[h * n : h * n + n], q._im[h * n : h * n + n]):
-            ar, ai = mrow[u]
-            mrow[u] = (ar + br, ai + bi)
+            if br or bi:  # a zero entry adds nothing; decohered models are mostly zeros
+                ar, ai = mrow[u]
+                mrow[u] = (ar + br, ai + bi)
     return sizes, m
 
 
+@lru_cache(maxsize=512)  # (model, regions, past): ref_qso2 reads the scans of ref_qso1 where their pasts coincide
 def ref_quantal_screening_failure(q, ra, rb, past):
     """First pseudo-atom triple breaking the product rule, or None.
 
@@ -1089,6 +1091,8 @@ def ref_quantal_screening_failure(q, ra, rb, past):
                 a1, b1 = divmod(f1, nb)
                 for f2 in range(block):
                     er, ei = row[base2 + f2]
+                    if not (er or ei):
+                        continue
                     a2, b2 = divmod(f2, nb)
                     mp = (mp[0] + er, mp[1] + ei)
                     xr, xi = ma_tab[a1][a2]

@@ -135,3 +135,14 @@ def test_diag_reduce_shares_qso1_scans(monkeypatch):
     del scans[:]
     assert _outcome(lambda: diagonal_reduction(q)) == want
     assert scans == []
+
+
+def test_repeated_diag_reduce_calls_share_their_classical_scans(monkeypatch):
+    # the induced probability measure is kept in the quantal model's memo,
+    # so only the first of three calls makes so1's scans
+    q = random_diagonal_quantal(5, 4, 2)
+    want = _outcome(lambda: diagonal_reduction(cold(q)))
+    scans = recorded_scans(monkeypatch)
+    outcomes = [_outcome(lambda: diagonal_reduction(q)) for _ in range(3)]
+    assert outcomes == [want] * 3
+    assert len(scans) == 5

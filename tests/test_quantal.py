@@ -356,14 +356,17 @@ class TestUnionTables:
     def test_one_matrix_per_region_union(self, monkeypatch):
         # 5 binary sites, no order: every pair's past is empty, so the scans
         # read the union {s1, s2} of the first pair and the union of all
-        # five sites (the group certificate), one matrix each, for the 180
-        # region pairs
+        # five sites (the group certificate) for the 180 region pairs.  With
+        # ψ as its one-term witness each scan holds on ψ's sums, and no
+        # matrix is built; carried as two halves, ψ takes the kernel, one
+        # matrix per union
         site = antichain(5)
         psi = [CF_ONE]
         for i in range(5):
             a0 = CF(F(i + 1, 4), F(i - 2, 4))
             psi = [x * a for x in psi for a in (a0, CF_ONE - a0)]
-        q = rank_one(site, psi)
+        pure = rank_one(site, psi)
+        halves = QuantalModel(site, pure.entries, positivity_witness=[(F(1, 2), psi)] * 2)
         calls = []
         original = quantal._pair_matrix
 
@@ -372,15 +375,16 @@ class TestUnionTables:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(quantal, "_pair_matrix", counted)
-        report = check_qso1(q)
-        assert report.verdict == HOLDS
-        assert report.stats == {"region_pairs": 180, "equations_checked": 52800}
-        assert len(calls) == 2
-        # the benchmark tracer's hook takes exactly (q, regions)
-        for args, kwargs in calls:
-            assert len(args) == 2 and not kwargs
-            assert args[0] is q
-        assert [sum(regions) for (_, regions), _ in calls] == [0b00011, 0b11111]
+        for q, unions in ((pure, []), (halves, [0b00011, 0b11111])):
+            del calls[:]
+            report = check_qso1(q)
+            assert report.verdict == HOLDS
+            assert report.stats == {"region_pairs": 180, "equations_checked": 52800}
+            # the benchmark tracer's hook takes exactly (q, regions)
+            for args, kwargs in calls:
+                assert len(args) == 2 and not kwargs
+                assert args[0] is q
+            assert [sum(regions) for (_, regions), _ in calls] == unions
 
 
 # -- reduction to the classical checker -------------------------------------

@@ -605,7 +605,7 @@ def test_the_other_searching_checks_make_one_pass_per_failed_group(monkeypatch):
     # check searches a marked group's blocks by one pass over the table its
     # failed certificate built: multi-so[n=2] makes so1's 4 scans (577 with
     # dominators alone); penrose-percival makes them once, for its so1
-    # verdict, and its dissection walk reads them but makes its own pass;
+    # verdict, and its dissection walk reads them and so1's blocks;
     # gen-so[all] searches again for each of the 16 marked conditioning
     # regions P whose certificate fails, and makes 252 scans; every P holds
     # the root, and each pass reads the one table of the site
@@ -618,7 +618,7 @@ def test_the_other_searching_checks_make_one_pass_per_failed_group(monkeypatch):
     assert (scans, passes) == (so1, [(sum(leaves), 1)])
     del scans[:], passes[:]
     check_penrose_percival(cold(model))
-    assert (scans, passes) == (so1, [(sum(leaves), 1)] * 2)
+    assert (scans, passes) == (so1, [(sum(leaves), 1)])
     del scans[:], passes[:]
     check_generalized_so(cold(model), "all")
     assert len(scans) == len(set(scans)) == 252
