@@ -5,7 +5,9 @@ Test modules import from here, from ``definitions`` and from
 Fraction-path producers the scaled-integer paths replaced and the per-pair
 scans (``ref_screening``, ``ref_wrc``, ``ref_qso1``/``ref_qso2``) that
 rebuild one table or d-value matrix per region pair, in the ordinal order of
-``ref_units``; none runs the program's ``_screen``.
+``ref_units``; none runs the program's ``_screen``.  The quantal per-pair
+scan is memoized by (model, regions, past), so ``ref_qso2`` reads
+``ref_qso1``'s scans where their pasts coincide.
 """
 from __future__ import annotations
 
