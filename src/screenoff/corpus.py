@@ -12,7 +12,6 @@ import json
 import random
 from fractions import Fraction
 from functools import lru_cache
-from operator import neg
 from typing import Callable, Mapping, NamedTuple
 
 from .conditions import CONDITIONS, FUZZ_PAIRS, QUANTAL, Condition, check_jobs
@@ -451,9 +450,13 @@ def verify_corpus() -> CheckReport:
 # -- random generators ------------------------------------------------------
 
 # Most matrix entries (n^2 on n histories), or witness amplitudes (k vectors
-# of n), that a random quantal model may need.  At the limit, 1,024 histories
-# take 0.7-0.9 s to generate, 0.6-0.8 s to validate and 131 MB (2-core host),
-# and each doubling of the histories quadruples that.
+# of n), that a random quantal model may need.  A generated model holds only
+# its witness vectors: at the limit, 1,024 histories take 2-3 ms to generate,
+# under 1 ms to validate and a 17 MB peak RSS.  The limit still bounds what
+# is n^2 long: the matrix, built when the model's entries are read (0.4 s and
+# a 75 MB peak there; 2-core host, one fresh process per model), and the
+# table a scan of the whole site builds.  Each doubling of the histories
+# quadruples those.
 QUANTAL_ENTRY_LIMIT = 1 << 20
 
 
@@ -518,11 +521,12 @@ def random_quantal(
     max_alphabet: int = 2,
     rank: int = 3,
 ) -> QuantalModel:
-    """A reproducible random interference matrix with a positivity witness.
+    """A reproducible random interference matrix, held by its positivity witness.
 
-    Built as a positively weighted sum of outer products of Gaussian-rational
-    amplitude vectors, then rescaled to total weight one — so validation
-    always succeeds, certified by the carried witness.
+    Drawn as a positively weighted sum of outer products of Gaussian-rational
+    amplitude vectors, rescaled to total weight one, so validation always
+    succeeds.  The model holds those terms alone, and builds its matrix only
+    when it is read (`QuantalModel._from_terms`).
     """
     if rank < 1:
         raise ValueError("corpus error: rank must be at least 1")
@@ -533,21 +537,7 @@ def random_quantal(
     k = rng.randrange(1, rank + 1)
     _require_entries(n, k * n, f"{k} witness vectors")
     weights, vectors, norm = _witness_terms(rng, n, k)
-    # matrix numerators sum w * psi[h] * conj(psi[g]) over the integer norm;
-    # the matrix is Hermitian, so the lower triangle mirrors the upper
-    re, im = [0] * (n * n), [0] * (n * n)
-    for w, psi in zip(weights, vectors):
-        for h, (hr, hi) in enumerate(psi):
-            i = h * n + h  # entry (h, g), from g = h
-            for gr, gi in psi[h:]:
-                re[i] += w * (hr * gr + hi * gi)
-                im[i] += w * (hi * gr - hr * gi)
-                i += 1
-    for h in range(n):  # row h right of the diagonal is column h below it
-        re[h * n + h + n :: n] = re[h * n + h + 1 : h * n + n]
-        im[h * n + h + n :: n] = map(neg, im[h * n + h + 1 : h * n + n])
-    witness = [(w, norm, 1, tuple(psi)) for w, psi in zip(weights, vectors)]
-    return QuantalModel._from_scaled(site, norm, re, im, witness)
+    return QuantalModel._from_terms(site, [(w, norm, 1, tuple(psi)) for w, psi in zip(weights, vectors)])
 
 
 def _require_entries(n: int, count: int, what: str) -> None:

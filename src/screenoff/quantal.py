@@ -137,16 +137,22 @@ class QuantalModel:
     ``entries[h][g]`` is the complex weight attached to the ordered history
     pair (h, g).  An optional ``positivity_witness`` — a sequence of
     (weight, amplitude-vector) pairs whose weighted outer products sum to
-    the matrix — certifies positivity without enumeration.  Both are views,
-    built on first use, of the matrix's Gaussian-integer parts, flat and
-    row-major ``_re`` and ``_im``, over a reduced ``_den``.  ``_encoded``
-    is the matrix as `_pair_matrix` encodes it, built on its first call;
-    ``_memo``, empty at construction, holds what its checks computed
-    (`_screen`): tables, scans, a one-term witness's sums per union
-    (`_rank_one_holds`) and `diagonal_reduction`'s probability measure.
+    the matrix — certifies positivity without enumeration.  A model holds
+    either its matrix — flat, row-major Gaussian-integer parts ``_re`` and
+    ``_im`` over a reduced ``_den`` — or, if built by `_from_terms`, its
+    witness terms alone (``_terms``), whose matrix is summed into those
+    three on the first read of any of them.  ``entries`` and
+    ``positivity_witness`` are views, built on first use, of the matrix and
+    the witness.  ``_encoded`` is what `_pair_matrix` builds its tables
+    from, built on its first call; ``_memo``, empty at construction, holds
+    what its checks computed (`_screen`): tables, scans, a one-term
+    witness's sums per union (`_rank_one_holds`) and `diagonal_reduction`'s
+    probability measure.
     """
 
-    __slots__ = ("site", "_den", "_re", "_im", "_witness", "_encoded", "_entry_view", "_witness_view", "_validation", "_memo")
+    __slots__ = (
+        "site", "_den", "_re", "_im", "_witness", "_terms", "_encoded", "_entry_view", "_witness_view", "_validation", "_memo",
+    )
 
     def __init__(self, site: CausalSite, entries, positivity_witness=None) -> None:
         n = n_histories(site)
@@ -162,23 +168,52 @@ class QuantalModel:
             (*Fraction(w).as_integer_ratio(), *_scaled(map(ComplexFraction.of, vec)))
             for w, vec in positivity_witness
         ]
-        self._setup(site, den, *zip(*flat), witness)
+        self._setup(site, witness)._reduce(den, *zip(*flat))
 
     @classmethod
     def _from_scaled(cls, site: CausalSite, den: int, re, im, witness=None) -> "QuantalModel":
         """A model from flat row-major Gaussian-integer parts over `den` and (p, q, dv, V) witness terms."""
-        return cls.__new__(cls)._setup(site, den, re, im, witness)
+        return cls.__new__(cls)._setup(site, witness)._reduce(den, re, im)
 
-    def _setup(self, site: CausalSite, den: int, re, im, witness) -> "QuantalModel":
-        # divide out the common factor, so that (_den, _re, _im) is canonical
-        g = gcd(den, *re, *im)
-        if g > 1:
-            den, re, im = den // g, [x // g for x in re], [y // g for y in im]
-        self.site, self._den, self._re, self._im = site, den, tuple(re), tuple(im)
+    @classmethod
+    def _from_terms(cls, site: CausalSite, witness) -> "QuantalModel":
+        """A model held by its (p, q, dv, V) witness terms alone: D = Σ (p/q)·VV†/dv²."""
+        return cls.__new__(cls)._setup(site, witness, _common_scale(witness))
+
+    def _setup(self, site: CausalSite, witness, terms=None) -> "QuantalModel":
+        self.site, self._terms = site, terms
         self._witness = None if witness is None else tuple(witness)
         self._encoded = self._entry_view = self._witness_view = self._validation = None
         self._memo = {}
         return self
+
+    def _reduce(self, den: int, re, im) -> "QuantalModel":
+        # divide out the common factor, so that (_den, _re, _im) is canonical
+        g = gcd(den, *re, *im)
+        if g > 1:
+            den, re, im = den // g, [x // g for x in re], [y // g for y in im]
+        self._den, self._re, self._im = den, tuple(re), tuple(im)
+        return self
+
+    def __getattr__(self, name: str):
+        # Python calls this only where lookup fails: on a witness-held model
+        # whose matrix slots are unset, the first read of one builds all three
+        if name not in ("_den", "_re", "_im") or self._terms is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        den, terms = self._terms
+        n = n_histories(self.site)
+        re, im = [0] * (n * n), [0] * (n * n)
+        for c, vec in terms:  # c * V[h] * conj(V[g]), on and right of the diagonal
+            for h, (hr, hi) in enumerate(vec):
+                i = h * n + h  # entry (h, g), from g = h
+                for gr, gi in vec[h:]:
+                    re[i] += c * (hr * gr + hi * gi)
+                    im[i] += c * (hi * gr - hr * gi)
+                    i += 1
+        for h in range(n):  # the matrix is Hermitian: row h right of the diagonal is column h below it
+            re[h * n + h + n :: n] = re[h * n + h + 1 : h * n + n]
+            im[h * n + h + n :: n] = map(neg, im[h * n + h + 1 : h * n + n])
+        return getattr(self._reduce(den, re, im), name)
 
     @property
     def entries(self) -> tuple[tuple[ComplexFraction, ...], ...]:
@@ -232,24 +267,29 @@ class QuantalModel:
 
     def _validate(self) -> CheckReport:
         condition = "quantal-axioms"
-        re, im, n = self._re, self._im, n_histories(self.site)
-        for h in range(n):  # row h from the diagonal against column h from it
-            d = h * n + h
-            if re[d : h * n + n] != re[d::n] or im[d : h * n + n] != tuple(map(neg, im[d::n])):
-                g = next(g for g in range(h, n) if (re[h * n + g], im[h * n + g]) != (re[g * n + h], -im[g * n + h]))
-                cx = Counterexample(
-                    values=(
-                        ("axiom", "hermiticity"),
-                        ("entry", f"({h}, {g})"),
-                        (f"D[{h}][{g}]", str(self.entries[h][g])),
-                        (f"conj(D[{g}][{h}])", str(self.entries[g][h].conjugate())),
-                    ),
-                    note=f"hermiticity fails at history pair ({h}, {g})",
-                )
-                return CheckReport(condition, VIOLATED, counterexample=cx)
-        total_re, total_im = sum(re), sum(im)
-        if (total_re, total_im) != (self._den, 0):
-            total = ComplexFraction(Fraction(total_re, self._den), Fraction(total_im, self._den))
+        if self._terms is None:
+            re, im, n = self._re, self._im, n_histories(self.site)
+            for h in range(n):  # row h from the diagonal against column h from it
+                d = h * n + h
+                if re[d : h * n + n] != re[d::n] or im[d : h * n + n] != tuple(map(neg, im[d::n])):
+                    g = next(g for g in range(h, n) if (re[h * n + g], im[h * n + g]) != (re[g * n + h], -im[g * n + h]))
+                    cx = Counterexample(
+                        values=(
+                            ("axiom", "hermiticity"),
+                            ("entry", f"({h}, {g})"),
+                            (f"D[{h}][{g}]", str(self.entries[h][g])),
+                            (f"conj(D[{g}][{h}])", str(self.entries[g][h].conjugate())),
+                        ),
+                        note=f"hermiticity fails at history pair ({h}, {g})",
+                    )
+                    return CheckReport(condition, VIOLATED, counterexample=cx)
+            den, total_re, total_im = self._den, sum(re), sum(im)
+        else:  # Σ c·VV† is Hermitian, and its entries sum to Σ c·|ΣV|²
+            den, terms = self._terms
+            total_re = sum(c * (sum(x for x, _ in v) ** 2 + sum(y for _, y in v) ** 2) for c, v in terms)
+            total_im = 0
+        if (total_re, total_im) != (den, 0):
+            total = ComplexFraction(Fraction(total_re, den), Fraction(total_im, den))
             cx = Counterexample(
                 values=(("axiom", "normalization"), ("total", str(total))),
                 note=f"matrix sums to {total}, not 1",
@@ -321,10 +361,9 @@ class QuantalModel:
                     f"quantal error: witness vector has {len(vec)} amplitudes "
                     f"for {n} histories"
                 )
-        # term w * vec vec^dagger, with w = p/q and vec = V/dv, is c * V V^dagger / L
-        # over the common denominator L of every q * dv^2
-        big = lcm(*(q * dv * dv for _, q, dv, _ in self._witness))
-        terms = [(p * (big // (q * dv * dv)), vec) for p, q, dv, vec in self._witness]
+        if self._terms is not None:  # with positive weights, a sum of outer products is positive
+            return
+        big, terms = _common_scale(self._witness)
         re, im, den = self._re, self._im, self._den
         # relies on _validate checking hermiticity first: the matrix and the sum of
         # terms are both Hermitian, so their differences are mirrored, first at h <= g
@@ -345,6 +384,12 @@ class QuantalModel:
                     )
 
 
+def _common_scale(witness) -> tuple[int, list]:
+    """(L, [(c, V)]): each term w·vv†, with w = p/q and v = V/dv, as c·VV†/L over the common denominator L of every q·dv²."""
+    big = lcm(*(q * dv * dv for _, q, dv, _ in witness))
+    return big, [(p * (big // (q * dv * dv)), vec) for p, q, dv, vec in witness]
+
+
 def validate_quantal(q: QuantalModel) -> CheckReport:
     """Check hermiticity, normalization, and positivity; report the first failure."""
     if q._validation is None:
@@ -358,16 +403,22 @@ def validate_quantal(q: QuantalModel) -> CheckReport:
 def _pair_matrix(q: QuantalModel, regions: tuple[int, ...]) -> tuple[list[int], int]:
     """(d-values between configurations of the union U of disjoint regions, N), x + iy as x + y·N.
 
-    The n_U x n_U matrix is flat and row-major in U's config order, summed
-    by `_marginal` over the history axes doubled, out of the model's matrix
-    encoded on the first call.  Let S be that matrix's sum of absolute
-    parts, and N = 2·S² + 1.  Every table entry, and every block sum, w,
-    column and joint of a scan, is a sum of its entries, so it has
-    |Re| + |Im| <= S, and that measure of a product is at most the product
-    of its factors'.  So every comparison of degree 2, a step
-    T_j·w = T_{j−1} ⊗ M_j, a pair J·w = M_A ⊗ M_B or a null cell 0 = J,
-    has a difference with parts at most 2·S² < N.  Mod N² + 1, i ↦ N is a
-    ring homomorphism, as N² ≡ −1, and one-to-one on parts below N:
+    The n_U x n_U matrix is flat and row-major in U's config order.  A
+    matrix-held model's is summed by `_marginal` over the history axes
+    doubled, out of its matrix encoded on the first call.  A witness-held
+    model's is Σ_t c_t·a_t(x)·conj(a_t(x′)), a_t being V_t summed over the
+    cells of U, at the terms' common scale L, which `_encoded` keeps for the
+    counterexample: a later view of the matrix is reduced.  Let S bound the
+    sum of absolute parts of the matrix at its tables' scale: that sum
+    itself, or from the terms S = Σ_t c_t·‖V_t‖₁², as |Re z| + |Im z| of
+    each V_t(h)·conj(V_t(g)) is at most the product of its factors'.  Let
+    N = 2·S² + 1, one N for every table of the model.  Every table entry,
+    and every block sum, w, column and joint of a scan, is a sum of matrix
+    entries, so it has |Re| + |Im| <= S, and that measure of a product is
+    at most the product of its factors'.  So every comparison of degree 2,
+    a step T_j·w = T_{j−1} ⊗ M_j, a pair J·w = M_A ⊗ M_B or a null cell
+    0 = J, has a difference with parts at most 2·S² < N.  Mod N² + 1, i ↦ N
+    is a ring homomorphism, as N² ≡ −1, and one-to-one on parts below N:
     a + bN ≡ 0 with |a|, |b| < N gives |a + bN| < N² + 1, so a + bN = 0,
     which forces b = 0, then a = 0.  So each such identity holds in ℤ[i]
     iff it holds mod N² + 1.  The one test of degree k > 2, J·w^(k−1) =
@@ -377,10 +428,24 @@ def _pair_matrix(q: QuantalModel, regions: tuple[int, ...]) -> tuple[list[int], 
     is, and `_gaussian` decodes it.
     """
     if q._encoded is None:
-        big = 2 * (sum(map(abs, q._re)) + sum(map(abs, q._im))) ** 2 + 1
-        q._encoded = list(map(add, q._re, map(mul, q._im, repeat(big)))), big
-    union, (flat, big) = sum(regions), q._encoded  # the regions are disjoint
-    return _marginal(flat, q.site.alphabets * 2, union | union << q.site.n), big
+        if q._terms is None:
+            big = 2 * (sum(map(abs, q._re)) + sum(map(abs, q._im))) ** 2 + 1
+            q._encoded = list(map(add, q._re, map(mul, q._im, repeat(big)))), big, q._den
+        else:
+            den, terms = q._terms
+            parts = [(c, *zip(*vec)) for c, vec in terms]
+            bound = sum(abs(c) * (sum(map(abs, re)) + sum(map(abs, im))) ** 2 for c, re, im in parts)
+            q._encoded = parts, 2 * bound * bound + 1, den
+    union, (held, big, _) = sum(regions), q._encoded  # the regions are disjoint
+    if q._terms is None:
+        return _marginal(held, q.site.alphabets * 2, union | union << q.site.n), big
+    rows = []
+    for c, re, im in held:
+        a = list(zip(_marginal(re, q.site.alphabets, union), _marginal(im, q.site.alphabets, union)))
+        # c·a(x)·conj(a(x′)) is u·Re a(x′) + v·Im a(x′), encoded, with u and v from a(x)
+        factors = [(c * (x + y * big), c * (y - x * big)) for x, y in a]
+        rows.append([u * x + v * y for u, v in factors for x, y in a])
+    return rows[0] if len(rows) == 1 else list(map(sum, zip(*rows))), big
 
 
 def _quantal_screening_failure(q: QuantalModel, regions: tuple[int, ...], past: int):
@@ -452,9 +517,9 @@ def _rank_one_holds(q: QuantalModel, regions: tuple[int, ...], past: int) -> boo
 def _quantal_counterexample(
     q: QuantalModel, regions: tuple[int, int], names: tuple[str, str], past: int, fail, note: str
 ) -> Counterexample:
-    site, big = q.site, q._encoded[1]  # the failing scan encoded the model (`_pair_matrix`)
+    site, (_, big, den) = q.site, q._encoded  # the failing scan's tables, at their scale (`_pair_matrix`)
     values = map(_gaussian, (fail.w_joint, fail.w_past, *fail.w_margins), repeat(big))
-    joint, mp, ma, mb = _fractions(values, q._den)
+    joint, mp, ma, mb = _fractions(values, den)
     labels = [(name, site.region_ids(r)) for name, r in zip(names, regions)]
     events = []
     for name, r, index in zip((*names, "C"), (*regions, past), (*fail.atom_indexes, fail.past_index)):
